@@ -48,7 +48,6 @@ pub fn dist_sq_scalar(a: &[f32], b: &[f32]) -> f32 {
 /// [`dist_sq_scalar`] (see the module docs for why the accumulation order
 /// is preserved).
 #[inline]
-// audit:allow(panic) main = len - len % LANES never exceeds len, so every slice is in bounds
 pub fn dist_sq(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     let main = a.len() - a.len() % LANES;

@@ -13,7 +13,7 @@
 use crate::scheme::{BovwVoVariant, InvVoVariant, QueryVo};
 use crate::sp::QueryResponse;
 use imageproof_crypto::Signature;
-use imageproof_mrkd::{Reveal, VoNode};
+use imageproof_mrkd::{BovwVo, Reveal, VoNode};
 
 /// Case 3: replace the first result's raw bytes (keeping its signature).
 pub fn tamper_image_data(response: &mut QueryResponse) {
@@ -66,32 +66,21 @@ pub fn tamper_posting(response: &mut QueryResponse) -> bool {
     }
 }
 
-/// Case 1: tamper a revealed centroid coordinate in the BoVW VO.
+/// Case 1: tamper a revealed centroid coordinate in the BoVW VO's cluster
+/// table (every leaf naming the row then hashes the forged coordinates).
 pub fn tamper_bovw_centroid(response: &mut QueryResponse) -> bool {
-    fn walk(node: &mut VoNode) -> bool {
-        match node {
-            VoNode::Pruned(_) => false,
-            VoNode::Leaf { entries } => {
-                for e in entries {
-                    match &mut e.reveal {
-                        Reveal::Full { coords } | Reveal::FullCompressed { coords } => {
-                            coords[0] += 0.5;
-                            return true;
-                        }
-                        Reveal::Partial { .. } => {}
-                    }
-                }
-                false
+    fn tamper(vo: &mut BovwVo) -> bool {
+        vo.clusters.iter_mut().any(|row| match &mut row.reveal {
+            Reveal::Full { coords } | Reveal::FullCompressed { coords } => {
+                coords[0] += 0.5;
+                true
             }
-            VoNode::Internal { left, right, .. } => walk(left) || walk(right),
-        }
+            Reveal::Partial { .. } => false,
+        })
     }
     match &mut response.vo.bovw {
-        BovwVoVariant::Shared(vo) => vo.trees.iter_mut().any(walk),
-        BovwVoVariant::PerQuery(vo) => vo
-            .per_query
-            .iter_mut()
-            .any(|q| q.trees.iter_mut().any(walk)),
+        BovwVoVariant::Shared(vo) => tamper(vo),
+        BovwVoVariant::PerQuery(vo) => vo.per_query.iter_mut().any(tamper),
     }
 }
 

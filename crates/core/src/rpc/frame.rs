@@ -1347,7 +1347,10 @@ mod tests {
                 score: 2.5,
             }],
             vo: QueryVo {
-                bovw: crate::scheme::BovwVoVariant::Shared(BovwVo { trees: Vec::new() }),
+                bovw: crate::scheme::BovwVoVariant::Shared(BovwVo {
+                    clusters: Vec::new(),
+                    trees: Vec::new(),
+                }),
                 inv: InvVoVariant::Plain(InvVo { lists: Vec::new() }),
                 signatures: vec![Signature::from_bytes([9u8; 64])],
             },

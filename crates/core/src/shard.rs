@@ -159,11 +159,12 @@ impl Decode for ShardManifest {
     }
 }
 
-/// Collects a BoVW VO variant's shard-varying digests — pruned-subtree
-/// stubs and leaf-embedded inverted-list digests, in DFS order (per-query
-/// VOs concatenate their queries' trees). Everything else in the VO
-/// depends only on the query features and the deployment-wide codebook, so
-/// two shards' VOs for one query differ in exactly this digest sequence.
+/// Collects a BoVW VO variant's shard-varying digests — per VO, the
+/// cluster table's inverted-list digests in row order, then the trees'
+/// pruned-subtree stubs in DFS order (per-query VOs concatenate). Everything
+/// else in the VO depends only on the query features and the
+/// deployment-wide codebook, so two shards' VOs for one query differ in
+/// exactly this digest sequence.
 pub fn bovw_variant_digests(vo: &BovwVoVariant) -> Vec<Digest> {
     let mut out = Vec::new();
     match vo {
@@ -239,8 +240,8 @@ const TAG_BOVW_PATCHED: u8 = 1;
 /// How one shard's BoVW proof material ships.
 ///
 /// A patch stores its digest payload *slot-deduplicated*: the same
-/// inverted-list digest re-appears in every MRKD tree (and, for per-query
-/// VOs, in every query's tree set), so the payload ships each distinct
+/// inverted-list digest re-appears in every per-query VO's cluster table
+/// (and equal lists share a digest), so the payload ships each distinct
 /// digest once in `unique` plus a compact `slots` map assigning one unique
 /// index per template digest slot. An empty patch (`unique` and `slots`
 /// both empty) means "the template's embedded digests *are* this shard's"
@@ -256,7 +257,8 @@ pub enum ShardBovw {
         template: u32,
         /// Distinct digests, in first-occurrence order.
         unique: Vec<Digest>,
-        /// One index into `unique` per template digest slot (DFS order).
+        /// One index into `unique` per template digest slot, in
+        /// [`bovw_variant_digests`] order.
         slots: Vec<u32>,
     },
 }
@@ -390,7 +392,7 @@ impl ShardVo {
     /// the shard's manifest-committed root.
     pub fn resolve_bovw<'a>(
         &'a self,
-        shared: &SharedSection,
+        shared: &'a SharedSection,
     ) -> Result<std::borrow::Cow<'a, BovwVoVariant>, ShardedError> {
         match &self.bovw {
             ShardBovw::Inline(vo) => Ok(std::borrow::Cow::Borrowed(vo)),
@@ -408,7 +410,7 @@ impl ShardVo {
                 // Empty patch: the template's embedded digests are this
                 // shard's own (the template-seeding shard ships nothing).
                 if unique.is_empty() && slots.is_empty() {
-                    return Ok(std::borrow::Cow::Owned(t.clone()));
+                    return Ok(std::borrow::Cow::Borrowed(t));
                 }
                 let mut digests = Vec::with_capacity(slots.len());
                 for &s in slots {
@@ -476,8 +478,8 @@ pub fn dedup_shared_section(shards: &mut [ShardVo]) -> (SharedSection, usize) {
         } else {
             // Slot-dedup the payload: one copy of each distinct digest
             // plus a unique-index per template slot. Inverted-list digests
-            // recur across trees (and per-query VOs), so this is much
-            // smaller than the raw digest sequence.
+            // recur across per-query VOs, so this is much smaller than the
+            // raw digest sequence there.
             let mut index: BTreeMap<Digest, u32> = BTreeMap::new();
             let mut unique: Vec<Digest> = Vec::new();
             let mut slots: Vec<u32> = Vec::with_capacity(digests.len());
@@ -1067,21 +1069,20 @@ mod tests {
     }
 
     fn sample_bovw_variant() -> BovwVoVariant {
-        use imageproof_mrkd::{BovwVo, Reveal, VoLeafEntry, VoNode};
+        use imageproof_mrkd::{BovwVo, Reveal, VoCluster, VoNode};
         BovwVoVariant::Shared(BovwVo {
+            clusters: vec![VoCluster {
+                cluster: 7,
+                inv_digest: Digest::of(b"inv"),
+                reveal: Reveal::Full {
+                    coords: vec![1.0, -2.0],
+                },
+            }],
             trees: vec![VoNode::Internal {
                 dim: 0,
                 value: 0.5,
                 left: Box::new(VoNode::Pruned(Digest::of(b"pruned"))),
-                right: Box::new(VoNode::Leaf {
-                    entries: vec![VoLeafEntry {
-                        cluster: 7,
-                        inv_digest: Digest::of(b"inv"),
-                        reveal: Reveal::Full {
-                            coords: vec![1.0, -2.0],
-                        },
-                    }],
-                }),
+                right: Box::new(VoNode::Leaf { clusters: vec![7] }),
             }],
         })
     }
@@ -1190,7 +1191,7 @@ mod tests {
         };
         // A fresh digest payload resolves to the template with exactly
         // those digests swapped in (the sample template has two slots).
-        let digests = vec![Digest::of(b"p2"), Digest::of(b"i2")];
+        let digests = vec![Digest::of(b"i2"), Digest::of(b"p2")];
         let sub = sample_shard_vo(
             1,
             ShardBovw::Patched {
@@ -1224,9 +1225,10 @@ mod tests {
                 slots: Vec::new(),
             },
         );
-        assert_eq!(
-            seeded.resolve_bovw(&shared).expect("empty patch").as_ref(),
-            &template
+        let resolved = seeded.resolve_bovw(&shared).expect("empty patch");
+        assert!(
+            matches!(resolved, std::borrow::Cow::Borrowed(t) if std::ptr::eq(t, &shared.templates[0])),
+            "an empty patch borrows the template instead of copying it"
         );
         // Out-of-range template index.
         let dangling = sample_shard_vo(
@@ -1262,7 +1264,7 @@ mod tests {
     #[test]
     fn dedup_seeds_a_template_and_slot_dedups_the_other_patches() {
         let template = sample_bovw_variant();
-        let other_digests = vec![Digest::of(b"other-pruned"), Digest::of(b"other-inv")];
+        let other_digests = vec![Digest::of(b"other-inv"), Digest::of(b"other-pruned")];
         let other = bovw_variant_with_digests(&template, &other_digests).expect("same shape");
         let mut shards = vec![
             sample_shard_vo(0, ShardBovw::Inline(template.clone())),

@@ -50,9 +50,10 @@ pub struct SpStats {
     pub total_postings: usize,
     /// VO digests that required running Keccak at query time.
     pub hashes_computed: usize,
-    /// VO digests copied from build-time memos (MRKD pruned stubs and
-    /// leaf-embedded list digests, block-summary digests, filter
-    /// commitments).
+    /// VO digests copied from build-time memos: MRKD pruned stubs, one
+    /// list digest per BoVW cluster-table *row* (not per leaf entry — a
+    /// cluster named by every tree is copied once), block-summary digests,
+    /// filter commitments.
     pub hashes_cached: usize,
     /// Posting blocks the block-max search left unscanned (each proven by
     /// one fence digest in the VO).

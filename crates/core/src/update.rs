@@ -27,11 +27,13 @@ use crate::owner::{
 };
 use imageproof_akm::bovw::{impact_value, SparseBovw};
 use imageproof_crypto::Digest;
-use imageproof_invindex::Posting;
+use imageproof_invindex::grouped::GroupedList;
+use imageproof_invindex::{MerkleList, Posting};
 use imageproof_vision::ImageId;
 use std::collections::BTreeMap;
 
-/// Why an update was rejected (the database is left unchanged).
+/// Why an update was rejected. The database is left exactly as it was:
+/// every affected list is rebuilt before any is swapped in.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum UpdateError {
     /// Inserting an id that already exists.
@@ -59,6 +61,63 @@ impl std::fmt::Display for UpdateError {
 
 impl std::error::Error for UpdateError {}
 
+/// The one-image change an update applies to every affected list.
+#[derive(Clone, Copy)]
+enum Edit {
+    Insert { id: ImageId, norm: f32 },
+    Remove { id: ImageId },
+}
+
+/// Replaces the list of every cluster in `bovw`, all or nothing: each
+/// replacement is built against the committed filter geometry first, and
+/// only when all of them fit are they swapped in. Returns the new `h_Γ` per
+/// cluster; on error the index is exactly as it was.
+fn replace_lists(
+    inv: &mut IndexVariant,
+    bovw: &SparseBovw,
+    edit: Edit,
+) -> Result<BTreeMap<u32, Digest>, UpdateError> {
+    let exhausted = |cluster| UpdateError::FilterGeometryExhausted { cluster };
+    match inv {
+        IndexVariant::Plain(index) => {
+            let rebuilt = bovw
+                .iter()
+                .map(|(cluster, freq)| {
+                    let old = index.list(cluster);
+                    let mut postings = old.postings.clone();
+                    match edit {
+                        Edit::Insert { id, norm } => postings.push(Posting {
+                            image: id,
+                            impact: impact_value(old.weight, freq, norm),
+                        }),
+                        Edit::Remove { id } => postings.retain(|p| p.image != id),
+                    }
+                    let list = index.rebuild_list(cluster, postings);
+                    list.map_err(|_| exhausted(cluster))
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            let install = |list: MerkleList| (list.cluster, index.install_list(list));
+            Ok(rebuilt.into_iter().map(install).collect())
+        }
+        IndexVariant::Grouped(index) => {
+            let rebuilt = bovw
+                .iter()
+                .map(|(cluster, freq)| {
+                    let mut entries = grouped_entries(index, cluster);
+                    match edit {
+                        Edit::Insert { id, norm } => entries.push((id, freq, norm)),
+                        Edit::Remove { id } => entries.retain(|&(image, _, _)| image != id),
+                    }
+                    let list = index.rebuild_list(cluster, entries);
+                    list.map_err(|_| exhausted(cluster))
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            let install = |list: GroupedList| (list.cluster, index.install_list(list));
+            Ok(rebuilt.into_iter().map(install).collect())
+        }
+    }
+}
+
 impl Owner {
     /// Inserts a new image into the outsourced database, returning the
     /// refreshed [`PublishedParams`] (new root signature) for clients.
@@ -74,29 +133,7 @@ impl Owner {
         }
         let bovw = SparseBovw::encode(&db.codebook, features.iter().map(Vec::as_slice));
         let norm = bovw.norm();
-
-        // Rebuild each affected cluster's list with the new posting.
-        let mut digest_updates: BTreeMap<u32, Digest> = BTreeMap::new();
-        for (cluster, freq) in bovw.iter() {
-            let digest = match &mut db.inv {
-                IndexVariant::Plain(index) => {
-                    let weight = index.list(cluster).weight;
-                    let mut postings = index.list(cluster).postings.clone();
-                    postings.push(Posting {
-                        image: id,
-                        impact: impact_value(weight, freq, norm),
-                    });
-                    index.replace_list(cluster, postings)
-                }
-                IndexVariant::Grouped(index) => {
-                    let mut entries = grouped_entries(index, cluster);
-                    entries.push((id, freq, norm));
-                    index.replace_list(cluster, entries)
-                }
-            }
-            .map_err(|_| UpdateError::FilterGeometryExhausted { cluster })?;
-            digest_updates.insert(cluster, digest);
-        }
+        let digest_updates = replace_lists(&mut db.inv, &bovw, Edit::Insert { id, norm })?;
 
         db.mrkd.apply_inv_digest_updates(&digest_updates);
         let signature = self.sign_image(id, &data);
@@ -120,34 +157,11 @@ impl Owner {
             .iter()
             .position(|(i, _)| *i == id)
             .expect("stored images always have an encoding");
-        let (_, bovw) = db.encodings.remove(position);
-
-        let mut digest_updates: BTreeMap<u32, Digest> = BTreeMap::new();
-        for (cluster, _) in bovw.iter() {
-            let digest = match &mut db.inv {
-                IndexVariant::Plain(index) => {
-                    let postings: Vec<Posting> = index
-                        .list(cluster)
-                        .postings
-                        .iter()
-                        .copied()
-                        .filter(|p| p.image != id)
-                        .collect();
-                    index.replace_list(cluster, postings)
-                }
-                IndexVariant::Grouped(index) => {
-                    let entries: Vec<(u64, u32, f32)> = grouped_entries(index, cluster)
-                        .into_iter()
-                        .filter(|&(image, _, _)| image != id)
-                        .collect();
-                    index.replace_list(cluster, entries)
-                }
-            }
-            .map_err(|_| UpdateError::FilterGeometryExhausted { cluster })?;
-            digest_updates.insert(cluster, digest);
-        }
+        let digest_updates =
+            replace_lists(&mut db.inv, &db.encodings[position].1, Edit::Remove { id })?;
 
         db.mrkd.apply_inv_digest_updates(&digest_updates);
+        db.encodings.remove(position);
         db.images.remove(&id);
         Ok(self.republish(db))
     }
@@ -299,5 +313,87 @@ mod tests {
             before,
             "insert ∘ remove must be the identity on the ADS"
         );
+    }
+
+    /// Number of postings in `cluster`'s list, whichever index variant.
+    fn list_len(db: &Database, cluster: u32) -> usize {
+        match &db.inv {
+            IndexVariant::Plain(index) => index.list(cluster).postings.len(),
+            IndexVariant::Grouped(index) => grouped_entries(index, cluster).len(),
+        }
+    }
+
+    #[test]
+    fn a_failed_update_leaves_the_database_untouched() {
+        for scheme in [Scheme::ImageProof, Scheme::OptimizedBoth] {
+            let (corpus, owner, mut db, _) = setup(scheme);
+            // Grow the fullest list until the committed filter geometry
+            // gives out. Every inserted image also maps to a smaller-id
+            // cluster, whose list is therefore rebuilt *before* the one
+            // that overflows — the mid-update failure of PR 11's finding.
+            let full = (0..db.codebook.centers.len() as u32)
+                .max_by_key(|&c| list_len(&db, c))
+                .expect("clusters");
+            let bystander = (0..full)
+                .filter(|&c| list_len(&db, c) > 0)
+                .min_by_key(|&c| list_len(&db, c))
+                .expect("a non-empty list below the fullest one");
+            let features = vec![
+                db.codebook.centers[bystander as usize].clone(),
+                db.codebook.centers[full as usize].clone(),
+            ];
+            let mut published = None;
+            let mut next_id = 50_000u64;
+            let snapshot = |db: &Database| {
+                (
+                    db.mrkd.combined_root_digest(),
+                    db.inv.list_digests(),
+                    db.images.len(),
+                    db.encodings.len(),
+                )
+            };
+            let failed = loop {
+                let before = snapshot(&db);
+                match owner.insert_image(&mut db, next_id, vec![7; 16], &features) {
+                    Ok(p) => published = Some(p),
+                    Err(e) => {
+                        assert_eq!(
+                            before,
+                            snapshot(&db),
+                            "{scheme:?}: failed insert left a trace"
+                        );
+                        break e;
+                    }
+                }
+                next_id += 1;
+                assert!(next_id < 51_000, "the filter geometry never gave out");
+            };
+            assert_eq!(
+                failed,
+                UpdateError::FilterGeometryExhausted { cluster: full },
+                "{scheme:?}"
+            );
+
+            // The database still answers honestly under the last
+            // successfully published parameters...
+            let query = corpus.query_from_image(5, 40, 784);
+            let sp = ServiceProvider::new(db);
+            let client = Client::new(published.expect("at least one insert fit"));
+            let (response, _) = sp.query(&query, 4);
+            client
+                .verify(&query, 4, &response)
+                .unwrap_or_else(|e| panic!("{scheme:?}: honest query rejected: {e}"));
+
+            // ...and updates still compose: insert ∘ remove is the identity.
+            let mut db = sp.into_database();
+            let before = db.mrkd.combined_root_digest();
+            let scene = corpus.query_from_image(3, 30, 785);
+            owner
+                .insert_image(&mut db, 60_000, vec![9; 64], &scene)
+                .expect("an ordinary insert still fits");
+            assert_ne!(db.mrkd.combined_root_digest(), before);
+            owner.remove_image(&mut db, 60_000).expect("remove");
+            assert_eq!(db.mrkd.combined_root_digest(), before, "{scheme:?}");
+        }
     }
 }

@@ -114,7 +114,6 @@ impl MerkleTree {
     }
 
     /// Number of leaves.
-    // audit:allow(panic) construction always stores the leaf level at index 0
     pub fn len(&self) -> usize {
         self.levels[0].len()
     }
@@ -199,7 +198,6 @@ impl MerkleTree {
     ///
     /// # Panics
     /// Panics when `indices` is empty, unsorted, or out of range.
-    // audit:allow(panic) owner-side prover: inputs are asserted on entry; loop indices are guarded by covered.len() and level.len()
     pub fn prove_subset(&self, indices: &[usize]) -> SubsetProof {
         assert!(!indices.is_empty(), "subset proof needs at least one leaf");
         assert!(

@@ -271,23 +271,30 @@ impl GroupedInvertedIndex {
         }
     }
 
-    /// Owner-side incremental update: rebuilds one cluster's grouped list
-    /// from `(image, frequency, norm)` entries (frozen weight, common
-    /// filter geometry) and returns the new `h_Γ`.
-    pub fn replace_list(
-        &mut self,
+    /// Owner-side incremental update, step 1: builds one cluster's
+    /// replacement grouped list from `(image, frequency, norm)` entries
+    /// (frozen weight, common filter geometry) without touching the index.
+    pub fn rebuild_list(
+        &self,
         cluster: u32,
         entries: Vec<(u64, u32, f32)>,
-    ) -> Result<Digest, imageproof_cuckoo::FilterFull> {
+    ) -> Result<GroupedList, imageproof_cuckoo::FilterFull> {
         let weight = self.lists[cluster as usize].weight;
         let mut by_freq: BTreeMap<u32, Vec<(u64, f32)>> = BTreeMap::new();
         for (image, freq, norm) in entries {
             by_freq.entry(freq).or_default().push((image, norm));
         }
-        let list = GroupedList::try_build(cluster, weight, by_freq, self.n_buckets)?;
+        GroupedList::try_build(cluster, weight, by_freq, self.n_buckets)
+    }
+
+    /// Step 2: swaps a list from [`GroupedInvertedIndex::rebuild_list`] in
+    /// and returns its `h_Γ` (infallible — see
+    /// `MerkleInvertedIndex::install_list`).
+    pub fn install_list(&mut self, list: GroupedList) -> Digest {
         let digest = list.digest;
-        self.lists[cluster as usize] = list;
-        Ok(digest)
+        let cluster = list.cluster as usize;
+        self.lists[cluster] = list;
+        digest
     }
 }
 

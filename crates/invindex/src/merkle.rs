@@ -367,23 +367,30 @@ impl MerkleInvertedIndex {
         }
     }
 
-    /// Owner-side incremental update: rebuilds one cluster's list with new
-    /// postings (keeping the frozen cluster weight and the common filter
-    /// geometry) and returns the new `h_Γ`.
+    /// Owner-side incremental update, step 1: builds one cluster's
+    /// replacement list from new postings (keeping the frozen cluster
+    /// weight and the common filter geometry) without touching the index.
     ///
     /// Fails with [`imageproof_cuckoo::FilterFull`] when the new postings no
     /// longer fit the common geometry; callers should then rebuild the
     /// whole index (geometry is a global commitment, see `MaxCount`).
-    pub fn replace_list(
-        &mut self,
+    pub fn rebuild_list(
+        &self,
         cluster: u32,
         postings: Vec<Posting>,
-    ) -> Result<Digest, imageproof_cuckoo::FilterFull> {
+    ) -> Result<MerkleList, imageproof_cuckoo::FilterFull> {
         let weight = self.lists[cluster as usize].weight;
-        let list = MerkleList::try_build(cluster, weight, postings, self.n_buckets)?;
+        MerkleList::try_build(cluster, weight, postings, self.n_buckets)
+    }
+
+    /// Step 2: swaps a list from [`MerkleInvertedIndex::rebuild_list`] in
+    /// and returns its `h_Γ`. Infallible, so an update touching several
+    /// clusters can build every list first and commit all or none.
+    pub fn install_list(&mut self, list: MerkleList) -> Digest {
         let digest = list.digest;
-        self.lists[cluster as usize] = list;
-        Ok(digest)
+        let cluster = list.cluster as usize;
+        self.lists[cluster] = list;
+        digest
     }
 }
 

@@ -3,12 +3,12 @@
 
 use crate::traverse::{traverse, ActiveQuery, TraversalVisitor, TreeSource, ViewNode};
 use crate::tree::{CandidateMode, MrkdForest, MrkdTree};
-use crate::vo::{BovwVo, Reveal, VoLeafEntry, VoNode};
+use crate::vo::{BovwVo, Reveal, VoCluster, VoNode};
 use imageproof_akm::kernel::dist_sq_within;
 use imageproof_akm::rkd::Node;
 use imageproof_crypto::wire::{Decode, Encode, Reader, WireError, Writer};
 use imageproof_parallel::{par_map, Concurrency};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::convert::Infallible;
 
 /// Traversal statistics; the "ratio of shared nodes" plotted in Figs. 7–8 is
@@ -21,9 +21,10 @@ pub struct SearchStats {
     pub nodes_shared: usize,
     /// Leaves disclosed.
     pub leaves_visited: usize,
-    /// Digests copied from the build-time tables into the VO (pruned-stub
-    /// node digests and per-cluster inverted-list digests) instead of being
-    /// recomputed — the MRKD share of the SP's hash-cache hits.
+    /// Digests copied from the build-time tables into the VO instead of
+    /// being recomputed — the MRKD share of the SP's hash-cache hits: one
+    /// per pruned stub plus one inverted-list digest per cluster-table
+    /// *row* (a cluster named by eight trees' leaves is copied once).
     pub digests_cached: usize,
 }
 
@@ -48,7 +49,8 @@ impl SearchStats {
 /// Output of `MRKDSearch` over the whole forest.
 #[derive(Clone, Debug)]
 pub struct SearchOutput {
-    /// One VO tree per MRKD-tree (`{VO_{C,i}}` in Alg. 5).
+    /// One VO tree per MRKD-tree (`{VO_{C,i}}` in Alg. 5) over the shared
+    /// cluster table.
     pub vo: BovwVo,
     /// Per query: deduplicated `(cluster, squared distance)` candidates
     /// within the threshold, across all trees (`∪ C_i`).
@@ -106,12 +108,19 @@ impl TreeSource for MrkdSource<'_> {
     }
 }
 
+/// What one tree's traversal asks the cluster table to disclose for a leaf
+/// cluster: `(cluster, full reveal?, queries a partial reveal must clear)`.
+/// The query list is empty whenever the reveal is full.
+type Need = (u32, bool, Vec<u32>);
+
 struct SpVisitor<'a> {
     forest: &'a MrkdForest,
     tree: &'a MrkdTree,
     queries: &'a [Vec<f32>],
     thresholds_sq: &'a [f32],
     candidates: &'a mut [Vec<(u32, f32)>],
+    /// Every cluster of every disclosed leaf, in leaf-visit order.
+    needs: Vec<Need>,
     stats: SearchStats,
 }
 
@@ -139,11 +148,12 @@ impl TraversalVisitor for SpVisitor<'_> {
         let Node::Leaf { clusters } = &self.tree.rkd().nodes()[node] else {
             unreachable!("leaf callback on non-leaf");
         };
-        let entries = clusters
-            .iter()
-            .map(|&cluster| self.leaf_entry(cluster, active))
-            .collect();
-        Ok(VoNode::Leaf { entries })
+        for &cluster in clusters {
+            self.leaf_cluster(cluster, active);
+        }
+        Ok(VoNode::Leaf {
+            clusters: clusters.clone(),
+        })
     }
 
     fn internal(
@@ -169,8 +179,12 @@ impl TraversalVisitor for SpVisitor<'_> {
 }
 
 impl SpVisitor<'_> {
+    /// Collects the candidates among `active` for one leaf cluster and
+    /// records what the table must disclose for it: everything for a
+    /// candidate (and for any cluster in [`CandidateMode::Full`]), else
+    /// enough to clear the threshold of every query reaching the leaf.
     // audit:allow(panic) SP-side: cluster ids and query indices come from the SP's own forest and walker
-    fn leaf_entry(&mut self, cluster: u32, active: &[ActiveQuery]) -> VoLeafEntry {
+    fn leaf_cluster(&mut self, cluster: u32, active: &[ActiveQuery]) {
         let center = &self.forest.centers()[cluster as usize];
         let mut is_candidate = false;
         for aq in active {
@@ -186,102 +200,124 @@ impl SpVisitor<'_> {
                 is_candidate = true;
             }
         }
-        let reveal = match self.forest.mode() {
-            CandidateMode::Full => Reveal::Full {
-                coords: center.clone(),
-            },
-            CandidateMode::Compressed => {
-                if is_candidate {
-                    Reveal::FullCompressed {
-                        coords: center.clone(),
-                    }
-                } else {
-                    self.partial_reveal(cluster, active)
-                }
-            }
+        let full = is_candidate || self.forest.mode() == CandidateMode::Full;
+        let reached_by = if full {
+            Vec::new()
+        } else {
+            active.iter().map(|aq| aq.query).collect()
         };
-        self.stats.digests_cached += 1;
-        VoLeafEntry {
+        self.needs.push((cluster, full, reached_by));
+    }
+}
+
+/// Builds the cluster table from the trees' merged needs: one row per
+/// disclosed cluster, ascending by cluster id (the `BTreeMap` order). A
+/// cluster is revealed in full if any tree found it a candidate; otherwise
+/// its one partial reveal clears every query reaching it in any tree.
+fn table_rows(
+    forest: &MrkdForest,
+    queries: &[Vec<f32>],
+    thresholds_sq: &[f32],
+    plan: BTreeMap<u32, (bool, Vec<u32>)>,
+) -> Vec<VoCluster> {
+    let row = |(cluster, (full, mut reached_by)): (u32, (bool, Vec<u32>))| {
+        let coords = || forest.centers()[cluster as usize].clone();
+        let reveal = if forest.mode() == CandidateMode::Full {
+            Reveal::Full { coords: coords() }
+        } else if full {
+            Reveal::FullCompressed { coords: coords() }
+        } else {
+            // Ascending query order makes the greedy block choice a
+            // function of the *set* of queries, not of which tree or
+            // worker reported them first.
+            reached_by.sort_unstable();
+            reached_by.dedup();
+            partial_reveal(forest, queries, thresholds_sq, cluster, &reached_by)
+        };
+        VoCluster {
             cluster,
-            inv_digest: self.forest.inv_digest(cluster),
+            inv_digest: forest.inv_digest(cluster),
             reveal,
         }
+    };
+    plan.into_iter().map(row).collect()
+}
+
+/// Chooses a dimension-block subset proving `dist(q, c) ≥ t_q` for every
+/// query in `reached_by` (§VI-A): greedily picks the blocks with the largest
+/// contributions, then validates with the client's exact summation.
+fn partial_reveal(
+    forest: &MrkdForest,
+    queries: &[Vec<f32>],
+    thresholds_sq: &[f32],
+    cluster: u32,
+    reached_by: &[u32],
+) -> Reveal {
+    let center = &forest.centers()[cluster as usize];
+    let dim_tree = forest
+        .dim_tree(cluster)
+        .expect("compressed mode has dimension trees");
+    let dim = center.len();
+    let total_blocks = crate::tree::n_blocks(dim);
+    let mut selected: BTreeSet<u32> = BTreeSet::new();
+
+    for &query in reached_by {
+        let q = &queries[query as usize];
+        let t = thresholds_sq[query as usize];
+        // Each block's contribution once, up front: the greedy ordering
+        // and the repeated partial-sum validations below all read from
+        // this cache (every cached value is bit-identical to
+        // recomputation, so selection — and hence the VO — is unchanged).
+        let contrib: Vec<f32> = (0..total_blocks as u32)
+            .map(|b| block_contribution(q, center, b))
+            .collect();
+        if partial_sum_selected(&selected, &contrib) >= t {
+            continue;
+        }
+        // Blocks by descending contribution for this query.
+        let mut order: Vec<u32> = (0..total_blocks as u32)
+            .filter(|b| !selected.contains(b))
+            .collect();
+        order.sort_by(|&a, &b| contrib[b as usize].total_cmp(&contrib[a as usize]));
+        for b in order {
+            selected.insert(b);
+            if partial_sum_selected(&selected, &contrib) >= t {
+                break;
+            }
+        }
+        debug_assert!(
+            partial_sum_selected(&selected, &contrib) >= t,
+            "a non-candidate's full distance must exceed the threshold"
+        );
     }
 
-    /// Chooses a dimension-block subset proving `dist(q, c) ≥ t_q` for every
-    /// active query (§VI-A): greedily picks the blocks with the largest
-    /// contributions, then validates with the client's exact summation.
-    // audit:allow(panic) SP-side: indices come from the SP's own forest; compressed mode always builds dimension trees
-    fn partial_reveal(&self, cluster: u32, active: &[ActiveQuery]) -> Reveal {
-        let center = &self.forest.centers()[cluster as usize];
-        let dim_tree = self
-            .forest
-            .dim_tree(cluster)
-            .expect("compressed mode has dimension trees");
-        let dim = center.len();
-        let total_blocks = crate::tree::n_blocks(dim);
-        let mut selected: BTreeSet<u32> = BTreeSet::new();
-
-        for aq in active {
-            let q = &self.queries[aq.query as usize];
-            let t = self.thresholds_sq[aq.query as usize];
-            // Each block's contribution once, up front: the greedy ordering
-            // and the repeated partial-sum validations below all read from
-            // this cache (every cached value is bit-identical to
-            // recomputation, so selection — and hence the VO — is
-            // unchanged).
-            let contrib: Vec<f32> = (0..total_blocks as u32)
-                .map(|b| block_contribution(q, center, b))
-                .collect();
-            if partial_sum_selected(&selected, &contrib) >= t {
-                continue;
-            }
-            // Blocks by descending contribution for this query.
-            let mut order: Vec<u32> = (0..total_blocks as u32)
-                .filter(|b| !selected.contains(b))
-                .collect();
-            order.sort_by(|&a, &b| contrib[b as usize].total_cmp(&contrib[a as usize]));
-            for b in order {
-                selected.insert(b);
-                if partial_sum_selected(&selected, &contrib) >= t {
-                    break;
-                }
-            }
-            debug_assert!(
-                partial_sum_selected(&selected, &contrib) >= t,
-                "a non-candidate's full distance must exceed the threshold"
-            );
-        }
-
-        if selected.is_empty() {
-            // Every active query's threshold was already met by the empty
-            // sum (t = 0, query coincides with its winner); reveal one block
-            // anyway — the verifier rejects empty disclosures.
-            selected.insert(0);
-        }
-        let indices: Vec<usize> = selected.iter().map(|&b| b as usize).collect();
-        let proof = dim_tree.prove_subset(&indices);
-        let blocks = selected
-            .iter()
-            .map(|&b| {
-                (
-                    b,
-                    center[crate::tree::block_range(b as usize, dim)].to_vec(),
-                )
-            })
-            .collect();
-        Reveal::Partial {
-            dim_root: dim_tree.root(),
-            blocks,
-            proof,
-        }
+    if selected.is_empty() {
+        // Every query's threshold was already met by the empty sum (t = 0,
+        // query coincides with its winner); reveal one block anyway — the
+        // verifier rejects empty disclosures.
+        selected.insert(0);
+    }
+    let indices: Vec<usize> = selected.iter().map(|&b| b as usize).collect();
+    let proof = dim_tree.prove_subset(&indices);
+    let blocks = selected
+        .iter()
+        .map(|&b| {
+            (
+                b,
+                center[crate::tree::block_range(b as usize, dim)].to_vec(),
+            )
+        })
+        .collect();
+    Reveal::Partial {
+        dim_root: dim_tree.root(),
+        blocks,
+        proof,
     }
 }
 
 /// One dimension block's share of the squared distance. Delegates to the
 /// chunked kernel, which is bit-identical to the sequential fold the client
 /// performs over the block.
-// audit:allow(panic) block_range clamps its end to the vector length, so the slices stay in bounds
 fn block_contribution(q: &[f32], center: &[f32], block: u32) -> f32 {
     let range = crate::tree::block_range(block as usize, center.len());
     imageproof_akm::kernel::dist_sq(&q[range.clone()], &center[range])
@@ -292,7 +328,6 @@ fn block_contribution(q: &[f32], center: &[f32], block: u32) -> f32 {
 /// block) — the exact computation the client performs, so the SP validates
 /// against the same float rounding. `contrib[b]` must hold
 /// [`block_contribution`] of block `b`.
-// audit:allow(panic) selected blocks are drawn from 0..total_blocks, the length of contrib
 fn partial_sum_selected(blocks: &BTreeSet<u32>, contrib: &[f32]) -> f32 {
     blocks.iter().map(|&b| contrib[b as usize]).sum()
 }
@@ -316,15 +351,23 @@ pub fn partial_sum_revealed(blocks: &[(u32, Vec<f32>)], q: &[f32]) -> f32 {
         .sum()
 }
 
-/// One tree's share of `MRKDSearch`: the VO tree, per-query candidates in
-/// leaf-visit order, and traversal stats. Trees never share state, so this
-/// is the unit the parallel path fans out.
+/// One tree's share of `MRKDSearch`.
+struct TreeOutput {
+    vo: VoNode,
+    /// Per-query candidates in leaf-visit order.
+    candidates: Vec<Vec<(u32, f32)>>,
+    needs: Vec<Need>,
+    stats: SearchStats,
+}
+
+/// Walks one tree. Trees never share state, so this is the unit the
+/// parallel path fans out.
 fn search_tree(
     forest: &MrkdForest,
     tree: &MrkdTree,
     queries: &[Vec<f32>],
     thresholds_sq: &[f32],
-) -> (VoNode, Vec<Vec<(u32, f32)>>, SearchStats) {
+) -> TreeOutput {
     let mut candidates = vec![Vec::new(); queries.len()];
     let mut visitor = SpVisitor {
         forest,
@@ -332,14 +375,20 @@ fn search_tree(
         queries,
         thresholds_sq,
         candidates: &mut candidates,
+        needs: Vec::new(),
         stats: SearchStats::default(),
     };
     let vo = match traverse(&MrkdSource(tree), queries, thresholds_sq, &mut visitor) {
         Ok(vo) => vo,
         Err(e) => match e {},
     };
-    let stats = visitor.stats;
-    (vo, candidates, stats)
+    let SpVisitor { needs, stats, .. } = visitor;
+    TreeOutput {
+        vo,
+        candidates,
+        needs,
+        stats,
+    }
 }
 
 /// `MRKDSearch` with node sharing: one traversal per tree serving all query
@@ -355,10 +404,11 @@ pub fn mrkd_search(
 /// [`mrkd_search`] with the per-tree traversals fanned out across workers.
 ///
 /// Determinism: each tree's traversal (and hence its VO subtree, candidate
-/// order, and stats) depends only on that tree and the queries; per-tree
-/// outputs are merged **in tree index order**, reproducing exactly the
-/// serial loop's candidate append order and stats sums. The resulting
-/// [`SearchOutput`] is bit-identical for every thread count.
+/// order, table needs, and stats) depends only on that tree and the
+/// queries; per-tree outputs are merged serially **in tree index order**,
+/// reproducing exactly the serial loop's candidate append order, stats
+/// sums, and cluster table. The resulting [`SearchOutput`] is bit-identical
+/// for every thread count.
 pub fn mrkd_search_with(
     forest: &MrkdForest,
     queries: &[Vec<f32>],
@@ -386,19 +436,27 @@ fn mrkd_search_with_unrecorded(
     let mut candidates = vec![Vec::new(); queries.len()];
     let mut stats = SearchStats::default();
     let mut trees = Vec::with_capacity(per_tree.len());
-    for (vo, tree_candidates, tree_stats) in per_tree {
-        stats.merge(&tree_stats);
-        for (q, mut list) in tree_candidates.into_iter().enumerate() {
+    let mut plan: BTreeMap<u32, (bool, Vec<u32>)> = BTreeMap::new();
+    for out in per_tree {
+        stats.merge(&out.stats);
+        for (q, mut list) in out.candidates.into_iter().enumerate() {
             candidates[q].append(&mut list);
         }
-        trees.push(vo);
+        for (cluster, full, reached_by) in out.needs {
+            let row = plan.entry(cluster).or_default();
+            row.0 |= full;
+            row.1.extend(reached_by);
+        }
+        trees.push(out.vo);
     }
     for list in &mut candidates {
         list.sort_unstable_by_key(|e| e.0);
         list.dedup_by_key(|e| e.0);
     }
+    let clusters = table_rows(forest, queries, thresholds_sq, plan);
+    stats.digests_cached += clusters.len();
     SearchOutput {
-        vo: BovwVo { trees },
+        vo: BovwVo { clusters, trees },
         candidates,
         stats,
     }
@@ -490,9 +548,11 @@ mod tests {
         let vo = BaselineBovwVo {
             per_query: vec![
                 BovwVo {
+                    clusters: Vec::new(),
                     trees: vec![VoNode::Pruned(Digest::of(b"t0"))],
                 },
                 BovwVo {
+                    clusters: Vec::new(),
                     trees: vec![VoNode::Pruned(Digest::of(b"t1"))],
                 },
             ],

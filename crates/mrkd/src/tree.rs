@@ -327,13 +327,11 @@ impl MrkdForest {
         &self.centers
     }
 
-    // audit:allow(panic) SP-side accessor: cluster ids come from the SP's own forest
     pub fn inv_digest(&self, cluster: u32) -> Digest {
         self.inv_digests[cluster as usize]
     }
 
     /// Dimension Merkle tree of one cluster (compressed mode).
-    // audit:allow(panic) SP-side accessor: cluster ids come from the SP's own forest
     pub fn dim_tree(&self, cluster: u32) -> Option<&MerkleTree> {
         self.dim_trees.as_ref().map(|t| &t[cluster as usize])
     }

@@ -1,15 +1,24 @@
 //! Client-side verification of authenticated BoVW encoding (paper §IV-A2).
 //!
-//! Given the query feature vectors and the VO forest, the client:
+//! Given the query feature vectors and the VO (a cluster table under one VO
+//! tree per MRKD-tree), the client:
 //!
-//! 1. **Reconstructs** every tree's root digest from the VO (rejecting
-//!    malformed disclosures), collecting all fully-revealed centroids and
-//!    the per-cluster inverted-list digests;
+//! 1. **Reconstructs** every tree's root digest: one entry digest per table
+//!    row (rejecting malformed disclosures), then each leaf digest by
+//!    looking its cluster ids up in the table;
 //! 2. Derives each query's **verified threshold** `t'_q` — the distance to
 //!    the nearest fully-revealed centroid — and its winner cluster;
-//! 3. **Re-walks** each VO with the shared traversal engine to check
+//! 3. **Re-walks** each VO tree with the shared traversal engine to check
 //!    completeness: no pruned subtree is reachable within `t'_q`, and every
-//!    partially-disclosed cluster proves it is at least `t'_q` away.
+//!    partially-disclosed cluster proves it is at least `t'_q` away from
+//!    every query that reaches it in any tree.
+//!
+//! A table row is authenticated only by a leaf that names it and chains to
+//! a signed root, so phase 1 enforces three rules: the table is strictly
+//! ascending by cluster id (one row per cluster, canonical bytes), every
+//! leaf names clusters that have a row, and every row is named by some
+//! disclosed leaf — otherwise an unauthenticated "closer centroid" could
+//! win phase 2.
 //!
 //! If all checks pass and the combined root digest matches the owner's
 //! signature (checked by the caller), the winners are exactly the clusters
@@ -22,8 +31,8 @@ use crate::tree::{
     block_bytes, block_range, combined_root_digest, dimension_tree, internal_digest, leaf_digest,
     leaf_entry_digest_compressed, leaf_entry_digest_full, n_blocks, CandidateMode,
 };
-use crate::vo::{BovwVo, Reveal, VoLeafEntry, VoNode};
-use imageproof_akm::rkd::dist_sq;
+use crate::vo::{BovwVo, Reveal, VoCluster, VoNode};
+use imageproof_akm::kernel::dist_sq_within;
 use imageproof_crypto::merkle::hash_leaf;
 use imageproof_crypto::Digest;
 use std::collections::BTreeMap;
@@ -45,7 +54,9 @@ pub enum VerifyError {
     WrongMode,
     /// No centroid was fully revealed, so no winner can be established.
     NoCandidate,
-    /// The same cluster appeared with two different inverted-list digests.
+    /// The same cluster appeared with two different inverted-list digests
+    /// (across a Baseline response's per-query VOs; within one VO the
+    /// ascending table makes a second appearance impossible).
     InconsistentInvDigest { cluster: u32 },
 }
 
@@ -87,7 +98,7 @@ pub struct VerifiedBovw {
     pub assignments: Vec<u32>,
     /// Verified squared thresholds `t'_q` (distance to each winner).
     pub thresholds_sq: Vec<f32>,
-    /// Authenticated `h_{Γ_c}` for every cluster disclosed in a leaf.
+    /// Authenticated `h_{Γ_c}` for every cluster in the table.
     pub inv_digests: BTreeMap<u32, Digest>,
 }
 
@@ -108,53 +119,101 @@ pub fn verify_bovw(
         return Err(VerifyError::Malformed("no VO trees"));
     }
 
-    // Phase 1: digest reconstruction + reveal collection.
-    let mut collector = Collector {
-        dim,
-        mode,
-        reveals: BTreeMap::new(),
-        inv_digests: BTreeMap::new(),
-    };
+    // Phase 1: one entry digest per table row, then the roots by lookup.
+    let mut table = Table::check(&vo.clusters, dim, mode)?;
     let mut roots = Vec::with_capacity(vo.trees.len());
+    let mut sources = Vec::with_capacity(vo.trees.len());
     for tree in &vo.trees {
-        roots.push(collector.reconstruct(tree)?);
+        let mut source = VoSource::default();
+        let (_, root) = table.reconstruct(tree, &mut source)?;
+        roots.push(root);
+        sources.push(source);
+    }
+    if table.rows.iter().any(|&(_, named)| !named) {
+        return Err(VerifyError::Malformed("table row named by no leaf"));
     }
 
     // Phase 2: verified thresholds and winners.
-    if collector.reveals.is_empty() {
+    let reveals: Vec<(u32, &[f32])> = vo
+        .clusters
+        .iter()
+        .filter_map(|row| match &row.reveal {
+            Reveal::Full { coords } | Reveal::FullCompressed { coords } => {
+                Some((row.cluster, coords.as_slice()))
+            }
+            Reveal::Partial { .. } => None,
+        })
+        .collect();
+    if reveals.is_empty() {
         return Err(VerifyError::NoCandidate);
     }
-    let mut assignments = Vec::with_capacity(queries.len());
-    let mut thresholds_sq = Vec::with_capacity(queries.len());
-    for q in queries {
-        let mut best = (f32::INFINITY, u32::MAX);
-        for (&cluster, coords) in &collector.reveals {
-            let d = dist_sq(q, coords);
-            if d < best.0 || (d == best.0 && cluster < best.1) {
-                best = (d, cluster);
+    let (thresholds_sq, assignments): (Vec<f32>, Vec<u32>) = queries
+        .iter()
+        .map(|q| nearest_revealed(q, &reveals))
+        .unzip();
+
+    // Phase 3: completeness. The shared traversal rejects reachable pruned
+    // subtrees and gathers, per partial row, the queries reaching it in any
+    // tree; each (row, query) pair is then checked once — the mirror image
+    // of the SP's union rule.
+    let mut reached: Vec<Option<Vec<u32>>> = vo
+        .clusters
+        .iter()
+        .map(|row| matches!(row.reveal, Reveal::Partial { .. }).then(Vec::new))
+        .collect();
+    for source in &sources {
+        let mut visitor = ClientVisitor {
+            source,
+            reached: &mut reached,
+        };
+        traverse(source, queries, &thresholds_sq, &mut visitor)?;
+    }
+    for (row, reached_by) in vo.clusters.iter().zip(reached) {
+        if let (Reveal::Partial { blocks, .. }, Some(mut reached_by)) = (&row.reveal, reached_by) {
+            reached_by.sort_unstable();
+            reached_by.dedup();
+            for query in reached_by {
+                let q = query as usize;
+                let (Some(features), Some(&threshold)) = (queries.get(q), thresholds_sq.get(q))
+                else {
+                    return Err(VerifyError::Malformed("active query index out of range"));
+                };
+                if partial_sum_revealed(blocks, features) < threshold {
+                    let cluster = row.cluster;
+                    return Err(VerifyError::PartialTooClose { cluster, query });
+                }
             }
         }
-        assignments.push(best.1);
-        thresholds_sq.push(best.0);
-    }
-
-    // Phase 3: completeness checks via the shared traversal.
-    for tree in &vo.trees {
-        let source = VoSource::flatten(tree);
-        let mut visitor = ClientVisitor {
-            source: &source,
-            queries,
-            thresholds_sq: &thresholds_sq,
-        };
-        traverse(&source, queries, &thresholds_sq, &mut visitor)?;
     }
 
     Ok(VerifiedBovw {
         combined_root: combined_root_digest(&roots),
         assignments,
         thresholds_sq,
-        inv_digests: collector.inv_digests,
+        inv_digests: vo
+            .clusters
+            .iter()
+            .map(|row| (row.cluster, row.inv_digest))
+            .collect(),
     })
+}
+
+/// The nearest fully revealed centroid to `q` as `(squared distance,
+/// cluster)`, ties to the smaller cluster id; `reveals` ascends by cluster
+/// id. The early-exit kernel returns `None` only on a proof that
+/// `d > best`, which can neither win nor tie, so winners and threshold bits
+/// equal a full `dist_sq` scan's.
+fn nearest_revealed(q: &[f32], reveals: &[(u32, &[f32])]) -> (f32, u32) {
+    let mut best = (f32::INFINITY, u32::MAX);
+    for &(cluster, coords) in reveals {
+        let Some(d) = dist_sq_within(q, coords, best.0) else {
+            continue;
+        };
+        if d < best.0 || (d == best.0 && cluster < best.1) {
+            best = (d, cluster);
+        }
+    }
+    best
 }
 
 /// Verifies a Baseline (per-query) BoVW VO. All per-query VOs must
@@ -197,34 +256,46 @@ pub fn verify_bovw_baseline(
     })
 }
 
-/// Reconstructs the digest of any VO subtree without running completeness
-/// checks. Exposed for diagnostics and adversarial tests.
-pub fn vo_subtree_digest(
-    node: &VoNode,
-    mode: CandidateMode,
+/// The VO's cluster table as phase 1 sees it: one entry digest per row,
+/// and which rows some disclosed leaf has named so far.
+struct Table {
     dim: usize,
-) -> Result<Digest, VerifyError> {
-    let mut collector = Collector {
-        dim,
-        mode,
-        reveals: BTreeMap::new(),
-        inv_digests: BTreeMap::new(),
-    };
-    collector.reconstruct(node)
+    /// Row cluster ids, strictly ascending (checked on construction).
+    ids: Vec<u32>,
+    /// Per row: its entry digest, and whether a leaf has named it.
+    rows: Vec<(Digest, bool)>,
+    /// Entry digests of the leaf being hashed.
+    leaf_scratch: Vec<Digest>,
 }
 
-struct Collector {
-    dim: usize,
-    mode: CandidateMode,
-    /// Fully revealed centroids, deduplicated by cluster.
-    reveals: BTreeMap<u32, Vec<f32>>,
-    inv_digests: BTreeMap<u32, Digest>,
-}
+impl Table {
+    fn check(rows: &[VoCluster], dim: usize, mode: CandidateMode) -> Result<Table, VerifyError> {
+        let ids: Vec<u32> = rows.iter().map(|row| row.cluster).collect();
+        if !ids.iter().zip(ids.iter().skip(1)).all(|(a, b)| a < b) {
+            return Err(VerifyError::Malformed("cluster table not ascending"));
+        }
+        let rows = rows
+            .iter()
+            .map(|row| Ok((entry_digest(row, dim, mode)?, false)))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Table {
+            dim,
+            ids,
+            rows,
+            leaf_scratch: Vec::new(),
+        })
+    }
 
-impl Collector {
-    fn reconstruct(&mut self, node: &VoNode) -> Result<Digest, VerifyError> {
-        match node {
-            VoNode::Pruned(d) => Ok(*d),
+    /// Reconstructs `node`'s digest, appending the subtree to `flat`
+    /// (children before parents) with leaf cluster ids resolved to table
+    /// positions. Returns the node's index in `flat` and its digest.
+    fn reconstruct(
+        &mut self,
+        node: &VoNode,
+        flat: &mut VoSource,
+    ) -> Result<(usize, Digest), VerifyError> {
+        let (flat_node, digest) = match node {
+            VoNode::Pruned(d) => (FlatNode::Pruned, *d),
             VoNode::Internal {
                 dim,
                 value,
@@ -234,122 +305,121 @@ impl Collector {
                 if *dim as usize >= self.dim {
                     return Err(VerifyError::Malformed("split dimension out of range"));
                 }
-                let l = self.reconstruct(left)?;
-                let r = self.reconstruct(right)?;
-                Ok(internal_digest(*dim, *value, &l, &r))
+                let (left, l) = self.reconstruct(left, flat)?;
+                let (right, r) = self.reconstruct(right, flat)?;
+                (
+                    FlatNode::Internal {
+                        dim: *dim,
+                        value: *value,
+                        left,
+                        right,
+                    },
+                    internal_digest(*dim, *value, &l, &r),
+                )
             }
-            VoNode::Leaf { entries } => {
-                if entries.is_empty() {
+            VoNode::Leaf { clusters } => {
+                if clusters.is_empty() {
                     return Err(VerifyError::Malformed("empty leaf"));
                 }
-                let mut entry_digests = Vec::with_capacity(entries.len());
-                for e in entries {
-                    entry_digests.push(self.entry_digest(e)?);
-                    match self.inv_digests.entry(e.cluster) {
-                        std::collections::btree_map::Entry::Vacant(v) => {
-                            v.insert(e.inv_digest);
-                        }
-                        std::collections::btree_map::Entry::Occupied(o) => {
-                            if *o.get() != e.inv_digest {
-                                return Err(VerifyError::InconsistentInvDigest {
-                                    cluster: e.cluster,
-                                });
-                            }
-                        }
-                    }
+                let start = flat.leaf_rows.len();
+                self.leaf_scratch.clear();
+                for cluster in clusters {
+                    let row = self.ids.binary_search(cluster).ok();
+                    let Some((row, (digest, named))) =
+                        row.and_then(|r| Some((r, self.rows.get_mut(r)?)))
+                    else {
+                        return Err(VerifyError::Malformed("leaf names a cluster with no row"));
+                    };
+                    *named = true;
+                    self.leaf_scratch.push(*digest);
+                    flat.leaf_rows.push(row);
                 }
-                Ok(leaf_digest(&entry_digests))
+                (
+                    FlatNode::Leaf(start..flat.leaf_rows.len()),
+                    leaf_digest(&self.leaf_scratch),
+                )
             }
-        }
-    }
-
-    fn entry_digest(&mut self, e: &VoLeafEntry) -> Result<Digest, VerifyError> {
-        match (&e.reveal, self.mode) {
-            (Reveal::Full { coords }, CandidateMode::Full) => {
-                if coords.len() != self.dim {
-                    return Err(VerifyError::Malformed("centroid dimensionality"));
-                }
-                self.record_reveal(e.cluster, coords)?;
-                Ok(leaf_entry_digest_full(e.cluster, coords, &e.inv_digest))
-            }
-            (Reveal::FullCompressed { coords }, CandidateMode::Compressed) => {
-                if coords.len() != self.dim {
-                    return Err(VerifyError::Malformed("centroid dimensionality"));
-                }
-                self.record_reveal(e.cluster, coords)?;
-                let root = dimension_tree(coords).root();
-                Ok(leaf_entry_digest_compressed(
-                    e.cluster,
-                    &root,
-                    &e.inv_digest,
-                ))
-            }
-            (
-                Reveal::Partial {
-                    dim_root,
-                    blocks,
-                    proof,
-                },
-                CandidateMode::Compressed,
-            ) => {
-                if blocks.is_empty() {
-                    return Err(VerifyError::Malformed("empty partial disclosure"));
-                }
-                if !blocks
-                    .iter()
-                    .zip(blocks.iter().skip(1))
-                    .all(|(a, b)| a.0 < b.0)
-                {
-                    return Err(VerifyError::Malformed("unsorted partial blocks"));
-                }
-                let total = n_blocks(self.dim);
-                if proof.n_leaves as usize != total {
-                    return Err(VerifyError::BadSubsetProof { cluster: e.cluster });
-                }
-                let mut revealed = Vec::with_capacity(blocks.len());
-                for (b, coords) in blocks {
-                    let range = block_range(*b as usize, self.dim);
-                    if *b as usize >= total || coords.len() != range.len() {
-                        return Err(VerifyError::Malformed("partial block geometry"));
-                    }
-                    revealed.push((*b as usize, hash_leaf(&block_bytes(coords))));
-                }
-                if !proof.verify_digests(&revealed, dim_root) {
-                    return Err(VerifyError::BadSubsetProof { cluster: e.cluster });
-                }
-                Ok(leaf_entry_digest_compressed(
-                    e.cluster,
-                    dim_root,
-                    &e.inv_digest,
-                ))
-            }
-            _ => Err(VerifyError::WrongMode),
-        }
-    }
-
-    fn record_reveal(&mut self, cluster: u32, coords: &[f32]) -> Result<(), VerifyError> {
-        match self.reveals.entry(cluster) {
-            std::collections::btree_map::Entry::Vacant(v) => {
-                v.insert(coords.to_vec());
-            }
-            std::collections::btree_map::Entry::Occupied(o) => {
-                if o.get() != coords {
-                    return Err(VerifyError::Malformed(
-                        "same cluster revealed with different coordinates",
-                    ));
-                }
-            }
-        }
-        Ok(())
+        };
+        flat.nodes.push(flat_node);
+        Ok((flat.nodes.len() - 1, digest))
     }
 }
 
-/// Flattened VO tree adapting to [`TreeSource`].
-struct VoSource<'a> {
-    nodes: Vec<FlatNode<'a>>,
+/// Validates one table row against the candidate mode and hashes its leaf
+/// entry binding.
+fn entry_digest(row: &VoCluster, dim: usize, mode: CandidateMode) -> Result<Digest, VerifyError> {
+    match (&row.reveal, mode) {
+        (Reveal::Full { coords }, CandidateMode::Full) => {
+            if coords.len() != dim {
+                return Err(VerifyError::Malformed("centroid dimensionality"));
+            }
+            Ok(leaf_entry_digest_full(row.cluster, coords, &row.inv_digest))
+        }
+        (Reveal::FullCompressed { coords }, CandidateMode::Compressed) => {
+            if coords.len() != dim {
+                return Err(VerifyError::Malformed("centroid dimensionality"));
+            }
+            let root = dimension_tree(coords).root();
+            Ok(leaf_entry_digest_compressed(
+                row.cluster,
+                &root,
+                &row.inv_digest,
+            ))
+        }
+        (
+            Reveal::Partial {
+                dim_root,
+                blocks,
+                proof,
+            },
+            CandidateMode::Compressed,
+        ) => {
+            if blocks.is_empty() {
+                return Err(VerifyError::Malformed("empty partial disclosure"));
+            }
+            if !blocks
+                .iter()
+                .zip(blocks.iter().skip(1))
+                .all(|(a, b)| a.0 < b.0)
+            {
+                return Err(VerifyError::Malformed("unsorted partial blocks"));
+            }
+            let cluster = row.cluster;
+            let total = n_blocks(dim);
+            if proof.n_leaves as usize != total {
+                return Err(VerifyError::BadSubsetProof { cluster });
+            }
+            let mut revealed = Vec::with_capacity(blocks.len());
+            for (b, coords) in blocks {
+                let range = block_range(*b as usize, dim);
+                if *b as usize >= total || coords.len() != range.len() {
+                    return Err(VerifyError::Malformed("partial block geometry"));
+                }
+                revealed.push((*b as usize, hash_leaf(&block_bytes(coords))));
+            }
+            if !proof.verify_digests(&revealed, dim_root) {
+                return Err(VerifyError::BadSubsetProof { cluster });
+            }
+            Ok(leaf_entry_digest_compressed(
+                cluster,
+                dim_root,
+                &row.inv_digest,
+            ))
+        }
+        _ => Err(VerifyError::WrongMode),
+    }
 }
 
-enum FlatNode<'a> {
+/// Flattened VO tree adapting to [`TreeSource`], built by
+/// [`Table::reconstruct`]: children precede parents, so the root is last.
+#[derive(Default)]
+struct VoSource {
+    nodes: Vec<FlatNode>,
+    /// Table positions of every leaf's clusters, leaf after leaf.
+    leaf_rows: Vec<usize>,
+}
+
+enum FlatNode {
     Pruned,
     Internal {
         dim: u32,
@@ -357,60 +427,25 @@ enum FlatNode<'a> {
         left: usize,
         right: usize,
     },
-    Leaf(&'a [VoLeafEntry]),
+    /// Range of [`VoSource::leaf_rows`].
+    Leaf(std::ops::Range<usize>),
 }
 
-impl<'a> VoSource<'a> {
-    fn flatten(root: &'a VoNode) -> VoSource<'a> {
-        let mut nodes = Vec::new();
-        Self::push(root, &mut nodes);
-        VoSource { nodes }
-    }
-
-    fn push(node: &'a VoNode, nodes: &mut Vec<FlatNode<'a>>) -> usize {
-        let my = nodes.len();
-        match node {
-            VoNode::Pruned(_) => nodes.push(FlatNode::Pruned),
-            VoNode::Leaf { entries } => nodes.push(FlatNode::Leaf(entries)),
-            VoNode::Internal {
-                dim,
-                value,
-                left,
-                right,
-            } => {
-                nodes.push(FlatNode::Internal {
-                    dim: *dim,
-                    value: *value,
-                    left: 0,
-                    right: 0,
-                });
-                let l = Self::push(left, nodes);
-                let r = Self::push(right, nodes);
-                // `my` always holds the Internal pushed above; a mismatch
-                // would leave the placeholder child indices pointing at the
-                // root, which the traversal rejects as malformed.
-                if let Some(FlatNode::Internal { left, right, .. }) = nodes.get_mut(my) {
-                    *left = l;
-                    *right = r;
-                }
-            }
-        }
-        my
-    }
-
-    fn entries(&self, node: usize) -> Result<&'a [VoLeafEntry], VerifyError> {
+impl VoSource {
+    fn leaf_rows(&self, node: usize) -> Result<&[usize], VerifyError> {
         match self.nodes.get(node) {
-            Some(FlatNode::Leaf(entries)) => Ok(entries),
-            _ => Err(VerifyError::Malformed(
-                "traversal visited a non-leaf as a leaf",
-            )),
+            Some(FlatNode::Leaf(range)) => self.leaf_rows.get(range.clone()),
+            _ => None,
         }
+        .ok_or(VerifyError::Malformed(
+            "traversal visited a non-leaf as a leaf",
+        ))
     }
 }
 
-impl TreeSource for VoSource<'_> {
+impl TreeSource for VoSource {
     fn root(&self) -> usize {
-        0
+        self.nodes.len().saturating_sub(1)
     }
     fn view(&self, node: usize) -> ViewNode {
         // Out-of-range indices read as Opaque, which the client traversal
@@ -434,9 +469,9 @@ impl TreeSource for VoSource<'_> {
 }
 
 struct ClientVisitor<'a> {
-    source: &'a VoSource<'a>,
-    queries: &'a [Vec<f32>],
-    thresholds_sq: &'a [f32],
+    source: &'a VoSource,
+    /// Per table row: `Some(queries reaching it so far)` for partial rows.
+    reached: &'a mut [Option<Vec<u32>>],
 }
 
 impl TraversalVisitor for ClientVisitor<'_> {
@@ -452,23 +487,9 @@ impl TraversalVisitor for ClientVisitor<'_> {
     }
 
     fn leaf(&mut self, node: usize, active: &[ActiveQuery]) -> Result<(), VerifyError> {
-        for e in self.source.entries(node)? {
-            if let Reveal::Partial { blocks, .. } = &e.reveal {
-                for aq in active {
-                    let q = aq.query as usize;
-                    let (Some(query), Some(&threshold)) =
-                        (self.queries.get(q), self.thresholds_sq.get(q))
-                    else {
-                        return Err(VerifyError::Malformed("active query index out of range"));
-                    };
-                    let partial = partial_sum_revealed(blocks, query);
-                    if partial < threshold {
-                        return Err(VerifyError::PartialTooClose {
-                            cluster: e.cluster,
-                            query: aq.query,
-                        });
-                    }
-                }
+        for &row in self.source.leaf_rows(node)? {
+            if let Some(Some(reached_by)) = self.reached.get_mut(row) {
+                reached_by.extend(active.iter().map(|aq| aq.query));
             }
         }
         Ok(())
@@ -492,7 +513,8 @@ mod tests {
     use super::*;
     use crate::search::{mrkd_search, mrkd_search_baseline};
     use crate::tree::MrkdForest;
-    use imageproof_akm::rkd::RkdForest;
+    use imageproof_akm::rkd::{dist_sq, RkdForest};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -506,6 +528,13 @@ mod tests {
     }
 
     fn fixture(mode: CandidateMode, n_queries: usize) -> Fixture {
+        fixture_with_noise(mode, n_queries, 0.02)
+    }
+
+    /// Queries are centroids perturbed by up to `noise` per dimension:
+    /// small noise mimics real local features; large noise pushes the
+    /// thresholds up to where one dimension block no longer clears them.
+    fn fixture_with_noise(mode: CandidateMode, n_queries: usize, noise: f32) -> Fixture {
         let mut rng = StdRng::seed_from_u64(71);
         let centers: Vec<Vec<f32>> = (0..60)
             .map(|_| (0..DIM).map(|_| rng.gen::<f32>()).collect())
@@ -519,7 +548,7 @@ mod tests {
             .map(|_| {
                 let base = &centers[rng.gen_range(0..centers.len())];
                 base.iter()
-                    .map(|&v| v + rng.gen_range(-0.02f32..0.02))
+                    .map(|&v| v + rng.gen_range(-noise..noise))
                     .collect()
             })
             .collect();
@@ -540,6 +569,37 @@ mod tests {
         }
     }
 
+    impl Fixture {
+        fn honest_vo(&self) -> BovwVo {
+            mrkd_search(&self.mrkd, &self.queries, &self.thresholds).vo
+        }
+
+        fn verify(&self, vo: &BovwVo) -> Result<VerifiedBovw, VerifyError> {
+            verify_bovw(vo, &self.queries, self.mrkd.mode())
+        }
+
+        /// True when the client would accept `vo` end to end: it verifies
+        /// *and* reconstructs the root the owner signed.
+        fn accepts(&self, vo: &BovwVo) -> bool {
+            self.verify(vo)
+                .is_ok_and(|v| v.combined_root == self.mrkd.combined_root_digest())
+        }
+
+        /// A partial reveal of `cluster` over `blocks`, with a real proof.
+        fn partial(&self, cluster: u32, blocks: &[usize]) -> Reveal {
+            let center = &self.centers[cluster as usize];
+            let dim_tree = self.mrkd.dim_tree(cluster).expect("compressed");
+            Reveal::Partial {
+                dim_root: dim_tree.root(),
+                blocks: blocks
+                    .iter()
+                    .map(|&b| (b as u32, center[block_range(b, DIM)].to_vec()))
+                    .collect(),
+                proof: dim_tree.prove_subset(blocks),
+            }
+        }
+    }
+
     fn brute_nn(centers: &[Vec<f32>], q: &[f32]) -> u32 {
         (0..centers.len() as u32)
             .min_by(|&a, &b| {
@@ -548,25 +608,34 @@ mod tests {
             .expect("non-empty")
     }
 
-    #[test]
-    fn honest_full_mode_vo_verifies() {
-        let f = fixture(CandidateMode::Full, 10);
-        let out = mrkd_search(&f.mrkd, &f.queries, &f.thresholds);
-        let v = verify_bovw(&out.vo, &f.queries, CandidateMode::Full).expect("honest VO");
-        assert_eq!(v.combined_root, f.mrkd.combined_root_digest());
-        for (qi, q) in f.queries.iter().enumerate() {
-            assert_eq!(v.assignments[qi], brute_nn(&f.centers, q), "query {qi}");
+    fn row_mut(vo: &mut BovwVo, cluster: u32) -> &mut VoCluster {
+        vo.clusters
+            .iter_mut()
+            .find(|row| row.cluster == cluster)
+            .expect("cluster has a table row")
+    }
+
+    /// Every disclosed leaf of `node`, in DFS order.
+    fn leaves_mut<'a>(node: &'a mut VoNode, out: &mut Vec<&'a mut Vec<u32>>) {
+        match node {
+            VoNode::Pruned(_) => {}
+            VoNode::Leaf { clusters } => out.push(clusters),
+            VoNode::Internal { left, right, .. } => {
+                leaves_mut(left, out);
+                leaves_mut(right, out);
+            }
         }
     }
 
     #[test]
-    fn honest_compressed_mode_vo_verifies() {
-        let f = fixture(CandidateMode::Compressed, 10);
-        let out = mrkd_search(&f.mrkd, &f.queries, &f.thresholds);
-        let v = verify_bovw(&out.vo, &f.queries, CandidateMode::Compressed).expect("honest VO");
-        assert_eq!(v.combined_root, f.mrkd.combined_root_digest());
-        for (qi, q) in f.queries.iter().enumerate() {
-            assert_eq!(v.assignments[qi], brute_nn(&f.centers, q), "query {qi}");
+    fn honest_vos_verify_in_both_modes() {
+        for mode in [CandidateMode::Full, CandidateMode::Compressed] {
+            let f = fixture(mode, 10);
+            let v = f.verify(&f.honest_vo()).expect("honest VO");
+            assert_eq!(v.combined_root, f.mrkd.combined_root_digest());
+            for (qi, q) in f.queries.iter().enumerate() {
+                assert_eq!(v.assignments[qi], brute_nn(&f.centers, q), "query {qi}");
+            }
         }
     }
 
@@ -584,8 +653,7 @@ mod tests {
     #[test]
     fn verified_inv_digests_match_the_forest() {
         let f = fixture(CandidateMode::Full, 8);
-        let out = mrkd_search(&f.mrkd, &f.queries, &f.thresholds);
-        let v = verify_bovw(&out.vo, &f.queries, CandidateMode::Full).expect("honest VO");
+        let v = f.verify(&f.honest_vo()).expect("honest VO");
         for (&cluster, d) in &v.inv_digests {
             assert_eq!(*d, f.mrkd.inv_digest(cluster));
         }
@@ -594,85 +662,189 @@ mod tests {
         }
     }
 
-    /// Rewrites every VO leaf entry for `cluster`, in all trees.
-    fn tamper_entries(vo: &mut BovwVo, cluster: u32, f: &mut dyn FnMut(&mut VoLeafEntry)) -> usize {
-        fn walk(node: &mut VoNode, cluster: u32, f: &mut dyn FnMut(&mut VoLeafEntry)) -> usize {
-            match node {
-                VoNode::Pruned(_) => 0,
-                VoNode::Leaf { entries } => entries
-                    .iter_mut()
-                    .filter(|e| e.cluster == cluster)
-                    .map(|e| {
-                        f(e);
-                        1
-                    })
-                    .sum(),
-                VoNode::Internal { left, right, .. } => {
-                    walk(left, cluster, f) + walk(right, cluster, f)
-                }
+    #[test]
+    fn the_table_reveals_each_disclosed_cluster_exactly_once() {
+        for mode in [CandidateMode::Full, CandidateMode::Compressed] {
+            let f = fixture(mode, 10);
+            let mut vo = f.honest_vo();
+            let mut named: Vec<u32> = Vec::new();
+            for tree in &mut vo.trees {
+                let mut leaves = Vec::new();
+                leaves_mut(tree, &mut leaves);
+                named.extend(leaves.into_iter().flat_map(|l| l.iter().copied()));
             }
+            let n_named = named.len();
+            named.sort_unstable();
+            named.dedup();
+            let rows: Vec<u32> = vo.clusters.iter().map(|r| r.cluster).collect();
+            assert_eq!(rows, named, "{mode:?}: one row per named cluster");
+            assert!(n_named > rows.len(), "the forest names clusters repeatedly");
         }
-        vo.trees.iter_mut().map(|t| walk(t, cluster, f)).sum()
     }
 
     #[test]
     fn tampered_centroid_changes_reconstructed_root() {
         let f = fixture(CandidateMode::Full, 5);
-        let out = mrkd_search(&f.mrkd, &f.queries, &f.thresholds);
-        let honest = verify_bovw(&out.vo, &f.queries, CandidateMode::Full).expect("honest");
-        let winner = honest.assignments[0];
-
-        let mut forged = out.vo.clone();
-        let n = tamper_entries(&mut forged, winner, &mut |e| {
-            if let Reveal::Full { coords } = &mut e.reveal {
-                coords[3] += 0.25;
-            }
-        });
-        assert!(n > 0, "winner must appear in the VO");
+        let mut forged = f.honest_vo();
+        let winner = f.verify(&forged).expect("honest").assignments[0];
+        let Reveal::Full { coords } = &mut row_mut(&mut forged, winner).reveal else {
+            panic!("full mode reveals in full");
+        };
+        coords[3] += 0.25;
         // Either verification fails outright or the root no longer matches
         // the owner's signature target.
-        if let Ok(v) = verify_bovw(&forged, &f.queries, CandidateMode::Full) {
-            assert_ne!(v.combined_root, f.mrkd.combined_root_digest());
+        assert!(!f.accepts(&forged));
+    }
+
+    #[test]
+    fn forged_inv_digest_changes_root() {
+        let f = fixture(CandidateMode::Full, 4);
+        let mut forged = f.honest_vo();
+        let winner = f.verify(&forged).expect("honest").assignments[0];
+        row_mut(&mut forged, winner).inv_digest = Digest::of(b"forged inverted list");
+        assert!(!f.accepts(&forged));
+    }
+
+    #[test]
+    fn an_unnamed_row_carrying_a_closer_centroid_is_rejected() {
+        // The attack the table makes possible: plant a row no leaf vouches
+        // for, sitting exactly on a query, so it would win phase 2.
+        for mode in [CandidateMode::Full, CandidateMode::Compressed] {
+            let f = fixture(mode, 4);
+            let honest = f.honest_vo();
+            let absent = (0..60u32)
+                .find(|c| honest.clusters.iter().all(|r| r.cluster != *c))
+                .expect("some cluster stays undisclosed");
+            let coords = f.queries[0].clone();
+            let mut forged = honest.clone();
+            let at = forged.clusters.partition_point(|r| r.cluster < absent);
+            forged.clusters.insert(
+                at,
+                VoCluster {
+                    cluster: absent,
+                    inv_digest: f.mrkd.inv_digest(absent),
+                    reveal: match mode {
+                        CandidateMode::Full => Reveal::Full { coords },
+                        CandidateMode::Compressed => Reveal::FullCompressed { coords },
+                    },
+                },
+            );
+            assert_eq!(
+                f.verify(&forged).unwrap_err(),
+                VerifyError::Malformed("table row named by no leaf"),
+                "{mode:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_leaf_naming_a_cluster_without_a_row_is_rejected() {
+        let f = fixture(CandidateMode::Full, 4);
+        let honest = f.honest_vo();
+        // Dropping a row leaves every leaf that names it dangling.
+        let mut forged = honest.clone();
+        forged.clusters.remove(1);
+        assert_eq!(
+            f.verify(&forged).unwrap_err(),
+            VerifyError::Malformed("leaf names a cluster with no row")
+        );
+        // So does renaming a leaf's cluster to an id outside the table.
+        let mut forged = honest.clone();
+        let mut leaves = Vec::new();
+        leaves_mut(&mut forged.trees[0], &mut leaves);
+        leaves[0][0] = 10_000;
+        assert_eq!(
+            f.verify(&forged).unwrap_err(),
+            VerifyError::Malformed("leaf names a cluster with no row")
+        );
+    }
+
+    #[test]
+    fn duplicate_and_descending_rows_are_rejected() {
+        let f = fixture(CandidateMode::Full, 4);
+        let honest = f.honest_vo();
+        let not_ascending = VerifyError::Malformed("cluster table not ascending");
+
+        let mut duplicated = honest.clone();
+        let copy = duplicated.clusters[2].clone();
+        duplicated.clusters.insert(2, copy);
+        assert_eq!(f.verify(&duplicated).unwrap_err(), not_ascending);
+
+        let mut swapped = honest.clone();
+        swapped.clusters.swap(0, 1);
+        assert_eq!(f.verify(&swapped).unwrap_err(), not_ascending);
+
+        let mut reversed = honest.clone();
+        reversed.clusters.reverse();
+        assert_eq!(f.verify(&reversed).unwrap_err(), not_ascending);
+    }
+
+    #[test]
+    fn moving_a_cluster_between_two_leaves_is_rejected() {
+        let f = fixture(CandidateMode::Full, 6);
+        let honest = f.honest_vo();
+        // Within one tree, and from one tree's leaf into another's: the
+        // rows stay authentic, but the leaves no longer hash to the roots.
+        for (from, to) in [((0, 0), (0, 1)), ((0, 0), (1, 0))] {
+            let mut forged = honest.clone();
+            let moved = {
+                let mut leaves = Vec::new();
+                leaves_mut(&mut forged.trees[from.0], &mut leaves);
+                leaves[from.1].pop().expect("non-empty leaf")
+            };
+            let mut leaves = Vec::new();
+            leaves_mut(&mut forged.trees[to.0], &mut leaves);
+            leaves[to.1].push(moved);
+            assert!(!f.accepts(&forged), "{from:?} -> {to:?}");
         }
     }
 
     #[test]
     fn hiding_the_winner_behind_a_pruned_stub_is_detected() {
         let f = fixture(CandidateMode::Full, 2);
-        let out = mrkd_search(&f.mrkd, &f.queries, &f.thresholds);
-        let honest = verify_bovw(&out.vo, &f.queries, CandidateMode::Full).expect("honest");
-        let victim = honest.assignments[0];
+        let honest = f.honest_vo();
+        let verified = f.verify(&honest).expect("honest");
+        let victim = verified.assignments[0];
         assert_ne!(
-            victim, honest.assignments[1],
+            victim, verified.assignments[1],
             "fixture needs distinct winners"
         );
 
         // Replace every leaf containing the victim cluster with a pruned
         // stub carrying the *correct* digest (the strongest forgery the SP
-        // can attempt without breaking the hash function).
-        fn prune_leaves_with(node: &mut VoNode, cluster: u32, dim: usize) {
+        // can attempt without breaking the hash function), and drop the
+        // rows only those leaves named.
+        fn prune_leaves_with(node: &mut VoNode, cluster: u32, vo: &BovwVo) {
             match node {
                 VoNode::Pruned(_) => {}
-                VoNode::Leaf { entries } => {
-                    if entries.iter().any(|e| e.cluster == cluster) {
-                        let digest =
-                            vo_subtree_digest(node, CandidateMode::Full, dim).expect("digest");
+                VoNode::Leaf { clusters } => {
+                    if clusters.contains(&cluster) {
+                        let mut table =
+                            Table::check(&vo.clusters, DIM, CandidateMode::Full).expect("table");
+                        let (_, digest) = table
+                            .reconstruct(node, &mut VoSource::default())
+                            .expect("digest");
                         *node = VoNode::Pruned(digest);
                     }
                 }
                 VoNode::Internal { left, right, .. } => {
-                    prune_leaves_with(left, cluster, dim);
-                    prune_leaves_with(right, cluster, dim);
+                    prune_leaves_with(left, cluster, vo);
+                    prune_leaves_with(right, cluster, vo);
                 }
             }
         }
-        let mut forged = out.vo.clone();
+        let mut forged = honest.clone();
+        let mut named = Vec::new();
         for tree in &mut forged.trees {
-            prune_leaves_with(tree, victim, DIM);
+            prune_leaves_with(tree, victim, &honest);
+            let mut leaves = Vec::new();
+            leaves_mut(tree, &mut leaves);
+            named.extend(leaves.into_iter().flat_map(|l| l.iter().copied()));
         }
+        forged.clusters.retain(|row| named.contains(&row.cluster));
+        assert!(forged.clusters.iter().all(|row| row.cluster != victim));
 
-        let result = verify_bovw(&forged, &f.queries, CandidateMode::Full);
-        match result {
+        match f.verify(&forged) {
             Err(VerifyError::PrunedSubtreeReachable) | Err(VerifyError::NoCandidate) => {}
             other => panic!("forgery accepted or wrong error: {other:?}"),
         }
@@ -681,39 +853,25 @@ mod tests {
     #[test]
     fn downgrading_the_winner_to_a_partial_reveal_is_detected() {
         let f = fixture(CandidateMode::Compressed, 2);
-        let out = mrkd_search(&f.mrkd, &f.queries, &f.thresholds);
-        let honest = verify_bovw(&out.vo, &f.queries, CandidateMode::Compressed).expect("honest");
-        let victim = honest.assignments[0];
+        let honest = f.honest_vo();
+        let verified = f.verify(&honest).expect("honest");
+        let victim = verified.assignments[0];
         assert_ne!(
-            victim, honest.assignments[1],
+            victim, verified.assignments[1],
             "fixture needs distinct winners"
         );
 
         // Forge: disclose the victim only partially (all blocks — the most
         // honest-looking partial reveal possible).
-        let center = f.centers[victim as usize].clone();
-        let dim_tree = f.mrkd.dim_tree(victim).expect("compressed").clone();
-        let total = crate::tree::n_blocks(DIM);
-        let all: Vec<usize> = (0..total).collect();
-        let proof = dim_tree.prove_subset(&all);
-        let blocks: Vec<(u32, Vec<f32>)> = (0..total)
-            .map(|b| (b as u32, center[crate::tree::block_range(b, DIM)].to_vec()))
-            .collect();
-        let mut forged = out.vo.clone();
-        let n = tamper_entries(&mut forged, victim, &mut |e| {
-            e.reveal = Reveal::Partial {
-                dim_root: dim_tree.root(),
-                blocks: blocks.clone(),
-                proof: proof.clone(),
-            };
-        });
-        assert!(n > 0);
+        let all: Vec<usize> = (0..n_blocks(DIM)).collect();
+        let mut forged = honest.clone();
+        row_mut(&mut forged, victim).reveal = f.partial(victim, &all);
 
         // Hiding the winner inflates the verified threshold t', which is
         // then caught either directly (the partial disclosure is too close)
         // or indirectly (a pruned subtree becomes reachable under the
         // inflated t').
-        match verify_bovw(&forged, &f.queries, CandidateMode::Compressed) {
+        match f.verify(&forged) {
             Err(VerifyError::PartialTooClose { .. })
             | Err(VerifyError::NoCandidate)
             | Err(VerifyError::PrunedSubtreeReachable) => {}
@@ -722,66 +880,78 @@ mod tests {
     }
 
     #[test]
-    fn forged_partial_block_values_fail_the_subset_proof() {
-        let f = fixture(CandidateMode::Compressed, 4);
-        let out = mrkd_search(&f.mrkd, &f.queries, &f.thresholds);
-        // Find any partial entry and nudge a revealed coordinate.
-        let mut forged = out.vo.clone();
-        let mut tampered = false;
-        fn walk(node: &mut VoNode, tampered: &mut bool) {
-            match node {
-                VoNode::Pruned(_) => {}
-                VoNode::Leaf { entries } => {
-                    for e in entries {
-                        if *tampered {
-                            return;
-                        }
-                        if let Reveal::Partial { blocks, .. } = &mut e.reveal {
-                            blocks[0].1[0] += 1.0;
-                            *tampered = true;
-                        }
-                    }
+    fn shrinking_a_partial_reveal_below_its_queries_is_detected() {
+        let f = fixture_with_noise(CandidateMode::Compressed, 6, 0.5);
+        let honest = f.honest_vo();
+        assert!(f.accepts(&honest));
+        // Re-prove every multi-block partial row over a single block, with
+        // a valid subset proof: the digest chain stays intact, so only the
+        // per-query distance check can notice. The greedy selection only
+        // grows past one block when no single block clears some query, so
+        // shrunken rows fall short (a row may survive when a later query's
+        // block happens to clear the earlier ones too).
+        let mut caught = 0;
+        for (i, row) in honest.clusters.iter().enumerate() {
+            let Reveal::Partial { blocks, .. } = &row.reveal else {
+                continue;
+            };
+            if blocks.len() < 2 {
+                continue;
+            }
+            let first = blocks[0].0 as usize;
+            let mut forged = honest.clone();
+            forged.clusters[i].reveal = f.partial(row.cluster, &[first]);
+            match f.verify(&forged) {
+                Err(VerifyError::PartialTooClose { cluster, .. }) => {
+                    assert_eq!(cluster, row.cluster);
+                    caught += 1;
                 }
-                VoNode::Internal { left, right, .. } => {
-                    walk(left, tampered);
-                    walk(right, tampered);
-                }
+                Ok(v) => assert_eq!(v.combined_root, f.mrkd.combined_root_digest()),
+                other => panic!("unexpected outcome: {other:?}"),
             }
         }
-        for t in &mut forged.trees {
-            walk(t, &mut tampered);
-        }
-        assert!(
-            tampered,
-            "fixture should produce at least one partial reveal"
-        );
+        assert!(caught > 0, "fixture should produce a multi-block partial");
+    }
+
+    #[test]
+    fn a_partial_row_clears_every_query_that_reaches_it_in_any_tree() {
+        // The union rule: one Partial row serves all trees, so its blocks
+        // must clear the threshold of every query the verifier finds at
+        // any leaf naming it — which is exactly what phase 3 checks, so an
+        // honest VO verifying under many queries is the proof.
+        let f = fixture(CandidateMode::Compressed, 24);
+        let vo = f.honest_vo();
+        assert!(vo
+            .clusters
+            .iter()
+            .any(|r| matches!(r.reveal, Reveal::Partial { .. })));
+        assert!(f.accepts(&vo));
+    }
+
+    #[test]
+    fn forged_partial_block_values_fail_the_subset_proof() {
+        let f = fixture(CandidateMode::Compressed, 4);
+        let mut forged = f.honest_vo();
+        let blocks = forged
+            .clusters
+            .iter_mut()
+            .find_map(|row| match &mut row.reveal {
+                Reveal::Partial { blocks, .. } => Some(blocks),
+                _ => None,
+            })
+            .expect("fixture should produce at least one partial reveal");
+        blocks[0].1[0] += 1.0;
         assert!(matches!(
-            verify_bovw(&forged, &f.queries, CandidateMode::Compressed),
+            f.verify(&forged),
             Err(VerifyError::BadSubsetProof { .. })
         ));
     }
 
     #[test]
-    fn forged_inv_digest_changes_root() {
-        let f = fixture(CandidateMode::Full, 4);
-        let out = mrkd_search(&f.mrkd, &f.queries, &f.thresholds);
-        let honest = verify_bovw(&out.vo, &f.queries, CandidateMode::Full).expect("honest");
-        let winner = honest.assignments[0];
-        let mut forged = out.vo.clone();
-        tamper_entries(&mut forged, winner, &mut |e| {
-            e.inv_digest = Digest::of(b"forged inverted list");
-        });
-        if let Ok(v) = verify_bovw(&forged, &f.queries, CandidateMode::Full) {
-            assert_ne!(v.combined_root, f.mrkd.combined_root_digest());
-        }
-    }
-
-    #[test]
     fn wrong_mode_is_rejected() {
         let f = fixture(CandidateMode::Full, 3);
-        let out = mrkd_search(&f.mrkd, &f.queries, &f.thresholds);
         assert!(matches!(
-            verify_bovw(&out.vo, &f.queries, CandidateMode::Compressed),
+            verify_bovw(&f.honest_vo(), &f.queries, CandidateMode::Compressed),
             Err(VerifyError::WrongMode)
         ));
     }
@@ -789,14 +959,25 @@ mod tests {
     #[test]
     fn empty_inputs_are_rejected() {
         let f = fixture(CandidateMode::Full, 3);
-        let out = mrkd_search(&f.mrkd, &f.queries, &f.thresholds);
+        let honest = f.honest_vo();
         assert!(matches!(
-            verify_bovw(&out.vo, &[], CandidateMode::Full),
+            verify_bovw(&honest, &[], CandidateMode::Full),
             Err(VerifyError::Malformed(_))
         ));
-        let empty = BovwVo { trees: vec![] };
+        let no_trees = BovwVo {
+            clusters: honest.clusters.clone(),
+            trees: vec![],
+        };
         assert!(matches!(
-            verify_bovw(&empty, &f.queries, CandidateMode::Full),
+            f.verify(&no_trees),
+            Err(VerifyError::Malformed(_))
+        ));
+        let no_table = BovwVo {
+            clusters: vec![],
+            trees: honest.trees.clone(),
+        };
+        assert!(matches!(
+            f.verify(&no_table),
             Err(VerifyError::Malformed(_))
         ));
     }
@@ -809,5 +990,49 @@ mod tests {
             verify_bovw_baseline(&vo, &f.queries[..2]),
             Err(VerifyError::Malformed(_))
         ));
+    }
+
+    /// The phase-2 scan this crate shipped before the early-exit kernel:
+    /// a full `dist_sq` against every reveal.
+    fn nearest_revealed_full_scan(q: &[f32], reveals: &[(u32, &[f32])]) -> (f32, u32) {
+        let mut best = (f32::INFINITY, u32::MAX);
+        for &(cluster, coords) in reveals {
+            let d = dist_sq(q, coords);
+            if d < best.0 || (d == best.0 && cluster < best.1) {
+                best = (d, cluster);
+            }
+        }
+        best
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Early exit never changes a winner, a tie-break, or a threshold
+        /// bit — including duplicated centroids (exact ties), NaN and
+        /// infinite coordinates.
+        #[test]
+        fn threshold_scan_matches_the_full_scan(
+            q in proptest::collection::vec(any::<f32>(), 24..=24),
+            centroids in proptest::collection::vec(
+                proptest::collection::vec(any::<f32>(), 24..=24), 1..12),
+            near in proptest::collection::vec(-0.5f32..0.5, 24..=24),
+            dup in any::<prop::sample::Index>(),
+        ) {
+            let mut centroids = centroids;
+            // A centroid close to the query, and an exact duplicate of some
+            // centroid under a larger id, so ties and near-misses occur.
+            centroids.push(q.iter().zip(&near).map(|(a, b)| a + b).collect());
+            centroids.push(centroids[dup.index(centroids.len())].clone());
+            let reveals: Vec<(u32, &[f32])> = centroids
+                .iter()
+                .enumerate()
+                .map(|(i, c)| (3 * i as u32 + 1, c.as_slice()))
+                .collect();
+            let fast = nearest_revealed(&q, &reveals);
+            let full = nearest_revealed_full_scan(&q, &reveals);
+            prop_assert_eq!(fast.0.to_bits(), full.0.to_bits());
+            prop_assert_eq!(fast.1, full.1);
+        }
     }
 }

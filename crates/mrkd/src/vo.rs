@@ -5,7 +5,7 @@ use imageproof_crypto::merkle::SubsetProof;
 use imageproof_crypto::wire::{Decode, Encode, Reader, WireError, Writer};
 use imageproof_crypto::Digest;
 
-/// How a leaf cluster's centroid is disclosed in the VO.
+/// How a disclosed cluster's centroid is revealed in the VO.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Reveal {
     /// All coordinates, bound directly into the leaf digest (base scheme).
@@ -27,9 +27,10 @@ pub enum Reveal {
     },
 }
 
-/// One cluster of a disclosed leaf.
+/// One row of the VO's cluster table: everything a leaf entry digest binds
+/// about a cluster, disclosed once however many trees' leaves name it.
 #[derive(Clone, Debug, PartialEq)]
-pub struct VoLeafEntry {
+pub struct VoCluster {
     pub cluster: u32,
     /// `h_{Γ_{c}}`: digest of the cluster's Merkle inverted list (Def. 3
     /// embeds it in the leaf).
@@ -50,34 +51,25 @@ pub enum VoNode {
         left: Box<VoNode>,
         right: Box<VoNode>,
     },
-    /// Disclosed leaf (Alg. 1 lines 4–7).
-    Leaf { entries: Vec<VoLeafEntry> },
+    /// Disclosed leaf (Alg. 1 lines 4–7): the leaf's cluster ids in leaf
+    /// order, each naming a row of [`BovwVo::clusters`].
+    Leaf { clusters: Vec<u32> },
 }
 
 /// The complete BoVW-encoding VO: one [`VoNode`] tree per MRKD-tree
-/// (`{VO_{C,i}}` of Alg. 5).
+/// (`{VO_{C,i}}` of Alg. 5) over one shared cluster table. Every cluster
+/// sits in every tree of the forest, so the table reveals it once and the
+/// leaves only name it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BovwVo {
+    /// Strictly ascending by cluster id; a row is authenticated only by a
+    /// leaf naming it that chains to a root (see `verify_bovw`).
+    pub clusters: Vec<VoCluster>,
     pub trees: Vec<VoNode>,
 }
 
-impl VoNode {
-    /// Counts (disclosed internal/leaf nodes, pruned stubs).
-    pub fn node_counts(&self) -> (usize, usize) {
-        match self {
-            VoNode::Pruned(_) => (0, 1),
-            VoNode::Leaf { .. } => (1, 0),
-            VoNode::Internal { left, right, .. } => {
-                let (dl, pl) = left.node_counts();
-                let (dr, pr) = right.node_counts();
-                (1 + dl + dr, pl + pr)
-            }
-        }
-    }
-}
-
 /// Read cursor over a flat digest list, used to re-instantiate a VO
-/// template with another shard's digests ([`VoNode::with_digests`]). All
+/// template with another shard's digests ([`BovwVo::with_digests`]). All
 /// access is bounds-checked: running past the end yields `None`, never a
 /// panic — the digests come from an untrusted sharded response.
 pub struct DigestCursor<'a> {
@@ -104,31 +96,23 @@ impl<'a> DigestCursor<'a> {
 }
 
 impl VoNode {
-    /// Appends this tree's shard-varying digests — pruned-subtree stubs and
-    /// leaf-embedded inverted-list digests — to `out`, in DFS order
-    /// (node, then left subtree, then right). Everything else in a VO
-    /// (splits, cluster ids, centroid reveals, subset proofs) depends only
-    /// on the query and the shared codebook, so two shards' VOs for one
-    /// query differ exactly in this digest sequence.
-    pub fn collect_digests(&self, out: &mut Vec<Digest>) {
+    /// Appends this tree's pruned-subtree stubs to `out`, in DFS order
+    /// (left subtree, then right).
+    fn collect_digests(&self, out: &mut Vec<Digest>) {
         match self {
             VoNode::Pruned(d) => out.push(*d),
             VoNode::Internal { left, right, .. } => {
                 left.collect_digests(out);
                 right.collect_digests(out);
             }
-            VoNode::Leaf { entries } => {
-                for e in entries {
-                    out.push(e.inv_digest);
-                }
-            }
+            VoNode::Leaf { .. } => {}
         }
     }
 
-    /// Rebuilds this tree with its shard-varying digests replaced from
-    /// `cur`, in the same DFS order [`VoNode::collect_digests`] emits.
-    /// Returns `None` when the cursor runs dry (shape/payload mismatch).
-    pub fn with_digests(&self, cur: &mut DigestCursor<'_>) -> Option<VoNode> {
+    /// Rebuilds this tree with its pruned stubs replaced from `cur`, in
+    /// the order [`VoNode::collect_digests`] emits. `None` when the cursor
+    /// runs dry (shape/payload mismatch).
+    fn with_digests(&self, cur: &mut DigestCursor<'_>) -> Option<VoNode> {
         match self {
             VoNode::Pruned(_) => Some(VoNode::Pruned(*cur.next()?)),
             VoNode::Internal {
@@ -146,37 +130,45 @@ impl VoNode {
                     right: Box::new(right),
                 })
             }
-            VoNode::Leaf { entries } => {
-                let mut out = Vec::with_capacity(entries.len());
-                for e in entries {
-                    out.push(VoLeafEntry {
-                        cluster: e.cluster,
-                        inv_digest: *cur.next()?,
-                        reveal: e.reveal.clone(),
-                    });
-                }
-                Some(VoNode::Leaf { entries: out })
-            }
+            VoNode::Leaf { clusters } => Some(VoNode::Leaf {
+                clusters: clusters.clone(),
+            }),
         }
     }
 }
 
 impl BovwVo {
-    /// See [`VoNode::collect_digests`]; trees contribute in order.
+    /// Appends this VO's shard-varying digests to `out`: every table row's
+    /// inverted-list digest once, in row order, then each tree's pruned
+    /// stubs in DFS order. Everything else in a VO (splits, cluster ids,
+    /// centroid reveals, subset proofs) depends only on the query and the
+    /// shared codebook, so two shards' VOs for one query differ exactly in
+    /// this digest sequence.
     pub fn collect_digests(&self, out: &mut Vec<Digest>) {
+        out.extend(self.clusters.iter().map(|row| row.inv_digest));
         for t in &self.trees {
             t.collect_digests(out);
         }
     }
 
-    /// See [`VoNode::with_digests`]; the caller checks cursor exhaustion
-    /// across whatever set of VOs shares one digest payload.
+    /// Rebuilds this VO with its shard-varying digests replaced from `cur`,
+    /// in the order [`BovwVo::collect_digests`] emits; `None` when the
+    /// cursor runs dry. The caller checks cursor exhaustion across whatever
+    /// set of VOs shares one digest payload.
     pub fn with_digests(&self, cur: &mut DigestCursor<'_>) -> Option<BovwVo> {
+        let mut clusters = Vec::with_capacity(self.clusters.len());
+        for row in &self.clusters {
+            clusters.push(VoCluster {
+                cluster: row.cluster,
+                inv_digest: *cur.next()?,
+                reveal: row.reveal.clone(),
+            });
+        }
         let mut trees = Vec::with_capacity(self.trees.len());
         for t in &self.trees {
             trees.push(t.with_digests(cur)?);
         }
-        Some(BovwVo { trees })
+        Some(BovwVo { clusters, trees })
     }
 }
 
@@ -230,6 +222,11 @@ impl Encode for Reveal {
     }
 }
 
+/// A varint that must fit a `u32` (cluster ids, block and split indices).
+fn decode_u32(r: &mut Reader<'_>) -> Result<u32, WireError> {
+    u32::try_from(r.varint()?).map_err(|_| WireError::LengthOverflow)
+}
+
 impl Decode for Reveal {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let tag = r.u8()?;
@@ -251,7 +248,7 @@ impl Decode for Reveal {
                 let n = r.vseq_len()?;
                 let mut blocks = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let b = u32::try_from(r.varint()?).map_err(|_| WireError::LengthOverflow)?;
+                    let b = decode_u32(r)?;
                     let len = r.vseq_len()?;
                     let mut coords = Vec::with_capacity(len);
                     for _ in 0..len {
@@ -259,7 +256,7 @@ impl Decode for Reveal {
                     }
                     blocks.push((b, coords));
                 }
-                let n_leaves = u32::try_from(r.varint()?).map_err(|_| WireError::LengthOverflow)?;
+                let n_leaves = decode_u32(r)?;
                 let fills = r.vseq_len()?;
                 let mut fill = Vec::with_capacity(fills);
                 for _ in 0..fills {
@@ -276,7 +273,7 @@ impl Decode for Reveal {
     }
 }
 
-impl Encode for VoLeafEntry {
+impl Encode for VoCluster {
     fn encode(&self, w: &mut Writer) {
         w.varint(self.cluster as u64);
         w.digest(&self.inv_digest);
@@ -284,10 +281,10 @@ impl Encode for VoLeafEntry {
     }
 }
 
-impl Decode for VoLeafEntry {
+impl Decode for VoCluster {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(VoLeafEntry {
-            cluster: u32::try_from(r.varint()?).map_err(|_| WireError::LengthOverflow)?,
+        Ok(VoCluster {
+            cluster: decode_u32(r)?,
             inv_digest: r.digest()?,
             reveal: Reveal::decode(r)?,
         })
@@ -319,11 +316,11 @@ impl Encode for VoNode {
                 left.encode(w);
                 right.encode(w);
             }
-            VoNode::Leaf { entries } => {
+            VoNode::Leaf { clusters } => {
                 w.u8(TAG_LEAF);
-                w.vseq_len(entries.len());
-                for e in entries {
-                    e.encode(w);
+                w.vseq_len(clusters.len());
+                for &c in clusters {
+                    w.varint(c as u64);
                 }
             }
         }
@@ -338,18 +335,18 @@ impl VoNode {
         match r.u8()? {
             TAG_PRUNED => Ok(VoNode::Pruned(r.digest()?)),
             TAG_INTERNAL => Ok(VoNode::Internal {
-                dim: u32::try_from(r.varint()?).map_err(|_| WireError::LengthOverflow)?,
+                dim: decode_u32(r)?,
                 value: r.f32()?,
                 left: Box::new(VoNode::decode_at(r, depth + 1)?),
                 right: Box::new(VoNode::decode_at(r, depth + 1)?),
             }),
             TAG_LEAF => {
                 let n = r.vseq_len()?;
-                let mut entries = Vec::with_capacity(n);
+                let mut clusters = Vec::with_capacity(n);
                 for _ in 0..n {
-                    entries.push(VoLeafEntry::decode(r)?);
+                    clusters.push(decode_u32(r)?);
                 }
-                Ok(VoNode::Leaf { entries })
+                Ok(VoNode::Leaf { clusters })
             }
             t => Err(WireError::InvalidTag(t)),
         }
@@ -364,6 +361,10 @@ impl Decode for VoNode {
 
 impl Encode for BovwVo {
     fn encode(&self, w: &mut Writer) {
+        w.vseq_len(self.clusters.len());
+        for row in &self.clusters {
+            row.encode(w);
+        }
         w.vseq_len(self.trees.len());
         for t in &self.trees {
             t.encode(w);
@@ -374,11 +375,16 @@ impl Encode for BovwVo {
 impl Decode for BovwVo {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let n = r.vseq_len()?;
+        let mut clusters = Vec::with_capacity(n);
+        for _ in 0..n {
+            clusters.push(VoCluster::decode(r)?);
+        }
+        let n = r.vseq_len()?;
         let mut trees = Vec::with_capacity(n);
         for _ in 0..n {
             trees.push(VoNode::decode(r)?);
         }
-        Ok(BovwVo { trees })
+        Ok(BovwVo { clusters, trees })
     }
 }
 
@@ -386,28 +392,43 @@ impl Decode for BovwVo {
 mod tests {
     use super::*;
 
-    fn sample_leaf() -> VoNode {
-        VoNode::Leaf {
-            entries: vec![
-                VoLeafEntry {
-                    cluster: 3,
-                    inv_digest: Digest::of(b"inv-3"),
-                    reveal: Reveal::Full {
-                        coords: vec![0.5, -1.25],
+    fn sample_rows() -> Vec<VoCluster> {
+        vec![
+            VoCluster {
+                cluster: 3,
+                inv_digest: Digest::of(b"inv-3"),
+                reveal: Reveal::Full {
+                    coords: vec![0.5, -1.25],
+                },
+            },
+            VoCluster {
+                cluster: 9,
+                inv_digest: Digest::of(b"inv-9"),
+                reveal: Reveal::Partial {
+                    dim_root: Digest::of(b"dims"),
+                    blocks: vec![(0, vec![1.0, 2.0]), (4, vec![-0.0])],
+                    proof: SubsetProof {
+                        n_leaves: 8,
+                        fill: vec![Digest::of(b"fill-a"), Digest::of(b"fill-b")],
                     },
                 },
-                VoLeafEntry {
-                    cluster: 9,
-                    inv_digest: Digest::of(b"inv-9"),
-                    reveal: Reveal::Partial {
-                        dim_root: Digest::of(b"dims"),
-                        blocks: vec![(0, vec![1.0, 2.0]), (4, vec![-0.0])],
-                        proof: SubsetProof {
-                            n_leaves: 8,
-                            fill: vec![Digest::of(b"fill-a"), Digest::of(b"fill-b")],
-                        },
-                    },
+            },
+        ]
+    }
+
+    fn sample_vo() -> BovwVo {
+        BovwVo {
+            clusters: sample_rows(),
+            trees: vec![
+                VoNode::Internal {
+                    dim: 1,
+                    value: 0.75,
+                    left: Box::new(VoNode::Pruned(Digest::of(b"pruned"))),
+                    right: Box::new(VoNode::Leaf {
+                        clusters: vec![9, 3],
+                    }),
                 },
+                VoNode::Pruned(Digest::of(b"other")),
             ],
         }
     }
@@ -434,30 +455,27 @@ mod tests {
     }
 
     #[test]
-    fn vo_leaf_entry_roundtrips() {
-        let entry = VoLeafEntry {
-            cluster: 42,
-            inv_digest: Digest::of(b"list"),
-            reveal: Reveal::FullCompressed {
-                coords: vec![2.0, 4.0],
-            },
-        };
-        assert_eq!(VoLeafEntry::from_wire(&entry.to_wire()).expect("rt"), entry);
+    fn table_rows_nodes_and_vo_roundtrip() {
+        for row in sample_rows() {
+            assert_eq!(VoCluster::from_wire(&row.to_wire()).expect("rt"), row);
+        }
+        let vo = sample_vo();
+        for node in &vo.trees {
+            assert_eq!(&VoNode::from_wire(&node.to_wire()).expect("rt"), node);
+        }
+        assert_eq!(BovwVo::from_wire(&vo.to_wire()).expect("rt"), vo);
     }
 
     #[test]
-    fn vo_node_and_bovw_vo_roundtrip() {
-        let node = VoNode::Internal {
-            dim: 1,
-            value: 0.75,
-            left: Box::new(VoNode::Pruned(Digest::of(b"pruned"))),
-            right: Box::new(sample_leaf()),
-        };
-        assert_eq!(VoNode::from_wire(&node.to_wire()).expect("rt"), node);
-        let vo = BovwVo {
-            trees: vec![node, VoNode::Pruned(Digest::of(b"other"))],
-        };
-        assert_eq!(BovwVo::from_wire(&vo.to_wire()).expect("rt"), vo);
+    fn a_leaf_costs_its_ids_not_its_centroids() {
+        // The whole point of the table: a second leaf naming both rows
+        // adds a tag, a length and one varint per id — never the reveals.
+        let mut vo = sample_vo();
+        let before = vo.wire_size();
+        vo.trees.push(VoNode::Leaf {
+            clusters: vec![3, 9],
+        });
+        assert_eq!(vo.wire_size(), before + 4);
     }
 
     #[test]
@@ -476,21 +494,19 @@ mod tests {
 
     #[test]
     fn digest_patching_roundtrips_and_replaces_every_slot() {
-        let vo = BovwVo {
-            trees: vec![
-                VoNode::Internal {
-                    dim: 1,
-                    value: 0.75,
-                    left: Box::new(VoNode::Pruned(Digest::of(b"pruned"))),
-                    right: Box::new(sample_leaf()),
-                },
-                VoNode::Pruned(Digest::of(b"other")),
-            ],
-        };
+        let vo = sample_vo();
         let mut own = Vec::new();
         vo.collect_digests(&mut own);
-        // One pruned stub + two leaf inv digests + one pruned tree.
-        assert_eq!(own.len(), 4);
+        // Two row inv digests first, then one pruned stub per tree.
+        assert_eq!(
+            own,
+            vec![
+                Digest::of(b"inv-3"),
+                Digest::of(b"inv-9"),
+                Digest::of(b"pruned"),
+                Digest::of(b"other"),
+            ]
+        );
 
         // Patching with its own digests reproduces the VO exactly.
         let mut cur = DigestCursor::new(&own);
@@ -517,19 +533,14 @@ mod tests {
 
     #[test]
     fn digest_patching_rejects_short_payloads() {
-        let vo = BovwVo {
-            trees: vec![VoNode::Internal {
-                dim: 0,
-                value: 0.0,
-                left: Box::new(VoNode::Pruned(Digest::of(b"l"))),
-                right: Box::new(VoNode::Pruned(Digest::of(b"r"))),
-            }],
-        };
-        let one = [Digest::of(b"only")];
-        let mut cur = DigestCursor::new(&one);
-        assert!(vo.with_digests(&mut cur).is_none(), "short payload");
-        let three = [Digest::of(b"a"), Digest::of(b"b"), Digest::of(b"c")];
-        let mut cur = DigestCursor::new(&three);
+        let vo = sample_vo();
+        for short in 0..4 {
+            let payload: Vec<Digest> = (0..short).map(|i| Digest::of(&[i])).collect();
+            let mut cur = DigestCursor::new(&payload);
+            assert!(vo.with_digests(&mut cur).is_none(), "{short} digests");
+        }
+        let five: Vec<Digest> = (0..5u8).map(|i| Digest::of(&[i])).collect();
+        let mut cur = DigestCursor::new(&five);
         assert!(vo.with_digests(&mut cur).is_some());
         assert!(
             !cur.exhausted(),

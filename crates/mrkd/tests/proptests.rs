@@ -1,13 +1,30 @@
 //! Property-based tests for the MRKD-tree: for arbitrary cluster sets and
 //! perturbed queries, the SP's search verifies and yields the exact nearest
-//! clusters, in both candidate modes.
+//! clusters, in both candidate modes and at every thread count, with each
+//! disclosed cluster revealed exactly once.
 
 use imageproof_akm::rkd::{dist_sq, RkdForest};
+use imageproof_crypto::wire::{Decode, Encode};
 use imageproof_crypto::Digest;
-use imageproof_mrkd::{mrkd_search, verify_bovw, CandidateMode, MrkdForest};
+use imageproof_mrkd::{
+    mrkd_search, mrkd_search_with, verify_bovw, BovwVo, CandidateMode, MrkdForest, VoNode,
+};
+use imageproof_parallel::Concurrency;
 use proptest::prelude::*;
 
 const DIM: usize = 32;
+
+/// Every cluster id named by a disclosed leaf of `node`, with repeats.
+fn named_clusters(node: &VoNode, out: &mut Vec<u32>) {
+    match node {
+        VoNode::Pruned(_) => {}
+        VoNode::Leaf { clusters } => out.extend(clusters),
+        VoNode::Internal { left, right, .. } => {
+            named_clusters(left, out);
+            named_clusters(right, out);
+        }
+    }
+}
 
 fn centers_strategy() -> impl Strategy<Value = Vec<Vec<f32>>> {
     proptest::collection::vec(proptest::collection::vec(0.0f32..1.0, DIM..=DIM), 2..40)
@@ -52,6 +69,25 @@ proptest! {
             .collect();
 
         let out = mrkd_search(&mrkd, &queries, &thresholds);
+        let wire = out.vo.to_wire();
+        for threads in [1usize, 2, 4, 8] {
+            let par = mrkd_search_with(&mrkd, &queries, &thresholds, Concurrency::new(threads));
+            prop_assert_eq!(&par.vo.to_wire(), &wire, "VO bytes differ at {} threads", threads);
+            prop_assert_eq!(&par.candidates, &out.candidates);
+            prop_assert_eq!(par.stats.digests_cached, out.stats.digests_cached);
+        }
+
+        // The table holds exactly the clusters the trees' leaves name,
+        // once each, ascending.
+        let mut named = Vec::new();
+        for tree in &out.vo.trees {
+            named_clusters(tree, &mut named);
+        }
+        named.sort_unstable();
+        named.dedup();
+        let rows: Vec<u32> = out.vo.clusters.iter().map(|row| row.cluster).collect();
+        prop_assert_eq!(rows, named);
+
         let verified = verify_bovw(&out.vo, &queries, mode).expect("honest VO verifies");
         prop_assert_eq!(verified.combined_root, mrkd.combined_root_digest());
 
@@ -70,9 +106,6 @@ proptest! {
     /// The VO wire encoding round-trips for arbitrary searches.
     #[test]
     fn vo_wire_roundtrip(centers in centers_strategy(), n_queries in 1usize..5) {
-        use imageproof_crypto::wire::{Decode, Encode};
-        use imageproof_mrkd::BovwVo;
-
         let inv: Vec<Digest> = (0..centers.len() as u32)
             .map(|c| Digest::of(format!("inv{c}").as_bytes()))
             .collect();

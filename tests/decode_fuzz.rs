@@ -32,7 +32,7 @@ use imageproof_core::{
 use imageproof_crypto::wire::{Decode, Encode, WireError};
 use imageproof_invindex::grouped::{Group, GroupedInvVo, GroupedListVo};
 use imageproof_invindex::{FilterVo, InvVo, ListVo, RemainingVo};
-use imageproof_mrkd::{BaselineBovwVo, BovwVo, Reveal, VoLeafEntry, VoNode};
+use imageproof_mrkd::{BaselineBovwVo, BovwVo, Reveal, VoCluster, VoNode};
 use imageproof_vision::{Corpus, CorpusConfig, DescriptorKind};
 use proptest::prelude::*;
 
@@ -223,12 +223,44 @@ fn sharded_fixture() -> &'static ShardedFixture {
 }
 
 /// Depth-first search for the first disclosed leaf in a VO tree.
-fn find_leaf(node: &VoNode) -> Option<&Vec<VoLeafEntry>> {
+fn find_leaf(node: &VoNode) -> Option<&VoNode> {
     match node {
         VoNode::Pruned(_) => None,
         VoNode::Internal { left, right, .. } => find_leaf(left).or_else(|| find_leaf(right)),
-        VoNode::Leaf { entries } => Some(entries),
+        VoNode::Leaf { .. } => Some(node),
     }
+}
+
+/// Heap bytes a decoded BoVW VO owns, by allocation capacity: the table's
+/// rows and their reveals, and every tree node and leaf id list.
+fn bovw_heap_bytes(vo: &BovwVo) -> usize {
+    use std::mem::size_of;
+    fn reveal_bytes(reveal: &Reveal) -> usize {
+        match reveal {
+            Reveal::Full { coords } | Reveal::FullCompressed { coords } => coords.capacity() * 4,
+            Reveal::Partial { blocks, proof, .. } => {
+                blocks.capacity() * size_of::<(u32, Vec<f32>)>()
+                    + blocks.iter().map(|(_, c)| c.capacity() * 4).sum::<usize>()
+                    + proof.fill.capacity() * 32
+            }
+        }
+    }
+    fn node_bytes(node: &VoNode) -> usize {
+        match node {
+            VoNode::Pruned(_) => 0,
+            VoNode::Leaf { clusters } => clusters.capacity() * 4,
+            VoNode::Internal { left, right, .. } => {
+                2 * size_of::<VoNode>() + node_bytes(left) + node_bytes(right)
+            }
+        }
+    }
+    vo.clusters.capacity() * size_of::<VoCluster>()
+        + vo.clusters
+            .iter()
+            .map(|r| reveal_bytes(&r.reveal))
+            .sum::<usize>()
+        + vo.trees.capacity() * size_of::<VoNode>()
+        + vo.trees.iter().map(node_bytes).sum::<usize>()
 }
 
 // ---------------------------------------------------------------------------
@@ -259,26 +291,80 @@ fn bovw_vo_decoding_is_total() {
 }
 
 #[test]
-fn leaf_entry_and_reveal_decoding_is_total() {
+fn table_row_leaf_and_reveal_decoding_is_total() {
     let mut checked = 0;
     for (scheme, fx) in fixtures() {
-        let trees: &[VoNode] = match &fx.response.vo.bovw {
-            BovwVoVariant::Shared(vo) => &vo.trees,
+        let vo: &BovwVo = match &fx.response.vo.bovw {
+            BovwVoVariant::Shared(vo) => vo,
             BovwVoVariant::PerQuery(vo) => match vo.per_query.first() {
-                Some(b) => &b.trees,
+                Some(b) => b,
                 None => continue,
             },
         };
-        let Some(entries) = trees.iter().find_map(find_leaf) else {
-            continue;
-        };
-        for entry in entries.iter().take(2) {
-            fuzz_decode(&format!("VoLeafEntry[{scheme:?}]"), entry);
-            fuzz_decode::<Reveal>(&format!("Reveal[{scheme:?}]"), &entry.reveal);
-            checked += 1;
+        let leaf = vo
+            .trees
+            .iter()
+            .find_map(find_leaf)
+            .expect("a disclosed leaf");
+        fuzz_decode(&format!("VoNode::Leaf[{scheme:?}]"), leaf);
+        // One row of each reveal kind the scheme produces.
+        let mut kinds = std::collections::HashSet::new();
+        for row in &vo.clusters {
+            if kinds.insert(std::mem::discriminant(&row.reveal)) {
+                fuzz_decode(&format!("VoCluster[{scheme:?}]"), row);
+                fuzz_decode::<Reveal>(&format!("Reveal[{scheme:?}]"), &row.reveal);
+                checked += 1;
+            }
         }
     }
-    assert!(checked > 0, "no disclosed leaf found in any fixture VO");
+    assert!(
+        checked >= 4,
+        "Full, FullCompressed and Partial rows all fuzzed"
+    );
+}
+
+/// Decoding must not amplify: whatever bytes decode to a BoVW VO — honest,
+/// bit-flipped, or spliced — the value's heap footprint stays within a
+/// small constant of the wire length. (A leaf naming its clusters by id
+/// costs 4 heap bytes per wire byte at worst; a back-reference that cloned
+/// a 256-byte centroid per 2-byte id would not pass.)
+#[test]
+fn decoded_bovw_heap_is_proportional_to_wire_bytes() {
+    const MAX_AMPLIFICATION: usize = 16;
+    let mut checked = 0;
+    for (scheme, fx) in fixtures() {
+        let vos: Vec<&BovwVo> = match &fx.response.vo.bovw {
+            BovwVoVariant::Shared(vo) => vec![vo],
+            BovwVoVariant::PerQuery(vo) => vo.per_query.iter().take(2).collect(),
+        };
+        for vo in vos {
+            let wire = vo.to_wire();
+            let honest = bovw_heap_bytes(&BovwVo::from_wire(&wire).expect("roundtrip"));
+            assert!(
+                honest <= 2 * wire.len(),
+                "{scheme:?}: honest VO decodes to {honest} heap bytes from {} wire bytes",
+                wire.len()
+            );
+            let mut rng = XorShift(0xB0B0 ^ wire.len() as u64);
+            for _ in 0..256 {
+                let mut m = wire.clone();
+                // Corrupt a byte near the front, where the length
+                // prefixes and tags that shape the decode live.
+                let pos = (rng.next() as usize) % m.len().min(4096);
+                m[pos] = rng.next() as u8;
+                if let Ok(decoded) = decode_total::<BovwVo>("BovwVo", &m) {
+                    let heap = bovw_heap_bytes(&decoded);
+                    assert!(
+                        heap <= MAX_AMPLIFICATION * m.len(),
+                        "{scheme:?}: {heap} heap bytes from {} wire bytes",
+                        m.len()
+                    );
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert!(checked > 0, "no corrupted VO decoded; sweep too narrow");
 }
 
 #[test]
@@ -723,7 +809,7 @@ proptest! {
         let _ = decode_total::<BovwVo>("BovwVo", &bytes);
         let _ = decode_total::<BaselineBovwVo>("BaselineBovwVo", &bytes);
         let _ = decode_total::<VoNode>("VoNode", &bytes);
-        let _ = decode_total::<VoLeafEntry>("VoLeafEntry", &bytes);
+        let _ = decode_total::<VoCluster>("VoCluster", &bytes);
         let _ = decode_total::<Reveal>("Reveal", &bytes);
         let _ = decode_total::<InvVo>("InvVo", &bytes);
         let _ = decode_total::<ListVo>("ListVo", &bytes);
