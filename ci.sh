@@ -9,6 +9,13 @@ RUSTFLAGS="-D warnings" cargo build --release
 echo "== test (workspace) =="
 cargo test -q
 
+echo "== ledger: the benchmark package builds and self-checks against this tree =="
+# `ledger/` is its own workspace, so the steps above never compile it: an
+# API refactor could break the benchmark and stay green. Its smoke test
+# also re-checks BENCHMARK.json against `ledger/src/spec.rs`.
+cargo build --release --offline --manifest-path ledger/Cargo.toml
+cargo test --offline --manifest-path ledger/Cargo.toml
+
 echo "== parallel equivalence at 2 worker threads =="
 # Re-runs the parallel suites explicitly so a green gate always includes
 # them, even if test filtering changes upstream.

@@ -109,7 +109,6 @@ impl ImpactModel {
     }
 
     /// `w_{c}` for one cluster.
-    // audit:allow(panic) owner/SP-side model: cluster ids come from the model's own vocabulary range
     pub fn weight(&self, cluster: u32) -> f32 {
         self.weights[cluster as usize]
     }

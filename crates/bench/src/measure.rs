@@ -6,7 +6,9 @@ use imageproof_core::{IndexVariant, Scheme};
 use imageproof_crypto::wire::Encode;
 use imageproof_crypto::Digest;
 use imageproof_invindex::grouped::{grouped_search, verify_grouped_topk};
-use imageproof_invindex::{inv_search, verify_topk, BoundsMode};
+use imageproof_invindex::{
+    inv_search, verify_topk, Entry, Index, InvVerifyError, InvVoOf, SearchResult, VerifiedTopk,
+};
 use imageproof_mrkd::{mrkd_search, mrkd_search_baseline, verify_bovw, verify_bovw_baseline};
 use imageproof_obs::Stopwatch;
 use std::collections::BTreeMap;
@@ -86,6 +88,34 @@ pub fn measure_bovw_step(
     }
 }
 
+/// Times one authenticated search and the verification of its VO into
+/// `out`.
+fn time_inv_step<E: Entry>(
+    out: &mut InvMeasurement,
+    index: &Index<E>,
+    search: impl FnOnce() -> SearchResult<E>,
+    verify: impl FnOnce(
+        &InvVoOf<E>,
+        &BTreeMap<u32, Digest>,
+        &[u64],
+    ) -> Result<VerifiedTopk, InvVerifyError>,
+) {
+    let digests: BTreeMap<u32, Digest> = index
+        .lists()
+        .iter()
+        .map(|l| (l.cluster, l.digest))
+        .collect();
+    let t0 = Stopwatch::start();
+    let search = search();
+    out.sp_seconds += t0.elapsed_seconds();
+    out.popped_ratio += search.stats.popped_ratio();
+    out.vo_bytes += search.vo.wire_size() as f64;
+    let claimed: Vec<u64> = search.topk.iter().map(|&(i, _)| i).collect();
+    let t1 = Stopwatch::start();
+    verify(&search.vo, &digests, &claimed).expect("honest inverted VO verifies");
+    out.client_seconds += t1.elapsed_seconds();
+}
+
 /// Measures only the inverted-index step of `scheme` over `queries`.
 pub fn measure_inv_step(
     fixture: &Fixture,
@@ -101,46 +131,20 @@ pub fn measure_inv_step(
         // The BoVW vector is an input to this step; encode it outside the
         // timed region.
         let bovw = SparseBovw::from_counts(features.iter().map(|f| (db.codebook.assign(f), 1)));
+        let mode = scheme.bounds_mode();
         match &db.inv {
-            IndexVariant::Plain(index) => {
-                let digests: BTreeMap<u32, Digest> = index
-                    .lists()
-                    .iter()
-                    .map(|l| (l.cluster, l.digest))
-                    .collect();
-                let mode = if scheme.uses_filters() {
-                    BoundsMode::CuckooFiltered
-                } else {
-                    BoundsMode::MaxBound
-                };
-                let t0 = Stopwatch::start();
-                let search = inv_search(index, &bovw, k, mode);
-                out.sp_seconds += t0.elapsed_seconds();
-                out.popped_ratio += search.stats.popped_ratio();
-                out.vo_bytes += search.vo.wire_size() as f64;
-                let claimed: Vec<u64> = search.topk.iter().map(|&(i, _)| i).collect();
-                let t1 = Stopwatch::start();
-                verify_topk(&search.vo, &bovw, &digests, &claimed, k, mode)
-                    .expect("honest inverted VO verifies");
-                out.client_seconds += t1.elapsed_seconds();
-            }
-            IndexVariant::Grouped(index) => {
-                let digests: BTreeMap<u32, Digest> = index
-                    .lists()
-                    .iter()
-                    .map(|l| (l.cluster, l.digest))
-                    .collect();
-                let t0 = Stopwatch::start();
-                let search = grouped_search(index, &bovw, k);
-                out.sp_seconds += t0.elapsed_seconds();
-                out.popped_ratio += search.stats.popped_ratio();
-                out.vo_bytes += search.vo.wire_size() as f64;
-                let claimed: Vec<u64> = search.topk.iter().map(|&(i, _)| i).collect();
-                let t1 = Stopwatch::start();
-                verify_grouped_topk(&search.vo, &bovw, &digests, &claimed, k)
-                    .expect("honest grouped VO verifies");
-                out.client_seconds += t1.elapsed_seconds();
-            }
+            IndexVariant::Plain(index) => time_inv_step(
+                &mut out,
+                index,
+                || inv_search(index, &bovw, k, mode),
+                |vo, digests, claimed| verify_topk(vo, &bovw, digests, claimed, k, mode),
+            ),
+            IndexVariant::Grouped(index) => time_inv_step(
+                &mut out,
+                index,
+                || grouped_search(index, &bovw, k),
+                |vo, digests, claimed| verify_grouped_topk(vo, &bovw, digests, claimed, k),
+            ),
         }
     }
     let n = queries.len().max(1) as f64;

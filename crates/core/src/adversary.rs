@@ -13,6 +13,7 @@
 use crate::scheme::{BovwVoVariant, InvVoVariant, QueryVo};
 use crate::sp::QueryResponse;
 use imageproof_crypto::Signature;
+use imageproof_invindex::InvVoOf;
 use imageproof_mrkd::{BovwVo, Reveal, VoNode};
 
 /// Case 3: replace the first result's raw bytes (keeping its signature).
@@ -44,25 +45,12 @@ pub fn substitute_result(
 
 /// Case 2: tamper a popped posting's impact value in the inverted VO.
 pub fn tamper_posting(response: &mut QueryResponse) -> bool {
+    fn first_popped<E>(vo: &mut InvVoOf<E>) -> Option<&mut E> {
+        vo.lists.iter_mut().find_map(|l| l.popped.first_mut())
+    }
     match &mut response.vo.inv {
-        InvVoVariant::Plain(vo) => {
-            for list in &mut vo.lists {
-                if let Some(p) = list.popped.first_mut() {
-                    p.1 *= 0.5;
-                    return true;
-                }
-            }
-            false
-        }
-        InvVoVariant::Grouped(vo) => {
-            for list in &mut vo.lists {
-                if let Some(g) = list.popped.first_mut() {
-                    g.members[0].1 *= 2.0;
-                    return true;
-                }
-            }
-            false
-        }
+        InvVoVariant::Plain(vo) => first_popped(vo).map(|p| p.1 *= 0.5).is_some(),
+        InvVoVariant::Grouped(vo) => first_popped(vo).map(|g| g.members[0].1 *= 2.0).is_some(),
     }
 }
 

@@ -17,7 +17,7 @@ use crate::sp::QueryResponse;
 use imageproof_akm::SparseBovw;
 use imageproof_crypto::Signature;
 use imageproof_invindex::grouped::verify_grouped_topk;
-use imageproof_invindex::{verify_topk, BoundsMode, InvVerifyError};
+use imageproof_invindex::{verify_topk, InvVerifyError};
 use imageproof_mrkd::{verify_bovw, verify_bovw_baseline, VerifyError as BovwError};
 use imageproof_obs::{micros, Profiler, QueryProfile};
 use imageproof_vision::ImageId;
@@ -189,20 +189,16 @@ impl Client {
             return Err(ClientError::ResultShapeMismatch);
         }
         let digests = &verified_bovw.inv_digests;
+        let mode = scheme.bounds_mode();
         let verified_topk = match (inv, scheme.grouped_index()) {
             (InvVoVariant::Plain(v), false) => {
-                let mode = if scheme.uses_filters() {
-                    BoundsMode::CuckooFiltered
-                } else {
-                    BoundsMode::MaxBound
-                };
-                verify_topk(v, &query_bovw, digests, claimed, k, mode)?
+                verify_topk(v, &query_bovw, digests, claimed, k, mode)
             }
             (InvVoVariant::Grouped(v), true) => {
-                verify_grouped_topk(v, &query_bovw, digests, claimed, k)?
+                verify_grouped_topk(v, &query_bovw, digests, claimed, k)
             }
             _ => return Err(ClientError::SchemeMismatch),
-        };
+        }?;
         prof.add("claimed", claimed.len() as u64);
         let inv_seconds = prof.exit();
 

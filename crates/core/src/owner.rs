@@ -47,22 +47,6 @@ impl IndexVariant {
         }
     }
 
-    /// Total postings in the given clusters.
-    pub fn total_postings(&self, clusters: impl Iterator<Item = u32>) -> usize {
-        match self {
-            IndexVariant::Plain(i) => i.total_postings(clusters),
-            IndexVariant::Grouped(i) => i.total_postings(clusters),
-        }
-    }
-
-    /// Drops every list's build-time filter-digest memo.
-    pub fn clear_filter_caches(&mut self) {
-        match self {
-            IndexVariant::Plain(i) => i.clear_filter_caches(),
-            IndexVariant::Grouped(i) => i.clear_filter_caches(),
-        }
-    }
-
     /// Per-structure byte accounting for the inverted index.
     pub fn space_usage(&self) -> SpaceUsage {
         match self {
@@ -86,15 +70,6 @@ pub struct Database {
 }
 
 impl Database {
-    /// Disables the query-time digest memos (currently the per-list filter
-    /// commitments), forcing every subsequent VO assembly to recompute them
-    /// from the authenticated structures. The equivalence suite uses this to
-    /// prove memoization is invisible on the wire; the hot path never calls
-    /// it.
-    pub fn clear_hot_path_caches(&mut self) {
-        self.inv.clear_filter_caches();
-    }
-
     /// Per-structure byte accounting for the whole outsourced ADS: the
     /// inverted index's own breakdown plus the MRKD forest's authenticated
     /// digest levels (32 bytes each).

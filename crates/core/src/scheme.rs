@@ -4,7 +4,7 @@
 use imageproof_crypto::wire::{Decode, Encode, Reader, WireError, Writer};
 use imageproof_crypto::Signature;
 use imageproof_invindex::grouped::GroupedInvVo;
-use imageproof_invindex::InvVo;
+use imageproof_invindex::{BoundsMode, InvVo};
 use imageproof_mrkd::{BaselineBovwVo, BovwVo, CandidateMode};
 use imageproof_parallel::Concurrency;
 
@@ -50,6 +50,15 @@ impl Scheme {
     /// Whether the inverted search uses cuckoo-filtered bounds.
     pub fn uses_filters(self) -> bool {
         !matches!(self, Scheme::Baseline)
+    }
+
+    /// The bounds machinery of the scheme's inverted search.
+    pub fn bounds_mode(self) -> BoundsMode {
+        if self.uses_filters() {
+            BoundsMode::CuckooFiltered
+        } else {
+            BoundsMode::MaxBound
+        }
     }
 
     /// Whether the inverted index is frequency-grouped.

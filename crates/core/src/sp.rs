@@ -8,7 +8,7 @@ use crate::shard::ShardedResponse;
 use imageproof_akm::SparseBovw;
 use imageproof_crypto::Signature;
 use imageproof_invindex::grouped::grouped_search;
-use imageproof_invindex::{inv_search, BoundsMode, InvSearchStats};
+use imageproof_invindex::{inv_search, InvSearchStats};
 use imageproof_mrkd::{mrkd_search_baseline_with, mrkd_search_with};
 use imageproof_obs::{micros, Profiler, QueryProfile};
 use imageproof_parallel::{par_map, par_map_chunked, Concurrency};
@@ -273,16 +273,12 @@ impl ServiceProvider {
         query_bovw: &SparseBovw,
         k: usize,
     ) -> (Vec<(ImageId, f32)>, InvVoVariant, InvSearchStats) {
-        match (&self.db.inv, self.db.scheme.uses_filters()) {
-            (IndexVariant::Plain(index), true) => {
-                let out = inv_search(index, query_bovw, k, BoundsMode::CuckooFiltered);
+        match &self.db.inv {
+            IndexVariant::Plain(index) => {
+                let out = inv_search(index, query_bovw, k, self.db.scheme.bounds_mode());
                 (out.topk, InvVoVariant::Plain(out.vo), out.stats)
             }
-            (IndexVariant::Plain(index), false) => {
-                let out = inv_search(index, query_bovw, k, BoundsMode::MaxBound);
-                (out.topk, InvVoVariant::Plain(out.vo), out.stats)
-            }
-            (IndexVariant::Grouped(index), _) => {
+            IndexVariant::Grouped(index) => {
                 let out = grouped_search(index, query_bovw, k);
                 (out.topk, InvVoVariant::Grouped(out.vo), out.stats)
             }

@@ -25,10 +25,9 @@ use crate::owner::{
     image_signing_message, root_signing_message, Database, IndexVariant, Owner, PublishedParams,
     StoredImage,
 };
-use imageproof_akm::bovw::{impact_value, SparseBovw};
+use imageproof_akm::bovw::SparseBovw;
 use imageproof_crypto::Digest;
-use imageproof_invindex::grouped::GroupedList;
-use imageproof_invindex::{MerkleList, Posting};
+use imageproof_invindex::{Entry, Index, List, ListEdit};
 use imageproof_vision::ImageId;
 use std::collections::BTreeMap;
 
@@ -61,61 +60,36 @@ impl std::fmt::Display for UpdateError {
 
 impl std::error::Error for UpdateError {}
 
-/// The one-image change an update applies to every affected list.
-#[derive(Clone, Copy)]
-enum Edit {
-    Insert { id: ImageId, norm: f32 },
-    Remove { id: ImageId },
-}
-
-/// Replaces the list of every cluster in `bovw`, all or nothing: each
-/// replacement is built against the committed filter geometry first, and
-/// only when all of them fit are they swapped in. Returns the new `h_Γ` per
-/// cluster; on error the index is exactly as it was.
+/// Replaces the list of every cluster in `bovw` with `edit(frequency)`
+/// applied, all or nothing: each replacement is built against the committed
+/// filter geometry first, and only when all of them fit are they swapped
+/// in. Returns the new `h_Γ` per cluster; on error the index is exactly as
+/// it was.
 fn replace_lists(
     inv: &mut IndexVariant,
     bovw: &SparseBovw,
-    edit: Edit,
+    edit: impl Fn(u32) -> ListEdit,
 ) -> Result<BTreeMap<u32, Digest>, UpdateError> {
-    let exhausted = |cluster| UpdateError::FilterGeometryExhausted { cluster };
     match inv {
-        IndexVariant::Plain(index) => {
-            let rebuilt = bovw
-                .iter()
-                .map(|(cluster, freq)| {
-                    let old = index.list(cluster);
-                    let mut postings = old.postings.clone();
-                    match edit {
-                        Edit::Insert { id, norm } => postings.push(Posting {
-                            image: id,
-                            impact: impact_value(old.weight, freq, norm),
-                        }),
-                        Edit::Remove { id } => postings.retain(|p| p.image != id),
-                    }
-                    let list = index.rebuild_list(cluster, postings);
-                    list.map_err(|_| exhausted(cluster))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            let install = |list: MerkleList| (list.cluster, index.install_list(list));
-            Ok(rebuilt.into_iter().map(install).collect())
-        }
-        IndexVariant::Grouped(index) => {
-            let rebuilt = bovw
-                .iter()
-                .map(|(cluster, freq)| {
-                    let mut entries = grouped_entries(index, cluster);
-                    match edit {
-                        Edit::Insert { id, norm } => entries.push((id, freq, norm)),
-                        Edit::Remove { id } => entries.retain(|&(image, _, _)| image != id),
-                    }
-                    let list = index.rebuild_list(cluster, entries);
-                    list.map_err(|_| exhausted(cluster))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            let install = |list: GroupedList| (list.cluster, index.install_list(list));
-            Ok(rebuilt.into_iter().map(install).collect())
-        }
+        IndexVariant::Plain(index) => replace_in(index, bovw, edit),
+        IndexVariant::Grouped(index) => replace_in(index, bovw, edit),
     }
+}
+
+fn replace_in<E: Entry>(
+    index: &mut Index<E>,
+    bovw: &SparseBovw,
+    edit: impl Fn(u32) -> ListEdit,
+) -> Result<BTreeMap<u32, Digest>, UpdateError> {
+    let rebuilt = bovw
+        .iter()
+        .map(|(cluster, frequency)| {
+            let list = index.rebuild_list(cluster, edit(frequency));
+            list.map_err(|_| UpdateError::FilterGeometryExhausted { cluster })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let install = |list: List<E>| (list.cluster, index.install_list(list));
+    Ok(rebuilt.into_iter().map(install).collect())
 }
 
 impl Owner {
@@ -133,7 +107,11 @@ impl Owner {
         }
         let bovw = SparseBovw::encode(&db.codebook, features.iter().map(Vec::as_slice));
         let norm = bovw.norm();
-        let digest_updates = replace_lists(&mut db.inv, &bovw, Edit::Insert { id, norm })?;
+        let digest_updates = replace_lists(&mut db.inv, &bovw, |frequency| ListEdit::Insert {
+            image: id,
+            frequency,
+            norm,
+        })?;
 
         db.mrkd.apply_inv_digest_updates(&digest_updates);
         let signature = self.sign_image(id, &data);
@@ -157,8 +135,9 @@ impl Owner {
             .iter()
             .position(|(i, _)| *i == id)
             .expect("stored images always have an encoding");
+        let removed = &db.encodings[position].1;
         let digest_updates =
-            replace_lists(&mut db.inv, &db.encodings[position].1, Edit::Remove { id })?;
+            replace_lists(&mut db.inv, removed, |_| ListEdit::Remove { image: id })?;
 
         db.mrkd.apply_inv_digest_updates(&digest_updates);
         db.encodings.remove(position);
@@ -180,23 +159,6 @@ impl Owner {
             n_trees: db.mrkd.trees().len(),
         }
     }
-}
-
-/// Flattens a grouped list back into `(image, frequency, norm)` entries.
-fn grouped_entries(
-    index: &imageproof_invindex::grouped::GroupedInvertedIndex,
-    cluster: u32,
-) -> Vec<(u64, u32, f32)> {
-    index
-        .list(cluster)
-        .groups
-        .iter()
-        .flat_map(|g| {
-            g.members
-                .iter()
-                .map(move |&(image, norm)| (image, g.frequency, norm))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -315,11 +277,11 @@ mod tests {
         );
     }
 
-    /// Number of postings in `cluster`'s list, whichever index variant.
+    /// Number of images in `cluster`'s list, whichever index variant.
     fn list_len(db: &Database, cluster: u32) -> usize {
         match &db.inv {
-            IndexVariant::Plain(index) => index.list(cluster).postings.len(),
-            IndexVariant::Grouped(index) => grouped_entries(index, cluster).len(),
+            IndexVariant::Plain(index) => index.list(cluster).pairs().len(),
+            IndexVariant::Grouped(index) => index.list(cluster).pairs().len(),
         }
     }
 

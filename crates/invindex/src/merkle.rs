@@ -1,12 +1,16 @@
-//! The impact-ordered Merkle inverted index with cuckoo filters
-//! (paper §IV-B1, Defs. 4–5), organized into block-max posting blocks.
+//! The blocked Merkle inverted list with cuckoo filters (paper §IV-B1,
+//! Defs. 4–5; §VI-B, Defs. 6–7) — one engine, generic over what a list
+//! entry *is*.
 //!
-//! Every cluster `c` has a Merkle inverted list `Γ_c` holding its postings
-//! `⟨image, impact⟩` in descending impact order, partitioned into
-//! fixed-size blocks of [`BLOCK_SIZE`] postings (the last block may be
-//! short). Inside a block, posting digests form a hash chain from the tail
-//! forward (Def. 4) terminating at [`Digest::ZERO`] at the block boundary.
-//! Each block is committed as
+//! Every cluster `c` has a Merkle inverted list `Γ_c` holding its entries
+//! in descending impact order, partitioned into fixed-size blocks of
+//! [`BLOCK_SIZE`] entries (the last block may be short). An entry is either
+//! a plain [`Posting`] `⟨image, impact⟩` or a frequency
+//! [`crate::grouped::Group`] — a plain posting is a group of one, so
+//! everything except the [`Entry`] trait's handful of methods is shared.
+//! Inside a block, entry digests form a hash chain from the tail forward
+//! (Def. 4) terminating at [`Digest::ZERO`] at the block boundary. Each
+//! block is committed as
 //! `h_b = H(chain_head_b ‖ max_impact_{b+1} ‖ h_{b+1})` — it commits its
 //! own contents plus the *successor's* impact bound and digest (`0.0` /
 //! [`Digest::ZERO`] past the end) — and the list digest (Def. 5) binds the
@@ -19,30 +23,31 @@
 //! head when nothing was popped).
 //!
 //! Revealing a whole-block prefix plus that fence pair authenticates
-//! exactly the prefix and proves every skipped posting's impact is
+//! exactly the prefix and proves every skipped entry's impact is
 //! ≤ `max_impact` — the skip proof the SP's block-max search relies on.
 //!
 //! All filters share one bucket geometry, sized from the longest list — the
 //! property `MaxCount` (Alg. 2) relies on.
 
 use imageproof_akm::bovw::{impact_value, ImpactModel, SparseBovw};
+use imageproof_crypto::wire::{Reader, WireError, Writer};
 use imageproof_crypto::Digest;
-use imageproof_cuckoo::CuckooFilter;
+use imageproof_cuckoo::{CuckooFilter, FilterFull};
 use imageproof_parallel::{try_par_map, Concurrency};
 
-/// Number of postings (or groups, for the grouped index) per block. Small
-/// enough that quick-scale lists still span multiple blocks, large enough
-/// that a skipped block saves meaningful VO bytes over shipping its
-/// postings.
+/// Number of entries (postings, or groups for the grouped index) per block.
+/// Small enough that quick-scale lists still span multiple blocks, large
+/// enough that a skipped block saves meaningful VO bytes over shipping its
+/// entries.
 pub const BLOCK_SIZE: usize = 8;
 
-/// Build-time summary of one posting block.
+/// Build-time summary of one block.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BlockSummary {
     /// The block's first (hence largest) impact — the bound the SP's
     /// skip test and both sides' termination caps use.
     pub max_impact: f32,
-    /// Head of the within-block posting hash chain (terminates at
+    /// Head of the within-block entry hash chain (terminates at
     /// [`Digest::ZERO`] at the block boundary).
     pub chain_head: Digest,
     /// `h_b = H(chain_head ‖ max_impact_{b+1} ‖ h_{b+1})`: commits the
@@ -55,52 +60,11 @@ pub struct BlockSummary {
 /// (`0.0` / ZERO for the last block). Binding the *successor's* bound here
 /// makes the fence bound in a skip proof unforgeable — it is committed by
 /// the last popped block's digest, which the client recomputes from
-/// disclosed postings — while keeping the proof itself to one digest.
+/// disclosed entries — while keeping the proof itself to one digest.
 pub fn block_digest(chain_head: &Digest, next_max: f32, next: &Digest) -> Digest {
     Digest::builder()
         .digest(chain_head)
         .f32(next_max)
-        .digest(next)
-        .finish()
-}
-
-/// Folds per-block chains and block digests over `chunks` (an iterator of
-/// equal-size chunks except possibly the last), given each chunk's
-/// within-chunk digest fold. Shared by the plain and grouped builders.
-pub(crate) fn build_block_summaries<T>(
-    items: &[T],
-    fold_chain: impl Fn(&[T]) -> Digest,
-    max_of: impl Fn(&[T]) -> f32,
-) -> Vec<BlockSummary> {
-    let mut blocks: Vec<BlockSummary> = items
-        .chunks(BLOCK_SIZE)
-        .map(|chunk| BlockSummary {
-            max_impact: max_of(chunk),
-            chain_head: fold_chain(chunk),
-            digest: Digest::ZERO,
-        })
-        .collect();
-    let (mut next_max, mut next) = (0.0f32, Digest::ZERO);
-    for b in blocks.iter_mut().rev() {
-        b.digest = block_digest(&b.chain_head, next_max, &next);
-        next_max = b.max_impact;
-        next = b.digest;
-    }
-    blocks
-}
-
-/// One `⟨image, impact⟩` posting.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct Posting {
-    pub image: u64,
-    pub impact: f32,
-}
-
-/// Digest of a posting given the digest of its successor (Def. 4).
-pub fn posting_digest(posting: &Posting, next: &Digest) -> Digest {
-    Digest::builder()
-        .u64(posting.image)
-        .f32(posting.impact)
         .digest(next)
         .finish()
 }
@@ -125,98 +89,201 @@ pub fn list_digest(
         .finish()
 }
 
-/// A cluster's Merkle inverted list.
+/// One image entering or leaving a cluster's list (owner-side update).
+#[derive(Clone, Copy, Debug)]
+pub enum ListEdit {
+    Insert {
+        image: u64,
+        frequency: u32,
+        norm: f32,
+    },
+    Remove {
+        image: u64,
+    },
+}
+
+/// What one list entry is — exactly the things in which a plain posting
+/// and a frequency group differ. List build, block summaries, search, VO
+/// assembly, the VO codec and verification are written once over this
+/// trait (implemented by [`Posting`] and [`crate::grouped::Group`] only).
+pub trait Entry: Clone + Send + Sync {
+    /// Digest of the entry given its successor's (Def. 4 / Def. 6).
+    fn chain_digest(&self, next: &Digest) -> Digest;
+
+    /// The entry's largest impact under the list's weight — its sort key
+    /// and, for a block's first entry, the block bound. Total: `0.0` for an
+    /// entry that is not [`Entry::well_formed`].
+    fn head_impact(&self, weight: f32) -> f32;
+
+    /// Breaks [`Entry::head_impact`] ties in list order (ascending);
+    /// unique within a list.
+    fn tie_break(&self) -> u64;
+
+    /// Appends the `(image, impact)` pairs the entry stands for, in the
+    /// order every side accumulates them.
+    fn expand(&self, weight: f32, out: &mut Vec<(u64, f32)>);
+
+    /// False for an entry no honest list contains (an empty group); the
+    /// verifier rejects it before hashing.
+    fn well_formed(&self) -> bool;
+
+    /// Canonical wire form inside a list VO.
+    fn encode_entry(&self, w: &mut Writer);
+
+    /// Inverse of [`Entry::encode_entry`].
+    fn decode_entry(r: &mut Reader<'_>) -> Result<Self, WireError>;
+
+    /// Logical payload bytes (for [`crate::space::SpaceUsage`]).
+    fn logical_bytes(&self) -> usize;
+
+    /// A list's entries (in any order) from its images'
+    /// `(image, frequency, norm)` records.
+    fn from_records(weight: f32, records: &[(u64, u32, f32)]) -> Vec<Self>;
+
+    /// `entries` with one image inserted or removed (in any order).
+    fn edited(entries: &[Self], weight: f32, edit: ListEdit) -> Vec<Self>;
+}
+
+/// One plain `⟨image, impact⟩` posting — the same pair the VO discloses.
+pub type Posting = (u64, f32);
+
+/// Digest of a posting given the digest of its successor (Def. 4).
+pub fn posting_digest(posting: &Posting, next: &Digest) -> Digest {
+    Digest::builder()
+        .u64(posting.0)
+        .f32(posting.1)
+        .digest(next)
+        .finish()
+}
+
+impl Entry for Posting {
+    fn chain_digest(&self, next: &Digest) -> Digest {
+        posting_digest(self, next)
+    }
+
+    fn head_impact(&self, _weight: f32) -> f32 {
+        self.1
+    }
+
+    fn tie_break(&self) -> u64 {
+        self.0
+    }
+
+    fn expand(&self, _weight: f32, out: &mut Vec<(u64, f32)>) {
+        out.push(*self);
+    }
+
+    fn well_formed(&self) -> bool {
+        true
+    }
+
+    fn encode_entry(&self, w: &mut Writer) {
+        w.varint(self.0);
+        w.f32(self.1);
+    }
+
+    fn decode_entry(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok((r.varint()?, r.f32()?))
+    }
+
+    fn logical_bytes(&self) -> usize {
+        8 + 4
+    }
+
+    fn from_records(weight: f32, records: &[(u64, u32, f32)]) -> Vec<Self> {
+        records
+            .iter()
+            .map(|&(image, frequency, norm)| (image, impact_value(weight, frequency, norm)))
+            .collect()
+    }
+
+    fn edited(entries: &[Self], weight: f32, edit: ListEdit) -> Vec<Self> {
+        let mut postings = entries.to_vec();
+        match edit {
+            ListEdit::Insert {
+                image,
+                frequency,
+                norm,
+            } => postings.push((image, impact_value(weight, frequency, norm))),
+            ListEdit::Remove { image } => postings.retain(|p| p.0 != image),
+        }
+        postings
+    }
+}
+
+/// A cluster's blocked Merkle inverted list over entries of type `E`.
 #[derive(Clone, Debug)]
-pub struct MerkleList {
+pub struct List<E> {
     pub cluster: u32,
     /// `w_c` (Eq. 1); zero for clusters no image maps to.
     pub weight: f32,
-    /// Postings in descending impact order (ties: ascending image id).
-    pub postings: Vec<Posting>,
-    /// Per-block summaries: `blocks[b]` covers postings
+    /// Entries in descending impact order (ties: ascending
+    /// [`Entry::tie_break`]).
+    pub postings: Vec<E>,
+    /// Per-block summaries: `blocks[b]` covers entries
     /// `b·BLOCK_SIZE .. (b+1)·BLOCK_SIZE` (last block may be short).
     blocks: Vec<BlockSummary>,
     /// Filter seeded with every image id in `postings`.
     pub filter: CuckooFilter,
-    /// `h_{Γ_c}` (Def. 5).
+    /// `h_{Γ_c}` (Def. 5 / Def. 7).
     pub digest: Digest,
     /// Build-time memo of `h(Θ)` (the filter digest), so query-time VO
     /// assembly copies 32 bytes instead of re-running Keccak over the
-    /// filter table. `None` after [`MerkleList::clear_filter_cache`].
-    filter_commit: Option<Digest>,
+    /// filter table.
+    filter_commit: Digest,
 }
 
-impl MerkleList {
-    /// Builds a list from unsorted postings.
-    ///
-    /// # Panics
-    /// Panics if the filter geometry cannot hold the postings; index-level
-    /// builders use [`MerkleList::try_build`] and retry with more buckets.
-    pub fn build(cluster: u32, weight: f32, postings: Vec<Posting>, n_buckets: usize) -> Self {
-        Self::try_build(cluster, weight, postings, n_buckets)
-            .expect("filter geometry sized for the longest list")
-    }
+/// The plain list of Defs. 4–5.
+pub type MerkleList = List<Posting>;
 
-    /// Fallible variant of [`MerkleList::build`]: fails when the cuckoo
-    /// filter's displacement chains cannot place every image id.
+impl<E: Entry> List<E> {
+    /// Builds a list from unsorted entries; fails when the cuckoo filter's
+    /// displacement chains cannot place every image id (index-level
+    /// builders then retry with more buckets).
     pub fn try_build(
         cluster: u32,
         weight: f32,
-        mut postings: Vec<Posting>,
+        mut postings: Vec<E>,
         n_buckets: usize,
-    ) -> Result<Self, imageproof_cuckoo::FilterFull> {
+    ) -> Result<Self, FilterFull> {
         postings.sort_by(|a, b| {
-            b.impact
-                .total_cmp(&a.impact)
-                .then_with(|| a.image.cmp(&b.image))
+            b.head_impact(weight)
+                .total_cmp(&a.head_impact(weight))
+                .then_with(|| a.tie_break().cmp(&b.tie_break()))
         });
         let mut filter = CuckooFilter::with_buckets(n_buckets);
-        for p in &postings {
-            filter.insert(p.image)?;
+        for (image, _) in expand_all(&postings, weight) {
+            filter.insert(image)?;
         }
-        let blocks = build_block_summaries(
-            &postings,
-            |chunk| {
-                let mut h = Digest::ZERO;
-                for p in chunk.iter().rev() {
-                    h = posting_digest(p, &h);
-                }
-                h
-            },
-            |chunk| chunk[0].impact,
-        );
-        let (first_max, first_block) = blocks
-            .first()
-            .map(|b| (b.max_impact, b.digest))
-            .unwrap_or((0.0, Digest::ZERO));
+        let mut blocks: Vec<BlockSummary> = postings
+            .chunks(BLOCK_SIZE)
+            .map(|chunk| BlockSummary {
+                max_impact: chunk.first().map_or(0.0, |e| e.head_impact(weight)),
+                chain_head: chain_head(chunk),
+                digest: Digest::ZERO,
+            })
+            .collect();
+        let (mut next_max, mut next) = (0.0f32, Digest::ZERO);
+        for b in blocks.iter_mut().rev() {
+            b.digest = block_digest(&b.chain_head, next_max, &next);
+            next_max = b.max_impact;
+            next = b.digest;
+        }
         let filter_commit = filter.digest();
-        let digest = list_digest(weight, &filter_commit, first_max, &first_block);
-        Ok(MerkleList {
+        Ok(List {
             cluster,
             weight,
             postings,
             blocks,
+            digest: list_digest(weight, &filter_commit, next_max, &next),
             filter,
-            digest,
-            filter_commit: Some(filter_commit),
+            filter_commit,
         })
     }
 
-    /// `h(Θ)` from the build-time memo when present, recomputed otherwise.
-    /// The flag reports which path was taken (feeds the SP's
-    /// `hashes_cached`/`hashes_computed` counters).
-    pub fn filter_digest_cached(&self) -> (Digest, bool) {
-        match self.filter_commit {
-            Some(d) => (d, true),
-            None => (self.filter.digest(), false),
-        }
-    }
-
-    /// Drops the build-time `h(Θ)` memo so subsequent queries recompute it —
-    /// the reference path the equivalence suite compares the memoized path
-    /// against.
-    pub fn clear_filter_cache(&mut self) {
-        self.filter_commit = None;
+    /// `h(Θ)`, memoized at build time.
+    pub fn filter_commit(&self) -> Digest {
+        self.filter_commit
     }
 
     /// The per-block summaries, in block order.
@@ -224,23 +291,17 @@ impl MerkleList {
         &self.blocks
     }
 
-    /// Number of posting blocks.
+    /// Number of blocks.
     pub fn n_blocks(&self) -> usize {
         self.blocks.len()
     }
 
-    /// Number of postings covered by the first `b` blocks.
+    /// Number of entries covered by the first `b` blocks.
     pub fn block_offset(&self, b: usize) -> usize {
         (b * BLOCK_SIZE).min(self.postings.len())
     }
 
-    /// Digest of block `b` (covering blocks `b..`), or [`Digest::ZERO`]
-    /// past the end.
-    pub fn block_chain_digest(&self, b: usize) -> Digest {
-        self.blocks.get(b).map(|s| s.digest).unwrap_or(Digest::ZERO)
-    }
-
-    /// Number of postings.
+    /// Number of entries.
     pub fn len(&self) -> usize {
         self.postings.len()
     }
@@ -249,34 +310,55 @@ impl MerkleList {
     pub fn is_empty(&self) -> bool {
         self.postings.is_empty()
     }
+
+    /// Every `(image, impact)` pair of the list, in list order.
+    pub fn pairs(&self) -> Vec<(u64, f32)> {
+        expand_all(&self.postings, self.weight)
+    }
 }
 
-/// The full index: one Merkle list per cluster (clusters with no images get
-/// an empty list so the MRKD leaf digests have an `h_Γ` for every cluster).
+/// The `(image, impact)` pairs of `entries`, in order.
+pub(crate) fn expand_all<E: Entry>(entries: &[E], weight: f32) -> Vec<(u64, f32)> {
+    let mut pairs = Vec::with_capacity(entries.len());
+    for e in entries {
+        e.expand(weight, &mut pairs);
+    }
+    pairs
+}
+
+/// Head of the hash chain over one block's entries (Def. 4), folded from
+/// the tail forward.
+pub(crate) fn chain_head<E: Entry>(block: &[E]) -> Digest {
+    block
+        .iter()
+        .rev()
+        .fold(Digest::ZERO, |next, e| e.chain_digest(&next))
+}
+
+/// The full index: one list per cluster (clusters with no images get an
+/// empty list so the MRKD leaf digests have an `h_Γ` for every cluster).
 #[derive(Clone, Debug)]
-pub struct MerkleInvertedIndex {
-    lists: Vec<MerkleList>,
+pub struct Index<E> {
+    lists: Vec<List<E>>,
     /// Shared filter geometry (power of two).
     n_buckets: usize,
 }
 
-impl MerkleInvertedIndex {
-    /// Builds the index from every database image's BoVW encoding and the
-    /// corpus impact model. `encodings[i]` must belong to image id `i`... or
-    /// rather, `images[i]` pairs ids with encodings explicitly.
-    pub fn build(
-        n_clusters: usize,
-        images: &[(u64, SparseBovw)],
-        model: &ImpactModel,
-    ) -> MerkleInvertedIndex {
+/// The plain index of §IV-B1.
+pub type MerkleInvertedIndex = Index<Posting>;
+
+impl<E: Entry> Index<E> {
+    /// Builds the index from every database image's `(id, BoVW encoding)`
+    /// pair and the corpus impact model.
+    pub fn build(n_clusters: usize, images: &[(u64, SparseBovw)], model: &ImpactModel) -> Self {
         Self::build_with(n_clusters, images, model, Concurrency::serial())
     }
 
-    /// [`MerkleInvertedIndex::build`] with the per-cluster list builds
-    /// (sorting, cuckoo filter insertion, digest chaining) fanned out
-    /// across workers.
+    /// [`Index::build`] with the per-cluster list builds (grouping,
+    /// sorting, cuckoo filter insertion, digest chaining) fanned out across
+    /// workers.
     ///
-    /// Each cluster's list is a pure function of its postings and the
+    /// Each cluster's list is a pure function of its records and the
     /// shared bucket count; lists are merged in cluster order, and the
     /// geometry-doubling retry triggers iff *any* cluster fails — the same
     /// condition the serial build reacts to — so the built index is
@@ -286,16 +368,12 @@ impl MerkleInvertedIndex {
         images: &[(u64, SparseBovw)],
         model: &ImpactModel,
         conc: Concurrency,
-    ) -> MerkleInvertedIndex {
-        // Group postings per cluster.
-        let mut per_cluster: Vec<Vec<Posting>> = vec![Vec::new(); n_clusters];
+    ) -> Self {
+        let mut per_cluster: Vec<Vec<(u64, u32, f32)>> = vec![Vec::new(); n_clusters];
         for (image, bovw) in images {
             let norm = bovw.norm();
             for (c, f) in bovw.iter() {
-                per_cluster[c as usize].push(Posting {
-                    image: *image,
-                    impact: impact_value(model.weight(c), f, norm),
-                });
+                per_cluster[c as usize].push((*image, f, norm));
             }
         }
         // Common filter geometry from the longest list (the paper sizes
@@ -306,29 +384,25 @@ impl MerkleInvertedIndex {
         let max_len = per_cluster.iter().map(Vec::len).max().unwrap_or(0);
         let mut n_buckets = imageproof_cuckoo::buckets_for_capacity(max_len);
         loop {
-            let built: Result<Vec<MerkleList>, _> =
-                try_par_map(conc, &per_cluster, |c, postings| {
-                    MerkleList::try_build(
-                        c as u32,
-                        model.weight(c as u32),
-                        postings.clone(),
-                        n_buckets,
-                    )
-                });
+            let built = try_par_map(conc, &per_cluster, |c, records| {
+                let weight = model.weight(c as u32);
+                let entries = E::from_records(weight, records);
+                List::try_build(c as u32, weight, entries, n_buckets)
+            });
             match built {
-                Ok(lists) => return MerkleInvertedIndex { lists, n_buckets },
+                Ok(lists) => return Index { lists, n_buckets },
                 Err(_) => n_buckets *= 2,
             }
         }
     }
 
     /// The list of one cluster.
-    pub fn list(&self, cluster: u32) -> &MerkleList {
+    pub fn list(&self, cluster: u32) -> &List<E> {
         &self.lists[cluster as usize]
     }
 
     /// All lists, ascending by cluster.
-    pub fn lists(&self) -> &[MerkleList] {
+    pub fn lists(&self) -> &[List<E>] {
         &self.lists
     }
 
@@ -353,40 +427,30 @@ impl MerkleInvertedIndex {
         self.lists.is_empty()
     }
 
-    /// Total posting count across the given clusters (the denominator of the
-    /// "% popped postings" metric).
+    /// Total images across the given clusters' lists (the denominator of
+    /// the "% popped postings" metric).
     pub fn total_postings(&self, clusters: impl Iterator<Item = u32>) -> usize {
-        clusters.map(|c| self.lists[c as usize].len()).sum()
-    }
-
-    /// Drops every list's `h(Θ)` memo (see
-    /// [`MerkleList::clear_filter_cache`]).
-    pub fn clear_filter_caches(&mut self) {
-        for list in &mut self.lists {
-            list.clear_filter_cache();
-        }
+        clusters.map(|c| self.list(c).pairs().len()).sum()
     }
 
     /// Owner-side incremental update, step 1: builds one cluster's
-    /// replacement list from new postings (keeping the frozen cluster
-    /// weight and the common filter geometry) without touching the index.
+    /// replacement list with one image inserted or removed (keeping the
+    /// frozen cluster weight and the common filter geometry) without
+    /// touching the index.
     ///
-    /// Fails with [`imageproof_cuckoo::FilterFull`] when the new postings no
-    /// longer fit the common geometry; callers should then rebuild the
-    /// whole index (geometry is a global commitment, see `MaxCount`).
-    pub fn rebuild_list(
-        &self,
-        cluster: u32,
-        postings: Vec<Posting>,
-    ) -> Result<MerkleList, imageproof_cuckoo::FilterFull> {
-        let weight = self.lists[cluster as usize].weight;
-        MerkleList::try_build(cluster, weight, postings, self.n_buckets)
+    /// Fails with [`FilterFull`] when the new entries no longer fit the
+    /// common geometry; callers should then rebuild the whole index
+    /// (geometry is a global commitment, see `MaxCount`).
+    pub fn rebuild_list(&self, cluster: u32, edit: ListEdit) -> Result<List<E>, FilterFull> {
+        let old = self.list(cluster);
+        let entries = E::edited(&old.postings, old.weight, edit);
+        List::try_build(cluster, old.weight, entries, self.n_buckets)
     }
 
-    /// Step 2: swaps a list from [`MerkleInvertedIndex::rebuild_list`] in
-    /// and returns its `h_Γ`. Infallible, so an update touching several
-    /// clusters can build every list first and commit all or none.
-    pub fn install_list(&mut self, list: MerkleList) -> Digest {
+    /// Step 2: swaps a list from [`Index::rebuild_list`] in and returns its
+    /// `h_Γ`. Infallible, so an update touching several clusters can build
+    /// every list first and commit all or none.
+    pub fn install_list(&mut self, list: List<E>) -> Digest {
         let digest = list.digest;
         let cluster = list.cluster as usize;
         self.lists[cluster] = list;
@@ -417,7 +481,7 @@ mod tests {
         let idx = toy_index();
         for list in idx.lists() {
             for w in list.postings.windows(2) {
-                assert!(w[0].impact >= w[1].impact, "cluster {}", list.cluster);
+                assert!(w[0].1 >= w[1].1, "cluster {}", list.cluster);
             }
         }
     }
@@ -438,12 +502,9 @@ mod tests {
     /// lists all fit in one block at BLOCK_SIZE = 8).
     fn long_list(n: usize) -> MerkleList {
         let postings: Vec<Posting> = (0..n)
-            .map(|i| Posting {
-                image: i as u64,
-                impact: 1.0 + ((n - i) as f32) * 0.25,
-            })
+            .map(|i| (i as u64, 1.0 + ((n - i) as f32) * 0.25))
             .collect();
-        MerkleList::build(0, 3.0, postings, 64)
+        MerkleList::try_build(0, 3.0, postings, 64).expect("64 buckets hold the fixture")
     }
 
     #[test]
@@ -466,9 +527,9 @@ mod tests {
                     h = posting_digest(p, &h);
                 }
                 bd = block_digest(&h, max, &bd);
-                max = chunk[0].impact;
+                max = chunk[0].1;
             }
-            assert_eq!(bd, list.block_chain_digest(0), "split {split}");
+            assert_eq!(bd, list.blocks()[0].digest, "split {split}");
             let rebuilt = list_digest(list.weight, &list.filter.digest(), max, &bd);
             assert_eq!(rebuilt, list.digest);
         }
@@ -480,11 +541,11 @@ mod tests {
         for (b, summary) in list.blocks().iter().enumerate() {
             let lo = list.block_offset(b);
             let hi = list.block_offset(b + 1);
-            let true_max = list.postings[lo].impact;
+            let true_max = list.postings[lo].1;
             assert_eq!(summary.max_impact, true_max);
             assert!(list.postings[lo..hi]
                 .iter()
-                .all(|p| p.impact <= summary.max_impact));
+                .all(|p| p.1 <= summary.max_impact));
             // Inflating the claimed bound changes the commitment one level
             // up: the list head binds block 0's bound, each block binds its
             // successor's.
@@ -515,7 +576,7 @@ mod tests {
         for list in idx.lists() {
             assert_eq!(list.filter.n_buckets(), idx.n_buckets());
             for p in &list.postings {
-                assert!(list.filter.contains(p.image));
+                assert!(list.filter.contains(p.0));
             }
         }
     }
@@ -524,7 +585,7 @@ mod tests {
     fn tampering_a_posting_breaks_the_chain() {
         let list = long_list(12);
         let mut forged = list.postings.clone();
-        forged[9].impact += 0.1;
+        forged[9].1 += 0.1;
         let (mut max, mut bd) = (0.0f32, Digest::ZERO);
         for chunk in forged.chunks(BLOCK_SIZE).rev() {
             let mut h = Digest::ZERO;
@@ -532,7 +593,7 @@ mod tests {
                 h = posting_digest(p, &h);
             }
             bd = block_digest(&h, max, &bd);
-            max = chunk[0].impact;
+            max = chunk[0].1;
         }
         assert_ne!(
             list_digest(list.weight, &list.filter.digest(), max, &bd),
@@ -553,29 +614,15 @@ mod tests {
         let p10 = list1
             .postings
             .iter()
-            .find(|p| p.image == 10)
+            .find(|p| p.0 == 10)
             .expect("image 10 in cluster 1");
-        assert_eq!(p10.impact, model.impact(&encodings[0], 1));
+        assert_eq!(p10.1, model.impact(&encodings[0], 1));
     }
 
     #[test]
     fn filter_digest_memo_matches_recomputation() {
-        let mut idx = toy_index();
-        let memoized: Vec<Digest> = idx
-            .lists()
-            .iter()
-            .map(|l| {
-                let (d, cached) = l.filter_digest_cached();
-                assert!(cached, "fresh build must serve from the memo");
-                d
-            })
-            .collect();
-        idx.clear_filter_caches();
-        for (list, memo) in idx.lists().iter().zip(&memoized) {
-            let (d, cached) = list.filter_digest_cached();
-            assert!(!cached, "cleared cache must recompute");
-            assert_eq!(d, *memo);
-            assert_eq!(d, list.filter.digest());
+        for list in toy_index().lists() {
+            assert_eq!(list.filter_commit(), list.filter.digest());
         }
     }
 

@@ -14,9 +14,10 @@
 //! final popped state becomes the VO.
 
 use crate::bounds::{evaluate, BoundsMode, ListSnapshot};
-use crate::merkle::{MerkleInvertedIndex, MerkleList, BLOCK_SIZE};
-use crate::vo::{FilterVo, InvVo, ListVo, RemainingVo};
+use crate::merkle::{Entry, Index, List, MerkleInvertedIndex, Posting, BLOCK_SIZE};
+use crate::vo::{FilterVo, InvVoOf, ListVoOf, RemainingVo};
 use imageproof_akm::bovw::{impacts_with_weights, SparseBovw};
+use imageproof_crypto::Digest;
 use imageproof_cuckoo::CuckooFilter;
 use std::collections::BTreeMap;
 
@@ -30,7 +31,8 @@ pub struct InvSearchStats {
     pub total_postings: usize,
     /// Termination-condition evaluations performed.
     pub rounds: usize,
-    /// Digests the VO assembly had to run Keccak for (cache misses).
+    /// Digests the VO assembly had to run Keccak for — always 0: every
+    /// digest it ships is a build-time memo.
     pub hashes_computed: usize,
     /// Digests the VO assembly copied from build-time memos (block digests
     /// and filter commitments).
@@ -67,7 +69,7 @@ impl InvSearchStats {
 /// observability registry (no-op when recording is disabled; never affects
 /// the VO). `bounds` labels the termination-bound flavor: `cuckoo`,
 /// `max-bound`, or `grouped`.
-pub(crate) fn record_inv_search(bounds: &'static str, stats: &InvSearchStats) {
+fn record_inv_search(bounds: &'static str, stats: &InvSearchStats) {
     if !imageproof_obs::enabled() {
         return;
     }
@@ -100,29 +102,45 @@ pub(crate) fn record_inv_search(bounds: &'static str, stats: &InvSearchStats) {
     }
 }
 
-/// Result of an authenticated top-k search.
+/// Result of an authenticated top-k search over entries of type `E`.
 #[derive(Clone, Debug)]
-pub struct InvSearchResult {
+pub struct SearchResult<E> {
     /// `(image, score)` descending by score (ties ascending by id).
     pub topk: Vec<(u64, f32)>,
-    pub vo: InvVo,
+    pub vo: InvVoOf<E>,
     pub stats: InvSearchStats,
 }
 
+/// Result of the plain scheme's search.
+pub type InvSearchResult = SearchResult<Posting>;
+
 /// Exact top-k by full accumulation (the unauthenticated reference search;
-/// also the oracle the authenticated path must reproduce).
+/// also the oracle the authenticated path must reproduce): lists ascending
+/// by cluster, entries in list order, an entry's images in
+/// [`Entry::expand`] order.
 ///
 /// `query_impacts` must be ascending by cluster — the summation order every
 /// component shares.
-pub fn exhaustive_topk(
-    index: &MerkleInvertedIndex,
+pub fn exhaustive_topk<E: Entry>(
+    index: &Index<E>,
     query_impacts: &[(u32, f32)],
     k: usize,
 ) -> Vec<(u64, f32)> {
+    let lists: Vec<(f32, Vec<(u64, f32)>)> = query_impacts
+        .iter()
+        .map(|&(c, p_q)| (p_q, index.list(c).pairs()))
+        .collect();
+    accumulate_topk(lists.iter().map(|(p_q, pairs)| (*p_q, pairs.as_slice())), k)
+}
+
+fn accumulate_topk<'a>(
+    lists: impl Iterator<Item = (f32, &'a [(u64, f32)])>,
+    k: usize,
+) -> Vec<(u64, f32)> {
     let mut acc: BTreeMap<u64, f32> = BTreeMap::new();
-    for &(c, p_q) in query_impacts {
-        for posting in &index.list(c).postings {
-            *acc.entry(posting.image).or_insert(0.0) += p_q * posting.impact;
+    for (p_q, pairs) in lists {
+        for &(image, impact) in pairs {
+            *acc.entry(image).or_insert(0.0) += p_q * impact;
         }
     }
     let mut scored: Vec<(u64, f32)> = acc.into_iter().collect();
@@ -134,23 +152,52 @@ pub fn exhaustive_topk(
 /// Per-list mutable search state. Popping is block-granular: `popped_blocks`
 /// counts whole blocks disclosed, so a partially-scanned list always ends on
 /// a block boundary and its skip proof is a single fence digest.
-struct ListState<'a> {
-    list: &'a MerkleList,
+struct ListState<'a, E> {
+    list: &'a List<E>,
     query_impact: f32,
-    /// `(image, impact)` pairs of the whole list (posting order).
+    /// `(image, impact)` pairs of the whole list, in entry order.
     pairs: Vec<(u64, f32)>,
+    /// `offsets[e]` = number of pairs covered by the first `e` entries.
+    offsets: Vec<usize>,
     popped_blocks: usize,
     /// Working filter with popped images deleted (filtered mode only).
     working_filter: Option<CuckooFilter>,
 }
 
-impl ListState<'_> {
+impl<'a, E: Entry> ListState<'a, E> {
+    fn new(list: &'a List<E>, query_impact: f32, mode: BoundsMode) -> Self {
+        let mut pairs = Vec::with_capacity(list.len());
+        let mut offsets = Vec::with_capacity(list.len() + 1);
+        offsets.push(0);
+        for e in &list.postings {
+            e.expand(list.weight, &mut pairs);
+            offsets.push(pairs.len());
+        }
+        ListState {
+            list,
+            query_impact,
+            pairs,
+            offsets,
+            popped_blocks: 0,
+            working_filter: match mode {
+                BoundsMode::CuckooFiltered => Some(list.filter.clone()),
+                BoundsMode::MaxBound => None,
+            },
+        }
+    }
+
+    /// Entries popped so far (a whole number of blocks).
     fn popped_len(&self) -> usize {
-        (self.popped_blocks * BLOCK_SIZE).min(self.pairs.len())
+        self.list.block_offset(self.popped_blocks)
+    }
+
+    /// The popped entries' `(image, impact)` pairs.
+    fn popped_pairs(&self) -> &[(u64, f32)] {
+        &self.pairs[..self.offsets[self.popped_len()]]
     }
 
     fn exhausted(&self) -> bool {
-        self.popped_len() == self.pairs.len()
+        self.popped_blocks == self.list.n_blocks()
     }
 
     /// The fence block's authenticated `max_impact` — exactly what the
@@ -163,13 +210,13 @@ impl ListState<'_> {
             .map(|b| b.max_impact)
     }
 
-    /// Pops up to `n` whole blocks; returns how many postings were popped.
+    /// Pops up to `n` whole blocks; returns how many entries were popped.
     fn pop_blocks(&mut self, n: usize) -> usize {
         let start = self.popped_len();
         self.popped_blocks = (self.popped_blocks + n).min(self.list.n_blocks());
         let end = self.popped_len();
-        for &(image, _) in &self.pairs[start..end] {
-            if let Some(f) = &mut self.working_filter {
+        if let Some(f) = &mut self.working_filter {
+            for &(image, _) in &self.pairs[self.offsets[start]..self.offsets[end]] {
                 f.delete(image);
             }
         }
@@ -178,13 +225,13 @@ impl ListState<'_> {
 
     /// Pops blocks until one containing `image` has been popped (or the
     /// list is exhausted, on a filter false positive); returns how many
-    /// postings were popped. `limit` bounds the postings popped this call.
+    /// entries were popped. `limit` bounds the entries popped this call.
     fn pop_until_image(&mut self, image: u64, limit: usize) -> usize {
         let mut popped = 0;
         while popped < limit && !self.exhausted() {
-            let start = self.popped_len();
+            let start = self.offsets[self.popped_len()];
             popped += self.pop_blocks(1);
-            let here = self.pairs[start..self.popped_len()]
+            let here = self.pairs[start..self.offsets[self.popped_len()]]
                 .iter()
                 .any(|&(i, _)| i == image);
             if here {
@@ -198,7 +245,7 @@ impl ListState<'_> {
         ListSnapshot {
             cluster: self.list.cluster,
             query_impact: self.query_impact,
-            popped: &self.pairs[..self.popped_len()],
+            popped: self.popped_pairs(),
             remaining_cap: self.remaining_cap(),
             filter: if self.exhausted() {
                 None
@@ -209,17 +256,28 @@ impl ListState<'_> {
     }
 }
 
-/// Tuning knobs for the pop/check loop of `InvSearch` — exposed for the
-/// ablation benchmarks (`crates/bench/benches/ablation.rs`); the defaults
-/// are what the scheme implementations use.
+/// Batch schedule of the pop/check loop of `InvSearch`, in units of list
+/// entries — varied by the ablation benchmarks
+/// (`crates/bench/benches/ablation.rs`). The plain index runs the default,
+/// the grouped index [`SearchTuning::GROUPED`].
 #[derive(Clone, Copy, Debug)]
 pub struct SearchTuning {
-    /// Postings popped before the first termination-condition check.
+    /// Entries popped before the first termination-condition check.
     pub initial_batch: usize,
     /// Batch growth factor applied after every failed check.
     pub growth: usize,
     /// Batch ceiling.
     pub max_batch: usize,
+}
+
+impl SearchTuning {
+    /// The grouped index's schedule: an entry discloses a whole frequency
+    /// group, so batches start and cap at half the default entry counts.
+    pub const GROUPED: SearchTuning = SearchTuning {
+        initial_batch: 2,
+        growth: 2,
+        max_batch: 128,
+    };
 }
 
 impl Default for SearchTuning {
@@ -253,42 +311,52 @@ pub fn inv_search_with_tuning(
     mode: BoundsMode,
     tuning: SearchTuning,
 ) -> InvSearchResult {
-    let query_impacts = impacts_with_weights(query_bovw, |c| index.list(c).weight);
-    let topk = exhaustive_topk(index, &query_impacts, k);
-    let topk_ids: Vec<u64> = topk.iter().map(|&(i, _)| i).collect();
+    let bounds = match mode {
+        BoundsMode::CuckooFiltered => "cuckoo",
+        BoundsMode::MaxBound => "max-bound",
+    };
+    search(index, query_bovw, k, mode, tuning, bounds)
+}
 
+/// The one search engine behind [`inv_search_with_tuning`] and
+/// [`crate::grouped::grouped_search`]; `bounds` is the observability label.
+pub(crate) fn search<E: Entry>(
+    index: &Index<E>,
+    query_bovw: &SparseBovw,
+    k: usize,
+    mode: BoundsMode,
+    tuning: SearchTuning,
+    bounds: &'static str,
+) -> SearchResult<E> {
     // Per-list state over the relevant lists, ascending by cluster.
-    let mut states: Vec<ListState> = query_impacts
+    let query_impacts = impacts_with_weights(query_bovw, |c| index.list(c).weight);
+    let mut states: Vec<ListState<E>> = query_impacts
         .iter()
-        .map(|&(c, p_q)| {
-            let list = index.list(c);
-            ListState {
-                list,
-                query_impact: p_q,
-                pairs: list.postings.iter().map(|p| (p.image, p.impact)).collect(),
-                popped_blocks: 0,
-                working_filter: match mode {
-                    BoundsMode::CuckooFiltered => Some(list.filter.clone()),
-                    BoundsMode::MaxBound => None,
-                },
-            }
-        })
+        .map(|&(c, p_q)| ListState::new(index.list(c), p_q, mode))
         .collect();
+    let topk = accumulate_topk(
+        states.iter().map(|s| (s.query_impact, s.pairs.as_slice())),
+        k,
+    );
+    let topk_ids: Vec<u64> = topk.iter().map(|&(i, _)| i).collect();
 
     let mut stats = InvSearchStats {
         total_postings: states.iter().map(|s| s.pairs.len()).sum(),
         ..Default::default()
     };
 
-    // Alg. 3 line 1: pop every posting containing a top-k image, together
-    // with its preceding postings — rounded up to whole blocks.
+    // Alg. 3 line 1: pop every entry containing a top-k image, together
+    // with its preceding entries — rounded up to whole blocks.
     for state in &mut states {
         let last = state
             .pairs
             .iter()
             .rposition(|(image, _)| topk_ids.contains(image));
-        if let Some(j) = last {
-            stats.popped += state.pop_blocks(j / BLOCK_SIZE + 1);
+        if let Some(pair) = last {
+            // The entry holding pair `pair`: the last one starting at or
+            // before it.
+            let entry = state.offsets.partition_point(|&o| o <= pair) - 1;
+            state.pop_blocks(entry / BLOCK_SIZE + 1);
         }
     }
 
@@ -306,11 +374,8 @@ pub fn inv_search_with_tuning(
         if !eval.condition1 {
             let target = best_poppable(&states, |_| true);
             let target = target.expect("condition 1 holds once every list is exhausted");
-            stats.popped += states[target].pop_blocks(batch.div_ceil(BLOCK_SIZE));
-            batch = (batch * tuning.growth.max(1)).min(tuning.max_batch.max(1));
-            continue;
-        }
-        if let Some(&worst) = eval.exceeded.first() {
+            states[target].pop_blocks(batch.div_ceil(BLOCK_SIZE));
+        } else if let Some(&worst) = eval.exceeded.first() {
             // Pop toward the offending image in the list that contributes
             // most to its upper bound.
             let target = best_poppable(&states, |s| match mode {
@@ -320,77 +385,62 @@ pub fn inv_search_with_tuning(
                 BoundsMode::MaxBound => true,
             });
             let target = target.expect("condition 2 holds once every list is exhausted");
-            stats.popped += states[target].pop_until_image(worst, batch);
-            batch = (batch * tuning.growth.max(1)).min(tuning.max_batch.max(1));
-            continue;
+            states[target].pop_until_image(worst, batch);
+        } else {
+            break;
         }
-        break;
+        batch = (batch * tuning.growth.max(1)).min(tuning.max_batch.max(1));
     }
 
     // Assemble the VO from the final popped state (Alg. 4 lines 2–11).
-    // Static digests come from build-time memos (filter commitments, chain
-    // digests) wherever the cache holds them; the counters make the hit
-    // rate observable.
-    let filter_digest = |s: &ListState<'_>, stats: &mut InvSearchStats| {
-        let (d, cached) = s.list.filter_digest_cached();
-        if cached {
-            stats.hashes_cached += 1;
-        } else {
-            stats.hashes_computed += 1;
-        }
-        d
+    // Every static digest is a build-time memo (filter commitments, fence
+    // summaries) — no Keccak at query time; the counter makes that
+    // observable.
+    let mut memo = |digest: Digest| {
+        stats.hashes_cached += 1;
+        digest
     };
     let lists = states
         .iter()
-        .map(|s| ListVo {
+        .map(|s| ListVoOf {
             cluster: s.list.cluster,
             weight: s.list.weight,
-            popped: s.pairs[..s.popped_len()].to_vec(),
-            remaining: if s.exhausted() {
-                RemainingVo::Exhausted {
-                    filter_digest: filter_digest(s, &mut stats),
-                }
-            } else {
-                // Fence block pair: bound and digest are memoized in the
-                // block summary — no Keccak at query time.
-                stats.hashes_cached += 1;
-                let fence = s.list.blocks()[s.popped_blocks];
-                RemainingVo::Skipped {
+            popped: s.list.postings[..s.popped_len()].to_vec(),
+            remaining: match s.list.blocks().get(s.popped_blocks) {
+                None => RemainingVo::Exhausted {
+                    filter_digest: memo(s.list.filter_commit()),
+                },
+                Some(fence) => RemainingVo::Skipped {
                     max_impact: fence.max_impact,
-                    fence_digest: fence.digest,
+                    fence_digest: memo(fence.digest),
                     filter: match mode {
                         BoundsMode::CuckooFiltered => FilterVo::Bytes(s.list.filter.to_bytes()),
-                        BoundsMode::MaxBound => FilterVo::DigestOnly(filter_digest(s, &mut stats)),
+                        BoundsMode::MaxBound => FilterVo::DigestOnly(memo(s.list.filter_commit())),
                     },
-                }
+                },
             },
         })
         .collect();
     // `pop_blocks` clamps, so popped_blocks ≤ n_blocks holds here.
     for s in &states {
+        stats.popped += s.popped_pairs().len();
         stats.blocks_scanned += s.popped_blocks;
         stats.blocks_skipped += s.list.n_blocks() - s.popped_blocks;
     }
 
-    record_inv_search(
-        match mode {
-            BoundsMode::CuckooFiltered => "cuckoo",
-            BoundsMode::MaxBound => "max-bound",
-        },
-        &stats,
-    );
-    InvSearchResult {
+    record_inv_search(bounds, &stats);
+    SearchResult {
         topk,
-        vo: InvVo { lists },
+        vo: InvVoOf { lists },
         stats,
     }
 }
 
 /// Index of the unexhausted list with the largest remaining contribution
 /// `p_{Q,c} · p̂_c` among those satisfying `pred`.
-fn best_poppable(
-    states: &[ListState<'_>],
-    mut pred: impl FnMut(&ListState<'_>) -> bool,
+fn best_poppable<E: Entry>(
+    states: &[ListState<'_, E>],
+    mut pred: impl FnMut(&ListState<'_, E>) -> bool,
 ) -> Option<usize> {
     let mut best: Option<(f32, usize)> = None;
     for (i, s) in states.iter().enumerate() {
@@ -504,7 +554,7 @@ mod tests {
         for (image, _) in &out.topk {
             for list_vo in &out.vo.lists {
                 let list = idx.list(list_vo.cluster);
-                let in_list = list.postings.iter().any(|p| p.image == *image);
+                let in_list = list.postings.iter().any(|p| p.0 == *image);
                 if in_list {
                     assert!(
                         list_vo.popped.iter().any(|&(i, _)| i == *image),

@@ -7,14 +7,10 @@
 //! the canonical serialized size of each component, not allocator
 //! overhead — stable across platforms and thread counts.
 
-use crate::grouped::GroupedInvertedIndex;
-use crate::merkle::MerkleInvertedIndex;
+use crate::merkle::{Entry, Index};
 
 /// Size of one [`imageproof_crypto::Digest`] on the wire.
 const DIGEST_BYTES: usize = 32;
-
-/// One posting is `u64` image id + `f32` impact.
-const POSTING_BYTES: usize = 8 + 4;
 
 /// A block summary holds `f32` max impact plus two digests.
 const BLOCK_SUMMARY_BYTES: usize = 4 + 2 * DIGEST_BYTES;
@@ -50,12 +46,13 @@ impl SpaceUsage {
     }
 }
 
-impl MerkleInvertedIndex {
+impl<E: Entry> Index<E> {
     /// Logical byte footprint of the index, by structure.
     pub fn space_usage(&self) -> SpaceUsage {
         let mut u = SpaceUsage::default();
         for list in self.lists() {
-            u.posting_bytes += 4 + list.postings.len() * POSTING_BYTES; // weight + postings
+            let entries: usize = list.postings.iter().map(E::logical_bytes).sum();
+            u.posting_bytes += 4 + entries; // weight + entries
             u.filter_bytes += list.filter.to_bytes().len();
             u.digest_bytes += 2 * DIGEST_BYTES; // h_Γ + memoized h(Θ)
             u.block_summary_bytes += list.n_blocks() * BLOCK_SUMMARY_BYTES;
@@ -64,28 +61,10 @@ impl MerkleInvertedIndex {
     }
 }
 
-impl GroupedInvertedIndex {
-    /// Logical byte footprint of the grouped index, by structure.
-    pub fn space_usage(&self) -> SpaceUsage {
-        let mut u = SpaceUsage::default();
-        for list in self.lists() {
-            let group_bytes: usize = list
-                .groups
-                .iter()
-                .map(|g| 4 + g.members.len() * POSTING_BYTES)
-                .sum();
-            u.posting_bytes += 4 + group_bytes; // weight + groups
-            u.filter_bytes += list.filter.to_bytes().len();
-            u.digest_bytes += 2 * DIGEST_BYTES;
-            u.block_summary_bytes += list.n_blocks() * BLOCK_SUMMARY_BYTES;
-        }
-        u
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::grouped::GroupedInvertedIndex;
+    use crate::merkle::MerkleInvertedIndex;
     use imageproof_akm::bovw::{ImpactModel, SparseBovw};
 
     fn fixtures() -> (MerkleInvertedIndex, GroupedInvertedIndex) {

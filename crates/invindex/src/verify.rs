@@ -24,8 +24,8 @@
 //! Success proves the claimed set is a genuine top-k (Def. 1).
 
 use crate::bounds::{evaluate, BoundsMode, ListSnapshot};
-use crate::merkle::{block_digest, list_digest, posting_digest, Posting, BLOCK_SIZE};
-use crate::vo::{FilterVo, InvVo, RemainingVo};
+use crate::merkle::{block_digest, chain_head, expand_all, list_digest, Entry, BLOCK_SIZE};
+use crate::vo::{FilterVo, InvVo, InvVoOf, RemainingVo};
 use imageproof_akm::bovw::{impacts_with_weights, SparseBovw};
 use imageproof_crypto::Digest;
 use imageproof_cuckoo::CuckooFilter;
@@ -40,7 +40,8 @@ pub enum InvVerifyError {
     DigestMismatch { cluster: u32 },
     /// No authenticated digest is known for a cluster in the VO.
     UnknownCluster { cluster: u32 },
-    /// The filter bytes in the VO are not a canonical serialization.
+    /// The filter bytes in the VO are not a canonical serialization, or a
+    /// popped entry is not [`Entry::well_formed`] (an empty group).
     MalformedFilter { cluster: u32 },
     /// The filter form does not match the scheme (bytes vs digest-only).
     WrongFilterForm { cluster: u32 },
@@ -117,7 +118,7 @@ pub struct VerifiedTopk {
     pub weights: BTreeMap<u32, f32>,
 }
 
-/// Verifies an inverted-index VO against the claimed top-k.
+/// Verifies a plain inverted-index VO against the claimed top-k.
 ///
 /// * `query_bovw` — the BoVW vector the client itself rebuilt from verified
 ///   MRKD assignments;
@@ -128,6 +129,19 @@ pub struct VerifiedTopk {
 /// * `mode` — bounds machinery of the scheme in use.
 pub fn verify_topk(
     vo: &InvVo,
+    query_bovw: &SparseBovw,
+    authenticated_digests: &BTreeMap<u32, Digest>,
+    claimed: &[u64],
+    k: usize,
+    mode: BoundsMode,
+) -> Result<VerifiedTopk, InvVerifyError> {
+    verify(vo, query_bovw, authenticated_digests, claimed, k, mode)
+}
+
+/// The one verifier behind [`verify_topk`] and
+/// [`crate::grouped::verify_grouped_topk`].
+pub(crate) fn verify<E: Entry>(
+    vo: &InvVoOf<E>,
     query_bovw: &SparseBovw,
     authenticated_digests: &BTreeMap<u32, Digest>,
     claimed: &[u64],
@@ -162,12 +176,10 @@ pub fn verify_topk(
     // 2. Reconstruct and check every list digest; parse filters.
     let mut parsed_filters: Vec<Option<CuckooFilter>> = Vec::with_capacity(vo.lists.len());
     for list in &vo.lists {
-        let expected =
-            authenticated_digests
-                .get(&list.cluster)
-                .ok_or(InvVerifyError::UnknownCluster {
-                    cluster: list.cluster,
-                })?;
+        let cluster = list.cluster;
+        let expected = authenticated_digests
+            .get(&cluster)
+            .ok_or(InvVerifyError::UnknownCluster { cluster })?;
 
         let (seal, filter_digest, filter) = match &list.remaining {
             RemainingVo::Exhausted { filter_digest } => ((0.0, Digest::ZERO), *filter_digest, None),
@@ -179,25 +191,16 @@ pub fn verify_topk(
                 // A skip proof only re-seals the list when the popped
                 // prefix ends on a block boundary.
                 if !list.popped.len().is_multiple_of(BLOCK_SIZE) {
-                    return Err(InvVerifyError::BlockShapeInvalid {
-                        cluster: list.cluster,
-                    });
+                    return Err(InvVerifyError::BlockShapeInvalid { cluster });
                 }
                 let (fd, parsed) = match (filter, mode) {
                     (FilterVo::Bytes(bytes), BoundsMode::CuckooFiltered) => {
-                        let parsed = CuckooFilter::from_bytes(bytes).ok_or(
-                            InvVerifyError::MalformedFilter {
-                                cluster: list.cluster,
-                            },
-                        )?;
+                        let parsed = CuckooFilter::from_bytes(bytes)
+                            .ok_or(InvVerifyError::MalformedFilter { cluster })?;
                         (parsed.digest(), Some(parsed))
                     }
                     (FilterVo::DigestOnly(d), BoundsMode::MaxBound) => (*d, None),
-                    _ => {
-                        return Err(InvVerifyError::WrongFilterForm {
-                            cluster: list.cluster,
-                        })
-                    }
+                    _ => return Err(InvVerifyError::WrongFilterForm { cluster }),
                 };
                 // The fence `(max_impact, digest)` pair seeds the fold;
                 // matching `h_Γ` below simultaneously proves the skip
@@ -209,23 +212,19 @@ pub fn verify_topk(
 
         // Rebuild the first block's (max, digest) pair from the popped
         // prefix: re-block into BLOCK_SIZE chunks, fold each chunk's
-        // posting chain, and bind the *successor's* bound/digest pair into
+        // entry chain, and bind the *successor's* bound/digest pair into
         // each block digest — popped block bounds are just each chunk's
         // first disclosed impact.
+        if !list.popped.iter().all(E::well_formed) {
+            return Err(InvVerifyError::MalformedFilter { cluster });
+        }
         let (mut max, mut bd) = seal;
         for chunk in list.popped.chunks(BLOCK_SIZE).rev() {
-            let mut head = Digest::ZERO;
-            for &(image, impact) in chunk.iter().rev() {
-                head = posting_digest(&Posting { image, impact }, &head);
-            }
-            bd = block_digest(&head, max, &bd);
-            max = chunk.first().map(|&(_, impact)| impact).unwrap_or(0.0);
+            bd = block_digest(&chain_head(chunk), max, &bd);
+            max = chunk.first().map_or(0.0, |e| e.head_impact(list.weight));
         }
-        let rebuilt = list_digest(list.weight, &filter_digest, max, &bd);
-        if rebuilt != *expected {
-            return Err(InvVerifyError::DigestMismatch {
-                cluster: list.cluster,
-            });
+        if list_digest(list.weight, &filter_digest, max, &bd) != *expected {
+            return Err(InvVerifyError::DigestMismatch { cluster });
         }
         parsed_filters.push(filter);
     }
@@ -235,25 +234,30 @@ pub fn verify_topk(
     let query_impacts =
         impacts_with_weights(query_bovw, |c| weights.get(&c).copied().unwrap_or(0.0));
 
-    // 4. Delete popped images from the filters, snapshot, evaluate.
+    // 4. Expand the popped entries, delete their images from the filters,
+    // snapshot, evaluate.
+    let mut expanded: Vec<Vec<(u64, f32)>> = Vec::with_capacity(vo.lists.len());
     for (list, filter) in vo.lists.iter().zip(&mut parsed_filters) {
+        let pairs = expand_all(&list.popped, list.weight);
         if let Some(f) = filter {
-            for &(image, _) in &list.popped {
+            for &(image, _) in &pairs {
                 f.delete(image);
             }
         }
+        expanded.push(pairs);
     }
     let snapshots: Vec<ListSnapshot> = vo
         .lists
         .iter()
         .zip(&parsed_filters)
+        .zip(&expanded)
         .zip(&query_impacts)
-        .map(|((list, filter), &(cluster, p_q))| {
+        .map(|(((list, filter), pairs), &(cluster, p_q))| {
             debug_assert_eq!(cluster, list.cluster);
             ListSnapshot {
                 cluster: list.cluster,
                 query_impact: p_q,
-                popped: &list.popped,
+                popped: pairs,
                 remaining_cap: match &list.remaining {
                     RemainingVo::Exhausted { .. } => None,
                     // The fence bound, authenticated by the digest check

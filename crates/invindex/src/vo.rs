@@ -9,6 +9,7 @@
 //! posting could have entered the top-k — for four extra bytes over the
 //! old per-posting seal.
 
+use crate::merkle::{expand_all, Entry, Posting};
 use imageproof_crypto::wire::{Decode, Encode, Reader, WireError, Writer};
 use imageproof_crypto::Digest;
 
@@ -47,29 +48,37 @@ pub enum FilterVo {
     DigestOnly(Digest),
 }
 
-/// One relevant posting list's share of the VO (Alg. 4 lines 2–11).
+/// One relevant list's share of the VO (Alg. 4 lines 2–11), over entries
+/// of type `E`.
 #[derive(Clone, Debug, PartialEq)]
-pub struct ListVo {
+pub struct ListVoOf<E> {
     pub cluster: u32,
     /// `w_c`, needed by the client to compute `p_Q` (Alg. 4 line 3).
     pub weight: f32,
     /// The popped prefix, in list order — always a whole number of blocks
     /// when followed by a skip proof.
-    pub popped: Vec<(u64, f32)>,
+    pub popped: Vec<E>,
     pub remaining: RemainingVo,
 }
 
 /// The complete inverted-index VO (`VO_inv`): one entry per query-relevant
 /// cluster, ascending.
 #[derive(Clone, Debug, PartialEq)]
-pub struct InvVo {
-    pub lists: Vec<ListVo>,
+pub struct InvVoOf<E> {
+    pub lists: Vec<ListVoOf<E>>,
 }
 
-impl InvVo {
-    /// Total popped postings disclosed (numerator of "% popped postings").
+/// The plain scheme's list VO: popped `(image, impact)` postings.
+pub type ListVo = ListVoOf<Posting>;
+
+/// The plain scheme's inverted-index VO.
+pub type InvVo = InvVoOf<Posting>;
+
+impl<E: Entry> InvVoOf<E> {
+    /// Total images disclosed (numerator of "% popped postings").
     pub fn popped_postings(&self) -> usize {
-        self.lists.iter().map(|l| l.popped.len()).sum()
+        let images = |l: &ListVoOf<E>| expand_all(&l.popped, l.weight).len();
+        self.lists.iter().map(images).sum()
     }
 }
 
@@ -129,32 +138,29 @@ impl Decode for RemainingVo {
     }
 }
 
-impl Encode for ListVo {
+impl<E: Entry> Encode for ListVoOf<E> {
     fn encode(&self, w: &mut Writer) {
         w.varint(self.cluster as u64);
         w.f32(self.weight);
         w.vseq_len(self.popped.len());
-        for &(image, impact) in &self.popped {
-            w.varint(image);
-            w.f32(impact);
+        for e in &self.popped {
+            e.encode_entry(w);
         }
         self.remaining.encode(w);
     }
 }
 
-impl Decode for ListVo {
+impl<E: Entry> Decode for ListVoOf<E> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let cluster = u32::try_from(r.varint()?).map_err(|_| WireError::LengthOverflow)?;
         let weight = r.f32()?;
         let n = r.vseq_len()?;
         let mut popped = Vec::with_capacity(n);
         for _ in 0..n {
-            let image = r.varint()?;
-            let impact = r.f32()?;
-            popped.push((image, impact));
+            popped.push(E::decode_entry(r)?);
         }
         let remaining = RemainingVo::decode(r)?;
-        Ok(ListVo {
+        Ok(ListVoOf {
             cluster,
             weight,
             popped,
@@ -163,7 +169,7 @@ impl Decode for ListVo {
     }
 }
 
-impl Encode for InvVo {
+impl<E: Entry> Encode for InvVoOf<E> {
     fn encode(&self, w: &mut Writer) {
         w.vseq_len(self.lists.len());
         for l in &self.lists {
@@ -172,14 +178,14 @@ impl Encode for InvVo {
     }
 }
 
-impl Decode for InvVo {
+impl<E: Entry> Decode for InvVoOf<E> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let n = r.vseq_len()?;
         let mut lists = Vec::with_capacity(n);
         for _ in 0..n {
-            lists.push(ListVo::decode(r)?);
+            lists.push(ListVoOf::decode(r)?);
         }
-        Ok(InvVo { lists })
+        Ok(InvVoOf { lists })
     }
 }
 

@@ -7,7 +7,8 @@ use imageproof_akm::bovw::{impacts_with_weights, ImpactModel, SparseBovw};
 use imageproof_crypto::Digest;
 use imageproof_invindex::grouped::{grouped_search, verify_grouped_topk, GroupedInvertedIndex};
 use imageproof_invindex::{
-    exhaustive_topk, inv_search, verify_topk, BoundsMode, MerkleInvertedIndex,
+    exhaustive_topk, inv_search, inv_search_with_tuning, verify_topk, BoundsMode, FilterVo,
+    InvVerifyError, MerkleInvertedIndex, RemainingVo, SearchTuning,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -26,6 +27,38 @@ fn corpus_strategy() -> impl Strategy<Value = Vec<(u64, SparseBovw)>> {
             .into_iter()
             .enumerate()
             .map(|(id, pairs)| (id as u64, SparseBovw::from_counts(pairs)))
+            .collect()
+    })
+}
+
+/// A corpus in which every `(cluster, frequency)` pair belongs to exactly
+/// one image — image `i` draws its frequencies from `3i+1..=3i+3`, a range
+/// no other image uses — so every frequency group is a singleton.
+fn singleton_group_corpus_strategy() -> impl Strategy<Value = Vec<(u64, SparseBovw)>> {
+    proptest::collection::vec(
+        proptest::collection::vec((0u32..N_CLUSTERS as u32, 1u32..4), 1..5),
+        12..40,
+    )
+    .prop_map(|images| {
+        images
+            .into_iter()
+            .enumerate()
+            .map(|(id, pairs)| {
+                // `from_counts` sums duplicate clusters, which could leave
+                // the image's range; keep each cluster once.
+                let mut unique: BTreeMap<u32, u32> = pairs
+                    .iter()
+                    .map(|&(c, offset)| (c, 3 * id as u32 + offset))
+                    .collect();
+                // A one-cluster image has impact exactly `w_c` whatever its
+                // frequency, tying with every other such image in the list;
+                // give it a second cluster at a different frequency.
+                if unique.len() == 1 {
+                    let (c, offset) = pairs[0];
+                    unique.insert((c + 1) % N_CLUSTERS as u32, 3 * id as u32 + offset % 3 + 1);
+                }
+                (id as u64, SparseBovw::from_counts(unique))
+            })
             .collect()
     })
 }
@@ -116,5 +149,73 @@ proptest! {
         claimed[0] = strictly_worse.expect("checked").0;
         let verified = verify_topk(&out.vo, &query, &digests, &claimed, k, BoundsMode::CuckooFiltered);
         prop_assert!(verified.is_err(), "forged set verified");
+    }
+
+    /// A plain posting is a group of one: when every group is a singleton
+    /// and no two impacts in a list tie, the grouped index and the plain
+    /// index run under the same batch schedule are the same search — same
+    /// disclosed prefix per list, same counters, bit-equal top-k — and
+    /// their verifiers reject the same tampered impact the same way.
+    #[test]
+    fn singleton_groups_search_exactly_like_plain_postings(
+        images in singleton_group_corpus_strategy(),
+        query in query_strategy(),
+        k in 1usize..6,
+    ) {
+        let encodings: Vec<SparseBovw> = images.iter().map(|(_, b)| b.clone()).collect();
+        let model = ImpactModel::build(N_CLUSTERS, &encodings);
+        let plain = MerkleInvertedIndex::build(N_CLUSTERS, &images, &model);
+        let grouped = GroupedInvertedIndex::build(N_CLUSTERS, &images, &model);
+        // List order is unique only without impact ties (plain breaks them
+        // by image id, grouped by frequency).
+        let tie_free = plain
+            .lists()
+            .iter()
+            .all(|l| l.postings.windows(2).all(|w| w[0].1 != w[1].1));
+        prop_assume!(tie_free);
+        prop_assert!(grouped.lists().iter().all(|l| l.postings.iter().all(|g| g.members.len() == 1)));
+
+        let mode = BoundsMode::CuckooFiltered;
+        let p = inv_search_with_tuning(&plain, &query, k, mode, SearchTuning::GROUPED);
+        let g = grouped_search(&grouped, &query, k);
+        let bits = |topk: &[(u64, f32)]| -> Vec<(u64, u32)> {
+            topk.iter().map(|&(i, s)| (i, s.to_bits())).collect()
+        };
+        prop_assert_eq!(bits(&p.topk), bits(&g.topk));
+        let counters = |s: &imageproof_invindex::InvSearchStats| {
+            (s.popped, s.total_postings, s.rounds, s.blocks_scanned, s.blocks_skipped)
+        };
+        prop_assert_eq!(counters(&p.stats), counters(&g.stats));
+        for (pl, gl) in p.vo.lists.iter().zip(&g.vo.lists) {
+            let plain_prefix: Vec<u64> = pl.popped.iter().map(|&(image, _)| image).collect();
+            let grouped_prefix: Vec<u64> = gl.popped.iter().map(|grp| grp.members[0].0).collect();
+            prop_assert_eq!(plain_prefix, grouped_prefix, "cluster {}", pl.cluster);
+            // Same skip proof up to the fence digest, which commits the
+            // (differently hashed) entries behind it.
+            let skip = |r: &RemainingVo| match r {
+                RemainingVo::Exhausted { filter_digest } => (None, FilterVo::DigestOnly(*filter_digest)),
+                RemainingVo::Skipped { max_impact, filter, .. } => (Some(max_impact.to_bits()), filter.clone()),
+            };
+            prop_assert_eq!(skip(&pl.remaining), skip(&gl.remaining), "cluster {}", pl.cluster);
+        }
+
+        // Halve one disclosed impact: directly in the plain posting, by
+        // doubling the norm it is derived from in the group.
+        let Some(i) = p.vo.lists.iter().position(|l| !l.popped.is_empty()) else {
+            return Ok(());
+        };
+        let cluster = p.vo.lists[i].cluster;
+        let claimed: Vec<u64> = p.topk.iter().map(|&(image, _)| image).collect();
+        let digests = |ds: Vec<Digest>| -> BTreeMap<u32, Digest> {
+            ds.into_iter().enumerate().map(|(c, d)| (c as u32, d)).collect()
+        };
+        let (mut forged_p, mut forged_g) = (p.vo.clone(), g.vo.clone());
+        forged_p.lists[i].popped[0].1 *= 0.5;
+        forged_g.lists[i].popped[0].members[0].1 *= 2.0;
+        let expected = Err(InvVerifyError::DigestMismatch { cluster });
+        let rejected_p = verify_topk(&forged_p, &query, &digests(plain.list_digests()), &claimed, k, mode);
+        prop_assert_eq!(rejected_p.map(|v| v.topk), expected.clone());
+        let rejected_g = verify_grouped_topk(&forged_g, &query, &digests(grouped.list_digests()), &claimed, k);
+        prop_assert_eq!(rejected_g.map(|v| v.topk), expected);
     }
 }

@@ -179,7 +179,7 @@ fn spliced_unaligned_prefix_is_a_block_shape_error() {
     // whole number of blocks, so no honest block-granular search produced
     // it — rejected on shape before any hashing.
     let donor = fx.index.list(cluster).postings[vo.lists[i].popped.len()];
-    vo.lists[i].popped.push((donor.image, donor.impact));
+    vo.lists[i].popped.push(donor);
     assert_eq!(
         verify(&fx, &vo, &fx.claimed),
         Err(InvVerifyError::BlockShapeInvalid { cluster })

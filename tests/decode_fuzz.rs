@@ -31,7 +31,7 @@ use imageproof_core::{
 };
 use imageproof_crypto::wire::{Decode, Encode, WireError};
 use imageproof_invindex::grouped::{Group, GroupedInvVo, GroupedListVo};
-use imageproof_invindex::{FilterVo, InvVo, ListVo, RemainingVo};
+use imageproof_invindex::{FilterVo, InvVo, InvVoOf, ListVo, ListVoOf, RemainingVo};
 use imageproof_mrkd::{BaselineBovwVo, BovwVo, Reveal, VoCluster, VoNode};
 use imageproof_vision::{Corpus, CorpusConfig, DescriptorKind};
 use proptest::prelude::*;
@@ -323,14 +323,51 @@ fn table_row_leaf_and_reveal_decoding_is_total() {
     );
 }
 
-/// Decoding must not amplify: whatever bytes decode to a BoVW VO — honest,
-/// bit-flipped, or spliced — the value's heap footprint stays within a
-/// small constant of the wire length. (A leaf naming its clusters by id
-/// costs 4 heap bytes per wire byte at worst; a back-reference that cloned
-/// a 256-byte centroid per 2-byte id would not pass.)
+/// Decoding must not amplify: whatever bytes decode to a `T` — honest,
+/// bit-flipped, or spliced — the value's heap footprint (as `heap` counts
+/// it) stays within a small constant of the wire length: `honest_max`× for
+/// the honest encoding, 16× for corrupted ones. Returns how many corrupted
+/// inputs decoded.
+fn assert_heap_proportional<T: Decode + Encode>(
+    name: &str,
+    sample: &T,
+    honest_max: usize,
+    heap: impl Fn(&T) -> usize,
+) -> usize {
+    const MAX_AMPLIFICATION: usize = 16;
+    let wire = sample.to_wire();
+    let honest = heap(&T::from_wire(&wire).expect("roundtrip"));
+    assert!(
+        honest <= honest_max * wire.len(),
+        "{name}: honest VO decodes to {honest} heap bytes from {} wire bytes",
+        wire.len()
+    );
+    let mut rng = XorShift(0xB0B0 ^ wire.len() as u64);
+    let mut checked = 0;
+    for _ in 0..256 {
+        let mut m = wire.clone();
+        // Corrupt a byte near the front, where the length prefixes and
+        // tags that shape the decode live.
+        let pos = (rng.next() as usize) % m.len().min(4096);
+        m[pos] = rng.next() as u8;
+        if let Ok(decoded) = decode_total::<T>(name, &m) {
+            let heap = heap(&decoded);
+            assert!(
+                heap <= MAX_AMPLIFICATION * m.len(),
+                "{name}: {heap} heap bytes from {} wire bytes",
+                m.len()
+            );
+            checked += 1;
+        }
+    }
+    checked
+}
+
+/// (A leaf naming its clusters by id costs 4 heap bytes per wire byte at
+/// worst; a back-reference that cloned a 256-byte centroid per 2-byte id
+/// would not pass.)
 #[test]
 fn decoded_bovw_heap_is_proportional_to_wire_bytes() {
-    const MAX_AMPLIFICATION: usize = 16;
     let mut checked = 0;
     for (scheme, fx) in fixtures() {
         let vos: Vec<&BovwVo> = match &fx.response.vo.bovw {
@@ -338,33 +375,88 @@ fn decoded_bovw_heap_is_proportional_to_wire_bytes() {
             BovwVoVariant::PerQuery(vo) => vo.per_query.iter().take(2).collect(),
         };
         for vo in vos {
-            let wire = vo.to_wire();
-            let honest = bovw_heap_bytes(&BovwVo::from_wire(&wire).expect("roundtrip"));
-            assert!(
-                honest <= 2 * wire.len(),
-                "{scheme:?}: honest VO decodes to {honest} heap bytes from {} wire bytes",
-                wire.len()
-            );
-            let mut rng = XorShift(0xB0B0 ^ wire.len() as u64);
-            for _ in 0..256 {
-                let mut m = wire.clone();
-                // Corrupt a byte near the front, where the length
-                // prefixes and tags that shape the decode live.
-                let pos = (rng.next() as usize) % m.len().min(4096);
-                m[pos] = rng.next() as u8;
-                if let Ok(decoded) = decode_total::<BovwVo>("BovwVo", &m) {
-                    let heap = bovw_heap_bytes(&decoded);
-                    assert!(
-                        heap <= MAX_AMPLIFICATION * m.len(),
-                        "{scheme:?}: {heap} heap bytes from {} wire bytes",
-                        m.len()
-                    );
-                    checked += 1;
-                }
-            }
+            checked +=
+                assert_heap_proportional(&format!("BovwVo[{scheme:?}]"), vo, 2, bovw_heap_bytes);
         }
     }
     assert!(checked > 0, "no corrupted VO decoded; sweep too narrow");
+}
+
+/// Heap bytes a decoded inverted-index VO owns, by allocation capacity:
+/// the list table, every popped prefix (plus what each entry owns), and
+/// the filter bytes of every skip proof.
+fn inv_heap_bytes<E>(vo: &InvVoOf<E>, entry_heap: impl Fn(&E) -> usize) -> usize {
+    use std::mem::size_of;
+    let list_bytes = |l: &ListVoOf<E>| {
+        let filter = match &l.remaining {
+            RemainingVo::Skipped {
+                filter: FilterVo::Bytes(bytes),
+                ..
+            } => bytes.capacity(),
+            _ => 0,
+        };
+        l.popped.capacity() * size_of::<E>()
+            + l.popped.iter().map(&entry_heap).sum::<usize>()
+            + filter
+    };
+    vo.lists.capacity() * size_of::<ListVoOf<E>>() + vo.lists.iter().map(list_bytes).sum::<usize>()
+}
+
+/// The same bound for both inverted-index VOs. The honest factor is 4, not
+/// the BoVW VO's 2: a popped posting or group member is a padded 16-byte
+/// `(u64, f32)` in memory from as few as 5 wire bytes (varint id + f32),
+/// and the Baseline's VO carries no filter bytes to dilute that.
+#[test]
+fn decoded_inverted_vo_heap_is_proportional_to_wire_bytes() {
+    let (mut plain, mut grouped) = (0, 0);
+    for (scheme, fx) in fixtures() {
+        match &fx.response.vo.inv {
+            InvVoVariant::Plain(vo) => {
+                plain += assert_heap_proportional(&format!("InvVo[{scheme:?}]"), vo, 4, |vo| {
+                    inv_heap_bytes(vo, |_| 0)
+                });
+            }
+            InvVoVariant::Grouped(vo) => {
+                grouped +=
+                    assert_heap_proportional(&format!("GroupedInvVo[{scheme:?}]"), vo, 4, |vo| {
+                        inv_heap_bytes(vo, |g: &Group| g.members.capacity() * 16)
+                    });
+            }
+        }
+    }
+    assert!(plain > 0, "no corrupted plain VO decoded; sweep too narrow");
+    assert!(
+        grouped > 0,
+        "no corrupted grouped VO decoded; sweep too narrow"
+    );
+}
+
+/// A hostile group header must be refused at the length check, before any
+/// allocation is sized from it: `80 80 40` is the member count 2^20, which
+/// a bare `varint` + `with_capacity(count.min(1 << 20))` turned into a
+/// 16 MiB allocation from a 4-byte input.
+#[test]
+fn hostile_group_member_count_is_refused_before_allocation() {
+    let wire = [0x01, 0x80, 0x80, 0x40];
+    assert_eq!(
+        decode_total::<Group>("Group", &wire),
+        Err(WireError::LengthOverflow)
+    );
+}
+
+/// A frequency beyond `u32` is an error, not a silent truncation that
+/// would give two wire strings one decoded `Group`.
+#[test]
+fn over_range_group_frequency_is_rejected() {
+    let mut w = imageproof_crypto::wire::Writer::new();
+    w.varint((1u64 << 32) + 3);
+    w.vseq_len(1);
+    w.varint(9);
+    w.f32(1.5);
+    assert_eq!(
+        decode_total::<Group>("Group", &w.finish()),
+        Err(WireError::LengthOverflow)
+    );
 }
 
 #[test]

@@ -9,7 +9,7 @@ use imageproof_akm::bovw::{impacts_with_weights, SparseBovw};
 use imageproof_crypto::Digest;
 use imageproof_invindex::grouped::{grouped_search, verify_grouped_topk, GroupedInvertedIndex};
 use imageproof_invindex::{
-    exhaustive_topk, inv_search, verify_topk, BoundsMode, MerkleInvertedIndex, Posting, BLOCK_SIZE,
+    exhaustive_topk, inv_search, verify_topk, BoundsMode, MerkleInvertedIndex, BLOCK_SIZE,
 };
 use std::collections::BTreeMap;
 
@@ -43,8 +43,8 @@ fn lists_have_the_papers_shape() {
     let idx = build_plain();
     // Cluster 5 holds six postings led by image 1, cluster 6 six postings
     // led by image 5 — the structure of Table II.
-    let c5: Vec<u64> = idx.list(5).postings.iter().map(|p| p.image).collect();
-    let c6: Vec<u64> = idx.list(6).postings.iter().map(|p| p.image).collect();
+    let c5: Vec<u64> = idx.list(5).postings.iter().map(|p| p.0).collect();
+    let c6: Vec<u64> = idx.list(6).postings.iter().map(|p| p.0).collect();
     assert_eq!(c5.len(), 6);
     assert_eq!(c6.len(), 6);
     assert_eq!(c5[0], 1, "image 1 leads Γ_5 as in Table II");
@@ -93,13 +93,7 @@ fn posting_digests_chain_as_in_definition_4() {
     for (b, chunk) in list.postings.chunks(BLOCK_SIZE).enumerate() {
         let mut expected = Digest::ZERO;
         for p in chunk.iter().rev() {
-            expected = imageproof_invindex::merkle::posting_digest(
-                &Posting {
-                    image: p.image,
-                    impact: p.impact,
-                },
-                &expected,
-            );
+            expected = imageproof_invindex::merkle::posting_digest(p, &expected);
         }
         assert_eq!(list.blocks()[b].chain_head, expected, "block {b}");
     }
@@ -115,7 +109,7 @@ fn frequency_grouping_matches_table_iii_structure() {
     let grouped = GroupedInvertedIndex::build(8, &images, &model);
     let list = grouped.list(5);
     let mut by_freq: BTreeMap<u32, usize> = BTreeMap::new();
-    for g in &list.groups {
+    for g in &list.postings {
         *by_freq.entry(g.frequency).or_insert(0) += g.members.len();
     }
     assert_eq!(by_freq[&4], 1);
@@ -125,7 +119,7 @@ fn frequency_grouping_matches_table_iii_structure() {
 
     // Members within a group are ordered ascending by L2 norm (head) and
     // the group impact is the head's impact (Def. 6 discussion).
-    for g in &list.groups {
+    for g in &list.postings {
         for &(_, norm) in &g.members[1..] {
             assert!(g.members[0].1 <= norm);
         }
