@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# Tier-1 gate plus the parallel-equivalence suite. Everything runs offline;
+# Tier-1 gate over the whole workspace, then the audit, bench and obs smokes. Everything runs offline;
 # fmt/clippy run only when the components are installed.
 set -eu
 
@@ -7,7 +7,26 @@ echo "== build (release, warnings are errors) =="
 RUSTFLAGS="-D warnings" cargo build --release
 
 echo "== test (workspace) =="
-cargo test -q
+# `--workspace` matters: with a root [package], a bare `cargo test` selects
+# only the umbrella crate's suites and skips every member crate's unit
+# tests, proptests and NIST/RFC vectors. This one step is the whole gate:
+# - parallel equivalence (tests/parallel_equivalence, core's
+#   parallel_adversary, imageproof-parallel): every thread count serves
+#   the same bytes.
+# - sharded serving (tests/shard_equivalence, shard_adversary): the
+#   shard-vs-monolith differential and the adversary matrix.
+# - socket RPC (tests/rpc_equivalence, rpc_faults): the coordinator must be
+#   bit-equal to in-process ShardedSp (all schemes x shard counts), and
+#   every injected transport fault must surface as a typed error or a
+#   verified failover. All servers bind port 0 (the OS picks a free
+#   loopback port and the bound addr is passed along), so the suites are
+#   parallel-safe and run offline.
+# - observability (tests/obs_equivalence, imageproof-obs): recording on vs
+#   off must serve byte-identical VOs and identical top-k for every scheme
+#   x thread count, monolith and sharded.
+# - imageproof-audit's self-tests (includes the Instant/SystemTime
+#   confinement rule).
+cargo test -q --workspace
 
 echo "== ledger: the benchmark package builds and self-checks against this tree =="
 # `ledger/` is its own workspace, so the steps above never compile it: an
@@ -15,38 +34,6 @@ echo "== ledger: the benchmark package builds and self-checks against this tree 
 # also re-checks BENCHMARK.json against `ledger/src/spec.rs`.
 cargo build --release --offline --manifest-path ledger/Cargo.toml
 cargo test --offline --manifest-path ledger/Cargo.toml
-
-echo "== parallel equivalence at 2 worker threads =="
-# Re-runs the parallel suites explicitly so a green gate always includes
-# them, even if test filtering changes upstream.
-cargo test -q --test parallel_equivalence
-cargo test -q -p imageproof-core --test parallel_adversary
-cargo test -q -p imageproof-parallel
-
-echo "== sharded serving: shard-vs-monolith differential + adversary matrix =="
-# Re-runs the sharded suites explicitly, mirroring the parallel gate above.
-cargo test -q --test shard_equivalence
-cargo test -q --test shard_adversary
-
-echo "== socket RPC: loopback equivalence + fault injection =="
-# Shards behind the length-prefixed RPC boundary: the coordinator must be
-# bit-equal to in-process ShardedSp (all schemes x shard counts), and every
-# injected transport fault must surface as a typed error or a verified
-# failover. All servers bind port 0 (the OS picks a free loopback port and
-# the bound addr is passed along), so the suites are parallel-safe and run
-# offline.
-cargo test -q --test rpc_equivalence
-cargo test -q --test rpc_faults
-
-echo "== observability: obs-on/off VO byte-equivalence =="
-# The zero-perturbation gate: recording on vs off must serve byte-identical
-# VOs and identical top-k for every scheme × thread count, monolith and
-# sharded.
-cargo test -q --test obs_equivalence
-cargo test -q -p imageproof-obs
-
-echo "== audit: self-tests (includes the Instant/SystemTime confinement rule) =="
-cargo test -q -p imageproof-audit
 
 echo "== audit: zero findings on the tree =="
 # The auditor emits a JSON artifact (findings, per-rule counts, files

@@ -680,7 +680,7 @@ impl ShardRecord {
 /// trio, so multi-shard merges must fence across a contested tie boundary.
 /// The machine-readable results land in `BENCH_shards.json` next to the
 /// working directory, with per-response `trimmed_entries` /
-/// `dedup_bytes_saved` read back from the obs registry counters.
+/// `dedup_bytes_saved` summed from each query's `ShardedSpStats`.
 ///
 /// Every cell also runs a sockets mode: the same engines are served over
 /// loopback TCP behind the length-prefixed RPC boundary, the fan-out
@@ -717,10 +717,8 @@ fn fig16(cache: &mut FixtureCache, scale: &Scale, quick: bool) {
     let tie_features = fixture.tie_query(scale.default_features);
     let trio = fixture.tie_trio();
     let k = scale.default_k;
-    let reg = imageproof_obs::global();
     let mut records: Vec<ShardRecord> = Vec::new();
     for scheme in Scheme::ALL {
-        let slug = scheme.slug();
         for &shards in shard_counts {
             let (sp, client, manifest, build_seconds) =
                 fixture.build_sharded_system_timed(scheme, shards);
@@ -738,20 +736,8 @@ fn fig16(cache: &mut FixtureCache, scale: &Scale, quick: bool) {
             let mut hashes_computed = 0usize;
             let mut hashes_cached = 0usize;
             let mut phases = PhaseQuantiles::default();
-            // Per-response trim/dedup gains, read back from the obs
-            // registry (the SP records them per sharded query).
-            let trimmed_before = reg
-                .counter(
-                    "imageproof_sharded_trimmed_entries_total",
-                    &[("scheme", slug)],
-                )
-                .get();
-            let dedup_before = reg
-                .counter(
-                    "imageproof_sharded_dedup_bytes_saved_total",
-                    &[("scheme", slug)],
-                )
-                .get();
+            let mut trimmed_entries = 0usize;
+            let mut dedup_bytes_saved = 0usize;
             let t0 = imageproof_obs::Stopwatch::start();
             let responses: Vec<_> = queries
                 .iter()
@@ -765,6 +751,8 @@ fn fig16(cache: &mut FixtureCache, scale: &Scale, quick: bool) {
                 vo_bytes += response.vo.wire_size() as f64;
                 merge_seconds += stats.merge_seconds;
                 trim_queries += stats.trim_queries;
+                trimmed_entries += stats.trimmed_entries;
+                dedup_bytes_saved += stats.dedup_bytes_saved;
                 slowest_shard_seconds += stats.slowest_shard_seconds();
                 merge_share += stats.merge_share();
                 hashes_computed += stats.total_hashes_computed();
@@ -776,20 +764,6 @@ fn fig16(cache: &mut FixtureCache, scale: &Scale, quick: bool) {
                 client_seconds += t1.elapsed_seconds();
             }
             let n = queries.len().max(1) as f64;
-            let trimmed_entries = reg
-                .counter(
-                    "imageproof_sharded_trimmed_entries_total",
-                    &[("scheme", slug)],
-                )
-                .get()
-                - trimmed_before;
-            let dedup_bytes_saved = reg
-                .counter(
-                    "imageproof_sharded_dedup_bytes_saved_total",
-                    &[("scheme", slug)],
-                )
-                .get()
-                - dedup_before;
 
             // Tie-straddle probe: top-2 cuts through the fixture's tie
             // trio, so for multi-shard cells the merge resolves (and

@@ -146,7 +146,7 @@ impl Fixture {
         systems
             .entry(scheme)
             .or_insert_with(|| {
-                let (db, published) = self.owner.build_system_prepared(
+                let (db, published) = self.owner.build_system_prepared_config(
                     &self.corpus,
                     self.codebook.clone(),
                     self.encodings.clone(),

@@ -109,6 +109,19 @@ pub fn root_signing_message(root: &Digest) -> [u8; 40] {
     msg
 }
 
+/// Step 2 of every build: BoVW-encodes each image with the protocol's
+/// assignment rule. Images encode independently; merged in image order.
+fn encode_corpus(
+    corpus: &Corpus,
+    codebook: &Codebook,
+    concurrency: Concurrency,
+) -> Vec<(ImageId, SparseBovw)> {
+    par_map(concurrency, &corpus.images, |_, img| {
+        let features = img.features.iter().map(Vec::as_slice);
+        (img.id, SparseBovw::encode(codebook, features))
+    })
+}
+
 /// The image owner.
 pub struct Owner {
     signing_key: SigningKey,
@@ -133,33 +146,24 @@ impl Owner {
     }
 
     /// Full system setup (§V-A): trains the codebook, encodes the corpus,
-    /// builds the inverted index and MRKD forest for `scheme`, and signs the
-    /// root digest and every image.
+    /// builds the inverted index and MRKD forest for the configured scheme,
+    /// and signs the root digest and every image. `config` is a [`Scheme`]
+    /// (serial build) or a full [`SystemConfig`]: with
+    /// `concurrency.threads > 1` the ADS construction (encoding,
+    /// per-cluster list/filter/digest builds, per-tree Merkle-ization, image
+    /// signing) fans out across workers. The resulting database, root
+    /// digest, and signatures are bit-identical for every thread count.
     pub fn build_system(
         &self,
         corpus: &Corpus,
         akm: &AkmParams,
-        scheme: Scheme,
+        config: impl Into<SystemConfig>,
     ) -> (Database, PublishedParams) {
-        self.build_system_config(corpus, akm, SystemConfig::new(scheme))
-    }
-
-    /// [`Owner::build_system`] under an explicit [`SystemConfig`]: with
-    /// `config.concurrency.threads > 1` the ADS construction (encoding,
-    /// per-cluster list/filter/digest builds, per-tree Merkle-ization, image
-    /// signing) fans out across workers. The resulting database, root
-    /// digest, and signatures are bit-identical for every thread count.
-    pub fn build_system_config(
-        &self,
-        corpus: &Corpus,
-        akm: &AkmParams,
-        config: SystemConfig,
-    ) -> (Database, PublishedParams) {
-        let (db, published, _) = self.build_system_config_profiled(corpus, akm, config);
+        let (db, published, _) = self.build_system_config_profiled(corpus, akm, config.into());
         (db, published)
     }
 
-    /// [`Owner::build_system_config`] that additionally returns the
+    /// [`Owner::build_system`] that additionally returns the
     /// build's structured span profile (phases `codebook`, `encode`,
     /// `model`, `index`, `mrkd`, `sign`, `sign_root`). The profile is pure
     /// observation: the database, root digest, and signatures are
@@ -187,21 +191,10 @@ impl Owner {
         &self,
         corpus: &Corpus,
         codebook: Codebook,
-        scheme: Scheme,
-    ) -> (Database, PublishedParams) {
-        self.build_system_with_codebook_config(corpus, codebook, SystemConfig::new(scheme))
-    }
-
-    /// [`Owner::build_system_with_codebook`] under an explicit
-    /// [`SystemConfig`].
-    pub fn build_system_with_codebook_config(
-        &self,
-        corpus: &Corpus,
-        codebook: Codebook,
-        config: SystemConfig,
+        config: impl Into<SystemConfig>,
     ) -> (Database, PublishedParams) {
         let mut prof = Profiler::new("owner.build");
-        self.build_system_with_codebook_config_prof(corpus, codebook, config, &mut prof)
+        self.build_system_with_codebook_config_prof(corpus, codebook, config.into(), &mut prof)
     }
 
     fn build_system_with_codebook_config_prof(
@@ -211,43 +204,30 @@ impl Owner {
         config: SystemConfig,
         prof: &mut Profiler,
     ) -> (Database, PublishedParams) {
-        // 2. BoVW-encode every image with the protocol's assignment rule.
-        // Each image encodes independently; merged in image index order.
         prof.enter("encode");
         prof.add("images", corpus.images.len() as u64);
-        let encodings: Vec<(ImageId, SparseBovw)> =
-            par_map(config.concurrency, &corpus.images, |_, img| {
-                (
-                    img.id,
-                    SparseBovw::encode(&codebook, img.features.iter().map(Vec::as_slice)),
-                )
-            });
+        let encodings = encode_corpus(corpus, &codebook, config.concurrency);
         prof.exit();
         self.build_system_prepared_config_prof(corpus, codebook, encodings, config, prof)
     }
 
     /// Setup with pre-computed encodings (lets experiments amortize the
     /// encoding pass, the most expensive build step, across schemes).
-    pub fn build_system_prepared(
-        &self,
-        corpus: &Corpus,
-        codebook: Codebook,
-        encodings: Vec<(ImageId, SparseBovw)>,
-        scheme: Scheme,
-    ) -> (Database, PublishedParams) {
-        self.build_system_prepared_config(corpus, codebook, encodings, SystemConfig::new(scheme))
-    }
-
-    /// [`Owner::build_system_prepared`] under an explicit [`SystemConfig`].
     pub fn build_system_prepared_config(
         &self,
         corpus: &Corpus,
         codebook: Codebook,
         encodings: Vec<(ImageId, SparseBovw)>,
-        config: SystemConfig,
+        config: impl Into<SystemConfig>,
     ) -> (Database, PublishedParams) {
         let mut prof = Profiler::new("owner.build");
-        self.build_system_prepared_config_prof(corpus, codebook, encodings, config, &mut prof)
+        self.build_system_prepared_config_prof(
+            corpus,
+            codebook,
+            encodings,
+            config.into(),
+            &mut prof,
+        )
     }
 
     fn build_system_prepared_config_prof(
@@ -388,28 +368,12 @@ impl Owner {
         &self,
         corpus: &Corpus,
         akm: &AkmParams,
-        scheme: Scheme,
+        config: impl Into<SystemConfig>,
         shard_count: usize,
     ) -> ShardedSystem {
-        self.build_sharded_system_config(corpus, akm, SystemConfig::new(scheme), shard_count)
-    }
-
-    /// [`Owner::build_sharded_system`] under an explicit [`SystemConfig`].
-    pub fn build_sharded_system_config(
-        &self,
-        corpus: &Corpus,
-        akm: &AkmParams,
-        config: SystemConfig,
-        shard_count: usize,
-    ) -> ShardedSystem {
+        let config = config.into();
         let codebook = Codebook::train(corpus.config.kind, corpus.all_features(), akm);
-        let encodings: Vec<(ImageId, SparseBovw)> =
-            par_map(config.concurrency, &corpus.images, |_, img| {
-                (
-                    img.id,
-                    SparseBovw::encode(&codebook, img.features.iter().map(Vec::as_slice)),
-                )
-            });
+        let encodings = encode_corpus(corpus, &codebook, config.concurrency);
         self.build_sharded_system_prepared_config(corpus, codebook, encodings, config, shard_count)
     }
 
@@ -421,7 +385,7 @@ impl Owner {
         corpus: &Corpus,
         codebook: Codebook,
         encodings: Vec<(ImageId, SparseBovw)>,
-        config: SystemConfig,
+        config: impl Into<SystemConfig>,
         shard_count: usize,
     ) -> ShardedSystem {
         assert!(
@@ -431,7 +395,7 @@ impl Owner {
         let SystemConfig {
             scheme,
             concurrency,
-        } = config;
+        } = config.into();
         let plain_encodings: Vec<SparseBovw> = encodings.iter().map(|(_, b)| b.clone()).collect();
         // One *global* impact model over the whole corpus: list weights
         // must not depend on the partition, or scores would not be

@@ -3,9 +3,9 @@
 //! One nonblocking connection per shard, driven by a single-threaded event
 //! loop: a fan-out round writes every shard's request, then multiplexes
 //! reads across all connections until every response (or a typed failure)
-//! is in. Concurrent client queries batch onto one `QueryBatch` /
-//! `TrimBatch` round-trip per shard instead of a socket conversation per
-//! query.
+//! is in. Concurrent client queries batch onto one `Query` / `Trim`
+//! round-trip per shard instead of a socket conversation per query; a
+//! single query is a batch of one.
 //!
 //! Fault handling: every transport fault — stalled shard (per-shard
 //! timeout on a [`Stopwatch`] deadline), mid-frame reset, short write,
@@ -15,21 +15,22 @@
 //! owner-signed manifest pin), replays the request, and counts a failover.
 //! Only when the chain is exhausted does the triggering error surface.
 //!
-//! Everything downstream of the per-shard responses is the shared
-//! [`fanout`] code, so the assembled [`ShardedResponse`] is bit-equal to
-//! the in-process [`crate::ShardedSp`] — asserted end-to-end by
+//! The coordinator only implements the two-round [`fanout::Fleet`] seam;
+//! how a sharded query is answered is [`fanout::answer`], the same
+//! procedure the in-process [`crate::ShardedSp`] runs, so the assembled
+//! [`ShardedResponse`] is bit-equal to it — asserted end-to-end by
 //! `tests/rpc_equivalence.rs`.
 
-use super::frame::{frame, FrameBuffer, Request, Response, WireHealth};
+use super::frame::{frame, FrameBuffer, QueryPayload, Request, Response, TrimPayload, WireHealth};
 use super::RpcError;
 use crate::fanout;
 use crate::shard::{ShardManifest, ShardedResponse};
-use crate::sp::{QueryResponse, ShardedSpStats, SpStats};
+use crate::sp::ShardedSpStats;
 use imageproof_crypto::wire::{Decode, Encode};
 use imageproof_crypto::Digest;
 use imageproof_obs::{
-    micros, EventKind, EventLog, MetricId, Profiler, QueryProfile, RegistrySnapshot,
-    ScrapeProvider, SloTracker, Stopwatch, WindowedHistogram,
+    micros, EventKind, EventLog, MetricId, QueryProfile, RegistrySnapshot, ScrapeProvider,
+    SloTracker, Stopwatch, WindowedHistogram,
 };
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
@@ -39,6 +40,9 @@ use std::time::Duration;
 
 /// Events retained by the coordinator's ring.
 const COORDINATOR_EVENT_CAPACITY: usize = 1024;
+
+/// Bytes pulled off a shard socket per read.
+const READ_BUF_LEN: usize = 256 * 1024;
 
 /// Where one shard lives: a primary address plus failover replicas, tried
 /// in order. Every endpoint must present the same manifest-pinned
@@ -436,7 +440,7 @@ struct Pending {
     outbox: Vec<u8>,
     sent: usize,
     want_telemetry: bool,
-    telemetry: Option<(QueryProfile, RegistrySnapshot)>,
+    telemetry: Option<QueryProfile>,
     response: Option<Response>,
     sw: Stopwatch,
     /// Round-trip deadline for this request (the request timeout for
@@ -444,26 +448,24 @@ struct Pending {
     timeout_seconds: f64,
 }
 
-enum Expect {
-    Query,
-    QueryBatch,
-    Trim,
-    TrimBatch,
-    Health,
-}
-
-impl Expect {
-    fn matches(&self, resp: &Response) -> bool {
-        matches!(
-            (self, resp),
-            (Expect::Query, Response::Query { .. })
-                | (Expect::QueryBatch, Response::QueryBatch { .. })
-                | (Expect::Trim, Response::Trim { .. })
-                | (Expect::TrimBatch, Response::TrimBatch { .. })
-                | (Expect::Health, Response::Health { .. })
-        )
+impl Pending {
+    fn new(shard: usize, request: &Request, want_telemetry: bool, timeout_seconds: f64) -> Pending {
+        Pending {
+            shard,
+            id: request_id(request),
+            outbox: frame(&request.to_wire()),
+            sent: 0,
+            want_telemetry,
+            telemetry: None,
+            response: None,
+            sw: Stopwatch::start(),
+            timeout_seconds,
+        }
     }
 }
+
+/// Whether a response is of the kind the outstanding request asked for.
+type Accepts = fn(&Response) -> bool;
 
 /// The fan-out coordinator for a socket-deployed [`ShardManifest`].
 pub struct RpcCoordinator {
@@ -479,6 +481,8 @@ pub struct RpcCoordinator {
     shard_registries: Vec<Option<RegistrySnapshot>>,
     /// Shared health/SLO/event plane (scrape threads read it live).
     fleet: Arc<FleetHealth>,
+    /// Scratch for socket reads, shared by every round and heartbeat.
+    read_buf: Vec<u8>,
 }
 
 impl RpcCoordinator {
@@ -512,6 +516,7 @@ impl RpcCoordinator {
             },
             shard_registries: vec![None; shard_count],
             fleet,
+            read_buf: vec![0u8; READ_BUF_LEN],
         };
         for shard in 0..shard_count {
             let conn = coordinator.connect_shard(shard, 0)?;
@@ -699,32 +704,51 @@ impl RpcCoordinator {
         id
     }
 
-    /// Runs one fan-out round: request `i` goes to shard `shards[i]`, all
-    /// round-trips multiplexed on one event loop. Returns responses in
-    /// input order.
+    /// Connects the next manifest-pinned endpoint of `shard`'s chain (hello
+    /// re-verified), makes it the shard's connection, and accounts the
+    /// failover: counter, event, registry series, health back to healthy.
+    /// Returns the promoted endpoint's chain index; an exhausted chain
+    /// returns the last connect error and changes nothing.
+    fn promote_replica(&mut self, shard: usize, why: &str) -> Result<usize, RpcError> {
+        let conn = self.connect_shard(shard, self.conns[shard].endpoint_index + 1)?;
+        let endpoint = conn.endpoint_index;
+        self.conns[shard] = conn;
+        self.stats.failovers += 1;
+        self.fleet.events.record(
+            EventKind::Failover,
+            Some(shard as u32),
+            format!("promoted endpoint {endpoint} after {why}"),
+        );
+        if imageproof_obs::enabled() {
+            imageproof_obs::global()
+                .counter("imageproof_rpc_failovers_total", &[])
+                .inc();
+        }
+        if let Some(view) = lock_health(&self.fleet).get_mut(shard) {
+            view.missed_heartbeats = 0;
+        }
+        self.fleet.transition(
+            shard,
+            ShardHealthState::Healthy,
+            "failed over to a verified replica",
+        );
+        Ok(endpoint)
+    }
+
+    /// Runs one fan-out round: each `(shard, request)` is written to its
+    /// shard, all round-trips multiplexed on one event loop. Returns the
+    /// completed round-trips in input order.
     fn fanout_round(
         &mut self,
-        shards: &[usize],
-        requests: Vec<Request>,
-        expect: Expect,
+        requests: Vec<(usize, Request)>,
+        accepts: Accepts,
         want_telemetry: bool,
     ) -> Result<Vec<Pending>, RpcError> {
-        debug_assert_eq!(shards.len(), requests.len());
-        let mut pendings: Vec<Pending> = Vec::with_capacity(requests.len());
-        for (&shard, request) in shards.iter().zip(&requests) {
-            pendings.push(Pending {
-                shard,
-                id: request_id(request),
-                outbox: frame(&request.to_wire()),
-                sent: 0,
-                want_telemetry,
-                telemetry: None,
-                response: None,
-                sw: Stopwatch::start(),
-                timeout_seconds: self.config.request_timeout_seconds,
-            });
-        }
-        let mut buf = vec![0u8; 256 * 1024];
+        let timeout = self.config.request_timeout_seconds;
+        let mut pendings: Vec<Pending> = requests
+            .iter()
+            .map(|(shard, request)| Pending::new(*shard, request, want_telemetry, timeout))
+            .collect();
         loop {
             let mut all_done = true;
             let mut progressed = false;
@@ -733,7 +757,7 @@ impl RpcCoordinator {
                     continue;
                 }
                 all_done = false;
-                match self.drive_pending(pending, &expect, &mut buf) {
+                match self.drive_pending(pending, accepts) {
                     Ok(did) => progressed |= did,
                     Err(err) => {
                         // Typed fault: fail over along the endpoint chain
@@ -746,34 +770,16 @@ impl RpcCoordinator {
                                 format!("query round-trip missed its deadline: {err}"),
                             );
                         }
-                        let next = self.conns[pending.shard].endpoint_index + 1;
-                        match self.connect_shard(pending.shard, next) {
-                            Ok(conn) => {
-                                let endpoint = conn.endpoint_index;
-                                self.conns[pending.shard] = conn;
-                                self.stats.failovers += 1;
-                                self.fleet.events.record(
-                                    EventKind::Failover,
-                                    Some(pending.shard as u32),
-                                    format!("promoted endpoint {endpoint} after: {err}"),
-                                );
-                                self.fleet.transition(
-                                    pending.shard,
-                                    ShardHealthState::Healthy,
-                                    "failover to a verified replica",
-                                );
-                                if imageproof_obs::enabled() {
-                                    imageproof_obs::global()
-                                        .counter("imageproof_rpc_failovers_total", &[])
-                                        .inc();
-                                }
-                                pending.sent = 0;
-                                pending.telemetry = None;
-                                pending.sw = Stopwatch::start();
-                                progressed = true;
-                            }
-                            Err(_) => return Err(err),
+                        if self
+                            .promote_replica(pending.shard, &err.to_string())
+                            .is_err()
+                        {
+                            return Err(err);
                         }
+                        pending.sent = 0;
+                        pending.telemetry = None;
+                        pending.sw = Stopwatch::start();
+                        progressed = true;
                     }
                 }
             }
@@ -791,12 +797,7 @@ impl RpcCoordinator {
     /// Pumps one pending request: drains its outbox, reads whatever the
     /// shard sent, dispatches complete frames. `Ok(true)` when any bytes
     /// or frames moved.
-    fn drive_pending(
-        &mut self,
-        pending: &mut Pending,
-        expect: &Expect,
-        buf: &mut [u8],
-    ) -> Result<bool, RpcError> {
+    fn drive_pending(&mut self, pending: &mut Pending, accepts: Accepts) -> Result<bool, RpcError> {
         let shard = pending.shard as u32;
         let mut progressed = false;
         {
@@ -819,10 +820,10 @@ impl RpcCoordinator {
                 }
             }
             loop {
-                match conn.stream.read(buf) {
+                match conn.stream.read(&mut self.read_buf) {
                     Ok(0) => return Err(RpcError::ConnectionClosed { shard }),
                     Ok(n) => {
-                        conn.fb.extend(&buf[..n]);
+                        conn.fb.extend(&self.read_buf[..n]);
                         progressed = true;
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
@@ -853,7 +854,7 @@ impl RpcCoordinator {
                         return Err(RpcError::UnsolicitedTelemetry { shard });
                     }
                     self.shard_registries[pending.shard] = Some(registry.to_snapshot());
-                    pending.telemetry = Some((profile.to_profile(), registry.to_snapshot()));
+                    pending.telemetry = Some(profile.to_profile());
                 }
                 Response::Error { id, message } => {
                     if id != pending.id {
@@ -873,7 +874,7 @@ impl RpcCoordinator {
                             got: other.id(),
                         });
                     }
-                    if !expect.matches(&other) {
+                    if !accepts(&other) {
                         return Err(RpcError::UnexpectedResponse { shard });
                     }
                     let seconds = pending.sw.elapsed_seconds();
@@ -961,42 +962,13 @@ impl RpcCoordinator {
                         format!("heartbeat miss {misses}: {err}"),
                     );
                     if misses >= self.config.failover_after_misses {
-                        let next = self.conns[shard].endpoint_index + 1;
-                        match self.connect_shard(shard, next) {
-                            Ok(conn) => {
-                                let endpoint = conn.endpoint_index;
-                                self.conns[shard] = conn;
-                                self.stats.failovers += 1;
-                                self.fleet.events.record(
-                                    EventKind::Failover,
-                                    Some(shard as u32),
-                                    format!(
-                                        "promoted endpoint {endpoint} after {misses} heartbeat misses"
-                                    ),
-                                );
-                                if imageproof_obs::enabled() {
-                                    imageproof_obs::global()
-                                        .counter("imageproof_rpc_failovers_total", &[])
-                                        .inc();
-                                }
-                                let mut health = lock_health(&self.fleet);
-                                if let Some(view) = health.get_mut(shard) {
-                                    view.missed_heartbeats = 0;
-                                }
-                                drop(health);
-                                self.fleet.transition(
-                                    shard,
-                                    ShardHealthState::Healthy,
-                                    "failed over to a verified replica on heartbeat loss",
-                                );
-                            }
-                            Err(_) => {
-                                self.fleet.transition(
-                                    shard,
-                                    ShardHealthState::Dead,
-                                    "heartbeat misses exhausted the endpoint chain",
-                                );
-                            }
+                        let why = format!("{misses} heartbeat misses");
+                        if self.promote_replica(shard, &why).is_err() {
+                            self.fleet.transition(
+                                shard,
+                                ShardHealthState::Dead,
+                                "heartbeat misses exhausted the endpoint chain",
+                            );
                         }
                     } else if misses >= self.config.degraded_after_misses {
                         self.fleet.transition(
@@ -1014,22 +986,14 @@ impl RpcCoordinator {
     /// One shard's heartbeat round-trip under the heartbeat deadline,
     /// with the report verified against the manifest pin.
     fn heartbeat_shard(&mut self, shard: usize) -> Result<WireHealth, RpcError> {
-        let id = self.fresh_id();
-        let request = Request::Health { id };
-        let mut pending = Pending {
-            shard,
-            id,
-            outbox: frame(&request.to_wire()),
-            sent: 0,
-            want_telemetry: false,
-            telemetry: None,
-            response: None,
-            sw: Stopwatch::start(),
-            timeout_seconds: self.config.heartbeat_timeout_seconds,
+        let request = Request::Health {
+            id: self.fresh_id(),
         };
-        let mut buf = vec![0u8; 16 * 1024];
+        let timeout = self.config.heartbeat_timeout_seconds;
+        let mut pending = Pending::new(shard, &request, false, timeout);
         loop {
-            let progressed = self.drive_pending(&mut pending, &Expect::Health, &mut buf)?;
+            let progressed =
+                self.drive_pending(&mut pending, |r| matches!(r, Response::Health { .. }))?;
             match pending.response.take() {
                 Some(Response::Health { health, .. }) => {
                     // The heartbeat's trust anchor: "healthy" only counts
@@ -1077,42 +1041,103 @@ impl RpcCoordinator {
 
     /// [`RpcCoordinator::query`] with the coordinator's own span profile:
     /// the in-process phase structure (`fanout`, `merge`, `trim`,
-    /// `assemble`), with each shard's remote profile grafted under the
-    /// phase that issued it when telemetry is on.
+    /// `assemble`), with each shard's remote `shard.batch` profile grafted
+    /// under `fanout` when telemetry is on.
     pub fn query_profiled(
         &mut self,
         features: &[Vec<f32>],
         k: usize,
     ) -> Result<(ShardedResponse, ShardedSpStats, QueryProfile), RpcError> {
-        let shard_count = self.shard_count();
-        let want_telemetry = imageproof_obs::enabled();
-        let mut prof = Profiler::new("rpc.query");
+        let (mut answers, profile) = fanout::answer(self, "rpc.query", None, &[features], k)?;
+        let (response, stats) = answers.pop().expect("a batch of one has one answer");
+        Ok((response, stats, profile))
+    }
 
-        prof.enter("fanout");
-        let shards: Vec<usize> = (0..shard_count).collect();
-        let requests: Vec<Request> = shards
-            .iter()
-            .map(|_| Request::Query {
-                id: 0, // overwritten below with a fresh id
-                k: k as u32,
-                want_telemetry,
-                features: features.to_vec(),
+    /// Answers several concurrent client queries with one `Query`
+    /// round-trip per shard (plus at most one `Trim` round-trip) instead of
+    /// a socket conversation per query. Responses come back in input
+    /// order; [`RpcCoordinator::query`] is this with a batch of one.
+    pub fn query_batch(
+        &mut self,
+        queries: &[Vec<Vec<f32>>],
+        k: usize,
+    ) -> Result<Vec<(ShardedResponse, ShardedSpStats)>, RpcError> {
+        let queries: Vec<&[Vec<f32>]> = queries.iter().map(Vec::as_slice).collect();
+        fanout::answer(self, "rpc.query", None, &queries, k).map(|(answers, _)| answers)
+    }
+}
+
+/// The socket fleet: a round is one request frame per shard, multiplexed
+/// on the coordinator's event loop; a shard answering with the wrong
+/// number of payloads is an [`RpcError::UnexpectedResponse`].
+impl fanout::Fleet for RpcCoordinator {
+    type Error = RpcError;
+
+    fn full_round(
+        &mut self,
+        queries: &[fanout::Features<'_>],
+        k: usize,
+    ) -> Result<Vec<fanout::ShardRound>, RpcError> {
+        let want_telemetry = imageproof_obs::enabled();
+        let requests = (0..self.shard_count())
+            .map(|shard| {
+                let request = Request::Query {
+                    id: self.fresh_id(),
+                    k: k as u32,
+                    want_telemetry,
+                    queries: queries.iter().map(|q| q.to_vec()).collect(),
+                };
+                (shard, request)
             })
             .collect();
-        let requests = self.assign_ids(requests);
-        let done = self.fanout_round(&shards, requests, Expect::Query, want_telemetry)?;
-        let mut full: Vec<QueryResponse> = Vec::with_capacity(shard_count);
-        let mut per_shard: Vec<SpStats> = Vec::with_capacity(shard_count);
-        for pending in done {
+        let done = self.fanout_round(
+            requests,
+            |r| matches!(r, Response::Query { .. }),
+            want_telemetry,
+        )?;
+        done.into_iter()
+            .map(|pending| match pending.response {
+                Some(Response::Query { payloads, .. }) if payloads.len() == queries.len() => {
+                    Ok(fanout::ShardRound {
+                        answers: payloads
+                            .into_iter()
+                            .map(QueryPayload::into_response)
+                            .collect(),
+                        profile: pending.telemetry.unwrap_or_default(),
+                    })
+                }
+                _ => Err(RpcError::UnexpectedResponse {
+                    shard: pending.shard as u32,
+                }),
+            })
+            .collect()
+    }
+
+    fn trim_round(
+        &mut self,
+        queries: &[fanout::Features<'_>],
+        plan: &[Vec<(usize, usize)>],
+    ) -> Result<Vec<Vec<TrimPayload>>, RpcError> {
+        // Only shards with something to trim are asked.
+        let mut requests = Vec::new();
+        for (shard, items) in plan
+            .iter()
+            .enumerate()
+            .filter(|(_, items)| !items.is_empty())
+        {
+            let items = items
+                .iter()
+                .map(|&(q, k_trim)| (k_trim as u32, queries[q].to_vec()))
+                .collect();
+            let id = self.fresh_id();
+            requests.push((shard, Request::Trim { id, items }));
+        }
+        let mut outcomes: Vec<Vec<TrimPayload>> = vec![Vec::new(); plan.len()];
+        for pending in self.fanout_round(requests, |r| matches!(r, Response::Trim { .. }), false)? {
             let shard = pending.shard;
-            if let Some((profile, _)) = pending.telemetry {
-                prof.attach(profile, "shard", shard as u64);
-            }
             match pending.response {
-                Some(Response::Query { payload, .. }) => {
-                    let (resp, stats) = payload.into_response();
-                    full.push(resp);
-                    per_shard.push(stats);
+                Some(Response::Trim { payloads, .. }) if payloads.len() == plan[shard].len() => {
+                    outcomes[shard] = payloads;
                 }
                 _ => {
                     return Err(RpcError::UnexpectedResponse {
@@ -1121,245 +1146,7 @@ impl RpcCoordinator {
                 }
             }
         }
-        let fanout_seconds = prof.exit();
-
-        prof.enter("merge");
-        let merge = fanout::merge_candidates(&full, k);
-        prof.add("candidates", merge.candidates.len() as u64);
-        let mut merge_seconds = prof.exit();
-
-        prof.enter("trim");
-        let trim_targets = fanout::trim_targets(&merge.contributed, k);
-        prof.add("trim_queries", trim_targets.len() as u64);
-        let mut trimmed: BTreeMap<usize, fanout::TrimOutcome> = BTreeMap::new();
-        if !trim_targets.is_empty() {
-            let shards: Vec<usize> = trim_targets.iter().map(|&(s, _)| s).collect();
-            let requests: Vec<Request> = trim_targets
-                .iter()
-                .map(|&(_, k_trim)| Request::Trim {
-                    id: 0,
-                    k_trim: k_trim as u32,
-                    features: features.to_vec(),
-                })
-                .collect();
-            let requests = self.assign_ids(requests);
-            let done = self.fanout_round(&shards, requests, Expect::Trim, false)?;
-            for pending in done {
-                match pending.response {
-                    Some(Response::Trim { payload, .. }) => {
-                        trimmed.insert(
-                            pending.shard,
-                            (payload.topk, payload.inv, payload.signatures),
-                        );
-                    }
-                    _ => {
-                        return Err(RpcError::UnexpectedResponse {
-                            shard: pending.shard as u32,
-                        })
-                    }
-                }
-            }
-        }
-        let trim_seconds = prof.exit();
-
-        prof.enter("assemble");
-        let assembled = fanout::assemble_response(&full, &merge, &trimmed);
-        prof.add("dedup_bytes_saved", assembled.dedup_bytes_saved as u64);
-        merge_seconds += prof.exit();
-
-        let stats = ShardedSpStats {
-            per_shard,
-            trim_queries: trim_targets.len(),
-            trimmed_entries: assembled.trimmed_entries,
-            dedup_bytes_saved: assembled.dedup_bytes_saved,
-            merge_seconds,
-            wall_seconds: fanout_seconds + merge_seconds + trim_seconds,
-        };
-        Ok((
-            ShardedResponse {
-                results: assembled.results,
-                vo: assembled.vo,
-            },
-            stats,
-            prof.finish(),
-        ))
-    }
-
-    /// Answers several concurrent client queries with one `QueryBatch`
-    /// round-trip per shard (plus one `TrimBatch` round-trip for the trim
-    /// phase) instead of a socket conversation per query. Responses come
-    /// back in input order, each bit-equal to what [`RpcCoordinator::query`]
-    /// would have produced.
-    pub fn query_batch(
-        &mut self,
-        queries: &[Vec<Vec<f32>>],
-        k: usize,
-    ) -> Result<Vec<(ShardedResponse, ShardedSpStats)>, RpcError> {
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        let shard_count = self.shard_count();
-        let want_telemetry = imageproof_obs::enabled();
-
-        // Phase 1: every query's full-k fan-out, batched per shard.
-        let shards: Vec<usize> = (0..shard_count).collect();
-        let requests: Vec<Request> = shards
-            .iter()
-            .map(|_| Request::QueryBatch {
-                id: 0,
-                k: k as u32,
-                want_telemetry,
-                queries: queries.to_vec(),
-            })
-            .collect();
-        let requests = self.assign_ids(requests);
-        let done = self.fanout_round(&shards, requests, Expect::QueryBatch, want_telemetry)?;
-        // fulls[q][s], stats[q][s]: responses regrouped per query.
-        let mut fulls: Vec<Vec<QueryResponse>> = (0..queries.len())
-            .map(|_| Vec::with_capacity(shard_count))
-            .collect();
-        let mut per_query_stats: Vec<Vec<SpStats>> = (0..queries.len())
-            .map(|_| Vec::with_capacity(shard_count))
-            .collect();
-        for pending in done {
-            let shard = pending.shard as u32;
-            match pending.response {
-                Some(Response::QueryBatch { payloads, .. }) => {
-                    if payloads.len() != queries.len() {
-                        return Err(RpcError::UnexpectedResponse { shard });
-                    }
-                    for (q, payload) in payloads.into_iter().enumerate() {
-                        let (resp, stats) = payload.into_response();
-                        fulls[q].push(resp);
-                        per_query_stats[q].push(stats);
-                    }
-                }
-                _ => return Err(RpcError::UnexpectedResponse { shard }),
-            }
-        }
-
-        // Phase 2: merge each query locally, then batch all trim
-        // re-queries onto one TrimBatch round-trip per shard that needs
-        // any. trim_plan[s] lists (query, k_trim) in ascending query
-        // order.
-        let merges: Vec<fanout::MergeOutcome> = fulls
-            .iter()
-            .map(|full| fanout::merge_candidates(full, k))
-            .collect();
-        let mut trim_plan: Vec<Vec<(usize, usize)>> = vec![Vec::new(); shard_count];
-        let mut trim_counts: Vec<usize> = vec![0; queries.len()];
-        for (q, merge) in merges.iter().enumerate() {
-            for (s, k_trim) in fanout::trim_targets(&merge.contributed, k) {
-                trim_plan[s].push((q, k_trim));
-                trim_counts[q] += 1;
-            }
-        }
-        let mut trimmed: Vec<BTreeMap<usize, fanout::TrimOutcome>> =
-            vec![BTreeMap::new(); queries.len()];
-        let shards: Vec<usize> = (0..shard_count)
-            .filter(|&s| !trim_plan[s].is_empty())
-            .collect();
-        if !shards.is_empty() {
-            let requests: Vec<Request> = shards
-                .iter()
-                .map(|&s| Request::TrimBatch {
-                    id: 0,
-                    items: trim_plan[s]
-                        .iter()
-                        .map(|&(q, k_trim)| (k_trim as u32, queries[q].clone()))
-                        .collect(),
-                })
-                .collect();
-            let requests = self.assign_ids(requests);
-            let done = self.fanout_round(&shards, requests, Expect::TrimBatch, false)?;
-            for pending in done {
-                let shard = pending.shard;
-                match pending.response {
-                    Some(Response::TrimBatch { payloads, .. }) => {
-                        if payloads.len() != trim_plan[shard].len() {
-                            return Err(RpcError::UnexpectedResponse {
-                                shard: shard as u32,
-                            });
-                        }
-                        for (&(q, _), payload) in trim_plan[shard].iter().zip(payloads) {
-                            trimmed[q]
-                                .insert(shard, (payload.topk, payload.inv, payload.signatures));
-                        }
-                    }
-                    _ => {
-                        return Err(RpcError::UnexpectedResponse {
-                            shard: shard as u32,
-                        })
-                    }
-                }
-            }
-        }
-
-        // Phase 3: assemble every query through the shared fan-out code.
-        let mut out = Vec::with_capacity(queries.len());
-        for (q, merge) in merges.iter().enumerate() {
-            let assembled = fanout::assemble_response(&fulls[q], merge, &trimmed[q]);
-            let stats = ShardedSpStats {
-                per_shard: std::mem::take(&mut per_query_stats[q]),
-                trim_queries: trim_counts[q],
-                trimmed_entries: assembled.trimmed_entries,
-                dedup_bytes_saved: assembled.dedup_bytes_saved,
-                merge_seconds: 0.0,
-                wall_seconds: 0.0,
-            };
-            out.push((
-                ShardedResponse {
-                    results: assembled.results,
-                    vo: assembled.vo,
-                },
-                stats,
-            ));
-        }
-        Ok(out)
-    }
-
-    /// Stamps each request with a fresh monotonic id.
-    fn assign_ids(&mut self, requests: Vec<Request>) -> Vec<Request> {
-        requests
-            .into_iter()
-            .map(|request| {
-                let fresh = self.fresh_id();
-                match request {
-                    Request::Hello => Request::Hello,
-                    Request::Query {
-                        k,
-                        want_telemetry,
-                        features,
-                        ..
-                    } => Request::Query {
-                        id: fresh,
-                        k,
-                        want_telemetry,
-                        features,
-                    },
-                    Request::QueryBatch {
-                        k,
-                        want_telemetry,
-                        queries,
-                        ..
-                    } => Request::QueryBatch {
-                        id: fresh,
-                        k,
-                        want_telemetry,
-                        queries,
-                    },
-                    Request::Trim {
-                        k_trim, features, ..
-                    } => Request::Trim {
-                        id: fresh,
-                        k_trim,
-                        features,
-                    },
-                    Request::TrimBatch { items, .. } => Request::TrimBatch { id: fresh, items },
-                    Request::Health { .. } => Request::Health { id: fresh },
-                }
-            })
-            .collect()
+        Ok(outcomes)
     }
 }
 
@@ -1367,10 +1154,6 @@ impl RpcCoordinator {
 fn request_id(request: &Request) -> u64 {
     match request {
         Request::Hello => 0,
-        Request::Query { id, .. }
-        | Request::QueryBatch { id, .. }
-        | Request::Trim { id, .. }
-        | Request::TrimBatch { id, .. }
-        | Request::Health { id } => *id,
+        Request::Query { id, .. } | Request::Trim { id, .. } | Request::Health { id } => *id,
     }
 }

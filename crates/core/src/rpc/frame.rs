@@ -145,46 +145,33 @@ fn decode_features(r: &mut Reader<'_>) -> Result<Vec<Vec<f32>>, WireError> {
     Ok(features)
 }
 
-fn decode_signature(r: &mut Reader<'_>) -> Result<Signature, WireError> {
-    let bytes = r.bytes()?;
-    let arr: [u8; 64] = bytes.try_into().map_err(|_| WireError::UnexpectedEnd)?;
-    Ok(Signature::from_bytes(arr))
-}
-
 // ---------------------------------------------------------------------------
 // Requests.
 
 /// A coordinator → shard request. `id` is echoed by the matching response;
 /// the coordinator keeps one request outstanding per connection, so any
 /// response with another id is a duplicate, reorder, or replay.
+///
+/// Both query-path requests are batch-shaped — one round-trip carries
+/// every query of the round, a single client query being a batch of one.
+/// Tags 2 and 4 carried the single-query forms of an earlier protocol
+/// revision; they are reserved and decode to [`WireError::InvalidTag`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
     /// Opening handshake: asks the shard to identify itself so the
     /// coordinator can pin it against the owner-signed manifest.
     Hello,
-    /// One full-k query (the fan-out phase).
+    /// The full-k round: every query of the batch at `k`.
     Query {
         id: u64,
         k: u32,
         /// Ask for a [`Response::Telemetry`] frame ahead of the payload.
         want_telemetry: bool,
-        features: Vec<Vec<f32>>,
-    },
-    /// Several concurrent client queries batched onto one round-trip.
-    QueryBatch {
-        id: u64,
-        k: u32,
-        want_telemetry: bool,
         queries: Vec<Vec<Vec<f32>>>,
     },
-    /// One trim re-query at `k_trim` (the merge-trim phase).
+    /// The trim round: one `(k', query)` re-query per batch member this
+    /// shard's claim shrinks for.
     Trim {
-        id: u64,
-        k_trim: u32,
-        features: Vec<Vec<f32>>,
-    },
-    /// The trim re-queries of a query batch, one entry per trimmed query.
-    TrimBatch {
         id: u64,
         items: Vec<(u32, Vec<Vec<f32>>)>,
     },
@@ -203,18 +190,6 @@ impl Encode for Request {
                 id,
                 k,
                 want_telemetry,
-                features,
-            } => {
-                w.u8(2);
-                w.u64(*id);
-                w.u32(*k);
-                encode_bool(w, *want_telemetry);
-                encode_features(w, features);
-            }
-            Request::QueryBatch {
-                id,
-                k,
-                want_telemetry,
                 queries,
             } => {
                 w.u8(3);
@@ -226,17 +201,7 @@ impl Encode for Request {
                     encode_features(w, q);
                 }
             }
-            Request::Trim {
-                id,
-                k_trim,
-                features,
-            } => {
-                w.u8(4);
-                w.u64(*id);
-                w.u32(*k_trim);
-                encode_features(w, features);
-            }
-            Request::TrimBatch { id, items } => {
+            Request::Trim { id, items } => {
                 w.u8(5);
                 w.u64(*id);
                 w.seq_len(items.len());
@@ -257,12 +222,6 @@ impl Decode for Request {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match r.u8()? {
             1 => Ok(Request::Hello),
-            2 => Ok(Request::Query {
-                id: r.u64()?,
-                k: r.u32()?,
-                want_telemetry: decode_bool(r)?,
-                features: decode_features(r)?,
-            }),
             3 => {
                 let id = r.u64()?;
                 let k = r.u32()?;
@@ -272,18 +231,13 @@ impl Decode for Request {
                 for _ in 0..n {
                     queries.push(decode_features(r)?);
                 }
-                Ok(Request::QueryBatch {
+                Ok(Request::Query {
                     id,
                     k,
                     want_telemetry,
                     queries,
                 })
             }
-            4 => Ok(Request::Trim {
-                id: r.u64()?,
-                k_trim: r.u32()?,
-                features: decode_features(r)?,
-            }),
             5 => {
                 let id = r.u64()?;
                 let n = r.seq_len()?;
@@ -292,7 +246,7 @@ impl Decode for Request {
                     let k_trim = r.u32()?;
                     items.push((k_trim, decode_features(r)?));
                 }
-                Ok(Request::TrimBatch { id, items })
+                Ok(Request::Trim { id, items })
             }
             6 => Ok(Request::Health { id: r.u64()? }),
             t => Err(WireError::InvalidTag(t)),
@@ -482,10 +436,10 @@ pub struct QueryPayload {
 }
 
 impl QueryPayload {
-    pub fn from_response(resp: &QueryResponse, stats: &SpStats) -> QueryPayload {
+    pub fn from_response(resp: QueryResponse, stats: &SpStats) -> QueryPayload {
         QueryPayload {
-            results: resp.results.clone(),
-            vo: resp.vo.clone(),
+            results: resp.results,
+            vo: resp.vo,
             stats: WireStats::from_stats(stats),
         }
     }
@@ -553,7 +507,7 @@ impl Encode for TrimPayload {
         self.inv.encode(w);
         w.seq_len(self.signatures.len());
         for s in &self.signatures {
-            w.bytes(&s.0);
+            w.signature(s);
         }
     }
 }
@@ -571,7 +525,7 @@ impl Decode for TrimPayload {
         let ns = r.seq_len()?;
         let mut signatures = Vec::with_capacity(ns);
         for _ in 0..ns {
-            signatures.push(decode_signature(r)?);
+            signatures.push(r.signature()?);
         }
         Ok(TrimPayload {
             topk,
@@ -958,7 +912,9 @@ impl Decode for WireRegistry {
 // ---------------------------------------------------------------------------
 // Responses.
 
-/// A shard → coordinator response.
+/// A shard → coordinator response. Tags 2 and 4 (the single-payload
+/// answers of an earlier protocol revision) are reserved and decode to
+/// [`WireError::InvalidTag`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum Response {
     /// The shard's identity, pinned against the manifest at connect time:
@@ -969,22 +925,13 @@ pub enum Response {
         shard_count: u32,
         root: Digest,
     },
+    /// One payload per query of the [`Request::Query`], in request order.
     Query {
-        id: u64,
-        payload: QueryPayload,
-    },
-    QueryBatch {
         id: u64,
         payloads: Vec<QueryPayload>,
     },
-    Trim {
-        id: u64,
-        payload: TrimPayload,
-    },
-    TrimBatch {
-        id: u64,
-        payloads: Vec<TrimPayload>,
-    },
+    /// One payload per item of the [`Request::Trim`], in request order.
+    Trim { id: u64, payloads: Vec<TrimPayload> },
     /// Observability sidecar, sent *before* the matching payload frame and
     /// only when the request set `want_telemetry`. Spoofing or corrupting
     /// this frame can never change a served VO byte.
@@ -994,16 +941,10 @@ pub enum Response {
         registry: WireRegistry,
     },
     /// The server could not serve the request.
-    Error {
-        id: u64,
-        message: String,
-    },
+    Error { id: u64, message: String },
     /// Heartbeat answer: the shard's health report, root included so the
     /// coordinator can re-verify it against the manifest pin.
-    Health {
-        id: u64,
-        health: WireHealth,
-    },
+    Health { id: u64, health: WireHealth },
 }
 
 impl Response {
@@ -1012,14 +953,31 @@ impl Response {
         match self {
             Response::Hello { .. } => 0,
             Response::Query { id, .. }
-            | Response::QueryBatch { id, .. }
             | Response::Trim { id, .. }
-            | Response::TrimBatch { id, .. }
             | Response::Telemetry { id, .. }
             | Response::Error { id, .. }
             | Response::Health { id, .. } => *id,
         }
     }
+}
+
+fn encode_payloads<T: Encode>(w: &mut Writer, tag: u8, id: u64, payloads: &[T]) {
+    w.u8(tag);
+    w.u64(id);
+    w.seq_len(payloads.len());
+    for p in payloads {
+        p.encode(w);
+    }
+}
+
+fn decode_payloads<T: Decode>(r: &mut Reader<'_>) -> Result<(u64, Vec<T>), WireError> {
+    let id = r.u64()?;
+    let n = r.seq_len()?;
+    let mut payloads = Vec::with_capacity(n);
+    for _ in 0..n {
+        payloads.push(T::decode(r)?);
+    }
+    Ok((id, payloads))
 }
 
 impl Encode for Response {
@@ -1035,32 +993,8 @@ impl Encode for Response {
                 w.u32(*shard_count);
                 w.digest(root);
             }
-            Response::Query { id, payload } => {
-                w.u8(2);
-                w.u64(*id);
-                payload.encode(w);
-            }
-            Response::QueryBatch { id, payloads } => {
-                w.u8(3);
-                w.u64(*id);
-                w.seq_len(payloads.len());
-                for p in payloads {
-                    p.encode(w);
-                }
-            }
-            Response::Trim { id, payload } => {
-                w.u8(4);
-                w.u64(*id);
-                payload.encode(w);
-            }
-            Response::TrimBatch { id, payloads } => {
-                w.u8(5);
-                w.u64(*id);
-                w.seq_len(payloads.len());
-                for p in payloads {
-                    p.encode(w);
-                }
-            }
+            Response::Query { id, payloads } => encode_payloads(w, 3, *id, payloads),
+            Response::Trim { id, payloads } => encode_payloads(w, 5, *id, payloads),
             Response::Telemetry {
                 id,
                 profile,
@@ -1093,32 +1027,8 @@ impl Decode for Response {
                 shard_count: r.u32()?,
                 root: r.digest()?,
             }),
-            2 => Ok(Response::Query {
-                id: r.u64()?,
-                payload: QueryPayload::decode(r)?,
-            }),
-            3 => {
-                let id = r.u64()?;
-                let n = r.seq_len()?;
-                let mut payloads = Vec::with_capacity(n);
-                for _ in 0..n {
-                    payloads.push(QueryPayload::decode(r)?);
-                }
-                Ok(Response::QueryBatch { id, payloads })
-            }
-            4 => Ok(Response::Trim {
-                id: r.u64()?,
-                payload: TrimPayload::decode(r)?,
-            }),
-            5 => {
-                let id = r.u64()?;
-                let n = r.seq_len()?;
-                let mut payloads = Vec::with_capacity(n);
-                for _ in 0..n {
-                    payloads.push(TrimPayload::decode(r)?);
-                }
-                Ok(Response::TrimBatch { id, payloads })
-            }
+            3 => decode_payloads(r).map(|(id, payloads)| Response::Query { id, payloads }),
+            5 => decode_payloads(r).map(|(id, payloads)| Response::Trim { id, payloads }),
             6 => Ok(Response::Telemetry {
                 id: r.u64()?,
                 profile: WireProfile::decode(r)?,
@@ -1198,20 +1108,15 @@ mod tests {
                 id: 9,
                 k: 5,
                 want_telemetry: true,
-                features: sample_features(),
+                queries: vec![sample_features()],
             },
-            Request::QueryBatch {
+            Request::Query {
                 id: 10,
                 k: 3,
                 want_telemetry: false,
                 queries: vec![sample_features(), Vec::new()],
             },
             Request::Trim {
-                id: 11,
-                k_trim: 2,
-                features: sample_features(),
-            },
-            Request::TrimBatch {
                 id: 12,
                 items: vec![(1, sample_features()), (4, Vec::new())],
             },
@@ -1447,7 +1352,7 @@ mod tests {
             id: 1,
             k: 2,
             want_telemetry: false,
-            features: sample_features(),
+            queries: vec![sample_features()],
         }
         .to_wire();
         let framed = frame(&body);

@@ -10,15 +10,21 @@
 //!
 //! Layout:
 //! - [`frame`]: the `[u32 LE length][body]` frame format and the
-//!   request/response messages, built on the audited `Encode`/`Decode`
-//!   wire infrastructure (hostile lengths go through the same
-//!   `bound_len`/checked-read path as VO decoding).
+//!   request/response messages (four requests, six responses; the two
+//!   query-path messages are batch-shaped, a single query being a batch of
+//!   one), built on the audited `Encode`/`Decode` wire infrastructure
+//!   (hostile lengths go through the same `bound_len`/checked-read path as
+//!   VO decoding).
 //! - [`server`]: [`ShardServer`], a per-shard TCP server wrapping one
 //!   [`crate::ServiceProvider`].
 //! - [`coordinator`]: [`RpcCoordinator`], a single-threaded nonblocking
-//!   event loop that fans queries out over all shard connections at once,
-//!   batches concurrent client queries onto shard round-trips, enforces
-//!   per-shard timeouts, and fails over to manifest-pinned replicas.
+//!   event loop that carries a round to all shard connections at once,
+//!   enforces per-shard timeouts, and fails over to manifest-pinned
+//!   replicas.
+//!
+//! The coordinator is a *transport*: it implements the two rounds of the
+//! `fanout::Fleet` seam and nothing else about answering a query — that is
+//! `crate::fanout::answer`, which in-process [`crate::ShardedSp`] runs too.
 //!
 //! Trust model: the coordinator is part of the *untrusted* SP. Nothing in
 //! this module is security-critical — a compromised coordinator (or a
@@ -67,7 +73,8 @@ pub enum RpcError {
     /// a duplicated, reordered, or replayed response.
     ResponseIdMismatch { shard: u32, expected: u64, got: u64 },
     /// A response was well-formed but of the wrong kind for the
-    /// outstanding request.
+    /// outstanding request, or answered a batch with another number of
+    /// payloads than was asked for.
     UnexpectedResponse { shard: u32 },
     /// A telemetry frame arrived unrequested or for the wrong request —
     /// a spoofed or replayed telemetry stream.
@@ -108,7 +115,10 @@ impl std::fmt::Display for RpcError {
                 "shard {shard}: response for request {got}, expected {expected}"
             ),
             RpcError::UnexpectedResponse { shard } => {
-                write!(f, "shard {shard}: response kind does not match the request")
+                write!(
+                    f,
+                    "shard {shard}: response kind or payload count does not match the request"
+                )
             }
             RpcError::UnsolicitedTelemetry { shard } => {
                 write!(f, "shard {shard}: unsolicited telemetry frame")

@@ -23,14 +23,12 @@
 //! a payload byte (`tests/obs_equivalence.rs`).
 
 use super::frame::{
-    frame, ErrorClass, FrameBuffer, Request, Response, TrimPayload, WireHealth, WireProfile,
-    WireRegistry,
+    frame, ErrorClass, FrameBuffer, Request, Response, WireHealth, WireProfile, WireRegistry,
 };
 use super::{QueryPayload, RpcError};
 use crate::sp::ServiceProvider;
 use imageproof_crypto::wire::{Decode, Encode};
-use imageproof_obs::{EventKind, EventLog, Profiler, RunningScrape, ScrapeProvider, Stopwatch};
-use imageproof_parallel::Concurrency;
+use imageproof_obs::{EventKind, EventLog, RunningScrape, ScrapeProvider, Stopwatch};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -53,6 +51,9 @@ pub struct ServerObs {
     queries_served: AtomicU64,
     last_error: AtomicU8,
     events: EventLog,
+    /// Connection threads the accept loop currently tracks (finished ones
+    /// are reaped every loop turn).
+    tracked_connections: AtomicU64,
 }
 
 impl ServerObs {
@@ -63,6 +64,7 @@ impl ServerObs {
             queries_served: AtomicU64::new(0),
             last_error: AtomicU8::new(0),
             events: EventLog::new(SERVER_EVENT_CAPACITY),
+            tracked_connections: AtomicU64::new(0),
         }
     }
 
@@ -140,6 +142,11 @@ impl RunningServer {
     /// The server's bounded event ring (wire errors and the like).
     pub fn events(&self) -> &EventLog {
         &self.obs.events
+    }
+
+    /// Connection threads the accept loop tracks right now.
+    pub fn tracked_connections(&self) -> usize {
+        self.obs.tracked_connections.load(Ordering::SeqCst) as usize
     }
 
     /// Signals every server thread to stop and joins them.
@@ -271,6 +278,9 @@ impl ShardServer {
     fn accept_loop(self, listener: TcpListener, stop: Arc<AtomicBool>, obs: Arc<ServerObs>) {
         let mut conn_handles: Vec<JoinHandle<()>> = Vec::new();
         while !stop.load(Ordering::SeqCst) {
+            imageproof_obs::scrape::reap_finished(&mut conn_handles);
+            obs.tracked_connections
+                .store(conn_handles.len() as u64, Ordering::SeqCst);
             match listener.accept() {
                 Ok((stream, _)) => {
                     let sp = Arc::clone(&self.sp);
@@ -398,84 +408,31 @@ fn handle_request(
             id,
             k,
             want_telemetry,
-            features,
-        } => {
-            let (resp, stats, profile) =
-                sp.query_profiled(&features, k as usize, Concurrency::serial());
-            obs.queries_served.fetch_add(1, Ordering::SeqCst);
-            if want_telemetry && !send_telemetry(stream, id, &profile) {
-                return false;
-            }
-            send(
-                stream,
-                &Response::Query {
-                    id,
-                    payload: QueryPayload::from_response(&resp, &stats),
-                },
-            )
-            .is_ok()
-        }
-        Request::QueryBatch {
-            id,
-            k,
-            want_telemetry,
             queries,
         } => {
-            // One span per batch, each query's own profile grafted under
-            // it — the coordinator attaches the whole thing under its
-            // fan-out span, mirroring the in-process shape.
-            let mut prof = Profiler::new("shard.batch");
-            prof.enter("queries");
-            let mut payloads = Vec::with_capacity(queries.len());
-            for (i, features) in queries.iter().enumerate() {
-                let (resp, stats, sub) =
-                    sp.query_profiled(features, k as usize, Concurrency::serial());
-                prof.attach(sub, "query", i as u64);
-                payloads.push(QueryPayload::from_response(&resp, &stats));
-            }
-            prof.exit();
+            // One span per round, each query's own profile grafted under
+            // it — exactly what the in-process fleet attaches per shard.
+            let queries: Vec<&[Vec<f32>]> = queries.iter().map(Vec::as_slice).collect();
+            let round = sp.serve_round(&queries, k as usize);
             obs.queries_served
                 .fetch_add(queries.len() as u64, Ordering::SeqCst);
-            if want_telemetry && !send_telemetry(stream, id, &prof.finish()) {
+            if want_telemetry && !send_telemetry(stream, id, &round.profile) {
                 return false;
             }
-            send(stream, &Response::QueryBatch { id, payloads }).is_ok()
+            let payloads = round
+                .answers
+                .into_iter()
+                .map(|(resp, stats)| QueryPayload::from_response(resp, &stats))
+                .collect();
+            send(stream, &Response::Query { id, payloads }).is_ok()
         }
-        Request::Trim {
-            id,
-            k_trim,
-            features,
-        } => {
-            let (topk, inv, signatures) = sp.trim_query(&features, k_trim as usize);
-            send(
-                stream,
-                &Response::Trim {
-                    id,
-                    payload: trim_payload(topk, inv, signatures),
-                },
-            )
-            .is_ok()
+        Request::Trim { id, items } => {
+            let payloads = items
+                .iter()
+                .map(|(k_trim, features)| sp.trim_query(features, *k_trim as usize))
+                .collect();
+            send(stream, &Response::Trim { id, payloads }).is_ok()
         }
-        Request::TrimBatch { id, items } => {
-            let mut payloads = Vec::with_capacity(items.len());
-            for (k_trim, features) in &items {
-                let (topk, inv, signatures) = sp.trim_query(features, *k_trim as usize);
-                payloads.push(trim_payload(topk, inv, signatures));
-            }
-            send(stream, &Response::TrimBatch { id, payloads }).is_ok()
-        }
-    }
-}
-
-fn trim_payload(
-    topk: Vec<(u64, f32)>,
-    inv: crate::scheme::InvVoVariant,
-    signatures: Vec<imageproof_crypto::Signature>,
-) -> TrimPayload {
-    TrimPayload {
-        topk,
-        inv,
-        signatures,
     }
 }
 

@@ -117,6 +117,14 @@ impl SystemConfig {
     }
 }
 
+/// A bare scheme is its serial configuration, so every `config: impl
+/// Into<SystemConfig>` entry point takes either.
+impl From<Scheme> for SystemConfig {
+    fn from(scheme: Scheme) -> SystemConfig {
+        SystemConfig::new(scheme)
+    }
+}
+
 /// BoVW-step VO, shared or per-query depending on the scheme.
 #[derive(Clone, Debug, PartialEq)]
 pub enum BovwVoVariant {
@@ -196,7 +204,7 @@ impl Encode for QueryVo {
         self.inv.encode(w);
         w.seq_len(self.signatures.len());
         for s in &self.signatures {
-            w.bytes(&s.0);
+            w.signature(s);
         }
     }
 }
@@ -208,9 +216,7 @@ impl Decode for QueryVo {
         let n = r.seq_len()?;
         let mut signatures = Vec::with_capacity(n);
         for _ in 0..n {
-            let bytes = r.bytes()?;
-            let arr: [u8; 64] = bytes.try_into().map_err(|_| WireError::InvalidTag(0xFF))?;
-            signatures.push(Signature::from_bytes(arr));
+            signatures.push(r.signature()?);
         }
         Ok(QueryVo {
             bovw,

@@ -37,7 +37,6 @@
 //! `shard_equivalence` suite).
 
 use crate::client::{Client, ClientError};
-use crate::owner::image_signing_message;
 use crate::scheme::{BovwVoVariant, InvVoVariant};
 use crate::sp::ImageResult;
 use imageproof_crypto::wire::{Decode, Encode, Reader, WireError, Writer};
@@ -128,19 +127,13 @@ impl ShardManifest {
     }
 }
 
-fn decode_signature(r: &mut Reader<'_>) -> Result<Signature, WireError> {
-    let bytes = r.bytes()?;
-    let arr: [u8; 64] = bytes.try_into().map_err(|_| WireError::InvalidTag(0xFF))?;
-    Ok(Signature::from_bytes(arr))
-}
-
 impl Encode for ShardManifest {
     fn encode(&self, w: &mut Writer) {
         w.seq_len(self.shard_roots.len());
         for root in &self.shard_roots {
             w.digest(root);
         }
-        w.bytes(&self.signature.0);
+        w.signature(&self.signature);
     }
 }
 
@@ -151,7 +144,7 @@ impl Decode for ShardManifest {
         for _ in 0..n {
             shard_roots.push(r.digest()?);
         }
-        let signature = decode_signature(r)?;
+        let signature = r.signature()?;
         Ok(ShardManifest {
             shard_roots,
             signature,
@@ -352,7 +345,7 @@ impl Encode for ShardVo {
         self.inv.encode(w);
         w.seq_len(self.signatures.len());
         for s in &self.signatures {
-            w.bytes(&s.0);
+            w.signature(s);
         }
     }
 }
@@ -371,7 +364,7 @@ impl Decode for ShardVo {
         let ns = r.seq_len()?;
         let mut signatures = Vec::with_capacity(ns);
         for _ in 0..ns {
-            signatures.push(decode_signature(r)?);
+            signatures.push(r.signature()?);
         }
         Ok(ShardVo {
             shard_id,
@@ -932,7 +925,6 @@ impl Client {
             };
             return Err(ShardedError::Shard { shard, error });
         }
-        let _ = image_signing_message; // anchor: signatures cover Eq. 15 messages
         prof.exit();
 
         if prof.is_recording() {

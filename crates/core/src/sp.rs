@@ -3,10 +3,10 @@
 
 use crate::fanout;
 use crate::owner::{Database, IndexVariant};
+use crate::rpc::TrimPayload;
 use crate::scheme::{BovwVoVariant, InvVoVariant, QueryVo, Scheme};
 use crate::shard::ShardedResponse;
 use imageproof_akm::SparseBovw;
-use imageproof_crypto::Signature;
 use imageproof_invindex::grouped::grouped_search;
 use imageproof_invindex::{inv_search, InvSearchStats};
 use imageproof_mrkd::{mrkd_search_baseline_with, mrkd_search_with};
@@ -14,6 +14,7 @@ use imageproof_obs::{micros, Profiler, QueryProfile};
 use imageproof_parallel::{par_map, par_map_chunked, Concurrency};
 use imageproof_vision::ImageId;
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 
 /// One returned image with its raw payload.
 #[derive(Clone, Debug, PartialEq)]
@@ -291,34 +292,59 @@ impl ServiceProvider {
     /// proof, and the claimed images' owner signatures in claim order.
     /// This is the request a shard server answers during the coordinator's
     /// trim phase (`crate::rpc`).
-    pub fn trim_query(
-        &self,
-        features: &[Vec<f32>],
-        k_trim: usize,
-    ) -> (Vec<(ImageId, f32)>, InvVoVariant, Vec<Signature>) {
-        let query_bovw = SparseBovw::from_counts(
+    pub fn trim_query(&self, features: &[Vec<f32>], k_trim: usize) -> TrimPayload {
+        self.trim_query_with_bovw(&self.encode_query(features), k_trim)
+    }
+
+    /// The query's BoVW vector under this database's codebook.
+    fn encode_query(&self, features: &[Vec<f32>]) -> SparseBovw {
+        SparseBovw::from_counts(
             features
                 .iter()
                 .map(|f| (self.db.codebook.assign_with_threshold(f).0, 1)),
-        );
-        self.trim_query_with_bovw(&query_bovw, k_trim)
+        )
     }
 
     /// [`ServiceProvider::trim_query`] over an already-encoded query BoVW
     /// (the in-process fan-out encodes once and re-queries every trim
     /// target with it; the codebook is shared, so the bytes are identical
     /// either way).
-    pub fn trim_query_with_bovw(
-        &self,
-        query_bovw: &SparseBovw,
-        k_trim: usize,
-    ) -> (Vec<(ImageId, f32)>, InvVoVariant, Vec<Signature>) {
+    pub fn trim_query_with_bovw(&self, query_bovw: &SparseBovw, k_trim: usize) -> TrimPayload {
         let (topk, inv, _) = self.inv_step(query_bovw, k_trim);
         let signatures = topk
             .iter()
             .map(|&(id, _)| self.db.images[&id].signature)
             .collect();
-        (topk, inv, signatures)
+        TrimPayload {
+            topk,
+            inv,
+            signatures,
+        }
+    }
+
+    /// One shard's share of a sharded full-k round: every query through the
+    /// serial engine, in order, under one `shard.batch` span with each
+    /// query's own profile grafted below it (tagged `query`). Both sharded
+    /// deployments answer a round with this — the in-process fan-out by
+    /// calling it, the shard server on receiving a `Query` frame.
+    pub(crate) fn serve_round(
+        &self,
+        queries: &[fanout::Features<'_>],
+        k: usize,
+    ) -> fanout::ShardRound {
+        let mut prof = Profiler::new("shard.batch");
+        prof.enter("queries");
+        let mut answers = Vec::with_capacity(queries.len());
+        for (i, features) in queries.iter().enumerate() {
+            let (response, stats, sub) = self.query_profiled(features, k, Concurrency::serial());
+            prof.attach(sub, "query", i as u64);
+            answers.push((response, stats));
+        }
+        prof.exit();
+        fanout::ShardRound {
+            answers,
+            profile: prof.finish(),
+        }
     }
 
     /// Serves independent client queries concurrently over the shared
@@ -464,129 +490,111 @@ impl ShardedSp {
     }
 
     /// [`ShardedSp::query_with`] that additionally returns the structured
-    /// span profile: phases `fanout`, `merge`, `trim`, `assemble`, with
-    /// each shard's own `sp.query` sub-profile grafted under the phase
-    /// that issued it (tagged with a `shard` counter).
+    /// span profile: phases `fanout`, `merge`, `trim`, `assemble`
+    /// ([`fanout::answer`]), with each shard's `shard.batch` sub-profile
+    /// grafted under `fanout` (tagged with a `shard` counter).
     pub fn query_profiled(
         &self,
         features: &[Vec<f32>],
         k: usize,
         conc: Concurrency,
     ) -> (ShardedResponse, ShardedSpStats, QueryProfile) {
-        let mut prof = Profiler::new("sharded.query");
+        let shards = &self.shards;
+        let scheme = shards.first().map(|sp| sp.db.scheme.slug());
+        let mut fleet = LocalFleet { shards, conc };
+        let Ok((mut answers, profile)) =
+            fanout::answer(&mut fleet, "sharded.query", scheme, &[features], k);
+        let (response, stats) = answers.pop().expect("a batch of one has one answer");
+        (response, stats, profile)
+    }
+}
 
-        // Phase 1: full-k query on every shard.
-        prof.enter("fanout");
-        let fanned: Vec<(QueryResponse, SpStats, QueryProfile)> =
-            par_map(conc, &self.shards, |_, sp| {
-                sp.query_profiled(features, k, Concurrency::serial())
-            });
-        let mut full: Vec<QueryResponse> = Vec::with_capacity(fanned.len());
-        let mut per_shard: Vec<SpStats> = Vec::with_capacity(fanned.len());
-        for (shard, (resp, stats, sub)) in fanned.into_iter().enumerate() {
-            prof.attach(sub, "shard", shard as u64);
-            full.push(resp);
-            per_shard.push(stats);
-        }
-        let fanout_seconds = prof.exit();
+/// The in-process fleet: a round is a function call per shard, fanned out
+/// over `conc` workers. Nothing can fail in transit.
+struct LocalFleet<'a> {
+    shards: &'a [ServiceProvider],
+    conc: Concurrency,
+}
 
-        // Phase 2: merge the local top-ks and keep the k global winners
-        // (`fanout::merge_candidates`, shared with the socket
-        // coordinator). Each shard's winner count becomes its sub-VO's
-        // `contributed` claim.
-        prof.enter("merge");
-        let merge = fanout::merge_candidates(&full, k);
-        prof.add("candidates", merge.candidates.len() as u64);
-        let mut merge_seconds = prof.exit();
+impl fanout::Fleet for LocalFleet<'_> {
+    type Error = Infallible;
 
-        // Phase 3: trim. A shard contributing j entries must prove its
-        // local top-k' for k' = min(j + 1, k); shards with j ≥ k − 1 reuse
-        // the fan-out response verbatim, the rest get an inverted-index
-        // re-query at k' (BoVW encoding is k-independent, so the fan-out's
-        // BoVW VO is reused and only the inverted step re-runs).
-        prof.enter("trim");
-        let trim_targets = fanout::trim_targets(&merge.contributed, k);
-        prof.add("trim_queries", trim_targets.len() as u64);
-        let mut trimmed: BTreeMap<usize, fanout::TrimOutcome> = BTreeMap::new();
-        if let Some(sp0) = self.shards.first() {
-            if !trim_targets.is_empty() {
-                // The BoVW encoding is shard-invariant (shared codebook):
-                // compute it once and re-query each target shard's index.
-                let query_bovw = SparseBovw::from_counts(
-                    features
-                        .iter()
-                        .map(|f| (sp0.db.codebook.assign_with_threshold(f).0, 1)),
-                );
-                trimmed = par_map(conc, &trim_targets, |_, &(s, k_trim)| {
-                    (s, self.shards[s].trim_query_with_bovw(&query_bovw, k_trim))
-                })
-                .into_iter()
-                .collect();
-            }
-        }
-        let trim_seconds = prof.exit();
-
-        // Phase 4: assemble the global results and the sharded VO
-        // (`fanout::assemble_response`, shared with the socket
-        // coordinator): sub-VOs in ascending shard order, then the common
-        // BoVW geometry deduplicated into the response's shared section.
-        prof.enter("assemble");
-        let assembled = fanout::assemble_response(&full, &merge, &trimmed);
-        prof.add("dedup_bytes_saved", assembled.dedup_bytes_saved as u64);
-        merge_seconds += prof.exit();
-
-        let stats = ShardedSpStats {
-            per_shard,
-            trim_queries: trim_targets.len(),
-            trimmed_entries: assembled.trimmed_entries,
-            dedup_bytes_saved: assembled.dedup_bytes_saved,
-            merge_seconds,
-            wall_seconds: fanout_seconds + merge_seconds + trim_seconds,
-        };
-        if prof.is_recording() {
-            self.record_sharded_query(&stats, fanout_seconds, trim_seconds);
-        }
-
-        (
-            ShardedResponse {
-                results: assembled.results,
-                vo: assembled.vo,
-            },
-            stats,
-            prof.finish(),
-        )
+    fn full_round(
+        &mut self,
+        queries: &[fanout::Features<'_>],
+        k: usize,
+    ) -> Result<Vec<fanout::ShardRound>, Infallible> {
+        Ok(par_map(self.conc, self.shards, |_, sp| {
+            sp.serve_round(queries, k)
+        }))
     }
 
-    /// Records one finished sharded query into the global registry.
-    fn record_sharded_query(&self, stats: &ShardedSpStats, fanout_seconds: f64, trim_seconds: f64) {
-        let Some(slug) = self.shards.first().map(|sp| sp.db.scheme.slug()) else {
-            return;
+    fn trim_round(
+        &mut self,
+        queries: &[fanout::Features<'_>],
+        plan: &[Vec<(usize, usize)>],
+    ) -> Result<Vec<Vec<TrimPayload>>, Infallible> {
+        // The BoVW encoding is shard-invariant (shared codebook): encode
+        // each re-queried query once, whatever number of shards trim it.
+        let mut bovws: BTreeMap<usize, SparseBovw> = BTreeMap::new();
+        for &(q, _) in plan.iter().flatten() {
+            bovws
+                .entry(q)
+                .or_insert_with(|| self.shards[0].encode_query(queries[q]));
+        }
+        Ok(par_map(self.conc, plan, |shard, items| {
+            items
+                .iter()
+                .map(|&(q, k_trim)| self.shards[shard].trim_query_with_bovw(&bovws[&q], k_trim))
+                .collect()
+        }))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Owner, Scheme};
+    use imageproof_akm::AkmParams;
+    use imageproof_vision::{Corpus, CorpusConfig, DescriptorKind};
+
+    #[test]
+    fn in_process_fleet_answers_a_batch_like_its_members_one_by_one() {
+        let corpus = Corpus::generate(&CorpusConfig {
+            n_images: 60,
+            n_latent_words: 60,
+            ..CorpusConfig::small(DescriptorKind::Surf)
+        });
+        let akm = AkmParams {
+            n_clusters: 48,
+            n_trees: 3,
+            max_leaf_size: 2,
+            max_checks: 8,
+            iterations: 1,
+            seed: 5,
         };
-        let reg = imageproof_obs::global();
-        reg.counter("imageproof_sharded_queries_total", &[("scheme", slug)])
-            .inc();
-        reg.counter("imageproof_sharded_trim_queries_total", &[("scheme", slug)])
-            .add(stats.trim_queries as u64);
-        reg.counter(
-            "imageproof_sharded_trimmed_entries_total",
-            &[("scheme", slug)],
-        )
-        .add(stats.trimmed_entries as u64);
-        reg.counter(
-            "imageproof_sharded_dedup_bytes_saved_total",
-            &[("scheme", slug)],
-        )
-        .add(stats.dedup_bytes_saved as u64);
-        for (phase, seconds) in [
-            ("fanout", fanout_seconds),
-            ("merge", stats.merge_seconds),
-            ("trim", trim_seconds),
-        ] {
-            reg.histogram(
-                "imageproof_sharded_phase_micros",
-                &[("scheme", slug), ("phase", phase)],
-            )
-            .record(micros(seconds));
+        let system =
+            Owner::new(&[21u8; 32]).build_sharded_system(&corpus, &akm, Scheme::ImageProof, 3);
+        let sp = ShardedSp::new(system.shards);
+        let queries: Vec<Vec<Vec<f32>>> = [(5u64, 24usize), (33, 20), (11, 16)]
+            .iter()
+            .map(|&(image, n)| corpus.query_from_image(image, n, image))
+            .collect();
+        let batch: Vec<&[Vec<f32>]> = queries.iter().map(Vec::as_slice).collect();
+        for threads in [1, 4] {
+            let mut fleet = LocalFleet {
+                shards: sp.shards(),
+                conc: Concurrency::new(threads),
+            };
+            let Ok((answers, _)) = fanout::answer(&mut fleet, "test", None, &batch, 4);
+            assert_eq!(answers.len(), queries.len());
+            for (features, (response, stats)) in queries.iter().zip(&answers) {
+                let (single, single_stats) = sp.query(features, 4);
+                assert_eq!(response.vo, single.vo);
+                assert_eq!(stats.trim_queries, single_stats.trim_queries);
+                assert_eq!(stats.trimmed_entries, single_stats.trimmed_entries);
+                assert_eq!(stats.total_popped(), single_stats.total_popped());
+            }
         }
     }
 }

@@ -28,7 +28,7 @@ fn setup(scheme: Scheme, threads: usize) -> (Corpus, ServiceProvider, Client) {
         iterations: 2,
         seed: 11,
     };
-    let (db, published) = owner.build_system_config(
+    let (db, published) = owner.build_system(
         &corpus,
         &akm,
         SystemConfig::new(scheme).with_threads(threads),

@@ -12,6 +12,7 @@
 //! VOs arrive from the untrusted SP.
 
 use crate::digest::Digest;
+use crate::ed25519::Signature;
 
 /// Decoding error: the byte stream did not match the expected shape.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,6 +101,12 @@ impl Writer {
 
     pub fn digest(&mut self, d: &Digest) {
         self.buf.extend_from_slice(&d.0);
+    }
+
+    /// A 64-byte signature as a length-prefixed byte string (the form
+    /// every VO and RPC payload has always shipped).
+    pub fn signature(&mut self, s: &Signature) {
+        self.bytes(&s.0);
     }
 
     /// Length-prefixed byte string.
@@ -208,6 +215,15 @@ impl<'a> Reader<'a> {
 
     pub fn digest(&mut self) -> Result<Digest, WireError> {
         Ok(Digest(self.take_array()?))
+    }
+
+    /// Counterpart of [`Writer::signature`]: any length prefix other than
+    /// 64 is `InvalidTag(0xFF)`.
+    pub fn signature(&mut self) -> Result<Signature, WireError> {
+        if self.seq_len()? != 64 {
+            return Err(WireError::InvalidTag(0xFF));
+        }
+        Ok(Signature(self.take_array()?))
     }
 
     pub fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
@@ -369,6 +385,34 @@ mod tests {
         assert_eq!(r.digest().unwrap(), Digest::of(b"x"));
         assert_eq!(r.bytes().unwrap(), b"hello");
         assert!(r.finish().is_ok());
+    }
+
+    #[test]
+    fn signature_is_a_length_prefixed_64_and_nothing_else() {
+        let sig = Signature([0xAB; 64]);
+        let mut w = Writer::new();
+        w.signature(&sig);
+        let buf = w.finish();
+        let mut bytes = Writer::new();
+        bytes.bytes(&sig.0);
+        assert_eq!(
+            buf,
+            bytes.finish(),
+            "same bytes as a length-prefixed string"
+        );
+        assert_eq!(Reader::new(&buf).signature(), Ok(sig));
+        // A well-formed byte string of any other length is a wrong tag,
+        // not a truncation.
+        let mut short = Writer::new();
+        short.bytes(&[7u8; 63]);
+        assert_eq!(
+            Reader::new(&short.finish()).signature(),
+            Err(WireError::InvalidTag(0xFF))
+        );
+        assert_eq!(
+            Reader::new(&buf[..40]).signature(),
+            Err(WireError::LengthOverflow)
+        );
     }
 
     #[test]

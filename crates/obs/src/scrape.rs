@@ -24,7 +24,7 @@
 use crate::metrics::{snapshot_json, snapshot_prometheus_text, RegistrySnapshot};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -59,6 +59,9 @@ pub struct RunningScrape {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept_handle: Option<JoinHandle<()>>,
+    /// Connection threads the accept loop currently tracks (finished ones
+    /// are reaped every loop turn, so this stays near the live count).
+    tracked: Arc<AtomicUsize>,
 }
 
 impl RunningScrape {
@@ -66,6 +69,11 @@ impl RunningScrape {
     /// bind address asked for port 0).
     pub fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// Connection threads the accept loop tracks right now.
+    pub fn tracked_connections(&self) -> usize {
+        self.tracked.load(Ordering::SeqCst)
     }
 
     /// Signals every server thread to stop and joins them.
@@ -96,18 +104,44 @@ pub fn launch_scrape(
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
     let stop = Arc::new(AtomicBool::new(false));
-    let accept_stop = Arc::clone(&stop);
-    let accept_handle = std::thread::spawn(move || accept_loop(listener, provider, accept_stop));
+    let tracked = Arc::new(AtomicUsize::new(0));
+    let (accept_stop, accept_tracked) = (Arc::clone(&stop), Arc::clone(&tracked));
+    let accept_handle = std::thread::spawn(move || {
+        accept_loop(listener, provider, accept_stop, accept_tracked);
+    });
     Ok(RunningScrape {
         addr,
         stop,
         accept_handle: Some(accept_handle),
+        tracked,
     })
 }
 
-fn accept_loop(listener: TcpListener, provider: Arc<dyn ScrapeProvider>, stop: Arc<AtomicBool>) {
+/// Joins every thread in `handles` that has already finished and drops its
+/// handle. Thread-per-connection accept loops call this each turn so a
+/// long-lived server tracks its live connections, not every connection it
+/// ever accepted.
+pub fn reap_finished(handles: &mut Vec<JoinHandle<()>>) {
+    let mut i = 0;
+    while let Some(handle) = handles.get(i) {
+        if handle.is_finished() {
+            let _ = handles.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
+    }
+}
+
+fn accept_loop(
+    listener: TcpListener,
+    provider: Arc<dyn ScrapeProvider>,
+    stop: Arc<AtomicBool>,
+    tracked: Arc<AtomicUsize>,
+) {
     let mut conn_handles: Vec<JoinHandle<()>> = Vec::new();
     while !stop.load(Ordering::SeqCst) {
+        reap_finished(&mut conn_handles);
+        tracked.store(conn_handles.len(), Ordering::SeqCst);
         match listener.accept() {
             Ok((stream, _)) => {
                 let provider = Arc::clone(&provider);
@@ -349,6 +383,30 @@ mod tests {
         let mut out = String::new();
         let _ = s.read_to_string(&mut out);
         assert!(out.starts_with("HTTP/1.0 431"), "{out}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn finished_connection_threads_are_reaped_while_serving() {
+        // Every scrape is a fresh HTTP/1.0 connection: a server scraped for
+        // days must not keep one finished thread handle per scrape.
+        let server = launch_scrape(provider(), "127.0.0.1:0").unwrap();
+        let addr = server.addr().to_string();
+        let mut most = 0;
+        for _ in 0..300 {
+            let (status, _) = http_get(&addr, "/healthz", 5.0).unwrap();
+            assert_eq!(status, 200);
+            most = most.max(server.tracked_connections());
+        }
+        assert!(
+            most < 50,
+            "accept loop tracked {most} of 300 finished threads"
+        );
+        let settle = crate::Stopwatch::start();
+        while server.tracked_connections() > 0 && settle.elapsed_seconds() < 5.0 {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(server.tracked_connections(), 0);
         server.shutdown();
     }
 

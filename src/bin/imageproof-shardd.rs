@@ -159,7 +159,7 @@ fn build(args: &Args) -> (Corpus, imageproof_core::ShardedSystem) {
         n_clusters: args.codebook,
         ..AkmParams::default()
     };
-    let system = Owner::new(&OWNER_SEED).build_sharded_system_config(
+    let system = Owner::new(&OWNER_SEED).build_sharded_system(
         &corpus,
         &akm,
         SystemConfig::new(args.scheme),

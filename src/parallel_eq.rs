@@ -124,7 +124,7 @@ pub fn assert_build_equivalent(
 ) -> (ServiceProvider, ServiceProvider) {
     let (db_serial, pub_serial) =
         owner.build_system_with_codebook(corpus, codebook.clone(), scheme);
-    let (db_parallel, pub_parallel) = owner.build_system_with_codebook_config(
+    let (db_parallel, pub_parallel) = owner.build_system_with_codebook(
         corpus,
         codebook.clone(),
         SystemConfig::new(scheme).with_threads(threads),

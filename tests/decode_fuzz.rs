@@ -667,12 +667,12 @@ fn rpc_samples() -> RpcSamples {
                 id: 7,
                 k: 5,
                 want_telemetry: true,
-                features: features.clone(),
+                queries: vec![features.clone()],
             },
         ),
         (
             "Request[query_batch]",
-            Request::QueryBatch {
+            Request::Query {
                 id: 8,
                 k: 3,
                 want_telemetry: false,
@@ -683,15 +683,14 @@ fn rpc_samples() -> RpcSamples {
             "Request[trim]",
             Request::Trim {
                 id: 9,
-                k_trim: 1,
-                features: features.clone(),
+                items: vec![(1, features.clone())],
             },
         ),
         (
             "Request[trim_batch]",
-            Request::TrimBatch {
+            Request::Trim {
                 id: 10,
-                items: vec![(2, features)],
+                items: vec![(2, features), (1, Vec::new())],
             },
         ),
         ("Request[health]", Request::Health { id: 11 }),
@@ -709,28 +708,28 @@ fn rpc_samples() -> RpcSamples {
             "Response[query]",
             Response::Query {
                 id: 7,
-                payload: payload.clone(),
+                payloads: vec![payload.clone()],
             },
         ),
         (
             "Response[query_batch]",
-            Response::QueryBatch {
+            Response::Query {
                 id: 8,
-                payloads: vec![payload],
+                payloads: vec![payload.clone(), payload],
             },
         ),
         (
             "Response[trim]",
             Response::Trim {
                 id: 9,
-                payload: trim.clone(),
+                payloads: vec![trim.clone()],
             },
         ),
         (
             "Response[trim_batch]",
-            Response::TrimBatch {
+            Response::Trim {
                 id: 10,
-                payloads: vec![trim],
+                payloads: vec![trim.clone(), trim],
             },
         ),
         (
@@ -789,6 +788,68 @@ fn rpc_response_decoding_is_total() {
     for (name, sample) in &responses {
         fuzz_decode(name, sample);
     }
+}
+
+/// Tags 2 and 4 carried the single-query `Query`/`Trim` forms before the
+/// protocol became batch-only. They are reserved: a frame opening with one
+/// is refused as `InvalidTag` in both directions, whatever follows it.
+#[test]
+fn rpc_retired_single_query_tags_are_rejected() {
+    let (requests, responses) = rpc_samples();
+    for tag in [2u8, 4] {
+        for (name, sample) in &requests {
+            let mut wire = sample.to_wire();
+            wire[0] = tag;
+            assert_eq!(
+                decode_total::<Request>(name, &wire),
+                Err(WireError::InvalidTag(tag)),
+                "{name} re-tagged {tag}"
+            );
+        }
+        for (name, sample) in &responses {
+            let mut wire = sample.to_wire();
+            wire[0] = tag;
+            assert_eq!(
+                decode_total::<Response>(name, &wire),
+                Err(WireError::InvalidTag(tag)),
+                "{name} re-tagged {tag}"
+            );
+        }
+    }
+}
+
+/// A signature is a length-prefixed 64-byte string; any other length is
+/// the VO path's `InvalidTag(0xFF)` in every payload that carries one —
+/// `TrimPayload` included, whose hand-rolled decoder used to answer
+/// `UnexpectedEnd`.
+#[test]
+fn wrong_length_signature_is_one_error_everywhere() {
+    let (_, fx) = &fixtures()[1];
+    let trim = TrimPayload {
+        topk: vec![(5, 0.9)],
+        inv: fx.response.vo.inv.clone(),
+        signatures: vec![fx.response.vo.signatures[0]],
+    };
+    // The signature is the payload's tail: a u32 length of 64, 64 bytes.
+    // Shrink it to a well-formed 63-byte string.
+    let shrink = |mut wire: Vec<u8>| {
+        let at = wire.len() - 68;
+        wire[at..at + 4].copy_from_slice(&63u32.to_le_bytes());
+        wire.pop();
+        wire
+    };
+    assert_eq!(
+        decode_total::<TrimPayload>("TrimPayload", &shrink(trim.to_wire())),
+        Err(WireError::InvalidTag(0xFF))
+    );
+    let vo = QueryVo {
+        signatures: vec![fx.response.vo.signatures[0]],
+        ..fx.response.vo.clone()
+    };
+    assert_eq!(
+        decode_total::<QueryVo>("QueryVo", &shrink(vo.to_wire())),
+        Err(WireError::InvalidTag(0xFF))
+    );
 }
 
 /// The bare heartbeat report frame: truncations, bit flips, and garbage

@@ -216,11 +216,11 @@ fn vo_bytes_and_topk_identical_with_obs_on_and_off() {
                     Response::Telemetry { .. } => {
                         tel.fetch_add(1, Ordering::SeqCst);
                     }
-                    Response::Query { payload, .. } => {
-                        rec.lock().unwrap().push(payload.to_wire());
+                    Response::Query { payloads, .. } => {
+                        rec.lock().unwrap().push(payloads[0].to_wire());
                     }
-                    Response::Trim { payload, .. } => {
-                        rec.lock().unwrap().push(payload.to_wire());
+                    Response::Trim { payloads, .. } => {
+                        rec.lock().unwrap().push(payloads[0].to_wire());
                     }
                     _ => {}
                 }
@@ -386,8 +386,12 @@ fn scrape_plane_never_blocks_or_perturbs_served_bytes() {
             endpoints[0].primary,
             rpc_util::Fault::MapResponses(Arc::new(move |resp| {
                 match &resp {
-                    Response::Query { payload, .. } => rec.lock().unwrap().push(payload.to_wire()),
-                    Response::Trim { payload, .. } => rec.lock().unwrap().push(payload.to_wire()),
+                    Response::Query { payloads, .. } => {
+                        rec.lock().unwrap().push(payloads[0].to_wire())
+                    }
+                    Response::Trim { payloads, .. } => {
+                        rec.lock().unwrap().push(payloads[0].to_wire())
+                    }
                     _ => {}
                 }
                 Some(resp)

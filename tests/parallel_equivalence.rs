@@ -105,7 +105,7 @@ fn parallel_build_is_deterministic_across_thread_counts_and_reruns() {
         // Two runs per thread count: catches both cross-thread-count and
         // run-to-run nondeterminism.
         for threads in [1usize, 2, 4, 8, 4, 1] {
-            let (db, published) = owner.build_system_config(
+            let (db, published) = owner.build_system(
                 &corpus,
                 &params,
                 SystemConfig::new(scheme).with_threads(threads),
@@ -133,7 +133,7 @@ fn parallel_responses_verify_for_unmodified_clients() {
     let params = akm(64, 20);
     let codebook = trained_codebook(&corpus, &params);
     for scheme in Scheme::ALL {
-        let (db, published) = owner.build_system_with_codebook_config(
+        let (db, published) = owner.build_system_with_codebook(
             &corpus,
             codebook.clone(),
             SystemConfig::new(scheme).with_threads(4),

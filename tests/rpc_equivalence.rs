@@ -6,7 +6,8 @@
 //! byte-identical assembled `ShardedVo` as the in-process `ShardedSp` —
 //! the merge/trim/assemble code is literally shared (`core::fanout`), and
 //! these tests pin the remaining surface: the wire round-trip of per-shard
-//! responses, the trim re-query protocol, and batch multiplexing.
+//! responses, the trim re-query protocol, and batch multiplexing. (The
+//! sharded rows of `wire_golden` pin the same bytes across commits.)
 
 mod rpc_util;
 
@@ -98,36 +99,62 @@ fn batched_queries_match_single_queries_bit_for_bit() {
     let k = 4;
 
     let mut coord = connect(&fx);
+    let round_trips = |coord: &imageproof_core::rpc::RpcCoordinator| -> Vec<usize> {
+        coord.stats().rpc_seconds.iter().map(Vec::len).collect()
+    };
+    let before = round_trips(&coord);
     let batched = coord.query_batch(&queries, k).expect("batched query");
+    // Batching collapses the socket conversation: whatever the batch size,
+    // every shard saw exactly one Query round-trip plus at most one Trim
+    // round-trip — not one conversation per query.
+    let after = round_trips(&coord);
+    let mut trim_round_trips = 0;
+    for (shard, (b, a)) in before.iter().zip(&after).enumerate() {
+        assert!(
+            (1..=2).contains(&(a - b)),
+            "shard {shard}: {} round-trips for one batch",
+            a - b
+        );
+        trim_round_trips += a - b - 1;
+    }
+    assert!(trim_round_trips > 0, "fixture must exercise the trim round");
     assert_eq!(batched.len(), queries.len());
     for (q, (batch_resp, batch_stats)) in batched.iter().enumerate() {
-        // One-at-a-time over the same wire.
-        let (single_resp, single_stats) = coord.query(&queries[q], k).expect("single query");
-        assert_eq!(
-            batch_resp.vo.to_wire(),
-            single_resp.vo.to_wire(),
-            "query {q}: batched VO diverged from single-query VO"
-        );
-        // And against the in-process engine.
-        let (local_resp, _) = fx.sp.query(&queries[q], k);
+        // A single query is a batch of one over the same code path, so the
+        // comparison that matters is against the in-process engine.
+        let (local_resp, local_stats) = fx.sp.query(&queries[q], k);
         assert_eq!(
             batch_resp.vo.to_wire(),
             local_resp.vo.to_wire(),
             "query {q}: batched VO diverged from in-process VO"
         );
-        assert_eq!(batch_stats.trim_queries, single_stats.trim_queries, "q{q}");
+        assert_eq!(batch_stats.trim_queries, local_stats.trim_queries, "q{q}");
+        // A batch member's timings are the shared rounds plus its own
+        // merge — recorded, not zero (obs is on by default).
+        assert!(batch_stats.wall_seconds > 0.0, "q{q}: wall_seconds");
+        assert!(
+            batch_stats.merge_seconds > 0.0 && batch_stats.merge_seconds < batch_stats.wall_seconds,
+            "q{q}: merge_seconds {} of wall {}",
+            batch_stats.merge_seconds,
+            batch_stats.wall_seconds
+        );
         fx.client
             .verify_sharded(&queries[q], k, batch_resp, &fx.manifest)
             .unwrap_or_else(|e| panic!("query {q}: client rejected batched response: {e}"));
     }
-    // Batching collapses the socket conversation: every shard saw one
-    // QueryBatch round-trip (plus at most one TrimBatch), not one
-    // conversation per query.
-    let batch_samples = coord.stats().rpc_seconds[0].len();
-    assert!(
-        batch_samples >= 1,
-        "expected recorded batch round-trips, got {batch_samples}"
-    );
+    // The coordinator records the sharded series itself, one sample per
+    // batch member (unlabelled: it never learns its shards' scheme).
+    let recorded = imageproof_obs::global()
+        .counter("imageproof_sharded_queries_total", &[])
+        .get();
+    assert!(recorded >= queries.len() as u64, "recorded {recorded}");
+    // And the batch of one: same bytes, one Query round-trip per shard.
+    let before = round_trips(&coord);
+    let (single_resp, _) = coord.query(&queries[0], k).expect("single query");
+    assert_eq!(single_resp.vo.to_wire(), batched[0].0.vo.to_wire());
+    for (b, a) in before.iter().zip(round_trips(&coord)) {
+        assert!((1..=2).contains(&(a - b)));
+    }
     let empty: Vec<Vec<Vec<f32>>> = Vec::new();
     assert!(coord
         .query_batch(&empty, k)

@@ -161,9 +161,9 @@ fn rewritten_response_ids_are_rejected_as_replays() {
         fx.endpoints[0].primary,
         Fault::MapResponses(Arc::new(|resp| {
             Some(match resp {
-                Response::Query { id, payload } => Response::Query {
+                Response::Query { id, payloads } => Response::Query {
                     id: id + 1000,
-                    payload,
+                    payloads,
                 },
                 other => other,
             })
@@ -183,6 +183,69 @@ fn rewritten_response_ids_are_rejected_as_replays() {
         ),
         "got: {err}"
     );
+}
+
+#[test]
+fn wrong_payload_count_is_an_unexpected_response() {
+    // A shard answering a batch with more (or fewer) payloads than were
+    // asked is well-formed on the wire and wrong in shape: the fleet seam
+    // refuses it instead of handing the orchestrator a ragged round.
+    for extra in [true, false] {
+        let fx = fixture(Scheme::ImageProof, 1);
+        let proxy = Proxy::start(
+            fx.endpoints[0].primary,
+            Fault::MapResponses(Arc::new(move |resp| {
+                Some(match resp {
+                    Response::Query { id, mut payloads } => {
+                        if extra {
+                            payloads.push(payloads[0].clone());
+                        } else {
+                            payloads.pop();
+                        }
+                        Response::Query { id, payloads }
+                    }
+                    other => other,
+                })
+            })),
+        );
+        let mut coord = connect_via_proxy(&fx, &proxy, quick_config()).expect("connect");
+        let queries = vec![
+            fx.corpus().query_from_image(5, 20, 1),
+            fx.corpus().query_from_image(9, 18, 2),
+        ];
+        let err = coord.query_batch(&queries, 3).expect_err("ragged round");
+        assert_eq!(err, RpcError::UnexpectedResponse { shard: 0 }, "got: {err}");
+    }
+}
+
+#[test]
+fn finished_connection_threads_are_reaped_while_serving() {
+    // A coordinator that keeps re-dialling (or a prober that says hello
+    // and hangs up) must not leave one finished-but-unjoined thread per
+    // connection behind for the life of the shard process.
+    use imageproof_core::rpc::{frame, Request};
+    use std::io::{Read, Write};
+    let fx = fixture(Scheme::ImageProof, 1);
+    let server = &fx.servers[0];
+    let hello = frame(&Request::Hello.to_wire());
+    let mut most = 0;
+    for _ in 0..300 {
+        let mut stream = std::net::TcpStream::connect(server.addr()).expect("dial shard");
+        stream.write_all(&hello).expect("send hello");
+        let mut header = [0u8; 4];
+        stream.read_exact(&mut header).expect("hello answer");
+        drop(stream);
+        most = most.max(server.tracked_connections());
+    }
+    assert!(
+        most < 50,
+        "accept loop tracked {most} of 300 finished threads"
+    );
+    let settle = imageproof_obs::Stopwatch::start();
+    while server.tracked_connections() > 0 && settle.elapsed_seconds() < 5.0 {
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+    assert_eq!(server.tracked_connections(), 0);
 }
 
 #[test]

@@ -605,9 +605,9 @@ mod wire_attacks {
             fx.endpoints[target].primary,
             Fault::MapResponses(Arc::new(move |resp| {
                 Some(match resp {
-                    Response::Query { id, mut payload } => {
-                        payload.vo = stale_vo.clone();
-                        Response::Query { id, payload }
+                    Response::Query { id, mut payloads } => {
+                        payloads[0].vo = stale_vo.clone();
+                        Response::Query { id, payloads }
                     }
                     other => other,
                 })
@@ -674,12 +674,12 @@ mod wire_attacks {
             fx.endpoints[0].primary,
             Fault::MapResponses(Arc::new(move |resp| {
                 Some(match resp {
-                    Response::Query { id, payload } => {
+                    Response::Query { id, payloads } => {
                         let mut slot = captured.lock().expect("capture slot");
                         match slot.take() {
                             // First query response: record and forward.
                             None => {
-                                let genuine = Response::Query { id, payload };
+                                let genuine = Response::Query { id, payloads };
                                 *slot = Some(genuine.clone());
                                 genuine
                             }

@@ -75,8 +75,12 @@ fn base() -> &'static Prepared {
 
 fn monolith(p: &Prepared, scheme: Scheme) -> (ServiceProvider, Client) {
     let owner = Owner::new(&OWNER_SEED);
-    let (db, published) =
-        owner.build_system_prepared(&p.corpus, p.codebook.clone(), p.encodings.clone(), scheme);
+    let (db, published) = owner.build_system_prepared_config(
+        &p.corpus,
+        p.codebook.clone(),
+        p.encodings.clone(),
+        scheme,
+    );
     (ServiceProvider::new(db), Client::new(published))
 }
 

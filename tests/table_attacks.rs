@@ -37,7 +37,7 @@ struct Mono {
 
 fn mono(scheme: Scheme) -> Mono {
     let p = rpc_util::prepared();
-    let (db, published) = Owner::new(&rpc_util::OWNER_SEED).build_system_prepared(
+    let (db, published) = Owner::new(&rpc_util::OWNER_SEED).build_system_prepared_config(
         &p.corpus,
         p.codebook.clone(),
         p.encodings.clone(),
@@ -360,9 +360,9 @@ fn a_row_planted_in_flight_is_rejected_by_the_client() {
         fx.endpoints[target].primary,
         Fault::MapResponses(Arc::new(move |resp| {
             Some(match resp {
-                Response::Query { id, mut payload } => {
-                    plant_closer_row(first_vo(&mut payload.vo.bovw), &q0);
-                    Response::Query { id, payload }
+                Response::Query { id, mut payloads } => {
+                    plant_closer_row(first_vo(&mut payloads[0].vo.bovw), &q0);
+                    Response::Query { id, payloads }
                 }
                 other => other,
             })
