@@ -64,7 +64,17 @@ PYEOF
 echo "== bench smoke: machine-readable query benchmarks =="
 # Small sweep that exercises the timed build + query + verify loop for all
 # four schemes and emits BENCH_queries.json (consumed by the README table).
-cargo run -q --release -p imageproof-bench --bin figures -- --fig 15 --quick
+# Its second line names the Keccak instance CPU detection selected for
+# batched hashing ("avx512 x8" or "scalar x1"), so flat client times in a
+# log from a host without AVX-512 explain themselves; the gate requires
+# the line to be there.
+cargo run -q --release -p imageproof-bench --bin figures -- --fig 15 --quick > fig15_smoke.log || {
+    cat fig15_smoke.log >&2
+    exit 1
+}
+cat fig15_smoke.log
+grep -q "^batched SHA3 Keccak instance: " fig15_smoke.log
+rm -f fig15_smoke.log
 test -s BENCH_queries.json
 
 echo "== observability smoke: demo fleet + live scrape endpoints =="

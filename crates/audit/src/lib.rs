@@ -25,7 +25,8 @@
 //! * `wire` — no `usize` lengths encoded raw; every `impl Encode` has a
 //!   matching `impl Decode` and a roundtrip test.
 //! * `deps` — every `Cargo.toml` stays inside the offline crate set.
-//! * `unsafe` — no `unsafe` outside an allowlist (currently empty).
+//! * `unsafe` — no `unsafe` outside an allowlist of one file, the Keccak
+//!   CPU-dispatch site, which may hold exactly one beside feature detection.
 //!
 //! Escape hatch: `// audit:allow(<rule>) <reason>` on or directly above
 //! the offending line — or on/above a `fn` signature to cover its whole

@@ -55,8 +55,11 @@ const TIME_ALLOW_PREFIXES: &[&str] = &["crates/obs/", "vendor/"];
 /// shared verbatim by owner, SP, and client.
 const FLOAT_KERNEL: &str = "crates/akm/src/kernel.rs";
 
-/// Files allowed to contain `unsafe` (currently none).
-const UNSAFE_ALLOW: &[&str] = &[];
+/// Files allowed to contain `unsafe`: the one CPU-dispatch site, where a
+/// `#[target_feature]` Keccak instance is called after feature detection.
+/// Such a file holds exactly one `unsafe` token and must name the detection
+/// macro; anything more is a finding.
+const UNSAFE_ALLOW: &[&str] = &["crates/crypto/src/keccak_lanes.rs"];
 
 /// Keywords that may directly precede `[` without it being an index
 /// expression (`&mut [u8]`, `return [a, b]`, …).
@@ -309,22 +312,48 @@ fn check_wire_pairing(files: &[SourceFile], scrubbed: &[Scrubbed], out: &mut Vec
     }
 }
 
-/// Rule `unsafe`: no `unsafe` anywhere outside the (empty) allowlist —
-/// test code included.
+/// Rule `unsafe`: no `unsafe` anywhere outside the allowlist — test code
+/// included — and in an allowlisted file exactly one, beside CPU feature
+/// detection.
 fn check_unsafe(f: &SourceFile, s: &Scrubbed, out: &mut Vec<Finding>) {
-    if UNSAFE_ALLOW.contains(&f.path.as_str()) {
-        return;
-    }
     let bytes = s.text.as_bytes();
+    let mut sites = Vec::new();
     let mut i = 0;
     while let Some(pos) = lexer::find_word(bytes, b"unsafe", i) {
         i = pos + 1;
+        sites.push(s.line_of(pos));
+    }
+    let mut finding = |line: usize, message: &str| {
         out.push(Finding {
             path: f.path.clone(),
-            line: s.line_of(pos),
+            line,
             rule: "unsafe",
-            message: "unsafe is not allowed in this workspace".to_string(),
+            message: message.to_string(),
         });
+    };
+    if !UNSAFE_ALLOW.contains(&f.path.as_str()) {
+        for line in sites {
+            finding(line, "unsafe is not allowed in this workspace");
+        }
+        return;
+    }
+    if lexer::find_word(bytes, b"is_x86_feature_detected", 0).is_none() {
+        finding(
+            1,
+            "an unsafe-allowlisted file must guard its unsafe call with is_x86_feature_detected!",
+        );
+    }
+    if sites.is_empty() {
+        finding(
+            1,
+            "unsafe-allowlisted file holds no unsafe; drop it from UNSAFE_ALLOW",
+        );
+    }
+    for &line in sites.iter().skip(1) {
+        finding(
+            line,
+            "an unsafe-allowlisted file may hold exactly one unsafe (the dispatch site)",
+        );
     }
 }
 
@@ -714,6 +743,33 @@ mod tests {
             "// unsafe here would be bad\nfn f() -> &'static str { \"unsafe\" }",
         );
         assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn unsafe_allowlist_admits_exactly_one_unsafe_beside_feature_detection() {
+        let path = UNSAFE_ALLOW[0];
+        let dispatch =
+            "fn go(s: &mut S) { if is_x86_feature_detected!(\"avx512f\") { unsafe { wide(s) } } }";
+        assert!(one(path, dispatch).is_empty());
+
+        let second = format!("{dispatch}\nfn more(p: *const u8) -> u8 {{ unsafe {{ *p }} }}");
+        let f = one(path, &second);
+        assert_eq!(rules_of(&f), ["unsafe"], "{f:?}");
+        assert_eq!(f[0].line, 2, "{f:?}");
+
+        let unguarded = one(path, "fn go(s: &mut S) { unsafe { wide(s) } }");
+        assert_eq!(rules_of(&unguarded), ["unsafe"], "{unguarded:?}");
+        assert!(unguarded[0].message.contains("is_x86_feature_detected"));
+
+        let idle = one(
+            path,
+            "fn go() -> bool { is_x86_feature_detected!(\"avx512f\") }",
+        );
+        assert_eq!(rules_of(&idle), ["unsafe"], "{idle:?}");
+
+        // The same text anywhere else is still forbidden.
+        let f = one("crates/crypto/src/sha3.rs", dispatch);
+        assert_eq!(rules_of(&f), ["unsafe"], "{f:?}");
     }
 
     // --- rule `allow` + suppression ---

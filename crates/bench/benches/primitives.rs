@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use imageproof_akm::kernel::{dist_sq, dist_sq_scalar, dist_sq_within};
 use imageproof_akm::rkd::RkdForest;
-use imageproof_crypto::sha3::Sha3_256;
+use imageproof_crypto::sha3::{Sha3Batch, Sha3_256};
 use imageproof_crypto::wire::Writer;
 use imageproof_crypto::{Digest, MerkleTree, SigningKey};
 use imageproof_cuckoo::{max_count, CuckooFilter};
@@ -35,6 +35,33 @@ fn sha3_bench(c: &mut Criterion) {
         group.throughput(Throughput::Bytes(size as u64));
         group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, _| {
             b.iter(|| Sha3_256::digest(&data))
+        });
+    }
+    group.finish();
+}
+
+fn sha3_batch_bench(c: &mut Criterion) {
+    // The two message sizes client verification is made of: an internal
+    // MRKD node (72 bytes, one rate block) and a full-mode table row of a
+    // 64-d centroid (300 bytes, three blocks). Each iteration hashes 1024
+    // messages; compare per message against `sha3_256/64`. On a host
+    // without AVX-512 the batch runs the scalar permutation per message
+    // and the two groups read alike.
+    println!("sha3_256_batch Keccak instance: {}", Sha3Batch::instance());
+    const MESSAGES: usize = 1024;
+    let mut group = c.benchmark_group("sha3_256_batch");
+    for size in [72usize, 300] {
+        let data = vec![0xabu8; size];
+        group.throughput(Throughput::Elements(MESSAGES as u64));
+        group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, _| {
+            let mut batch = Sha3Batch::new();
+            b.iter(|| {
+                for _ in 0..MESSAGES {
+                    batch.update(&data);
+                    batch.end_message();
+                }
+                batch.finalize_reset()
+            })
         });
     }
     group.finish();
@@ -209,6 +236,7 @@ fn wire_writer_bench(c: &mut Criterion) {
 criterion_group!(
     benches,
     sha3_bench,
+    sha3_batch_bench,
     ed25519_bench,
     merkle_bench,
     cuckoo_bench,

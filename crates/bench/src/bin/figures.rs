@@ -997,6 +997,12 @@ fn main() {
         if quick { "quick" } else { "full" },
         scale.n_queries
     );
+    // Client times below depend on it: without AVX-512 the batched hashing
+    // runs the scalar permutation per message.
+    println!(
+        "batched SHA3 Keccak instance: {}",
+        imageproof_crypto::sha3::Sha3Batch::instance()
+    );
     for fig in figs {
         match fig {
             6 => fig6_7(&mut cache, &scale, DescriptorKind::Sift, 6),

@@ -8,7 +8,7 @@
 //! and the client build digests through the same API, so the encoding is an
 //! internal detail that never leaks into the protocol.
 
-use crate::sha3::Sha3_256;
+use crate::sha3::{Sha3Batch, Sha3_256};
 use std::fmt;
 
 /// A SHA3-256 digest.
@@ -51,9 +51,42 @@ impl AsRef<[u8]> for Digest {
     }
 }
 
+/// Where a [`DigestBuilder`]'s framed bytes go: one sponge of its own, or
+/// the open message of a [`DigestBatch`]. The framing is written once, in
+/// [`DigestBuilder`], so both hash the same bytes.
+pub trait FieldSink {
+    /// What finishing the message yields.
+    type Out;
+    /// Appends raw bytes to the message.
+    fn absorb(&mut self, bytes: &[u8]);
+    /// Ends the message.
+    fn finish(self) -> Self::Out;
+}
+
+impl FieldSink for Sha3_256 {
+    type Out = Digest;
+    fn absorb(&mut self, bytes: &[u8]) {
+        self.update(bytes);
+    }
+    fn finish(self) -> Digest {
+        Digest(self.finalize())
+    }
+}
+
+impl FieldSink for &mut Sha3Batch {
+    type Out = ();
+    fn absorb(&mut self, bytes: &[u8]) {
+        self.update(bytes);
+    }
+    fn finish(self) {
+        self.end_message();
+    }
+}
+
 /// Builds a digest over a sequence of typed fields with unambiguous framing.
-pub struct DigestBuilder {
-    hasher: Sha3_256,
+#[must_use = "a message is hashed only once `finish` ends it"]
+pub struct DigestBuilder<S = Sha3_256> {
+    sink: S,
 }
 
 impl Default for DigestBuilder {
@@ -65,32 +98,34 @@ impl Default for DigestBuilder {
 impl DigestBuilder {
     pub fn new() -> Self {
         DigestBuilder {
-            hasher: Sha3_256::new(),
+            sink: Sha3_256::new(),
         }
     }
+}
 
+impl<S: FieldSink> DigestBuilder<S> {
     /// Appends a variable-length byte field, length-prefixed.
     pub fn bytes(mut self, data: &[u8]) -> Self {
-        self.hasher.update(&(data.len() as u64).to_le_bytes());
-        self.hasher.update(data);
+        self.sink.absorb(&(data.len() as u64).to_le_bytes());
+        self.sink.absorb(data);
         self
     }
 
     /// Appends a fixed-width digest field.
     pub fn digest(mut self, d: &Digest) -> Self {
-        self.hasher.update(&d.0);
+        self.sink.absorb(&d.0);
         self
     }
 
     /// Appends a `u64` field.
     pub fn u64(mut self, v: u64) -> Self {
-        self.hasher.update(&v.to_le_bytes());
+        self.sink.absorb(&v.to_le_bytes());
         self
     }
 
     /// Appends a `u32` field.
     pub fn u32(mut self, v: u32) -> Self {
-        self.hasher.update(&v.to_le_bytes());
+        self.sink.absorb(&v.to_le_bytes());
         self
     }
 
@@ -99,29 +134,80 @@ impl DigestBuilder {
     /// Impact values and cluster weights are `f32`s computed identically by
     /// owner and client, so bit-pattern hashing is deterministic.
     pub fn f32(mut self, v: f32) -> Self {
-        self.hasher.update(&v.to_bits().to_le_bytes());
+        self.sink.absorb(&v.to_bits().to_le_bytes());
         self
     }
 
     /// Appends an `f64` field by its bit pattern.
     pub fn f64(mut self, v: f64) -> Self {
-        self.hasher.update(&v.to_bits().to_le_bytes());
+        self.sink.absorb(&v.to_bits().to_le_bytes());
         self
     }
 
     /// Appends a slice of `f32`s (e.g. a splitting hyperplane or cluster
     /// centroid), length-prefixed.
     pub fn f32_slice(mut self, vs: &[f32]) -> Self {
-        self.hasher.update(&(vs.len() as u64).to_le_bytes());
-        for v in vs {
-            self.hasher.update(&v.to_bits().to_le_bytes());
+        self.sink.absorb(&(vs.len() as u64).to_le_bytes());
+        // Sixteen floats to an absorb: a centroid is hundreds of bytes, and
+        // a sink call per float costs more than the bytes do.
+        let mut bytes = [0u8; 64];
+        for chunk in vs.chunks(16) {
+            for (b, v) in bytes.chunks_exact_mut(4).zip(chunk) {
+                b.copy_from_slice(&v.to_bits().to_le_bytes());
+            }
+            self.sink
+                .absorb(bytes.get(..chunk.len() * 4).unwrap_or(&bytes));
         }
         self
     }
 
-    /// Finishes and returns the digest.
-    pub fn finish(self) -> Digest {
-        Digest(self.hasher.finalize())
+    /// Ends the message: the digest itself, or `()` for a message of a
+    /// [`DigestBatch`], whose digests arrive together.
+    pub fn finish(self) -> S::Out {
+        self.sink.finish()
+    }
+}
+
+/// Many independent field-framed messages hashed together
+/// ([`Sha3Batch`]): queue each with [`message`](DigestBatch::message) and
+/// the same [`DigestBuilder`] calls a single digest takes, then collect
+/// every digest, in queueing order, with [`finish`](DigestBatch::finish).
+///
+/// ```
+/// use imageproof_crypto::{Digest, DigestBatch};
+/// let mut batch = DigestBatch::new();
+/// for i in 0..20 {
+///     batch.message().u64(i).bytes(b"node").finish();
+/// }
+/// let digests = batch.finish();
+/// assert_eq!(digests[7], Digest::builder().u64(7).bytes(b"node").finish());
+/// ```
+#[derive(Default)]
+pub struct DigestBatch {
+    batch: Sha3Batch,
+}
+
+impl DigestBatch {
+    /// An empty batch.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// A builder for the next message; its `finish` queues the message.
+    pub fn message(&mut self) -> DigestBuilder<&mut Sha3Batch> {
+        DigestBuilder {
+            sink: &mut self.batch,
+        }
+    }
+
+    /// Hashes every queued message and empties the batch, keeping its
+    /// buffer for the next round.
+    pub fn finish(&mut self) -> Vec<Digest> {
+        self.batch
+            .finalize_reset()
+            .into_iter()
+            .map(Digest)
+            .collect()
     }
 }
 
@@ -162,6 +248,37 @@ mod tests {
     #[test]
     fn of_matches_plain_sha3() {
         assert_eq!(Digest::of(b"abc").0, crate::sha3::Sha3_256::digest(b"abc"));
+    }
+
+    #[test]
+    fn batched_messages_hash_like_single_builders() {
+        let d = Digest::of(b"child");
+        let floats = [0.5f32, -0.0, f32::NAN, 3.25];
+        let mut batch = DigestBatch::new();
+        for round in 0..2u64 {
+            // 19 messages of several shapes and block counts per round;
+            // the second round reuses the emptied batch.
+            for i in 0..19u64 {
+                let b = batch.message().u64(round).u32(i as u32);
+                match i % 3 {
+                    0 => b.f32(1.5).digest(&d).digest(&d).finish(),
+                    1 => b.f32_slice(&floats.repeat(i as usize)).finish(),
+                    _ => b.bytes(&vec![i as u8; 40 * i as usize]).f64(2.5).finish(),
+                }
+            }
+            let digests = batch.finish();
+            assert_eq!(digests.len(), 19);
+            for (i, got) in (0..19u64).zip(digests) {
+                let b = Digest::builder().u64(round).u32(i as u32);
+                let expected = match i % 3 {
+                    0 => b.f32(1.5).digest(&d).digest(&d).finish(),
+                    1 => b.f32_slice(&floats.repeat(i as usize)).finish(),
+                    _ => b.bytes(&vec![i as u8; 40 * i as usize]).f64(2.5).finish(),
+                };
+                assert_eq!(got, expected, "round {round} message {i}");
+            }
+        }
+        assert!(batch.finish().is_empty());
     }
 
     #[test]

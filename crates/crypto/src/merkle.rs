@@ -7,7 +7,7 @@
 //! the revealed dimensions against the per-cluster MH-tree root that the
 //! MRKD-tree leaf digest commits to.
 
-use crate::digest::Digest;
+use crate::digest::{Digest, DigestBatch, DigestBuilder, FieldSink};
 use imageproof_parallel::{par_map_chunked, Concurrency};
 
 /// Domain-separation tags so a leaf digest can never be confused with an
@@ -20,16 +20,24 @@ const NODE_TAG: u8 = 0x01;
 /// levels (and small trees) stay on the calling thread.
 const PAR_MIN_NODES: usize = 256;
 
+/// The message of a leaf over `data`, for a single digest
+/// (`hash_leaf(Digest::builder(), data)`) or a batched one
+/// (`hash_leaf(batch.message(), data)`); exposed so other crates can hash
+/// leaves exactly as the tree does without constructing one.
+pub fn hash_leaf<S: FieldSink>(b: DigestBuilder<S>, data: &[u8]) -> S::Out {
+    b.bytes(&[LEAF_TAG]).bytes(data).finish()
+}
+
+fn hash_node<S: FieldSink>(b: DigestBuilder<S>, left: &Digest, right: &Digest) -> S::Out {
+    b.bytes(&[NODE_TAG]).digest(left).digest(right).finish()
+}
+
 fn leaf_digest(data: &[u8]) -> Digest {
-    Digest::builder().bytes(&[LEAF_TAG]).bytes(data).finish()
+    hash_leaf(Digest::builder(), data)
 }
 
 fn node_digest(left: &Digest, right: &Digest) -> Digest {
-    Digest::builder()
-        .bytes(&[NODE_TAG])
-        .digest(left)
-        .digest(right)
-        .finish()
+    hash_node(Digest::builder(), left, right)
 }
 
 /// A complete binary Merkle tree over an ordered sequence of leaves.
@@ -171,12 +179,6 @@ impl MerkleProof {
     }
 }
 
-/// Hashes raw leaf data exactly as the tree does; exposed so other crates can
-/// build leaf digests without constructing a tree.
-pub fn hash_leaf(data: &[u8]) -> Digest {
-    leaf_digest(data)
-}
-
 /// A batched membership proof for a *subset* of leaves.
 ///
 /// Sibling digests shared between the individual authentication paths are
@@ -233,31 +235,46 @@ impl MerkleTree {
     }
 }
 
-impl SubsetProof {
-    /// Recomputes the root from `(leaf_index, leaf_digest)` pairs (strictly
-    /// increasing by index) and compares with `root`. Returns `false` on any
-    /// structural mismatch.
-    // audit:allow(panic) every index on this adversarial path is guarded: windows(2) pairs, i < covered.len(), and covered.len() == 1 before covered[0]
-    pub fn verify_digests(&self, revealed: &[(usize, Digest)], root: &Digest) -> bool {
-        if revealed.is_empty()
-            || !revealed.windows(2).all(|w| w[0].0 < w[1].0)
-            || revealed.last().map(|&(i, _)| i >= self.n_leaves as usize) != Some(false)
-        {
-            return false;
-        }
-        // Reconstruct level sizes exactly as construction produced them.
-        let mut cur = self.n_leaves as usize;
-        let mut level_sizes = vec![cur];
-        while cur > 1 {
-            cur = cur.div_ceil(2);
-            level_sizes.push(cur);
-        }
+/// One tree's share of a [`subset_roots`] call: its revealed `(leaf index,
+/// leaf digest)` pairs and the fill digests of a [`SubsetProof`].
+pub type RevealedSubset<'a> = (&'a [(usize, Digest)], &'a [Digest]);
 
-        let mut fill_iter = self.fill.iter();
-        let mut covered: Vec<(usize, Digest)> = revealed.to_vec();
-        for &size in &level_sizes[..level_sizes.len() - 1] {
+/// Reconstructs the roots of many trees of `n_leaves` leaves each from
+/// their revealed leaves and fill digests, hashing one level of every tree
+/// per batch. `None` marks a structural mismatch: no or unsorted or
+/// out-of-range leaves, too little or too much fill. A tree with every
+/// leaf revealed needs no fill, so this also computes plain roots.
+// audit:allow(panic) every index on this adversarial path is guarded: windows(2) pairs, i < covered.len(), pending positions were pushed into the same `next`, and covered.len() == 1 before covered[0]
+pub fn subset_roots(
+    n_leaves: usize,
+    subsets: &[RevealedSubset<'_>],
+    batch: &mut DigestBatch,
+) -> Vec<Option<Digest>> {
+    // Per tree: the covered nodes of the current level and the unread fill;
+    // `None` once the tree is known to be malformed.
+    type Walk<'a> = Option<(Vec<(usize, Digest)>, std::slice::Iter<'a, Digest>)>;
+    let mut walks: Vec<Walk<'_>> = subsets
+        .iter()
+        .map(|&(revealed, fill)| {
+            let well_formed = revealed.windows(2).all(|w| w[0].0 < w[1].0)
+                && revealed.last().is_some_and(|&(i, _)| i < n_leaves);
+            well_formed.then(|| (revealed.to_vec(), fill.iter()))
+        })
+        .collect();
+
+    // Level sizes exactly as construction produced them.
+    let mut size = n_leaves;
+    // (tree, position in its next level) of each queued parent, in
+    // queueing order.
+    let mut pending: Vec<(usize, usize)> = Vec::new();
+    while size > 1 {
+        for (tree, walk) in walks.iter_mut().enumerate() {
+            let Some((covered, fill)) = walk else {
+                continue;
+            };
             let mut next = Vec::with_capacity(covered.len());
             let mut i = 0;
+            let mut fill_ran_out = false;
             while i < covered.len() {
                 let (idx, digest) = covered[i];
                 let sib = idx ^ 1;
@@ -266,8 +283,9 @@ impl SubsetProof {
                     i += 2;
                     Some((digest, sib_digest))
                 } else if sib < size {
-                    let Some(&sib_digest) = fill_iter.next() else {
-                        return false;
+                    let Some(&sib_digest) = fill.next() else {
+                        fill_ran_out = true;
+                        break;
                     };
                     i += 1;
                     if sib < idx {
@@ -279,15 +297,48 @@ impl SubsetProof {
                     i += 1;
                     None // promoted odd node
                 };
-                let parent = match pair {
-                    Some((l, r)) => node_digest(&l, &r),
-                    None => digest,
-                };
-                next.push((idx / 2, parent));
+                match pair {
+                    Some((l, r)) => {
+                        hash_node(batch.message(), &l, &r);
+                        pending.push((tree, next.len()));
+                        next.push((idx / 2, Digest::ZERO));
+                    }
+                    None => next.push((idx / 2, digest)),
+                }
             }
-            covered = next;
+            if fill_ran_out {
+                *walk = None;
+            } else {
+                *covered = next;
+            }
         }
-        fill_iter.next().is_none() && covered.len() == 1 && covered[0].1 == *root
+        for ((tree, at), parent) in pending.drain(..).zip(batch.finish()) {
+            if let Some(Some((covered, _))) = walks.get_mut(tree) {
+                covered[at].1 = parent;
+            }
+        }
+        size = size.div_ceil(2);
+    }
+    walks
+        .into_iter()
+        .map(|walk| {
+            let (covered, mut fill) = walk?;
+            (fill.next().is_none() && covered.len() == 1).then(|| covered[0].1)
+        })
+        .collect()
+}
+
+impl SubsetProof {
+    /// Recomputes the root from `(leaf_index, leaf_digest)` pairs (strictly
+    /// increasing by index) and compares with `root`. Returns `false` on any
+    /// structural mismatch.
+    pub fn verify_digests(&self, revealed: &[(usize, Digest)], root: &Digest) -> bool {
+        let roots = subset_roots(
+            self.n_leaves as usize,
+            &[(revealed, &self.fill)],
+            &mut DigestBatch::new(),
+        );
+        roots.first() == Some(&Some(*root))
     }
 
     /// Convenience: verify from raw leaf data.
@@ -419,6 +470,78 @@ mod tests {
                     "n={n} subset={subset:?}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn subset_roots_of_many_trees_match_one_tree_at_a_time() {
+        // Trees of one shape walked in lockstep: honest subsets, a fully
+        // revealed tree (no fill: the plain root), and every malformation,
+        // interleaved so a dropped tree must not shift its neighbours.
+        for n in [1usize, 2, 5, 8, 13] {
+            let trees: Vec<MerkleTree> = (0..6)
+                .map(|t| {
+                    let data: Vec<Vec<u8>> = (0..n)
+                        .map(|i| format!("tree-{t}-leaf-{i}").into_bytes())
+                        .collect();
+                    MerkleTree::from_leaf_data(&data)
+                })
+                .collect();
+            let reveal = |t: usize, subset: &[usize]| -> Vec<(usize, Digest)> {
+                subset.iter().map(|&i| (i, trees[t].levels[0][i])).collect()
+            };
+            let all: Vec<usize> = (0..n).collect();
+            let odd: Vec<usize> = (0..n).filter(|i| i % 3 != 1).collect();
+            let proofs = [
+                trees[0].prove_subset(&[0]),
+                trees[1].prove_subset(&odd),
+                trees[2].prove_subset(&[n - 1]),
+                trees[3].prove_subset(&[0]),
+                trees[4].prove_subset(&[n / 2]),
+            ];
+            let mut short = proofs[3].fill.clone();
+            short.pop();
+            let mut long = proofs[4].fill.clone();
+            long.push(Digest::of(b"extra"));
+            let revealed = [
+                reveal(0, &[0]),
+                reveal(1, &odd),
+                reveal(2, &[n - 1]),
+                reveal(3, &[0]),
+                reveal(4, &[n / 2]),
+                reveal(5, &all),
+                vec![],
+                vec![(n, Digest::of(b"out of range"))],
+            ];
+            let subsets: Vec<RevealedSubset<'_>> = vec![
+                (&revealed[0], &proofs[0].fill),
+                (&revealed[1], &proofs[1].fill),
+                (&revealed[2], &proofs[2].fill),
+                (&revealed[3], &short),
+                (&revealed[4], &long),
+                (&revealed[5], &[]),
+                (&revealed[6], &[]),
+                (&revealed[7], &[]),
+            ];
+            let roots = subset_roots(n, &subsets, &mut DigestBatch::new());
+            let root = |t: usize| Some(trees[t].root());
+            // A one-leaf tree needs no fill, so dropping some is impossible
+            // and only the extra digest is a mismatch.
+            let short_is_detectable = !proofs[3].fill.is_empty();
+            assert_eq!(
+                roots,
+                [
+                    root(0),
+                    root(1),
+                    root(2),
+                    if short_is_detectable { None } else { root(3) },
+                    None,
+                    root(5),
+                    None,
+                    None
+                ],
+                "n={n}"
+            );
         }
     }
 

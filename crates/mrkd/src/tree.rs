@@ -13,7 +13,7 @@
 //! candidate-compression optimization) — see [`CandidateMode`].
 
 use imageproof_akm::rkd::{Node, RkdForest, RkdTree};
-use imageproof_crypto::{Digest, MerkleTree};
+use imageproof_crypto::{Digest, DigestBatch, DigestBuilder, FieldSink, MerkleTree};
 use imageproof_parallel::{par_map, par_map_chunked, Concurrency};
 
 /// How cluster centroids are committed inside leaf digests.
@@ -27,47 +27,136 @@ pub enum CandidateMode {
     Compressed,
 }
 
-/// Hashes one leaf-entry binding. Shared by owner (build), SP (pruned-leaf
-/// digests) and client (reconstruction) so the binding can never drift.
-pub fn leaf_entry_digest_full(cluster: u32, coords: &[f32], inv_digest: &Digest) -> Digest {
-    Digest::builder()
-        .u32(cluster)
-        .f32_slice(coords)
-        .digest(inv_digest)
-        .finish()
+/// The message of one leaf-entry binding. Like every digest layout below
+/// it takes the builder to write into — `Digest::builder()` for the digest
+/// itself, `batch.message()` to queue it in a [`DigestBatch`] — so owner
+/// (build, refresh) and client (reconstruction) share one layout whichever
+/// way they hash.
+pub fn leaf_entry_digest_full<S: FieldSink>(
+    b: DigestBuilder<S>,
+    cluster: u32,
+    coords: &[f32],
+    inv_digest: &Digest,
+) -> S::Out {
+    b.u32(cluster).f32_slice(coords).digest(inv_digest).finish()
 }
 
 /// Compressed-mode variant: binds the dimension-tree root instead of raw
 /// coordinates.
-pub fn leaf_entry_digest_compressed(
+pub fn leaf_entry_digest_compressed<S: FieldSink>(
+    b: DigestBuilder<S>,
     cluster: u32,
     dim_root: &Digest,
     inv_digest: &Digest,
-) -> Digest {
-    Digest::builder()
-        .u32(cluster)
-        .digest(dim_root)
-        .digest(inv_digest)
-        .finish()
+) -> S::Out {
+    b.u32(cluster).digest(dim_root).digest(inv_digest).finish()
 }
 
-/// Hashes a whole leaf from its entry digests (Def. 3).
-pub fn leaf_digest(entry_digests: &[Digest]) -> Digest {
-    let mut b = Digest::builder().u64(entry_digests.len() as u64);
+/// The message of a whole leaf over its entry digests (Def. 3).
+pub fn leaf_digest<'a, S: FieldSink>(
+    b: DigestBuilder<S>,
+    entry_digests: impl ExactSizeIterator<Item = &'a Digest>,
+) -> S::Out {
+    let mut b = b.u64(entry_digests.len() as u64);
     for d in entry_digests {
         b = b.digest(d);
     }
     b.finish()
 }
 
-/// Hashes an internal node (Def. 2).
-pub fn internal_digest(dim: u32, value: f32, left: &Digest, right: &Digest) -> Digest {
-    Digest::builder()
-        .u32(dim)
-        .f32(value)
-        .digest(left)
-        .digest(right)
-        .finish()
+/// The message of an internal node (Def. 2).
+pub fn internal_digest<S: FieldSink>(
+    b: DigestBuilder<S>,
+    dim: u32,
+    value: f32,
+    left: &Digest,
+    right: &Digest,
+) -> S::Out {
+    b.u32(dim).f32(value).digest(left).digest(right).finish()
+}
+
+/// What the level-order hasher needs to know about one tree node.
+pub(crate) enum Shape<'a> {
+    /// The digest is already known: a pruned VO subtree, or an owner node
+    /// no update touched.
+    Known(Digest),
+    /// A leaf over these entries (indices into the entry-digest table).
+    Leaf(&'a [u32]),
+    /// An internal node over two nodes of the same tree.
+    Internal {
+        dim: u32,
+        value: f32,
+        left: usize,
+        right: usize,
+    },
+}
+
+/// Every node digest of a forest, bottom-up, one height of all trees per
+/// hash batch. Tree `t` has `sizes[t]` nodes described by `shape(t, node)`,
+/// parents before their children (so node 0 is a root); `entries` are the
+/// leaf-entry digests that [`Shape::Leaf`] indexes. The one routine under
+/// owner build, owner refresh and client reconstruction.
+// audit:allow(panic) `levels` and `digests` are sized from `sizes` and indexed by (tree, node) pairs enumerated from them; child and entry indices go through `get`
+pub(crate) fn hash_forest<'a>(
+    sizes: &[usize],
+    shape: impl Fn(usize, usize) -> Shape<'a>,
+    entries: &[Digest],
+    batch: &mut DigestBatch,
+) -> Vec<Vec<Digest>> {
+    // A node's level: 0 when its digest is known, else one more than its
+    // children's highest. Children sit after their parent, so a reverse
+    // scan has levelled them first; an index that breaks that order reads
+    // as level 0 and, below, as the zero digest.
+    let mut by_level: Vec<Vec<(usize, usize)>> = Vec::new();
+    let mut digests: Vec<Vec<Digest>> = Vec::with_capacity(sizes.len());
+    for (tree, &size) in sizes.iter().enumerate() {
+        let mut levels = vec![0usize; size];
+        let mut known = vec![Digest::ZERO; size];
+        for node in (0..size).rev() {
+            let level = match shape(tree, node) {
+                Shape::Known(digest) => {
+                    known[node] = digest;
+                    continue;
+                }
+                Shape::Leaf(_) => 1,
+                Shape::Internal { left, right, .. } => {
+                    let of = |child: usize| levels.get(child).copied().unwrap_or(0);
+                    1 + of(left).max(of(right))
+                }
+            };
+            levels[node] = level;
+            if by_level.len() < level {
+                by_level.resize_with(level, Vec::new);
+            }
+            by_level[level - 1].push((tree, node));
+        }
+        digests.push(known);
+    }
+
+    for level in &by_level {
+        for &(tree, node) in level {
+            let of = |child: usize| digests[tree].get(child).copied().unwrap_or(Digest::ZERO);
+            match shape(tree, node) {
+                Shape::Known(_) => {}
+                Shape::Leaf(named) => leaf_digest(
+                    batch.message(),
+                    named
+                        .iter()
+                        .map(|&e| entries.get(e as usize).unwrap_or(&Digest::ZERO)),
+                ),
+                Shape::Internal {
+                    dim,
+                    value,
+                    left,
+                    right,
+                } => internal_digest(batch.message(), dim, value, &of(left), &of(right)),
+            }
+        }
+        for (&(tree, node), digest) in level.iter().zip(batch.finish()) {
+            digests[tree][node] = digest;
+        }
+    }
+    digests
 }
 
 /// Dimensions per Merkle leaf of the per-cluster commitment.
@@ -90,24 +179,42 @@ pub fn block_range(block: usize, dim: usize) -> std::ops::Range<usize> {
     start..((block + 1) * BLOCK_DIMS).min(dim)
 }
 
-/// Canonical leaf bytes of one block: the block's coordinates as
-/// little-endian IEEE-754 bit patterns.
-pub fn block_bytes(block_coords: &[f32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(block_coords.len() * 4);
-    for c in block_coords {
-        out.extend_from_slice(&c.to_bits().to_le_bytes());
-    }
-    out
+/// Canonical leaf bytes of one block, written over `out`: the block's
+/// coordinates as little-endian IEEE-754 bit patterns.
+pub fn block_bytes(block_coords: &[f32], out: &mut Vec<u8>) {
+    out.clear();
+    out.extend(block_coords.iter().flat_map(|c| c.to_bits().to_le_bytes()));
 }
 
 /// Builds the Merkle tree over one centroid's dimension blocks, used in
 /// [`CandidateMode::Compressed`].
-// audit:allow(panic) blocks below n_blocks(len) slice within coords; block_range clamps the end
 pub fn dimension_tree(coords: &[f32]) -> MerkleTree {
     let leaves: Vec<Vec<u8>> = (0..n_blocks(coords.len()))
-        .map(|b| block_bytes(&coords[block_range(b, coords.len())]))
+        .map(|b| {
+            let mut leaf = Vec::new();
+            block_bytes(&coords[block_range(b, coords.len())], &mut leaf);
+            leaf
+        })
         .collect();
     MerkleTree::from_leaf_data(&leaves)
+}
+
+/// An owner-side node as the level-order hasher sees it.
+fn owner_shape(node: &Node) -> Shape<'_> {
+    match node {
+        Node::Leaf { clusters } => Shape::Leaf(clusters),
+        Node::Internal {
+            dim,
+            value,
+            left,
+            right,
+        } => Shape::Internal {
+            dim: *dim,
+            value: *value,
+            left: *left as usize,
+            right: *right as usize,
+        },
+    }
 }
 
 /// One MRKD-tree: the underlying randomized k-d tree plus per-node digests.
@@ -118,50 +225,14 @@ pub struct MrkdTree {
 }
 
 impl MrkdTree {
-    /// Wraps an existing randomized k-d tree with digests.
-    pub fn build(
-        rkd: RkdTree,
-        centers: &[Vec<f32>],
-        inv_digests: &[Digest],
-        mode: CandidateMode,
-        dim_roots: Option<&[Digest]>,
-    ) -> MrkdTree {
-        let mut digests = vec![Digest::ZERO; rkd.nodes().len()];
-        // Children always precede nothing in particular (parents precede
-        // children in the arena), so compute bottom-up by index descending.
-        for idx in (0..rkd.nodes().len()).rev() {
-            digests[idx] = match &rkd.nodes()[idx] {
-                Node::Leaf { clusters } => {
-                    let entry_digests: Vec<Digest> = clusters
-                        .iter()
-                        .map(|&c| match mode {
-                            CandidateMode::Full => leaf_entry_digest_full(
-                                c,
-                                &centers[c as usize],
-                                &inv_digests[c as usize],
-                            ),
-                            CandidateMode::Compressed => leaf_entry_digest_compressed(
-                                c,
-                                &dim_roots.expect("compressed mode needs dim roots")[c as usize],
-                                &inv_digests[c as usize],
-                            ),
-                        })
-                        .collect();
-                    leaf_digest(&entry_digests)
-                }
-                Node::Internal {
-                    dim,
-                    value,
-                    left,
-                    right,
-                } => internal_digest(
-                    *dim,
-                    *value,
-                    &digests[*left as usize],
-                    &digests[*right as usize],
-                ),
-            };
-        }
+    /// Wraps an existing randomized k-d tree with digests; `entries[c]` is
+    /// cluster `c`'s leaf-entry digest.
+    pub fn build(rkd: RkdTree, entries: &[Digest]) -> MrkdTree {
+        let nodes = rkd.nodes();
+        let shape = |_, node: usize| owner_shape(&nodes[node]);
+        let digests = hash_forest(&[nodes.len()], shape, entries, &mut DigestBatch::new())
+            .pop()
+            .expect("one tree in, one digest array out");
         MrkdTree { rkd, digests }
     }
 
@@ -175,64 +246,22 @@ impl MrkdTree {
         self.digests.len()
     }
 
-    /// Recomputes the digests after some clusters' inverted-list digests
-    /// changed (owner-side incremental update). One O(n) scan; hashes are
-    /// recomputed only for affected leaves and their ancestors, so an
-    /// update touching `k` clusters costs `O(k log n)` hash invocations.
-    pub fn refresh(
-        &mut self,
-        centers: &[Vec<f32>],
-        inv_digests: &[Digest],
-        mode: CandidateMode,
-        dim_roots: Option<&[Digest]>,
-        changed: &std::collections::BTreeSet<u32>,
-    ) {
-        let n = self.rkd.nodes().len();
-        let mut dirty = vec![false; n];
+    /// Which nodes an update of the `changed` clusters' entry digests
+    /// reaches: the leaves holding one and their ancestors.
+    fn dirty(&self, changed: &std::collections::BTreeMap<u32, Digest>) -> Vec<bool> {
+        let nodes = self.rkd.nodes();
+        let mut dirty = vec![false; nodes.len()];
         // Parents precede children in the arena, so a reverse scan sees
         // children first.
-        for idx in (0..n).rev() {
-            match &self.rkd.nodes()[idx] {
-                Node::Leaf { clusters } => {
-                    if clusters.iter().any(|c| changed.contains(c)) {
-                        let entry_digests: Vec<Digest> = clusters
-                            .iter()
-                            .map(|&c| match mode {
-                                CandidateMode::Full => leaf_entry_digest_full(
-                                    c,
-                                    &centers[c as usize],
-                                    &inv_digests[c as usize],
-                                ),
-                                CandidateMode::Compressed => leaf_entry_digest_compressed(
-                                    c,
-                                    &dim_roots.expect("compressed mode needs dim roots")
-                                        [c as usize],
-                                    &inv_digests[c as usize],
-                                ),
-                            })
-                            .collect();
-                        self.digests[idx] = leaf_digest(&entry_digests);
-                        dirty[idx] = true;
-                    }
+        for idx in (0..nodes.len()).rev() {
+            dirty[idx] = match &nodes[idx] {
+                Node::Leaf { clusters } => clusters.iter().any(|c| changed.contains_key(c)),
+                Node::Internal { left, right, .. } => {
+                    dirty[*left as usize] || dirty[*right as usize]
                 }
-                Node::Internal {
-                    dim,
-                    value,
-                    left,
-                    right,
-                } => {
-                    if dirty[*left as usize] || dirty[*right as usize] {
-                        self.digests[idx] = internal_digest(
-                            *dim,
-                            *value,
-                            &self.digests[*left as usize],
-                            &self.digests[*right as usize],
-                        );
-                        dirty[idx] = true;
-                    }
-                }
-            }
+            };
         }
+        dirty
     }
 
     /// Digest of node `idx`.
@@ -259,6 +288,8 @@ pub struct MrkdForest {
     inv_digests: Vec<Digest>,
     /// Per-cluster dimension Merkle trees (compressed mode only).
     dim_trees: Option<Vec<MerkleTree>>,
+    /// Per-cluster leaf-entry digests, shared by every tree's leaves.
+    entries: Vec<Digest>,
 }
 
 impl MrkdForest {
@@ -267,12 +298,12 @@ impl MrkdForest {
     /// `inv_digests[c]` must be the digest of cluster `c`'s Merkle inverted
     /// list (Def. 5), which Def. 3 embeds into leaf digests.
     pub fn build(
-        forest: &RkdForest,
+        rkd: &RkdForest,
         centers: &[Vec<f32>],
         inv_digests: &[Digest],
         mode: CandidateMode,
     ) -> MrkdForest {
-        Self::build_with(forest, centers, inv_digests, mode, Concurrency::serial())
+        Self::build_with(rkd, centers, inv_digests, mode, Concurrency::serial())
     }
 
     /// [`MrkdForest::build`] with the per-cluster dimension trees and the
@@ -283,7 +314,7 @@ impl MrkdForest {
     /// order, so the forest (and the signed combined root) is identical for
     /// every thread count.
     pub fn build_with(
-        forest: &RkdForest,
+        rkd: &RkdForest,
         centers: &[Vec<f32>],
         inv_digests: &[Digest],
         mode: CandidateMode,
@@ -300,19 +331,37 @@ impl MrkdForest {
                 Some(par_map_chunked(conc, centers, 64, |_, c| dimension_tree(c)))
             }
         };
-        let dim_roots: Option<Vec<Digest>> = dim_trees
-            .as_ref()
-            .map(|ts| ts.iter().map(MerkleTree::root).collect());
-        let trees = par_map(conc, forest.trees(), |_, t| {
-            MrkdTree::build(t.clone(), centers, inv_digests, mode, dim_roots.as_deref())
-        });
-        MrkdForest {
+        let mut forest = MrkdForest {
             mode,
-            trees,
+            trees: Vec::new(),
             centers: centers.to_vec(),
             inv_digests: inv_digests.to_vec(),
             dim_trees,
+            entries: Vec::new(),
+        };
+        forest.entries = forest.entry_digests(0..centers.len() as u32);
+        forest.trees = par_map(conc, rkd.trees(), |_, t| {
+            MrkdTree::build(t.clone(), &forest.entries)
+        });
+        forest
+    }
+
+    /// Leaf-entry digests of `clusters`, hashed as one batch.
+    fn entry_digests(&self, clusters: impl Iterator<Item = u32>) -> Vec<Digest> {
+        let mut batch = DigestBatch::new();
+        for c in clusters {
+            let inv = &self.inv_digests[c as usize];
+            match &self.dim_trees {
+                None => leaf_entry_digest_full(batch.message(), c, &self.centers[c as usize], inv),
+                Some(dim_trees) => leaf_entry_digest_compressed(
+                    batch.message(),
+                    c,
+                    &dim_trees[c as usize].root(),
+                    inv,
+                ),
+            }
         }
+        batch.finish()
     }
 
     pub fn mode(&self) -> CandidateMode {
@@ -337,8 +386,9 @@ impl MrkdForest {
     }
 
     /// Total digests the forest stores across every authenticated level:
-    /// per-node tree digests, the cluster list digests, and (compressed
-    /// mode) every dimension Merkle tree node. Footprint accounting only.
+    /// per-node tree digests, the cluster list and leaf-entry digests, and
+    /// (compressed mode) every dimension Merkle tree node. Footprint
+    /// accounting only.
     pub fn n_digests(&self) -> usize {
         let tree_digests: usize = self.trees.iter().map(MrkdTree::n_digests).sum();
         let dim_digests: usize = self
@@ -347,7 +397,7 @@ impl MrkdForest {
             .flatten()
             .map(MerkleTree::n_digests)
             .sum();
-        tree_digests + self.inv_digests.len() + dim_digests
+        tree_digests + self.inv_digests.len() + self.entries.len() + dim_digests
     }
 
     /// The combined digest the owner signs: `h(root_1 | … | root_{n_t})`
@@ -372,19 +422,25 @@ impl MrkdForest {
         for (&cluster, &digest) in updates {
             self.inv_digests[cluster as usize] = digest;
         }
-        let changed: std::collections::BTreeSet<u32> = updates.keys().copied().collect();
-        let dim_roots: Option<Vec<Digest>> = self
-            .dim_trees
-            .as_ref()
-            .map(|ts| ts.iter().map(MerkleTree::root).collect());
-        for tree in &mut self.trees {
-            tree.refresh(
-                &self.centers,
-                &self.inv_digests,
-                self.mode,
-                dim_roots.as_deref(),
-                &changed,
-            );
+        // Only the updated clusters' entries are re-hashed; their leaf-mates
+        // keep theirs.
+        let fresh = self.entry_digests(updates.keys().copied());
+        for (&cluster, entry) in updates.keys().zip(fresh) {
+            self.entries[cluster as usize] = entry;
+        }
+        let dirty: Vec<Vec<bool>> = self.trees.iter().map(|t| t.dirty(updates)).collect();
+        let sizes: Vec<usize> = dirty.iter().map(Vec::len).collect();
+        let shape = |tree: usize, node: usize| {
+            let t = &self.trees[tree];
+            if dirty[tree][node] {
+                owner_shape(&t.rkd.nodes()[node])
+            } else {
+                Shape::Known(t.digests[node])
+            }
+        };
+        let digests = hash_forest(&sizes, shape, &self.entries, &mut DigestBatch::new());
+        for (tree, digests) in self.trees.iter_mut().zip(digests) {
+            tree.digests = digests;
         }
     }
 }
@@ -484,8 +540,9 @@ mod tests {
     fn leaf_digest_depends_on_entry_order_and_count() {
         let a = Digest::of(b"a");
         let b = Digest::of(b"b");
-        assert_ne!(leaf_digest(&[a, b]), leaf_digest(&[b, a]));
-        assert_ne!(leaf_digest(&[a]), leaf_digest(&[a, a]));
+        let leaf = |entries: &[Digest]| leaf_digest(Digest::builder(), entries.iter());
+        assert_ne!(leaf(&[a, b]), leaf(&[b, a]));
+        assert_ne!(leaf(&[a]), leaf(&[a, a]));
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! Given the query feature vectors and the VO (a cluster table under one VO
 //! tree per MRKD-tree), the client:
 //!
-//! 1. **Reconstructs** every tree's root digest: one entry digest per table
-//!    row (rejecting malformed disclosures), then each leaf digest by
-//!    looking its cluster ids up in the table;
+//! 1. **Reconstructs** every tree's root digest: validates the table rows
+//!    and flattens the trees (rejecting malformed disclosures), hashes one
+//!    entry digest per table row as a batch, then every tree's nodes a
+//!    level at a time, leaves looking their cluster ids up in the table;
 //! 2. Derives each query's **verified threshold** `t'_q` — the distance to
 //!    the nearest fully-revealed centroid — and its winner cluster;
 //! 3. **Re-walks** each VO tree with the shared traversal engine to check
@@ -28,13 +29,13 @@
 use crate::search::partial_sum_revealed;
 use crate::traverse::{traverse, ActiveQuery, TraversalVisitor, TreeSource, ViewNode};
 use crate::tree::{
-    block_bytes, block_range, combined_root_digest, dimension_tree, internal_digest, leaf_digest,
-    leaf_entry_digest_compressed, leaf_entry_digest_full, n_blocks, CandidateMode,
+    block_bytes, block_range, combined_root_digest, hash_forest, leaf_entry_digest_compressed,
+    leaf_entry_digest_full, n_blocks, CandidateMode, Shape,
 };
 use crate::vo::{BovwVo, Reveal, VoCluster, VoNode};
 use imageproof_akm::kernel::dist_sq_within;
-use imageproof_crypto::merkle::hash_leaf;
-use imageproof_crypto::Digest;
+use imageproof_crypto::merkle::{hash_leaf, subset_roots, RevealedSubset};
+use imageproof_crypto::{Digest, DigestBatch};
 use std::collections::BTreeMap;
 
 /// Why a VO was rejected.
@@ -108,6 +109,14 @@ pub fn verify_bovw(
     queries: &[Vec<f32>],
     mode: CandidateMode,
 ) -> Result<VerifiedBovw, VerifyError> {
+    let dim = check_inputs(vo, queries)?;
+    let (roots, sources) = reconstruct(vo, dim, mode)?;
+    complete(vo, queries, &roots, &sources)
+}
+
+/// The queries' common dimensionality, once the inputs are non-empty and
+/// consistent.
+fn check_inputs(vo: &BovwVo, queries: &[Vec<f32>]) -> Result<usize, VerifyError> {
     if queries.is_empty() {
         return Err(VerifyError::Malformed("no query vectors"));
     }
@@ -118,21 +127,50 @@ pub fn verify_bovw(
     if vo.trees.is_empty() {
         return Err(VerifyError::Malformed("no VO trees"));
     }
+    Ok(dim)
+}
 
-    // Phase 1: one entry digest per table row, then the roots by lookup.
-    let mut table = Table::check(&vo.clusters, dim, mode)?;
-    let mut roots = Vec::with_capacity(vo.trees.len());
+/// Phase 1: one entry digest per table row, then every tree's root by
+/// lookup, plus the flattened trees phase 3 walks. Structure is checked
+/// before anything above the table is hashed, in the order a
+/// node-at-a-time reconstruction would meet it, so the first error is the
+/// same one.
+fn reconstruct(
+    vo: &BovwVo,
+    dim: usize,
+    mode: CandidateMode,
+) -> Result<(Vec<Digest>, Vec<VoSource>), VerifyError> {
+    let mut batch = DigestBatch::new();
+    let mut table = Table::check(&vo.clusters, dim)?;
+    let entries = entry_digests(&vo.clusters, dim, mode, &mut batch)?;
     let mut sources = Vec::with_capacity(vo.trees.len());
     for tree in &vo.trees {
         let mut source = VoSource::default();
-        let (_, root) = table.reconstruct(tree, &mut source)?;
-        roots.push(root);
+        source.flatten(tree, &mut table)?;
         sources.push(source);
     }
-    if table.rows.iter().any(|&(_, named)| !named) {
+    if table.named.contains(&false) {
         return Err(VerifyError::Malformed("table row named by no leaf"));
     }
+    let sizes: Vec<usize> = sources.iter().map(|s| s.nodes.len()).collect();
+    let shape = |tree: usize, node: usize| match sources.get(tree) {
+        Some(source) => source.shape(node),
+        None => Shape::Known(Digest::ZERO),
+    };
+    let roots = hash_forest(&sizes, shape, &entries, &mut batch)
+        .iter()
+        .map(|digests| digests.first().copied().unwrap_or(Digest::ZERO))
+        .collect();
+    Ok((roots, sources))
+}
 
+/// Phases 2 and 3 over the reconstructed roots and flattened trees.
+fn complete(
+    vo: &BovwVo,
+    queries: &[Vec<f32>],
+    roots: &[Digest],
+    sources: &[VoSource],
+) -> Result<VerifiedBovw, VerifyError> {
     // Phase 2: verified thresholds and winners.
     let reveals: Vec<(u32, &[f32])> = vo
         .clusters
@@ -161,7 +199,7 @@ pub fn verify_bovw(
         .iter()
         .map(|row| matches!(row.reveal, Reveal::Partial { .. }).then(Vec::new))
         .collect();
-    for source in &sources {
+    for source in sources {
         let mut visitor = ClientVisitor {
             source,
             reached: &mut reached,
@@ -187,7 +225,7 @@ pub fn verify_bovw(
     }
 
     Ok(VerifiedBovw {
-        combined_root: combined_root_digest(&roots),
+        combined_root: combined_root_digest(roots),
         assignments,
         thresholds_sq,
         inv_digests: vo
@@ -256,124 +294,152 @@ pub fn verify_bovw_baseline(
     })
 }
 
-/// The VO's cluster table as phase 1 sees it: one entry digest per row,
-/// and which rows some disclosed leaf has named so far.
+/// The VO's cluster table as flattening sees it: where each cluster's row
+/// is, and which rows some disclosed leaf has named so far.
 struct Table {
     dim: usize,
     /// Row cluster ids, strictly ascending (checked on construction).
     ids: Vec<u32>,
-    /// Per row: its entry digest, and whether a leaf has named it.
-    rows: Vec<(Digest, bool)>,
-    /// Entry digests of the leaf being hashed.
-    leaf_scratch: Vec<Digest>,
+    /// Per row: whether a leaf has named it.
+    named: Vec<bool>,
 }
 
 impl Table {
-    fn check(rows: &[VoCluster], dim: usize, mode: CandidateMode) -> Result<Table, VerifyError> {
+    fn check(rows: &[VoCluster], dim: usize) -> Result<Table, VerifyError> {
         let ids: Vec<u32> = rows.iter().map(|row| row.cluster).collect();
         if !ids.iter().zip(ids.iter().skip(1)).all(|(a, b)| a < b) {
             return Err(VerifyError::Malformed("cluster table not ascending"));
         }
-        let rows = rows
-            .iter()
-            .map(|row| Ok((entry_digest(row, dim, mode)?, false)))
-            .collect::<Result<Vec<_>, _>>()?;
         Ok(Table {
             dim,
+            named: vec![false; ids.len()],
             ids,
-            rows,
-            leaf_scratch: Vec::new(),
         })
-    }
-
-    /// Reconstructs `node`'s digest, appending the subtree to `flat`
-    /// (children before parents) with leaf cluster ids resolved to table
-    /// positions. Returns the node's index in `flat` and its digest.
-    fn reconstruct(
-        &mut self,
-        node: &VoNode,
-        flat: &mut VoSource,
-    ) -> Result<(usize, Digest), VerifyError> {
-        let (flat_node, digest) = match node {
-            VoNode::Pruned(d) => (FlatNode::Pruned, *d),
-            VoNode::Internal {
-                dim,
-                value,
-                left,
-                right,
-            } => {
-                if *dim as usize >= self.dim {
-                    return Err(VerifyError::Malformed("split dimension out of range"));
-                }
-                let (left, l) = self.reconstruct(left, flat)?;
-                let (right, r) = self.reconstruct(right, flat)?;
-                (
-                    FlatNode::Internal {
-                        dim: *dim,
-                        value: *value,
-                        left,
-                        right,
-                    },
-                    internal_digest(*dim, *value, &l, &r),
-                )
-            }
-            VoNode::Leaf { clusters } => {
-                if clusters.is_empty() {
-                    return Err(VerifyError::Malformed("empty leaf"));
-                }
-                let start = flat.leaf_rows.len();
-                self.leaf_scratch.clear();
-                for cluster in clusters {
-                    let row = self.ids.binary_search(cluster).ok();
-                    let Some((row, (digest, named))) =
-                        row.and_then(|r| Some((r, self.rows.get_mut(r)?)))
-                    else {
-                        return Err(VerifyError::Malformed("leaf names a cluster with no row"));
-                    };
-                    *named = true;
-                    self.leaf_scratch.push(*digest);
-                    flat.leaf_rows.push(row);
-                }
-                (
-                    FlatNode::Leaf(start..flat.leaf_rows.len()),
-                    leaf_digest(&self.leaf_scratch),
-                )
-            }
-        };
-        flat.nodes.push(flat_node);
-        Ok((flat.nodes.len() - 1, digest))
     }
 }
 
-/// Validates one table row against the candidate mode and hashes its leaf
-/// entry binding.
-fn entry_digest(row: &VoCluster, dim: usize, mode: CandidateMode) -> Result<Digest, VerifyError> {
+/// Validates every table row against the candidate mode and hashes the
+/// rows' leaf-entry bindings, a batch per hashing step across all rows.
+///
+/// Rows are checked in table order. Only a compressed row's subset proof
+/// needs hashing to check, so when a later row is structurally wrong the
+/// rows before it still have their proofs checked: the error returned is
+/// that of the first bad row, whichever kind it is.
+fn entry_digests(
+    rows: &[VoCluster],
+    dim: usize,
+    mode: CandidateMode,
+    batch: &mut DigestBatch,
+) -> Result<Vec<Digest>, VerifyError> {
+    let mut rows = rows;
+    let mut first_malformed = Ok(());
+    for (i, row) in rows.iter().enumerate() {
+        if let Err(e) = check_row(row, dim, mode) {
+            rows = rows.get(..i).unwrap_or(rows);
+            first_malformed = Err(e);
+            break;
+        }
+    }
+    match mode {
+        CandidateMode::Full => {
+            first_malformed?;
+            for row in rows {
+                if let Reveal::Full { coords } = &row.reveal {
+                    leaf_entry_digest_full(batch.message(), row.cluster, coords, &row.inv_digest);
+                }
+            }
+        }
+        CandidateMode::Compressed => {
+            let dim_roots = dimension_roots(rows, dim, batch)?;
+            first_malformed?;
+            for (row, dim_root) in rows.iter().zip(&dim_roots) {
+                leaf_entry_digest_compressed(
+                    batch.message(),
+                    row.cluster,
+                    dim_root,
+                    &row.inv_digest,
+                );
+            }
+        }
+    }
+    Ok(batch.finish())
+}
+
+/// The dimension-tree root every (structurally valid) compressed row
+/// commits to its centroid through: rebuilt from all blocks for a full
+/// reveal; for a partial one rebuilt from the revealed blocks and the
+/// proof's fill, and required to equal the root the row claims.
+fn dimension_roots(
+    rows: &[VoCluster],
+    dim: usize,
+    batch: &mut DigestBatch,
+) -> Result<Vec<Digest>, VerifyError> {
+    // Block leaves of all rows, row after row; `row_ends` delimits them.
+    let mut leaves: Vec<(usize, Digest)> = Vec::new();
+    let mut row_ends = Vec::with_capacity(rows.len());
+    let mut bytes = Vec::new();
+    for row in rows {
+        let mut leaf = |block: usize, coords: &[f32]| {
+            block_bytes(coords, &mut bytes);
+            hash_leaf(batch.message(), &bytes);
+            leaves.push((block, Digest::ZERO));
+        };
+        match &row.reveal {
+            Reveal::FullCompressed { coords } => {
+                for b in 0..n_blocks(dim) {
+                    leaf(b, coords.get(block_range(b, dim)).unwrap_or(&[]));
+                }
+            }
+            Reveal::Partial { blocks, .. } => {
+                for (b, coords) in blocks {
+                    leaf(*b as usize, coords);
+                }
+            }
+            Reveal::Full { .. } => {}
+        }
+        row_ends.push(leaves.len());
+    }
+    for ((_, leaf), digest) in leaves.iter_mut().zip(batch.finish()) {
+        *leaf = digest;
+    }
+
+    let mut start = 0;
+    let no_fill: &[Digest] = &[];
+    let subsets: Vec<RevealedSubset<'_>> = rows
+        .iter()
+        .zip(&row_ends)
+        .map(|(row, &end)| {
+            let revealed = leaves.get(start..end).unwrap_or(&[]);
+            start = end;
+            match &row.reveal {
+                Reveal::Partial { proof, .. } => (revealed, proof.fill.as_slice()),
+                _ => (revealed, no_fill),
+            }
+        })
+        .collect();
+    rows.iter()
+        .zip(subset_roots(n_blocks(dim), &subsets, batch))
+        .map(|(row, rebuilt)| match (&row.reveal, rebuilt) {
+            (Reveal::FullCompressed { .. }, Some(root)) => Ok(root),
+            (Reveal::Partial { dim_root, .. }, Some(root)) if root == *dim_root => Ok(root),
+            _ => Err(VerifyError::BadSubsetProof {
+                cluster: row.cluster,
+            }),
+        })
+        .collect()
+}
+
+/// Checks everything about one table row that needs no hashing.
+fn check_row(row: &VoCluster, dim: usize, mode: CandidateMode) -> Result<(), VerifyError> {
     match (&row.reveal, mode) {
-        (Reveal::Full { coords }, CandidateMode::Full) => {
+        (Reveal::Full { coords }, CandidateMode::Full)
+        | (Reveal::FullCompressed { coords }, CandidateMode::Compressed) => {
             if coords.len() != dim {
                 return Err(VerifyError::Malformed("centroid dimensionality"));
             }
-            Ok(leaf_entry_digest_full(row.cluster, coords, &row.inv_digest))
+            Ok(())
         }
-        (Reveal::FullCompressed { coords }, CandidateMode::Compressed) => {
-            if coords.len() != dim {
-                return Err(VerifyError::Malformed("centroid dimensionality"));
-            }
-            let root = dimension_tree(coords).root();
-            Ok(leaf_entry_digest_compressed(
-                row.cluster,
-                &root,
-                &row.inv_digest,
-            ))
-        }
-        (
-            Reveal::Partial {
-                dim_root,
-                blocks,
-                proof,
-            },
-            CandidateMode::Compressed,
-        ) => {
+        (Reveal::Partial { blocks, proof, .. }, CandidateMode::Compressed) => {
             if blocks.is_empty() {
                 return Err(VerifyError::Malformed("empty partial disclosure"));
             }
@@ -384,43 +450,36 @@ fn entry_digest(row: &VoCluster, dim: usize, mode: CandidateMode) -> Result<Dige
             {
                 return Err(VerifyError::Malformed("unsorted partial blocks"));
             }
-            let cluster = row.cluster;
             let total = n_blocks(dim);
             if proof.n_leaves as usize != total {
-                return Err(VerifyError::BadSubsetProof { cluster });
+                return Err(VerifyError::BadSubsetProof {
+                    cluster: row.cluster,
+                });
             }
-            let mut revealed = Vec::with_capacity(blocks.len());
             for (b, coords) in blocks {
                 let range = block_range(*b as usize, dim);
                 if *b as usize >= total || coords.len() != range.len() {
                     return Err(VerifyError::Malformed("partial block geometry"));
                 }
-                revealed.push((*b as usize, hash_leaf(&block_bytes(coords))));
             }
-            if !proof.verify_digests(&revealed, dim_root) {
-                return Err(VerifyError::BadSubsetProof { cluster });
-            }
-            Ok(leaf_entry_digest_compressed(
-                cluster,
-                dim_root,
-                &row.inv_digest,
-            ))
+            Ok(())
         }
         _ => Err(VerifyError::WrongMode),
     }
 }
 
-/// Flattened VO tree adapting to [`TreeSource`], built by
-/// [`Table::reconstruct`]: children precede parents, so the root is last.
+/// Flattened VO tree adapting to [`TreeSource`] and to the level-order
+/// hasher, built by [`VoSource::flatten`]: parents precede children, so
+/// the root is node 0.
 #[derive(Default)]
 struct VoSource {
     nodes: Vec<FlatNode>,
     /// Table positions of every leaf's clusters, leaf after leaf.
-    leaf_rows: Vec<usize>,
+    leaf_rows: Vec<u32>,
 }
 
 enum FlatNode {
-    Pruned,
+    Pruned(Digest),
     Internal {
         dim: u32,
         value: f32,
@@ -432,7 +491,81 @@ enum FlatNode {
 }
 
 impl VoSource {
-    fn leaf_rows(&self, node: usize) -> Result<&[usize], VerifyError> {
+    /// Appends `node`'s subtree in pre-order, resolving leaf cluster ids to
+    /// table positions and marking those rows named. Returns the node's
+    /// index. Errors surface in the order of a depth-first walk.
+    fn flatten(&mut self, node: &VoNode, table: &mut Table) -> Result<usize, VerifyError> {
+        let at = self.nodes.len();
+        match node {
+            VoNode::Pruned(d) => self.nodes.push(FlatNode::Pruned(*d)),
+            VoNode::Internal {
+                dim,
+                value,
+                left,
+                right,
+            } => {
+                if *dim as usize >= table.dim {
+                    return Err(VerifyError::Malformed("split dimension out of range"));
+                }
+                // The left child follows its parent; the right child's
+                // index is known once the left subtree is down.
+                self.nodes.push(FlatNode::Internal {
+                    dim: *dim,
+                    value: *value,
+                    left: at + 1,
+                    right: 0,
+                });
+                self.flatten(left, table)?;
+                let right_at = self.flatten(right, table)?;
+                if let Some(FlatNode::Internal { right, .. }) = self.nodes.get_mut(at) {
+                    *right = right_at;
+                }
+            }
+            VoNode::Leaf { clusters } => {
+                if clusters.is_empty() {
+                    return Err(VerifyError::Malformed("empty leaf"));
+                }
+                let start = self.leaf_rows.len();
+                for cluster in clusters {
+                    let row = table.ids.binary_search(cluster).ok();
+                    let Some((row, named)) = row.and_then(|r| Some((r, table.named.get_mut(r)?)))
+                    else {
+                        return Err(VerifyError::Malformed("leaf names a cluster with no row"));
+                    };
+                    *named = true;
+                    // Row ids are u32s in strictly ascending order, so a
+                    // row's position fits a u32 too.
+                    self.leaf_rows.push(row as u32);
+                }
+                self.nodes.push(FlatNode::Leaf(start..self.leaf_rows.len()));
+            }
+        }
+        Ok(at)
+    }
+
+    /// Node `node` as the level-order hasher sees it.
+    fn shape(&self, node: usize) -> Shape<'_> {
+        match self.nodes.get(node) {
+            None => Shape::Known(Digest::ZERO),
+            Some(FlatNode::Pruned(d)) => Shape::Known(*d),
+            Some(FlatNode::Leaf(range)) => {
+                Shape::Leaf(self.leaf_rows.get(range.clone()).unwrap_or(&[]))
+            }
+            Some(FlatNode::Internal {
+                dim,
+                value,
+                left,
+                right,
+            }) => Shape::Internal {
+                dim: *dim,
+                value: *value,
+                left: *left,
+                right: *right,
+            },
+        }
+    }
+
+    fn leaf_rows(&self, node: usize) -> Result<&[u32], VerifyError> {
         match self.nodes.get(node) {
             Some(FlatNode::Leaf(range)) => self.leaf_rows.get(range.clone()),
             _ => None,
@@ -445,13 +578,13 @@ impl VoSource {
 
 impl TreeSource for VoSource {
     fn root(&self) -> usize {
-        self.nodes.len().saturating_sub(1)
+        0
     }
     fn view(&self, node: usize) -> ViewNode {
         // Out-of-range indices read as Opaque, which the client traversal
         // rejects via `PrunedSubtreeReachable` if any query reaches them.
         match self.nodes.get(node) {
-            None | Some(FlatNode::Pruned) => ViewNode::Opaque,
+            None | Some(FlatNode::Pruned(_)) => ViewNode::Opaque,
             Some(FlatNode::Leaf(_)) => ViewNode::Leaf,
             Some(FlatNode::Internal {
                 dim,
@@ -488,7 +621,7 @@ impl TraversalVisitor for ClientVisitor<'_> {
 
     fn leaf(&mut self, node: usize, active: &[ActiveQuery]) -> Result<(), VerifyError> {
         for &row in self.source.leaf_rows(node)? {
-            if let Some(Some(reached_by)) = self.reached.get_mut(row) {
+            if let Some(Some(reached_by)) = self.reached.get_mut(row as usize) {
                 reached_by.extend(active.iter().map(|aq| aq.query));
             }
         }
@@ -535,14 +668,24 @@ mod tests {
     /// small noise mimics real local features; large noise pushes the
     /// thresholds up to where one dimension block no longer clears them.
     fn fixture_with_noise(mode: CandidateMode, n_queries: usize, noise: f32) -> Fixture {
-        let mut rng = StdRng::seed_from_u64(71);
-        let centers: Vec<Vec<f32>> = (0..60)
+        fixture_from(71, 60, mode, n_queries, noise)
+    }
+
+    fn fixture_from(
+        seed: u64,
+        n_centers: u32,
+        mode: CandidateMode,
+        n_queries: usize,
+        noise: f32,
+    ) -> Fixture {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let centers: Vec<Vec<f32>> = (0..n_centers)
             .map(|_| (0..DIM).map(|_| rng.gen::<f32>()).collect())
             .collect();
-        let inv: Vec<Digest> = (0..60u32)
+        let inv: Vec<Digest> = (0..n_centers)
             .map(|c| Digest::of(format!("inv-{c}").as_bytes()))
             .collect();
-        let forest = RkdForest::build(&centers, 3, 2, 72);
+        let forest = RkdForest::build(&centers, 3, 2, seed + 1);
         let mrkd = MrkdForest::build(&forest, &centers, &inv, mode);
         let queries: Vec<Vec<f32>> = (0..n_queries)
             .map(|_| {
@@ -819,11 +962,8 @@ mod tests {
                 VoNode::Pruned(_) => {}
                 VoNode::Leaf { clusters } => {
                     if clusters.contains(&cluster) {
-                        let mut table =
-                            Table::check(&vo.clusters, DIM, CandidateMode::Full).expect("table");
-                        let (_, digest) = table
-                            .reconstruct(node, &mut VoSource::default())
-                            .expect("digest");
+                        let walk = reference::Walk::new(vo, DIM, CandidateMode::Full);
+                        let digest = walk.expect("table").node(node).expect("digest");
                         *node = VoNode::Pruned(digest);
                     }
                 }
@@ -992,6 +1132,136 @@ mod tests {
         ));
     }
 
+    /// Phase 1 as this crate shipped it before hashing was batched: every
+    /// row, then every node, hashed on its own, in one recursive walk per
+    /// tree that checks structure as it goes. Kept as the reference
+    /// [`verify_bovw`] must agree with: same roots, same `Result`, same
+    /// first error.
+    mod reference {
+        use super::super::*;
+        use crate::tree::{dimension_tree, internal_digest, leaf_digest};
+
+        /// One row's entry digest, validated and hashed in place.
+        fn entry_digest(
+            row: &VoCluster,
+            dim: usize,
+            mode: CandidateMode,
+        ) -> Result<Digest, VerifyError> {
+            check_row(row, dim, mode)?;
+            let b = Digest::builder();
+            Ok(match &row.reveal {
+                Reveal::Full { coords } => {
+                    leaf_entry_digest_full(b, row.cluster, coords, &row.inv_digest)
+                }
+                Reveal::FullCompressed { coords } => {
+                    let root = dimension_tree(coords).root();
+                    leaf_entry_digest_compressed(b, row.cluster, &root, &row.inv_digest)
+                }
+                Reveal::Partial {
+                    dim_root,
+                    blocks,
+                    proof,
+                } => {
+                    let revealed: Vec<(usize, Digest)> = blocks
+                        .iter()
+                        .map(|(b, coords)| {
+                            let mut bytes = Vec::new();
+                            block_bytes(coords, &mut bytes);
+                            (*b as usize, hash_leaf(Digest::builder(), &bytes))
+                        })
+                        .collect();
+                    if !proof.verify_digests(&revealed, dim_root) {
+                        let cluster = row.cluster;
+                        return Err(VerifyError::BadSubsetProof { cluster });
+                    }
+                    leaf_entry_digest_compressed(b, row.cluster, dim_root, &row.inv_digest)
+                }
+            })
+        }
+
+        /// The table's entry digests and which rows the walk has named.
+        pub struct Walk {
+            table: Table,
+            entries: Vec<Digest>,
+        }
+
+        impl Walk {
+            pub fn new(vo: &BovwVo, dim: usize, mode: CandidateMode) -> Result<Walk, VerifyError> {
+                let table = Table::check(&vo.clusters, dim)?;
+                let entries = vo
+                    .clusters
+                    .iter()
+                    .map(|row| entry_digest(row, dim, mode))
+                    .collect::<Result<_, _>>()?;
+                Ok(Walk { table, entries })
+            }
+
+            /// `node`'s digest, children first, one hash per node.
+            pub fn node(&mut self, node: &VoNode) -> Result<Digest, VerifyError> {
+                match node {
+                    VoNode::Pruned(d) => Ok(*d),
+                    VoNode::Internal {
+                        dim,
+                        value,
+                        left,
+                        right,
+                    } => {
+                        if *dim as usize >= self.table.dim {
+                            return Err(VerifyError::Malformed("split dimension out of range"));
+                        }
+                        let (l, r) = (self.node(left)?, self.node(right)?);
+                        Ok(internal_digest(Digest::builder(), *dim, *value, &l, &r))
+                    }
+                    VoNode::Leaf { clusters } => {
+                        if clusters.is_empty() {
+                            return Err(VerifyError::Malformed("empty leaf"));
+                        }
+                        let mut entries = Vec::with_capacity(clusters.len());
+                        for cluster in clusters {
+                            let Ok(row) = self.table.ids.binary_search(cluster) else {
+                                return Err(VerifyError::Malformed(
+                                    "leaf names a cluster with no row",
+                                ));
+                            };
+                            self.table.named[row] = true;
+                            entries.push(self.entries[row]);
+                        }
+                        Ok(leaf_digest(Digest::builder(), entries.iter()))
+                    }
+                }
+            }
+        }
+
+        pub fn verify_bovw(
+            vo: &BovwVo,
+            queries: &[Vec<f32>],
+            mode: CandidateMode,
+        ) -> Result<VerifiedBovw, VerifyError> {
+            let dim = check_inputs(vo, queries)?;
+            let mut walk = Walk::new(vo, dim, mode)?;
+            let roots = vo
+                .trees
+                .iter()
+                .map(|tree| walk.node(tree))
+                .collect::<Result<Vec<_>, _>>()?;
+            if walk.table.named.contains(&false) {
+                return Err(VerifyError::Malformed("table row named by no leaf"));
+            }
+            // Phases 2 and 3 are shared; their flattened trees hold no
+            // digest the walk above did not compute itself.
+            let sources = vo
+                .trees
+                .iter()
+                .map(|tree| {
+                    let mut source = VoSource::default();
+                    source.flatten(tree, &mut walk.table)?;
+                    Ok(source)
+                })
+                .collect::<Result<Vec<_>, VerifyError>>()?;
+            complete(vo, queries, &roots, &sources)
+        }
+    }
+
     /// The phase-2 scan this crate shipped before the early-exit kernel:
     /// a full `dist_sq` against every reveal.
     fn nearest_revealed_full_scan(q: &[f32], reveals: &[(u32, &[f32])]) -> (f32, u32) {
@@ -1033,6 +1303,284 @@ mod tests {
             let full = nearest_revealed_full_scan(&q, &reveals);
             prop_assert_eq!(fast.0.to_bits(), full.0.to_bits());
             prop_assert_eq!(fast.1, full.1);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Batched, level-order reconstruction is indistinguishable from
+        /// the node-at-a-time reference: over random honest VOs, and over
+        /// one or two single-field forgeries of them (two, so an early
+        /// bad proof and a later malformed row compete for first error),
+        /// both return the same roots, winners and thresholds or the very
+        /// same error.
+        #[test]
+        fn verification_matches_the_node_at_a_time_reference(
+            seed in any::<u64>(),
+            n_centers in 4u32..48,
+            n_queries in 1usize..6,
+            noise in 0.01f32..0.6,
+            compressed in any::<bool>(),
+            forgeries in proptest::collection::vec(
+                (0usize..forge::KINDS, any::<prop::sample::Index>()), 0..3),
+            other_mode in 0u8..8,
+        ) {
+            let mode = if compressed { CandidateMode::Compressed } else { CandidateMode::Full };
+            let f = fixture_from(seed % (1 << 32), n_centers, mode, n_queries, noise);
+            let mut vo = f.honest_vo();
+            if forgeries.is_empty() {
+                prop_assert!(f.accepts(&vo));
+            }
+            for (kind, pick) in &forgeries {
+                forge::apply(&f, &mut vo, *kind, pick);
+            }
+            let mode = match (other_mode, mode) {
+                (0, CandidateMode::Full) => CandidateMode::Compressed,
+                (0, CandidateMode::Compressed) => CandidateMode::Full,
+                _ => mode,
+            };
+            let outcome = |r: Result<VerifiedBovw, VerifyError>| {
+                r.map(|v| {
+                    let bits: Vec<u32> = v.thresholds_sq.iter().map(|t| t.to_bits()).collect();
+                    (v.combined_root, v.assignments, bits, v.inv_digests)
+                })
+            };
+            prop_assert_eq!(
+                outcome(verify_bovw(&vo, &f.queries, mode)),
+                outcome(reference::verify_bovw(&vo, &f.queries, mode)),
+                "forgeries {:?}", forgeries
+            );
+        }
+    }
+
+    /// Single-field forgeries of a VO, selected by number so a proptest
+    /// can draw them; each is a no-op when the VO has nothing of the kind
+    /// it edits (a partial row in full mode, say).
+    mod forge {
+        use super::*;
+        use proptest::prelude::prop::sample::Index;
+
+        pub const KINDS: usize = 23;
+
+        /// The `nth` node (modulo how many there are) of `vo`'s trees for
+        /// which `pred` holds, in depth-first order.
+        fn node_mut(vo: &mut BovwVo, nth: usize, pred: fn(&VoNode) -> bool) -> Option<&mut VoNode> {
+            fn count(node: &VoNode, pred: fn(&VoNode) -> bool) -> usize {
+                let below = match node {
+                    VoNode::Internal { left, right, .. } => count(left, pred) + count(right, pred),
+                    _ => 0,
+                };
+                below + usize::from(pred(node))
+            }
+            fn find<'a>(
+                node: &'a mut VoNode,
+                pred: fn(&VoNode) -> bool,
+                n: &mut usize,
+            ) -> Option<&'a mut VoNode> {
+                if pred(node) {
+                    if *n == 0 {
+                        return Some(node);
+                    }
+                    *n -= 1;
+                }
+                match node {
+                    VoNode::Internal { left, right, .. } => {
+                        find(left, pred, n).or_else(|| find(right, pred, n))
+                    }
+                    _ => None,
+                }
+            }
+            let total: usize = vo.trees.iter().map(|t| count(t, pred)).sum();
+            if total == 0 {
+                return None;
+            }
+            let mut n = nth % total;
+            vo.trees.iter_mut().find_map(|t| find(t, pred, &mut n))
+        }
+
+        fn is_leaf(node: &VoNode) -> bool {
+            matches!(node, VoNode::Leaf { .. })
+        }
+
+        fn is_internal(node: &VoNode) -> bool {
+            matches!(node, VoNode::Internal { .. })
+        }
+
+        /// The `nth` table row (modulo how many) for which `pred` holds.
+        fn row_mut(
+            vo: &mut BovwVo,
+            nth: usize,
+            pred: fn(&VoCluster) -> bool,
+        ) -> Option<&mut VoCluster> {
+            let total = vo.clusters.iter().filter(|r| pred(r)).count();
+            if total == 0 {
+                return None;
+            }
+            vo.clusters.iter_mut().filter(|r| pred(r)).nth(nth % total)
+        }
+
+        fn is_partial(row: &VoCluster) -> bool {
+            matches!(row.reveal, Reveal::Partial { .. })
+        }
+
+        fn is_full(row: &VoCluster) -> bool {
+            !is_partial(row)
+        }
+
+        pub fn apply(f: &Fixture, vo: &mut BovwVo, kind: usize, pick: &Index) {
+            if vo.clusters.is_empty() {
+                return;
+            }
+            let at = pick.index(vo.clusters.len());
+            let pick = pick.index(usize::MAX);
+            match kind {
+                // The table: row contents, then row order and presence.
+                0 => {
+                    if let Some(VoCluster {
+                        reveal: Reveal::Full { coords } | Reveal::FullCompressed { coords },
+                        ..
+                    }) = row_mut(vo, pick, is_full)
+                    {
+                        let d = pick % coords.len().max(1);
+                        if let Some(c) = coords.get_mut(d) {
+                            *c += 0.25;
+                        }
+                    }
+                }
+                1 => vo.clusters[at].inv_digest = Digest::of(b"forged inverted list"),
+                2 => {
+                    vo.clusters.remove(at);
+                }
+                3 => {
+                    let copy = vo.clusters[at].clone();
+                    vo.clusters.insert(at, copy);
+                }
+                4 => {
+                    if at + 1 < vo.clusters.len() {
+                        vo.clusters.swap(at, at + 1);
+                    }
+                }
+                5 => {
+                    if let Some(VoCluster {
+                        reveal: Reveal::Full { coords } | Reveal::FullCompressed { coords },
+                        ..
+                    }) = row_mut(vo, pick, is_full)
+                    {
+                        coords.pop();
+                    }
+                }
+                6 => {
+                    let row = &mut vo.clusters[at];
+                    row.reveal =
+                        match std::mem::replace(&mut row.reveal, Reveal::Full { coords: vec![] }) {
+                            Reveal::Full { coords } => Reveal::FullCompressed { coords },
+                            Reveal::FullCompressed { coords } => Reveal::Full { coords },
+                            partial => partial,
+                        };
+                }
+                7 => {
+                    // A row no leaf vouches for, sitting on a query.
+                    let absent = (0..f.centers.len() as u32)
+                        .find(|c| vo.clusters.iter().all(|r| r.cluster != *c));
+                    if let Some(absent) = absent {
+                        let coords = f.queries[0].clone();
+                        let at = vo.clusters.partition_point(|r| r.cluster < absent);
+                        vo.clusters.insert(
+                            at,
+                            VoCluster {
+                                cluster: absent,
+                                inv_digest: f.mrkd.inv_digest(absent),
+                                reveal: match f.mrkd.mode() {
+                                    CandidateMode::Full => Reveal::Full { coords },
+                                    CandidateMode::Compressed => Reveal::FullCompressed { coords },
+                                },
+                            },
+                        );
+                    }
+                }
+                8 => {
+                    // Downgrade a full reveal to an honest-looking partial.
+                    if f.mrkd.mode() == CandidateMode::Compressed {
+                        if let Some(row) = row_mut(vo, pick, is_full) {
+                            let all: Vec<usize> = (0..n_blocks(DIM)).collect();
+                            row.reveal = f.partial(row.cluster, &all);
+                        }
+                    }
+                }
+
+                // The trees.
+                9 => {
+                    if let Some(VoNode::Leaf { clusters }) = node_mut(vo, pick, is_leaf) {
+                        clusters.push(10_000);
+                    }
+                }
+                10 => {
+                    if let Some(VoNode::Leaf { clusters }) = node_mut(vo, pick, is_leaf) {
+                        clusters.clear();
+                    }
+                }
+                11 => {
+                    let moved = match node_mut(vo, pick, is_leaf) {
+                        Some(VoNode::Leaf { clusters }) => clusters.pop(),
+                        _ => None,
+                    };
+                    let to = pick.wrapping_mul(31);
+                    if let (Some(moved), Some(VoNode::Leaf { clusters })) =
+                        (moved, node_mut(vo, to, is_leaf))
+                    {
+                        clusters.push(moved);
+                    }
+                }
+                12 => {
+                    if let Some(VoNode::Internal { dim, .. }) = node_mut(vo, pick, is_internal) {
+                        *dim = DIM as u32;
+                    }
+                }
+                13 => {
+                    if let Some(VoNode::Internal { value, .. }) = node_mut(vo, pick, is_internal) {
+                        *value += 0.125;
+                    }
+                }
+                14 => {
+                    if let Some(node) = node_mut(vo, pick, |_| true) {
+                        *node = VoNode::Pruned(Digest::of(b"forged stub"));
+                    }
+                }
+
+                // Partial rows: the disclosure and its proof.
+                _ => {
+                    let Some(VoCluster {
+                        reveal:
+                            Reveal::Partial {
+                                dim_root,
+                                blocks,
+                                proof,
+                            },
+                        ..
+                    }) = row_mut(vo, pick, is_partial)
+                    else {
+                        return;
+                    };
+                    // An earlier forgery may have emptied the blocks.
+                    match (kind, blocks.first_mut()) {
+                        (15, Some((_, coords))) => coords[0] += 1.0,
+                        (16, _) => {
+                            proof.fill.pop();
+                        }
+                        (17, _) => proof.fill.push(Digest::of(b"extra")),
+                        (18, _) => proof.n_leaves += 1,
+                        (19, Some(first)) => {
+                            let copy = first.clone();
+                            blocks.push(copy);
+                        }
+                        (20, _) => blocks.clear(),
+                        (21, Some((block, _))) => *block = 99,
+                        (22, _) => *dim_root = Digest::of(b"another centroid"),
+                        _ => {}
+                    }
+                }
+            }
         }
     }
 }
