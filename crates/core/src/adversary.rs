@@ -14,7 +14,7 @@ use crate::scheme::{BovwVoVariant, InvVoVariant, QueryVo};
 use crate::sp::QueryResponse;
 use imageproof_crypto::Signature;
 use imageproof_invindex::InvVoOf;
-use imageproof_mrkd::{BovwVo, Reveal, VoNode};
+use imageproof_mrkd::{BovwVo, Reveal, VoNode, VoTree};
 
 /// Case 3: replace the first result's raw bytes (keeping its signature).
 pub fn tamper_image_data(response: &mut QueryResponse) {
@@ -75,23 +75,28 @@ pub fn tamper_bovw_centroid(response: &mut QueryResponse) -> bool {
 /// Case 1: tamper a splitting hyperplane in the BoVW VO (changes the
 /// reconstructed root).
 pub fn tamper_bovw_split(response: &mut QueryResponse) -> bool {
-    fn walk(node: &mut VoNode) -> bool {
-        match node {
-            VoNode::Pruned(_) | VoNode::Leaf { .. } => false,
-            VoNode::Internal {
-                value, left, right, ..
-            } => {
-                *value += 0.125;
-                let _ = (left, right);
-                true
-            }
-        }
+    fn tamper(tree: &mut VoTree) -> bool {
+        let split = tree
+            .nodes()
+            .iter()
+            .enumerate()
+            .find_map(|(at, node)| match node {
+                VoNode::Internal { dim, value, .. } => Some((at, *dim, *value)),
+                VoNode::Pruned(_) | VoNode::Leaf(_) => None,
+            });
+        let Some((at, dim, value)) = split else {
+            return false;
+        };
+        *tree = tree.splice(at..at + 1, |b| {
+            b.internal(dim, value + 0.125);
+        });
+        true
     }
     match &mut response.vo.bovw {
-        BovwVoVariant::Shared(vo) => vo.trees.iter_mut().any(walk),
+        BovwVoVariant::Shared(vo) => vo.trees.iter_mut().any(tamper),
         BovwVoVariant::PerQuery(vo) => vo
             .per_query
             .iter_mut()
-            .any(|q| q.trees.iter_mut().any(walk)),
+            .any(|q| q.trees.iter_mut().any(tamper)),
     }
 }

@@ -41,7 +41,7 @@ use crate::scheme::{BovwVoVariant, InvVoVariant};
 use crate::sp::ImageResult;
 use imageproof_crypto::wire::{Decode, Encode, Reader, WireError, Writer};
 use imageproof_crypto::{Digest, MerkleTree, PublicKey, Signature};
-use imageproof_mrkd::{BaselineBovwVo, DigestCursor};
+use imageproof_mrkd::{BaselineBovwVo, BovwVo};
 use imageproof_obs::{Profiler, QueryProfile};
 use imageproof_vision::ImageId;
 use std::cmp::Ordering;
@@ -154,21 +154,24 @@ impl Decode for ShardManifest {
 
 /// Collects a BoVW VO variant's shard-varying digests — per VO, the
 /// cluster table's inverted-list digests in row order, then the trees'
-/// pruned-subtree stubs in DFS order (per-query VOs concatenate). Everything
+/// pruned-subtree stubs in node order (per-query VOs concatenate). Everything
 /// else in the VO depends only on the query features and the
 /// deployment-wide codebook, so two shards' VOs for one query differ in
 /// exactly this digest sequence.
 pub fn bovw_variant_digests(vo: &BovwVoVariant) -> Vec<Digest> {
     let mut out = Vec::new();
-    match vo {
-        BovwVoVariant::Shared(v) => v.collect_digests(&mut out),
-        BovwVoVariant::PerQuery(v) => {
-            for q in &v.per_query {
-                q.collect_digests(&mut out);
-            }
-        }
+    for v in vos(vo) {
+        v.collect_digests(&mut out);
     }
     out
+}
+
+/// The BoVW VOs of a variant: the shared one, or one per query vector.
+fn vos(vo: &BovwVoVariant) -> &[BovwVo] {
+    match vo {
+        BovwVoVariant::Shared(v) => std::slice::from_ref(v),
+        BovwVoVariant::PerQuery(v) => &v.per_query,
+    }
 }
 
 /// Re-instantiates `template` with another shard's digest sequence;
@@ -179,7 +182,7 @@ pub fn bovw_variant_with_digests(
     template: &BovwVoVariant,
     digests: &[Digest],
 ) -> Option<BovwVoVariant> {
-    let mut cur = DigestCursor::new(digests);
+    let mut cur = digests.iter();
     let out = match template {
         BovwVoVariant::Shared(v) => BovwVoVariant::Shared(v.with_digests(&mut cur)?),
         BovwVoVariant::PerQuery(v) => {
@@ -190,11 +193,16 @@ pub fn bovw_variant_with_digests(
             BovwVoVariant::PerQuery(BaselineBovwVo { per_query })
         }
     };
-    if cur.exhausted() {
-        Some(out)
-    } else {
-        None
-    }
+    cur.next().is_none().then_some(out)
+}
+
+/// Whether two shards' BoVW VOs differ in nothing but the digests
+/// [`bovw_variant_digests`] lists — so that either is the other with its
+/// own digests patched in.
+fn same_geometry(a: &BovwVoVariant, b: &BovwVoVariant) -> bool {
+    std::mem::discriminant(a) == std::mem::discriminant(b)
+        && vos(a).len() == vos(b).len()
+        && vos(a).iter().zip(vos(b)).all(|(a, b)| a.same_geometry(b))
 }
 
 /// Proof material shared by every sub-VO of one response: BoVW/MRKD VO
@@ -429,8 +437,8 @@ impl ShardVo {
 
 /// Deduplicates identical BoVW/MRKD geometry across sub-VOs: the first
 /// inline BoVW VO becomes a response-level template, and every shard whose
-/// VO equals the template with its own digests swapped in ships only the
-/// digest patch. Shards with divergent geometry stay inline, and when
+/// VO is the template up to its digests ships only the digest patch.
+/// Shards with divergent geometry stay inline, and when
 /// fewer than two shards patch, the section is dropped entirely (a
 /// template plus a single patch saves nothing). Returns the section and
 /// the net wire bytes saved.
@@ -447,9 +455,8 @@ pub fn dedup_shared_section(shards: &mut [ShardVo]) -> (SharedSection, usize) {
         let ShardBovw::Inline(v) = &sub.bovw else {
             continue;
         };
-        let digests = bovw_variant_digests(v);
-        if bovw_variant_with_digests(&template, &digests).as_ref() == Some(v) {
-            patches.push((i, digests));
+        if same_geometry(&template, v) {
+            patches.push((i, bovw_variant_digests(v)));
         }
     }
     if patches.len() < 2 {
@@ -1061,7 +1068,7 @@ mod tests {
     }
 
     fn sample_bovw_variant() -> BovwVoVariant {
-        use imageproof_mrkd::{BovwVo, Reveal, VoCluster, VoNode};
+        use imageproof_mrkd::{BovwVo, Reveal, VoCluster, VoTreeBuilder};
         BovwVoVariant::Shared(BovwVo {
             clusters: vec![VoCluster {
                 cluster: 7,
@@ -1070,12 +1077,11 @@ mod tests {
                     coords: vec![1.0, -2.0],
                 },
             }],
-            trees: vec![VoNode::Internal {
-                dim: 0,
-                value: 0.5,
-                left: Box::new(VoNode::Pruned(Digest::of(b"pruned"))),
-                right: Box::new(VoNode::Leaf { clusters: vec![7] }),
-            }],
+            trees: vec![VoTreeBuilder::default()
+                .internal(0, 0.5)
+                .pruned(Digest::of(b"pruned"))
+                .leaf([7])
+                .finish()],
         })
     }
 
@@ -1284,6 +1290,24 @@ mod tests {
         // Both resolve back to their original inline VOs.
         assert_eq!(shards[0].resolve_bovw(&shared).unwrap().as_ref(), &template);
         assert_eq!(shards[1].resolve_bovw(&shared).unwrap().as_ref(), &other);
+        // A shard whose geometry diverges — here a split moved — stays
+        // inline beside the two that patch.
+        let BovwVoVariant::Shared(mut vo) = template.clone() else {
+            unreachable!("the sample is a shared VO");
+        };
+        vo.trees[0] = vo.trees[0].splice(0..1, |b| {
+            b.internal(0, 0.75);
+        });
+        let divergent = BovwVoVariant::Shared(vo);
+        let mut shards = vec![
+            sample_shard_vo(0, ShardBovw::Inline(template.clone())),
+            sample_shard_vo(1, ShardBovw::Inline(divergent.clone())),
+            sample_shard_vo(2, ShardBovw::Inline(other)),
+        ];
+        let (shared, _saved) = dedup_shared_section(&mut shards);
+        assert_eq!(shared.templates, vec![template.clone()]);
+        assert_eq!(shards[1].bovw, ShardBovw::Inline(divergent));
+        assert!(matches!(shards[2].bovw, ShardBovw::Patched { .. }));
         // A lone shard stays inline: a template plus one patch saves nothing.
         let mut solo = vec![sample_shard_vo(0, ShardBovw::Inline(template.clone()))];
         let (section, saved) = dedup_shared_section(&mut solo);

@@ -28,4 +28,4 @@ pub use search::{
 };
 pub use tree::{CandidateMode, MrkdForest, MrkdTree};
 pub use verify::{verify_bovw, verify_bovw_baseline, VerifiedBovw, VerifyError};
-pub use vo::{BovwVo, DigestCursor, Reveal, VoCluster, VoNode};
+pub use vo::{BovwVo, Reveal, VoCluster, VoNode, VoTree, VoTreeBuilder};

@@ -1,9 +1,9 @@
 //! SP-side `MRKDSearch` (paper Alg. 1): authenticated candidate collection
 //! and VO generation, with node sharing across query vectors.
 
-use crate::traverse::{traverse, ActiveQuery, TraversalVisitor, TreeSource, ViewNode};
-use crate::tree::{CandidateMode, MrkdForest, MrkdTree};
-use crate::vo::{BovwVo, Reveal, VoCluster, VoNode};
+use crate::traverse::{traverse, ActiveQuery, TraversalVisitor, TreeSource};
+use crate::tree::{owner_shape, CandidateMode, MrkdForest, MrkdTree, Shape};
+use crate::vo::{BovwVo, Reveal, VoCluster, VoTreeBuilder};
 use imageproof_akm::kernel::dist_sq_within;
 use imageproof_akm::rkd::Node;
 use imageproof_crypto::wire::{Decode, Encode, Reader, WireError, Writer};
@@ -82,29 +82,13 @@ fn record_search(mode: &'static str, stats: &SearchStats) {
         .add(stats.digests_cached as u64);
 }
 
-/// [`TreeSource`] over a real MRKD-tree.
-struct MrkdSource<'a>(&'a MrkdTree);
-
-impl TreeSource for MrkdSource<'_> {
+impl TreeSource for MrkdTree {
     fn root(&self) -> usize {
-        self.0.rkd().root() as usize
+        self.rkd().root() as usize
     }
     // audit:allow(panic) SP-side source: node ids come from the SP's own arena
-    fn view(&self, node: usize) -> ViewNode {
-        match &self.0.rkd().nodes()[node] {
-            Node::Internal {
-                dim,
-                value,
-                left,
-                right,
-            } => ViewNode::Internal {
-                dim: *dim,
-                value: *value,
-                left: *left as usize,
-                right: *right as usize,
-            },
-            Node::Leaf { .. } => ViewNode::Leaf,
-        }
+    fn view(&self, node: usize) -> Shape<'_> {
+        owner_shape(&self.rkd().nodes()[node])
     }
 }
 
@@ -113,37 +97,45 @@ impl TreeSource for MrkdSource<'_> {
 /// The query list is empty whenever the reveal is full.
 type Need = (u32, bool, Vec<u32>);
 
-struct SpVisitor<'a> {
-    forest: &'a MrkdForest,
-    tree: &'a MrkdTree,
-    queries: &'a [Vec<f32>],
-    thresholds_sq: &'a [f32],
-    candidates: &'a mut [Vec<(u32, f32)>],
+/// One tree's share of `MRKDSearch`, filled in as the walk goes.
+struct TreeOutput {
+    /// The tree's VO, emitted node by node as the walk meets them.
+    vo: VoTreeBuilder,
+    /// Per-query candidates in leaf-visit order.
+    candidates: Vec<Vec<(u32, f32)>>,
     /// Every cluster of every disclosed leaf, in leaf-visit order.
     needs: Vec<Need>,
     stats: SearchStats,
 }
 
+struct SpVisitor<'a> {
+    forest: &'a MrkdForest,
+    tree: &'a MrkdTree,
+    queries: &'a [Vec<f32>],
+    thresholds_sq: &'a [f32],
+    out: TreeOutput,
+}
+
 impl TraversalVisitor for SpVisitor<'_> {
-    type Out = VoNode;
     type Err = Infallible;
 
-    fn inactive(&mut self, node: usize) -> Result<VoNode, Infallible> {
-        self.stats.digests_cached += 1;
-        Ok(VoNode::Pruned(self.tree.node_digest(node as u32)))
+    fn inactive(&mut self, node: usize) -> Result<(), Infallible> {
+        self.out.stats.digests_cached += 1;
+        self.out.vo.pruned(self.tree.node_digest(node as u32));
+        Ok(())
     }
 
     // audit:allow(panic) the SP walks its own real tree, which never yields opaque nodes
-    fn opaque(&mut self, _node: usize, _active: &[ActiveQuery]) -> Result<VoNode, Infallible> {
+    fn opaque(&mut self, _node: usize, _active: &[ActiveQuery]) -> Result<(), Infallible> {
         unreachable!("the SP walks the real tree, which has no opaque nodes")
     }
 
     // audit:allow(panic) SP-side visitor over the SP's own tree: leaf callbacks only fire on real leaves
-    fn leaf(&mut self, node: usize, active: &[ActiveQuery]) -> Result<VoNode, Infallible> {
-        self.stats.nodes_traversed += 1;
-        self.stats.leaves_visited += 1;
+    fn leaf(&mut self, node: usize, active: &[ActiveQuery]) -> Result<(), Infallible> {
+        self.out.stats.nodes_traversed += 1;
+        self.out.stats.leaves_visited += 1;
         if active.len() > 1 {
-            self.stats.nodes_shared += 1;
+            self.out.stats.nodes_shared += 1;
         }
         let Node::Leaf { clusters } = &self.tree.rkd().nodes()[node] else {
             unreachable!("leaf callback on non-leaf");
@@ -151,9 +143,8 @@ impl TraversalVisitor for SpVisitor<'_> {
         for &cluster in clusters {
             self.leaf_cluster(cluster, active);
         }
-        Ok(VoNode::Leaf {
-            clusters: clusters.clone(),
-        })
+        self.out.vo.leaf(clusters.iter().copied());
+        Ok(())
     }
 
     fn internal(
@@ -162,19 +153,13 @@ impl TraversalVisitor for SpVisitor<'_> {
         dim: u32,
         value: f32,
         active: &[ActiveQuery],
-        left: VoNode,
-        right: VoNode,
-    ) -> Result<VoNode, Infallible> {
-        self.stats.nodes_traversed += 1;
+    ) -> Result<(), Infallible> {
+        self.out.stats.nodes_traversed += 1;
         if active.len() > 1 {
-            self.stats.nodes_shared += 1;
+            self.out.stats.nodes_shared += 1;
         }
-        Ok(VoNode::Internal {
-            dim,
-            value,
-            left: Box::new(left),
-            right: Box::new(right),
-        })
+        self.out.vo.internal(dim, value);
+        Ok(())
     }
 }
 
@@ -196,7 +181,7 @@ impl SpVisitor<'_> {
                 continue;
             };
             if d <= self.thresholds_sq[q] {
-                self.candidates[q].push((cluster, d));
+                self.out.candidates[q].push((cluster, d));
                 is_candidate = true;
             }
         }
@@ -206,7 +191,7 @@ impl SpVisitor<'_> {
         } else {
             active.iter().map(|aq| aq.query).collect()
         };
-        self.needs.push((cluster, full, reached_by));
+        self.out.needs.push((cluster, full, reached_by));
     }
 }
 
@@ -351,15 +336,6 @@ pub fn partial_sum_revealed(blocks: &[(u32, Vec<f32>)], q: &[f32]) -> f32 {
         .sum()
 }
 
-/// One tree's share of `MRKDSearch`.
-struct TreeOutput {
-    vo: VoNode,
-    /// Per-query candidates in leaf-visit order.
-    candidates: Vec<Vec<(u32, f32)>>,
-    needs: Vec<Need>,
-    stats: SearchStats,
-}
-
 /// Walks one tree. Trees never share state, so this is the unit the
 /// parallel path fans out.
 fn search_tree(
@@ -368,27 +344,22 @@ fn search_tree(
     queries: &[Vec<f32>],
     thresholds_sq: &[f32],
 ) -> TreeOutput {
-    let mut candidates = vec![Vec::new(); queries.len()];
     let mut visitor = SpVisitor {
         forest,
         tree,
         queries,
         thresholds_sq,
-        candidates: &mut candidates,
-        needs: Vec::new(),
-        stats: SearchStats::default(),
+        out: TreeOutput {
+            vo: VoTreeBuilder::default(),
+            candidates: vec![Vec::new(); queries.len()],
+            needs: Vec::new(),
+            stats: SearchStats::default(),
+        },
     };
-    let vo = match traverse(&MrkdSource(tree), queries, thresholds_sq, &mut visitor) {
-        Ok(vo) => vo,
-        Err(e) => match e {},
-    };
-    let SpVisitor { needs, stats, .. } = visitor;
-    TreeOutput {
-        vo,
-        candidates,
-        needs,
-        stats,
+    if let Err(e) = traverse(tree, queries, thresholds_sq, &mut visitor) {
+        match e {}
     }
+    visitor.out
 }
 
 /// `MRKDSearch` with node sharing: one traversal per tree serving all query
@@ -437,7 +408,7 @@ fn mrkd_search_with_unrecorded(
     let mut stats = SearchStats::default();
     let mut trees = Vec::with_capacity(per_tree.len());
     let mut plan: BTreeMap<u32, (bool, Vec<u32>)> = BTreeMap::new();
-    for out in per_tree {
+    for mut out in per_tree {
         stats.merge(&out.stats);
         for (q, mut list) in out.candidates.into_iter().enumerate() {
             candidates[q].append(&mut list);
@@ -447,7 +418,7 @@ fn mrkd_search_with_unrecorded(
             row.0 |= full;
             row.1.extend(reached_by);
         }
-        trees.push(out.vo);
+        trees.push(out.vo.finish());
     }
     for list in &mut candidates {
         list.sort_unstable_by_key(|e| e.0);
@@ -549,11 +520,11 @@ mod tests {
             per_query: vec![
                 BovwVo {
                     clusters: Vec::new(),
-                    trees: vec![VoNode::Pruned(Digest::of(b"t0"))],
+                    trees: vec![VoTreeBuilder::default().pruned(Digest::of(b"t0")).finish()],
                 },
                 BovwVo {
                     clusters: Vec::new(),
-                    trees: vec![VoNode::Pruned(Digest::of(b"t1"))],
+                    trees: vec![VoTreeBuilder::default().pruned(Digest::of(b"t1")).finish()],
                 },
             ],
         };

@@ -16,6 +16,8 @@
 //! (cells nest, so the new constraint dominates), giving the exact
 //! point-to-cell squared distance.
 
+use crate::tree::Shape;
+
 /// One query that reaches the current node, with its cell-distance bound.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ActiveQuery {
@@ -25,49 +27,37 @@ pub struct ActiveQuery {
     pub bound_sq: f32,
 }
 
-/// A node as seen by the engine.
-#[derive(Clone, Copy, Debug)]
-pub enum ViewNode {
-    /// A disclosed split.
-    Internal {
-        dim: u32,
-        value: f32,
-        left: usize,
-        right: usize,
-    },
-    /// A disclosed leaf.
-    Leaf,
-    /// An undisclosed subtree (only occurs in VO walks).
-    Opaque,
-}
-
-/// The structure being walked (real tree or VO tree).
+/// The structure being walked (real tree or VO tree). A node whose digest
+/// is [`Shape::Known`] is an undisclosed subtree (only occurs in VO walks).
 pub trait TreeSource {
     fn root(&self) -> usize;
-    fn view(&self, node: usize) -> ViewNode;
+    fn view(&self, node: usize) -> Shape<'_>;
 }
 
-/// Walk callbacks. Each node produces an `Out`, combined bottom-up.
+/// Walk callbacks, fired in pre-order: a node's before anything below it,
+/// its left subtree's before its right subtree's.
 pub trait TraversalVisitor {
-    type Out;
     type Err;
 
     /// A node no query reaches (the engine does not descend into it).
-    fn inactive(&mut self, node: usize) -> Result<Self::Out, Self::Err>;
+    fn inactive(&mut self, _node: usize) -> Result<(), Self::Err> {
+        Ok(())
+    }
     /// An opaque (pruned-in-VO) node that at least one query reaches.
-    fn opaque(&mut self, node: usize, active: &[ActiveQuery]) -> Result<Self::Out, Self::Err>;
+    fn opaque(&mut self, node: usize, active: &[ActiveQuery]) -> Result<(), Self::Err>;
     /// A disclosed leaf reached by at least one query.
-    fn leaf(&mut self, node: usize, active: &[ActiveQuery]) -> Result<Self::Out, Self::Err>;
-    /// A disclosed internal node (children already processed).
+    fn leaf(&mut self, node: usize, active: &[ActiveQuery]) -> Result<(), Self::Err>;
+    /// A disclosed internal node reached by at least one query, before
+    /// either child.
     fn internal(
         &mut self,
-        node: usize,
-        dim: u32,
-        value: f32,
-        active: &[ActiveQuery],
-        left: Self::Out,
-        right: Self::Out,
-    ) -> Result<Self::Out, Self::Err>;
+        _node: usize,
+        _dim: u32,
+        _value: f32,
+        _active: &[ActiveQuery],
+    ) -> Result<(), Self::Err> {
+        Ok(())
+    }
 }
 
 /// Per-depth scratch buffers for the child partition built at each internal
@@ -119,7 +109,7 @@ pub fn traverse<S: TreeSource, V: TraversalVisitor>(
     queries: &[Vec<f32>],
     thresholds_sq: &[f32],
     visitor: &mut V,
-) -> Result<V::Out, V::Err> {
+) -> Result<(), V::Err> {
     assert_eq!(queries.len(), thresholds_sq.len());
     let dim = queries.first().map_or(0, Vec::len);
     let mut diffs = vec![0.0f32; queries.len() * dim];
@@ -158,19 +148,20 @@ fn recurse<S: TreeSource, V: TraversalVisitor>(
     visitor: &mut V,
     pool: &mut FramePool,
     depth: usize,
-) -> Result<V::Out, V::Err> {
+) -> Result<(), V::Err> {
     if active.is_empty() {
         return visitor.inactive(node);
     }
     match source.view(node) {
-        ViewNode::Opaque => visitor.opaque(node, active),
-        ViewNode::Leaf => visitor.leaf(node, active),
-        ViewNode::Internal {
+        Shape::Known(_) => visitor.opaque(node, active),
+        Shape::Leaf(_) => visitor.leaf(node, active),
+        Shape::Internal {
             dim,
             value,
             left,
             right,
         } => {
+            visitor.internal(node, dim, value, active)?;
             let mut frame = pool.take(depth);
             let Frame {
                 left_active,
@@ -207,7 +198,7 @@ fn recurse<S: TreeSource, V: TraversalVisitor>(
                 }
             }
 
-            let left_out = with_diffs(diffs, dim_count, dim, left_crossers, saved, |diffs| {
+            with_diffs(diffs, dim_count, dim, left_crossers, saved, |diffs| {
                 recurse(
                     source,
                     left,
@@ -221,7 +212,7 @@ fn recurse<S: TreeSource, V: TraversalVisitor>(
                     depth + 1,
                 )
             })?;
-            let right_out = with_diffs(diffs, dim_count, dim, right_crossers, saved, |diffs| {
+            with_diffs(diffs, dim_count, dim, right_crossers, saved, |diffs| {
                 recurse(
                     source,
                     right,
@@ -235,9 +226,8 @@ fn recurse<S: TreeSource, V: TraversalVisitor>(
                     depth + 1,
                 )
             })?;
-            let out = visitor.internal(node, dim, value, active, left_out, right_out);
             pool.put(depth, frame);
-            out
+            Ok(())
         }
     }
 }
@@ -280,20 +270,20 @@ mod tests {
         fn root(&self) -> usize {
             self.0.root() as usize
         }
-        fn view(&self, node: usize) -> ViewNode {
+        fn view(&self, node: usize) -> Shape<'_> {
             match &self.0.nodes()[node] {
                 Node::Internal {
                     dim,
                     value,
                     left,
                     right,
-                } => ViewNode::Internal {
+                } => Shape::Internal {
                     dim: *dim,
                     value: *value,
                     left: *left as usize,
                     right: *right as usize,
                 },
-                Node::Leaf { .. } => ViewNode::Leaf,
+                Node::Leaf { clusters } => Shape::Leaf(clusters),
             }
         }
     }
@@ -305,12 +295,8 @@ mod tests {
     }
 
     impl TraversalVisitor for Collector<'_> {
-        type Out = ();
         type Err = std::convert::Infallible;
 
-        fn inactive(&mut self, _node: usize) -> Result<(), Self::Err> {
-            Ok(())
-        }
         fn opaque(&mut self, _node: usize, _a: &[ActiveQuery]) -> Result<(), Self::Err> {
             unreachable!("real trees have no opaque nodes")
         }
@@ -320,17 +306,6 @@ mod tests {
                     self.reached[aq.query as usize].extend(clusters.iter().copied());
                 }
             }
-            Ok(())
-        }
-        fn internal(
-            &mut self,
-            _n: usize,
-            _d: u32,
-            _v: f32,
-            _a: &[ActiveQuery],
-            _l: (),
-            _r: (),
-        ) -> Result<(), Self::Err> {
             Ok(())
         }
     }

@@ -75,8 +75,9 @@ pub fn internal_digest<S: FieldSink>(
     b.u32(dim).f32(value).digest(left).digest(right).finish()
 }
 
-/// What the level-order hasher needs to know about one tree node.
-pub(crate) enum Shape<'a> {
+/// One tree node as the level-order hasher and the traversal engine see it.
+#[derive(Clone, Copy, Debug)]
+pub enum Shape<'a> {
     /// The digest is already known: a pruned VO subtree, or an owner node
     /// no update touched.
     Known(Digest),
@@ -199,8 +200,8 @@ pub fn dimension_tree(coords: &[f32]) -> MerkleTree {
     MerkleTree::from_leaf_data(&leaves)
 }
 
-/// An owner-side node as the level-order hasher sees it.
-fn owner_shape(node: &Node) -> Shape<'_> {
+/// An owner-side node as the level-order hasher and the SP's walk see it.
+pub(crate) fn owner_shape(node: &Node) -> Shape<'_> {
     match node {
         Node::Leaf { clusters } => Shape::Leaf(clusters),
         Node::Internal {

@@ -4,7 +4,7 @@
 //! tree per MRKD-tree), the client:
 //!
 //! 1. **Reconstructs** every tree's root digest: validates the table rows
-//!    and flattens the trees (rejecting malformed disclosures), hashes one
+//!    and the trees' nodes (rejecting malformed disclosures), hashes one
 //!    entry digest per table row as a batch, then every tree's nodes a
 //!    level at a time, leaves looking their cluster ids up in the table;
 //! 2. Derives each query's **verified threshold** `t'_q` — the distance to
@@ -27,12 +27,12 @@
 //! itself.
 
 use crate::search::partial_sum_revealed;
-use crate::traverse::{traverse, ActiveQuery, TraversalVisitor, TreeSource, ViewNode};
+use crate::traverse::{traverse, ActiveQuery, TraversalVisitor, TreeSource};
 use crate::tree::{
     block_bytes, block_range, combined_root_digest, hash_forest, leaf_entry_digest_compressed,
     leaf_entry_digest_full, n_blocks, CandidateMode, Shape,
 };
-use crate::vo::{BovwVo, Reveal, VoCluster, VoNode};
+use crate::vo::{BovwVo, Reveal, VoCluster, VoNode, VoTree};
 use imageproof_akm::kernel::dist_sq_within;
 use imageproof_crypto::merkle::{hash_leaf, subset_roots, RevealedSubset};
 use imageproof_crypto::{Digest, DigestBatch};
@@ -110,8 +110,8 @@ pub fn verify_bovw(
     mode: CandidateMode,
 ) -> Result<VerifiedBovw, VerifyError> {
     let dim = check_inputs(vo, queries)?;
-    let (roots, sources) = reconstruct(vo, dim, mode)?;
-    complete(vo, queries, &roots, &sources)
+    let (roots, trees) = reconstruct(vo, dim, mode)?;
+    complete(vo, queries, &roots, &trees)
 }
 
 /// The queries' common dimensionality, once the inputs are non-empty and
@@ -131,45 +131,44 @@ fn check_inputs(vo: &BovwVo, queries: &[Vec<f32>]) -> Result<usize, VerifyError>
 }
 
 /// Phase 1: one entry digest per table row, then every tree's root by
-/// lookup, plus the flattened trees phase 3 walks. Structure is checked
-/// before anything above the table is hashed, in the order a
+/// lookup, plus the trees with their leaves resolved for phase 3. Structure
+/// is checked before anything above the table is hashed, in the order a
 /// node-at-a-time reconstruction would meet it, so the first error is the
 /// same one.
 fn reconstruct(
     vo: &BovwVo,
     dim: usize,
     mode: CandidateMode,
-) -> Result<(Vec<Digest>, Vec<VoSource>), VerifyError> {
+) -> Result<(Vec<Digest>, Vec<Resolved<'_>>), VerifyError> {
     let mut batch = DigestBatch::new();
     let mut table = Table::check(&vo.clusters, dim)?;
     let entries = entry_digests(&vo.clusters, dim, mode, &mut batch)?;
-    let mut sources = Vec::with_capacity(vo.trees.len());
-    for tree in &vo.trees {
-        let mut source = VoSource::default();
-        source.flatten(tree, &mut table)?;
-        sources.push(source);
-    }
+    let trees = vo
+        .trees
+        .iter()
+        .map(|tree| Resolved::check(tree, &mut table))
+        .collect::<Result<Vec<_>, _>>()?;
     if table.named.contains(&false) {
         return Err(VerifyError::Malformed("table row named by no leaf"));
     }
-    let sizes: Vec<usize> = sources.iter().map(|s| s.nodes.len()).collect();
-    let shape = |tree: usize, node: usize| match sources.get(tree) {
-        Some(source) => source.shape(node),
+    let sizes: Vec<usize> = trees.iter().map(|t| t.tree.nodes().len()).collect();
+    let shape = |tree: usize, node: usize| match trees.get(tree) {
+        Some(resolved) => resolved.view(node),
         None => Shape::Known(Digest::ZERO),
     };
     let roots = hash_forest(&sizes, shape, &entries, &mut batch)
         .iter()
         .map(|digests| digests.first().copied().unwrap_or(Digest::ZERO))
         .collect();
-    Ok((roots, sources))
+    Ok((roots, trees))
 }
 
-/// Phases 2 and 3 over the reconstructed roots and flattened trees.
+/// Phases 2 and 3 over the reconstructed roots and resolved trees.
 fn complete(
     vo: &BovwVo,
     queries: &[Vec<f32>],
     roots: &[Digest],
-    sources: &[VoSource],
+    trees: &[Resolved<'_>],
 ) -> Result<VerifiedBovw, VerifyError> {
     // Phase 2: verified thresholds and winners.
     let reveals: Vec<(u32, &[f32])> = vo
@@ -199,12 +198,12 @@ fn complete(
         .iter()
         .map(|row| matches!(row.reveal, Reveal::Partial { .. }).then(Vec::new))
         .collect();
-    for source in sources {
+    for tree in trees {
         let mut visitor = ClientVisitor {
-            source,
+            vo: tree,
             reached: &mut reached,
         };
-        traverse(source, queries, &thresholds_sq, &mut visitor)?;
+        traverse(tree, queries, &thresholds_sq, &mut visitor)?;
     }
     for (row, reached_by) in vo.clusters.iter().zip(reached) {
         if let (Reveal::Partial { blocks, .. }, Some(mut reached_by)) = (&row.reveal, reached_by) {
@@ -294,8 +293,8 @@ pub fn verify_bovw_baseline(
     })
 }
 
-/// The VO's cluster table as flattening sees it: where each cluster's row
-/// is, and which rows some disclosed leaf has named so far.
+/// The VO's cluster table as the trees' leaves see it: where each cluster's
+/// row is, and which rows some disclosed leaf has named so far.
 struct Table {
     dim: usize,
     /// Row cluster ids, strictly ascending (checked on construction).
@@ -468,133 +467,74 @@ fn check_row(row: &VoCluster, dim: usize, mode: CandidateMode) -> Result<(), Ver
     }
 }
 
-/// Flattened VO tree adapting to [`TreeSource`] and to the level-order
-/// hasher, built by [`VoSource::flatten`]: parents precede children, so
-/// the root is node 0.
-#[derive(Default)]
-struct VoSource {
-    nodes: Vec<FlatNode>,
-    /// Table positions of every leaf's clusters, leaf after leaf.
-    leaf_rows: Vec<u32>,
+/// A VO tree whose nodes passed phase 1's structural checks, adapting the
+/// arena to [`TreeSource`] and to the level-order hasher.
+struct Resolved<'a> {
+    tree: &'a VoTree,
+    /// The table position of every leaf id, parallel to the tree's
+    /// [`VoTree::leaf_ids`], so a leaf's range reads either.
+    rows: Vec<u32>,
 }
 
-enum FlatNode {
-    Pruned(Digest),
-    Internal {
-        dim: u32,
-        value: f32,
-        left: usize,
-        right: usize,
-    },
-    /// Range of [`VoSource::leaf_rows`].
-    Leaf(std::ops::Range<usize>),
-}
-
-impl VoSource {
-    /// Appends `node`'s subtree in pre-order, resolving leaf cluster ids to
-    /// table positions and marking those rows named. Returns the node's
-    /// index. Errors surface in the order of a depth-first walk.
-    fn flatten(&mut self, node: &VoNode, table: &mut Table) -> Result<usize, VerifyError> {
-        let at = self.nodes.len();
-        match node {
-            VoNode::Pruned(d) => self.nodes.push(FlatNode::Pruned(*d)),
-            VoNode::Internal {
-                dim,
-                value,
-                left,
-                right,
-            } => {
-                if *dim as usize >= table.dim {
-                    return Err(VerifyError::Malformed("split dimension out of range"));
+impl<'a> Resolved<'a> {
+    /// One pass over `tree`'s nodes in index order — which is the order of
+    /// a depth-first walk, so errors surface as one would meet them —
+    /// resolving leaf cluster ids to table positions and marking those
+    /// rows named.
+    fn check(tree: &'a VoTree, table: &mut Table) -> Result<Resolved<'a>, VerifyError> {
+        let mut rows = Vec::with_capacity(tree.leaf_ids().len());
+        for node in tree.nodes() {
+            match node {
+                VoNode::Pruned(_) => {}
+                VoNode::Internal { dim, .. } => {
+                    if *dim as usize >= table.dim {
+                        return Err(VerifyError::Malformed("split dimension out of range"));
+                    }
                 }
-                // The left child follows its parent; the right child's
-                // index is known once the left subtree is down.
-                self.nodes.push(FlatNode::Internal {
-                    dim: *dim,
-                    value: *value,
-                    left: at + 1,
-                    right: 0,
-                });
-                self.flatten(left, table)?;
-                let right_at = self.flatten(right, table)?;
-                if let Some(FlatNode::Internal { right, .. }) = self.nodes.get_mut(at) {
-                    *right = right_at;
+                VoNode::Leaf(range) => {
+                    let clusters = tree.ids(range);
+                    if clusters.is_empty() {
+                        return Err(VerifyError::Malformed("empty leaf"));
+                    }
+                    for cluster in clusters {
+                        let row = table.ids.binary_search(cluster).ok();
+                        let Some((row, named)) =
+                            row.and_then(|r| Some((r, table.named.get_mut(r)?)))
+                        else {
+                            return Err(VerifyError::Malformed("leaf names a cluster with no row"));
+                        };
+                        *named = true;
+                        // Row ids are u32s in strictly ascending order, so
+                        // a row's position fits a u32 too.
+                        rows.push(row as u32);
+                    }
                 }
-            }
-            VoNode::Leaf { clusters } => {
-                if clusters.is_empty() {
-                    return Err(VerifyError::Malformed("empty leaf"));
-                }
-                let start = self.leaf_rows.len();
-                for cluster in clusters {
-                    let row = table.ids.binary_search(cluster).ok();
-                    let Some((row, named)) = row.and_then(|r| Some((r, table.named.get_mut(r)?)))
-                    else {
-                        return Err(VerifyError::Malformed("leaf names a cluster with no row"));
-                    };
-                    *named = true;
-                    // Row ids are u32s in strictly ascending order, so a
-                    // row's position fits a u32 too.
-                    self.leaf_rows.push(row as u32);
-                }
-                self.nodes.push(FlatNode::Leaf(start..self.leaf_rows.len()));
             }
         }
-        Ok(at)
+        Ok(Resolved { tree, rows })
     }
 
-    /// Node `node` as the level-order hasher sees it.
-    fn shape(&self, node: usize) -> Shape<'_> {
-        match self.nodes.get(node) {
-            None => Shape::Known(Digest::ZERO),
-            Some(FlatNode::Pruned(d)) => Shape::Known(*d),
-            Some(FlatNode::Leaf(range)) => {
-                Shape::Leaf(self.leaf_rows.get(range.clone()).unwrap_or(&[]))
-            }
-            Some(FlatNode::Internal {
-                dim,
-                value,
-                left,
-                right,
-            }) => Shape::Internal {
-                dim: *dim,
-                value: *value,
-                left: *left,
-                right: *right,
-            },
-        }
-    }
-
-    fn leaf_rows(&self, node: usize) -> Result<&[u32], VerifyError> {
-        match self.nodes.get(node) {
-            Some(FlatNode::Leaf(range)) => self.leaf_rows.get(range.clone()),
-            _ => None,
-        }
-        .ok_or(VerifyError::Malformed(
-            "traversal visited a non-leaf as a leaf",
-        ))
+    fn leaf_rows(&self, range: &std::ops::Range<usize>) -> &[u32] {
+        self.rows.get(range.clone()).unwrap_or(&[])
     }
 }
 
-impl TreeSource for VoSource {
+impl TreeSource for Resolved<'_> {
     fn root(&self) -> usize {
         0
     }
-    fn view(&self, node: usize) -> ViewNode {
-        // Out-of-range indices read as Opaque, which the client traversal
-        // rejects via `PrunedSubtreeReachable` if any query reaches them.
-        match self.nodes.get(node) {
-            None | Some(FlatNode::Pruned(_)) => ViewNode::Opaque,
-            Some(FlatNode::Leaf(_)) => ViewNode::Leaf,
-            Some(FlatNode::Internal {
-                dim,
-                value,
-                left,
-                right,
-            }) => ViewNode::Internal {
+    fn view(&self, node: usize) -> Shape<'_> {
+        // Out-of-range indices read as undisclosed, which the client
+        // traversal rejects via `PrunedSubtreeReachable` if any query
+        // reaches them.
+        match self.tree.nodes().get(node) {
+            None => Shape::Known(Digest::ZERO),
+            Some(VoNode::Pruned(d)) => Shape::Known(*d),
+            Some(VoNode::Leaf(range)) => Shape::Leaf(self.leaf_rows(range)),
+            Some(VoNode::Internal { dim, value, right }) => Shape::Internal {
                 dim: *dim,
                 value: *value,
-                left: *left,
+                left: node + 1,
                 right: *right,
             },
         }
@@ -602,41 +542,29 @@ impl TreeSource for VoSource {
 }
 
 struct ClientVisitor<'a> {
-    source: &'a VoSource,
+    vo: &'a Resolved<'a>,
     /// Per table row: `Some(queries reaching it so far)` for partial rows.
     reached: &'a mut [Option<Vec<u32>>],
 }
 
 impl TraversalVisitor for ClientVisitor<'_> {
-    type Out = ();
     type Err = VerifyError;
-
-    fn inactive(&mut self, _node: usize) -> Result<(), VerifyError> {
-        Ok(())
-    }
 
     fn opaque(&mut self, _node: usize, _active: &[ActiveQuery]) -> Result<(), VerifyError> {
         Err(VerifyError::PrunedSubtreeReachable)
     }
 
     fn leaf(&mut self, node: usize, active: &[ActiveQuery]) -> Result<(), VerifyError> {
-        for &row in self.source.leaf_rows(node)? {
+        let Some(VoNode::Leaf(range)) = self.vo.tree.nodes().get(node) else {
+            return Err(VerifyError::Malformed(
+                "traversal visited a non-leaf as a leaf",
+            ));
+        };
+        for &row in self.vo.leaf_rows(range) {
             if let Some(Some(reached_by)) = self.reached.get_mut(row as usize) {
                 reached_by.extend(active.iter().map(|aq| aq.query));
             }
         }
-        Ok(())
-    }
-
-    fn internal(
-        &mut self,
-        _node: usize,
-        _dim: u32,
-        _value: f32,
-        _active: &[ActiveQuery],
-        _left: (),
-        _right: (),
-    ) -> Result<(), VerifyError> {
         Ok(())
     }
 }
@@ -758,16 +686,33 @@ mod tests {
             .expect("cluster has a table row")
     }
 
-    /// Every disclosed leaf of `node`, in DFS order.
-    fn leaves_mut<'a>(node: &'a mut VoNode, out: &mut Vec<&'a mut Vec<u32>>) {
-        match node {
-            VoNode::Pruned(_) => {}
-            VoNode::Leaf { clusters } => out.push(clusters),
-            VoNode::Internal { left, right, .. } => {
-                leaves_mut(left, out);
-                leaves_mut(right, out);
-            }
-        }
+    /// Every cluster id `vo`'s disclosed leaves name, with repeats.
+    fn named(vo: &BovwVo) -> Vec<u32> {
+        let ids = vo.trees.iter().flat_map(|tree| tree.leaf_ids());
+        ids.copied().collect()
+    }
+
+    /// Index of `tree`'s `nth` node, in node order, for which `pred` holds.
+    fn nth_node(tree: &VoTree, nth: usize, pred: fn(&VoNode) -> bool) -> Option<usize> {
+        let mut matching = (0..tree.nodes().len()).filter(|&i| pred(&tree.nodes()[i]));
+        matching.nth(nth)
+    }
+
+    fn is_leaf(node: &VoNode) -> bool {
+        matches!(node, VoNode::Leaf(_))
+    }
+
+    /// Re-emits `tree` with the leaf at node `at` naming what `edit` makes
+    /// of its ids.
+    fn edit_leaf(tree: &mut VoTree, at: usize, edit: impl FnOnce(&mut Vec<u32>)) {
+        let VoNode::Leaf(range) = &tree.nodes()[at] else {
+            panic!("node {at} is not a leaf");
+        };
+        let mut ids = tree.ids(range).to_vec();
+        edit(&mut ids);
+        *tree = tree.splice(at..at + 1, |b| {
+            b.leaf(ids);
+        });
     }
 
     #[test]
@@ -809,13 +754,8 @@ mod tests {
     fn the_table_reveals_each_disclosed_cluster_exactly_once() {
         for mode in [CandidateMode::Full, CandidateMode::Compressed] {
             let f = fixture(mode, 10);
-            let mut vo = f.honest_vo();
-            let mut named: Vec<u32> = Vec::new();
-            for tree in &mut vo.trees {
-                let mut leaves = Vec::new();
-                leaves_mut(tree, &mut leaves);
-                named.extend(leaves.into_iter().flat_map(|l| l.iter().copied()));
-            }
+            let vo = f.honest_vo();
+            let mut named = named(&vo);
             let n_named = named.len();
             named.sort_unstable();
             named.dedup();
@@ -893,9 +833,8 @@ mod tests {
         );
         // So does renaming a leaf's cluster to an id outside the table.
         let mut forged = honest.clone();
-        let mut leaves = Vec::new();
-        leaves_mut(&mut forged.trees[0], &mut leaves);
-        leaves[0][0] = 10_000;
+        let first = nth_node(&forged.trees[0], 0, is_leaf).expect("a leaf");
+        edit_leaf(&mut forged.trees[0], first, |ids| ids[0] = 10_000);
         assert_eq!(
             f.verify(&forged).unwrap_err(),
             VerifyError::Malformed("leaf names a cluster with no row")
@@ -930,14 +869,16 @@ mod tests {
         // rows stay authentic, but the leaves no longer hash to the roots.
         for (from, to) in [((0, 0), (0, 1)), ((0, 0), (1, 0))] {
             let mut forged = honest.clone();
-            let moved = {
-                let mut leaves = Vec::new();
-                leaves_mut(&mut forged.trees[from.0], &mut leaves);
-                leaves[from.1].pop().expect("non-empty leaf")
+            let leaf = |vo: &BovwVo, (tree, nth): (usize, usize)| {
+                nth_node(&vo.trees[tree], nth, is_leaf).expect("a leaf")
             };
-            let mut leaves = Vec::new();
-            leaves_mut(&mut forged.trees[to.0], &mut leaves);
-            leaves[to.1].push(moved);
+            let mut moved = None;
+            let at = leaf(&forged, from);
+            edit_leaf(&mut forged.trees[from.0], at, |ids| moved = ids.pop());
+            let at = leaf(&forged, to);
+            edit_leaf(&mut forged.trees[to.0], at, |ids| {
+                ids.push(moved.expect("non-empty leaf"))
+            });
             assert!(!f.accepts(&forged), "{from:?} -> {to:?}");
         }
     }
@@ -957,30 +898,22 @@ mod tests {
         // stub carrying the *correct* digest (the strongest forgery the SP
         // can attempt without breaking the hash function), and drop the
         // rows only those leaves named.
-        fn prune_leaves_with(node: &mut VoNode, cluster: u32, vo: &BovwVo) {
-            match node {
-                VoNode::Pruned(_) => {}
-                VoNode::Leaf { clusters } => {
-                    if clusters.contains(&cluster) {
-                        let walk = reference::Walk::new(vo, DIM, CandidateMode::Full);
-                        let digest = walk.expect("table").node(node).expect("digest");
-                        *node = VoNode::Pruned(digest);
-                    }
-                }
-                VoNode::Internal { left, right, .. } => {
-                    prune_leaves_with(left, cluster, vo);
-                    prune_leaves_with(right, cluster, vo);
+        let mut forged = honest.clone();
+        let mut walk = reference::Walk::new(&honest, DIM, CandidateMode::Full).expect("table");
+        for tree in &mut forged.trees {
+            for at in 0..tree.nodes().len() {
+                let VoNode::Leaf(range) = &tree.nodes()[at] else {
+                    continue;
+                };
+                if tree.ids(range).contains(&victim) {
+                    let digest = walk.node(tree, at).expect("digest");
+                    *tree = tree.splice(at..at + 1, |b| {
+                        b.pruned(digest);
+                    });
                 }
             }
         }
-        let mut forged = honest.clone();
-        let mut named = Vec::new();
-        for tree in &mut forged.trees {
-            prune_leaves_with(tree, victim, &honest);
-            let mut leaves = Vec::new();
-            leaves_mut(tree, &mut leaves);
-            named.extend(leaves.into_iter().flat_map(|l| l.iter().copied()));
-        }
+        let named = named(&forged);
         forged.clusters.retain(|row| named.contains(&row.cluster));
         assert!(forged.clusters.iter().all(|row| row.cluster != victim));
 
@@ -1196,23 +1129,21 @@ mod tests {
                 Ok(Walk { table, entries })
             }
 
-            /// `node`'s digest, children first, one hash per node.
-            pub fn node(&mut self, node: &VoNode) -> Result<Digest, VerifyError> {
-                match node {
+            /// The digest of `tree`'s node `at`, children first, one hash
+            /// per node.
+            pub fn node(&mut self, tree: &VoTree, at: usize) -> Result<Digest, VerifyError> {
+                match &tree.nodes()[at] {
                     VoNode::Pruned(d) => Ok(*d),
-                    VoNode::Internal {
-                        dim,
-                        value,
-                        left,
-                        right,
-                    } => {
+                    VoNode::Internal { dim, value, right } => {
                         if *dim as usize >= self.table.dim {
                             return Err(VerifyError::Malformed("split dimension out of range"));
                         }
-                        let (l, r) = (self.node(left)?, self.node(right)?);
+                        let l = self.node(tree, at + 1)?;
+                        let r = self.node(tree, *right)?;
                         Ok(internal_digest(Digest::builder(), *dim, *value, &l, &r))
                     }
-                    VoNode::Leaf { clusters } => {
+                    VoNode::Leaf(range) => {
+                        let clusters = tree.ids(range);
                         if clusters.is_empty() {
                             return Err(VerifyError::Malformed("empty leaf"));
                         }
@@ -1242,23 +1173,19 @@ mod tests {
             let roots = vo
                 .trees
                 .iter()
-                .map(|tree| walk.node(tree))
+                .map(|tree| walk.node(tree, 0))
                 .collect::<Result<Vec<_>, _>>()?;
             if walk.table.named.contains(&false) {
                 return Err(VerifyError::Malformed("table row named by no leaf"));
             }
-            // Phases 2 and 3 are shared; their flattened trees hold no
+            // Phases 2 and 3 are shared; their resolved trees hold no
             // digest the walk above did not compute itself.
-            let sources = vo
+            let trees = vo
                 .trees
                 .iter()
-                .map(|tree| {
-                    let mut source = VoSource::default();
-                    source.flatten(tree, &mut walk.table)?;
-                    Ok(source)
-                })
-                .collect::<Result<Vec<_>, VerifyError>>()?;
-            complete(vo, queries, &roots, &sources)
+                .map(|tree| Resolved::check(tree, &mut walk.table))
+                .collect::<Result<Vec<_>, _>>()?;
+            complete(vo, queries, &roots, &trees)
         }
     }
 
@@ -1363,44 +1290,28 @@ mod tests {
 
         pub const KINDS: usize = 23;
 
-        /// The `nth` node (modulo how many there are) of `vo`'s trees for
-        /// which `pred` holds, in depth-first order.
-        fn node_mut(vo: &mut BovwVo, nth: usize, pred: fn(&VoNode) -> bool) -> Option<&mut VoNode> {
-            fn count(node: &VoNode, pred: fn(&VoNode) -> bool) -> usize {
-                let below = match node {
-                    VoNode::Internal { left, right, .. } => count(left, pred) + count(right, pred),
-                    _ => 0,
-                };
-                below + usize::from(pred(node))
-            }
-            fn find<'a>(
-                node: &'a mut VoNode,
-                pred: fn(&VoNode) -> bool,
-                n: &mut usize,
-            ) -> Option<&'a mut VoNode> {
-                if pred(node) {
-                    if *n == 0 {
-                        return Some(node);
-                    }
-                    *n -= 1;
-                }
-                match node {
-                    VoNode::Internal { left, right, .. } => {
-                        find(left, pred, n).or_else(|| find(right, pred, n))
-                    }
-                    _ => None,
-                }
-            }
-            let total: usize = vo.trees.iter().map(|t| count(t, pred)).sum();
+        /// `(tree, node)` of the `nth` node (modulo how many there are) of
+        /// `vo`'s trees for which `pred` holds, in depth-first order.
+        fn pick_node(vo: &BovwVo, nth: usize, pred: fn(&VoNode) -> bool) -> Option<(usize, usize)> {
+            let count = |tree: &VoTree| tree.nodes().iter().filter(|n| pred(n)).count();
+            let total: usize = vo.trees.iter().map(count).sum();
             if total == 0 {
                 return None;
             }
             let mut n = nth % total;
-            vo.trees.iter_mut().find_map(|t| find(t, pred, &mut n))
+            for (t, tree) in vo.trees.iter().enumerate() {
+                match nth_node(tree, n, pred) {
+                    Some(at) => return Some((t, at)),
+                    None => n -= count(tree),
+                }
+            }
+            None
         }
 
-        fn is_leaf(node: &VoNode) -> bool {
-            matches!(node, VoNode::Leaf { .. })
+        fn edit_picked_leaf(vo: &mut BovwVo, nth: usize, edit: impl FnOnce(&mut Vec<u32>)) {
+            if let Some((t, at)) = pick_node(vo, nth, is_leaf) {
+                edit_leaf(&mut vo.trees[t], at, edit);
+            }
         }
 
         fn is_internal(node: &VoNode) -> bool {
@@ -1510,41 +1421,35 @@ mod tests {
                 }
 
                 // The trees.
-                9 => {
-                    if let Some(VoNode::Leaf { clusters }) = node_mut(vo, pick, is_leaf) {
-                        clusters.push(10_000);
-                    }
-                }
-                10 => {
-                    if let Some(VoNode::Leaf { clusters }) = node_mut(vo, pick, is_leaf) {
-                        clusters.clear();
-                    }
-                }
+                9 => edit_picked_leaf(vo, pick, |ids| ids.push(10_000)),
+                10 => edit_picked_leaf(vo, pick, |ids| ids.clear()),
                 11 => {
-                    let moved = match node_mut(vo, pick, is_leaf) {
-                        Some(VoNode::Leaf { clusters }) => clusters.pop(),
-                        _ => None,
-                    };
-                    let to = pick.wrapping_mul(31);
-                    if let (Some(moved), Some(VoNode::Leaf { clusters })) =
-                        (moved, node_mut(vo, to, is_leaf))
-                    {
-                        clusters.push(moved);
+                    let mut moved = None;
+                    edit_picked_leaf(vo, pick, |ids| moved = ids.pop());
+                    if let Some(moved) = moved {
+                        edit_picked_leaf(vo, pick.wrapping_mul(31), |ids| ids.push(moved));
                     }
                 }
-                12 => {
-                    if let Some(VoNode::Internal { dim, .. }) = node_mut(vo, pick, is_internal) {
-                        *dim = DIM as u32;
-                    }
-                }
-                13 => {
-                    if let Some(VoNode::Internal { value, .. }) = node_mut(vo, pick, is_internal) {
-                        *value += 0.125;
+                12 | 13 => {
+                    if let Some((t, at)) = pick_node(vo, pick, is_internal) {
+                        let VoNode::Internal { dim, value, .. } = vo.trees[t].nodes()[at] else {
+                            unreachable!("picked as internal");
+                        };
+                        vo.trees[t] = vo.trees[t].splice(at..at + 1, |b| {
+                            if kind == 12 {
+                                b.internal(DIM as u32, value);
+                            } else {
+                                b.internal(dim, value + 0.125);
+                            }
+                        });
                     }
                 }
                 14 => {
-                    if let Some(node) = node_mut(vo, pick, |_| true) {
-                        *node = VoNode::Pruned(Digest::of(b"forged stub"));
+                    if let Some((t, at)) = pick_node(vo, pick, |_| true) {
+                        let tree = &vo.trees[t];
+                        vo.trees[t] = tree.splice(at..tree.subtree_end(at), |b| {
+                            b.pruned(Digest::of(b"forged stub"));
+                        });
                     }
                 }
 

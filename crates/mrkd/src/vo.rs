@@ -4,6 +4,7 @@
 use imageproof_crypto::merkle::SubsetProof;
 use imageproof_crypto::wire::{Decode, Encode, Reader, WireError, Writer};
 use imageproof_crypto::Digest;
+use std::ops::Range;
 
 /// How a disclosed cluster's centroid is revealed in the VO.
 #[derive(Clone, Debug, PartialEq)]
@@ -38,25 +39,161 @@ pub struct VoCluster {
     pub reveal: Reveal,
 }
 
-/// A node of the VO tree mirroring the SP's traversal of one MRKD-tree.
+/// A node of a [`VoTree`], mirroring the SP's traversal of one MRKD-tree.
 #[derive(Clone, Debug, PartialEq)]
 pub enum VoNode {
     /// Subtree no query vector reached: only its digest (Alg. 1 line 2).
     Pruned(Digest),
-    /// Disclosed internal node: the splitting hyperplane plus children
-    /// (Alg. 1 line 8).
-    Internal {
-        dim: u32,
-        value: f32,
-        left: Box<VoNode>,
-        right: Box<VoNode>,
-    },
-    /// Disclosed leaf (Alg. 1 lines 4–7): the leaf's cluster ids in leaf
-    /// order, each naming a row of [`BovwVo::clusters`].
-    Leaf { clusters: Vec<u32> },
+    /// Disclosed internal node: the splitting hyperplane (Alg. 1 line 8).
+    /// Its left child is the next node; `right` indexes its right child.
+    Internal { dim: u32, value: f32, right: usize },
+    /// Disclosed leaf (Alg. 1 lines 4–7): the range of [`VoTree::leaf_ids`]
+    /// holding its cluster ids in leaf order, each naming a row of
+    /// [`BovwVo::clusters`].
+    Leaf(Range<usize>),
 }
 
-/// The complete BoVW-encoding VO: one [`VoNode`] tree per MRKD-tree
+/// One VO tree as a pre-order arena: node 0 is the root, an internal
+/// node's left subtree follows it and its right subtree follows that, and
+/// each leaf owns the next run of one shared id list. The links are
+/// functions of the node sequence and only [`VoTreeBuilder`] sets them, so
+/// `==` means "same VO" and a decoded tree re-encodes to the bytes it came
+/// from (DESIGN.md §4c).
+#[derive(Clone, Debug, PartialEq)]
+pub struct VoTree {
+    nodes: Vec<VoNode>,
+    leaf_ids: Vec<u32>,
+}
+
+impl VoTree {
+    /// The nodes in pre-order.
+    pub fn nodes(&self) -> &[VoNode] {
+        &self.nodes
+    }
+
+    /// Every leaf's cluster ids, leaf after leaf in node order.
+    pub fn leaf_ids(&self) -> &[u32] {
+        &self.leaf_ids
+    }
+
+    /// The cluster ids of the leaf holding `range`.
+    pub fn ids(&self, range: &Range<usize>) -> &[u32] {
+        self.leaf_ids.get(range.clone()).unwrap_or(&[])
+    }
+
+    /// Heap bytes the arena holds, by allocation capacity.
+    pub fn heap_bytes(&self) -> usize {
+        self.nodes.capacity() * std::mem::size_of::<VoNode>() + self.leaf_ids.capacity() * 4
+    }
+
+    /// Index of the first node after `node`'s subtree.
+    pub fn subtree_end(&self, mut node: usize) -> usize {
+        while let Some(VoNode::Internal { right, .. }) = self.nodes.get(node) {
+            node = *right;
+        }
+        node + 1
+    }
+
+    /// This tree re-emitted with the nodes at `at` replaced by what `emit`
+    /// emits, for callers that forge VOs: `i..i + 1` replaces node `i`
+    /// alone, `i..self.subtree_end(i)` its whole subtree.
+    pub fn splice(&self, at: Range<usize>, emit: impl FnOnce(&mut VoTreeBuilder)) -> VoTree {
+        let mut b = VoTreeBuilder::default();
+        b.copy(self, self.nodes.get(..at.start).unwrap_or(&[]));
+        emit(&mut b);
+        b.copy(self, self.nodes.get(at.end..).unwrap_or(&[]));
+        b.finish()
+    }
+}
+
+/// The one constructor of [`VoTree`]s: takes a tree's nodes in pre-order —
+/// from the SP's walk, the wire, or a forgery — and links them as they
+/// arrive.
+#[derive(Default)]
+pub struct VoTreeBuilder {
+    nodes: Vec<VoNode>,
+    leaf_ids: Vec<u32>,
+    /// Internal nodes whose right child has not started, outermost first,
+    /// each with its depth. In pre-order a stub or leaf always ends the
+    /// left subtree of the innermost one.
+    pending: Vec<(usize, usize)>,
+    /// Depth of the next node; the root's is 0.
+    depth: usize,
+    complete: bool,
+}
+
+impl VoTreeBuilder {
+    /// Emits a pruned subtree's stub.
+    pub fn pruned(&mut self, digest: Digest) -> &mut Self {
+        self.push(VoNode::Pruned(digest));
+        self.end_subtree()
+    }
+
+    /// Emits an internal node; its left subtree, then its right, follow.
+    pub fn internal(&mut self, dim: u32, value: f32) -> &mut Self {
+        self.pending.push((self.nodes.len(), self.depth));
+        self.depth += 1;
+        let right = 0; // set when the left subtree ends
+        self.push(VoNode::Internal { dim, value, right });
+        self
+    }
+
+    /// Emits a leaf naming `ids`.
+    pub fn leaf(&mut self, ids: impl IntoIterator<Item = u32>) -> &mut Self {
+        let start = self.leaf_ids.len();
+        self.leaf_ids.extend(ids);
+        self.end_leaf(start)
+    }
+
+    /// Emits the leaf whose ids were appended to `leaf_ids` from `start`.
+    fn end_leaf(&mut self, start: usize) -> &mut Self {
+        self.push(VoNode::Leaf(start..self.leaf_ids.len()));
+        self.end_subtree()
+    }
+
+    /// Emits `nodes`, a run of `from`'s.
+    fn copy(&mut self, from: &VoTree, nodes: &[VoNode]) {
+        for node in nodes {
+            match node {
+                VoNode::Pruned(d) => self.pruned(*d),
+                VoNode::Internal { dim, value, .. } => self.internal(*dim, *value),
+                VoNode::Leaf(range) => self.leaf(from.ids(range).iter().copied()),
+            };
+        }
+    }
+
+    fn push(&mut self, node: VoNode) {
+        assert!(!self.complete, "node emitted after the VO tree's last");
+        self.nodes.push(node);
+    }
+
+    /// A stub or leaf just ended a subtree: the innermost internal node
+    /// still waiting for its right child gets it next, or the tree is done.
+    fn end_subtree(&mut self) -> &mut Self {
+        let next = self.nodes.len();
+        match self.pending.pop() {
+            Some((parent, depth)) => {
+                if let Some(VoNode::Internal { right, .. }) = self.nodes.get_mut(parent) {
+                    *right = next;
+                }
+                self.depth = depth + 1;
+            }
+            None => self.complete = true,
+        }
+        self
+    }
+
+    /// The finished tree; the builder is left empty.
+    pub fn finish(&mut self) -> VoTree {
+        assert!(self.complete, "VO tree finished with a subtree missing");
+        let VoTreeBuilder {
+            nodes, leaf_ids, ..
+        } = std::mem::take(self);
+        VoTree { nodes, leaf_ids }
+    }
+}
+
+/// The complete BoVW-encoding VO: one [`VoTree`] per MRKD-tree
 /// (`{VO_{C,i}}` of Alg. 5) over one shared cluster table. Every cluster
 /// sits in every tree of the forest, so the table reveals it once and the
 /// leaves only name it.
@@ -65,110 +202,60 @@ pub struct BovwVo {
     /// Strictly ascending by cluster id; a row is authenticated only by a
     /// leaf naming it that chains to a root (see `verify_bovw`).
     pub clusters: Vec<VoCluster>,
-    pub trees: Vec<VoNode>,
+    pub trees: Vec<VoTree>,
 }
 
-/// Read cursor over a flat digest list, used to re-instantiate a VO
-/// template with another shard's digests ([`BovwVo::with_digests`]). All
-/// access is bounds-checked: running past the end yields `None`, never a
-/// panic — the digests come from an untrusted sharded response.
-pub struct DigestCursor<'a> {
-    digests: &'a [Digest],
-    pos: usize,
-}
-
-impl<'a> DigestCursor<'a> {
-    pub fn new(digests: &'a [Digest]) -> DigestCursor<'a> {
-        DigestCursor { digests, pos: 0 }
-    }
-
-    fn next(&mut self) -> Option<&'a Digest> {
-        let d = self.digests.get(self.pos)?;
-        self.pos += 1;
-        Some(d)
-    }
-
-    /// True when every digest has been consumed — a patch must use its
-    /// payload exactly.
-    pub fn exhausted(&self) -> bool {
-        self.pos == self.digests.len()
-    }
-}
-
-impl VoNode {
-    /// Appends this tree's pruned-subtree stubs to `out`, in DFS order
-    /// (left subtree, then right).
-    fn collect_digests(&self, out: &mut Vec<Digest>) {
-        match self {
-            VoNode::Pruned(d) => out.push(*d),
-            VoNode::Internal { left, right, .. } => {
-                left.collect_digests(out);
-                right.collect_digests(out);
-            }
-            VoNode::Leaf { .. } => {}
-        }
-    }
-
-    /// Rebuilds this tree with its pruned stubs replaced from `cur`, in
-    /// the order [`VoNode::collect_digests`] emits. `None` when the cursor
-    /// runs dry (shape/payload mismatch).
-    fn with_digests(&self, cur: &mut DigestCursor<'_>) -> Option<VoNode> {
-        match self {
-            VoNode::Pruned(_) => Some(VoNode::Pruned(*cur.next()?)),
-            VoNode::Internal {
-                dim,
-                value,
-                left,
-                right,
-            } => {
-                let left = left.with_digests(cur)?;
-                let right = right.with_digests(cur)?;
-                Some(VoNode::Internal {
-                    dim: *dim,
-                    value: *value,
-                    left: Box::new(left),
-                    right: Box::new(right),
-                })
-            }
-            VoNode::Leaf { clusters } => Some(VoNode::Leaf {
-                clusters: clusters.clone(),
-            }),
-        }
+fn stub(node: &VoNode) -> Option<&Digest> {
+    match node {
+        VoNode::Pruned(d) => Some(d),
+        _ => None,
     }
 }
 
 impl BovwVo {
     /// Appends this VO's shard-varying digests to `out`: every table row's
     /// inverted-list digest once, in row order, then each tree's pruned
-    /// stubs in DFS order. Everything else in a VO (splits, cluster ids,
+    /// stubs in node order. Everything else in a VO (splits, cluster ids,
     /// centroid reveals, subset proofs) depends only on the query and the
     /// shared codebook, so two shards' VOs for one query differ exactly in
     /// this digest sequence.
     pub fn collect_digests(&self, out: &mut Vec<Digest>) {
         out.extend(self.clusters.iter().map(|row| row.inv_digest));
-        for t in &self.trees {
-            t.collect_digests(out);
-        }
+        out.extend(self.trees.iter().flat_map(|t| &t.nodes).filter_map(stub));
     }
 
-    /// Rebuilds this VO with its shard-varying digests replaced from `cur`,
-    /// in the order [`BovwVo::collect_digests`] emits; `None` when the
-    /// cursor runs dry. The caller checks cursor exhaustion across whatever
-    /// set of VOs shares one digest payload.
-    pub fn with_digests(&self, cur: &mut DigestCursor<'_>) -> Option<BovwVo> {
-        let mut clusters = Vec::with_capacity(self.clusters.len());
-        for row in &self.clusters {
-            clusters.push(VoCluster {
-                cluster: row.cluster,
-                inv_digest: *cur.next()?,
-                reveal: row.reveal.clone(),
-            });
+    /// This VO with its shard-varying digests overwritten from `digests`,
+    /// in the order [`BovwVo::collect_digests`] emits; `None` when they run
+    /// out. The caller checks that whatever set of VOs shares one digest
+    /// payload uses it up.
+    pub fn with_digests(&self, digests: &mut std::slice::Iter<'_, Digest>) -> Option<BovwVo> {
+        let mut vo = self.clone();
+        for row in &mut vo.clusters {
+            row.inv_digest = *digests.next()?;
         }
-        let mut trees = Vec::with_capacity(self.trees.len());
-        for t in &self.trees {
-            trees.push(t.with_digests(cur)?);
+        for node in vo.trees.iter_mut().flat_map(|t| &mut t.nodes) {
+            if let VoNode::Pruned(d) = node {
+                *d = *digests.next()?;
+            }
         }
-        Some(BovwVo { clusters, trees })
+        Some(vo)
+    }
+
+    /// Whether `other` is this VO up to the digests
+    /// [`BovwVo::collect_digests`] lists, slot for slot.
+    pub fn same_geometry(&self, other: &BovwVo) -> bool {
+        fn rows(vo: &BovwVo) -> impl Iterator<Item = (u32, &Reveal)> {
+            vo.clusters.iter().map(|row| (row.cluster, &row.reveal))
+        }
+        // A node, unless it is a stub.
+        fn nodes(tree: &VoTree) -> impl Iterator<Item = Option<&VoNode>> {
+            tree.nodes.iter().map(|n| stub(n).is_none().then_some(n))
+        }
+        let same_tree =
+            |(a, b): (&VoTree, &VoTree)| a.leaf_ids == b.leaf_ids && nodes(a).eq(nodes(b));
+        rows(self).eq(rows(other))
+            && self.trees.len() == other.trees.len()
+            && self.trees.iter().zip(&other.trees).all(same_tree)
     }
 }
 
@@ -291,71 +378,62 @@ impl Decode for VoCluster {
     }
 }
 
-/// Deepest `Internal` nesting the decoder accepts. A hostile VO can claim
-/// one internal node per two bytes, so unbounded recursion would let the
-/// SP overflow the client's stack; real MRKD-trees are ~log₂(clusters)
-/// deep, orders of magnitude below this cap.
+/// Deepest `Internal` nesting the decoder accepts. The client walks a
+/// decoded tree recursively (`traverse`), and a hostile VO can claim one
+/// internal node per six bytes, so unbounded nesting would let the SP
+/// overflow the client's stack; real MRKD-trees are ~log₂(clusters) deep,
+/// orders of magnitude below this cap.
 pub const MAX_VO_DEPTH: usize = 512;
 
-impl Encode for VoNode {
+impl Encode for VoTree {
     fn encode(&self, w: &mut Writer) {
-        match self {
-            VoNode::Pruned(d) => {
-                w.u8(TAG_PRUNED);
-                w.digest(d);
-            }
-            VoNode::Internal {
-                dim,
-                value,
-                left,
-                right,
-            } => {
-                w.u8(TAG_INTERNAL);
-                w.varint(*dim as u64);
-                w.f32(*value);
-                left.encode(w);
-                right.encode(w);
-            }
-            VoNode::Leaf { clusters } => {
-                w.u8(TAG_LEAF);
-                w.vseq_len(clusters.len());
-                for &c in clusters {
-                    w.varint(c as u64);
+        for node in &self.nodes {
+            match node {
+                VoNode::Pruned(d) => {
+                    w.u8(TAG_PRUNED);
+                    w.digest(d);
+                }
+                VoNode::Internal { dim, value, .. } => {
+                    w.u8(TAG_INTERNAL);
+                    w.varint(*dim as u64);
+                    w.f32(*value);
+                }
+                VoNode::Leaf(range) => {
+                    let ids = self.ids(range);
+                    w.u8(TAG_LEAF);
+                    w.vseq_len(ids.len());
+                    for &c in ids {
+                        w.varint(c as u64);
+                    }
                 }
             }
         }
     }
 }
 
-impl VoNode {
-    fn decode_at(r: &mut Reader<'_>, depth: usize) -> Result<Self, WireError> {
-        if depth > MAX_VO_DEPTH {
-            return Err(WireError::DepthExceeded);
-        }
-        match r.u8()? {
-            TAG_PRUNED => Ok(VoNode::Pruned(r.digest()?)),
-            TAG_INTERNAL => Ok(VoNode::Internal {
-                dim: decode_u32(r)?,
-                value: r.f32()?,
-                left: Box::new(VoNode::decode_at(r, depth + 1)?),
-                right: Box::new(VoNode::decode_at(r, depth + 1)?),
-            }),
-            TAG_LEAF => {
-                let n = r.vseq_len()?;
-                let mut clusters = Vec::with_capacity(n);
-                for _ in 0..n {
-                    clusters.push(decode_u32(r)?);
-                }
-                Ok(VoNode::Leaf { clusters })
-            }
-            t => Err(WireError::InvalidTag(t)),
-        }
-    }
-}
-
-impl Decode for VoNode {
+impl Decode for VoTree {
+    /// One node per iteration until the builder has seen a whole tree: the
+    /// arena grows with the bytes consumed, never from a count they claim.
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        VoNode::decode_at(r, 0)
+        let mut b = VoTreeBuilder::default();
+        while !b.complete {
+            if b.depth > MAX_VO_DEPTH {
+                return Err(WireError::DepthExceeded);
+            }
+            match r.u8()? {
+                TAG_PRUNED => b.pruned(r.digest()?),
+                TAG_INTERNAL => b.internal(decode_u32(r)?, r.f32()?),
+                TAG_LEAF => {
+                    let start = b.leaf_ids.len();
+                    for _ in 0..r.vseq_len()? {
+                        b.leaf_ids.push(decode_u32(r)?);
+                    }
+                    b.end_leaf(start)
+                }
+                t => return Err(WireError::InvalidTag(t)),
+            };
+        }
+        Ok(b.finish())
     }
 }
 
@@ -382,7 +460,7 @@ impl Decode for BovwVo {
         let n = r.vseq_len()?;
         let mut trees = Vec::with_capacity(n);
         for _ in 0..n {
-            trees.push(VoNode::decode(r)?);
+            trees.push(VoTree::decode(r)?);
         }
         Ok(BovwVo { clusters, trees })
     }
@@ -420,15 +498,14 @@ mod tests {
         BovwVo {
             clusters: sample_rows(),
             trees: vec![
-                VoNode::Internal {
-                    dim: 1,
-                    value: 0.75,
-                    left: Box::new(VoNode::Pruned(Digest::of(b"pruned"))),
-                    right: Box::new(VoNode::Leaf {
-                        clusters: vec![9, 3],
-                    }),
-                },
-                VoNode::Pruned(Digest::of(b"other")),
+                VoTreeBuilder::default()
+                    .internal(1, 0.75)
+                    .pruned(Digest::of(b"pruned"))
+                    .leaf([9, 3])
+                    .finish(),
+                VoTreeBuilder::default()
+                    .pruned(Digest::of(b"other"))
+                    .finish(),
             ],
         }
     }
@@ -455,15 +532,75 @@ mod tests {
     }
 
     #[test]
-    fn table_rows_nodes_and_vo_roundtrip() {
+    fn table_rows_trees_and_vo_roundtrip() {
         for row in sample_rows() {
             assert_eq!(VoCluster::from_wire(&row.to_wire()).expect("rt"), row);
         }
         let vo = sample_vo();
-        for node in &vo.trees {
-            assert_eq!(&VoNode::from_wire(&node.to_wire()).expect("rt"), node);
+        for tree in &vo.trees {
+            assert_eq!(&VoTree::from_wire(&tree.to_wire()).expect("rt"), tree);
         }
         assert_eq!(BovwVo::from_wire(&vo.to_wire()).expect("rt"), vo);
+    }
+
+    #[test]
+    fn the_builder_links_children_and_leaf_ranges() {
+        // ((stub, leaf[4 5]), (leaf[6], stub)) in pre-order.
+        let tree = VoTreeBuilder::default()
+            .internal(0, 1.0)
+            .internal(1, 2.0)
+            .pruned(Digest::of(b"a"))
+            .leaf([4, 5])
+            .internal(2, 3.0)
+            .leaf([6])
+            .pruned(Digest::of(b"b"))
+            .finish();
+        let rights: Vec<Option<usize>> = tree
+            .nodes()
+            .iter()
+            .map(|node| match node {
+                VoNode::Internal { right, .. } => Some(*right),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            rights,
+            vec![Some(4), Some(3), None, None, Some(6), None, None]
+        );
+        assert_eq!(tree.nodes()[3], VoNode::Leaf(0..2));
+        assert_eq!(tree.nodes()[5], VoNode::Leaf(2..3));
+        assert_eq!(tree.ids(&(2..3)), &[6]);
+        assert_eq!(tree.leaf_ids(), &[4, 5, 6]);
+        let ends: Vec<usize> = (0..7).map(|i| tree.subtree_end(i)).collect();
+        assert_eq!(ends, vec![7, 4, 3, 4, 7, 6, 7]);
+        // Replacing nothing reproduces the arena; replacing a subtree by
+        // a stub re-links what follows it.
+        assert_eq!(tree.splice(0..0, |_| {}), tree);
+        let pruned = tree.splice(1..tree.subtree_end(1), |b| {
+            b.pruned(Digest::of(b"left"));
+        });
+        assert_eq!(pruned.nodes().len(), 5);
+        assert_eq!(
+            pruned.nodes()[0],
+            VoNode::Internal {
+                dim: 0,
+                value: 1.0,
+                right: 2
+            }
+        );
+        assert_eq!(pruned.leaf_ids(), &[6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "subtree missing")]
+    fn the_builder_refuses_to_finish_half_a_tree() {
+        VoTreeBuilder::default().internal(0, 0.0).leaf([1]).finish();
+    }
+
+    #[test]
+    #[should_panic(expected = "after the VO tree's last")]
+    fn the_builder_refuses_a_second_root() {
+        VoTreeBuilder::default().leaf([1]).leaf([2]);
     }
 
     #[test]
@@ -472,24 +609,23 @@ mod tests {
         // adds a tag, a length and one varint per id — never the reveals.
         let mut vo = sample_vo();
         let before = vo.wire_size();
-        vo.trees.push(VoNode::Leaf {
-            clusters: vec![3, 9],
-        });
+        vo.trees
+            .push(VoTreeBuilder::default().leaf([3, 9]).finish());
         assert_eq!(vo.wire_size(), before + 4);
     }
 
     #[test]
     fn decoder_accepts_deep_but_honest_nesting() {
-        let mut node = VoNode::Pruned(Digest::of(b"base"));
-        for d in 0..64 {
-            node = VoNode::Internal {
-                dim: d,
-                value: 0.0,
-                left: Box::new(node),
-                right: Box::new(VoNode::Pruned(Digest::of(b"r"))),
-            };
+        let mut b = VoTreeBuilder::default();
+        for d in (0..64).rev() {
+            b.internal(d, 0.0);
         }
-        assert_eq!(VoNode::from_wire(&node.to_wire()).expect("rt"), node);
+        b.pruned(Digest::of(b"base"));
+        for _ in 0..64 {
+            b.pruned(Digest::of(b"r"));
+        }
+        let tree = b.finish();
+        assert_eq!(VoTree::from_wire(&tree.to_wire()).expect("rt"), tree);
     }
 
     #[test]
@@ -509,26 +645,53 @@ mod tests {
         );
 
         // Patching with its own digests reproduces the VO exactly.
-        let mut cur = DigestCursor::new(&own);
+        let mut cur = own.iter();
         let same = vo.with_digests(&mut cur).expect("self patch");
-        assert!(cur.exhausted());
+        assert!(cur.next().is_none());
         assert_eq!(same, vo);
 
-        // Patching with fresh digests replaces exactly the collected slots.
+        // Patching with fresh digests replaces exactly the collected slots
+        // and nothing of the geometry.
         let fresh: Vec<Digest> = (0..own.len() as u8)
             .map(|i| Digest::of(&[i, 0xD1]))
             .collect();
-        let mut cur = DigestCursor::new(&fresh);
+        let mut cur = fresh.iter();
         let patched = vo.with_digests(&mut cur).expect("patch");
-        assert!(cur.exhausted());
+        assert!(cur.next().is_none());
         let mut collected = Vec::new();
         patched.collect_digests(&mut collected);
         assert_eq!(collected, fresh);
-        // Geometry untouched: zeroing digests on both sides yields equality.
-        let zero: Vec<Digest> = fresh.iter().map(|_| Digest::of(b"z")).collect();
-        let a = vo.with_digests(&mut DigestCursor::new(&zero)).unwrap();
-        let b = patched.with_digests(&mut DigestCursor::new(&zero)).unwrap();
-        assert_eq!(a, b);
+        assert_ne!(patched, vo);
+        assert!(patched.same_geometry(&vo));
+    }
+
+    #[test]
+    fn same_geometry_sees_every_change_but_a_digest() {
+        let vo = sample_vo();
+        let mut split = vo.clone();
+        split.trees[0] = split.trees[0].splice(0..1, |b| {
+            b.internal(1, 0.5);
+        });
+        let mut renamed = vo.clone();
+        renamed.trees[0] = renamed.trees[0].splice(2..3, |b| {
+            b.leaf([9, 4]);
+        });
+        let mut reshaped = vo.clone();
+        reshaped.trees[1] = VoTreeBuilder::default().leaf([3]).finish();
+        let mut revealed = vo.clone();
+        revealed.clusters[0].reveal = Reveal::Full { coords: vec![0.5] };
+        let mut shorter = vo.clone();
+        shorter.trees.pop();
+        for (what, other) in [
+            ("split", split),
+            ("leaf id", renamed),
+            ("node kind", reshaped),
+            ("reveal", revealed),
+            ("tree count", shorter),
+        ] {
+            assert!(!vo.same_geometry(&other), "{what}");
+            assert!(!other.same_geometry(&vo), "{what}");
+        }
     }
 
     #[test]
@@ -536,16 +699,15 @@ mod tests {
         let vo = sample_vo();
         for short in 0..4 {
             let payload: Vec<Digest> = (0..short).map(|i| Digest::of(&[i])).collect();
-            let mut cur = DigestCursor::new(&payload);
-            assert!(vo.with_digests(&mut cur).is_none(), "{short} digests");
+            assert!(
+                vo.with_digests(&mut payload.iter()).is_none(),
+                "{short} digests"
+            );
         }
         let five: Vec<Digest> = (0..5u8).map(|i| Digest::of(&[i])).collect();
-        let mut cur = DigestCursor::new(&five);
+        let mut cur = five.iter();
         assert!(vo.with_digests(&mut cur).is_some());
-        assert!(
-            !cur.exhausted(),
-            "long payload leaves the cursor unfinished"
-        );
+        assert_eq!(cur.len(), 1, "a long payload is left unfinished");
     }
 
     #[test]
@@ -560,6 +722,6 @@ mod tests {
             bytes.push(1); // varint dim
             bytes.extend_from_slice(&0f32.to_le_bytes());
         }
-        assert_eq!(VoNode::from_wire(&bytes), Err(WireError::DepthExceeded));
+        assert_eq!(VoTree::from_wire(&bytes), Err(WireError::DepthExceeded));
     }
 }

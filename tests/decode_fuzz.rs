@@ -32,7 +32,8 @@ use imageproof_core::{
 use imageproof_crypto::wire::{Decode, Encode, WireError};
 use imageproof_invindex::grouped::{Group, GroupedInvVo, GroupedListVo};
 use imageproof_invindex::{FilterVo, InvVo, InvVoOf, ListVo, ListVoOf, RemainingVo};
-use imageproof_mrkd::{BaselineBovwVo, BovwVo, Reveal, VoCluster, VoNode};
+use imageproof_mrkd::vo::MAX_VO_DEPTH;
+use imageproof_mrkd::{BaselineBovwVo, BovwVo, Reveal, VoCluster, VoNode, VoTree, VoTreeBuilder};
 use imageproof_vision::{Corpus, CorpusConfig, DescriptorKind};
 use proptest::prelude::*;
 
@@ -222,17 +223,20 @@ fn sharded_fixture() -> &'static ShardedFixture {
     })
 }
 
-/// Depth-first search for the first disclosed leaf in a VO tree.
-fn find_leaf(node: &VoNode) -> Option<&VoNode> {
-    match node {
-        VoNode::Pruned(_) => None,
-        VoNode::Internal { left, right, .. } => find_leaf(left).or_else(|| find_leaf(right)),
-        VoNode::Leaf { .. } => Some(node),
-    }
+/// The first disclosed leaf of a VO tree, as a one-node tree of its own.
+fn find_leaf(tree: &VoTree) -> Option<VoTree> {
+    tree.nodes().iter().find_map(|node| match node {
+        VoNode::Leaf(range) => Some(
+            VoTreeBuilder::default()
+                .leaf(tree.ids(range).iter().copied())
+                .finish(),
+        ),
+        _ => None,
+    })
 }
 
 /// Heap bytes a decoded BoVW VO owns, by allocation capacity: the table's
-/// rows and their reveals, and every tree node and leaf id list.
+/// rows and their reveals, and every tree's node arena and leaf id list.
 fn bovw_heap_bytes(vo: &BovwVo) -> usize {
     use std::mem::size_of;
     fn reveal_bytes(reveal: &Reveal) -> usize {
@@ -245,22 +249,13 @@ fn bovw_heap_bytes(vo: &BovwVo) -> usize {
             }
         }
     }
-    fn node_bytes(node: &VoNode) -> usize {
-        match node {
-            VoNode::Pruned(_) => 0,
-            VoNode::Leaf { clusters } => clusters.capacity() * 4,
-            VoNode::Internal { left, right, .. } => {
-                2 * size_of::<VoNode>() + node_bytes(left) + node_bytes(right)
-            }
-        }
-    }
     vo.clusters.capacity() * size_of::<VoCluster>()
         + vo.clusters
             .iter()
             .map(|r| reveal_bytes(&r.reveal))
             .sum::<usize>()
-        + vo.trees.capacity() * size_of::<VoNode>()
-        + vo.trees.iter().map(node_bytes).sum::<usize>()
+        + vo.trees.capacity() * size_of::<VoTree>()
+        + vo.trees.iter().map(VoTree::heap_bytes).sum::<usize>()
 }
 
 // ---------------------------------------------------------------------------
@@ -280,7 +275,7 @@ fn bovw_vo_decoding_is_total() {
             BovwVoVariant::Shared(vo) => {
                 fuzz_decode::<BovwVo>(&format!("BovwVo[{scheme:?}]"), vo);
                 if let Some(tree) = vo.trees.first() {
-                    fuzz_decode(&format!("VoNode[{scheme:?}]"), tree);
+                    fuzz_decode(&format!("VoTree[{scheme:?}]"), tree);
                 }
             }
             BovwVoVariant::PerQuery(vo) => {
@@ -306,7 +301,7 @@ fn table_row_leaf_and_reveal_decoding_is_total() {
             .iter()
             .find_map(find_leaf)
             .expect("a disclosed leaf");
-        fuzz_decode(&format!("VoNode::Leaf[{scheme:?}]"), leaf);
+        fuzz_decode(&format!("VoTree leaf[{scheme:?}]"), &leaf);
         // One row of each reveal kind the scheme produces.
         let mut kinds = std::collections::HashSet::new();
         for row in &vo.clusters {
@@ -440,6 +435,91 @@ fn hostile_group_member_count_is_refused_before_allocation() {
     let wire = [0x01, 0x80, 0x80, 0x40];
     assert_eq!(
         decode_total::<Group>("Group", &wire),
+        Err(WireError::LengthOverflow)
+    );
+}
+
+/// Wire bytes of a VO tree that is one spine of `depth` internal nodes
+/// over a stub, every other child a stub too: left-leaning puts the spine
+/// in the left children (the decoder's pending stack grows with it),
+/// right-leaning in the right ones (the stack stays at one entry while the
+/// depth still grows).
+fn spine(depth: usize, left_leaning: bool) -> Vec<u8> {
+    let internal = [1u8, 3, 0, 0, 0, 0];
+    let mut stub = vec![0u8];
+    stub.extend([0xAB; 32]);
+    let mut bytes = Vec::new();
+    for _ in 0..depth {
+        bytes.extend(internal);
+        if !left_leaning {
+            bytes.extend(&stub);
+        }
+    }
+    bytes.extend(&stub);
+    if left_leaning {
+        for _ in 0..depth {
+            bytes.extend(&stub);
+        }
+    }
+    bytes
+}
+
+/// The depth cap is on a node's depth, not on the decoder's bookkeeping:
+/// both leanings decode at the cap, to an arena within the amplification
+/// bound of the bytes, and both are refused one level deeper — the
+/// right-leaning one too, whose pending stack never exceeds one entry.
+#[test]
+fn vo_tree_depth_is_capped_for_both_leanings() {
+    for left_leaning in [true, false] {
+        let wire = spine(MAX_VO_DEPTH, left_leaning);
+        let tree = decode_total::<VoTree>("VoTree", &wire).expect("a spine at the cap decodes");
+        assert_eq!(tree.nodes().len(), 2 * MAX_VO_DEPTH + 1);
+        assert_eq!(tree.to_wire(), wire);
+        // 40 heap bytes per 6-byte internal node, doubled by `Vec` growth.
+        assert!(tree.heap_bytes() <= 16 * wire.len());
+        for over in [MAX_VO_DEPTH + 1, 4 * MAX_VO_DEPTH, 64 * MAX_VO_DEPTH] {
+            assert_eq!(
+                decode_total::<VoTree>("VoTree", &spine(over, left_leaning)),
+                Err(WireError::DepthExceeded),
+                "left_leaning = {left_leaning}, depth {over}"
+            );
+        }
+    }
+}
+
+/// Internal nodes that never get their children run the decoder out of
+/// bytes — up to the depth cap, past which the depth check comes first,
+/// as it did when each level was a stack frame.
+#[test]
+fn an_internal_flood_without_children_is_an_unexpected_end() {
+    let flood = |n: usize| {
+        let mut bytes = spine(n, true);
+        bytes.truncate(6 * n);
+        decode_total::<VoTree>("VoTree", &bytes)
+    };
+    for n in [1, 7, MAX_VO_DEPTH] {
+        assert_eq!(
+            flood(n),
+            Err(WireError::UnexpectedEnd),
+            "{n} internal nodes"
+        );
+    }
+    assert_eq!(flood(MAX_VO_DEPTH + 1), Err(WireError::DepthExceeded));
+}
+
+/// A leaf cannot claim more ids than the bytes behind it: a count of 2^32
+/// — more than any `u32`-indexed id list could hold — is refused at the
+/// length check, before a single id is read or stored.
+#[test]
+fn a_leaf_id_count_beyond_u32_is_refused_before_allocation() {
+    let mut wire = vec![2u8, 0x80, 0x80, 0x80, 0x80, 0x10];
+    assert_eq!(
+        decode_total::<VoTree>("VoTree", &wire),
+        Err(WireError::LengthOverflow)
+    );
+    wire.extend([1u8; 4096]);
+    assert_eq!(
+        decode_total::<VoTree>("VoTree", &wire),
         Err(WireError::LengthOverflow)
     );
 }
@@ -961,7 +1041,7 @@ proptest! {
         let _ = decode_total::<QueryVo>("QueryVo", &bytes);
         let _ = decode_total::<BovwVo>("BovwVo", &bytes);
         let _ = decode_total::<BaselineBovwVo>("BaselineBovwVo", &bytes);
-        let _ = decode_total::<VoNode>("VoNode", &bytes);
+        let _ = decode_total::<VoTree>("VoTree", &bytes);
         let _ = decode_total::<VoCluster>("VoCluster", &bytes);
         let _ = decode_total::<Reveal>("Reveal", &bytes);
         let _ = decode_total::<InvVo>("InvVo", &bytes);

@@ -82,23 +82,32 @@ fn first_vo(bovw: &mut BovwVoVariant) -> &mut BovwVo {
     }
 }
 
-/// Every disclosed leaf's id list, trees in order, DFS within a tree.
-fn leaves_mut(vo: &mut BovwVo) -> Vec<&mut Vec<u32>> {
-    fn walk<'a>(node: &'a mut VoNode, out: &mut Vec<&'a mut Vec<u32>>) {
-        match node {
-            VoNode::Pruned(_) => {}
-            VoNode::Leaf { clusters } => out.push(clusters),
-            VoNode::Internal { left, right, .. } => {
-                walk(left, out);
-                walk(right, out);
+/// `(tree, node)` of every disclosed leaf, trees in order, DFS within a
+/// tree.
+fn leaves(vo: &BovwVo) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    for (t, tree) in vo.trees.iter().enumerate() {
+        for (at, node) in tree.nodes().iter().enumerate() {
+            if matches!(node, VoNode::Leaf(_)) {
+                out.push((t, at));
             }
         }
     }
-    let mut out = Vec::new();
-    for tree in &mut vo.trees {
-        walk(tree, &mut out);
-    }
     out
+}
+
+/// Re-emits the tree holding `leaf` with that leaf naming what `edit` makes
+/// of its ids.
+fn edit_leaf(vo: &mut BovwVo, (t, at): (usize, usize), edit: impl FnOnce(&mut Vec<u32>)) {
+    let tree = &vo.trees[t];
+    let VoNode::Leaf(range) = &tree.nodes()[at] else {
+        panic!("node {at} of tree {t} is not a leaf");
+    };
+    let mut ids = tree.ids(range).to_vec();
+    edit(&mut ids);
+    vo.trees[t] = tree.splice(at..at + 1, |b| {
+        b.leaf(ids);
+    });
 }
 
 /// Plants a row for a cluster no leaf names, sitting exactly on `at` so it
@@ -130,9 +139,11 @@ fn plant_closer_row(vo: &mut BovwVo, at: &[f32]) {
 /// Moves the last cluster of the first tree's first leaf into the last
 /// tree's last leaf: both rows stay authentic, neither leaf hashes right.
 fn move_cluster_between_trees(vo: &mut BovwVo) {
-    let mut leaves = leaves_mut(vo);
-    let moved = leaves[0].pop().expect("non-empty leaf");
-    leaves.last_mut().expect("a leaf").push(moved);
+    let leaves = leaves(vo);
+    let (first, last) = (leaves[0], *leaves.last().expect("a leaf"));
+    let mut moved = None;
+    edit_leaf(vo, first, |ids| moved = ids.pop());
+    edit_leaf(vo, last, |ids| ids.push(moved.expect("non-empty leaf")));
 }
 
 #[test]
@@ -153,7 +164,7 @@ fn table_and_tree_disagreements_are_rejected_for_every_scheme() {
             "{scheme:?}"
         );
         assert_eq!(
-            m.malformed(|vo| leaves_mut(vo)[0][0] = u32::MAX),
+            m.malformed(|vo| edit_leaf(vo, leaves(vo)[0], |ids| ids[0] = u32::MAX)),
             "leaf names a cluster with no row",
             "{scheme:?}"
         );
