@@ -275,6 +275,14 @@ pub struct Neighbor {
 }
 
 impl RkdForest {
+    /// Index of the **proof tree**: the one tree [`RkdForest::exact_nearest`]
+    /// range-searches and the SP's `MRKDSearch` opens in the VO (every other
+    /// tree ships as its root digest). Any tree would do — each one's leaves
+    /// partition the whole codebook, so soundness does not depend on the two
+    /// agreeing — but when they do, the SP's second walk revisits nodes the
+    /// first left warm in cache.
+    pub const PROOF_TREE: usize = 0;
+
     /// Builds `n_trees` randomized trees over the cluster table.
     pub fn build(points: &[Vec<f32>], n_trees: usize, max_leaf_size: usize, seed: u64) -> Self {
         assert!(n_trees >= 1, "forest needs at least one tree");
@@ -373,7 +381,8 @@ impl RkdForest {
     /// §IV-A2), so the owner and SP both encode with it.
     pub fn exact_nearest(&self, points: &[Vec<f32>], query: &[f32], max_checks: usize) -> Neighbor {
         let upper = self.approx_nearest(points, query, max_checks);
-        let candidates = self.trees[0].collect_within(points, query, upper.dist_sq);
+        let proof_tree = &self.trees[Self::PROOF_TREE];
+        let candidates = proof_tree.collect_within(points, query, upper.dist_sq);
         let mut best = upper;
         for c in candidates {
             let Some(d) = crate::kernel::dist_sq_within(query, &points[c as usize], best.dist_sq)

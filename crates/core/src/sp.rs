@@ -9,7 +9,7 @@ use crate::shard::ShardedResponse;
 use imageproof_akm::SparseBovw;
 use imageproof_invindex::grouped::grouped_search;
 use imageproof_invindex::{inv_search, InvSearchStats};
-use imageproof_mrkd::{mrkd_search_baseline_with, mrkd_search_with};
+use imageproof_mrkd::{mrkd_search, mrkd_search_baseline_with};
 use imageproof_obs::{micros, Profiler, QueryProfile};
 use imageproof_parallel::{par_map, par_map_chunked, Concurrency};
 use imageproof_vision::ImageId;
@@ -44,17 +44,17 @@ pub struct SpStats {
     pub bovw_seconds: f64,
     /// Wall-clock seconds spent on inverted-index search + VO generation.
     pub inv_seconds: f64,
-    /// Shared-node ratio of the MRKD traversal (Figs. 7–8).
+    /// Shared-node ratio of the MRKD traversal of the one proof tree
+    /// (Figs. 7–8).
     pub shared_ratio: f64,
     /// Postings popped / total postings in relevant lists (Figs. 9–11).
     pub popped: usize,
     pub total_postings: usize,
     /// VO digests that required running Keccak at query time.
     pub hashes_computed: usize,
-    /// VO digests copied from build-time memos: MRKD pruned stubs, one
-    /// list digest per BoVW cluster-table *row* (not per leaf entry — a
-    /// cluster named by every tree is copied once), block-summary digests,
-    /// filter commitments.
+    /// VO digests copied from build-time memos: MRKD pruned stubs (the
+    /// `n_t − 1` unopened trees' root stubs included), one list digest per
+    /// BoVW cluster-table row, block-summary digests, filter commitments.
     pub hashes_cached: usize,
     /// Posting blocks the block-max search left unscanned (each proven by
     /// one fence digest in the VO).
@@ -144,16 +144,17 @@ impl ServiceProvider {
     }
 
     /// Processes a top-k query (Alg. 5): BoVW-encodes the query features
-    /// with threshold computation, runs `MRKDSearch` per tree, searches the
-    /// inverted index, and assembles the VO.
+    /// with threshold computation, runs `MRKDSearch` on the proof tree,
+    /// searches the inverted index, and assembles the VO.
     pub fn query(&self, features: &[Vec<f32>], k: usize) -> (QueryResponse, SpStats) {
         self.query_with(features, k, Concurrency::serial())
     }
 
     /// [`ServiceProvider::query`] with the per-feature work fanned out
     /// across workers: nearest-cluster assignment chunks `features`, and
-    /// `MRKDSearch` parallelizes per tree (shared schemes) or per query
-    /// vector (Baseline). Per-feature outputs merge in feature index order,
+    /// the Baseline's per-query-vector `MRKDSearch` runs one vector per
+    /// task (the shared schemes' single proof-tree walk is serial).
+    /// Per-feature outputs merge in feature index order,
     /// so shared-node VO compression, [`SpStats`] counters, and the final
     /// VO bytes are identical to the serial path for every thread count.
     pub fn query_with(
@@ -208,7 +209,7 @@ impl ServiceProvider {
             thresholds.push(dist_sq);
         }
         let (bovw_vo, mrkd_stats) = if scheme.shares_nodes() {
-            let out = mrkd_search_with(&self.db.mrkd, features, &thresholds, conc);
+            let out = mrkd_search(&self.db.mrkd, features, &thresholds);
             (BovwVoVariant::Shared(out.vo), out.stats)
         } else {
             let (vo, _, s) = mrkd_search_baseline_with(&self.db.mrkd, features, &thresholds, conc);

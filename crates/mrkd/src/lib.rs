@@ -10,8 +10,9 @@
 //! * [`traverse`] — the multi-query traversal engine shared *verbatim* by SP
 //!   search and client verification, so pruning bounds are bit-identical on
 //!   both sides.
-//! * [`search`] — SP-side `MRKDSearch` (Alg. 1) with node sharing, the
-//!   Baseline per-query variant, and partial-disclosure selection.
+//! * [`search`] — SP-side `MRKDSearch` (Alg. 1) over the proof tree with
+//!   node sharing, the Baseline per-query variant, and partial-disclosure
+//!   selection.
 //! * [`vo`] — verification-object types and their canonical wire encoding.
 //! * [`verify`] — client-side verification: digest reconstruction, verified
 //!   thresholds, and completeness checks.
@@ -23,8 +24,8 @@ pub mod verify;
 pub mod vo;
 
 pub use search::{
-    mrkd_search, mrkd_search_baseline, mrkd_search_baseline_with, mrkd_search_with, BaselineBovwVo,
-    SearchOutput, SearchStats,
+    mrkd_search, mrkd_search_baseline, mrkd_search_baseline_with, BaselineBovwVo, SearchOutput,
+    SearchStats,
 };
 pub use tree::{CandidateMode, MrkdForest, MrkdTree};
 pub use verify::{verify_bovw, verify_bovw_baseline, VerifiedBovw, VerifyError};

@@ -1,17 +1,24 @@
 //! SP-side `MRKDSearch` (paper Alg. 1): authenticated candidate collection
 //! and VO generation, with node sharing across query vectors.
+//!
+//! The paper runs Alg. 1 on each of the `n_t` trees and unions the results;
+//! every tree indexes every centroid, so each per-tree result is already
+//! the whole within-threshold set. The SP therefore walks one **proof
+//! tree** ([`RkdForest::PROOF_TREE`]) and ships every other tree as its
+//! root digest alone (DESIGN.md §5 has the soundness argument).
 
 use crate::traverse::{traverse, ActiveQuery, TraversalVisitor, TreeSource};
 use crate::tree::{owner_shape, CandidateMode, MrkdForest, MrkdTree, Shape};
-use crate::vo::{BovwVo, Reveal, VoCluster, VoTreeBuilder};
+use crate::vo::{BovwVo, Reveal, VoCluster, VoTree, VoTreeBuilder};
 use imageproof_akm::kernel::dist_sq_within;
-use imageproof_akm::rkd::Node;
+use imageproof_akm::rkd::{Node, RkdForest};
 use imageproof_crypto::wire::{Decode, Encode, Reader, WireError, Writer};
 use imageproof_parallel::{par_map, Concurrency};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::convert::Infallible;
 
-/// Traversal statistics; the "ratio of shared nodes" plotted in Figs. 7–8 is
+/// Traversal statistics of the proof tree's walk (one tree, not the
+/// forest); the "ratio of shared nodes" plotted in Figs. 7–8 is
 /// `nodes_shared / nodes_traversed`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SearchStats {
@@ -23,8 +30,8 @@ pub struct SearchStats {
     pub leaves_visited: usize,
     /// Digests copied from the build-time tables into the VO instead of
     /// being recomputed — the MRKD share of the SP's hash-cache hits: one
-    /// per pruned stub plus one inverted-list digest per cluster-table
-    /// *row* (a cluster named by eight trees' leaves is copied once).
+    /// inverted-list digest per cluster-table row plus one per pruned
+    /// stub, the `n_t − 1` unopened trees' root stubs included.
     pub digests_cached: usize,
 }
 
@@ -46,14 +53,15 @@ impl SearchStats {
     }
 }
 
-/// Output of `MRKDSearch` over the whole forest.
+/// Output of `MRKDSearch`.
 #[derive(Clone, Debug)]
 pub struct SearchOutput {
-    /// One VO tree per MRKD-tree (`{VO_{C,i}}` in Alg. 5) over the shared
-    /// cluster table.
+    /// One VO tree per MRKD-tree (`{VO_{C,i}}` in Alg. 5) — the proof tree
+    /// opened, the others as root stubs — over the cluster table.
     pub vo: BovwVo,
-    /// Per query: deduplicated `(cluster, squared distance)` candidates
-    /// within the threshold, across all trees (`∪ C_i`).
+    /// Per query: every `(cluster, squared distance)` within the threshold
+    /// (the paper's `∪ C_i`, which any one `C_i` equals), in the proof
+    /// tree's leaf order.
     pub candidates: Vec<Vec<(u32, f32)>>,
     pub stats: SearchStats,
 }
@@ -92,36 +100,33 @@ impl TreeSource for MrkdTree {
     }
 }
 
-/// What one tree's traversal asks the cluster table to disclose for a leaf
-/// cluster: `(cluster, full reveal?, queries a partial reveal must clear)`.
-/// The query list is empty whenever the reveal is full.
-type Need = (u32, bool, Vec<u32>);
+/// What the walk asks the cluster table to disclose for a leaf cluster:
+/// the queries, ascending, whose thresholds a partial reveal must clear, or
+/// `None` for a full reveal.
+type Need = (u32, Option<Vec<u32>>);
 
-/// One tree's share of `MRKDSearch`, filled in as the walk goes.
-struct TreeOutput {
-    /// The tree's VO, emitted node by node as the walk meets them.
-    vo: VoTreeBuilder,
-    /// Per-query candidates in leaf-visit order.
-    candidates: Vec<Vec<(u32, f32)>>,
-    /// Every cluster of every disclosed leaf, in leaf-visit order.
-    needs: Vec<Need>,
-    stats: SearchStats,
-}
-
+/// The SP's walk of the proof tree, filling in the VO as it goes.
 struct SpVisitor<'a> {
     forest: &'a MrkdForest,
     tree: &'a MrkdTree,
     queries: &'a [Vec<f32>],
     thresholds_sq: &'a [f32],
-    out: TreeOutput,
+    /// The tree's VO, emitted node by node as the walk meets them.
+    vo: VoTreeBuilder,
+    /// Per-query candidates in leaf-visit order.
+    candidates: Vec<Vec<(u32, f32)>>,
+    /// Every cluster of every disclosed leaf, in leaf-visit order (a
+    /// tree's leaves partition the codebook, so none repeats).
+    needs: Vec<Need>,
+    stats: SearchStats,
 }
 
 impl TraversalVisitor for SpVisitor<'_> {
     type Err = Infallible;
 
     fn inactive(&mut self, node: usize) -> Result<(), Infallible> {
-        self.out.stats.digests_cached += 1;
-        self.out.vo.pruned(self.tree.node_digest(node as u32));
+        self.stats.digests_cached += 1;
+        self.vo.pruned(self.tree.node_digest(node as u32));
         Ok(())
     }
 
@@ -132,10 +137,10 @@ impl TraversalVisitor for SpVisitor<'_> {
 
     // audit:allow(panic) SP-side visitor over the SP's own tree: leaf callbacks only fire on real leaves
     fn leaf(&mut self, node: usize, active: &[ActiveQuery]) -> Result<(), Infallible> {
-        self.out.stats.nodes_traversed += 1;
-        self.out.stats.leaves_visited += 1;
+        self.stats.nodes_traversed += 1;
+        self.stats.leaves_visited += 1;
         if active.len() > 1 {
-            self.out.stats.nodes_shared += 1;
+            self.stats.nodes_shared += 1;
         }
         let Node::Leaf { clusters } = &self.tree.rkd().nodes()[node] else {
             unreachable!("leaf callback on non-leaf");
@@ -143,7 +148,7 @@ impl TraversalVisitor for SpVisitor<'_> {
         for &cluster in clusters {
             self.leaf_cluster(cluster, active);
         }
-        self.out.vo.leaf(clusters.iter().copied());
+        self.vo.leaf(clusters.iter().copied());
         Ok(())
     }
 
@@ -154,11 +159,11 @@ impl TraversalVisitor for SpVisitor<'_> {
         value: f32,
         active: &[ActiveQuery],
     ) -> Result<(), Infallible> {
-        self.out.stats.nodes_traversed += 1;
+        self.stats.nodes_traversed += 1;
         if active.len() > 1 {
-            self.out.stats.nodes_shared += 1;
+            self.stats.nodes_shared += 1;
         }
-        self.out.vo.internal(dim, value);
+        self.vo.internal(dim, value);
         Ok(())
     }
 }
@@ -181,51 +186,39 @@ impl SpVisitor<'_> {
                 continue;
             };
             if d <= self.thresholds_sq[q] {
-                self.out.candidates[q].push((cluster, d));
+                self.candidates[q].push((cluster, d));
                 is_candidate = true;
             }
         }
         let full = is_candidate || self.forest.mode() == CandidateMode::Full;
-        let reached_by = if full {
-            Vec::new()
-        } else {
-            active.iter().map(|aq| aq.query).collect()
-        };
-        self.out.needs.push((cluster, full, reached_by));
+        // The walk keeps `active` in ascending query order, so the greedy
+        // block choice is a function of the *set* of queries reaching the
+        // leaf.
+        let reached_by = (!full).then(|| active.iter().map(|aq| aq.query).collect());
+        self.needs.push((cluster, reached_by));
     }
 }
 
-/// Builds the cluster table from the trees' merged needs: one row per
-/// disclosed cluster, ascending by cluster id (the `BTreeMap` order). A
-/// cluster is revealed in full if any tree found it a candidate; otherwise
-/// its one partial reveal clears every query reaching it in any tree.
-fn table_rows(
+/// The table row answering one [`Need`].
+fn table_row(
     forest: &MrkdForest,
     queries: &[Vec<f32>],
     thresholds_sq: &[f32],
-    plan: BTreeMap<u32, (bool, Vec<u32>)>,
-) -> Vec<VoCluster> {
-    let row = |(cluster, (full, mut reached_by)): (u32, (bool, Vec<u32>))| {
-        let coords = || forest.centers()[cluster as usize].clone();
-        let reveal = if forest.mode() == CandidateMode::Full {
-            Reveal::Full { coords: coords() }
-        } else if full {
-            Reveal::FullCompressed { coords: coords() }
-        } else {
-            // Ascending query order makes the greedy block choice a
-            // function of the *set* of queries, not of which tree or
-            // worker reported them first.
-            reached_by.sort_unstable();
-            reached_by.dedup();
-            partial_reveal(forest, queries, thresholds_sq, cluster, &reached_by)
-        };
-        VoCluster {
-            cluster,
-            inv_digest: forest.inv_digest(cluster),
-            reveal,
+    (cluster, reached_by): Need,
+) -> VoCluster {
+    let coords = || forest.centers()[cluster as usize].clone();
+    let reveal = match (reached_by, forest.mode()) {
+        (Some(queries_to_clear), _) => {
+            partial_reveal(forest, queries, thresholds_sq, cluster, &queries_to_clear)
         }
+        (None, CandidateMode::Full) => Reveal::Full { coords: coords() },
+        (None, CandidateMode::Compressed) => Reveal::FullCompressed { coords: coords() },
     };
-    plan.into_iter().map(row).collect()
+    VoCluster {
+        cluster,
+        inv_digest: forest.inv_digest(cluster),
+        reveal,
+    }
 }
 
 /// Chooses a dimension-block subset proving `dist(q, c) ≥ t_q` for every
@@ -336,96 +329,61 @@ pub fn partial_sum_revealed(blocks: &[(u32, Vec<f32>)], q: &[f32]) -> f32 {
         .sum()
 }
 
-/// Walks one tree. Trees never share state, so this is the unit the
-/// parallel path fans out.
-fn search_tree(
-    forest: &MrkdForest,
-    tree: &MrkdTree,
-    queries: &[Vec<f32>],
-    thresholds_sq: &[f32],
-) -> TreeOutput {
-    let mut visitor = SpVisitor {
-        forest,
-        tree,
-        queries,
-        thresholds_sq,
-        out: TreeOutput {
-            vo: VoTreeBuilder::default(),
-            candidates: vec![Vec::new(); queries.len()],
-            needs: Vec::new(),
-            stats: SearchStats::default(),
-        },
-    };
-    if let Err(e) = traverse(tree, queries, thresholds_sq, &mut visitor) {
-        match e {}
-    }
-    visitor.out
-}
-
-/// `MRKDSearch` with node sharing: one traversal per tree serving all query
-/// vectors, producing the VO forest plus the candidate sets.
+/// `MRKDSearch` with node sharing: one traversal of the proof tree serving
+/// all query vectors. Every tree's leaves partition the whole codebook, so
+/// that one walk already collects each query's complete within-threshold
+/// set; the other `n_t − 1` trees ship as their bare root digests, which is
+/// all the client needs to chain the opened tree to the signed combined
+/// root (DESIGN.md §5).
 pub fn mrkd_search(
     forest: &MrkdForest,
     queries: &[Vec<f32>],
     thresholds_sq: &[f32],
 ) -> SearchOutput {
-    mrkd_search_with(forest, queries, thresholds_sq, Concurrency::serial())
-}
-
-/// [`mrkd_search`] with the per-tree traversals fanned out across workers.
-///
-/// Determinism: each tree's traversal (and hence its VO subtree, candidate
-/// order, table needs, and stats) depends only on that tree and the
-/// queries; per-tree outputs are merged serially **in tree index order**,
-/// reproducing exactly the serial loop's candidate append order, stats
-/// sums, and cluster table. The resulting [`SearchOutput`] is bit-identical
-/// for every thread count.
-pub fn mrkd_search_with(
-    forest: &MrkdForest,
-    queries: &[Vec<f32>],
-    thresholds_sq: &[f32],
-    conc: Concurrency,
-) -> SearchOutput {
-    let out = mrkd_search_with_unrecorded(forest, queries, thresholds_sq, conc);
+    let out = search_tree(forest, RkdForest::PROOF_TREE, queries, thresholds_sq);
     record_search("shared", &out.stats);
     out
 }
 
-/// [`mrkd_search_with`] without the registry record — the baseline path
-/// reuses the traversal per query and must not count those inner calls as
-/// shared-mode searches.
-fn mrkd_search_with_unrecorded(
+/// [`mrkd_search`] opening tree `opened`, without the registry record — the
+/// baseline path reuses the traversal per query and must not count those
+/// inner calls as shared-mode searches.
+pub(crate) fn search_tree(
     forest: &MrkdForest,
+    opened: usize,
     queries: &[Vec<f32>],
     thresholds_sq: &[f32],
-    conc: Concurrency,
 ) -> SearchOutput {
     assert_eq!(queries.len(), thresholds_sq.len());
-    let per_tree = par_map(conc, forest.trees(), |_, tree| {
-        search_tree(forest, tree, queries, thresholds_sq)
-    });
-    let mut candidates = vec![Vec::new(); queries.len()];
-    let mut stats = SearchStats::default();
-    let mut trees = Vec::with_capacity(per_tree.len());
-    let mut plan: BTreeMap<u32, (bool, Vec<u32>)> = BTreeMap::new();
-    for mut out in per_tree {
-        stats.merge(&out.stats);
-        for (q, mut list) in out.candidates.into_iter().enumerate() {
-            candidates[q].append(&mut list);
-        }
-        for (cluster, full, reached_by) in out.needs {
-            let row = plan.entry(cluster).or_default();
-            row.0 |= full;
-            row.1.extend(reached_by);
-        }
-        trees.push(out.vo.finish());
+    let mut visitor = SpVisitor {
+        forest,
+        tree: &forest.trees()[opened],
+        queries,
+        thresholds_sq,
+        vo: VoTreeBuilder::default(),
+        candidates: vec![Vec::new(); queries.len()],
+        needs: Vec::new(),
+        stats: SearchStats::default(),
+    };
+    if let Err(e) = traverse(visitor.tree, queries, thresholds_sq, &mut visitor) {
+        match e {}
     }
-    for list in &mut candidates {
-        list.sort_unstable_by_key(|e| e.0);
-        list.dedup_by_key(|e| e.0);
-    }
-    let clusters = table_rows(forest, queries, thresholds_sq, plan);
-    stats.digests_cached += clusters.len();
+    let SpVisitor {
+        mut vo,
+        candidates,
+        mut needs,
+        mut stats,
+        ..
+    } = visitor;
+    needs.sort_unstable_by_key(|need| need.0);
+    let clusters: Vec<VoCluster> = (needs.into_iter())
+        .map(|need| table_row(forest, queries, thresholds_sq, need))
+        .collect();
+    let mut trees: Vec<VoTree> = (forest.trees().iter())
+        .map(|tree| VoTree::root_stub(tree.root_digest()))
+        .collect();
+    trees[opened] = vo.finish();
+    stats.digests_cached += clusters.len() + trees.len() - 1;
     SearchOutput {
         vo: BovwVo { clusters, trees },
         candidates,
@@ -485,12 +443,8 @@ pub fn mrkd_search_baseline_with(
     );
     assert_eq!(queries.len(), thresholds_sq.len());
     let outs = par_map(conc, queries, |i, q| {
-        mrkd_search_with_unrecorded(
-            forest,
-            std::slice::from_ref(q),
-            &[thresholds_sq[i]],
-            Concurrency::serial(),
-        )
+        let (q, t) = (std::slice::from_ref(q), [thresholds_sq[i]]);
+        search_tree(forest, RkdForest::PROOF_TREE, q, &t)
     });
     let mut per_query = Vec::with_capacity(queries.len());
     let mut candidates = Vec::with_capacity(queries.len());
@@ -520,11 +474,11 @@ mod tests {
             per_query: vec![
                 BovwVo {
                     clusters: Vec::new(),
-                    trees: vec![VoTreeBuilder::default().pruned(Digest::of(b"t0")).finish()],
+                    trees: vec![VoTree::root_stub(Digest::of(b"t0"))],
                 },
                 BovwVo {
                     clusters: Vec::new(),
-                    trees: vec![VoTreeBuilder::default().pruned(Digest::of(b"t1")).finish()],
+                    trees: vec![VoTree::root_stub(Digest::of(b"t1"))],
                 },
             ],
         };
@@ -628,9 +582,9 @@ mod tests {
         let (queries, thresholds) = queries_and_thresholds(&centers, 15);
         let shared = mrkd_search(&mrkd, &queries, &thresholds);
         let (_, baseline_cands, _) = mrkd_search_baseline(&mrkd, &queries, &thresholds);
-        for (qi, mut solo) in baseline_cands.into_iter().enumerate() {
-            solo.sort_unstable_by_key(|e| e.0);
-            solo.dedup_by_key(|e| e.0);
+        // Both walk the proof tree's leaves in the same order, and no
+        // cluster sits in two of them.
+        for (qi, solo) in baseline_cands.into_iter().enumerate() {
             assert_eq!(shared.candidates[qi], solo, "query {qi}");
         }
     }

@@ -1,7 +1,8 @@
 //! Client-side verification of authenticated BoVW encoding (paper §IV-A2).
 //!
 //! Given the query feature vectors and the VO (a cluster table under one VO
-//! tree per MRKD-tree), the client:
+//! tree per MRKD-tree — honestly, one tree opened and the rest bare root
+//! stubs), the client:
 //!
 //! 1. **Reconstructs** every tree's root digest: validates the table rows
 //!    and the trees' nodes (rejecting malformed disclosures), hashes one
@@ -9,10 +10,14 @@
 //!    level at a time, leaves looking their cluster ids up in the table;
 //! 2. Derives each query's **verified threshold** `t'_q` — the distance to
 //!    the nearest fully-revealed centroid — and its winner cluster;
-//! 3. **Re-walks** each VO tree with the shared traversal engine to check
-//!    completeness: no pruned subtree is reachable within `t'_q`, and every
-//!    partially-disclosed cluster proves it is at least `t'_q` away from
-//!    every query that reaches it in any tree.
+//! 3. **Re-walks** every opened VO tree with the shared traversal engine to
+//!    check completeness: no pruned subtree is reachable within `t'_q`, and
+//!    every partially-disclosed cluster proves it is at least `t'_q` away
+//!    from every query that reaches it in an opened tree. A tree that is
+//!    nothing but its root stub only lends its digest to the combined
+//!    root; at least one tree must be opened, since any one tree's leaves
+//!    partition the codebook and its walk alone proves the winner exact
+//!    (DESIGN.md §5).
 //!
 //! A table row is authenticated only by a leaf that names it and chains to
 //! a signed root, so phase 1 enforces three rules: the table is strictly
@@ -170,6 +175,15 @@ fn complete(
     roots: &[Digest],
     trees: &[Resolved<'_>],
 ) -> Result<VerifiedBovw, VerifyError> {
+    // A tree that is nothing but its root stub is left to the signature
+    // check; every other tree is walked in full. One opened tree proves
+    // the assignment (its leaves partition the codebook), none proves
+    // nothing: every query sits at bound 0 of every root stub.
+    let opened: Vec<&Resolved<'_>> = trees.iter().filter(|t| !t.tree.is_root_stub()).collect();
+    if opened.is_empty() {
+        return Err(VerifyError::PrunedSubtreeReachable);
+    }
+
     // Phase 2: verified thresholds and winners.
     let reveals: Vec<(u32, &[f32])> = vo
         .clusters
@@ -189,16 +203,15 @@ fn complete(
         .map(|q| nearest_revealed(q, &reveals))
         .unzip();
 
-    // Phase 3: completeness. The shared traversal rejects reachable pruned
-    // subtrees and gathers, per partial row, the queries reaching it in any
-    // tree; each (row, query) pair is then checked once — the mirror image
-    // of the SP's union rule.
+    // Phase 3: completeness. In every opened tree the shared traversal
+    // rejects reachable pruned subtrees and gathers, per partial row, the
+    // queries reaching it; each (row, query) pair is then checked once.
     let mut reached: Vec<Option<Vec<u32>>> = vo
         .clusters
         .iter()
         .map(|row| matches!(row.reveal, Reveal::Partial { .. }).then(Vec::new))
         .collect();
-    for tree in trees {
+    for tree in opened {
         let mut visitor = ClientVisitor {
             vo: tree,
             reached: &mut reached,
@@ -572,7 +585,7 @@ impl TraversalVisitor for ClientVisitor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::{mrkd_search, mrkd_search_baseline};
+    use crate::search::{mrkd_search, mrkd_search_baseline, search_tree};
     use crate::tree::MrkdForest;
     use imageproof_akm::rkd::{dist_sq, RkdForest};
     use proptest::prelude::*;
@@ -645,6 +658,37 @@ mod tests {
             mrkd_search(&self.mrkd, &self.queries, &self.thresholds).vo
         }
 
+        /// The honest VO of an SP that opens trees `a` and `b` both: each
+        /// as its own search emits it, over the union of the two tables. A
+        /// cluster is a candidate in every tree or in none, so the tables
+        /// can only differ in a partial row's blocks; the row is re-proved
+        /// over both choices (more blocks never lower a partial sum), which
+        /// clears every query reaching it in either tree.
+        fn vo_opening_both(&self, a: usize, b: usize) -> BovwVo {
+            let open = |t| search_tree(&self.mrkd, t, &self.queries, &self.thresholds).vo;
+            let (mut vo, other) = (open(a), open(b));
+            vo.trees[b] = other.trees[b].clone();
+            for theirs in other.clusters {
+                let at = vo
+                    .clusters
+                    .partition_point(|row| row.cluster < theirs.cluster);
+                match vo.clusters.get_mut(at) {
+                    Some(ours) if ours.cluster == theirs.cluster => {
+                        if let (Some(mut blocks), Some(more)) =
+                            (partial_blocks(ours), partial_blocks(&theirs))
+                        {
+                            blocks.extend(more);
+                            blocks.sort_unstable();
+                            blocks.dedup();
+                            ours.reveal = self.partial(ours.cluster, &blocks);
+                        }
+                    }
+                    _ => vo.clusters.insert(at, theirs),
+                }
+            }
+            vo
+        }
+
         fn verify(&self, vo: &BovwVo) -> Result<VerifiedBovw, VerifyError> {
             verify_bovw(vo, &self.queries, self.mrkd.mode())
         }
@@ -668,6 +712,14 @@ mod tests {
                     .collect(),
                 proof: dim_tree.prove_subset(blocks),
             }
+        }
+    }
+
+    /// The block indices a partial row discloses.
+    fn partial_blocks(row: &VoCluster) -> Option<Vec<usize>> {
+        match &row.reveal {
+            Reveal::Partial { blocks, .. } => Some(blocks.iter().map(|b| b.0 as usize).collect()),
+            _ => None,
         }
     }
 
@@ -754,14 +806,33 @@ mod tests {
     fn the_table_reveals_each_disclosed_cluster_exactly_once() {
         for mode in [CandidateMode::Full, CandidateMode::Compressed] {
             let f = fixture(mode, 10);
+            let rows = |vo: &BovwVo| vo.clusters.iter().map(|r| r.cluster).collect::<Vec<u32>>();
+
+            // Honestly, the proof tree is opened and every other tree is
+            // its root digest; the opened leaves partition what they
+            // cover, so no cluster is named twice.
             let vo = f.honest_vo();
+            for (t, tree) in vo.trees.iter().enumerate() {
+                if t == RkdForest::PROOF_TREE {
+                    assert!(!tree.is_root_stub(), "{mode:?}: the proof tree is opened");
+                } else {
+                    assert_eq!(tree, &VoTree::root_stub(f.mrkd.trees()[t].root_digest()));
+                }
+            }
+            let mut named_once = named(&vo);
+            named_once.sort_unstable();
+            assert_eq!(rows(&vo), named_once, "{mode:?}: one row per named cluster");
+
+            // An SP that opens a second tree names clusters repeatedly and
+            // still reveals each once.
+            let vo = f.vo_opening_both(0, 1);
             let mut named = named(&vo);
             let n_named = named.len();
             named.sort_unstable();
             named.dedup();
-            let rows: Vec<u32> = vo.clusters.iter().map(|r| r.cluster).collect();
-            assert_eq!(rows, named, "{mode:?}: one row per named cluster");
-            assert!(n_named > rows.len(), "the forest names clusters repeatedly");
+            assert_eq!(rows(&vo), named, "{mode:?}: one row per named cluster");
+            assert!(n_named > named.len(), "two trees name clusters repeatedly");
+            assert!(f.accepts(&vo), "{mode:?}");
         }
     }
 
@@ -864,9 +935,11 @@ mod tests {
     #[test]
     fn moving_a_cluster_between_two_leaves_is_rejected() {
         let f = fixture(CandidateMode::Full, 6);
-        let honest = f.honest_vo();
-        // Within one tree, and from one tree's leaf into another's: the
-        // rows stay authentic, but the leaves no longer hash to the roots.
+        // Within one tree, and — when the SP opens a second — from one
+        // tree's leaf into another's: the rows stay authentic, but the
+        // leaves no longer hash to the roots.
+        let honest = f.vo_opening_both(0, 1);
+        assert!(f.accepts(&honest));
         for (from, to) in [((0, 0), (0, 1)), ((0, 0), (1, 0))] {
             let mut forged = honest.clone();
             let leaf = |vo: &BovwVo, (tree, nth): (usize, usize)| {
@@ -987,18 +1060,142 @@ mod tests {
     }
 
     #[test]
-    fn a_partial_row_clears_every_query_that_reaches_it_in_any_tree() {
-        // The union rule: one Partial row serves all trees, so its blocks
-        // must clear the threshold of every query the verifier finds at
-        // any leaf naming it — which is exactly what phase 3 checks, so an
-        // honest VO verifying under many queries is the proof.
+    fn a_partial_row_clears_every_query_that_reaches_it_in_an_opened_tree() {
+        // The SP's rule: a Partial row's blocks clear the threshold of
+        // every query reaching its leaf in the proof tree — which is what
+        // phase 3 checks, so an honest VO verifying under many queries is
+        // the proof.
         let f = fixture(CandidateMode::Compressed, 24);
         let vo = f.honest_vo();
-        assert!(vo
-            .clusters
-            .iter()
-            .any(|r| matches!(r.reveal, Reveal::Partial { .. })));
+        assert!(vo.clusters.iter().any(|r| partial_blocks(r).is_some()));
         assert!(f.accepts(&vo));
+
+        // The client's rule is the union over whatever trees are opened.
+        // Four centroids on a square in dimensions 0 and 16 (blocks 0 and
+        // 1), two to a leaf: tree 0 cuts the square along dimension 0,
+        // tree 1 along dimension 16, so a query near one corner reaches a
+        // different neighbouring corner in each tree.
+        let corner = |x: f32, y: f32| {
+            let mut v = vec![0.0f32; DIM];
+            (v[0], v[16]) = (x, y);
+            v
+        };
+        let centers = vec![
+            corner(0.0, 0.0),
+            corner(10.0, 0.0),
+            corner(0.0, 10.0),
+            corner(10.0, 10.0),
+        ];
+        let root_dim = |forest: &RkdForest, t: usize| {
+            let tree = &forest.trees()[t];
+            match tree.nodes()[tree.root() as usize] {
+                imageproof_akm::rkd::Node::Internal { dim, .. } => dim,
+                _ => unreachable!("four centroids, two to a leaf"),
+            }
+        };
+        let forest = (0u64..)
+            .map(|seed| RkdForest::build(&centers, 2, 2, seed))
+            .find(|forest| root_dim(forest, 0) == 0 && root_dim(forest, 1) == 16)
+            .expect("some seed cuts the two trees crosswise");
+        let inv: Vec<Digest> = (0..4u8).map(|c| Digest::of(&[c])).collect();
+        let f = Fixture {
+            mrkd: MrkdForest::build(&forest, &centers, &inv, CandidateMode::Compressed),
+            centers,
+            // Winners 2 and 1, both at squared distance 2.
+            queries: vec![corner(1.0, 9.0), corner(9.0, 1.0)],
+            thresholds: vec![2.0, 2.0],
+        };
+        // Cluster 3 shares tree 0's leaf with cluster 1, where only query
+        // 1 reaches it (block 1 clears it: 81 ≥ 2), and tree 1's leaf with
+        // cluster 2, where only query 0 does (block 1 gives it 1 < 2).
+        let blocks_of_3 = |vo: &BovwVo| vo.clusters.get(3).and_then(partial_blocks);
+        let one = f.honest_vo();
+        assert!(f.accepts(&one));
+        assert_eq!(blocks_of_3(&one), Some(vec![1]));
+        let both = f.vo_opening_both(0, 1);
+        assert!(f.accepts(&both));
+        assert_eq!(blocks_of_3(&both), Some(vec![0, 1]));
+        // The row that suffices with tree 0 alone open falls short once
+        // tree 1 is open beside it; every digest is intact, so only the
+        // per-(row, query) check can notice.
+        let mut forged = both.clone();
+        row_mut(&mut forged, 3).reveal = f.partial(3, &[1]);
+        assert_eq!(
+            f.verify(&forged).unwrap_err(),
+            VerifyError::PartialTooClose {
+                cluster: 3,
+                query: 0
+            }
+        );
+    }
+
+    #[test]
+    fn a_vo_that_opens_no_tree_is_rejected() {
+        // The strongest such forgery: every stub is the genuine root, so
+        // the combined root is the signed one.
+        for mode in [CandidateMode::Full, CandidateMode::Compressed] {
+            let f = fixture(mode, 4);
+            let mut forged = f.honest_vo();
+            for (tree, real) in forged.trees.iter_mut().zip(f.mrkd.trees()) {
+                *tree = VoTree::root_stub(real.root_digest());
+            }
+            // With the table kept, nothing vouches for its rows...
+            assert_eq!(
+                f.verify(&forged).unwrap_err(),
+                VerifyError::Malformed("table row named by no leaf"),
+                "{mode:?}"
+            );
+            // ...and without it every query reaches a stub at bound 0.
+            forged.clusters.clear();
+            assert_eq!(
+                f.verify(&forged).unwrap_err(),
+                VerifyError::PrunedSubtreeReachable,
+                "{mode:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_forged_root_stub_of_an_unopened_tree_breaks_the_signed_root() {
+        let f = fixture(CandidateMode::Full, 4);
+        let honest = f.honest_vo();
+        let mut forged = honest.clone();
+        forged.trees[2] = VoTree::root_stub(Digest::of(b"another forest's tree"));
+        // The stub is never walked, so verification itself succeeds, with
+        // the honest winners — under a root the owner never signed.
+        let v = f.verify(&forged).expect("structurally fine");
+        assert_eq!(
+            v.assignments,
+            f.verify(&honest).expect("honest").assignments
+        );
+        assert_ne!(v.combined_root, f.mrkd.combined_root_digest());
+    }
+
+    #[test]
+    fn a_second_tree_opened_only_in_part_is_rejected() {
+        // Non-stub trees are checked in full: opening tree 1 but stubbing
+        // one of its reached leaves (genuine digest, the rows it alone
+        // named dropped) is a completeness violation even though tree 0
+        // alone would have proven the assignment.
+        for mode in [CandidateMode::Full, CandidateMode::Compressed] {
+            let f = fixture(mode, 6);
+            let both = f.vo_opening_both(0, 1);
+            assert!(f.accepts(&both));
+            let mut walk = reference::Walk::new(&both, DIM, mode).expect("table");
+            let mut forged = both.clone();
+            let at = nth_node(&forged.trees[1], 0, is_leaf).expect("a leaf");
+            let digest = walk.node(&both.trees[1], at).expect("digest");
+            forged.trees[1] = forged.trees[1].splice(at..at + 1, |b| {
+                b.pruned(digest);
+            });
+            let named = named(&forged);
+            forged.clusters.retain(|row| named.contains(&row.cluster));
+            assert_eq!(
+                f.verify(&forged).unwrap_err(),
+                VerifyError::PrunedSubtreeReachable,
+                "{mode:?}"
+            );
+        }
     }
 
     #[test]
@@ -1237,7 +1434,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Batched, level-order reconstruction is indistinguishable from
-        /// the node-at-a-time reference: over random honest VOs, and over
+        /// the node-at-a-time reference: over random honest VOs (one tree
+        /// opened, or two), and over
         /// one or two single-field forgeries of them (two, so an early
         /// bad proof and a later malformed row compete for first error),
         /// both return the same roots, winners and thresholds or the very
@@ -1252,10 +1450,13 @@ mod tests {
             forgeries in proptest::collection::vec(
                 (0usize..forge::KINDS, any::<prop::sample::Index>()), 0..3),
             other_mode in 0u8..8,
+            open_second in any::<bool>(),
         ) {
             let mode = if compressed { CandidateMode::Compressed } else { CandidateMode::Full };
             let f = fixture_from(seed % (1 << 32), n_centers, mode, n_queries, noise);
-            let mut vo = f.honest_vo();
+            // Half the cases start from a VO with a second tree open, so
+            // forgeries also land across trees.
+            let mut vo = if open_second { f.vo_opening_both(0, 2) } else { f.honest_vo() };
             if forgeries.is_empty() {
                 prop_assert!(f.accepts(&vo));
             }

@@ -29,7 +29,8 @@ pub enum Reveal {
 }
 
 /// One row of the VO's cluster table: everything a leaf entry digest binds
-/// about a cluster, disclosed once however many trees' leaves name it.
+/// about a cluster, disclosed once however many opened trees' leaves name
+/// it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct VoCluster {
     pub cluster: u32,
@@ -66,6 +67,16 @@ pub struct VoTree {
 }
 
 impl VoTree {
+    /// A tree the SP did not open: its root digest and nothing else.
+    pub fn root_stub(root: Digest) -> VoTree {
+        VoTreeBuilder::default().pruned(root).finish()
+    }
+
+    /// Whether this tree is a [`VoTree::root_stub`].
+    pub fn is_root_stub(&self) -> bool {
+        matches!(self.nodes.as_slice(), [VoNode::Pruned(_)])
+    }
+
     /// The nodes in pre-order.
     pub fn nodes(&self) -> &[VoNode] {
         &self.nodes
@@ -196,7 +207,9 @@ impl VoTreeBuilder {
 /// The complete BoVW-encoding VO: one [`VoTree`] per MRKD-tree
 /// (`{VO_{C,i}}` of Alg. 5) over one shared cluster table. Every cluster
 /// sits in every tree of the forest, so the table reveals it once and the
-/// leaves only name it.
+/// leaves only name it — and so one opened tree proves the assignment: an
+/// honest SP opens the proof tree and sends every other as a lone
+/// [`VoNode::Pruned`] root.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BovwVo {
     /// Strictly ascending by cluster id; a row is authenticated only by a

@@ -1,17 +1,19 @@
 //! Property-based tests for the MRKD-tree: for arbitrary cluster sets and
 //! perturbed queries, the SP's search verifies and yields the exact nearest
-//! clusters, in both candidate modes and at every thread count, with each
-//! disclosed cluster revealed exactly once.
+//! clusters in both candidate modes, with each disclosed cluster revealed
+//! exactly once — and would whichever single tree it opened.
 
-use imageproof_akm::rkd::{dist_sq, RkdForest};
+use imageproof_akm::rkd::{dist_sq, Node, RkdForest};
 use imageproof_crypto::wire::{Decode, Encode};
 use imageproof_crypto::Digest;
+use imageproof_mrkd::traverse::{traverse, ActiveQuery, TraversalVisitor};
+use imageproof_mrkd::tree::n_blocks;
 use imageproof_mrkd::{
-    mrkd_search, mrkd_search_with, verify_bovw, BovwVo, CandidateMode, MrkdForest, VoTree,
-    VoTreeBuilder,
+    mrkd_search, verify_bovw, BovwVo, CandidateMode, MrkdForest, MrkdTree, Reveal, VoCluster,
+    VoTree, VoTreeBuilder,
 };
-use imageproof_parallel::Concurrency;
 use proptest::prelude::*;
+use std::convert::Infallible;
 
 const DIM: usize = 32;
 
@@ -60,6 +62,99 @@ fn varint(mut v: u64, out: &mut Vec<u8>) {
     out.push(v as u8);
 }
 
+/// An SP that opens tree `t` instead of the proof tree: the same shared
+/// walk, emitted through [`VoTreeBuilder`], with every other tree a root
+/// stub. Non-candidates of the compressed mode disclose all their blocks.
+struct Opener<'a> {
+    mrkd: &'a MrkdForest,
+    tree: &'a MrkdTree,
+    queries: &'a [Vec<f32>],
+    thresholds: &'a [f32],
+    vo: VoTreeBuilder,
+    rows: Vec<VoCluster>,
+}
+
+impl TraversalVisitor for Opener<'_> {
+    type Err = Infallible;
+
+    fn inactive(&mut self, node: usize) -> Result<(), Infallible> {
+        self.vo.pruned(self.tree.node_digest(node as u32));
+        Ok(())
+    }
+
+    fn opaque(&mut self, _node: usize, _active: &[ActiveQuery]) -> Result<(), Infallible> {
+        unreachable!("the owner's tree has no opaque nodes")
+    }
+
+    fn leaf(&mut self, node: usize, active: &[ActiveQuery]) -> Result<(), Infallible> {
+        let Node::Leaf { clusters } = &self.tree.rkd().nodes()[node] else {
+            unreachable!("leaf callback on a non-leaf");
+        };
+        for &cluster in clusters {
+            let coords = self.mrkd.centers()[cluster as usize].clone();
+            let candidate = active.iter().any(|aq| {
+                let q = aq.query as usize;
+                dist_sq(&self.queries[q], &coords) <= self.thresholds[q]
+            });
+            let reveal = match (self.mrkd.mode(), candidate) {
+                (CandidateMode::Full, _) => Reveal::Full { coords },
+                (CandidateMode::Compressed, true) => Reveal::FullCompressed { coords },
+                (CandidateMode::Compressed, false) => {
+                    let dim_tree = self.mrkd.dim_tree(cluster).expect("compressed");
+                    let all: Vec<usize> = (0..n_blocks(DIM)).collect();
+                    let blocks = all.iter().map(|&b| {
+                        let range = imageproof_mrkd::tree::block_range(b, DIM);
+                        (b as u32, coords[range].to_vec())
+                    });
+                    Reveal::Partial {
+                        dim_root: dim_tree.root(),
+                        blocks: blocks.collect(),
+                        proof: dim_tree.prove_subset(&all),
+                    }
+                }
+            };
+            self.rows.push(VoCluster {
+                cluster,
+                inv_digest: self.mrkd.inv_digest(cluster),
+                reveal,
+            });
+        }
+        self.vo.leaf(clusters.iter().copied());
+        Ok(())
+    }
+
+    fn internal(
+        &mut self,
+        _: usize,
+        dim: u32,
+        value: f32,
+        _: &[ActiveQuery],
+    ) -> Result<(), Infallible> {
+        self.vo.internal(dim, value);
+        Ok(())
+    }
+}
+
+fn open_only(mrkd: &MrkdForest, t: usize, queries: &[Vec<f32>], thresholds: &[f32]) -> BovwVo {
+    let tree = &mrkd.trees()[t];
+    let mut opener = Opener {
+        mrkd,
+        tree,
+        queries,
+        thresholds,
+        vo: VoTreeBuilder::default(),
+        rows: Vec::new(),
+    };
+    let Ok(()) = traverse(tree, queries, thresholds, &mut opener);
+    let mut clusters = opener.rows;
+    clusters.sort_unstable_by_key(|row| row.cluster);
+    let mut trees: Vec<VoTree> = (mrkd.trees().iter())
+        .map(|other| VoTree::root_stub(other.root_digest()))
+        .collect();
+    trees[t] = opener.vo.finish();
+    BovwVo { clusters, trees }
+}
+
 fn centers_strategy() -> impl Strategy<Value = Vec<Vec<f32>>> {
     proptest::collection::vec(proptest::collection::vec(0.0f32..1.0, DIM..=DIM), 2..40)
 }
@@ -103,22 +198,22 @@ proptest! {
             .collect();
 
         let out = mrkd_search(&mrkd, &queries, &thresholds);
-        let wire = out.vo.to_wire();
-        for threads in [1usize, 2, 4, 8] {
-            let par = mrkd_search_with(&mrkd, &queries, &thresholds, Concurrency::new(threads));
-            prop_assert_eq!(&par.vo.to_wire(), &wire, "VO bytes differ at {} threads", threads);
-            prop_assert_eq!(&par.candidates, &out.candidates);
-            prop_assert_eq!(par.stats.digests_cached, out.stats.digests_cached);
-        }
 
-        // The table holds exactly the clusters the trees' leaves name,
-        // once each, ascending.
-        let trees = out.vo.trees.iter();
-        let mut named: Vec<u32> = trees.flat_map(|tree| tree.leaf_ids()).copied().collect();
+        // One tree is opened, the rest are their root stubs, and the table
+        // holds exactly the clusters the opened tree's leaves name — no
+        // leaf names one twice — ascending.
+        let opened: Vec<&VoTree> = (out.vo.trees.iter())
+            .filter(|tree| !tree.is_root_stub())
+            .collect();
+        prop_assert_eq!(opened.len(), 1);
+        prop_assert_eq!(out.vo.trees.len(), mrkd.trees().len());
+        let mut named: Vec<u32> = opened[0].leaf_ids().to_vec();
         named.sort_unstable();
-        named.dedup();
         let rows: Vec<u32> = out.vo.clusters.iter().map(|row| row.cluster).collect();
         prop_assert_eq!(rows, named);
+        let stubs = out.vo.trees.iter().flat_map(|tree| tree.nodes());
+        let stubs = stubs.filter(|n| matches!(n, imageproof_mrkd::VoNode::Pruned(_))).count();
+        prop_assert_eq!(out.stats.digests_cached, out.vo.clusters.len() + stubs);
 
         let verified = verify_bovw(&out.vo, &queries, mode).expect("honest VO verifies");
         prop_assert_eq!(verified.combined_root, mrkd.combined_root_digest());
@@ -170,6 +265,74 @@ proptest! {
         prop_assert_eq!(&decoded, &out.vo);
         for tree in &out.vo.trees {
             prop_assert_eq!(&VoTree::from_wire(&tree.to_wire()).expect("round trip"), tree);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Any one tree suffices: whichever single tree a VO opens, it verifies
+    /// to the signed root and to the same winners and threshold bits — those
+    /// of a brute-force scan with the smaller-id tie-break. Duplicated
+    /// centers make exact ties common.
+    #[test]
+    fn any_one_opened_tree_proves_the_same_assignment(
+        centers in centers_strategy(),
+        dup in any::<prop::sample::Index>(),
+        picks in proptest::collection::vec((any::<prop::sample::Index>(), -0.05f32..0.05), 1..6),
+        n_trees in 1usize..=4,
+        mode_compressed in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let mode = if mode_compressed {
+            CandidateMode::Compressed
+        } else {
+            CandidateMode::Full
+        };
+        let mut centers = centers;
+        centers.push(centers[dup.index(centers.len())].clone());
+        let inv: Vec<Digest> = (0..centers.len() as u32)
+            .map(|c| Digest::of(format!("inv{c}").as_bytes()))
+            .collect();
+        let forest = RkdForest::build(&centers, n_trees, 2, seed);
+        let mrkd = MrkdForest::build(&forest, &centers, &inv, mode);
+        let queries: Vec<Vec<f32>> = picks
+            .iter()
+            .map(|(idx, eps)| {
+                let base = &centers[idx.index(centers.len())];
+                base.iter().map(|&v| (v + eps).clamp(0.0, 1.0)).collect()
+            })
+            .collect();
+        let brute: Vec<(f32, u32)> = queries
+            .iter()
+            .map(|q| {
+                (0..centers.len() as u32)
+                    .map(|c| (dist_sq(q, &centers[c as usize]), c))
+                    .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+                    .expect("non-empty")
+            })
+            .collect();
+        let thresholds: Vec<f32> = brute.iter().map(|b| b.0).collect();
+        let expected = (
+            brute.iter().map(|b| b.1).collect::<Vec<u32>>(),
+            thresholds.iter().map(|t| t.to_bits()).collect::<Vec<u32>>(),
+        );
+
+        let honest = mrkd_search(&mrkd, &queries, &thresholds).vo;
+        if mode == CandidateMode::Full {
+            // The hand-rolled opener is the SP's walk when it opens the
+            // proof tree.
+            prop_assert_eq!(&open_only(&mrkd, RkdForest::PROOF_TREE, &queries, &thresholds), &honest);
+        }
+        let by_hand = (0..n_trees).map(|t| open_only(&mrkd, t, &queries, &thresholds));
+        for (t, vo) in std::iter::once(honest.clone()).chain(by_hand).enumerate() {
+            let opened = vo.trees.iter().filter(|tree| !tree.is_root_stub());
+            prop_assert_eq!(opened.count(), 1);
+            let v = verify_bovw(&vo, &queries, mode).expect("a one-tree VO verifies");
+            prop_assert_eq!(v.combined_root, mrkd.combined_root_digest(), "VO {}", t);
+            let bits: Vec<u32> = v.thresholds_sq.iter().map(|t| t.to_bits()).collect();
+            prop_assert_eq!(&(v.assignments, bits), &expected, "VO {}", t);
         }
     }
 }

@@ -1,9 +1,9 @@
 //! # imageproof-parallel
 //!
 //! The workspace-wide deterministic execution layer. Every hot path of the
-//! reproduction (owner-side ADS construction, SP-side `MRKDSearch` and
-//! batch serving, Merkle level hashing) fans work out through the helpers
-//! here, controlled by one [`Concurrency`] knob.
+//! reproduction (owner-side ADS construction, SP-side assignment, Baseline
+//! `MRKDSearch` and batch serving, Merkle level hashing) fans work out
+//! through the helpers here, controlled by one [`Concurrency`] knob.
 //!
 //! ## The determinism contract
 //!

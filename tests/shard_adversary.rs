@@ -8,9 +8,9 @@
 //! demote-and-backfill behind a fence, stale fence proofs, inflated
 //! contribution counts, impossible claim shapes), shared-section abuse
 //! (out-of-range template references, truncated or corrupted digest
-//! patches), tampered winner payloads, and merge manipulation. A
-//! reordered-but-genuine response must still verify (Definition 1 is a
-//! set property).
+//! patches), a forged root stub of an unopened MRKD tree, tampered winner
+//! payloads, and merge manipulation. A reordered-but-genuine response
+//! must still verify (Definition 1 is a set property).
 //!
 //! The wire-level section at the bottom replays the same adversary through
 //! the socket RPC path: a man-in-the-middle on a shard link substitutes
@@ -25,9 +25,11 @@ use std::sync::OnceLock;
 
 use imageproof_akm::AkmParams;
 use imageproof_core::{
-    shard_of, Client, ClientError, Owner, Scheme, ShardBovw, ShardManifest, ShardVo, ShardedError,
-    ShardedResponse, ShardedSp, ShardedVo,
+    shard_of, BovwVoVariant, Client, ClientError, Owner, Scheme, ShardBovw, ShardManifest, ShardVo,
+    ShardedError, ShardedResponse, ShardedSp, ShardedVo,
 };
+use imageproof_crypto::Digest;
+use imageproof_mrkd::VoTree;
 use imageproof_vision::{Corpus, CorpusConfig, DescriptorKind};
 
 struct Fx {
@@ -514,6 +516,37 @@ fn corrupted_shared_patch_digest_is_detected() {
         Err(ShardedError::Shard { shard: s, .. }) => assert_eq!(s, shard),
         other => panic!("corrupted patch digest not detected: {other:?}"),
     }
+}
+
+#[test]
+fn forged_root_stub_of_an_unopened_tree_is_detected() {
+    // Honest sub-VOs open one MRKD tree and ship the rest as root stubs,
+    // which the client never walks: a forged stub must fail the shard's
+    // manifest-committed root instead. One shard's resolved sub-VO goes
+    // back inline with its last tree's stub replaced.
+    let f = fx();
+    let mut tampered = f.response.clone();
+    let idx = patched_index(&f.response.vo);
+    let shard = tampered.vo.shards[idx].shard_id;
+    let resolved = f.response.vo.shards[idx].resolve_bovw(&f.response.vo.shared);
+    let mut forged = resolved.expect("honest patch resolves").into_owned();
+    let BovwVoVariant::Shared(vo) = &mut forged else {
+        unreachable!("the fixture's scheme shares one BoVW VO");
+    };
+    let last = vo.trees.last_mut().expect("a tree");
+    assert!(
+        last.is_root_stub(),
+        "honest VOs stub every tree but the proof tree"
+    );
+    *last = VoTree::root_stub(Digest::of(b"another shard's tree"));
+    tampered.vo.shards[idx].bovw = ShardBovw::Inline(forged);
+    assert_eq!(
+        verify(f, &tampered),
+        Err(ShardedError::Shard {
+            shard,
+            error: ClientError::RootSignatureInvalid,
+        })
+    );
 }
 
 #[test]

@@ -9,20 +9,26 @@
 //! | unnamed row carrying a closer centroid         | `Malformed("table row named by no leaf")` |
 //! | leaf naming a cluster without a row            | `Malformed("leaf names a cluster with no row")` |
 //! | duplicate / descending rows                    | `Malformed("cluster table not ascending")` |
-//! | cluster moved between two trees' leaves        | root mismatch                         |
+//! | cluster smuggled into a second, opened tree    | root mismatch                         |
+//! | every tree a bare root stub                    | `PrunedSubtreeReachable`              |
+//! | forged root stub of an unopened tree           | root mismatch                         |
+//! | second tree opened down to reachable stubs     | `PrunedSubtreeReachable`              |
+//! | winner's proof-tree leaf stubbed               | `PrunedSubtreeReachable`              |
 //! | winner row downgraded Full → Partial           | completeness check                    |
 //! | Partial row re-proved over fewer blocks        | `PartialTooClose`                     |
 //! | template row/tree count ≠ digest patch         | `SharedPatchMismatch`                 |
 
 mod rpc_util;
 
+use imageproof_akm::rkd::{Node, RkdForest};
 use imageproof_core::rpc::{Response, RpcCoordinator, ShardEndpoint};
 use imageproof_core::{
     BovwVoVariant, Client, ClientError, Owner, QueryResponse, Scheme, ServiceProvider, ShardBovw,
     ShardedError,
 };
+use imageproof_crypto::Digest;
 use imageproof_mrkd::tree::{block_range, n_blocks};
-use imageproof_mrkd::{BovwVo, Reveal, VerifyError, VoCluster, VoNode};
+use imageproof_mrkd::{BovwVo, Reveal, VerifyError, VoCluster, VoNode, VoTree, VoTreeBuilder};
 use rpc_util::{Fault, Proxy};
 use std::sync::Arc;
 
@@ -136,14 +142,23 @@ fn plant_closer_row(vo: &mut BovwVo, at: &[f32]) {
     );
 }
 
-/// Moves the last cluster of the first tree's first leaf into the last
-/// tree's last leaf: both rows stay authentic, neither leaf hashes right.
+/// The adversary opens a second tree to smuggle a row: the last cluster of
+/// the proof tree's first leaf moves into a leaf grown over the last tree's
+/// root stub, behind a split no query crosses (so the stub beside it, the
+/// tree's genuine root, is unreachable and the digest slots stay as many).
+/// The row stays authentic and named; neither tree hashes right.
 fn move_cluster_between_trees(vo: &mut BovwVo) {
-    let leaves = leaves(vo);
-    let (first, last) = (leaves[0], *leaves.last().expect("a leaf"));
     let mut moved = None;
-    edit_leaf(vo, first, |ids| moved = ids.pop());
-    edit_leaf(vo, last, |ids| ids.push(moved.expect("non-empty leaf")));
+    edit_leaf(vo, leaves(vo)[0], |ids| moved = ids.pop());
+    let last = vo.trees.last_mut().expect("a tree");
+    let [VoNode::Pruned(root)] = last.nodes() else {
+        panic!("honest VOs stub every tree but the first");
+    };
+    *last = VoTreeBuilder::default()
+        .internal(0, f32::INFINITY)
+        .leaf(moved)
+        .pruned(*root)
+        .finish();
 }
 
 #[test]
@@ -186,6 +201,109 @@ fn table_and_tree_disagreements_are_rejected_for_every_scheme() {
         match m.verdict(move_cluster_between_trees) {
             Err(ClientError::RootSignatureInvalid) | Err(ClientError::Bovw(_)) => {}
             other => panic!("{scheme:?}: moved cluster survived: {other:?}"),
+        }
+    }
+}
+
+/// The one-opened-tree acceptance rule: an unopened tree contributes its
+/// root stub to the signed root and nothing else, at least one tree must be
+/// opened, and whatever is opened is checked in full. Every forgery below
+/// carries only genuine digests unless it says otherwise.
+#[test]
+fn unopened_trees_lend_a_root_and_opened_trees_are_checked_in_full() {
+    for scheme in Scheme::ALL {
+        let m = mono(scheme);
+        let forest = &m.sp.database().mrkd;
+        let proof = RkdForest::PROOF_TREE;
+        let mut honest = m.response.vo.bovw.clone();
+        for (t, tree) in first_vo(&mut honest).trees.iter().enumerate() {
+            let stub = VoTree::root_stub(forest.trees()[t].root_digest());
+            assert_eq!(*tree == stub, t != proof, "{scheme:?}: tree {t}");
+        }
+
+        // No tree opened: with the table dropped every digest chains to
+        // the signed root, and every query sits at bound 0 of a stub.
+        let verdict = m.verdict(|vo| {
+            vo.trees[proof] = VoTree::root_stub(forest.trees()[proof].root_digest());
+            vo.clusters.clear();
+        });
+        assert_eq!(
+            verdict,
+            Err(ClientError::Bovw(VerifyError::PrunedSubtreeReachable)),
+            "{scheme:?}"
+        );
+
+        // A forged stub is never walked; the root it folds into is not
+        // the one the owner signed (nor, for Baseline, the one the other
+        // query vectors' VOs reconstruct).
+        match m.verdict(|vo| {
+            *vo.trees.last_mut().expect("a tree") =
+                VoTree::root_stub(Digest::of(b"some other tree"));
+        }) {
+            Err(ClientError::RootSignatureInvalid) => {}
+            Err(ClientError::Bovw(VerifyError::Malformed("per-query roots disagree")))
+                if !scheme.shares_nodes() => {}
+            other => panic!("{scheme:?}: forged root stub survived: {other:?}"),
+        }
+
+        // A second tree opened one level deep, both children stubbed:
+        // the signed root still reconstructs and the proof tree is
+        // complete, but a non-stub tree is walked like any other.
+        let second = &forest.trees()[proof + 1];
+        let rkd = second.rkd();
+        let Node::Internal {
+            dim,
+            value,
+            left,
+            right,
+        } = rkd.nodes()[rkd.root() as usize]
+        else {
+            panic!("the fixture's trees have more than one leaf");
+        };
+        let verdict = m.verdict(|vo| {
+            vo.trees[proof + 1] = VoTreeBuilder::default()
+                .internal(dim, value)
+                .pruned(second.node_digest(left))
+                .pruned(second.node_digest(right))
+                .finish();
+        });
+        assert_eq!(
+            verdict,
+            Err(ClientError::Bovw(VerifyError::PrunedSubtreeReachable)),
+            "{scheme:?}"
+        );
+
+        // The first query vector's winner hidden behind a stub of the
+        // proof tree, the rows only that leaf named dropped.
+        let victim =
+            m.sp.database()
+                .codebook
+                .assign_with_threshold(&m.features[0])
+                .0;
+        let rkd = forest.trees()[proof].rkd();
+        let real_leaf = rkd
+            .nodes()
+            .iter()
+            .position(|node| matches!(node, Node::Leaf { clusters } if clusters.contains(&victim)));
+        let digest = forest.trees()[proof].node_digest(real_leaf.expect("a leaf") as u32);
+        let verdict = m.verdict(|vo| {
+            let tree = &vo.trees[proof];
+            let at = tree.nodes().iter().position(
+                |node| matches!(node, VoNode::Leaf(ids) if tree.ids(ids).contains(&victim)),
+            );
+            let at = at.expect("the winner's leaf is disclosed");
+            vo.trees[proof] = tree.splice(at..at + 1, |b| {
+                b.pruned(digest);
+            });
+            let named = vo.trees[proof].leaf_ids().to_vec();
+            vo.clusters.retain(|row| named.contains(&row.cluster));
+        });
+        match verdict {
+            Err(ClientError::Bovw(VerifyError::PrunedSubtreeReachable)) => {}
+            // A Baseline VO serves one query vector and may have opened
+            // that one leaf only.
+            Err(ClientError::Bovw(VerifyError::NoCandidate)) if !scheme.shares_nodes() => {}
+            other => panic!("{scheme:?}: hidden winner survived: {other:?}"),
         }
     }
 }

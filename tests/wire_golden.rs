@@ -25,19 +25,32 @@
 //! grouped posting-list engines were still separate implementations. To
 //! re-record after a deliberate wire change, empty the constant, run the
 //! test, and paste the rendering the failure prints.
+//!
+//! Both constants were re-recorded once since, at PR 22 ("one proof
+//! tree"): the SP opens one MRKD VO tree and ships the others as root
+//! stubs, which changes every response's BoVW bytes and nothing else. The
+//! two renderings were diffed field by field against the parent's constants:
+//! only the `vo <digest>` of the scheme lines (and `vo` / `dedup` of the
+//! sharded lines) moved; every `root`, `inserted root`, `popped … rounds …
+//! scanned … skipped`, `topk`, `trims` / `trimmed` / per-shard `popped`
+//! field and every index-level line is byte-for-byte the parent's. The
+//! scheme lines gained `rows R nodes N stubs P` — the BoVW VO's table rows,
+//! tree nodes and pruned stubs — so the next re-recording shows which part
+//! of the shape moved, not only that a digest did.
 
 mod rpc_util;
 
 use imageproof_akm::{AkmParams, Codebook, ImpactModel, SparseBovw};
 use imageproof_core::rpc::{CoordinatorConfig, RpcCoordinator};
 use imageproof_core::{
-    IndexVariant, Owner, Scheme, ServiceProvider, ShardedResponse, ShardedSp, ShardedSpStats,
-    ShardedSystem, SystemConfig,
+    BovwVoVariant, IndexVariant, Owner, Scheme, ServiceProvider, ShardedResponse, ShardedSp,
+    ShardedSpStats, ShardedSystem, SystemConfig,
 };
 use imageproof_crypto::wire::Encode;
 use imageproof_crypto::Digest;
 use imageproof_invindex::grouped::{grouped_search, GroupedInvertedIndex};
 use imageproof_invindex::{inv_search, BoundsMode, InvSearchStats, MerkleInvertedIndex};
+use imageproof_mrkd::VoNode;
 use imageproof_vision::{Corpus, CorpusConfig, DescriptorKind};
 use std::fmt::Write;
 
@@ -45,24 +58,24 @@ const K: usize = 4;
 
 const GOLDEN: &str = "\
 baseline root 902857101ea1bd3b208ccc0936f6e646cc9d6592a0b80434dedc47e963b2eedc
-baseline q0 vo cce274105cda31983f3b7148fe4ec029b06d251de4e7791f099bd1a425532f11 popped 391 of 440 rounds 6 scanned 54 skipped 9 topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6
-baseline q1 vo 3f3d633c66c514b6eecdcf5c23d2dbc873e24f4ac2ae9924660dd52c19184a69 popped 242 of 269 rounds 6 scanned 35 skipped 5 topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2
-baseline q2 vo 2cb0157ed42db6267f13bae36c8c13f2259501752774f3e2ea8ff518228a5c37 popped 367 of 408 rounds 7 scanned 50 skipped 7 topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416
+baseline q0 vo 8d144bc7ee0cb1e0272a310d702247f169a9f5bf9620eadfbf3506482728b080 rows 814 nodes 1266 stubs 187 popped 391 of 440 rounds 6 scanned 54 skipped 9 topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6
+baseline q1 vo b561fce729c87b27f6e6b23908bf46b04d08600f251b803fe6e1e6572b211c18 rows 574 nodes 958 stubs 164 popped 242 of 269 rounds 6 scanned 35 skipped 5 topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2
+baseline q2 vo e6fea7061b5c7ec0180f94cc86abb93dd99f9f4e896cfa3f5a54f5b9a461b755 rows 516 nodes 1062 stubs 273 popped 367 of 408 rounds 7 scanned 50 skipped 7 topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416
 baseline inserted root f1d091f855e43dc67af0e1db2a00211ad78f71a207e57402933c0e3e8ae90a5a
 imageproof root 902857101ea1bd3b208ccc0936f6e646cc9d6592a0b80434dedc47e963b2eedc
-imageproof q0 vo 05d0073e7524350d0ff428f86e3d34680dda3516b2f16ebb53d367b9f708d6ba popped 365 of 440 rounds 1 scanned 47 skipped 16 topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6
-imageproof q1 vo a3820e3f05e36f4afbb2d16834ea0d7fa994c94b3df38cab248179c58e935897 popped 219 of 269 rounds 1 scanned 29 skipped 11 topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2
-imageproof q2 vo 46a6e47c8a600255d74fc345ca7c895d6c7fefbeade0e1eb31f8257266e7ddd3 popped 332 of 408 rounds 1 scanned 43 skipped 14 topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416
+imageproof q0 vo 23f7448ea6955b0f0d5d6a0b67b318cadc23cbbc22e43b41eabca4c004c2b821 rows 64 nodes 79 stubs 2 popped 365 of 440 rounds 1 scanned 47 skipped 16 topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6
+imageproof q1 vo aa50270106d7eeed0d705d77368d62bfa6c8fe4301d465b9b8abc5d8f0b06dd8 rows 64 nodes 79 stubs 2 popped 219 of 269 rounds 1 scanned 29 skipped 11 topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2
+imageproof q2 vo 995b974d651b68801d519d2c83cd08e9ba7adbd69e3ea4e3ef58ca4dadbad186 rows 64 nodes 79 stubs 2 popped 332 of 408 rounds 1 scanned 43 skipped 14 topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416
 imageproof inserted root f1d091f855e43dc67af0e1db2a00211ad78f71a207e57402933c0e3e8ae90a5a
 optimized-bovw root 7e495f5c8588c3f63dea99b4e158eae52cd7bd600ab8f8f1e97088d4da07a910
-optimized-bovw q0 vo 6e639d5ab3f919763bb97323f56e40ac6905f6e01c2d6b14250cb8b3333c78d8 popped 365 of 440 rounds 1 scanned 47 skipped 16 topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6
-optimized-bovw q1 vo 148a3a21a840c2aae16ea6bf5a9c223414e3fe1c4bf4fa234f5a34f9a4617d39 popped 219 of 269 rounds 1 scanned 29 skipped 11 topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2
-optimized-bovw q2 vo ba37683f7a7ba36acc42675b22a2be5f6a277d2e95e091649d13b117083b6d1d popped 332 of 408 rounds 1 scanned 43 skipped 14 topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416
+optimized-bovw q0 vo 1768fdcf68164764888a535a6e446ed191207ed4a4be330c1440779336234901 rows 64 nodes 79 stubs 2 popped 365 of 440 rounds 1 scanned 47 skipped 16 topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6
+optimized-bovw q1 vo 43ecc0fdbad7564b81d35e51884429d2dcf54b70a0ccb80a2a565254aead5fc1 rows 64 nodes 79 stubs 2 popped 219 of 269 rounds 1 scanned 29 skipped 11 topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2
+optimized-bovw q2 vo cd03c9e8e0dde9164eaa745e35c6bfc4e6ffc1d50c7cb7d7ebf04e166d2583b1 rows 64 nodes 79 stubs 2 popped 332 of 408 rounds 1 scanned 43 skipped 14 topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416
 optimized-bovw inserted root a731c7c4b97bb0344779594517b14e161ee48ccbbaab6ce27fcfd547420b694d
 optimized-both root 88098511b6a31e1060c8c01a0fde75721bf03b0181d3675ae544dbd3c90f6fab
-optimized-both q0 vo 54e0f0532849276ddcacea41ca00c017971af7ad445d01045e12899958b87e66 popped 440 of 440 rounds 1 scanned 13 skipped 0 topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6
-optimized-both q1 vo 1abfaa5b49305f70612b39e0dee10f1daf46aaeee962406eae466e7988a0eed6 popped 269 of 269 rounds 1 scanned 11 skipped 0 topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2
-optimized-both q2 vo 7e5678946444f3dedd6be444bb6a0d860a2f460268f67822134fb5449f331dcd popped 408 of 408 rounds 1 scanned 13 skipped 0 topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416
+optimized-both q0 vo 3b9fd4dc46482e6dd08d9d8972a6e03a4d34ab24b7c3bc6c1dd85e11adc2c0a3 rows 64 nodes 79 stubs 2 popped 440 of 440 rounds 1 scanned 13 skipped 0 topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6
+optimized-both q1 vo bd0d0c13c37cd51729050462fc589c4ca67b6d27418e40baf3b6e11ecef56a1e rows 64 nodes 79 stubs 2 popped 269 of 269 rounds 1 scanned 11 skipped 0 topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2
+optimized-both q2 vo 766a365ced6ac5795ed0bc6a12af4fe01e4dbc4334ec321c3522b2d7ed97619b rows 64 nodes 79 stubs 2 popped 408 of 408 rounds 1 scanned 13 skipped 0 topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416
 optimized-both inserted root 9a8ad094e026010003f75045e705ed1f8fc765fca2df49c95ec388df45a72354
 plain lists c2080ee8c888059fb909f7213b5a376835a593316995f931ed9e0a7c0a9997c8
 grouped lists 53cbf38b5d35b2d089795e23be74d06897df92383ea0fc7daf46ae33cc3bbe12
@@ -75,36 +88,38 @@ grouped q1 vo 88bf719c59a10296248ba01e268645396d88d48b75463ed131ddc2d10f8b6fc8 p
 ";
 
 const SHARDED_GOLDEN: &str = "\
-baseline S=2 q0 vo 4611984d6a841098b6eefdef5a271df3e4760518dc13f667322da1962421d409 topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6 trims 2 trimmed 2 dedup 298889 popped 204/192
-baseline S=2 q1 vo 03d281d96d6cfa49dd8f094832c39961356c2d4d174a44ab74c7cc723afaaabe topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2 trims 1 trimmed 2 dedup 214759 popped 122/135
-baseline S=2 q2 vo c7912b7a2ec36cabc67f4fcc78360cf9e1af6bcd3976472e6c3f47f199cef66a topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416 trims 1 trimmed 3 dedup 226323 popped 201/176
-baseline S=4 q0 vo 338e6742700d105dfdf1042e7587b862b4929f0168202c85caa67c80eb5bdcd9 topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6 trims 4 trimmed 8 dedup 896699 popped 119/96/110/100
-baseline S=4 q1 vo 96d9b25367664824a0ae286e66c6a00c14980e579775bbece47439d9e8bb4bf2 topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2 trims 4 trimmed 8 dedup 644309 popped 58/73/52/60
-baseline S=4 q2 vo f04bc827396bae8ffaab76b87260aca86ca8e014e5bc5724e2508b537cd323e6 topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416 trims 3 trimmed 8 dedup 679001 popped 104/94/107/82
-imageproof S=2 q0 vo de64bd40e411f791404189054be2e8de5a183a80138c25646edbdebd80cd2819 topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6 trims 2 trimmed 2 dedup 17493 popped 164/175
-imageproof S=2 q1 vo 1527529ea40a2c55377539f1df540356ce99cc90f2f1113bb53c90ec62904498 topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2 trims 1 trimmed 2 dedup 17493 popped 109/109
-imageproof S=2 q2 vo 02e8beb2b875b87b43c4bd95f1f1cac66bce1dc62befdd34b77ec733fbe21ae7 topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416 trims 1 trimmed 3 dedup 17493 popped 188/164
-imageproof S=4 q0 vo ce346e70b9d09de7ab419ade1edc58e637c48530e63369f5f77b064135b77971 topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6 trims 4 trimmed 8 dedup 52511 popped 118/93/91/100
-imageproof S=4 q1 vo e72e98f179cff5a9fce938d14bbea14942431ad33922fcc8aaa3f5cd8a80a448 topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2 trims 4 trimmed 8 dedup 52511 popped 53/73/51/52
-imageproof S=4 q2 vo dbe9c3de407ec874ad5d01d5ac25db87077f58ab8040d24aa27cf54b8c636f30 topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416 trims 3 trimmed 8 dedup 52511 popped 97/92/104/77
-optimized-bovw S=2 q0 vo 4441cf6ceeba9706e70aad71e63fc206e90d22f794f600be76a3600ede59104a topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6 trims 2 trimmed 2 dedup 15733 popped 164/175
-optimized-bovw S=2 q1 vo 5263e72f6112dc26f97e334b4a59bb33ffb34ad067912fa8d93ab015bfbcd527 topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2 trims 1 trimmed 2 dedup 16655 popped 109/109
-optimized-bovw S=2 q2 vo 7ece99147a32fde5644a8b52c9d02e5d53aa375ff4ba45f306ff64c0ba60d9f8 topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416 trims 1 trimmed 3 dedup 16671 popped 188/164
-optimized-bovw S=4 q0 vo c419af224d693969e3d13a31834c65fa818809863b76a62de2ef1e3abb3c25f0 topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6 trims 4 trimmed 8 dedup 47231 popped 118/93/91/100
-optimized-bovw S=4 q1 vo ad14003f4f9fca14ef60e876ed5abee91c5ac655f4e0b1e546f9832f85547372 topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2 trims 4 trimmed 8 dedup 49997 popped 53/73/51/52
-optimized-bovw S=4 q2 vo cec2c2814a6b7d889fcb7fb09ae793acd4a57eacb1aad96ddbef5277a5d34c91 topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416 trims 3 trimmed 8 dedup 50045 popped 97/92/104/77
-optimized-both S=2 q0 vo 478977a70ab46870de5c7ce41e9b177593cb95ec225eb1f77ea834216d1718b1 topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6 trims 2 trimmed 2 dedup 15733 popped 201/209
-optimized-both S=2 q1 vo 26bab221af1e94506851c4a8823b7b2c31a0bafa97e880795598aba83dce0003 topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2 trims 1 trimmed 2 dedup 16655 popped 128/121
-optimized-both S=2 q2 vo 7741be408bace3ea176e72b4412a8c1d8a9b6536c0c12d10f9bf377203f2298e topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416 trims 1 trimmed 3 dedup 16671 popped 225/183
-optimized-both S=4 q0 vo 83b13f9493a9a03daab5134382f72f0739437f8f52be56c512fa18a7939d462e topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6 trims 4 trimmed 8 dedup 47231 popped 121/97/96/103
-optimized-both S=4 q1 vo 944b493ca8cd1fac6e8620973e4015d25d8966bbbf83e75ca30f5189ecb0e4c5 topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2 trims 4 trimmed 8 dedup 49997 popped 62/77/53/53
-optimized-both S=4 q2 vo e9461a87602560ef5b347ce611b3e82e64f9149e04a2b6b871d82a8fd9a5fab4 topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416 trims 3 trimmed 8 dedup 50045 popped 105/98/113/78
+baseline S=2 q0 vo c3c85d7ce5402e5ae8a9b004916a9c020c2155049e7ab45f32964f262348afb1 topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6 trims 2 trimmed 2 dedup 241266 popped 204/192
+baseline S=2 q1 vo 0a21ace892451070cb24d331ce4248bae4948f3964b4082f3e8c60e445571ba0 topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2 trims 1 trimmed 2 dedup 170261 popped 122/135
+baseline S=2 q2 vo 62cb0baee1c44e2a5545a0758d168381ca86a47b9971188a1cda5dd77a6f5f13 topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416 trims 1 trimmed 3 dedup 156828 popped 201/176
+baseline S=4 q0 vo e2278e2718bb09543dec7b3e5c30c5ee6b61a6165fc2093b36a15332c01b8568 topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6 trims 4 trimmed 8 dedup 723830 popped 119/96/110/100
+baseline S=4 q1 vo 9e8f7a06508ffd0c407c8b35056bfefa962aa21fd791e067a68b5c5bf0aa90f6 topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2 trims 4 trimmed 8 dedup 510815 popped 58/73/52/60
+baseline S=4 q2 vo e06b9ab072020717c4890ed21d6260ade49966cec64481e3366445ff0e889970 topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416 trims 3 trimmed 8 dedup 470516 popped 104/94/107/82
+imageproof S=2 q0 vo 7f47f59596d508ef1736af03a0d5548a15791c405cbba4af1c70b369b87f216b topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6 trims 2 trimmed 2 dedup 16723 popped 164/175
+imageproof S=2 q1 vo 08dfb2a57b9e157a5e37ac056b8ef43176c9381b59465b71f5a058b6e451f98d topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2 trims 1 trimmed 2 dedup 16723 popped 109/109
+imageproof S=2 q2 vo 4650fec44a3afa37e1081c752eb64c0dd7847e1f206f629f1b1d5e3050a852e1 topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416 trims 1 trimmed 3 dedup 16723 popped 188/164
+imageproof S=4 q0 vo a5ba7cb26d2f4d59b441e8d430785f90e5f7aa3261d43b388da12152f4537eb8 topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6 trims 4 trimmed 8 dedup 50201 popped 118/93/91/100
+imageproof S=4 q1 vo 12cedbef8644669dd86e948ea778d7357fa93b3ad47aed429cd236e6bf224f84 topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2 trims 4 trimmed 8 dedup 50201 popped 53/73/51/52
+imageproof S=4 q2 vo c82eddc02482ba8434504e5730e4d6cecaf2b2755f37d5d48168f52d86b41769 topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416 trims 3 trimmed 8 dedup 50201 popped 97/92/104/77
+optimized-bovw S=2 q0 vo 3711e2c9841d1e2fbba427edcb29c3fde530b8bd321ac373b42f234a2cca15f2 topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6 trims 2 trimmed 2 dedup 15027 popped 164/175
+optimized-bovw S=2 q1 vo ebae1fb95662cc6cc1e536aaf424c2729db0a0ed137faac1e99c6dd94569ab3d topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2 trims 1 trimmed 2 dedup 15949 popped 109/109
+optimized-bovw S=2 q2 vo fe418edc21b57e6c44d56d91802b715230e32e9bc8ab186f350be7e52db8fad5 topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416 trims 1 trimmed 3 dedup 15901 popped 188/164
+optimized-bovw S=4 q0 vo c5a4a025e7315af2b2c46cd6693a6e9c3d86b48220064f16db6d92fa018bad84 topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6 trims 4 trimmed 8 dedup 45113 popped 118/93/91/100
+optimized-bovw S=4 q1 vo 790c279db14d7193250fd5763f8752b021518e1f3e740aa1271d043c2cfdabaa topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2 trims 4 trimmed 8 dedup 47879 popped 53/73/51/52
+optimized-bovw S=4 q2 vo b8fdcb5a4a7a78004516d9eae0a5bd8fa1018c986380324de31d411dbadbddbc topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416 trims 3 trimmed 8 dedup 47735 popped 97/92/104/77
+optimized-both S=2 q0 vo 66eed419a805f54caf477ce97d4a876fc9870ec88bf6b808d23daa78e3cb4f09 topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6 trims 2 trimmed 2 dedup 15027 popped 201/209
+optimized-both S=2 q1 vo e965fc28d64a57b886d127f1a474bc0838e0a6cb289037727f2c57fc92a616d0 topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2 trims 1 trimmed 2 dedup 15949 popped 128/121
+optimized-both S=2 q2 vo bf3f7f4e9617c37f7a3dc1156c8ad8fc7e8931dfcc61b67b1b361dee0c8596d6 topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416 trims 1 trimmed 3 dedup 15901 popped 225/183
+optimized-both S=4 q0 vo ce3f20a868f0b8b566df97df647f9e759c6a0276521f2c8c141f50252b8707aa topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6 trims 4 trimmed 8 dedup 45113 popped 121/97/96/103
+optimized-both S=4 q1 vo 62e38ccde27a23bcadfab368aab9b057a8c926a07b3b5a86e88ba91cda8155f7 topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2 trims 4 trimmed 8 dedup 47879 popped 62/77/53/53
+optimized-both S=4 q2 vo 23cbd4030dc254fe98d0284730fcb42d639a9a97c4fdd42c86b59116a3df327b topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416 trims 3 trimmed 8 dedup 47735 popped 105/98/113/78
 ";
 
+/// One search's line; `shape` is empty or starts with a space.
 fn render_search(
     out: &mut String,
     label: &str,
     vo: &impl Encode,
+    shape: &str,
     stats: &InvSearchStats,
     topk: impl Iterator<Item = (u64, f32)>,
 ) {
@@ -113,7 +128,7 @@ fn render_search(
         .collect();
     writeln!(
         out,
-        "{label} vo {} popped {} of {} rounds {} scanned {} skipped {} topk {}",
+        "{label} vo {}{shape} popped {} of {} rounds {} scanned {} skipped {} topk {}",
         Digest::of(&vo.to_wire()).to_hex(),
         stats.popped,
         stats.total_postings,
@@ -161,12 +176,26 @@ fn render_many_frequencies(out: &mut String) {
         ] {
             let r = inv_search(&plain, query, K, mode);
             let label = format!("plain {label} q{q}");
-            render_search(out, &label, &r.vo, &r.stats, r.topk.into_iter());
+            render_search(out, &label, &r.vo, "", &r.stats, r.topk.into_iter());
         }
         let r = grouped_search(&grouped, query, K);
         let label = format!("grouped q{q}");
-        render_search(out, &label, &r.vo, &r.stats, r.topk.into_iter());
+        render_search(out, &label, &r.vo, "", &r.stats, r.topk.into_iter());
     }
+}
+
+/// The shape of a response's BoVW VO — table rows, tree nodes, and how many
+/// of those nodes are pruned stubs, summed over a Baseline response's
+/// per-query VOs — so a changed digest says what moved.
+fn bovw_shape(bovw: &BovwVoVariant) -> String {
+    let vos = match bovw {
+        BovwVoVariant::Shared(vo) => std::slice::from_ref(vo),
+        BovwVoVariant::PerQuery(vo) => vo.per_query.as_slice(),
+    };
+    let rows: usize = vos.iter().map(|vo| vo.clusters.len()).sum();
+    let nodes = || vos.iter().flat_map(|vo| &vo.trees).flat_map(|t| t.nodes());
+    let stubs = nodes().filter(|n| matches!(n, VoNode::Pruned(_))).count();
+    format!(" rows {rows} nodes {} stubs {stubs}", nodes().count())
 }
 
 /// The fixed corpus, codebook parameters, owner and query set every row
@@ -220,7 +249,8 @@ fn render() -> String {
             };
             let label = format!("{} q{q}", scheme.slug());
             let topk = response.results.iter().map(|r| (r.id, r.score));
-            render_search(&mut out, &label, &response.vo, &stats, topk);
+            let shape = bovw_shape(&response.vo.bovw);
+            render_search(&mut out, &label, &response.vo, &shape, &stats, topk);
         }
 
         // One owner update: the rebuilt lists must hash to the same root,
