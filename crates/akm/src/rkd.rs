@@ -276,8 +276,8 @@ pub struct Neighbor {
 
 impl RkdForest {
     /// Index of the **proof tree**: the one tree [`RkdForest::exact_nearest`]
-    /// range-searches and the SP's `MRKDSearch` opens in the VO (every other
-    /// tree ships as its root digest). Any tree would do — each one's leaves
+    /// range-searches, and the only one the owner Merkle-izes and signs and
+    /// the SP's `MRKDSearch` walks. Any tree would do — each one's leaves
     /// partition the whole codebook, so soundness does not depend on the two
     /// agreeing — but when they do, the SP's second walk revisits nodes the
     /// first left warm in cache.
@@ -293,7 +293,8 @@ impl RkdForest {
         RkdForest { trees }
     }
 
-    /// The individual trees (the Merkle wrapper authenticates each).
+    /// The individual trees (the Merkle wrapper authenticates
+    /// [`RkdForest::PROOF_TREE`] alone).
     pub fn trees(&self) -> &[RkdTree] {
         &self.trees
     }

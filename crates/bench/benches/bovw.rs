@@ -32,7 +32,7 @@ fn bovw_sweep(c: &mut Criterion) {
                     b.iter(|| {
                         if scheme.shares_nodes() {
                             let out = mrkd_search(&db.mrkd, query, &thresholds);
-                            out.vo.trees.len()
+                            out.vo.clusters.len()
                         } else {
                             let (vo, _, _) = mrkd_search_baseline(&db.mrkd, query, &thresholds);
                             vo.per_query.len()

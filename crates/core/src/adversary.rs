@@ -93,10 +93,7 @@ pub fn tamper_bovw_split(response: &mut QueryResponse) -> bool {
         true
     }
     match &mut response.vo.bovw {
-        BovwVoVariant::Shared(vo) => vo.trees.iter_mut().any(tamper),
-        BovwVoVariant::PerQuery(vo) => vo
-            .per_query
-            .iter_mut()
-            .any(|q| q.trees.iter_mut().any(tamper)),
+        BovwVoVariant::Shared(vo) => tamper(&mut vo.tree),
+        BovwVoVariant::PerQuery(vo) => vo.per_query.iter_mut().any(|q| tamper(&mut q.tree)),
     }
 }

@@ -315,8 +315,9 @@ mod tests {
     use super::*;
     use crate::scheme::{BovwVoVariant, QueryVo};
     use imageproof_crypto::wire::Encode;
+    use imageproof_crypto::Digest;
     use imageproof_invindex::InvVo;
-    use imageproof_mrkd::BovwVo;
+    use imageproof_mrkd::{BovwVo, VoTreeBuilder};
 
     /// A fleet of canned shards: no threads, no sockets, no clock. Shard
     /// `s` of `S` holds images `s, s + S, …`; an image's score depends on
@@ -392,7 +393,9 @@ mod tests {
                                 vo: QueryVo {
                                     bovw: BovwVoVariant::Shared(BovwVo {
                                         clusters: Vec::new(),
-                                        trees: Vec::new(),
+                                        tree: VoTreeBuilder::default()
+                                            .pruned(Digest::ZERO)
+                                            .finish(),
                                     }),
                                     inv: empty_inv(),
                                     signatures: signatures(&topk),

@@ -6,7 +6,7 @@ use imageproof_akm::{AkmParams, Codebook, ImpactModel, SparseBovw};
 use imageproof_crypto::{Digest, PublicKey, Signature, SigningKey};
 use imageproof_invindex::grouped::GroupedInvertedIndex;
 use imageproof_invindex::{MerkleInvertedIndex, SpaceUsage};
-use imageproof_mrkd::MrkdForest;
+use imageproof_mrkd::MrkdTree;
 use imageproof_obs::{Profiler, QueryProfile};
 use imageproof_parallel::{par_map, par_map_chunked, Concurrency};
 use imageproof_vision::{Corpus, ImageId, SyntheticImage};
@@ -17,11 +17,9 @@ use std::collections::BTreeMap;
 pub struct PublishedParams {
     pub scheme: Scheme,
     pub public_key: PublicKey,
-    /// Signature over the combined MRKD root digest (which transitively
+    /// Signature over the MRKD-tree's root digest (which transitively
     /// binds the whole inverted index).
     pub root_signature: Signature,
-    /// Number of MRKD-trees (clients must receive one VO tree per tree).
-    pub n_trees: usize,
 }
 
 /// One outsourced image: raw payload plus the owner's signature (Eq. 15).
@@ -61,7 +59,8 @@ impl IndexVariant {
 pub struct Database {
     pub scheme: Scheme,
     pub codebook: Codebook,
-    pub mrkd: MrkdForest,
+    /// The one committed MRKD-tree, over the codebook forest's proof tree.
+    pub mrkd: MrkdTree,
     pub inv: IndexVariant,
     pub images: BTreeMap<ImageId, StoredImage>,
     /// Per-image BoVW encodings (kept for diagnostics and ablations; a real
@@ -71,7 +70,7 @@ pub struct Database {
 
 impl Database {
     /// Per-structure byte accounting for the whole outsourced ADS: the
-    /// inverted index's own breakdown plus the MRKD forest's authenticated
+    /// inverted index's own breakdown plus the MRKD-tree's authenticated
     /// digest levels (32 bytes each).
     pub fn space_usage(&self) -> SpaceUsage {
         let mut usage = self.inv.space_usage();
@@ -146,12 +145,12 @@ impl Owner {
     }
 
     /// Full system setup (§V-A): trains the codebook, encodes the corpus,
-    /// builds the inverted index and MRKD forest for the configured scheme,
+    /// builds the inverted index and the MRKD-tree for the configured scheme,
     /// and signs the root digest and every image. `config` is a [`Scheme`]
     /// (serial build) or a full [`SystemConfig`]: with
     /// `concurrency.threads > 1` the ADS construction (encoding,
-    /// per-cluster list/filter/digest builds, per-tree Merkle-ization, image
-    /// signing) fans out across workers. The resulting database, root
+    /// per-cluster list/filter/digest builds, image signing) fans out across
+    /// workers. The resulting database, root
     /// digest, and signatures are bit-identical for every thread count.
     pub fn build_system(
         &self,
@@ -246,7 +245,6 @@ impl Owner {
         let plain_encodings: Vec<SparseBovw> = encodings.iter().map(|(_, b)| b.clone()).collect();
         let model = ImpactModel::build(codebook.len(), &plain_encodings);
         prof.exit();
-        let n_trees = codebook.forest.trees().len();
         let images: Vec<&SyntheticImage> = corpus.images.iter().collect();
         let db = self.build_ads(
             scheme,
@@ -274,14 +272,13 @@ impl Owner {
             scheme,
             public_key: self.public_key(),
             root_signature,
-            n_trees,
         };
         (db, published)
     }
 
     /// Steps 3–5 of the build for one ADS set — the whole corpus for a
-    /// monolith, one partition for a shard: the inverted index, the MRKD
-    /// forest over its list digests, and the per-image signatures. The
+    /// monolith, one partition for a shard: the inverted index, the
+    /// MRKD-tree over its list digests, and the per-image signatures. The
     /// impact model is passed in because sharded builds must share the
     /// owner's *global* model, or per-shard scores would diverge from the
     /// monolith's.
@@ -317,9 +314,9 @@ impl Owner {
         };
         prof.exit();
 
-        // 4. The MRKD forest over the codebook's randomized k-d trees.
+        // 4. The MRKD-tree over the codebook forest's proof tree.
         prof.enter("mrkd");
-        let mrkd = MrkdForest::build_with(
+        let mrkd = MrkdTree::build_with(
             &codebook.forest,
             &codebook.centers,
             &inv.list_digests(),
@@ -401,7 +398,6 @@ impl Owner {
         // must not depend on the partition, or scores would not be
         // comparable across shards (and would diverge from the monolith).
         let model = ImpactModel::build(codebook.len(), &plain_encodings);
-        let n_trees = codebook.forest.trees().len();
         let mut prof = Profiler::new("owner.build_sharded");
         let mut shards = Vec::with_capacity(shard_count);
         let mut roots = Vec::with_capacity(shard_count);
@@ -448,7 +444,6 @@ impl Owner {
             // root commitment; clients check sub-VO roots against the
             // manifest, never against `root_signature` directly.
             root_signature: manifest.signature,
-            n_trees,
         };
         ShardedSystem {
             shards,
@@ -523,7 +518,7 @@ mod tests {
     }
 
     #[test]
-    fn index_digests_are_embedded_in_the_forest() {
+    fn index_digests_are_embedded_in_the_mrkd_tree() {
         let (corpus, owner) = tiny();
         for scheme in [Scheme::ImageProof, Scheme::OptimizedBoth] {
             let (db, _) = owner.build_system(&corpus, &tiny_akm(), scheme);

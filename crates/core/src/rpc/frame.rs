@@ -1244,7 +1244,7 @@ mod tests {
     #[test]
     fn query_payload_round_trips_on_the_wire() {
         use imageproof_invindex::InvVo;
-        use imageproof_mrkd::BovwVo;
+        use imageproof_mrkd::{BovwVo, VoTreeBuilder};
         let payload = QueryPayload {
             results: vec![ImageResult {
                 id: 4,
@@ -1254,7 +1254,7 @@ mod tests {
             vo: QueryVo {
                 bovw: crate::scheme::BovwVoVariant::Shared(BovwVo {
                     clusters: Vec::new(),
-                    trees: Vec::new(),
+                    tree: VoTreeBuilder::default().pruned(Digest::ZERO).finish(),
                 }),
                 inv: InvVoVariant::Plain(InvVo { lists: Vec::new() }),
                 signatures: vec![Signature::from_bytes([9u8; 64])],

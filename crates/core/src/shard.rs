@@ -153,7 +153,7 @@ impl Decode for ShardManifest {
 }
 
 /// Collects a BoVW VO variant's shard-varying digests — per VO, the
-/// cluster table's inverted-list digests in row order, then the trees'
+/// cluster table's inverted-list digests in row order, then the tree's
 /// pruned-subtree stubs in node order (per-query VOs concatenate). Everything
 /// else in the VO depends only on the query features and the
 /// deployment-wide codebook, so two shards' VOs for one query differ in
@@ -1077,11 +1077,11 @@ mod tests {
                     coords: vec![1.0, -2.0],
                 },
             }],
-            trees: vec![VoTreeBuilder::default()
+            tree: VoTreeBuilder::default()
                 .internal(0, 0.5)
                 .pruned(Digest::of(b"pruned"))
                 .leaf([7])
-                .finish()],
+                .finish(),
         })
     }
 
@@ -1295,7 +1295,7 @@ mod tests {
         let BovwVoVariant::Shared(mut vo) = template.clone() else {
             unreachable!("the sample is a shared VO");
         };
-        vo.trees[0] = vo.trees[0].splice(0..1, |b| {
+        vo.tree = vo.tree.splice(0..1, |b| {
             b.internal(0, 0.75);
         });
         let divergent = BovwVoVariant::Shared(vo);

@@ -44,17 +44,16 @@ pub struct SpStats {
     pub bovw_seconds: f64,
     /// Wall-clock seconds spent on inverted-index search + VO generation.
     pub inv_seconds: f64,
-    /// Shared-node ratio of the MRKD traversal of the one proof tree
-    /// (Figs. 7–8).
+    /// Shared-node ratio of the MRKD traversal (Figs. 7–8).
     pub shared_ratio: f64,
     /// Postings popped / total postings in relevant lists (Figs. 9–11).
     pub popped: usize,
     pub total_postings: usize,
     /// VO digests that required running Keccak at query time.
     pub hashes_computed: usize,
-    /// VO digests copied from build-time memos: MRKD pruned stubs (the
-    /// `n_t − 1` unopened trees' root stubs included), one list digest per
-    /// BoVW cluster-table row, block-summary digests, filter commitments.
+    /// VO digests copied from build-time memos: MRKD pruned stubs, one list
+    /// digest per BoVW cluster-table row, block-summary digests, filter
+    /// commitments.
     pub hashes_cached: usize,
     /// Posting blocks the block-max search left unscanned (each proven by
     /// one fence digest in the VO).
@@ -144,7 +143,7 @@ impl ServiceProvider {
     }
 
     /// Processes a top-k query (Alg. 5): BoVW-encodes the query features
-    /// with threshold computation, runs `MRKDSearch` on the proof tree,
+    /// with threshold computation, runs `MRKDSearch` on the MRKD-tree,
     /// searches the inverted index, and assembles the VO.
     pub fn query(&self, features: &[Vec<f32>], k: usize) -> (QueryResponse, SpStats) {
         self.query_with(features, k, Concurrency::serial())
@@ -153,7 +152,7 @@ impl ServiceProvider {
     /// [`ServiceProvider::query`] with the per-feature work fanned out
     /// across workers: nearest-cluster assignment chunks `features`, and
     /// the Baseline's per-query-vector `MRKDSearch` runs one vector per
-    /// task (the shared schemes' single proof-tree walk is serial).
+    /// task (the shared schemes' single walk is serial).
     /// Per-feature outputs merge in feature index order,
     /// so shared-node VO compression, [`SpStats`] counters, and the final
     /// VO bytes are identical to the serial path for every thread count.

@@ -8,9 +8,9 @@
 //!
 //! 1. the affected clusters' Merkle inverted lists are rebuilt (postings,
 //!    filter, chain digests);
-//! 2. the MRKD forest's digests are refreshed along the paths to the
+//! 2. the MRKD-tree's digests are refreshed along the paths to the
 //!    affected leaves (`O(k log n)` hashes for `k` touched clusters);
-//! 3. the combined root is re-signed and the new [`PublishedParams`] is
+//! 3. the root is re-signed and the new [`PublishedParams`] is
 //!    returned for distribution to clients.
 //!
 //! **Frozen weights.** True tf-idf weights `w_c = ln(n_D/n_{D,c})` depend
@@ -156,7 +156,6 @@ impl Owner {
             root_signature: self
                 .signing_key()
                 .sign(&root_signing_message(&db.mrkd.combined_root_digest())),
-            n_trees: db.mrkd.trees().len(),
         }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! ImageProof's image owner signs every outsourced image
 //! (`sig_I = sign(sk, h(I | h(img_I)))`, Eq. 15 of the paper) and the root
-//! digest of the ADS forest; clients verify these signatures against the
+//! digest of the ADS; clients verify these signatures against the
 //! owner's published public key. Any EUF-CMA signature scheme works for the
 //! protocol — Ed25519 is chosen because it is completely specified, compact
 //! (64-byte signatures, 32-byte keys), and fast to verify.

@@ -4,14 +4,13 @@
 //! authenticated data structures (paper §IV-A), which authenticates the BoVW
 //! encoding step of SIFT-based image retrieval.
 //!
-//! * [`tree`] — the ADS itself: digests over randomized k-d trees (Defs. 2–3)
-//!   and the per-cluster dimension-block commitments of the §VI-A
-//!   optimization.
+//! * [`tree`] — the ADS itself: digests over the AKM forest's proof tree
+//!   (Defs. 2–3) and the per-cluster dimension-block commitments of the
+//!   §VI-A optimization.
 //! * [`traverse`] — the multi-query traversal engine shared *verbatim* by SP
 //!   search and client verification, so pruning bounds are bit-identical on
 //!   both sides.
-//! * [`search`] — SP-side `MRKDSearch` (Alg. 1) over the proof tree with
-//!   node sharing, the Baseline per-query variant, and partial-disclosure
+//! * [`search`] — SP-side `MRKDSearch` (Alg. 1) with node sharing, the Baseline per-query variant, and partial-disclosure
 //!   selection.
 //! * [`vo`] — verification-object types and their canonical wire encoding.
 //! * [`verify`] — client-side verification: digest reconstruction, verified
@@ -27,6 +26,6 @@ pub use search::{
     mrkd_search, mrkd_search_baseline, mrkd_search_baseline_with, BaselineBovwVo, SearchOutput,
     SearchStats,
 };
-pub use tree::{CandidateMode, MrkdForest, MrkdTree};
+pub use tree::{CandidateMode, MrkdTree};
 pub use verify::{verify_bovw, verify_bovw_baseline, VerifiedBovw, VerifyError};
 pub use vo::{BovwVo, Reveal, VoCluster, VoNode, VoTree, VoTreeBuilder};

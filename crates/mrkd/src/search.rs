@@ -3,23 +3,22 @@
 //!
 //! The paper runs Alg. 1 on each of the `n_t` trees and unions the results;
 //! every tree indexes every centroid, so each per-tree result is already
-//! the whole within-threshold set. The SP therefore walks one **proof
-//! tree** ([`RkdForest::PROOF_TREE`]) and ships every other tree as its
-//! root digest alone (DESIGN.md §5 has the soundness argument).
+//! the whole within-threshold set. The owner therefore commits one tree,
+//! the AKM forest's proof tree, and the SP walks that (DESIGN.md §3.5 and
+//! §5 have the soundness argument).
 
 use crate::traverse::{traverse, ActiveQuery, TraversalVisitor, TreeSource};
-use crate::tree::{owner_shape, CandidateMode, MrkdForest, MrkdTree, Shape};
-use crate::vo::{BovwVo, Reveal, VoCluster, VoTree, VoTreeBuilder};
+use crate::tree::{owner_shape, CandidateMode, MrkdTree, Shape};
+use crate::vo::{BovwVo, Reveal, VoCluster, VoTreeBuilder};
 use imageproof_akm::kernel::dist_sq_within;
-use imageproof_akm::rkd::{Node, RkdForest};
+use imageproof_akm::rkd::Node;
 use imageproof_crypto::wire::{Decode, Encode, Reader, WireError, Writer};
 use imageproof_parallel::{par_map, Concurrency};
 use std::collections::BTreeSet;
 use std::convert::Infallible;
 
-/// Traversal statistics of the proof tree's walk (one tree, not the
-/// forest); the "ratio of shared nodes" plotted in Figs. 7–8 is
-/// `nodes_shared / nodes_traversed`.
+/// Traversal statistics of the walk; the "ratio of shared nodes" plotted
+/// in Figs. 7–8 is `nodes_shared / nodes_traversed`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SearchStats {
     /// Disclosed nodes visited by at least one query.
@@ -31,7 +30,7 @@ pub struct SearchStats {
     /// Digests copied from the build-time tables into the VO instead of
     /// being recomputed — the MRKD share of the SP's hash-cache hits: one
     /// inverted-list digest per cluster-table row plus one per pruned
-    /// stub, the `n_t − 1` unopened trees' root stubs included.
+    /// stub.
     pub digests_cached: usize,
 }
 
@@ -56,17 +55,15 @@ impl SearchStats {
 /// Output of `MRKDSearch`.
 #[derive(Clone, Debug)]
 pub struct SearchOutput {
-    /// One VO tree per MRKD-tree (`{VO_{C,i}}` in Alg. 5) — the proof tree
-    /// opened, the others as root stubs — over the cluster table.
+    /// The VO tree (`VO_C` in Alg. 5) over the cluster table.
     pub vo: BovwVo,
     /// Per query: every `(cluster, squared distance)` within the threshold
-    /// (the paper's `∪ C_i`, which any one `C_i` equals), in the proof
-    /// tree's leaf order.
+    /// (the paper's `∪ C_i`, which any one `C_i` equals), in leaf order.
     pub candidates: Vec<Vec<(u32, f32)>>,
     pub stats: SearchStats,
 }
 
-/// Records one finished forest search into the global observability
+/// Records one finished search into the global observability
 /// registry (no-op when recording is disabled; never affects the VO).
 fn record_search(mode: &'static str, stats: &SearchStats) {
     if !imageproof_obs::enabled() {
@@ -105,9 +102,8 @@ impl TreeSource for MrkdTree {
 /// `None` for a full reveal.
 type Need = (u32, Option<Vec<u32>>);
 
-/// The SP's walk of the proof tree, filling in the VO as it goes.
+/// The SP's walk of the tree, filling in the VO as it goes.
 struct SpVisitor<'a> {
-    forest: &'a MrkdForest,
     tree: &'a MrkdTree,
     queries: &'a [Vec<f32>],
     thresholds_sq: &'a [f32],
@@ -115,8 +111,8 @@ struct SpVisitor<'a> {
     vo: VoTreeBuilder,
     /// Per-query candidates in leaf-visit order.
     candidates: Vec<Vec<(u32, f32)>>,
-    /// Every cluster of every disclosed leaf, in leaf-visit order (a
-    /// tree's leaves partition the codebook, so none repeats).
+    /// Every cluster of every disclosed leaf, in leaf-visit order (the
+    /// leaves partition the codebook, so none repeats).
     needs: Vec<Need>,
     stats: SearchStats,
 }
@@ -173,9 +169,9 @@ impl SpVisitor<'_> {
     /// records what the table must disclose for it: everything for a
     /// candidate (and for any cluster in [`CandidateMode::Full`]), else
     /// enough to clear the threshold of every query reaching the leaf.
-    // audit:allow(panic) SP-side: cluster ids and query indices come from the SP's own forest and walker
+    // audit:allow(panic) SP-side: cluster ids and query indices come from the SP's own tree and walker
     fn leaf_cluster(&mut self, cluster: u32, active: &[ActiveQuery]) {
-        let center = &self.forest.centers()[cluster as usize];
+        let center = &self.tree.centers()[cluster as usize];
         let mut is_candidate = false;
         for aq in active {
             let q = aq.query as usize;
@@ -190,7 +186,7 @@ impl SpVisitor<'_> {
                 is_candidate = true;
             }
         }
-        let full = is_candidate || self.forest.mode() == CandidateMode::Full;
+        let full = is_candidate || self.tree.mode() == CandidateMode::Full;
         // The walk keeps `active` in ascending query order, so the greedy
         // block choice is a function of the *set* of queries reaching the
         // leaf.
@@ -201,22 +197,22 @@ impl SpVisitor<'_> {
 
 /// The table row answering one [`Need`].
 fn table_row(
-    forest: &MrkdForest,
+    tree: &MrkdTree,
     queries: &[Vec<f32>],
     thresholds_sq: &[f32],
     (cluster, reached_by): Need,
 ) -> VoCluster {
-    let coords = || forest.centers()[cluster as usize].clone();
-    let reveal = match (reached_by, forest.mode()) {
+    let coords = || tree.centers()[cluster as usize].clone();
+    let reveal = match (reached_by, tree.mode()) {
         (Some(queries_to_clear), _) => {
-            partial_reveal(forest, queries, thresholds_sq, cluster, &queries_to_clear)
+            partial_reveal(tree, queries, thresholds_sq, cluster, &queries_to_clear)
         }
         (None, CandidateMode::Full) => Reveal::Full { coords: coords() },
         (None, CandidateMode::Compressed) => Reveal::FullCompressed { coords: coords() },
     };
     VoCluster {
         cluster,
-        inv_digest: forest.inv_digest(cluster),
+        inv_digest: tree.inv_digest(cluster),
         reveal,
     }
 }
@@ -225,14 +221,14 @@ fn table_row(
 /// query in `reached_by` (§VI-A): greedily picks the blocks with the largest
 /// contributions, then validates with the client's exact summation.
 fn partial_reveal(
-    forest: &MrkdForest,
+    tree: &MrkdTree,
     queries: &[Vec<f32>],
     thresholds_sq: &[f32],
     cluster: u32,
     reached_by: &[u32],
 ) -> Reveal {
-    let center = &forest.centers()[cluster as usize];
-    let dim_tree = forest
+    let center = &tree.centers()[cluster as usize];
+    let dim_tree = tree
         .dim_tree(cluster)
         .expect("compressed mode has dimension trees");
     let dim = center.len();
@@ -329,35 +325,22 @@ pub fn partial_sum_revealed(blocks: &[(u32, Vec<f32>)], q: &[f32]) -> f32 {
         .sum()
 }
 
-/// `MRKDSearch` with node sharing: one traversal of the proof tree serving
-/// all query vectors. Every tree's leaves partition the whole codebook, so
-/// that one walk already collects each query's complete within-threshold
-/// set; the other `n_t − 1` trees ship as their bare root digests, which is
-/// all the client needs to chain the opened tree to the signed combined
-/// root (DESIGN.md §5).
-pub fn mrkd_search(
-    forest: &MrkdForest,
-    queries: &[Vec<f32>],
-    thresholds_sq: &[f32],
-) -> SearchOutput {
-    let out = search_tree(forest, RkdForest::PROOF_TREE, queries, thresholds_sq);
+/// `MRKDSearch` with node sharing: one traversal of the MRKD-tree serving
+/// all query vectors. Its leaves partition the whole codebook, so the walk
+/// collects each query's complete within-threshold set (DESIGN.md §5).
+pub fn mrkd_search(tree: &MrkdTree, queries: &[Vec<f32>], thresholds_sq: &[f32]) -> SearchOutput {
+    let out = search_tree(tree, queries, thresholds_sq);
     record_search("shared", &out.stats);
     out
 }
 
-/// [`mrkd_search`] opening tree `opened`, without the registry record — the
-/// baseline path reuses the traversal per query and must not count those
-/// inner calls as shared-mode searches.
-pub(crate) fn search_tree(
-    forest: &MrkdForest,
-    opened: usize,
-    queries: &[Vec<f32>],
-    thresholds_sq: &[f32],
-) -> SearchOutput {
+/// [`mrkd_search`] without the registry record — the baseline path reuses
+/// the traversal per query and must not count those inner calls as
+/// shared-mode searches.
+fn search_tree(tree: &MrkdTree, queries: &[Vec<f32>], thresholds_sq: &[f32]) -> SearchOutput {
     assert_eq!(queries.len(), thresholds_sq.len());
     let mut visitor = SpVisitor {
-        forest,
-        tree: &forest.trees()[opened],
+        tree,
         queries,
         thresholds_sq,
         vo: VoTreeBuilder::default(),
@@ -365,7 +348,7 @@ pub(crate) fn search_tree(
         needs: Vec::new(),
         stats: SearchStats::default(),
     };
-    if let Err(e) = traverse(visitor.tree, queries, thresholds_sq, &mut visitor) {
+    if let Err(e) = traverse(tree, queries, thresholds_sq, &mut visitor) {
         match e {}
     }
     let SpVisitor {
@@ -377,15 +360,14 @@ pub(crate) fn search_tree(
     } = visitor;
     needs.sort_unstable_by_key(|need| need.0);
     let clusters: Vec<VoCluster> = (needs.into_iter())
-        .map(|need| table_row(forest, queries, thresholds_sq, need))
+        .map(|need| table_row(tree, queries, thresholds_sq, need))
         .collect();
-    let mut trees: Vec<VoTree> = (forest.trees().iter())
-        .map(|tree| VoTree::root_stub(tree.root_digest()))
-        .collect();
-    trees[opened] = vo.finish();
-    stats.digests_cached += clusters.len() + trees.len() - 1;
+    stats.digests_cached += clusters.len();
     SearchOutput {
-        vo: BovwVo { clusters, trees },
+        vo: BovwVo {
+            clusters,
+            tree: vo.finish(),
+        },
         candidates,
         stats,
     }
@@ -421,30 +403,30 @@ impl Decode for BaselineBovwVo {
 /// Baseline `MRKDSearch`: per-query traversals; the VOs duplicate every
 /// shared node's digests, which is exactly the overhead Figs. 6–8 plot.
 pub fn mrkd_search_baseline(
-    forest: &MrkdForest,
+    tree: &MrkdTree,
     queries: &[Vec<f32>],
     thresholds_sq: &[f32],
 ) -> (BaselineBovwVo, Vec<Vec<(u32, f32)>>, SearchStats) {
-    mrkd_search_baseline_with(forest, queries, thresholds_sq, Concurrency::serial())
+    mrkd_search_baseline_with(tree, queries, thresholds_sq, Concurrency::serial())
 }
 
 /// [`mrkd_search_baseline`] with the independent per-query traversals fanned
 /// out across workers and merged in query index order, so the VO, candidate
 /// sets, and stats are bit-identical to the serial loop's.
 pub fn mrkd_search_baseline_with(
-    forest: &MrkdForest,
+    tree: &MrkdTree,
     queries: &[Vec<f32>],
     thresholds_sq: &[f32],
     conc: Concurrency,
 ) -> (BaselineBovwVo, Vec<Vec<(u32, f32)>>, SearchStats) {
     assert!(
-        forest.mode() == CandidateMode::Full,
+        tree.mode() == CandidateMode::Full,
         "the Baseline scheme uses full candidate disclosure"
     );
     assert_eq!(queries.len(), thresholds_sq.len());
     let outs = par_map(conc, queries, |i, q| {
         let (q, t) = (std::slice::from_ref(q), [thresholds_sq[i]]);
-        search_tree(forest, RkdForest::PROOF_TREE, q, &t)
+        search_tree(tree, q, &t)
     });
     let mut per_query = Vec::with_capacity(queries.len());
     let mut candidates = Vec::with_capacity(queries.len());
@@ -470,22 +452,17 @@ mod tests {
 
     #[test]
     fn baseline_bovw_vo_roundtrips_on_the_wire() {
+        let stub = |root: &[u8]| BovwVo {
+            clusters: Vec::new(),
+            tree: VoTreeBuilder::default().pruned(Digest::of(root)).finish(),
+        };
         let vo = BaselineBovwVo {
-            per_query: vec![
-                BovwVo {
-                    clusters: Vec::new(),
-                    trees: vec![VoTree::root_stub(Digest::of(b"t0"))],
-                },
-                BovwVo {
-                    clusters: Vec::new(),
-                    trees: vec![VoTree::root_stub(Digest::of(b"t1"))],
-                },
-            ],
+            per_query: vec![stub(b"t0"), stub(b"t1")],
         };
         assert_eq!(BaselineBovwVo::from_wire(&vo.to_wire()).expect("rt"), vo);
     }
 
-    fn setup(mode: CandidateMode) -> (Vec<Vec<f32>>, MrkdForest) {
+    fn setup(mode: CandidateMode) -> (Vec<Vec<f32>>, MrkdTree) {
         let mut rng = StdRng::seed_from_u64(51);
         let centers: Vec<Vec<f32>> = (0..80)
             .map(|_| (0..DIM).map(|_| rng.gen::<f32>()).collect())
@@ -494,7 +471,7 @@ mod tests {
             .map(|c| Digest::of(format!("inv-{c}").as_bytes()))
             .collect();
         let forest = RkdForest::build(&centers, 3, 2, 52);
-        let mrkd = MrkdForest::build(&forest, &centers, &inv, mode);
+        let mrkd = MrkdTree::build(&forest, &centers, &inv, mode);
         (centers, mrkd)
     }
 
@@ -582,8 +559,8 @@ mod tests {
         let (queries, thresholds) = queries_and_thresholds(&centers, 15);
         let shared = mrkd_search(&mrkd, &queries, &thresholds);
         let (_, baseline_cands, _) = mrkd_search_baseline(&mrkd, &queries, &thresholds);
-        // Both walk the proof tree's leaves in the same order, and no
-        // cluster sits in two of them.
+        // Both walk the leaves in the same order, and no cluster sits in
+        // two of them.
         for (qi, solo) in baseline_cands.into_iter().enumerate() {
             assert_eq!(shared.candidates[qi], solo, "query {qi}");
         }

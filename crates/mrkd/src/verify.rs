@@ -1,41 +1,36 @@
 //! Client-side verification of authenticated BoVW encoding (paper §IV-A2).
 //!
-//! Given the query feature vectors and the VO (a cluster table under one VO
-//! tree per MRKD-tree — honestly, one tree opened and the rest bare root
-//! stubs), the client:
+//! Given the query feature vectors and the VO (a cluster table under the VO
+//! tree, the SP's walk of the one committed MRKD-tree), the client:
 //!
-//! 1. **Reconstructs** every tree's root digest: validates the table rows
-//!    and the trees' nodes (rejecting malformed disclosures), hashes one
-//!    entry digest per table row as a batch, then every tree's nodes a
-//!    level at a time, leaves looking their cluster ids up in the table;
+//! 1. **Reconstructs** the root digest: validates the table rows and the
+//!    tree's nodes (rejecting malformed disclosures), hashes one entry
+//!    digest per table row as a batch, then the nodes a level at a time,
+//!    leaves looking their cluster ids up in the table;
 //! 2. Derives each query's **verified threshold** `t'_q` — the distance to
 //!    the nearest fully-revealed centroid — and its winner cluster;
-//! 3. **Re-walks** every opened VO tree with the shared traversal engine to
-//!    check completeness: no pruned subtree is reachable within `t'_q`, and
-//!    every partially-disclosed cluster proves it is at least `t'_q` away
-//!    from every query that reaches it in an opened tree. A tree that is
-//!    nothing but its root stub only lends its digest to the combined
-//!    root; at least one tree must be opened, since any one tree's leaves
-//!    partition the codebook and its walk alone proves the winner exact
-//!    (DESIGN.md §5).
+//! 3. **Re-walks** the VO tree with the shared traversal engine to check
+//!    completeness: no pruned subtree is reachable within `t'_q`, and every
+//!    partially-disclosed cluster proves it is at least `t'_q` away from
+//!    every query that reaches it. The tree's leaves partition the
+//!    codebook, so this one walk proves the winner exact (DESIGN.md §5).
 //!
 //! A table row is authenticated only by a leaf that names it and chains to
-//! a signed root, so phase 1 enforces three rules: the table is strictly
+//! the signed root, so phase 1 enforces three rules: the table is strictly
 //! ascending by cluster id (one row per cluster, canonical bytes), every
 //! leaf names clusters that have a row, and every row is named by some
 //! disclosed leaf — otherwise an unauthenticated "closer centroid" could
 //! win phase 2.
 //!
-//! If all checks pass and the combined root digest matches the owner's
-//! signature (checked by the caller), the winners are exactly the clusters
-//! the honest assignment rule produces, so the client can rebuild `B_Q`
-//! itself.
+//! If all checks pass and the root digest matches the owner's signature
+//! (checked by the caller), the winners are exactly the clusters the honest
+//! assignment rule produces, so the client can rebuild `B_Q` itself.
 
 use crate::search::partial_sum_revealed;
 use crate::traverse::{traverse, ActiveQuery, TraversalVisitor, TreeSource};
 use crate::tree::{
-    block_bytes, block_range, combined_root_digest, hash_forest, leaf_entry_digest_compressed,
-    leaf_entry_digest_full, n_blocks, CandidateMode, Shape,
+    block_bytes, block_range, hash_tree, leaf_entry_digest_compressed, leaf_entry_digest_full,
+    n_blocks, CandidateMode, Shape,
 };
 use crate::vo::{BovwVo, Reveal, VoCluster, VoNode, VoTree};
 use imageproof_akm::kernel::dist_sq_within;
@@ -97,8 +92,10 @@ impl std::error::Error for VerifyError {}
 /// The verified outcome of BoVW-encoding authentication.
 #[derive(Debug, Clone)]
 pub struct VerifiedBovw {
-    /// `h(root_1 | … | root_{n_t})`, to be checked against the owner's
-    /// signature.
+    /// The reconstructed root of the MRKD-tree, to be checked against the
+    /// owner's signature. (Named for the `n_t` roots once combined here;
+    /// the benchmark package reads the field, so the rename waits for a PR
+    /// that may edit `ledger/`.)
     pub combined_root: Digest,
     /// Winner cluster per query — the verified BoVW assignments.
     pub assignments: Vec<u32>,
@@ -114,14 +111,14 @@ pub fn verify_bovw(
     queries: &[Vec<f32>],
     mode: CandidateMode,
 ) -> Result<VerifiedBovw, VerifyError> {
-    let dim = check_inputs(vo, queries)?;
-    let (roots, trees) = reconstruct(vo, dim, mode)?;
-    complete(vo, queries, &roots, &trees)
+    let dim = check_inputs(queries)?;
+    let (root, tree) = reconstruct(vo, dim, mode)?;
+    complete(vo, queries, root, &tree)
 }
 
-/// The queries' common dimensionality, once the inputs are non-empty and
+/// The queries' common dimensionality, once they are non-empty and
 /// consistent.
-fn check_inputs(vo: &BovwVo, queries: &[Vec<f32>]) -> Result<usize, VerifyError> {
+fn check_inputs(queries: &[Vec<f32>]) -> Result<usize, VerifyError> {
     if queries.is_empty() {
         return Err(VerifyError::Malformed("no query vectors"));
     }
@@ -129,62 +126,41 @@ fn check_inputs(vo: &BovwVo, queries: &[Vec<f32>]) -> Result<usize, VerifyError>
     if dim == 0 || queries.iter().any(|q| q.len() != dim) {
         return Err(VerifyError::Malformed("inconsistent query dimensionality"));
     }
-    if vo.trees.is_empty() {
-        return Err(VerifyError::Malformed("no VO trees"));
-    }
     Ok(dim)
 }
 
-/// Phase 1: one entry digest per table row, then every tree's root by
-/// lookup, plus the trees with their leaves resolved for phase 3. Structure
-/// is checked before anything above the table is hashed, in the order a
-/// node-at-a-time reconstruction would meet it, so the first error is the
-/// same one.
+/// Phase 1: one entry digest per table row, then the root by lookup, plus
+/// the tree with its leaves resolved for phase 3. Structure is checked
+/// before anything above the table is hashed, in the order a node-at-a-time
+/// reconstruction would meet it, so the first error is the same one.
 fn reconstruct(
     vo: &BovwVo,
     dim: usize,
     mode: CandidateMode,
-) -> Result<(Vec<Digest>, Vec<Resolved<'_>>), VerifyError> {
+) -> Result<(Digest, Resolved<'_>), VerifyError> {
     let mut batch = DigestBatch::new();
     let mut table = Table::check(&vo.clusters, dim)?;
     let entries = entry_digests(&vo.clusters, dim, mode, &mut batch)?;
-    let trees = vo
-        .trees
-        .iter()
-        .map(|tree| Resolved::check(tree, &mut table))
-        .collect::<Result<Vec<_>, _>>()?;
+    let tree = Resolved::check(&vo.tree, &mut table)?;
     if table.named.contains(&false) {
         return Err(VerifyError::Malformed("table row named by no leaf"));
     }
-    let sizes: Vec<usize> = trees.iter().map(|t| t.tree.nodes().len()).collect();
-    let shape = |tree: usize, node: usize| match trees.get(tree) {
-        Some(resolved) => resolved.view(node),
-        None => Shape::Known(Digest::ZERO),
-    };
-    let roots = hash_forest(&sizes, shape, &entries, &mut batch)
-        .iter()
-        .map(|digests| digests.first().copied().unwrap_or(Digest::ZERO))
-        .collect();
-    Ok((roots, trees))
+    let size = vo.tree.nodes().len();
+    let digests = hash_tree(size, |node| tree.view(node), &entries, &mut batch);
+    let root = digests.first().copied().unwrap_or(Digest::ZERO);
+    Ok((root, tree))
 }
 
-/// Phases 2 and 3 over the reconstructed roots and resolved trees.
+/// Phases 2 and 3 over the reconstructed root and the resolved tree.
 fn complete(
     vo: &BovwVo,
     queries: &[Vec<f32>],
-    roots: &[Digest],
-    trees: &[Resolved<'_>],
+    root: Digest,
+    tree: &Resolved<'_>,
 ) -> Result<VerifiedBovw, VerifyError> {
-    // A tree that is nothing but its root stub is left to the signature
-    // check; every other tree is walked in full. One opened tree proves
-    // the assignment (its leaves partition the codebook), none proves
-    // nothing: every query sits at bound 0 of every root stub.
-    let opened: Vec<&Resolved<'_>> = trees.iter().filter(|t| !t.tree.is_root_stub()).collect();
-    if opened.is_empty() {
-        return Err(VerifyError::PrunedSubtreeReachable);
-    }
-
-    // Phase 2: verified thresholds and winners.
+    // Phase 2: verified thresholds and winners. With no centroid revealed
+    // in full every threshold is infinite, so the walk below reaches — and
+    // rejects — every stub, a tree that is nothing but its root's included.
     let reveals: Vec<(u32, &[f32])> = vo
         .clusters
         .iter()
@@ -195,33 +171,29 @@ fn complete(
             Reveal::Partial { .. } => None,
         })
         .collect();
-    if reveals.is_empty() {
-        return Err(VerifyError::NoCandidate);
-    }
     let (thresholds_sq, assignments): (Vec<f32>, Vec<u32>) = queries
         .iter()
         .map(|q| nearest_revealed(q, &reveals))
         .unzip();
 
-    // Phase 3: completeness. In every opened tree the shared traversal
-    // rejects reachable pruned subtrees and gathers, per partial row, the
-    // queries reaching it; each (row, query) pair is then checked once.
+    // Phase 3: completeness. The shared traversal rejects reachable pruned
+    // subtrees and gathers, per partial row, the queries reaching it; each
+    // (row, query) pair is then checked once.
     let mut reached: Vec<Option<Vec<u32>>> = vo
         .clusters
         .iter()
         .map(|row| matches!(row.reveal, Reveal::Partial { .. }).then(Vec::new))
         .collect();
-    for tree in opened {
-        let mut visitor = ClientVisitor {
-            vo: tree,
-            reached: &mut reached,
-        };
-        traverse(tree, queries, &thresholds_sq, &mut visitor)?;
+    let mut visitor = ClientVisitor {
+        vo: tree,
+        reached: &mut reached,
+    };
+    traverse(tree, queries, &thresholds_sq, &mut visitor)?;
+    if reveals.is_empty() {
+        return Err(VerifyError::NoCandidate);
     }
     for (row, reached_by) in vo.clusters.iter().zip(reached) {
-        if let (Reveal::Partial { blocks, .. }, Some(mut reached_by)) = (&row.reveal, reached_by) {
-            reached_by.sort_unstable();
-            reached_by.dedup();
+        if let (Reveal::Partial { blocks, .. }, Some(reached_by)) = (&row.reveal, reached_by) {
             for query in reached_by {
                 let q = query as usize;
                 let (Some(features), Some(&threshold)) = (queries.get(q), thresholds_sq.get(q))
@@ -237,7 +209,7 @@ fn complete(
     }
 
     Ok(VerifiedBovw {
-        combined_root: combined_root_digest(roots),
+        combined_root: root,
         assignments,
         thresholds_sq,
         inv_digests: vo
@@ -267,7 +239,7 @@ fn nearest_revealed(q: &[f32], reveals: &[(u32, &[f32])]) -> (f32, u32) {
 }
 
 /// Verifies a Baseline (per-query) BoVW VO. All per-query VOs must
-/// reconstruct the same combined root.
+/// reconstruct the same root.
 pub fn verify_bovw_baseline(
     vo: &crate::search::BaselineBovwVo,
     queries: &[Vec<f32>],
@@ -306,7 +278,7 @@ pub fn verify_bovw_baseline(
     })
 }
 
-/// The VO's cluster table as the trees' leaves see it: where each cluster's
+/// The VO's cluster table as the tree's leaves see it: where each cluster's
 /// row is, and which rows some disclosed leaf has named so far.
 struct Table {
     dim: usize,
@@ -480,7 +452,7 @@ fn check_row(row: &VoCluster, dim: usize, mode: CandidateMode) -> Result<(), Ver
     }
 }
 
-/// A VO tree whose nodes passed phase 1's structural checks, adapting the
+/// The VO tree once its nodes passed phase 1's structural checks, adapting the
 /// arena to [`TreeSource`] and to the level-order hasher.
 struct Resolved<'a> {
     tree: &'a VoTree,
@@ -585,8 +557,8 @@ impl TraversalVisitor for ClientVisitor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::{mrkd_search, mrkd_search_baseline, search_tree};
-    use crate::tree::MrkdForest;
+    use crate::search::{mrkd_search, mrkd_search_baseline};
+    use crate::tree::MrkdTree;
     use imageproof_akm::rkd::{dist_sq, RkdForest};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -596,7 +568,7 @@ mod tests {
 
     struct Fixture {
         centers: Vec<Vec<f32>>,
-        mrkd: MrkdForest,
+        mrkd: MrkdTree,
         queries: Vec<Vec<f32>>,
         thresholds: Vec<f32>,
     }
@@ -627,7 +599,7 @@ mod tests {
             .map(|c| Digest::of(format!("inv-{c}").as_bytes()))
             .collect();
         let forest = RkdForest::build(&centers, 3, 2, seed + 1);
-        let mrkd = MrkdForest::build(&forest, &centers, &inv, mode);
+        let mrkd = MrkdTree::build(&forest, &centers, &inv, mode);
         let queries: Vec<Vec<f32>> = (0..n_queries)
             .map(|_| {
                 let base = &centers[rng.gen_range(0..centers.len())];
@@ -656,37 +628,6 @@ mod tests {
     impl Fixture {
         fn honest_vo(&self) -> BovwVo {
             mrkd_search(&self.mrkd, &self.queries, &self.thresholds).vo
-        }
-
-        /// The honest VO of an SP that opens trees `a` and `b` both: each
-        /// as its own search emits it, over the union of the two tables. A
-        /// cluster is a candidate in every tree or in none, so the tables
-        /// can only differ in a partial row's blocks; the row is re-proved
-        /// over both choices (more blocks never lower a partial sum), which
-        /// clears every query reaching it in either tree.
-        fn vo_opening_both(&self, a: usize, b: usize) -> BovwVo {
-            let open = |t| search_tree(&self.mrkd, t, &self.queries, &self.thresholds).vo;
-            let (mut vo, other) = (open(a), open(b));
-            vo.trees[b] = other.trees[b].clone();
-            for theirs in other.clusters {
-                let at = vo
-                    .clusters
-                    .partition_point(|row| row.cluster < theirs.cluster);
-                match vo.clusters.get_mut(at) {
-                    Some(ours) if ours.cluster == theirs.cluster => {
-                        if let (Some(mut blocks), Some(more)) =
-                            (partial_blocks(ours), partial_blocks(&theirs))
-                        {
-                            blocks.extend(more);
-                            blocks.sort_unstable();
-                            blocks.dedup();
-                            ours.reveal = self.partial(ours.cluster, &blocks);
-                        }
-                    }
-                    _ => vo.clusters.insert(at, theirs),
-                }
-            }
-            vo
         }
 
         fn verify(&self, vo: &BovwVo) -> Result<VerifiedBovw, VerifyError> {
@@ -738,12 +679,6 @@ mod tests {
             .expect("cluster has a table row")
     }
 
-    /// Every cluster id `vo`'s disclosed leaves name, with repeats.
-    fn named(vo: &BovwVo) -> Vec<u32> {
-        let ids = vo.trees.iter().flat_map(|tree| tree.leaf_ids());
-        ids.copied().collect()
-    }
-
     /// Index of `tree`'s `nth` node, in node order, for which `pred` holds.
     fn nth_node(tree: &VoTree, nth: usize, pred: fn(&VoNode) -> bool) -> Option<usize> {
         let mut matching = (0..tree.nodes().len()).filter(|&i| pred(&tree.nodes()[i]));
@@ -791,7 +726,7 @@ mod tests {
     }
 
     #[test]
-    fn verified_inv_digests_match_the_forest() {
+    fn verified_inv_digests_match_the_tree() {
         let f = fixture(CandidateMode::Full, 8);
         let v = f.verify(&f.honest_vo()).expect("honest VO");
         for (&cluster, d) in &v.inv_digests {
@@ -806,33 +741,15 @@ mod tests {
     fn the_table_reveals_each_disclosed_cluster_exactly_once() {
         for mode in [CandidateMode::Full, CandidateMode::Compressed] {
             let f = fixture(mode, 10);
-            let rows = |vo: &BovwVo| vo.clusters.iter().map(|r| r.cluster).collect::<Vec<u32>>();
-
-            // Honestly, the proof tree is opened and every other tree is
-            // its root digest; the opened leaves partition what they
-            // cover, so no cluster is named twice.
+            // The disclosed leaves partition what they cover, so no cluster
+            // is named twice and the ascending table has exactly one row
+            // per named cluster.
             let vo = f.honest_vo();
-            for (t, tree) in vo.trees.iter().enumerate() {
-                if t == RkdForest::PROOF_TREE {
-                    assert!(!tree.is_root_stub(), "{mode:?}: the proof tree is opened");
-                } else {
-                    assert_eq!(tree, &VoTree::root_stub(f.mrkd.trees()[t].root_digest()));
-                }
-            }
-            let mut named_once = named(&vo);
-            named_once.sort_unstable();
-            assert_eq!(rows(&vo), named_once, "{mode:?}: one row per named cluster");
-
-            // An SP that opens a second tree names clusters repeatedly and
-            // still reveals each once.
-            let vo = f.vo_opening_both(0, 1);
-            let mut named = named(&vo);
-            let n_named = named.len();
+            let rows: Vec<u32> = vo.clusters.iter().map(|r| r.cluster).collect();
+            let mut named = vo.tree.leaf_ids().to_vec();
             named.sort_unstable();
-            named.dedup();
-            assert_eq!(rows(&vo), named, "{mode:?}: one row per named cluster");
-            assert!(n_named > named.len(), "two trees name clusters repeatedly");
-            assert!(f.accepts(&vo), "{mode:?}");
+            assert_eq!(rows, named, "{mode:?}");
+            assert!(rows.windows(2).all(|w| w[0] < w[1]), "{mode:?}");
         }
     }
 
@@ -904,8 +821,8 @@ mod tests {
         );
         // So does renaming a leaf's cluster to an id outside the table.
         let mut forged = honest.clone();
-        let first = nth_node(&forged.trees[0], 0, is_leaf).expect("a leaf");
-        edit_leaf(&mut forged.trees[0], first, |ids| ids[0] = 10_000);
+        let first = nth_node(&forged.tree, 0, is_leaf).expect("a leaf");
+        edit_leaf(&mut forged.tree, first, |ids| ids[0] = 10_000);
         assert_eq!(
             f.verify(&forged).unwrap_err(),
             VerifyError::Malformed("leaf names a cluster with no row")
@@ -935,24 +852,27 @@ mod tests {
     #[test]
     fn moving_a_cluster_between_two_leaves_is_rejected() {
         let f = fixture(CandidateMode::Full, 6);
-        // Within one tree, and — when the SP opens a second — from one
-        // tree's leaf into another's: the rows stay authentic, but the
-        // leaves no longer hash to the roots.
-        let honest = f.vo_opening_both(0, 1);
+        let honest = f.honest_vo();
         assert!(f.accepts(&honest));
-        for (from, to) in [((0, 0), (0, 1)), ((0, 0), (1, 0))] {
+        let leaf = |vo: &BovwVo, nth| nth_node(&vo.tree, nth, is_leaf).expect("a leaf");
+        // Moved: the row stays authentic and named once, but neither leaf
+        // hashes to what the root commits. Copied: the row is named twice,
+        // which no partition does, and the second leaf hashes wrong.
+        for keep_in_first in [false, true] {
             let mut forged = honest.clone();
-            let leaf = |vo: &BovwVo, (tree, nth): (usize, usize)| {
-                nth_node(&vo.trees[tree], nth, is_leaf).expect("a leaf")
-            };
             let mut moved = None;
-            let at = leaf(&forged, from);
-            edit_leaf(&mut forged.trees[from.0], at, |ids| moved = ids.pop());
-            let at = leaf(&forged, to);
-            edit_leaf(&mut forged.trees[to.0], at, |ids| {
+            let at = leaf(&forged, 0);
+            edit_leaf(&mut forged.tree, at, |ids| {
+                moved = ids.last().copied();
+                if !keep_in_first {
+                    ids.pop();
+                }
+            });
+            let at = leaf(&forged, 1);
+            edit_leaf(&mut forged.tree, at, |ids| {
                 ids.push(moved.expect("non-empty leaf"))
             });
-            assert!(!f.accepts(&forged), "{from:?} -> {to:?}");
+            assert!(!f.accepts(&forged), "copied: {keep_in_first}");
         }
     }
 
@@ -967,26 +887,25 @@ mod tests {
             "fixture needs distinct winners"
         );
 
-        // Replace every leaf containing the victim cluster with a pruned
+        // Replace the leaf containing the victim cluster with a pruned
         // stub carrying the *correct* digest (the strongest forgery the SP
         // can attempt without breaking the hash function), and drop the
-        // rows only those leaves named.
+        // rows only that leaf named.
         let mut forged = honest.clone();
         let mut walk = reference::Walk::new(&honest, DIM, CandidateMode::Full).expect("table");
-        for tree in &mut forged.trees {
-            for at in 0..tree.nodes().len() {
-                let VoNode::Leaf(range) = &tree.nodes()[at] else {
-                    continue;
-                };
-                if tree.ids(range).contains(&victim) {
-                    let digest = walk.node(tree, at).expect("digest");
-                    *tree = tree.splice(at..at + 1, |b| {
-                        b.pruned(digest);
-                    });
-                }
+        let tree = &mut forged.tree;
+        for at in 0..tree.nodes().len() {
+            let VoNode::Leaf(range) = &tree.nodes()[at] else {
+                continue;
+            };
+            if tree.ids(range).contains(&victim) {
+                let digest = walk.node(tree, at).expect("digest");
+                *tree = tree.splice(at..at + 1, |b| {
+                    b.pruned(digest);
+                });
             }
         }
-        let named = named(&forged);
+        let named = forged.tree.leaf_ids().to_vec();
         forged.clusters.retain(|row| named.contains(&row.cluster));
         assert!(forged.clusters.iter().all(|row| row.cluster != victim));
 
@@ -1060,92 +979,69 @@ mod tests {
     }
 
     #[test]
-    fn a_partial_row_clears_every_query_that_reaches_it_in_an_opened_tree() {
+    fn a_partial_row_clears_every_query_that_reaches_it() {
         // The SP's rule: a Partial row's blocks clear the threshold of
-        // every query reaching its leaf in the proof tree — which is what
-        // phase 3 checks, so an honest VO verifying under many queries is
-        // the proof.
+        // every query reaching its leaf — which is what phase 3 checks, so
+        // an honest VO verifying under many queries is the proof.
         let f = fixture(CandidateMode::Compressed, 24);
         let vo = f.honest_vo();
         assert!(vo.clusters.iter().any(|r| partial_blocks(r).is_some()));
         assert!(f.accepts(&vo));
 
-        // The client's rule is the union over whatever trees are opened.
-        // Four centroids on a square in dimensions 0 and 16 (blocks 0 and
-        // 1), two to a leaf: tree 0 cuts the square along dimension 0,
-        // tree 1 along dimension 16, so a query near one corner reaches a
-        // different neighbouring corner in each tree.
+        // Every query, not some: three centroids on corners of a square in
+        // dimensions 0 and 16 (blocks 0 and 1), all in one leaf. Cluster 2
+        // wins neither query and is far from each in a different block.
         let corner = |x: f32, y: f32| {
             let mut v = vec![0.0f32; DIM];
             (v[0], v[16]) = (x, y);
             v
         };
-        let centers = vec![
-            corner(0.0, 0.0),
-            corner(10.0, 0.0),
-            corner(0.0, 10.0),
-            corner(10.0, 10.0),
-        ];
-        let root_dim = |forest: &RkdForest, t: usize| {
-            let tree = &forest.trees()[t];
-            match tree.nodes()[tree.root() as usize] {
-                imageproof_akm::rkd::Node::Internal { dim, .. } => dim,
-                _ => unreachable!("four centroids, two to a leaf"),
-            }
-        };
-        let forest = (0u64..)
-            .map(|seed| RkdForest::build(&centers, 2, 2, seed))
-            .find(|forest| root_dim(forest, 0) == 0 && root_dim(forest, 1) == 16)
-            .expect("some seed cuts the two trees crosswise");
-        let inv: Vec<Digest> = (0..4u8).map(|c| Digest::of(&[c])).collect();
+        let centers = vec![corner(10.0, 0.0), corner(0.0, 10.0), corner(10.0, 10.0)];
+        let forest = RkdForest::build(&centers, 2, 3, 1);
+        let inv: Vec<Digest> = (0..3u8).map(|c| Digest::of(&[c])).collect();
         let f = Fixture {
-            mrkd: MrkdForest::build(&forest, &centers, &inv, CandidateMode::Compressed),
+            mrkd: MrkdTree::build(&forest, &centers, &inv, CandidateMode::Compressed),
             centers,
-            // Winners 2 and 1, both at squared distance 2.
-            queries: vec![corner(1.0, 9.0), corner(9.0, 1.0)],
-            thresholds: vec![2.0, 2.0],
+            // Winners 0 and 1, both at squared distance 1.
+            queries: vec![corner(10.0, 1.0), corner(1.0, 10.0)],
+            thresholds: vec![1.0, 1.0],
         };
-        // Cluster 3 shares tree 0's leaf with cluster 1, where only query
-        // 1 reaches it (block 1 clears it: 81 ≥ 2), and tree 1's leaf with
-        // cluster 2, where only query 0 does (block 1 gives it 1 < 2).
-        let blocks_of_3 = |vo: &BovwVo| vo.clusters.get(3).and_then(partial_blocks);
-        let one = f.honest_vo();
-        assert!(f.accepts(&one));
-        assert_eq!(blocks_of_3(&one), Some(vec![1]));
-        let both = f.vo_opening_both(0, 1);
-        assert!(f.accepts(&both));
-        assert_eq!(blocks_of_3(&both), Some(vec![0, 1]));
-        // The row that suffices with tree 0 alone open falls short once
-        // tree 1 is open beside it; every digest is intact, so only the
-        // per-(row, query) check can notice.
-        let mut forged = both.clone();
-        row_mut(&mut forged, 3).reveal = f.partial(3, &[1]);
+        let honest = f.honest_vo();
+        assert!(f.accepts(&honest));
         assert_eq!(
-            f.verify(&forged).unwrap_err(),
-            VerifyError::PartialTooClose {
-                cluster: 3,
-                query: 0
-            }
+            honest.clusters.get(2).and_then(partial_blocks),
+            Some(vec![0, 1])
         );
+        // Either block alone clears one query and leaves the other at
+        // distance 0; every digest is intact, so only the per-(row, query)
+        // check can notice.
+        for (block, query) in [(1, 1), (0, 0)] {
+            let mut forged = honest.clone();
+            row_mut(&mut forged, 2).reveal = f.partial(2, &[block]);
+            assert_eq!(
+                f.verify(&forged).unwrap_err(),
+                VerifyError::PartialTooClose { cluster: 2, query }
+            );
+        }
     }
 
     #[test]
-    fn a_vo_that_opens_no_tree_is_rejected() {
-        // The strongest such forgery: every stub is the genuine root, so
-        // the combined root is the signed one.
+    fn a_tree_that_is_only_its_root_stub_is_rejected() {
+        // The strongest such forgery: the stub is the genuine root, so the
+        // reconstructed root is the signed one.
         for mode in [CandidateMode::Full, CandidateMode::Compressed] {
             let f = fixture(mode, 4);
             let mut forged = f.honest_vo();
-            for (tree, real) in forged.trees.iter_mut().zip(f.mrkd.trees()) {
-                *tree = VoTree::root_stub(real.root_digest());
-            }
+            forged.tree = forged.tree.splice(0..forged.tree.nodes().len(), |b| {
+                b.pruned(f.mrkd.combined_root_digest());
+            });
             // With the table kept, nothing vouches for its rows...
             assert_eq!(
                 f.verify(&forged).unwrap_err(),
                 VerifyError::Malformed("table row named by no leaf"),
                 "{mode:?}"
             );
-            // ...and without it every query reaches a stub at bound 0.
+            // ...and without it every query reaches the stub at bound 0.
             forged.clusters.clear();
             assert_eq!(
                 f.verify(&forged).unwrap_err(),
@@ -1156,45 +1052,23 @@ mod tests {
     }
 
     #[test]
-    fn a_forged_root_stub_of_an_unopened_tree_breaks_the_signed_root() {
-        let f = fixture(CandidateMode::Full, 4);
-        let honest = f.honest_vo();
-        let mut forged = honest.clone();
-        forged.trees[2] = VoTree::root_stub(Digest::of(b"another forest's tree"));
-        // The stub is never walked, so verification itself succeeds, with
-        // the honest winners — under a root the owner never signed.
-        let v = f.verify(&forged).expect("structurally fine");
-        assert_eq!(
-            v.assignments,
-            f.verify(&honest).expect("honest").assignments
-        );
-        assert_ne!(v.combined_root, f.mrkd.combined_root_digest());
-    }
-
-    #[test]
-    fn a_second_tree_opened_only_in_part_is_rejected() {
-        // Non-stub trees are checked in full: opening tree 1 but stubbing
-        // one of its reached leaves (genuine digest, the rows it alone
-        // named dropped) is a completeness violation even though tree 0
-        // alone would have proven the assignment.
+    fn a_vo_over_another_tree_of_the_same_codebook_breaks_the_signed_root() {
+        // Same centroids, same list digests, a forest grown from another
+        // seed: its honest VO is internally consistent and proves the same
+        // assignment, under a root the owner never signed.
         for mode in [CandidateMode::Full, CandidateMode::Compressed] {
-            let f = fixture(mode, 6);
-            let both = f.vo_opening_both(0, 1);
-            assert!(f.accepts(&both));
-            let mut walk = reference::Walk::new(&both, DIM, mode).expect("table");
-            let mut forged = both.clone();
-            let at = nth_node(&forged.trees[1], 0, is_leaf).expect("a leaf");
-            let digest = walk.node(&both.trees[1], at).expect("digest");
-            forged.trees[1] = forged.trees[1].splice(at..at + 1, |b| {
-                b.pruned(digest);
-            });
-            let named = named(&forged);
-            forged.clusters.retain(|row| named.contains(&row.cluster));
-            assert_eq!(
-                f.verify(&forged).unwrap_err(),
-                VerifyError::PrunedSubtreeReachable,
-                "{mode:?}"
-            );
+            let f = fixture(mode, 4);
+            let inv: Vec<Digest> = (0..f.centers.len() as u32)
+                .map(|c| f.mrkd.inv_digest(c))
+                .collect();
+            let reseeded = RkdForest::build(&f.centers, 3, 2, 9_999);
+            let other = MrkdTree::build(&reseeded, &f.centers, &inv, mode);
+            let vo = mrkd_search(&other, &f.queries, &f.thresholds).vo;
+            let v = f.verify(&vo).expect("structurally fine");
+            let honest = f.verify(&f.honest_vo()).expect("honest");
+            assert_eq!(v.assignments, honest.assignments, "{mode:?}");
+            assert_eq!(v.combined_root, other.combined_root_digest(), "{mode:?}");
+            assert_ne!(v.combined_root, f.mrkd.combined_root_digest(), "{mode:?}");
         }
     }
 
@@ -1234,17 +1108,9 @@ mod tests {
             verify_bovw(&honest, &[], CandidateMode::Full),
             Err(VerifyError::Malformed(_))
         ));
-        let no_trees = BovwVo {
-            clusters: honest.clusters.clone(),
-            trees: vec![],
-        };
-        assert!(matches!(
-            f.verify(&no_trees),
-            Err(VerifyError::Malformed(_))
-        ));
         let no_table = BovwVo {
             clusters: vec![],
-            trees: honest.trees.clone(),
+            tree: honest.tree.clone(),
         };
         assert!(matches!(
             f.verify(&no_table),
@@ -1263,8 +1129,8 @@ mod tests {
     }
 
     /// Phase 1 as this crate shipped it before hashing was batched: every
-    /// row, then every node, hashed on its own, in one recursive walk per
-    /// tree that checks structure as it goes. Kept as the reference
+    /// row, then every node, hashed on its own, in one recursive walk that
+    /// checks structure as it goes. Kept as the reference
     /// [`verify_bovw`] must agree with: same roots, same `Result`, same
     /// first error.
     mod reference {
@@ -1365,24 +1231,16 @@ mod tests {
             queries: &[Vec<f32>],
             mode: CandidateMode,
         ) -> Result<VerifiedBovw, VerifyError> {
-            let dim = check_inputs(vo, queries)?;
+            let dim = check_inputs(queries)?;
             let mut walk = Walk::new(vo, dim, mode)?;
-            let roots = vo
-                .trees
-                .iter()
-                .map(|tree| walk.node(tree, 0))
-                .collect::<Result<Vec<_>, _>>()?;
+            let root = walk.node(&vo.tree, 0)?;
             if walk.table.named.contains(&false) {
                 return Err(VerifyError::Malformed("table row named by no leaf"));
             }
-            // Phases 2 and 3 are shared; their resolved trees hold no
-            // digest the walk above did not compute itself.
-            let trees = vo
-                .trees
-                .iter()
-                .map(|tree| Resolved::check(tree, &mut walk.table))
-                .collect::<Result<Vec<_>, _>>()?;
-            complete(vo, queries, &roots, &trees)
+            // Phases 2 and 3 are shared; the resolved tree holds no digest
+            // the walk above did not compute itself.
+            let tree = Resolved::check(&vo.tree, &mut walk.table)?;
+            complete(vo, queries, root, &tree)
         }
     }
 
@@ -1434,11 +1292,10 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Batched, level-order reconstruction is indistinguishable from
-        /// the node-at-a-time reference: over random honest VOs (one tree
-        /// opened, or two), and over
+        /// the node-at-a-time reference: over random honest VOs, and over
         /// one or two single-field forgeries of them (two, so an early
         /// bad proof and a later malformed row compete for first error),
-        /// both return the same roots, winners and thresholds or the very
+        /// both return the same root, winners and thresholds or the very
         /// same error.
         #[test]
         fn verification_matches_the_node_at_a_time_reference(
@@ -1450,13 +1307,10 @@ mod tests {
             forgeries in proptest::collection::vec(
                 (0usize..forge::KINDS, any::<prop::sample::Index>()), 0..3),
             other_mode in 0u8..8,
-            open_second in any::<bool>(),
         ) {
             let mode = if compressed { CandidateMode::Compressed } else { CandidateMode::Full };
             let f = fixture_from(seed % (1 << 32), n_centers, mode, n_queries, noise);
-            // Half the cases start from a VO with a second tree open, so
-            // forgeries also land across trees.
-            let mut vo = if open_second { f.vo_opening_both(0, 2) } else { f.honest_vo() };
+            let mut vo = f.honest_vo();
             if forgeries.is_empty() {
                 prop_assert!(f.accepts(&vo));
             }
@@ -1491,27 +1345,16 @@ mod tests {
 
         pub const KINDS: usize = 23;
 
-        /// `(tree, node)` of the `nth` node (modulo how many there are) of
-        /// `vo`'s trees for which `pred` holds, in depth-first order.
-        fn pick_node(vo: &BovwVo, nth: usize, pred: fn(&VoNode) -> bool) -> Option<(usize, usize)> {
-            let count = |tree: &VoTree| tree.nodes().iter().filter(|n| pred(n)).count();
-            let total: usize = vo.trees.iter().map(count).sum();
-            if total == 0 {
-                return None;
-            }
-            let mut n = nth % total;
-            for (t, tree) in vo.trees.iter().enumerate() {
-                match nth_node(tree, n, pred) {
-                    Some(at) => return Some((t, at)),
-                    None => n -= count(tree),
-                }
-            }
-            None
+        /// The `nth` node (modulo how many there are) of `vo`'s tree for
+        /// which `pred` holds, in depth-first order.
+        fn pick_node(vo: &BovwVo, nth: usize, pred: fn(&VoNode) -> bool) -> Option<usize> {
+            let total = vo.tree.nodes().iter().filter(|n| pred(n)).count();
+            nth_node(&vo.tree, nth % total.max(1), pred)
         }
 
         fn edit_picked_leaf(vo: &mut BovwVo, nth: usize, edit: impl FnOnce(&mut Vec<u32>)) {
-            if let Some((t, at)) = pick_node(vo, nth, is_leaf) {
-                edit_leaf(&mut vo.trees[t], at, edit);
+            if let Some(at) = pick_node(vo, nth, is_leaf) {
+                edit_leaf(&mut vo.tree, at, edit);
             }
         }
 
@@ -1621,7 +1464,7 @@ mod tests {
                     }
                 }
 
-                // The trees.
+                // The tree.
                 9 => edit_picked_leaf(vo, pick, |ids| ids.push(10_000)),
                 10 => edit_picked_leaf(vo, pick, |ids| ids.clear()),
                 11 => {
@@ -1632,11 +1475,11 @@ mod tests {
                     }
                 }
                 12 | 13 => {
-                    if let Some((t, at)) = pick_node(vo, pick, is_internal) {
-                        let VoNode::Internal { dim, value, .. } = vo.trees[t].nodes()[at] else {
+                    if let Some(at) = pick_node(vo, pick, is_internal) {
+                        let VoNode::Internal { dim, value, .. } = vo.tree.nodes()[at] else {
                             unreachable!("picked as internal");
                         };
-                        vo.trees[t] = vo.trees[t].splice(at..at + 1, |b| {
+                        vo.tree = vo.tree.splice(at..at + 1, |b| {
                             if kind == 12 {
                                 b.internal(DIM as u32, value);
                             } else {
@@ -1646,9 +1489,8 @@ mod tests {
                     }
                 }
                 14 => {
-                    if let Some((t, at)) = pick_node(vo, pick, |_| true) {
-                        let tree = &vo.trees[t];
-                        vo.trees[t] = tree.splice(at..tree.subtree_end(at), |b| {
+                    if let Some(at) = pick_node(vo, pick, |_| true) {
+                        vo.tree = vo.tree.splice(at..vo.tree.subtree_end(at), |b| {
                             b.pruned(Digest::of(b"forged stub"));
                         });
                     }

@@ -29,8 +29,8 @@ pub enum Reveal {
 }
 
 /// One row of the VO's cluster table: everything a leaf entry digest binds
-/// about a cluster, disclosed once however many opened trees' leaves name
-/// it.
+/// about a cluster. The tree's leaves partition the codebook, so honestly
+/// exactly one leaf names it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct VoCluster {
     pub cluster: u32,
@@ -40,7 +40,7 @@ pub struct VoCluster {
     pub reveal: Reveal,
 }
 
-/// A node of a [`VoTree`], mirroring the SP's traversal of one MRKD-tree.
+/// A node of a [`VoTree`], mirroring the SP's traversal of the MRKD-tree.
 #[derive(Clone, Debug, PartialEq)]
 pub enum VoNode {
     /// Subtree no query vector reached: only its digest (Alg. 1 line 2).
@@ -54,7 +54,7 @@ pub enum VoNode {
     Leaf(Range<usize>),
 }
 
-/// One VO tree as a pre-order arena: node 0 is the root, an internal
+/// The VO tree as a pre-order arena: node 0 is the root, an internal
 /// node's left subtree follows it and its right subtree follows that, and
 /// each leaf owns the next run of one shared id list. The links are
 /// functions of the node sequence and only [`VoTreeBuilder`] sets them, so
@@ -67,16 +67,6 @@ pub struct VoTree {
 }
 
 impl VoTree {
-    /// A tree the SP did not open: its root digest and nothing else.
-    pub fn root_stub(root: Digest) -> VoTree {
-        VoTreeBuilder::default().pruned(root).finish()
-    }
-
-    /// Whether this tree is a [`VoTree::root_stub`].
-    pub fn is_root_stub(&self) -> bool {
-        matches!(self.nodes.as_slice(), [VoNode::Pruned(_)])
-    }
-
     /// The nodes in pre-order.
     pub fn nodes(&self) -> &[VoNode] {
         &self.nodes
@@ -204,18 +194,15 @@ impl VoTreeBuilder {
     }
 }
 
-/// The complete BoVW-encoding VO: one [`VoTree`] per MRKD-tree
-/// (`{VO_{C,i}}` of Alg. 5) over one shared cluster table. Every cluster
-/// sits in every tree of the forest, so the table reveals it once and the
-/// leaves only name it — and so one opened tree proves the assignment: an
-/// honest SP opens the proof tree and sends every other as a lone
-/// [`VoNode::Pruned`] root.
+/// The complete BoVW-encoding VO: the SP's walk of the MRKD-tree (`VO_C`
+/// of Alg. 5) over the cluster table its leaves name. On the wire:
+/// `rows · VoNode*`, the nodes in pre-order until the tree is whole.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BovwVo {
     /// Strictly ascending by cluster id; a row is authenticated only by a
-    /// leaf naming it that chains to a root (see `verify_bovw`).
+    /// leaf naming it that chains to the root (see `verify_bovw`).
     pub clusters: Vec<VoCluster>,
-    pub trees: Vec<VoTree>,
+    pub tree: VoTree,
 }
 
 fn stub(node: &VoNode) -> Option<&Digest> {
@@ -227,14 +214,14 @@ fn stub(node: &VoNode) -> Option<&Digest> {
 
 impl BovwVo {
     /// Appends this VO's shard-varying digests to `out`: every table row's
-    /// inverted-list digest once, in row order, then each tree's pruned
-    /// stubs in node order. Everything else in a VO (splits, cluster ids,
+    /// inverted-list digest, in row order, then the tree's pruned stubs in
+    /// node order. Everything else in a VO (splits, cluster ids,
     /// centroid reveals, subset proofs) depends only on the query and the
     /// shared codebook, so two shards' VOs for one query differ exactly in
     /// this digest sequence.
     pub fn collect_digests(&self, out: &mut Vec<Digest>) {
         out.extend(self.clusters.iter().map(|row| row.inv_digest));
-        out.extend(self.trees.iter().flat_map(|t| &t.nodes).filter_map(stub));
+        out.extend(self.tree.nodes.iter().filter_map(stub));
     }
 
     /// This VO with its shard-varying digests overwritten from `digests`,
@@ -246,7 +233,7 @@ impl BovwVo {
         for row in &mut vo.clusters {
             row.inv_digest = *digests.next()?;
         }
-        for node in vo.trees.iter_mut().flat_map(|t| &mut t.nodes) {
+        for node in &mut vo.tree.nodes {
             if let VoNode::Pruned(d) = node {
                 *d = *digests.next()?;
             }
@@ -261,14 +248,12 @@ impl BovwVo {
             vo.clusters.iter().map(|row| (row.cluster, &row.reveal))
         }
         // A node, unless it is a stub.
-        fn nodes(tree: &VoTree) -> impl Iterator<Item = Option<&VoNode>> {
-            tree.nodes.iter().map(|n| stub(n).is_none().then_some(n))
+        fn nodes(vo: &BovwVo) -> impl Iterator<Item = Option<&VoNode>> {
+            vo.tree.nodes.iter().map(|n| stub(n).is_none().then_some(n))
         }
-        let same_tree =
-            |(a, b): (&VoTree, &VoTree)| a.leaf_ids == b.leaf_ids && nodes(a).eq(nodes(b));
         rows(self).eq(rows(other))
-            && self.trees.len() == other.trees.len()
-            && self.trees.iter().zip(&other.trees).all(same_tree)
+            && self.tree.leaf_ids == other.tree.leaf_ids
+            && nodes(self).eq(nodes(other))
     }
 }
 
@@ -456,10 +441,7 @@ impl Encode for BovwVo {
         for row in &self.clusters {
             row.encode(w);
         }
-        w.vseq_len(self.trees.len());
-        for t in &self.trees {
-            t.encode(w);
-        }
+        self.tree.encode(w);
     }
 }
 
@@ -470,12 +452,8 @@ impl Decode for BovwVo {
         for _ in 0..n {
             clusters.push(VoCluster::decode(r)?);
         }
-        let n = r.vseq_len()?;
-        let mut trees = Vec::with_capacity(n);
-        for _ in 0..n {
-            trees.push(VoTree::decode(r)?);
-        }
-        Ok(BovwVo { clusters, trees })
+        let tree = VoTree::decode(r)?;
+        Ok(BovwVo { clusters, tree })
     }
 }
 
@@ -510,16 +488,13 @@ mod tests {
     fn sample_vo() -> BovwVo {
         BovwVo {
             clusters: sample_rows(),
-            trees: vec![
-                VoTreeBuilder::default()
-                    .internal(1, 0.75)
-                    .pruned(Digest::of(b"pruned"))
-                    .leaf([9, 3])
-                    .finish(),
-                VoTreeBuilder::default()
-                    .pruned(Digest::of(b"other"))
-                    .finish(),
-            ],
+            tree: VoTreeBuilder::default()
+                .internal(1, 0.75)
+                .pruned(Digest::of(b"pruned"))
+                .internal(0, -1.5)
+                .leaf([9, 3])
+                .pruned(Digest::of(b"other"))
+                .finish(),
         }
     }
 
@@ -545,15 +520,24 @@ mod tests {
     }
 
     #[test]
-    fn table_rows_trees_and_vo_roundtrip() {
+    fn table_rows_tree_and_vo_roundtrip() {
         for row in sample_rows() {
             assert_eq!(VoCluster::from_wire(&row.to_wire()).expect("rt"), row);
         }
         let vo = sample_vo();
-        for tree in &vo.trees {
-            assert_eq!(&VoTree::from_wire(&tree.to_wire()).expect("rt"), tree);
-        }
+        assert_eq!(VoTree::from_wire(&vo.tree.to_wire()).expect("rt"), vo.tree);
         assert_eq!(BovwVo::from_wire(&vo.to_wire()).expect("rt"), vo);
+    }
+
+    #[test]
+    fn the_vo_ends_with_its_one_tree() {
+        // No tree count and no second tree: the bytes after the table are
+        // the tree's, and anything after its last node is trailing.
+        let vo = sample_vo();
+        let mut bytes = vo.to_wire();
+        assert!(bytes.ends_with(&vo.tree.to_wire()));
+        bytes.extend(VoTreeBuilder::default().leaf([3]).finish().to_wire());
+        assert_eq!(BovwVo::from_wire(&bytes), Err(WireError::TrailingBytes));
     }
 
     #[test]
@@ -618,13 +602,15 @@ mod tests {
 
     #[test]
     fn a_leaf_costs_its_ids_not_its_centroids() {
-        // The whole point of the table: a second leaf naming both rows
-        // adds a tag, a length and one varint per id — never the reveals.
+        // The whole point of the table: a leaf naming both rows is a tag,
+        // a length and one varint per id — never the reveals. Here one
+        // replaces a 33-byte stub.
         let mut vo = sample_vo();
         let before = vo.wire_size();
-        vo.trees
-            .push(VoTreeBuilder::default().leaf([3, 9]).finish());
-        assert_eq!(vo.wire_size(), before + 4);
+        vo.tree = vo.tree.splice(1..2, |b| {
+            b.leaf([3, 9]);
+        });
+        assert_eq!(vo.wire_size(), before - 33 + 4);
     }
 
     #[test]
@@ -646,7 +632,7 @@ mod tests {
         let vo = sample_vo();
         let mut own = Vec::new();
         vo.collect_digests(&mut own);
-        // Two row inv digests first, then one pruned stub per tree.
+        // Two row inv digests first, then the pruned stubs in node order.
         assert_eq!(
             own,
             vec![
@@ -682,25 +668,29 @@ mod tests {
     fn same_geometry_sees_every_change_but_a_digest() {
         let vo = sample_vo();
         let mut split = vo.clone();
-        split.trees[0] = split.trees[0].splice(0..1, |b| {
+        split.tree = split.tree.splice(0..1, |b| {
             b.internal(1, 0.5);
         });
         let mut renamed = vo.clone();
-        renamed.trees[0] = renamed.trees[0].splice(2..3, |b| {
+        renamed.tree = renamed.tree.splice(3..4, |b| {
             b.leaf([9, 4]);
         });
         let mut reshaped = vo.clone();
-        reshaped.trees[1] = VoTreeBuilder::default().leaf([3]).finish();
+        reshaped.tree = reshaped.tree.splice(4..5, |b| {
+            b.leaf([3]);
+        });
         let mut revealed = vo.clone();
         revealed.clusters[0].reveal = Reveal::Full { coords: vec![0.5] };
         let mut shorter = vo.clone();
-        shorter.trees.pop();
+        shorter.tree = shorter.tree.splice(2..5, |b| {
+            b.leaf([9, 3]);
+        });
         for (what, other) in [
             ("split", split),
             ("leaf id", renamed),
             ("node kind", reshaped),
             ("reveal", revealed),
-            ("tree count", shorter),
+            ("node count", shorter),
         ] {
             assert!(!vo.same_geometry(&other), "{what}");
             assert!(!other.same_geometry(&vo), "{what}");

@@ -1,19 +1,16 @@
 //! Property-based tests for the MRKD-tree: for arbitrary cluster sets and
 //! perturbed queries, the SP's search verifies and yields the exact nearest
 //! clusters in both candidate modes, with each disclosed cluster revealed
-//! exactly once — and would whichever single tree it opened.
+//! exactly once, however many trees the AKM forest grows beside the
+//! committed one.
 
-use imageproof_akm::rkd::{dist_sq, Node, RkdForest};
+use imageproof_akm::rkd::{dist_sq, RkdForest};
 use imageproof_crypto::wire::{Decode, Encode};
 use imageproof_crypto::Digest;
-use imageproof_mrkd::traverse::{traverse, ActiveQuery, TraversalVisitor};
-use imageproof_mrkd::tree::n_blocks;
 use imageproof_mrkd::{
-    mrkd_search, verify_bovw, BovwVo, CandidateMode, MrkdForest, MrkdTree, Reveal, VoCluster,
-    VoTree, VoTreeBuilder,
+    mrkd_search, verify_bovw, BovwVo, CandidateMode, MrkdTree, VoNode, VoTree, VoTreeBuilder,
 };
 use proptest::prelude::*;
-use std::convert::Infallible;
 
 const DIM: usize = 32;
 
@@ -62,99 +59,6 @@ fn varint(mut v: u64, out: &mut Vec<u8>) {
     out.push(v as u8);
 }
 
-/// An SP that opens tree `t` instead of the proof tree: the same shared
-/// walk, emitted through [`VoTreeBuilder`], with every other tree a root
-/// stub. Non-candidates of the compressed mode disclose all their blocks.
-struct Opener<'a> {
-    mrkd: &'a MrkdForest,
-    tree: &'a MrkdTree,
-    queries: &'a [Vec<f32>],
-    thresholds: &'a [f32],
-    vo: VoTreeBuilder,
-    rows: Vec<VoCluster>,
-}
-
-impl TraversalVisitor for Opener<'_> {
-    type Err = Infallible;
-
-    fn inactive(&mut self, node: usize) -> Result<(), Infallible> {
-        self.vo.pruned(self.tree.node_digest(node as u32));
-        Ok(())
-    }
-
-    fn opaque(&mut self, _node: usize, _active: &[ActiveQuery]) -> Result<(), Infallible> {
-        unreachable!("the owner's tree has no opaque nodes")
-    }
-
-    fn leaf(&mut self, node: usize, active: &[ActiveQuery]) -> Result<(), Infallible> {
-        let Node::Leaf { clusters } = &self.tree.rkd().nodes()[node] else {
-            unreachable!("leaf callback on a non-leaf");
-        };
-        for &cluster in clusters {
-            let coords = self.mrkd.centers()[cluster as usize].clone();
-            let candidate = active.iter().any(|aq| {
-                let q = aq.query as usize;
-                dist_sq(&self.queries[q], &coords) <= self.thresholds[q]
-            });
-            let reveal = match (self.mrkd.mode(), candidate) {
-                (CandidateMode::Full, _) => Reveal::Full { coords },
-                (CandidateMode::Compressed, true) => Reveal::FullCompressed { coords },
-                (CandidateMode::Compressed, false) => {
-                    let dim_tree = self.mrkd.dim_tree(cluster).expect("compressed");
-                    let all: Vec<usize> = (0..n_blocks(DIM)).collect();
-                    let blocks = all.iter().map(|&b| {
-                        let range = imageproof_mrkd::tree::block_range(b, DIM);
-                        (b as u32, coords[range].to_vec())
-                    });
-                    Reveal::Partial {
-                        dim_root: dim_tree.root(),
-                        blocks: blocks.collect(),
-                        proof: dim_tree.prove_subset(&all),
-                    }
-                }
-            };
-            self.rows.push(VoCluster {
-                cluster,
-                inv_digest: self.mrkd.inv_digest(cluster),
-                reveal,
-            });
-        }
-        self.vo.leaf(clusters.iter().copied());
-        Ok(())
-    }
-
-    fn internal(
-        &mut self,
-        _: usize,
-        dim: u32,
-        value: f32,
-        _: &[ActiveQuery],
-    ) -> Result<(), Infallible> {
-        self.vo.internal(dim, value);
-        Ok(())
-    }
-}
-
-fn open_only(mrkd: &MrkdForest, t: usize, queries: &[Vec<f32>], thresholds: &[f32]) -> BovwVo {
-    let tree = &mrkd.trees()[t];
-    let mut opener = Opener {
-        mrkd,
-        tree,
-        queries,
-        thresholds,
-        vo: VoTreeBuilder::default(),
-        rows: Vec::new(),
-    };
-    let Ok(()) = traverse(tree, queries, thresholds, &mut opener);
-    let mut clusters = opener.rows;
-    clusters.sort_unstable_by_key(|row| row.cluster);
-    let mut trees: Vec<VoTree> = (mrkd.trees().iter())
-        .map(|other| VoTree::root_stub(other.root_digest()))
-        .collect();
-    trees[t] = opener.vo.finish();
-    BovwVo { clusters, trees }
-}
-
 fn centers_strategy() -> impl Strategy<Value = Vec<Vec<f32>>> {
     proptest::collection::vec(proptest::collection::vec(0.0f32..1.0, DIM..=DIM), 2..40)
 }
@@ -177,7 +81,7 @@ proptest! {
             .map(|c| Digest::of(format!("inv{c}").as_bytes()))
             .collect();
         let forest = RkdForest::build(&centers, 3, 2, 99);
-        let mrkd = MrkdForest::build(&forest, &centers, &inv, mode);
+        let mrkd = MrkdTree::build(&forest, &centers, &inv, mode);
 
         // Queries are perturbations of existing centers.
         let queries: Vec<Vec<f32>> = picks
@@ -199,20 +103,14 @@ proptest! {
 
         let out = mrkd_search(&mrkd, &queries, &thresholds);
 
-        // One tree is opened, the rest are their root stubs, and the table
-        // holds exactly the clusters the opened tree's leaves name — no
+        // The table holds exactly the clusters the tree's leaves name — no
         // leaf names one twice — ascending.
-        let opened: Vec<&VoTree> = (out.vo.trees.iter())
-            .filter(|tree| !tree.is_root_stub())
-            .collect();
-        prop_assert_eq!(opened.len(), 1);
-        prop_assert_eq!(out.vo.trees.len(), mrkd.trees().len());
-        let mut named: Vec<u32> = opened[0].leaf_ids().to_vec();
+        let mut named: Vec<u32> = out.vo.tree.leaf_ids().to_vec();
         named.sort_unstable();
         let rows: Vec<u32> = out.vo.clusters.iter().map(|row| row.cluster).collect();
         prop_assert_eq!(rows, named);
-        let stubs = out.vo.trees.iter().flat_map(|tree| tree.nodes());
-        let stubs = stubs.filter(|n| matches!(n, imageproof_mrkd::VoNode::Pruned(_))).count();
+        let stubs = out.vo.tree.nodes().iter();
+        let stubs = stubs.filter(|n| matches!(n, VoNode::Pruned(_))).count();
         prop_assert_eq!(out.stats.digests_cached, out.vo.clusters.len() + stubs);
 
         let verified = verify_bovw(&out.vo, &queries, mode).expect("honest VO verifies");
@@ -231,7 +129,7 @@ proptest! {
     }
 
     /// The VO wire encoding round-trips for arbitrary searches, whole and
-    /// tree by tree, in both candidate modes.
+    /// the tree alone, in both candidate modes.
     #[test]
     fn vo_wire_roundtrip(
         centers in centers_strategy(),
@@ -247,7 +145,7 @@ proptest! {
             .map(|c| Digest::of(format!("inv{c}").as_bytes()))
             .collect();
         let forest = RkdForest::build(&centers, 2, 2, 7);
-        let mrkd = MrkdForest::build(&forest, &centers, &inv, mode);
+        let mrkd = MrkdTree::build(&forest, &centers, &inv, mode);
         let queries: Vec<Vec<f32>> = (0..n_queries)
             .map(|i| centers[i % centers.len()].clone())
             .collect();
@@ -263,21 +161,20 @@ proptest! {
         let out = mrkd_search(&mrkd, &queries, &thresholds);
         let decoded = BovwVo::from_wire(&out.vo.to_wire()).expect("round trip");
         prop_assert_eq!(&decoded, &out.vo);
-        for tree in &out.vo.trees {
-            prop_assert_eq!(&VoTree::from_wire(&tree.to_wire()).expect("round trip"), tree);
-        }
+        let tree = &out.vo.tree;
+        prop_assert_eq!(&VoTree::from_wire(&tree.to_wire()).expect("round trip"), tree);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Any one tree suffices: whichever single tree a VO opens, it verifies
-    /// to the signed root and to the same winners and threshold bits — those
-    /// of a brute-force scan with the smaller-id tie-break. Duplicated
-    /// centers make exact ties common.
+    /// The committed tree proves the brute-force assignment: whatever the
+    /// AKM forest's size, the honest VO verifies to the signed root and to
+    /// the winners and threshold bits of a brute-force scan with the
+    /// smaller-id tie-break. Duplicated centers make exact ties common.
     #[test]
-    fn any_one_opened_tree_proves_the_same_assignment(
+    fn the_committed_tree_proves_the_brute_force_assignment(
         centers in centers_strategy(),
         dup in any::<prop::sample::Index>(),
         picks in proptest::collection::vec((any::<prop::sample::Index>(), -0.05f32..0.05), 1..6),
@@ -296,7 +193,7 @@ proptest! {
             .map(|c| Digest::of(format!("inv{c}").as_bytes()))
             .collect();
         let forest = RkdForest::build(&centers, n_trees, 2, seed);
-        let mrkd = MrkdForest::build(&forest, &centers, &inv, mode);
+        let mrkd = MrkdTree::build(&forest, &centers, &inv, mode);
         let queries: Vec<Vec<f32>> = picks
             .iter()
             .map(|(idx, eps)| {
@@ -319,21 +216,11 @@ proptest! {
             thresholds.iter().map(|t| t.to_bits()).collect::<Vec<u32>>(),
         );
 
-        let honest = mrkd_search(&mrkd, &queries, &thresholds).vo;
-        if mode == CandidateMode::Full {
-            // The hand-rolled opener is the SP's walk when it opens the
-            // proof tree.
-            prop_assert_eq!(&open_only(&mrkd, RkdForest::PROOF_TREE, &queries, &thresholds), &honest);
-        }
-        let by_hand = (0..n_trees).map(|t| open_only(&mrkd, t, &queries, &thresholds));
-        for (t, vo) in std::iter::once(honest.clone()).chain(by_hand).enumerate() {
-            let opened = vo.trees.iter().filter(|tree| !tree.is_root_stub());
-            prop_assert_eq!(opened.count(), 1);
-            let v = verify_bovw(&vo, &queries, mode).expect("a one-tree VO verifies");
-            prop_assert_eq!(v.combined_root, mrkd.combined_root_digest(), "VO {}", t);
-            let bits: Vec<u32> = v.thresholds_sq.iter().map(|t| t.to_bits()).collect();
-            prop_assert_eq!(&(v.assignments, bits), &expected, "VO {}", t);
-        }
+        let vo = mrkd_search(&mrkd, &queries, &thresholds).vo;
+        let v = verify_bovw(&vo, &queries, mode).expect("the honest VO verifies");
+        prop_assert_eq!(v.combined_root, mrkd.combined_root_digest());
+        let bits: Vec<u32> = v.thresholds_sq.iter().map(|t| t.to_bits()).collect();
+        prop_assert_eq!(&(v.assignments, bits), &expected);
     }
 }
 

@@ -27,7 +27,7 @@ fn main() {
     );
 
     // 2. The owner trains an AKM codebook, builds the two authenticated
-    //    data structures (Merkle randomized k-d trees + Merkle inverted
+    //    data structures (a Merkle randomized k-d tree + a Merkle inverted
     //    index with cuckoo filters), signs everything, and outsources the
     //    database to the service provider.
     let owner = Owner::new(&[42u8; 32]);
@@ -37,8 +37,8 @@ fn main() {
     };
     let (db, published) = owner.build_system(&corpus, &akm, Scheme::ImageProof);
     println!(
-        "owner: built {} MRKD trees over a {}-word codebook; root signed",
-        published.n_trees, 512
+        "owner: built the MRKD-tree over a {}-word, {}-tree codebook; root signed",
+        akm.n_clusters, akm.n_trees
     );
     let sp = ServiceProvider::new(db);
 

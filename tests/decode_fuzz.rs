@@ -236,7 +236,7 @@ fn find_leaf(tree: &VoTree) -> Option<VoTree> {
 }
 
 /// Heap bytes a decoded BoVW VO owns, by allocation capacity: the table's
-/// rows and their reveals, and every tree's node arena and leaf id list.
+/// rows and their reveals, and the tree's node arena and leaf id list.
 fn bovw_heap_bytes(vo: &BovwVo) -> usize {
     use std::mem::size_of;
     fn reveal_bytes(reveal: &Reveal) -> usize {
@@ -254,8 +254,7 @@ fn bovw_heap_bytes(vo: &BovwVo) -> usize {
             .iter()
             .map(|r| reveal_bytes(&r.reveal))
             .sum::<usize>()
-        + vo.trees.capacity() * size_of::<VoTree>()
-        + vo.trees.iter().map(VoTree::heap_bytes).sum::<usize>()
+        + vo.tree.heap_bytes()
 }
 
 // ---------------------------------------------------------------------------
@@ -274,14 +273,38 @@ fn bovw_vo_decoding_is_total() {
         match &fx.response.vo.bovw {
             BovwVoVariant::Shared(vo) => {
                 fuzz_decode::<BovwVo>(&format!("BovwVo[{scheme:?}]"), vo);
-                if let Some(tree) = vo.trees.first() {
-                    fuzz_decode(&format!("VoTree[{scheme:?}]"), tree);
-                }
+                fuzz_decode(&format!("VoTree[{scheme:?}]"), &vo.tree);
             }
             BovwVoVariant::PerQuery(vo) => {
                 fuzz_decode::<BaselineBovwVo>(&format!("BaselineBovwVo[{scheme:?}]"), vo);
             }
         }
+    }
+}
+
+/// The grammar before the ADS committed a single tree — `rows · n_t ·
+/// VoTree*`, one tree opened and `n_t − 1` root stubs — is not a prefix,
+/// suffix or variant of today's `rows · VoNode*`: the tree count reads as a
+/// node tag no node has.
+#[test]
+fn an_eight_tree_bovw_vo_of_the_old_grammar_is_a_clean_decode_error() {
+    for (scheme, fx) in fixtures() {
+        let vo: &BovwVo = match &fx.response.vo.bovw {
+            BovwVoVariant::Shared(vo) => vo,
+            BovwVoVariant::PerQuery(vo) => vo.per_query.first().expect("a query vector"),
+        };
+        let (wire, tree) = (vo.to_wire(), vo.tree.to_wire());
+        let mut old = wire[..wire.len() - tree.len()].to_vec();
+        old.push(8);
+        old.extend(&tree);
+        for stub in 0..7u8 {
+            let root = imageproof_crypto::Digest::of(&[stub]);
+            old.extend(VoTreeBuilder::default().pruned(root).finish().to_wire());
+        }
+        assert_eq!(
+            decode_total::<BovwVo>(&format!("old BovwVo[{scheme:?}]"), &old),
+            Err(WireError::InvalidTag(8))
+        );
     }
 }
 
@@ -296,11 +319,7 @@ fn table_row_leaf_and_reveal_decoding_is_total() {
                 None => continue,
             },
         };
-        let leaf = vo
-            .trees
-            .iter()
-            .find_map(find_leaf)
-            .expect("a disclosed leaf");
+        let leaf = find_leaf(&vo.tree).expect("a disclosed leaf");
         fuzz_decode(&format!("VoTree leaf[{scheme:?}]"), &leaf);
         // One row of each reveal kind the scheme produces.
         let mut kinds = std::collections::HashSet::new();

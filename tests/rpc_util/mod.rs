@@ -122,6 +122,40 @@ pub fn fixture(scheme: Scheme, shard_count: usize) -> Fixture {
     }
 }
 
+/// The honest BoVW VO `db`'s SP would serve for `features` had the owner
+/// committed a *different* tree of the same codebook: same centroids, same
+/// list digests, a forest grown from another seed. Internally consistent
+/// and proving the right assignment — under a root nobody signed.
+pub fn bovw_over_another_tree(
+    db: &imageproof_core::Database,
+    features: &[Vec<f32>],
+) -> imageproof_core::BovwVoVariant {
+    use imageproof_core::BovwVoVariant;
+    let codebook = &db.codebook;
+    let reseeded = imageproof_akm::rkd::RkdForest::build(
+        &codebook.centers,
+        1,
+        akm().max_leaf_size,
+        akm().seed ^ 0xD1FF,
+    );
+    let other = imageproof_mrkd::MrkdTree::build(
+        &reseeded,
+        &codebook.centers,
+        &db.inv.list_digests(),
+        db.scheme.candidate_mode(),
+    );
+    let thresholds: Vec<f32> = features
+        .iter()
+        .map(|f| codebook.assign_with_threshold(f).1)
+        .collect();
+    if db.scheme.shares_nodes() {
+        BovwVoVariant::Shared(imageproof_mrkd::mrkd_search(&other, features, &thresholds).vo)
+    } else {
+        let (vo, _, _) = imageproof_mrkd::mrkd_search_baseline(&other, features, &thresholds);
+        BovwVoVariant::PerQuery(vo)
+    }
+}
+
 /// Dissolves an in-process fan-out into one [`ShardServer`] per shard and
 /// returns the running servers with their single-endpoint list.
 pub fn launch_shards(sp: ShardedSp) -> (Vec<RunningServer>, Vec<ShardEndpoint>) {

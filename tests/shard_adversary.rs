@@ -8,8 +8,9 @@
 //! demote-and-backfill behind a fence, stale fence proofs, inflated
 //! contribution counts, impossible claim shapes), shared-section abuse
 //! (out-of-range template references, truncated or corrupted digest
-//! patches), a forged root stub of an unopened MRKD tree, tampered winner
-//! payloads, and merge manipulation. A reordered-but-genuine response
+//! patches), a forged interior stub of the MRKD VO tree, a sub-VO walked
+//! over a tree the owner never committed, tampered winner payloads, and
+//! merge manipulation. A reordered-but-genuine response
 //! must still verify (Definition 1 is a set property).
 //!
 //! The wire-level section at the bottom replays the same adversary through
@@ -29,7 +30,7 @@ use imageproof_core::{
     ShardedError, ShardedResponse, ShardedSp, ShardedVo,
 };
 use imageproof_crypto::Digest;
-use imageproof_mrkd::VoTree;
+use imageproof_mrkd::VoNode;
 use imageproof_vision::{Corpus, CorpusConfig, DescriptorKind};
 
 struct Fx {
@@ -519,27 +520,56 @@ fn corrupted_shared_patch_digest_is_detected() {
 }
 
 #[test]
-fn forged_root_stub_of_an_unopened_tree_is_detected() {
-    // Honest sub-VOs open one MRKD tree and ship the rest as root stubs,
-    // which the client never walks: a forged stub must fail the shard's
-    // manifest-committed root instead. One shard's resolved sub-VO goes
-    // back inline with its last tree's stub replaced.
+fn forged_interior_stub_is_detected() {
+    // A pruned stub no query reaches is never walked: a forged one must
+    // fail the shard's manifest-committed root instead. (The query is two
+    // centroids, threshold 0, so that the walk prunes; the fixture's 24
+    // features open the whole tree.) One shard's resolved sub-VO goes back
+    // inline with its last stub replaced.
+    let f = fx();
+    let features = &f.sp.shards()[0].database().codebook.centers[..2];
+    let (honest, _) = f.sp.query(features, f.k);
+    let verdict = |response: &ShardedResponse| {
+        f.client
+            .verify_sharded(features, f.k, response, &f.manifest)
+            .map(|_| ())
+    };
+    assert_eq!(verdict(&honest), Ok(()));
+    let mut tampered = honest.clone();
+    let shard = tampered.vo.shards[0].shard_id;
+    let resolved = honest.vo.shards[0].resolve_bovw(&honest.vo.shared);
+    let mut forged = resolved.expect("honest sub-VO resolves").into_owned();
+    let BovwVoVariant::Shared(vo) = &mut forged else {
+        unreachable!("the fixture's scheme shares one BoVW VO");
+    };
+    let is_stub = |node: &VoNode| matches!(node, VoNode::Pruned(_));
+    let at = vo.tree.nodes().iter().rposition(is_stub);
+    let at = at.expect("two zero-radius queries leave most of the tree pruned");
+    vo.tree = vo.tree.splice(at..at + 1, |b| {
+        b.pruned(Digest::of(b"another shard's subtree"));
+    });
+    tampered.vo.shards[0].bovw = ShardBovw::Inline(forged);
+    assert_eq!(
+        verdict(&tampered),
+        Err(ShardedError::Shard {
+            shard,
+            error: ClientError::RootSignatureInvalid,
+        })
+    );
+}
+
+#[test]
+fn a_sub_vo_over_a_tree_the_owner_never_committed_is_detected() {
+    // The owner commits one tree of the codebook's forest. A sub-VO that
+    // is the honest walk of any other tree over the same centroids and the
+    // same list digests checks out in every respect but the root.
     let f = fx();
     let mut tampered = f.response.clone();
     let idx = patched_index(&f.response.vo);
     let shard = tampered.vo.shards[idx].shard_id;
-    let resolved = f.response.vo.shards[idx].resolve_bovw(&f.response.vo.shared);
-    let mut forged = resolved.expect("honest patch resolves").into_owned();
-    let BovwVoVariant::Shared(vo) = &mut forged else {
-        unreachable!("the fixture's scheme shares one BoVW VO");
-    };
-    let last = vo.trees.last_mut().expect("a tree");
-    assert!(
-        last.is_root_stub(),
-        "honest VOs stub every tree but the proof tree"
-    );
-    *last = VoTree::root_stub(Digest::of(b"another shard's tree"));
-    tampered.vo.shards[idx].bovw = ShardBovw::Inline(forged);
+    let db = f.sp.shards()[shard as usize].database();
+    let other = rpc_util::bovw_over_another_tree(db, &f.features);
+    tampered.vo.shards[idx].bovw = ShardBovw::Inline(other);
     assert_eq!(
         verify(f, &tampered),
         Err(ShardedError::Shard {

@@ -1,5 +1,5 @@
 //! Reveal-once BoVW VO attack matrix: the cluster table under the MRKD VO
-//! trees is authenticated only by leaves that name its rows and chain to a
+//! tree is authenticated only by leaves that name its rows and chain to the
 //! signed root, so every way of making the table and the trees disagree
 //! must be rejected — in one process, across in-process shards (where the
 //! table rides in the shared-section template), and over the socket RPC.
@@ -9,26 +9,24 @@
 //! | unnamed row carrying a closer centroid         | `Malformed("table row named by no leaf")` |
 //! | leaf naming a cluster without a row            | `Malformed("leaf names a cluster with no row")` |
 //! | duplicate / descending rows                    | `Malformed("cluster table not ascending")` |
-//! | cluster smuggled into a second, opened tree    | root mismatch                         |
-//! | every tree a bare root stub                    | `PrunedSubtreeReachable`              |
-//! | forged root stub of an unopened tree           | root mismatch                         |
-//! | second tree opened down to reachable stubs     | `PrunedSubtreeReachable`              |
-//! | winner's proof-tree leaf stubbed               | `PrunedSubtreeReachable`              |
+//! | cluster moved between two leaves               | root mismatch                         |
+//! | the tree a bare root stub                      | `PrunedSubtreeReachable`              |
+//! | honest VO over an uncommitted tree             | root mismatch                         |
+//! | winner's leaf stubbed                          | `PrunedSubtreeReachable`              |
 //! | winner row downgraded Full → Partial           | completeness check                    |
 //! | Partial row re-proved over fewer blocks        | `PartialTooClose`                     |
-//! | template row/tree count ≠ digest patch         | `SharedPatchMismatch`                 |
+//! | template row count ≠ digest patch              | `SharedPatchMismatch`                 |
 
 mod rpc_util;
 
-use imageproof_akm::rkd::{Node, RkdForest};
+use imageproof_akm::rkd::Node;
 use imageproof_core::rpc::{Response, RpcCoordinator, ShardEndpoint};
 use imageproof_core::{
     BovwVoVariant, Client, ClientError, Owner, QueryResponse, Scheme, ServiceProvider, ShardBovw,
     ShardedError,
 };
-use imageproof_crypto::Digest;
 use imageproof_mrkd::tree::{block_range, n_blocks};
-use imageproof_mrkd::{BovwVo, Reveal, VerifyError, VoCluster, VoNode, VoTree, VoTreeBuilder};
+use imageproof_mrkd::{BovwVo, Reveal, VerifyError, VoCluster, VoNode};
 use rpc_util::{Fault, Proxy};
 use std::sync::Arc;
 
@@ -88,30 +86,21 @@ fn first_vo(bovw: &mut BovwVoVariant) -> &mut BovwVo {
     }
 }
 
-/// `(tree, node)` of every disclosed leaf, trees in order, DFS within a
-/// tree.
-fn leaves(vo: &BovwVo) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    for (t, tree) in vo.trees.iter().enumerate() {
-        for (at, node) in tree.nodes().iter().enumerate() {
-            if matches!(node, VoNode::Leaf(_)) {
-                out.push((t, at));
-            }
-        }
-    }
-    out
+/// Node index of every disclosed leaf, in DFS order.
+fn leaves(vo: &BovwVo) -> Vec<usize> {
+    let is_leaf = |at: &usize| matches!(vo.tree.nodes()[*at], VoNode::Leaf(_));
+    (0..vo.tree.nodes().len()).filter(is_leaf).collect()
 }
 
-/// Re-emits the tree holding `leaf` with that leaf naming what `edit` makes
-/// of its ids.
-fn edit_leaf(vo: &mut BovwVo, (t, at): (usize, usize), edit: impl FnOnce(&mut Vec<u32>)) {
-    let tree = &vo.trees[t];
-    let VoNode::Leaf(range) = &tree.nodes()[at] else {
-        panic!("node {at} of tree {t} is not a leaf");
+/// Re-emits the tree with the leaf at node `at` naming what `edit` makes of
+/// its ids.
+fn edit_leaf(vo: &mut BovwVo, at: usize, edit: impl FnOnce(&mut Vec<u32>)) {
+    let VoNode::Leaf(range) = &vo.tree.nodes()[at] else {
+        panic!("node {at} is not a leaf");
     };
-    let mut ids = tree.ids(range).to_vec();
+    let mut ids = vo.tree.ids(range).to_vec();
     edit(&mut ids);
-    vo.trees[t] = tree.splice(at..at + 1, |b| {
+    vo.tree = vo.tree.splice(at..at + 1, |b| {
         b.leaf(ids);
     });
 }
@@ -142,23 +131,16 @@ fn plant_closer_row(vo: &mut BovwVo, at: &[f32]) {
     );
 }
 
-/// The adversary opens a second tree to smuggle a row: the last cluster of
-/// the proof tree's first leaf moves into a leaf grown over the last tree's
-/// root stub, behind a split no query crosses (so the stub beside it, the
-/// tree's genuine root, is unreachable and the digest slots stay as many).
-/// The row stays authentic and named; neither tree hashes right.
-fn move_cluster_between_trees(vo: &mut BovwVo) {
+/// The last cluster of the first disclosed leaf moves into the last one
+/// (a Baseline VO may disclose only one: then it moves to the front of its
+/// own leaf). The row stays authentic and named once, and the digest slots
+/// stay as many; the leaves no longer hash to what the root commits.
+fn move_cluster_between_leaves(vo: &mut BovwVo) {
+    let leaves = leaves(vo);
+    let (from, to) = (leaves[0], *leaves.last().expect("a disclosed leaf"));
     let mut moved = None;
-    edit_leaf(vo, leaves(vo)[0], |ids| moved = ids.pop());
-    let last = vo.trees.last_mut().expect("a tree");
-    let [VoNode::Pruned(root)] = last.nodes() else {
-        panic!("honest VOs stub every tree but the first");
-    };
-    *last = VoTreeBuilder::default()
-        .internal(0, f32::INFINITY)
-        .leaf(moved)
-        .pruned(*root)
-        .finish();
+    edit_leaf(vo, from, |ids| moved = ids.pop());
+    edit_leaf(vo, to, |ids| ids.insert(0, moved.expect("non-empty leaf")));
 }
 
 #[test]
@@ -198,33 +180,29 @@ fn table_and_tree_disagreements_are_rejected_for_every_scheme() {
         );
         // Moving a cluster keeps every structural rule intact; only the
         // reconstructed root can notice.
-        match m.verdict(move_cluster_between_trees) {
+        match m.verdict(move_cluster_between_leaves) {
             Err(ClientError::RootSignatureInvalid) | Err(ClientError::Bovw(_)) => {}
             other => panic!("{scheme:?}: moved cluster survived: {other:?}"),
         }
     }
 }
 
-/// The one-opened-tree acceptance rule: an unopened tree contributes its
-/// root stub to the signed root and nothing else, at least one tree must be
-/// opened, and whatever is opened is checked in full. Every forgery below
-/// carries only genuine digests unless it says otherwise.
+/// One committed tree: a VO that does not walk it where the queries reach,
+/// or walks some other tree, is rejected. Every forgery below carries only
+/// genuine digests.
 #[test]
-fn unopened_trees_lend_a_root_and_opened_trees_are_checked_in_full() {
+fn the_committed_tree_must_be_walked_wherever_a_query_reaches() {
     for scheme in Scheme::ALL {
         let m = mono(scheme);
-        let forest = &m.sp.database().mrkd;
-        let proof = RkdForest::PROOF_TREE;
-        let mut honest = m.response.vo.bovw.clone();
-        for (t, tree) in first_vo(&mut honest).trees.iter().enumerate() {
-            let stub = VoTree::root_stub(forest.trees()[t].root_digest());
-            assert_eq!(*tree == stub, t != proof, "{scheme:?}: tree {t}");
-        }
+        let tree = &m.sp.database().mrkd;
 
-        // No tree opened: with the table dropped every digest chains to
-        // the signed root, and every query sits at bound 0 of a stub.
+        // The tree replaced by its own root stub: with the table dropped
+        // the digest chains to the signed root, and every query sits at
+        // bound 0 of the stub.
         let verdict = m.verdict(|vo| {
-            vo.trees[proof] = VoTree::root_stub(forest.trees()[proof].root_digest());
+            vo.tree = vo.tree.splice(0..vo.tree.nodes().len(), |b| {
+                b.pruned(tree.combined_root_digest());
+            });
             vo.clusters.clear();
         });
         assert_eq!(
@@ -233,78 +211,45 @@ fn unopened_trees_lend_a_root_and_opened_trees_are_checked_in_full() {
             "{scheme:?}"
         );
 
-        // A forged stub is never walked; the root it folds into is not
-        // the one the owner signed (nor, for Baseline, the one the other
-        // query vectors' VOs reconstruct).
-        match m.verdict(|vo| {
-            *vo.trees.last_mut().expect("a tree") =
-                VoTree::root_stub(Digest::of(b"some other tree"));
-        }) {
-            Err(ClientError::RootSignatureInvalid) => {}
-            Err(ClientError::Bovw(VerifyError::Malformed("per-query roots disagree")))
-                if !scheme.shares_nodes() => {}
-            other => panic!("{scheme:?}: forged root stub survived: {other:?}"),
-        }
+        // The honest walk of another tree over the same codebook and the
+        // same lists: consistent throughout, and not what the owner signed.
+        let mut forged = m.response.clone();
+        forged.vo.bovw = rpc_util::bovw_over_another_tree(m.sp.database(), &m.features);
+        assert_eq!(
+            m.client.verify(&m.features, K, &forged).map(|_| ()),
+            Err(ClientError::RootSignatureInvalid),
+            "{scheme:?}"
+        );
 
-        // A second tree opened one level deep, both children stubbed:
-        // the signed root still reconstructs and the proof tree is
-        // complete, but a non-stub tree is walked like any other.
-        let second = &forest.trees()[proof + 1];
-        let rkd = second.rkd();
-        let Node::Internal {
-            dim,
-            value,
-            left,
-            right,
-        } = rkd.nodes()[rkd.root() as usize]
-        else {
-            panic!("the fixture's trees have more than one leaf");
-        };
+        // The first query vector's winner hidden behind a stub, the rows
+        // only that leaf named dropped.
+        let victim =
+            m.sp.database()
+                .codebook
+                .assign_with_threshold(&m.features[0])
+                .0;
+        let real_leaf =
+            tree.rkd().nodes().iter().position(
+                |node| matches!(node, Node::Leaf { clusters } if clusters.contains(&victim)),
+            );
+        let digest = tree.node_digest(real_leaf.expect("a leaf") as u32);
         let verdict = m.verdict(|vo| {
-            vo.trees[proof + 1] = VoTreeBuilder::default()
-                .internal(dim, value)
-                .pruned(second.node_digest(left))
-                .pruned(second.node_digest(right))
-                .finish();
+            let tree = &vo.tree;
+            let at = tree.nodes().iter().position(
+                |node| matches!(node, VoNode::Leaf(ids) if tree.ids(ids).contains(&victim)),
+            );
+            let at = at.expect("the winner's leaf is disclosed");
+            vo.tree = tree.splice(at..at + 1, |b| {
+                b.pruned(digest);
+            });
+            let named = vo.tree.leaf_ids().to_vec();
+            vo.clusters.retain(|row| named.contains(&row.cluster));
         });
         assert_eq!(
             verdict,
             Err(ClientError::Bovw(VerifyError::PrunedSubtreeReachable)),
             "{scheme:?}"
         );
-
-        // The first query vector's winner hidden behind a stub of the
-        // proof tree, the rows only that leaf named dropped.
-        let victim =
-            m.sp.database()
-                .codebook
-                .assign_with_threshold(&m.features[0])
-                .0;
-        let rkd = forest.trees()[proof].rkd();
-        let real_leaf = rkd
-            .nodes()
-            .iter()
-            .position(|node| matches!(node, Node::Leaf { clusters } if clusters.contains(&victim)));
-        let digest = forest.trees()[proof].node_digest(real_leaf.expect("a leaf") as u32);
-        let verdict = m.verdict(|vo| {
-            let tree = &vo.trees[proof];
-            let at = tree.nodes().iter().position(
-                |node| matches!(node, VoNode::Leaf(ids) if tree.ids(ids).contains(&victim)),
-            );
-            let at = at.expect("the winner's leaf is disclosed");
-            vo.trees[proof] = tree.splice(at..at + 1, |b| {
-                b.pruned(digest);
-            });
-            let named = vo.trees[proof].leaf_ids().to_vec();
-            vo.clusters.retain(|row| named.contains(&row.cluster));
-        });
-        match verdict {
-            Err(ClientError::Bovw(VerifyError::PrunedSubtreeReachable)) => {}
-            // A Baseline VO serves one query vector and may have opened
-            // that one leaf only.
-            Err(ClientError::Bovw(VerifyError::NoCandidate)) if !scheme.shares_nodes() => {}
-            other => panic!("{scheme:?}: hidden winner survived: {other:?}"),
-        }
     }
 }
 
@@ -423,11 +368,11 @@ fn a_forged_template_table_fails_every_shard_that_resolves_it() {
     };
 
     // Growing or shrinking the template's digest slots — one more table
-    // row, one tree fewer — leaves every non-empty patch the wrong length.
+    // row, one fewer — leaves every non-empty patch the wrong length.
     for forge in [
         (&|vo: &mut BovwVo| plant_closer_row(vo, &features[0])) as &dyn Fn(&mut BovwVo),
         &|vo: &mut BovwVo| {
-            vo.trees.pop();
+            vo.clusters.pop();
         },
     ] {
         match verdict(forge) {
@@ -442,7 +387,7 @@ fn a_forged_template_table_fails_every_shard_that_resolves_it() {
 
     // Same slot count, wrong geometry: every shard's patch still fits,
     // and every shard's root comes out wrong.
-    match verdict(&move_cluster_between_trees) {
+    match verdict(&move_cluster_between_leaves) {
         Err(ShardedError::Shard { error, .. }) => assert!(
             matches!(
                 error,

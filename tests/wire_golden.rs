@@ -26,17 +26,25 @@
 //! re-record after a deliberate wire change, empty the constant, run the
 //! test, and paste the rendering the failure prints.
 //!
-//! Both constants were re-recorded once since, at PR 22 ("one proof
-//! tree"): the SP opens one MRKD VO tree and ships the others as root
-//! stubs, which changes every response's BoVW bytes and nothing else. The
-//! two renderings were diffed field by field against the parent's constants:
-//! only the `vo <digest>` of the scheme lines (and `vo` / `dedup` of the
-//! sharded lines) moved; every `root`, `inserted root`, `popped … rounds …
-//! scanned … skipped`, `topk`, `trims` / `trimmed` / per-shard `popped`
-//! field and every index-level line is byte-for-byte the parent's. The
-//! scheme lines gained `rows R nodes N stubs P` — the BoVW VO's table rows,
-//! tree nodes and pruned stubs — so the next re-recording shows which part
-//! of the shape moved, not only that a digest did.
+//! Both constants were re-recorded at PR 22 ("one proof tree": the SP opens
+//! one MRKD VO tree and ships the others as root stubs — only the `vo`
+//! digests and the sharded `dedup` moved), where the scheme lines gained
+//! `rows R nodes N stubs P` — the BoVW VO's table rows, tree nodes and
+//! pruned stubs — so a re-recording shows which part of the shape moved.
+//!
+//! They were re-recorded again at PR 23 ("one committed tree"), the current
+//! recording point: the owner Merkle-izes and signs the AKM forest's proof
+//! tree alone, and the BoVW wire grammar is `rows · VoNode*` with no tree
+//! count and no root stubs. The fixture's `n_t` is 3, so each BoVW VO lost
+//! two stub nodes. The two renderings were diffed field by field against
+//! the parent's constants: `root` and `inserted root` (the signed digest is
+//! now the tree's root, not a hash over three), `vo <digest>`, and `nodes`
+//! and `stubs` — each lower by exactly 2 per BoVW VO (2 for the shared
+//! schemes; 60, 44 and 72 for the Baseline's 30, 22 and 36 per-query VOs) —
+//! moved on the scheme lines, `vo` and `dedup` on the sharded lines; every
+//! `rows`, `popped … rounds … scanned … skipped`, `topk`, `trims` /
+//! `trimmed` / per-shard `popped` field and every index-level line is
+//! byte-for-byte the parent's.
 
 mod rpc_util;
 
@@ -57,26 +65,26 @@ use std::fmt::Write;
 const K: usize = 4;
 
 const GOLDEN: &str = "\
-baseline root 902857101ea1bd3b208ccc0936f6e646cc9d6592a0b80434dedc47e963b2eedc
-baseline q0 vo 8d144bc7ee0cb1e0272a310d702247f169a9f5bf9620eadfbf3506482728b080 rows 814 nodes 1266 stubs 187 popped 391 of 440 rounds 6 scanned 54 skipped 9 topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6
-baseline q1 vo b561fce729c87b27f6e6b23908bf46b04d08600f251b803fe6e1e6572b211c18 rows 574 nodes 958 stubs 164 popped 242 of 269 rounds 6 scanned 35 skipped 5 topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2
-baseline q2 vo e6fea7061b5c7ec0180f94cc86abb93dd99f9f4e896cfa3f5a54f5b9a461b755 rows 516 nodes 1062 stubs 273 popped 367 of 408 rounds 7 scanned 50 skipped 7 topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416
-baseline inserted root f1d091f855e43dc67af0e1db2a00211ad78f71a207e57402933c0e3e8ae90a5a
-imageproof root 902857101ea1bd3b208ccc0936f6e646cc9d6592a0b80434dedc47e963b2eedc
-imageproof q0 vo 23f7448ea6955b0f0d5d6a0b67b318cadc23cbbc22e43b41eabca4c004c2b821 rows 64 nodes 79 stubs 2 popped 365 of 440 rounds 1 scanned 47 skipped 16 topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6
-imageproof q1 vo aa50270106d7eeed0d705d77368d62bfa6c8fe4301d465b9b8abc5d8f0b06dd8 rows 64 nodes 79 stubs 2 popped 219 of 269 rounds 1 scanned 29 skipped 11 topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2
-imageproof q2 vo 995b974d651b68801d519d2c83cd08e9ba7adbd69e3ea4e3ef58ca4dadbad186 rows 64 nodes 79 stubs 2 popped 332 of 408 rounds 1 scanned 43 skipped 14 topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416
-imageproof inserted root f1d091f855e43dc67af0e1db2a00211ad78f71a207e57402933c0e3e8ae90a5a
-optimized-bovw root 7e495f5c8588c3f63dea99b4e158eae52cd7bd600ab8f8f1e97088d4da07a910
-optimized-bovw q0 vo 1768fdcf68164764888a535a6e446ed191207ed4a4be330c1440779336234901 rows 64 nodes 79 stubs 2 popped 365 of 440 rounds 1 scanned 47 skipped 16 topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6
-optimized-bovw q1 vo 43ecc0fdbad7564b81d35e51884429d2dcf54b70a0ccb80a2a565254aead5fc1 rows 64 nodes 79 stubs 2 popped 219 of 269 rounds 1 scanned 29 skipped 11 topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2
-optimized-bovw q2 vo cd03c9e8e0dde9164eaa745e35c6bfc4e6ffc1d50c7cb7d7ebf04e166d2583b1 rows 64 nodes 79 stubs 2 popped 332 of 408 rounds 1 scanned 43 skipped 14 topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416
-optimized-bovw inserted root a731c7c4b97bb0344779594517b14e161ee48ccbbaab6ce27fcfd547420b694d
-optimized-both root 88098511b6a31e1060c8c01a0fde75721bf03b0181d3675ae544dbd3c90f6fab
-optimized-both q0 vo 3b9fd4dc46482e6dd08d9d8972a6e03a4d34ab24b7c3bc6c1dd85e11adc2c0a3 rows 64 nodes 79 stubs 2 popped 440 of 440 rounds 1 scanned 13 skipped 0 topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6
-optimized-both q1 vo bd0d0c13c37cd51729050462fc589c4ca67b6d27418e40baf3b6e11ecef56a1e rows 64 nodes 79 stubs 2 popped 269 of 269 rounds 1 scanned 11 skipped 0 topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2
-optimized-both q2 vo 766a365ced6ac5795ed0bc6a12af4fe01e4dbc4334ec321c3522b2d7ed97619b rows 64 nodes 79 stubs 2 popped 408 of 408 rounds 1 scanned 13 skipped 0 topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416
-optimized-both inserted root 9a8ad094e026010003f75045e705ed1f8fc765fca2df49c95ec388df45a72354
+baseline root 61c865f886f07a26d522eb7e096fb79a5c0cbdc04be35832215c7f16b4fe710a
+baseline q0 vo 2e572e367c2aa47838a5cca2f158ecb21bcb1b52a2f992db93c207a3f390a49a rows 814 nodes 1206 stubs 127 popped 391 of 440 rounds 6 scanned 54 skipped 9 topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6
+baseline q1 vo 93aac8c1fbd42825b3cc53c091e643fcdd44a36f0f39059dd4e8d308a12e774e rows 574 nodes 914 stubs 120 popped 242 of 269 rounds 6 scanned 35 skipped 5 topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2
+baseline q2 vo 5e8dcb933a762de490aacffb34e57149b6fef60e978741e118faad1ae46e916b rows 516 nodes 990 stubs 201 popped 367 of 408 rounds 7 scanned 50 skipped 7 topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416
+baseline inserted root de8644c003df234b35d8af2ddb42b343f7c9db412ebe59e2ec84786410386077
+imageproof root 61c865f886f07a26d522eb7e096fb79a5c0cbdc04be35832215c7f16b4fe710a
+imageproof q0 vo bb88747755b0e1306be375172c05eac9bb13714a9064e81e2365c5af2c91511d rows 64 nodes 77 stubs 0 popped 365 of 440 rounds 1 scanned 47 skipped 16 topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6
+imageproof q1 vo 0b622eaa0e16db6467cc3af6523024f932daad465c304ec30a95a05b4817b703 rows 64 nodes 77 stubs 0 popped 219 of 269 rounds 1 scanned 29 skipped 11 topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2
+imageproof q2 vo e1573084611ef42ff47029871a217b35795b0b9748e9de3c71c6402e7b774305 rows 64 nodes 77 stubs 0 popped 332 of 408 rounds 1 scanned 43 skipped 14 topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416
+imageproof inserted root de8644c003df234b35d8af2ddb42b343f7c9db412ebe59e2ec84786410386077
+optimized-bovw root 44d00b53331e104ae51bb56977fae88c338ab783631ce5b0f440e68105e1d289
+optimized-bovw q0 vo aaef5c70afe6a673db3c588a63a51692d77bf06934c38be612f6e5bafa86fe1f rows 64 nodes 77 stubs 0 popped 365 of 440 rounds 1 scanned 47 skipped 16 topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6
+optimized-bovw q1 vo 53e578107bb76a3f09f5bafd7106784a033b5731054af142827baa21aa5d36b6 rows 64 nodes 77 stubs 0 popped 219 of 269 rounds 1 scanned 29 skipped 11 topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2
+optimized-bovw q2 vo 0c7d8faf68579945b1dbfdbe1acf693459837112e42f960c37cfea9d441155d1 rows 64 nodes 77 stubs 0 popped 332 of 408 rounds 1 scanned 43 skipped 14 topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416
+optimized-bovw inserted root f0ab6b49896e2fbcecac8555b112b6e82b7a345a1f459e22fb701f73f2c2297f
+optimized-both root 58d0df6e0ceab7dde7288f10ff5f9ac90191635295150a6316302796b6d387fa
+optimized-both q0 vo 6ff334998027aee170b8411678a39548ca698c50742ee563bb965ae5182987af rows 64 nodes 77 stubs 0 popped 440 of 440 rounds 1 scanned 13 skipped 0 topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6
+optimized-both q1 vo 133d7af95d950689ae0531344e7015721f41b7b308a9f0ae868f3909c53ae0c6 rows 64 nodes 77 stubs 0 popped 269 of 269 rounds 1 scanned 11 skipped 0 topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2
+optimized-both q2 vo 44e20f0a80448ef45f42e472d9763518d66ac80ad1a96c5842d8a14d0bcbb2ee rows 64 nodes 77 stubs 0 popped 408 of 408 rounds 1 scanned 13 skipped 0 topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416
+optimized-both inserted root 004ce77c9747f68bf9fb4871a5bc386056d5eb2d1b3879a2cee6c5719127327b
 plain lists c2080ee8c888059fb909f7213b5a376835a593316995f931ed9e0a7c0a9997c8
 grouped lists 53cbf38b5d35b2d089795e23be74d06897df92383ea0fc7daf46ae33cc3bbe12
 plain cuckoo q0 vo 014d4d18eb649a0dcb8b433ee0c105d91ddc5fe381d9d016388dca8fa0e7818b popped 259 of 320 rounds 6 scanned 33 skipped 9 topk 53:3e1d04c1,113:3e1d04c1,50:3e1cdafe,110:3e1cdafe
@@ -88,30 +96,30 @@ grouped q1 vo 88bf719c59a10296248ba01e268645396d88d48b75463ed131ddc2d10f8b6fc8 p
 ";
 
 const SHARDED_GOLDEN: &str = "\
-baseline S=2 q0 vo c3c85d7ce5402e5ae8a9b004916a9c020c2155049e7ab45f32964f262348afb1 topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6 trims 2 trimmed 2 dedup 241266 popped 204/192
-baseline S=2 q1 vo 0a21ace892451070cb24d331ce4248bae4948f3964b4082f3e8c60e445571ba0 topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2 trims 1 trimmed 2 dedup 170261 popped 122/135
-baseline S=2 q2 vo 62cb0baee1c44e2a5545a0758d168381ca86a47b9971188a1cda5dd77a6f5f13 topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416 trims 1 trimmed 3 dedup 156828 popped 201/176
-baseline S=4 q0 vo e2278e2718bb09543dec7b3e5c30c5ee6b61a6165fc2093b36a15332c01b8568 topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6 trims 4 trimmed 8 dedup 723830 popped 119/96/110/100
-baseline S=4 q1 vo 9e8f7a06508ffd0c407c8b35056bfefa962aa21fd791e067a68b5c5bf0aa90f6 topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2 trims 4 trimmed 8 dedup 510815 popped 58/73/52/60
-baseline S=4 q2 vo e06b9ab072020717c4890ed21d6260ade49966cec64481e3366445ff0e889970 topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416 trims 3 trimmed 8 dedup 470516 popped 104/94/107/82
-imageproof S=2 q0 vo 7f47f59596d508ef1736af03a0d5548a15791c405cbba4af1c70b369b87f216b topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6 trims 2 trimmed 2 dedup 16723 popped 164/175
-imageproof S=2 q1 vo 08dfb2a57b9e157a5e37ac056b8ef43176c9381b59465b71f5a058b6e451f98d topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2 trims 1 trimmed 2 dedup 16723 popped 109/109
-imageproof S=2 q2 vo 4650fec44a3afa37e1081c752eb64c0dd7847e1f206f629f1b1d5e3050a852e1 topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416 trims 1 trimmed 3 dedup 16723 popped 188/164
-imageproof S=4 q0 vo a5ba7cb26d2f4d59b441e8d430785f90e5f7aa3261d43b388da12152f4537eb8 topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6 trims 4 trimmed 8 dedup 50201 popped 118/93/91/100
-imageproof S=4 q1 vo 12cedbef8644669dd86e948ea778d7357fa93b3ad47aed429cd236e6bf224f84 topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2 trims 4 trimmed 8 dedup 50201 popped 53/73/51/52
-imageproof S=4 q2 vo c82eddc02482ba8434504e5730e4d6cecaf2b2755f37d5d48168f52d86b41769 topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416 trims 3 trimmed 8 dedup 50201 popped 97/92/104/77
-optimized-bovw S=2 q0 vo 3711e2c9841d1e2fbba427edcb29c3fde530b8bd321ac373b42f234a2cca15f2 topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6 trims 2 trimmed 2 dedup 15027 popped 164/175
-optimized-bovw S=2 q1 vo ebae1fb95662cc6cc1e536aaf424c2729db0a0ed137faac1e99c6dd94569ab3d topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2 trims 1 trimmed 2 dedup 15949 popped 109/109
-optimized-bovw S=2 q2 vo fe418edc21b57e6c44d56d91802b715230e32e9bc8ab186f350be7e52db8fad5 topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416 trims 1 trimmed 3 dedup 15901 popped 188/164
-optimized-bovw S=4 q0 vo c5a4a025e7315af2b2c46cd6693a6e9c3d86b48220064f16db6d92fa018bad84 topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6 trims 4 trimmed 8 dedup 45113 popped 118/93/91/100
-optimized-bovw S=4 q1 vo 790c279db14d7193250fd5763f8752b021518e1f3e740aa1271d043c2cfdabaa topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2 trims 4 trimmed 8 dedup 47879 popped 53/73/51/52
-optimized-bovw S=4 q2 vo b8fdcb5a4a7a78004516d9eae0a5bd8fa1018c986380324de31d411dbadbddbc topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416 trims 3 trimmed 8 dedup 47735 popped 97/92/104/77
-optimized-both S=2 q0 vo 66eed419a805f54caf477ce97d4a876fc9870ec88bf6b808d23daa78e3cb4f09 topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6 trims 2 trimmed 2 dedup 15027 popped 201/209
-optimized-both S=2 q1 vo e965fc28d64a57b886d127f1a474bc0838e0a6cb289037727f2c57fc92a616d0 topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2 trims 1 trimmed 2 dedup 15949 popped 128/121
-optimized-both S=2 q2 vo bf3f7f4e9617c37f7a3dc1156c8ad8fc7e8931dfcc61b67b1b361dee0c8596d6 topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416 trims 1 trimmed 3 dedup 15901 popped 225/183
-optimized-both S=4 q0 vo ce3f20a868f0b8b566df97df647f9e759c6a0276521f2c8c141f50252b8707aa topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6 trims 4 trimmed 8 dedup 45113 popped 121/97/96/103
-optimized-both S=4 q1 vo 62e38ccde27a23bcadfab368aab9b057a8c926a07b3b5a86e88ba91cda8155f7 topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2 trims 4 trimmed 8 dedup 47879 popped 62/77/53/53
-optimized-both S=4 q2 vo 23cbd4030dc254fe98d0284730fcb42d639a9a97c4fdd42c86b59116a3df327b topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416 trims 3 trimmed 8 dedup 47735 popped 105/98/113/78
+baseline S=2 q0 vo 402d62722df6e729a77d6366aa1fae71777b7b5d3d7c5b6aa5a8e06ff5ea0e54 topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6 trims 2 trimmed 2 dedup 239560 popped 204/192
+baseline S=2 q1 vo cbe2454b2dc7e06a6c9561aa350f0949b8b35591ee43ea2d5498078ce5d0db4e topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2 trims 1 trimmed 2 dedup 169027 popped 122/135
+baseline S=2 q2 vo d2cef6cba46e3bf7722932d73752e911df842f45427484005187fa9a70c5e78c topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416 trims 1 trimmed 3 dedup 154768 popped 201/176
+baseline S=4 q0 vo faf0e1e1f269fa82f623060c45d5c093ff65086cb4146bca3b78e92cb3414a71 topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6 trims 4 trimmed 8 dedup 718712 popped 119/96/110/100
+baseline S=4 q1 vo 899d44af01b23d15dac173bf23846145db7f85085ba14bb8aa59b6fbde39067a topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2 trims 4 trimmed 8 dedup 507113 popped 58/73/52/60
+baseline S=4 q2 vo 05f461cb71ee26a484434685196a891c3001193015efd461e369c097a692e347 topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416 trims 3 trimmed 8 dedup 464336 popped 104/94/107/82
+imageproof S=2 q0 vo c9e55f89c913c5b12bf47ef1d91a6f96d5bd5fa44963277da8e798c4819284b2 topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6 trims 2 trimmed 2 dedup 16728 popped 164/175
+imageproof S=2 q1 vo e4f40d712089e246e2079c47522ce193cc4d3daf0cd3c6452384e77842b15cbe topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2 trims 1 trimmed 2 dedup 16728 popped 109/109
+imageproof S=2 q2 vo 721b27387faf662d8c916fc48f67b954a1887a51f00e1f64665e001601d2e68a topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416 trims 1 trimmed 3 dedup 16728 popped 188/164
+imageproof S=4 q0 vo 29d3cbf61b4688003f109f9257e1f9d0465b937970a7dbc8d04ccbcfaec152c9 topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6 trims 4 trimmed 8 dedup 50216 popped 118/93/91/100
+imageproof S=4 q1 vo 1a8d12c3ddeeb8e305b88eb587a80e231fe66f9a7880ae2bb809f025e1fc9cfb topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2 trims 4 trimmed 8 dedup 50216 popped 53/73/51/52
+imageproof S=4 q2 vo 7d9a1ec5203bbde64b1ffec9e2bcf992d49a6205785b0dba230884f0ce72f9ac topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416 trims 3 trimmed 8 dedup 50216 popped 97/92/104/77
+optimized-bovw S=2 q0 vo 36699c5dc61c0ad1a70cf8f052d69b7260b2e3bf1a9f9cbb0c8790a808f79d6c topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6 trims 2 trimmed 2 dedup 15032 popped 164/175
+optimized-bovw S=2 q1 vo 595039f1559c3c2b0402205482c266832bffc170cc865826e13d50c95118a844 topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2 trims 1 trimmed 2 dedup 15954 popped 109/109
+optimized-bovw S=2 q2 vo 3860f90a2eaf9e5976e161d2cdb0e44d34457c2ce8b6cadddf784d0303d1f6d9 topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416 trims 1 trimmed 3 dedup 15906 popped 188/164
+optimized-bovw S=4 q0 vo 0cfea2c62022c826a0ad5f51e7a4b1eadf2a251b79d1a8faa9cfee98fc9c5c78 topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6 trims 4 trimmed 8 dedup 45128 popped 118/93/91/100
+optimized-bovw S=4 q1 vo f1308c3e86890c6d1f073321fd749bb5df3d5fcc733192605e62d0865e79d779 topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2 trims 4 trimmed 8 dedup 47894 popped 53/73/51/52
+optimized-bovw S=4 q2 vo c837146dabf36b3c3aac1be923c7805fffffd4ad1917d7c07f2b2bfdf7a3db92 topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416 trims 3 trimmed 8 dedup 47750 popped 97/92/104/77
+optimized-both S=2 q0 vo 6205707f91b5bb4ae162fa5c1106f1f7b907d72c0a2dc6b50e634972949cc3bc topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6 trims 2 trimmed 2 dedup 15032 popped 201/209
+optimized-both S=2 q1 vo e3e671beb8ef7d7ecda12a388e2e867aa3598d4238bbc65c44955ad4bd72644d topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2 trims 1 trimmed 2 dedup 15954 popped 128/121
+optimized-both S=2 q2 vo c7d9824830588d9c41795a91a109c30a054122a5d899cc403fb823ef00e9ffd5 topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416 trims 1 trimmed 3 dedup 15906 popped 225/183
+optimized-both S=4 q0 vo b793a2158d501219dd09952fda7e7d5fbe8b994beb4d05eb0b1cec28eb6bb5fc topk 7:4016ba33,58:3f81cd6b,88:3f797c7a,81:3f62a6b6 trims 4 trimmed 8 dedup 45128 popped 121/97/96/103
+optimized-both S=4 q1 vo 546a154343fabd349f091033f7e0e095212d1d1de4c1fb1e18fd83593fbd4332 topk 41:3fdfa3a2,79:3f8c3a9f,59:3f6813ec,66:3f53b9f2 trims 4 trimmed 8 dedup 47894 popped 62/77/53/53
+optimized-both S=4 q2 vo 6a16d5870e249e40087a9f3b62afee3bd57a167d7655218b80111127c52930de topk 66:4004cc94,52:3fcc357d,26:3f8b3395,42:3f83d416 trims 3 trimmed 8 dedup 47750 popped 105/98/113/78
 ";
 
 /// One search's line; `shape` is empty or starts with a space.
@@ -193,7 +201,7 @@ fn bovw_shape(bovw: &BovwVoVariant) -> String {
         BovwVoVariant::PerQuery(vo) => vo.per_query.as_slice(),
     };
     let rows: usize = vos.iter().map(|vo| vo.clusters.len()).sum();
-    let nodes = || vos.iter().flat_map(|vo| &vo.trees).flat_map(|t| t.nodes());
+    let nodes = || vos.iter().flat_map(|vo| vo.tree.nodes());
     let stubs = nodes().filter(|n| matches!(n, VoNode::Pruned(_))).count();
     format!(" rows {rows} nodes {} stubs {stubs}", nodes().count())
 }
