@@ -34,7 +34,7 @@ fn bovw_sweep(c: &mut Criterion) {
                             let out = mrkd_search(&db.mrkd, query, &thresholds);
                             out.vo.clusters.len()
                         } else {
-                            let (vo, _, _) = mrkd_search_baseline(&db.mrkd, query, &thresholds);
+                            let (vo, _) = mrkd_search_baseline(&db.mrkd, query, &thresholds);
                             vo.per_query.len()
                         }
                     })
@@ -61,7 +61,7 @@ fn bovw_sweep(c: &mut Criterion) {
                 b.iter(|| verify_bovw(&out.vo, query, scheme.candidate_mode()).expect("verifies"))
             });
         } else {
-            let (vo, _, _) = mrkd_search_baseline(&db.mrkd, query, &thresholds);
+            let (vo, _) = mrkd_search_baseline(&db.mrkd, query, &thresholds);
             group.bench_function(BenchmarkId::new(scheme.label(), n_features), |b| {
                 b.iter(|| verify_bovw_baseline(&vo, query).expect("verifies"))
             });

@@ -69,7 +69,7 @@ pub fn measure_bovw_step(
                 .expect("honest BoVW VO verifies");
             out.client_seconds += t1.elapsed_seconds();
         } else {
-            let (vo, _, stats) = mrkd_search_baseline(&db.mrkd, features, &thresholds);
+            let (vo, stats) = mrkd_search_baseline(&db.mrkd, features, &thresholds);
             out.sp_seconds += t0.elapsed_seconds();
             out.vo_bytes += vo.wire_size() as f64;
             out.shared_ratio += stats.shared_ratio();

@@ -32,7 +32,6 @@ use imageproof_obs::{
     micros, EventKind, EventLog, MetricId, QueryProfile, RegistrySnapshot, ScrapeProvider,
     SloTracker, Stopwatch, WindowedHistogram,
 };
-use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -43,6 +42,11 @@ const COORDINATOR_EVENT_CAPACITY: usize = 1024;
 
 /// Bytes pulled off a shard socket per read.
 const READ_BUF_LEN: usize = 256 * 1024;
+
+/// Round-trip latencies kept per shard: the most recent ones, so a
+/// long-lived coordinator's memory and quantile cost stay bounded. A 10 s
+/// benchmark run makes about 1 000 round-trips per shard.
+const RPC_SAMPLES_PER_SHARD: usize = 8192;
 
 /// Where one shard lives: a primary address plus failover replicas, tried
 /// in order. Every endpoint must present the same manifest-pinned
@@ -401,13 +405,24 @@ impl ScrapeProvider for FleetScrapeProvider {
 pub struct CoordinatorStats {
     /// Replica failovers performed since connect.
     pub failovers: u64,
-    /// Completed round-trip latencies per shard, in seconds, in issue
-    /// order (quantiles are computed by sorting a copy — see
-    /// [`CoordinatorStats::latency_quantile`]).
+    /// The most recent completed round-trip latencies per shard (at most
+    /// 8 192), in seconds, in issue order (quantiles are computed by
+    /// sorting a copy — see [`CoordinatorStats::latency_quantile`]).
     pub rpc_seconds: Vec<Vec<f64>>,
 }
 
 impl CoordinatorStats {
+    /// Appends one completed round-trip, dropping the shard's oldest sample
+    /// once it holds [`RPC_SAMPLES_PER_SHARD`].
+    fn record(&mut self, shard: usize, seconds: f64) {
+        if let Some(samples) = self.rpc_seconds.get_mut(shard) {
+            if samples.len() == RPC_SAMPLES_PER_SHARD {
+                samples.remove(0);
+            }
+            samples.push(seconds);
+        }
+    }
+
     /// The `q`-quantile (0 ≤ q ≤ 1, nearest-rank) of one shard's recorded
     /// round-trip latencies, or `None` when nothing completed yet.
     pub fn latency_quantile(&self, shard: usize, q: f64) -> Option<f64> {
@@ -477,8 +492,6 @@ pub struct RpcCoordinator {
     config: CoordinatorConfig,
     next_id: u64,
     stats: CoordinatorStats,
-    /// Latest telemetry registry snapshot received from each shard.
-    shard_registries: Vec<Option<RegistrySnapshot>>,
     /// Shared health/SLO/event plane (scrape threads read it live).
     fleet: Arc<FleetHealth>,
     /// Scratch for socket reads, shared by every round and heartbeat.
@@ -514,7 +527,6 @@ impl RpcCoordinator {
                 failovers: 0,
                 rpc_seconds: vec![Vec::new(); shard_count],
             },
-            shard_registries: vec![None; shard_count],
             fleet,
             read_buf: vec![0u8; READ_BUF_LEN],
         };
@@ -549,49 +561,11 @@ impl RpcCoordinator {
     /// registry plus windowed per-shard latency quantiles, health-state
     /// and SLO burn-rate series; `/healthz` the per-shard health table;
     /// `/events` the fleet event log.
-    pub fn launch_scrape(&self, bind_addr: &str) -> std::io::Result<imageproof_obs::RunningScrape> {
+    pub fn launch_scrape(&self, bind_addr: &str) -> std::io::Result<imageproof_obs::RunningServer> {
         let provider = Arc::new(FleetScrapeProvider {
             fleet: Arc::clone(&self.fleet),
         });
         imageproof_obs::launch_scrape(provider, bind_addr)
-    }
-
-    /// The latest telemetry registry snapshot each shard shipped, by
-    /// shard id (`None` until a telemetry frame arrives).
-    pub fn shard_registries(&self) -> &[Option<RegistrySnapshot>] {
-        &self.shard_registries
-    }
-
-    /// Merges every shard's latest registry snapshot into one
-    /// deployment-wide snapshot: counters and gauges sum, histograms merge
-    /// bucket-wise.
-    pub fn aggregate_registry(&self) -> RegistrySnapshot {
-        let mut counters: BTreeMap<_, u64> = BTreeMap::new();
-        let mut gauges: BTreeMap<_, i64> = BTreeMap::new();
-        let mut histograms: BTreeMap<_, imageproof_obs::HistogramSnapshot> = BTreeMap::new();
-        for snap in self.shard_registries.iter().flatten() {
-            for (id, v) in &snap.counters {
-                *counters.entry(id.clone()).or_insert(0) += *v;
-            }
-            for (id, v) in &snap.gauges {
-                *gauges.entry(id.clone()).or_insert(0) += *v;
-            }
-            for (id, h) in &snap.histograms {
-                let merged = histograms.entry(id.clone()).or_default();
-                merged.count += h.count;
-                merged.sum += h.sum;
-                let mut buckets: BTreeMap<u64, u64> = merged.buckets.iter().copied().collect();
-                for &(bound, n) in &h.buckets {
-                    *buckets.entry(bound).or_insert(0) += n;
-                }
-                merged.buckets = buckets.into_iter().collect();
-            }
-        }
-        RegistrySnapshot {
-            counters,
-            gauges,
-            histograms,
-        }
     }
 
     /// Establishes (or re-establishes) shard `shard`'s connection, trying
@@ -845,15 +819,10 @@ impl RpcCoordinator {
             let response =
                 Response::from_wire(&body).map_err(|error| RpcError::Wire { shard, error })?;
             match response {
-                Response::Telemetry {
-                    id,
-                    profile,
-                    registry,
-                } => {
+                Response::Telemetry { id, profile } => {
                     if !pending.want_telemetry || id != pending.id {
                         return Err(RpcError::UnsolicitedTelemetry { shard });
                     }
-                    self.shard_registries[pending.shard] = Some(registry.to_snapshot());
                     pending.telemetry = Some(profile.to_profile());
                 }
                 Response::Error { id, message } => {
@@ -878,7 +847,7 @@ impl RpcCoordinator {
                         return Err(RpcError::UnexpectedResponse { shard });
                     }
                     let seconds = pending.sw.elapsed_seconds();
-                    self.stats.rpc_seconds[pending.shard].push(seconds);
+                    self.stats.record(pending.shard, seconds);
                     if imageproof_obs::enabled() {
                         imageproof_obs::global()
                             .histogram(
@@ -1155,5 +1124,39 @@ fn request_id(request: &Request) -> u64 {
     match request {
         Request::Hello => 0,
         Request::Query { id, .. } | Request::Trim { id, .. } | Request::Health { id } => *id,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn round_trip_history_keeps_only_the_most_recent_samples() {
+        const N: usize = RPC_SAMPLES_PER_SHARD;
+        let mut stats = CoordinatorStats {
+            failovers: 0,
+            rpc_seconds: vec![Vec::new(); 2],
+        };
+        // A deterministic scramble of 3·N distinct latencies on shard 1.
+        let sample = |i: usize| ((i * 7919) % (3 * N)) as f64 * 1e-6;
+        for i in 0..3 * N {
+            stats.record(1, sample(i));
+        }
+        assert!(stats.rpc_seconds[0].is_empty());
+        assert_eq!(stats.latency_quantile(0, 0.5), None);
+        let recent: Vec<f64> = (2 * N..3 * N).map(sample).collect();
+        assert_eq!(stats.rpc_seconds[1], recent, "the last N, in issue order");
+        // Nearest-rank quantiles over exactly those samples.
+        let mut sorted = recent;
+        sorted.sort_by(f64::total_cmp);
+        for (q, rank) in [
+            (0.0, 0),
+            (0.5, N / 2 - 1),
+            (0.9, (9 * N).div_ceil(10) - 1),
+            (1.0, N - 1),
+        ] {
+            assert_eq!(stats.latency_quantile(1, q), Some(sorted[rank]), "q = {q}");
+        }
     }
 }

@@ -10,19 +10,19 @@
 //!
 //! Observability splits across two frames by design: the query/trim
 //! *payload* frames carry only deterministic data (results, VOs, counter
-//! statistics), while span profiles and registry snapshots ride in a
-//! separate [`Response::Telemetry`] frame sent only when the request asked
-//! for it. Payload frame bytes are therefore identical whether recording
-//! is on or off — the socket extension of the repo's zero-perturbation
-//! guarantee (`tests/rpc_equivalence.rs`).
+//! statistics), while the round's span profile rides in a separate
+//! [`Response::Telemetry`] frame sent only when the request asked for it.
+//! Payload frame bytes are therefore identical whether recording is on or
+//! off — the socket extension of the repo's zero-perturbation guarantee
+//! (`tests/rpc_equivalence.rs`). A shard's metrics registry never crosses
+//! this wire; it is read from the shard's own scrape endpoint.
 
 use super::RpcError;
 use crate::scheme::{InvVoVariant, QueryVo};
 use crate::sp::{ImageResult, QueryResponse, SpStats};
 use imageproof_crypto::wire::{Decode, Encode, Reader, WireError, Writer};
 use imageproof_crypto::{Digest, Signature};
-use imageproof_obs::{HistogramSnapshot, MetricId, QueryProfile, RegistrySnapshot, SpanRecord};
-use std::collections::BTreeMap;
+use imageproof_obs::{QueryProfile, SpanRecord};
 
 /// Hard cap on a frame body: 256 MiB, comfortably above the largest
 /// baseline-scheme VO the benches produce and far below anything that
@@ -285,7 +285,7 @@ impl ErrorClass {
         }
     }
 
-    fn to_u8(self) -> u8 {
+    pub(crate) fn to_u8(self) -> u8 {
         match self {
             ErrorClass::None => 0,
             ErrorClass::Wire => 1,
@@ -536,7 +536,7 @@ impl Decode for TrimPayload {
 }
 
 // ---------------------------------------------------------------------------
-// Telemetry: span profiles and registry snapshots across the wire.
+// Telemetry: span profiles across the wire.
 
 /// A [`SpanRecord`] with owned names, as it travels the wire. Remote names
 /// are interned back to `&'static str` on conversion so
@@ -700,215 +700,6 @@ impl Decode for WireProfile {
     }
 }
 
-/// A metric identity on the wire (mirrors `imageproof_obs::MetricId`,
-/// which cannot implement the wire traits itself without inverting the
-/// crate dependency).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct WireMetricId {
-    pub name: String,
-    pub labels: Vec<(String, String)>,
-}
-
-impl WireMetricId {
-    fn from_id(id: &MetricId) -> WireMetricId {
-        WireMetricId {
-            name: id.name.clone(),
-            labels: id.labels.clone(),
-        }
-    }
-
-    fn to_id(&self) -> MetricId {
-        MetricId {
-            name: self.name.clone(),
-            labels: self.labels.clone(),
-        }
-    }
-}
-
-impl Encode for WireMetricId {
-    fn encode(&self, w: &mut Writer) {
-        encode_string(w, &self.name);
-        w.seq_len(self.labels.len());
-        for (k, v) in &self.labels {
-            encode_string(w, k);
-            encode_string(w, v);
-        }
-    }
-}
-
-impl Decode for WireMetricId {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let name = decode_string(r)?;
-        let n = r.seq_len()?;
-        let mut labels = Vec::with_capacity(n);
-        for _ in 0..n {
-            let k = decode_string(r)?;
-            let v = decode_string(r)?;
-            labels.push((k, v));
-        }
-        Ok(WireMetricId { name, labels })
-    }
-}
-
-/// A histogram snapshot on the wire (mirrors
-/// `imageproof_obs::HistogramSnapshot`).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct WireHistogram {
-    pub count: u64,
-    pub sum: u64,
-    pub buckets: Vec<(u64, u64)>,
-}
-
-impl Encode for WireHistogram {
-    fn encode(&self, w: &mut Writer) {
-        w.varint(self.count);
-        w.varint(self.sum);
-        w.seq_len(self.buckets.len());
-        for &(bound, n) in &self.buckets {
-            w.varint(bound);
-            w.varint(n);
-        }
-    }
-}
-
-impl Decode for WireHistogram {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let count = r.varint()?;
-        let sum = r.varint()?;
-        let n = r.seq_len()?;
-        let mut buckets = Vec::with_capacity(n);
-        for _ in 0..n {
-            let bound = r.varint()?;
-            let cnt = r.varint()?;
-            buckets.push((bound, cnt));
-        }
-        Ok(WireHistogram {
-            count,
-            sum,
-            buckets,
-        })
-    }
-}
-
-/// A full registry snapshot on the wire: the shard's cumulative counters,
-/// gauges, and histograms, so coordinator-side obs aggregation keeps
-/// working when the shards leave the process.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct WireRegistry {
-    pub counters: Vec<(WireMetricId, u64)>,
-    pub gauges: Vec<(WireMetricId, i64)>,
-    pub histograms: Vec<(WireMetricId, WireHistogram)>,
-}
-
-impl WireRegistry {
-    pub fn from_snapshot(snap: &RegistrySnapshot) -> WireRegistry {
-        WireRegistry {
-            counters: snap
-                .counters
-                .iter()
-                .map(|(id, v)| (WireMetricId::from_id(id), *v))
-                .collect(),
-            gauges: snap
-                .gauges
-                .iter()
-                .map(|(id, v)| (WireMetricId::from_id(id), *v))
-                .collect(),
-            histograms: snap
-                .histograms
-                .iter()
-                .map(|(id, h)| {
-                    (
-                        WireMetricId::from_id(id),
-                        WireHistogram {
-                            count: h.count,
-                            sum: h.sum,
-                            buckets: h.buckets.clone(),
-                        },
-                    )
-                })
-                .collect(),
-        }
-    }
-
-    pub fn to_snapshot(&self) -> RegistrySnapshot {
-        let mut counters = BTreeMap::new();
-        for (id, v) in &self.counters {
-            counters.insert(id.to_id(), *v);
-        }
-        let mut gauges = BTreeMap::new();
-        for (id, v) in &self.gauges {
-            gauges.insert(id.to_id(), *v);
-        }
-        let mut histograms = BTreeMap::new();
-        for (id, h) in &self.histograms {
-            histograms.insert(
-                id.to_id(),
-                HistogramSnapshot {
-                    count: h.count,
-                    sum: h.sum,
-                    buckets: h.buckets.clone(),
-                },
-            );
-        }
-        RegistrySnapshot {
-            counters,
-            gauges,
-            histograms,
-        }
-    }
-}
-
-impl Encode for WireRegistry {
-    fn encode(&self, w: &mut Writer) {
-        w.seq_len(self.counters.len());
-        for (id, v) in &self.counters {
-            id.encode(w);
-            w.varint(*v);
-        }
-        w.seq_len(self.gauges.len());
-        for (id, v) in &self.gauges {
-            id.encode(w);
-            w.u64(*v as u64);
-        }
-        w.seq_len(self.histograms.len());
-        for (id, h) in &self.histograms {
-            id.encode(w);
-            h.encode(w);
-        }
-    }
-}
-
-impl Decode for WireRegistry {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let nc = r.seq_len()?;
-        let mut counters = Vec::with_capacity(nc);
-        for _ in 0..nc {
-            let id = WireMetricId::decode(r)?;
-            let v = r.varint()?;
-            counters.push((id, v));
-        }
-        let ng = r.seq_len()?;
-        let mut gauges = Vec::with_capacity(ng);
-        for _ in 0..ng {
-            let id = WireMetricId::decode(r)?;
-            let v = r.u64()? as i64;
-            gauges.push((id, v));
-        }
-        let nh = r.seq_len()?;
-        let mut histograms = Vec::with_capacity(nh);
-        for _ in 0..nh {
-            let id = WireMetricId::decode(r)?;
-            let h = WireHistogram::decode(r)?;
-            histograms.push((id, h));
-        }
-        Ok(WireRegistry {
-            counters,
-            gauges,
-            histograms,
-        })
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Responses.
 
@@ -932,14 +723,11 @@ pub enum Response {
     },
     /// One payload per item of the [`Request::Trim`], in request order.
     Trim { id: u64, payloads: Vec<TrimPayload> },
-    /// Observability sidecar, sent *before* the matching payload frame and
-    /// only when the request set `want_telemetry`. Spoofing or corrupting
-    /// this frame can never change a served VO byte.
-    Telemetry {
-        id: u64,
-        profile: WireProfile,
-        registry: WireRegistry,
-    },
+    /// Observability sidecar: the round's span profile, sent *before* the
+    /// matching payload frame and only when the request set
+    /// `want_telemetry`. Spoofing or corrupting this frame can never change
+    /// a served VO byte.
+    Telemetry { id: u64, profile: WireProfile },
     /// The server could not serve the request.
     Error { id: u64, message: String },
     /// Heartbeat answer: the shard's health report, root included so the
@@ -995,15 +783,10 @@ impl Encode for Response {
             }
             Response::Query { id, payloads } => encode_payloads(w, 3, *id, payloads),
             Response::Trim { id, payloads } => encode_payloads(w, 5, *id, payloads),
-            Response::Telemetry {
-                id,
-                profile,
-                registry,
-            } => {
+            Response::Telemetry { id, profile } => {
                 w.u8(6);
                 w.u64(*id);
                 profile.encode(w);
-                registry.encode(w);
             }
             Response::Error { id, message } => {
                 w.u8(7);
@@ -1032,7 +815,6 @@ impl Decode for Response {
             6 => Ok(Response::Telemetry {
                 id: r.u64()?,
                 profile: WireProfile::decode(r)?,
-                registry: WireRegistry::decode(r)?,
             }),
             7 => Ok(Response::Error {
                 id: r.u64()?,
@@ -1067,36 +849,6 @@ mod tests {
                 counters: Vec::new(),
                 children: Vec::new(),
             }],
-        }
-    }
-
-    fn sample_registry() -> WireRegistry {
-        WireRegistry {
-            counters: vec![(
-                WireMetricId {
-                    name: "imageproof_sp_queries_total".into(),
-                    labels: vec![("scheme".into(), "imageproof".into())],
-                },
-                7,
-            )],
-            gauges: vec![(
-                WireMetricId {
-                    name: "g".into(),
-                    labels: Vec::new(),
-                },
-                -3,
-            )],
-            histograms: vec![(
-                WireMetricId {
-                    name: "h".into(),
-                    labels: Vec::new(),
-                },
-                WireHistogram {
-                    count: 2,
-                    sum: 10,
-                    buckets: vec![(4, 1), (8, 1)],
-                },
-            )],
         }
     }
 
@@ -1147,7 +899,6 @@ mod tests {
             profile: WireProfile {
                 root: Some(sample_span()),
             },
-            registry: sample_registry(),
         };
         let error = Response::Error {
             id: 22,
@@ -1313,36 +1064,6 @@ mod tests {
         assert_eq!(
             WireSpan::from_wire(&span.to_wire()),
             Err(WireError::DepthExceeded)
-        );
-    }
-
-    #[test]
-    fn wire_registry_round_trips_through_snapshots() {
-        let wire = sample_registry();
-        let decoded = WireRegistry::from_wire(&wire.to_wire()).expect("registry round trip");
-        assert_eq!(decoded, wire);
-        let snap = decoded.to_snapshot();
-        assert_eq!(snap.counters.len(), 1);
-        assert_eq!(snap.gauges.values().next(), Some(&-3));
-        let back = WireRegistry::from_snapshot(&snap);
-        assert_eq!(back, wire);
-
-        let metric_id = WireMetricId {
-            name: "m".into(),
-            labels: vec![("a".into(), "b".into())],
-        };
-        assert_eq!(
-            WireMetricId::from_wire(&metric_id.to_wire()).expect("metric id round trip"),
-            metric_id
-        );
-        let histogram = WireHistogram {
-            count: 1,
-            sum: 2,
-            buckets: vec![(3, 1)],
-        };
-        assert_eq!(
-            WireHistogram::from_wire(&histogram.to_wire()).expect("histogram round trip"),
-            histogram
         );
     }
 

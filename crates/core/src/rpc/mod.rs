@@ -16,7 +16,8 @@
 //!   (hostile lengths go through the same `bound_len`/checked-read path as
 //!   VO decoding).
 //! - [`server`]: [`ShardServer`], a per-shard TCP server wrapping one
-//!   [`crate::ServiceProvider`].
+//!   [`crate::ServiceProvider`], run on the obs crate's one acceptor
+//!   (re-exported here as [`RunningServer`]).
 //! - [`coordinator`]: [`RpcCoordinator`], a single-threaded nonblocking
 //!   event loop that carries a round to all shard connections at once,
 //!   enforces per-shard timeouts, and fails over to manifest-pinned
@@ -46,9 +47,10 @@ pub use coordinator::{
 };
 pub use frame::{
     frame, ErrorClass, FrameBuffer, QueryPayload, Request, Response, TrimPayload, WireHealth,
-    WireHistogram, WireMetricId, WireProfile, WireRegistry, WireSpan, WireStats, MAX_FRAME_LEN,
+    WireProfile, WireSpan, WireStats, MAX_FRAME_LEN,
 };
-pub use server::{RunningServer, ShardServer};
+pub use imageproof_obs::RunningServer;
+pub use server::ShardServer;
 
 use imageproof_crypto::wire::WireError;
 

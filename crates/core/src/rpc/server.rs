@@ -7,11 +7,11 @@
 //! every payload byte a healthy server produces is bit-equal to the
 //! in-process deployment by construction.
 //!
-//! Threading: one nonblocking accept loop polling a stop flag, one thread
-//! per connection with a short read timeout (so shutdown is prompt even
-//! with idle clients). Malformed input never panics the server: a frame
-//! that fails to decode earns the client a [`Response::Error`] frame and a
-//! closed connection.
+//! Threading: the workspace's one acceptor ([`imageproof_obs::serve`]),
+//! one thread per connection with a short read timeout (so shutdown is
+//! prompt even with idle clients). Malformed input never panics the
+//! server: a frame that fails to decode earns the client a
+//! [`Response::Error`] frame and a closed connection.
 //!
 //! Observability: the server keeps a small health ledger ([`ServerObs`]:
 //! uptime, in-flight queue depth, queries served, classified last error,
@@ -22,23 +22,15 @@
 //! a read of atomic counters or registry snapshots — it can never change
 //! a payload byte (`tests/obs_equivalence.rs`).
 
-use super::frame::{
-    frame, ErrorClass, FrameBuffer, Request, Response, WireHealth, WireProfile, WireRegistry,
-};
+use super::frame::{frame, ErrorClass, FrameBuffer, Request, Response, WireHealth, WireProfile};
 use super::{QueryPayload, RpcError};
 use crate::sp::ServiceProvider;
 use imageproof_crypto::wire::{Decode, Encode};
-use imageproof_obs::{EventKind, EventLog, RunningScrape, ScrapeProvider, Stopwatch};
+use imageproof_obs::{EventKind, EventLog, RunningServer, ScrapeProvider, Stopwatch, READ_POLL};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
-
-/// How long a connection thread blocks in `read` before re-checking the
-/// stop flag.
-const READ_POLL: Duration = Duration::from_millis(25);
 
 /// Events retained by one shard server's ring.
 const SERVER_EVENT_CAPACITY: usize = 256;
@@ -51,9 +43,6 @@ pub struct ServerObs {
     queries_served: AtomicU64,
     last_error: AtomicU8,
     events: EventLog,
-    /// Connection threads the accept loop currently tracks (finished ones
-    /// are reaped every loop turn).
-    tracked_connections: AtomicU64,
 }
 
 impl ServerObs {
@@ -64,46 +53,17 @@ impl ServerObs {
             queries_served: AtomicU64::new(0),
             last_error: AtomicU8::new(0),
             events: EventLog::new(SERVER_EVENT_CAPACITY),
-            tracked_connections: AtomicU64::new(0),
         }
     }
 
     fn note_error(&self, class: ErrorClass, shard_id: u32, detail: &str) {
-        self.last_error
-            .store(error_class_byte(class), Ordering::SeqCst);
+        self.last_error.store(class.to_u8(), Ordering::SeqCst);
         self.events
             .record(EventKind::WireError, Some(shard_id), detail);
     }
 
     fn last_error(&self) -> ErrorClass {
         ErrorClass::from_u8(self.last_error.load(Ordering::SeqCst)).unwrap_or(ErrorClass::None)
-    }
-
-    /// The report the heartbeat answer and `/healthz` both serve.
-    fn health(
-        &self,
-        shard_id: u32,
-        shard_count: u32,
-        root: imageproof_crypto::Digest,
-    ) -> WireHealth {
-        WireHealth {
-            shard_id,
-            shard_count,
-            root,
-            uptime_seconds: self.started.elapsed_seconds(),
-            queue_depth: self.queue_depth.load(Ordering::SeqCst),
-            queries_served: self.queries_served.load(Ordering::SeqCst),
-            last_error: self.last_error(),
-        }
-    }
-}
-
-fn error_class_byte(class: ErrorClass) -> u8 {
-    match class {
-        ErrorClass::None => 0,
-        ErrorClass::Wire => 1,
-        ErrorClass::Oversize => 2,
-        ErrorClass::Io => 3,
     }
 }
 
@@ -117,68 +77,20 @@ impl Drop for QueueGuard<'_> {
     }
 }
 
-/// One shard's engine plus its wire identity.
+/// One shard's engine plus its wire identity and health ledger.
 pub struct ShardServer {
-    sp: Arc<ServiceProvider>,
+    sp: ServiceProvider,
     shard_id: u32,
     shard_count: u32,
+    obs: ServerObs,
 }
 
-/// Handle to a spawned [`ShardServer`]: its bound address and a shutdown
-/// switch that joins every server thread.
-pub struct RunningServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_handle: Option<JoinHandle<()>>,
-    obs: Arc<ServerObs>,
-}
-
-impl RunningServer {
-    /// The loopback address the server accepted on (port picked by the OS).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The server's bounded event ring (wire errors and the like).
-    pub fn events(&self) -> &EventLog {
-        &self.obs.events
-    }
-
-    /// Connection threads the accept loop tracks right now.
-    pub fn tracked_connections(&self) -> usize {
-        self.obs.tracked_connections.load(Ordering::SeqCst) as usize
-    }
-
-    /// Signals every server thread to stop and joins them.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept_handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for RunningServer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept_handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// The shard's scrape endpoint state: health identity plus handles to the
-/// process-global registry and the server's event ring.
-struct ShardScrapeProvider {
-    shard_id: u32,
-    shard_count: u32,
-    root: imageproof_crypto::Digest,
-    obs: Arc<ServerObs>,
-}
-
-impl ScrapeProvider for ShardScrapeProvider {
+/// The shard's scrape endpoint: its health report at `/healthz`, the
+/// process-global registry plus the ledger's series at `/metrics`, the
+/// ledger's event ring at `/events`.
+impl ScrapeProvider for ShardServer {
     fn healthz_json(&self) -> String {
-        let h = self.obs.health(self.shard_id, self.shard_count, self.root);
+        let h = self.health();
         format!(
             "{{\"role\": \"shard\", \"id\": {}, \"shard_count\": {}, \"status\": \"healthy\", \"root\": \"{}\", \"uptime_seconds\": {:.3}, \"queue_depth\": {}, \"queries_served\": {}, \"last_error\": \"{}\"}}",
             h.shard_id,
@@ -227,9 +139,10 @@ impl ScrapeProvider for ShardScrapeProvider {
 impl ShardServer {
     pub fn new(sp: ServiceProvider, shard_id: u32, shard_count: u32) -> ShardServer {
         ShardServer {
-            sp: Arc::new(sp),
+            sp,
             shard_id,
             shard_count,
+            obs: ServerObs::new(),
         }
     }
 
@@ -237,21 +150,7 @@ impl ShardServer {
     /// port, so parallel test binaries never collide) and serves until
     /// [`RunningServer::shutdown`].
     pub fn launch(self) -> std::io::Result<RunningServer> {
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let obs = Arc::new(ServerObs::new());
-        let accept_stop = Arc::clone(&stop);
-        let accept_obs = Arc::clone(&obs);
-        let accept_handle =
-            std::thread::spawn(move || self.accept_loop(listener, accept_stop, accept_obs));
-        Ok(RunningServer {
-            addr,
-            stop,
-            accept_handle: Some(accept_handle),
-            obs,
-        })
+        Arc::new(self).listen()
     }
 
     /// [`ShardServer::launch`] plus a scrape endpoint on `scrape_addr`
@@ -260,195 +159,153 @@ impl ShardServer {
     pub fn launch_observed(
         self,
         scrape_addr: &str,
-    ) -> std::io::Result<(RunningServer, RunningScrape)> {
-        let shard_id = self.shard_id;
-        let shard_count = self.shard_count;
-        let root = self.sp.database().mrkd.combined_root_digest();
-        let server = self.launch()?;
-        let provider = Arc::new(ShardScrapeProvider {
-            shard_id,
-            shard_count,
-            root,
-            obs: Arc::clone(&server.obs),
-        });
-        let scrape = imageproof_obs::launch_scrape(provider, scrape_addr)?;
-        Ok((server, scrape))
+    ) -> std::io::Result<(RunningServer, RunningServer)> {
+        let server = Arc::new(self);
+        let rpc = Arc::clone(&server).listen()?;
+        Ok((rpc, imageproof_obs::launch_scrape(server, scrape_addr)?))
     }
 
-    fn accept_loop(self, listener: TcpListener, stop: Arc<AtomicBool>, obs: Arc<ServerObs>) {
-        let mut conn_handles: Vec<JoinHandle<()>> = Vec::new();
-        while !stop.load(Ordering::SeqCst) {
-            imageproof_obs::scrape::reap_finished(&mut conn_handles);
-            obs.tracked_connections
-                .store(conn_handles.len() as u64, Ordering::SeqCst);
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let sp = Arc::clone(&self.sp);
-                    let conn_stop = Arc::clone(&stop);
-                    let conn_obs = Arc::clone(&obs);
-                    let (shard_id, shard_count) = (self.shard_id, self.shard_count);
-                    conn_handles.push(std::thread::spawn(move || {
-                        serve_connection(stream, sp, shard_id, shard_count, conn_stop, conn_obs);
-                    }));
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(1)),
-            }
-        }
-        for handle in conn_handles {
-            let _ = handle.join();
-        }
+    fn listen(self: Arc<Self>) -> std::io::Result<RunningServer> {
+        imageproof_obs::serve(("127.0.0.1", 0), move |stream, stop| {
+            self.serve_connection(stream, stop)
+        })
     }
-}
 
-/// Reads frames off one connection and answers them until the peer hangs
-/// up, sends garbage, or the server stops.
-fn serve_connection(
-    mut stream: TcpStream,
-    sp: Arc<ServiceProvider>,
-    shard_id: u32,
-    shard_count: u32,
-    stop: Arc<AtomicBool>,
-    obs: Arc<ServerObs>,
-) {
-    let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(READ_POLL)).is_err() {
-        return;
+    fn root(&self) -> imageproof_crypto::Digest {
+        self.sp.database().mrkd.combined_root_digest()
     }
-    let mut fb = FrameBuffer::new();
-    let mut buf = [0u8; 64 * 1024];
-    'conn: while !stop.load(Ordering::SeqCst) {
-        match stream.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => fb.extend(&buf[..n]),
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => continue,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => {
-                obs.note_error(ErrorClass::Io, shard_id, "connection read failed");
-                break;
-            }
+
+    /// The report the heartbeat answer and `/healthz` both serve.
+    fn health(&self) -> WireHealth {
+        WireHealth {
+            shard_id: self.shard_id,
+            shard_count: self.shard_count,
+            root: self.root(),
+            uptime_seconds: self.obs.started.elapsed_seconds(),
+            queue_depth: self.obs.queue_depth.load(Ordering::SeqCst),
+            queries_served: self.obs.queries_served.load(Ordering::SeqCst),
+            last_error: self.obs.last_error(),
         }
-        loop {
-            let body = match fb.next_frame() {
-                Ok(Some(body)) => body,
-                Ok(None) => break,
-                Err(RpcError::FrameTooLarge { len }) => {
-                    // Hostile length prefix: refuse before allocating.
-                    let msg = format!("frame length {len} exceeds the cap");
-                    obs.note_error(ErrorClass::Oversize, shard_id, &msg);
-                    let _ = send(
-                        &mut stream,
-                        &Response::Error {
-                            id: 0,
-                            message: msg,
-                        },
-                    );
+    }
+
+    /// Reads frames off one connection and answers them until the peer
+    /// hangs up, sends garbage, or the server stops.
+    fn serve_connection(&self, mut stream: TcpStream, stop: &AtomicBool) {
+        let _ = stream.set_nodelay(true);
+        if stream.set_read_timeout(Some(READ_POLL)).is_err() {
+            return;
+        }
+        let mut fb = FrameBuffer::new();
+        let mut buf = [0u8; 64 * 1024];
+        'conn: while !stop.load(Ordering::SeqCst) {
+            match stream.read(&mut buf) {
+                Ok(0) => break,
+                Ok(n) => fb.extend(&buf[..n]),
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    continue
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    self.obs
+                        .note_error(ErrorClass::Io, self.shard_id, "connection read failed");
+                    break;
+                }
+            }
+            loop {
+                let body = match fb.next_frame() {
+                    Ok(Some(body)) => body,
+                    Ok(None) => break,
+                    Err(RpcError::FrameTooLarge { len }) => {
+                        // Hostile length prefix: refuse before allocating.
+                        let msg = format!("frame length {len} exceeds the cap");
+                        self.refuse(&mut stream, ErrorClass::Oversize, msg);
+                        break 'conn;
+                    }
+                    Err(_) => break 'conn,
+                };
+                let request = match Request::from_wire(&body) {
+                    Ok(req) => req,
+                    Err(e) => {
+                        let msg = format!("malformed request frame: {e}");
+                        self.refuse(&mut stream, ErrorClass::Wire, msg);
+                        break 'conn;
+                    }
+                };
+                if !self.handle_request(&mut stream, request) {
                     break 'conn;
                 }
-                Err(_) => break 'conn,
-            };
-            let request = match Request::from_wire(&body) {
-                Ok(req) => req,
-                Err(e) => {
-                    let msg = format!("malformed request frame: {e}");
-                    obs.note_error(ErrorClass::Wire, shard_id, &msg);
-                    let _ = send(
-                        &mut stream,
-                        &Response::Error {
-                            id: 0,
-                            message: msg,
-                        },
-                    );
-                    break 'conn;
-                }
-            };
-            if !handle_request(&mut stream, &sp, shard_id, shard_count, request, &obs) {
-                break 'conn;
             }
         }
     }
-}
 
-/// Serves one decoded request; returns false when the connection should
-/// close (write failure).
-fn handle_request(
-    stream: &mut TcpStream,
-    sp: &ServiceProvider,
-    shard_id: u32,
-    shard_count: u32,
-    request: Request,
-    obs: &ServerObs,
-) -> bool {
-    obs.queue_depth.fetch_add(1, Ordering::SeqCst);
-    let _guard = QueueGuard(obs);
-    match request {
-        Request::Hello => send(
-            stream,
-            &Response::Hello {
-                shard_id,
-                shard_count,
-                root: sp.database().mrkd.combined_root_digest(),
-            },
-        )
-        .is_ok(),
-        Request::Health { id } => {
-            let root = sp.database().mrkd.combined_root_digest();
-            send(
+    /// Records a protocol fault and tells the peer before the connection
+    /// closes.
+    fn refuse(&self, stream: &mut TcpStream, class: ErrorClass, message: String) {
+        self.obs.note_error(class, self.shard_id, &message);
+        let _ = send(stream, &Response::Error { id: 0, message });
+    }
+
+    /// Serves one decoded request; returns false when the connection should
+    /// close (write failure).
+    fn handle_request(&self, stream: &mut TcpStream, request: Request) -> bool {
+        self.obs.queue_depth.fetch_add(1, Ordering::SeqCst);
+        let _guard = QueueGuard(&self.obs);
+        let sp = &self.sp;
+        match request {
+            Request::Hello => send(
+                stream,
+                &Response::Hello {
+                    shard_id: self.shard_id,
+                    shard_count: self.shard_count,
+                    root: self.root(),
+                },
+            )
+            .is_ok(),
+            Request::Health { id } => send(
                 stream,
                 &Response::Health {
                     id,
-                    health: obs.health(shard_id, shard_count, root),
+                    health: self.health(),
                 },
             )
-            .is_ok()
-        }
-        Request::Query {
-            id,
-            k,
-            want_telemetry,
-            queries,
-        } => {
-            // One span per round, each query's own profile grafted under
-            // it — exactly what the in-process fleet attaches per shard.
-            let queries: Vec<&[Vec<f32>]> = queries.iter().map(Vec::as_slice).collect();
-            let round = sp.serve_round(&queries, k as usize);
-            obs.queries_served
-                .fetch_add(queries.len() as u64, Ordering::SeqCst);
-            if want_telemetry && !send_telemetry(stream, id, &round.profile) {
-                return false;
+            .is_ok(),
+            Request::Query {
+                id,
+                k,
+                want_telemetry,
+                queries,
+            } => {
+                // One span per round, each query's own profile grafted under
+                // it — exactly what the in-process fleet attaches per shard.
+                let queries: Vec<&[Vec<f32>]> = queries.iter().map(Vec::as_slice).collect();
+                let round = sp.serve_round(&queries, k as usize);
+                self.obs
+                    .queries_served
+                    .fetch_add(queries.len() as u64, Ordering::SeqCst);
+                if want_telemetry {
+                    // The observability sidecar: this round's span profile,
+                    // sent ahead of the payload frame.
+                    let profile = WireProfile::from_profile(&round.profile);
+                    if send(stream, &Response::Telemetry { id, profile }).is_err() {
+                        return false;
+                    }
+                }
+                let payloads = round
+                    .answers
+                    .into_iter()
+                    .map(|(resp, stats)| QueryPayload::from_response(resp, &stats))
+                    .collect();
+                send(stream, &Response::Query { id, payloads }).is_ok()
             }
-            let payloads = round
-                .answers
-                .into_iter()
-                .map(|(resp, stats)| QueryPayload::from_response(resp, &stats))
-                .collect();
-            send(stream, &Response::Query { id, payloads }).is_ok()
-        }
-        Request::Trim { id, items } => {
-            let payloads = items
-                .iter()
-                .map(|(k_trim, features)| sp.trim_query(features, *k_trim as usize))
-                .collect();
-            send(stream, &Response::Trim { id, payloads }).is_ok()
+            Request::Trim { id, items } => {
+                let payloads = items
+                    .iter()
+                    .map(|(k_trim, features)| sp.trim_query(features, *k_trim as usize))
+                    .collect();
+                send(stream, &Response::Trim { id, payloads }).is_ok()
+            }
         }
     }
-}
-
-/// Ships the observability sidecar frame: the query's span profile plus a
-/// snapshot of this shard process's cumulative metrics registry.
-fn send_telemetry(stream: &mut TcpStream, id: u64, profile: &imageproof_obs::QueryProfile) -> bool {
-    let registry = WireRegistry::from_snapshot(&imageproof_obs::global().snapshot());
-    send(
-        stream,
-        &Response::Telemetry {
-            id,
-            profile: WireProfile::from_profile(profile),
-            registry,
-        },
-    )
-    .is_ok()
 }
 
 fn send(stream: &mut TcpStream, resp: &Response) -> std::io::Result<()> {

@@ -211,7 +211,7 @@ impl ServiceProvider {
             let out = mrkd_search(&self.db.mrkd, features, &thresholds);
             (BovwVoVariant::Shared(out.vo), out.stats)
         } else {
-            let (vo, _, s) = mrkd_search_baseline_with(&self.db.mrkd, features, &thresholds, conc);
+            let (vo, s) = mrkd_search_baseline_with(&self.db.mrkd, features, &thresholds, conc);
             (BovwVoVariant::PerQuery(vo), s)
         };
         let query_bovw = SparseBovw::from_counts(assignments.iter().map(|&c| (c, 1)));

@@ -57,9 +57,6 @@ impl SearchStats {
 pub struct SearchOutput {
     /// The VO tree (`VO_C` in Alg. 5) over the cluster table.
     pub vo: BovwVo,
-    /// Per query: every `(cluster, squared distance)` within the threshold
-    /// (the paper's `∪ C_i`, which any one `C_i` equals), in leaf order.
-    pub candidates: Vec<Vec<(u32, f32)>>,
     pub stats: SearchStats,
 }
 
@@ -109,8 +106,6 @@ struct SpVisitor<'a> {
     thresholds_sq: &'a [f32],
     /// The tree's VO, emitted node by node as the walk meets them.
     vo: VoTreeBuilder,
-    /// Per-query candidates in leaf-visit order.
-    candidates: Vec<Vec<(u32, f32)>>,
     /// Every cluster of every disclosed leaf, in leaf-visit order (the
     /// leaves partition the codebook, so none repeats).
     needs: Vec<Need>,
@@ -165,28 +160,22 @@ impl TraversalVisitor for SpVisitor<'_> {
 }
 
 impl SpVisitor<'_> {
-    /// Collects the candidates among `active` for one leaf cluster and
-    /// records what the table must disclose for it: everything for a
-    /// candidate (and for any cluster in [`CandidateMode::Full`]), else
-    /// enough to clear the threshold of every query reaching the leaf.
+    /// Records what the table must disclose for one leaf cluster:
+    /// everything in [`CandidateMode::Full`] or for a candidate (a cluster
+    /// within the threshold of some query reaching the leaf), else enough to
+    /// clear the threshold of every such query.
     // audit:allow(panic) SP-side: cluster ids and query indices come from the SP's own tree and walker
     fn leaf_cluster(&mut self, cluster: u32, active: &[ActiveQuery]) {
         let center = &self.tree.centers()[cluster as usize];
-        let mut is_candidate = false;
-        for aq in active {
+        // Early-exit kernel: `None` proves d > threshold (not a candidate);
+        // `Some` is the exact distance. The first query within its threshold
+        // settles it.
+        let within = |aq: &ActiveQuery| {
             let q = aq.query as usize;
-            // Early-exit kernel: `None` proves d > threshold (not a
-            // candidate); `Some` is the exact distance, compared exactly as
-            // the scalar code did.
-            let Some(d) = dist_sq_within(&self.queries[q], center, self.thresholds_sq[q]) else {
-                continue;
-            };
-            if d <= self.thresholds_sq[q] {
-                self.candidates[q].push((cluster, d));
-                is_candidate = true;
-            }
-        }
-        let full = is_candidate || self.tree.mode() == CandidateMode::Full;
+            let t = self.thresholds_sq[q];
+            dist_sq_within(&self.queries[q], center, t).is_some_and(|d| d <= t)
+        };
+        let full = self.tree.mode() == CandidateMode::Full || active.iter().any(within);
         // The walk keeps `active` in ascending query order, so the greedy
         // block choice is a function of the *set* of queries reaching the
         // leaf.
@@ -344,7 +333,6 @@ fn search_tree(tree: &MrkdTree, queries: &[Vec<f32>], thresholds_sq: &[f32]) -> 
         queries,
         thresholds_sq,
         vo: VoTreeBuilder::default(),
-        candidates: vec![Vec::new(); queries.len()],
         needs: Vec::new(),
         stats: SearchStats::default(),
     };
@@ -353,7 +341,6 @@ fn search_tree(tree: &MrkdTree, queries: &[Vec<f32>], thresholds_sq: &[f32]) -> 
     }
     let SpVisitor {
         mut vo,
-        candidates,
         mut needs,
         mut stats,
         ..
@@ -368,7 +355,6 @@ fn search_tree(tree: &MrkdTree, queries: &[Vec<f32>], thresholds_sq: &[f32]) -> 
             clusters,
             tree: vo.finish(),
         },
-        candidates,
         stats,
     }
 }
@@ -406,19 +392,19 @@ pub fn mrkd_search_baseline(
     tree: &MrkdTree,
     queries: &[Vec<f32>],
     thresholds_sq: &[f32],
-) -> (BaselineBovwVo, Vec<Vec<(u32, f32)>>, SearchStats) {
+) -> (BaselineBovwVo, SearchStats) {
     mrkd_search_baseline_with(tree, queries, thresholds_sq, Concurrency::serial())
 }
 
 /// [`mrkd_search_baseline`] with the independent per-query traversals fanned
-/// out across workers and merged in query index order, so the VO, candidate
-/// sets, and stats are bit-identical to the serial loop's.
+/// out across workers and merged in query index order, so the VO and stats
+/// are bit-identical to the serial loop's.
 pub fn mrkd_search_baseline_with(
     tree: &MrkdTree,
     queries: &[Vec<f32>],
     thresholds_sq: &[f32],
     conc: Concurrency,
-) -> (BaselineBovwVo, Vec<Vec<(u32, f32)>>, SearchStats) {
+) -> (BaselineBovwVo, SearchStats) {
     assert!(
         tree.mode() == CandidateMode::Full,
         "the Baseline scheme uses full candidate disclosure"
@@ -429,20 +415,19 @@ pub fn mrkd_search_baseline_with(
         search_tree(tree, q, &t)
     });
     let mut per_query = Vec::with_capacity(queries.len());
-    let mut candidates = Vec::with_capacity(queries.len());
     let mut stats = SearchStats::default();
     for out in outs {
         stats.merge(&out.stats);
         per_query.push(out.vo);
-        candidates.push(out.candidates.into_iter().next().expect("one query"));
     }
     record_search("baseline", &stats);
-    (BaselineBovwVo { per_query }, candidates, stats)
+    (BaselineBovwVo { per_query }, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verify::{verify_bovw, verify_bovw_baseline};
     use imageproof_akm::rkd::{dist_sq, RkdForest};
     use imageproof_crypto::Digest;
     use rand::rngs::StdRng;
@@ -500,21 +485,35 @@ mod tests {
         (queries, thresholds)
     }
 
+    /// Per query, the nearest centroid (ties to the smaller id) and its
+    /// squared distance, by a full scan.
+    fn brute_force(centers: &[Vec<f32>], queries: &[Vec<f32>]) -> (Vec<u32>, Vec<f32>) {
+        queries
+            .iter()
+            .map(|q| {
+                let (d, c) = (0..centers.len() as u32)
+                    .map(|c| (dist_sq(q, &centers[c as usize]), c))
+                    .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+                    .expect("non-empty");
+                (c, d)
+            })
+            .unzip()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn candidates_contain_the_exact_nearest_cluster() {
-        let (centers, mrkd) = setup(CandidateMode::Full);
-        let (queries, thresholds) = queries_and_thresholds(&centers, 10);
-        let out = mrkd_search(&mrkd, &queries, &thresholds);
-        for (qi, q) in queries.iter().enumerate() {
-            let nn = (0..centers.len() as u32)
-                .min_by(|&a, &b| {
-                    dist_sq(q, &centers[a as usize]).total_cmp(&dist_sq(q, &centers[b as usize]))
-                })
-                .expect("non-empty");
-            assert!(
-                out.candidates[qi].iter().any(|&(c, _)| c == nn),
-                "query {qi} lost its nearest cluster"
-            );
+        for mode in [CandidateMode::Full, CandidateMode::Compressed] {
+            let (centers, mrkd) = setup(mode);
+            let (queries, thresholds) = queries_and_thresholds(&centers, 10);
+            let out = mrkd_search(&mrkd, &queries, &thresholds);
+            let v = verify_bovw(&out.vo, &queries, mode).expect("honest VO verifies");
+            let (nn, d) = brute_force(&centers, &queries);
+            assert_eq!(v.assignments, nn, "{mode:?}: assignments");
+            assert_eq!(bits(&v.thresholds_sq), bits(&d), "{mode:?}: thresholds");
         }
     }
 
@@ -523,7 +522,7 @@ mod tests {
         let (centers, mrkd) = setup(CandidateMode::Full);
         let (queries, thresholds) = queries_and_thresholds(&centers, 20);
         let shared = mrkd_search(&mrkd, &queries, &thresholds);
-        let (_, _, baseline_stats) = mrkd_search_baseline(&mrkd, &queries, &thresholds);
+        let (_, baseline_stats) = mrkd_search_baseline(&mrkd, &queries, &thresholds);
         assert!(shared.stats.nodes_traversed < baseline_stats.nodes_traversed);
     }
 
@@ -532,7 +531,7 @@ mod tests {
         let (centers, mrkd) = setup(CandidateMode::Full);
         let (queries, thresholds) = queries_and_thresholds(&centers, 20);
         let shared = mrkd_search(&mrkd, &queries, &thresholds);
-        let (baseline_vo, _, _) = mrkd_search_baseline(&mrkd, &queries, &thresholds);
+        let (baseline_vo, _) = mrkd_search_baseline(&mrkd, &queries, &thresholds);
         assert!(shared.vo.wire_size() < baseline_vo.wire_size());
     }
 
@@ -558,12 +557,14 @@ mod tests {
         let (centers, mrkd) = setup(CandidateMode::Full);
         let (queries, thresholds) = queries_and_thresholds(&centers, 15);
         let shared = mrkd_search(&mrkd, &queries, &thresholds);
-        let (_, baseline_cands, _) = mrkd_search_baseline(&mrkd, &queries, &thresholds);
-        // Both walk the leaves in the same order, and no cluster sits in
-        // two of them.
-        for (qi, solo) in baseline_cands.into_iter().enumerate() {
-            assert_eq!(shared.candidates[qi], solo, "query {qi}");
-        }
+        let shared = verify_bovw(&shared.vo, &queries, CandidateMode::Full).expect("shared");
+        let (baseline, _) = mrkd_search_baseline(&mrkd, &queries, &thresholds);
+        let baseline = verify_bovw_baseline(&baseline, &queries).expect("baseline");
+        let (nn, d) = brute_force(&centers, &queries);
+        assert_eq!(shared.assignments, nn);
+        assert_eq!(baseline.assignments, nn);
+        assert_eq!(bits(&shared.thresholds_sq), bits(&d));
+        assert_eq!(bits(&baseline.thresholds_sq), bits(&d));
     }
 
     #[test]

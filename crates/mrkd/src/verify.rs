@@ -717,7 +717,7 @@ mod tests {
     #[test]
     fn honest_baseline_vo_verifies() {
         let f = fixture(CandidateMode::Full, 6);
-        let (vo, _, _) = mrkd_search_baseline(&f.mrkd, &f.queries, &f.thresholds);
+        let (vo, _) = mrkd_search_baseline(&f.mrkd, &f.queries, &f.thresholds);
         let v = verify_bovw_baseline(&vo, &f.queries).expect("honest baseline VO");
         assert_eq!(v.combined_root, f.mrkd.combined_root_digest());
         for (qi, q) in f.queries.iter().enumerate() {
@@ -1121,7 +1121,7 @@ mod tests {
     #[test]
     fn baseline_rejects_query_count_mismatch() {
         let f = fixture(CandidateMode::Full, 3);
-        let (vo, _, _) = mrkd_search_baseline(&f.mrkd, &f.queries, &f.thresholds);
+        let (vo, _) = mrkd_search_baseline(&f.mrkd, &f.queries, &f.thresholds);
         assert!(matches!(
             verify_bovw_baseline(&vo, &f.queries[..2]),
             Err(VerifyError::Malformed(_))

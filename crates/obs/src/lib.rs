@@ -35,7 +35,7 @@ pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricId, Registry, RegistrySnapshot, SloTracker,
     WindowedHistogram, HISTOGRAM_BUCKETS,
 };
-pub use scrape::{http_get, launch_scrape, RunningScrape, ScrapeProvider};
+pub use scrape::{http_get, launch_scrape, serve, RunningServer, ScrapeProvider, READ_POLL};
 pub use span::{Profiler, QueryProfile, SpanRecord};
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -13,25 +13,26 @@
 //! | `/healthz`      | provider-defined health JSON                |
 //! | `/events`       | JSON-lines event log                        |
 //!
-//! Socket discipline mirrors `rpc/server.rs`: a nonblocking accept loop
-//! polling a stop flag, one short-lived thread per connection with a
-//! bounded read (requests over [`MAX_REQUEST_BYTES`] are rejected before
-//! buffering more), and a prompt shutdown that joins every thread. The
-//! server only ever *reads* snapshots from its [`ScrapeProvider`] — it
-//! can never block a query, and the zero-perturbation suite proves
-//! payload bytes are identical with scraping on or off.
+//! The module also owns the workspace's one TCP acceptor, [`serve`], which
+//! the scrape server and `rpc/server.rs` both run on: a nonblocking accept
+//! loop polling a stop flag, one thread per connection, and a prompt
+//! shutdown that joins every thread. A scrape connection reads at most
+//! [`MAX_REQUEST_BYTES`] before it is refused. The server only ever
+//! *reads* snapshots from its [`ScrapeProvider`] — it can never block a
+//! query, and the zero-perturbation suite proves payload bytes are
+//! identical with scraping on or off.
 
 use crate::metrics::{snapshot_json, snapshot_prometheus_text, RegistrySnapshot};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// How long a connection thread blocks in `read` before re-checking the
-/// stop flag (same cadence as the RPC server).
-const READ_POLL: Duration = Duration::from_millis(25);
+/// stop flag. Connection handlers on [`serve`] poll at this cadence.
+pub const READ_POLL: Duration = Duration::from_millis(25);
 
 /// Upper bound on a scrape request's header bytes; anything larger is not
 /// a scraper and earns `431` + close before the buffer grows further.
@@ -53,9 +54,9 @@ pub trait ScrapeProvider: Send + Sync {
     fn events_jsonl(&self) -> String;
 }
 
-/// Handle to a spawned scrape server: bound address plus a shutdown
-/// switch that joins every thread.
-pub struct RunningScrape {
+/// Handle to a server spawned by [`serve`]: its bound address and a
+/// shutdown switch that joins every thread. Dropping it shuts it down too.
+pub struct RunningServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept_handle: Option<JoinHandle<()>>,
@@ -64,7 +65,7 @@ pub struct RunningScrape {
     tracked: Arc<AtomicUsize>,
 }
 
-impl RunningScrape {
+impl RunningServer {
     /// The address the server accepted on (port picked by the OS when the
     /// bind address asked for port 0).
     pub fn addr(&self) -> SocketAddr {
@@ -76,16 +77,12 @@ impl RunningScrape {
         self.tracked.load(Ordering::SeqCst)
     }
 
-    /// Signals every server thread to stop and joins them.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept_handle.take() {
-            let _ = handle.join();
-        }
-    }
+    /// Signals every server thread to stop and joins them (the work is
+    /// `Drop`'s; this names it at call sites).
+    pub fn shutdown(self) {}
 }
 
-impl Drop for RunningScrape {
+impl Drop for RunningServer {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(handle) = self.accept_handle.take() {
@@ -94,22 +91,42 @@ impl Drop for RunningScrape {
     }
 }
 
-/// Binds `bind_addr` (e.g. `127.0.0.1:0` for an OS-picked port) and
-/// serves the provider's routes until [`RunningScrape::shutdown`].
-pub fn launch_scrape(
-    provider: Arc<dyn ScrapeProvider>,
-    bind_addr: &str,
-) -> std::io::Result<RunningScrape> {
+/// Binds `bind_addr` (port 0 for an OS-picked port) and, until the
+/// returned handle shuts down, accepts without blocking and runs
+/// `handler(stream, stop)` on one thread per connection. Handlers must
+/// return soon after `stop` turns true (poll it every [`READ_POLL`]).
+pub fn serve<H>(bind_addr: impl ToSocketAddrs, handler: H) -> std::io::Result<RunningServer>
+where
+    H: Fn(TcpStream, &AtomicBool) + Send + Sync + 'static,
+{
     let listener = TcpListener::bind(bind_addr)?;
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
     let stop = Arc::new(AtomicBool::new(false));
     let tracked = Arc::new(AtomicUsize::new(0));
-    let (accept_stop, accept_tracked) = (Arc::clone(&stop), Arc::clone(&tracked));
+    let (loop_stop, loop_tracked) = (Arc::clone(&stop), Arc::clone(&tracked));
+    let handler = Arc::new(handler);
     let accept_handle = std::thread::spawn(move || {
-        accept_loop(listener, provider, accept_stop, accept_tracked);
+        let mut conns: Vec<JoinHandle<()>> = Vec::new();
+        while !loop_stop.load(Ordering::SeqCst) {
+            reap_finished(&mut conns);
+            loop_tracked.store(conns.len(), Ordering::SeqCst);
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    let (handler, stop) = (Arc::clone(&handler), Arc::clone(&loop_stop));
+                    conns.push(std::thread::spawn(move || handler(stream, &stop)));
+                }
+                // Nothing pending (`WouldBlock`) or a transient accept
+                // failure: poll again shortly.
+                Err(_) => std::thread::sleep(Duration::from_millis(1)),
+            }
+        }
+        for conn in conns {
+            let _ = conn.join();
+        }
+        loop_tracked.store(0, Ordering::SeqCst);
     });
-    Ok(RunningScrape {
+    Ok(RunningServer {
         addr,
         stop,
         accept_handle: Some(accept_handle),
@@ -118,10 +135,9 @@ pub fn launch_scrape(
 }
 
 /// Joins every thread in `handles` that has already finished and drops its
-/// handle. Thread-per-connection accept loops call this each turn so a
-/// long-lived server tracks its live connections, not every connection it
-/// ever accepted.
-pub fn reap_finished(handles: &mut Vec<JoinHandle<()>>) {
+/// handle, so a long-lived server tracks its live connections, not every
+/// connection it ever accepted.
+fn reap_finished(handles: &mut Vec<JoinHandle<()>>) {
     let mut i = 0;
     while let Some(handle) = handles.get(i) {
         if handle.is_finished() {
@@ -132,42 +148,20 @@ pub fn reap_finished(handles: &mut Vec<JoinHandle<()>>) {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
+/// Binds `bind_addr` (e.g. `127.0.0.1:0` for an OS-picked port) and
+/// serves the provider's routes until [`RunningServer::shutdown`].
+pub fn launch_scrape(
     provider: Arc<dyn ScrapeProvider>,
-    stop: Arc<AtomicBool>,
-    tracked: Arc<AtomicUsize>,
-) {
-    let mut conn_handles: Vec<JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        reap_finished(&mut conn_handles);
-        tracked.store(conn_handles.len(), Ordering::SeqCst);
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let provider = Arc::clone(&provider);
-                let conn_stop = Arc::clone(&stop);
-                conn_handles.push(std::thread::spawn(move || {
-                    serve_connection(stream, provider, conn_stop);
-                }));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(1)),
-        }
-    }
-    for handle in conn_handles {
-        let _ = handle.join();
-    }
+    bind_addr: &str,
+) -> std::io::Result<RunningServer> {
+    serve(bind_addr, move |stream, stop| {
+        serve_connection(stream, &*provider, stop)
+    })
 }
 
 /// Reads one request, answers it, closes. HTTP/1.0 semantics keep the
 /// server trivially stateless.
-fn serve_connection(
-    mut stream: TcpStream,
-    provider: Arc<dyn ScrapeProvider>,
-    stop: Arc<AtomicBool>,
-) {
+fn serve_connection(mut stream: TcpStream, provider: &dyn ScrapeProvider, stop: &AtomicBool) {
     let _ = stream.set_nodelay(true);
     if stream.set_read_timeout(Some(READ_POLL)).is_err() {
         return;
@@ -408,6 +402,31 @@ mod tests {
         }
         assert_eq!(server.tracked_connections(), 0);
         server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_joins_idle_connections_and_clears_the_count() {
+        let server = launch_scrape(provider(), "127.0.0.1:0").unwrap();
+        let mut idle = TcpStream::connect(server.addr()).unwrap();
+        let settle = crate::Stopwatch::start();
+        while server.tracked_connections() < 1 && settle.elapsed_seconds() < 5.0 {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(server.tracked_connections(), 1);
+        let tracked = Arc::clone(&server.tracked);
+        let sw = crate::Stopwatch::start();
+        server.shutdown();
+        assert!(
+            sw.elapsed_seconds() < 1.0,
+            "shutdown took {}s",
+            sw.elapsed_seconds()
+        );
+        assert_eq!(tracked.load(Ordering::SeqCst), 0);
+        idle.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+        assert!(
+            matches!(idle.read(&mut [0u8; 1]), Ok(0)),
+            "server closed its end"
+        );
     }
 
     #[test]

@@ -395,7 +395,8 @@ fn run_coordinator(
 
 /// Scrapes the coordinator's `/healthz` and every shard's `/metrics` over
 /// plain HTTP and prints `OBS SMOKE OK` (grep target for CI) only when the
-/// whole fleet answers and reports healthy.
+/// whole fleet answers and reports healthy, and every shard's `/metrics`
+/// carries its registry's query series.
 fn obs_smoke(coordinator: SocketAddr, shard_obs: &[SocketAddr], fleet_healthy: bool) {
     let fail = |what: &str, detail: &str| -> ! {
         eprintln!("OBS SMOKE FAILED: {what}: {detail}");
@@ -421,11 +422,18 @@ fn obs_smoke(coordinator: SocketAddr, shard_obs: &[SocketAddr], fleet_healthy: b
                 &format!("status {status}"),
             );
         }
-        if !metrics.contains("imageproof_shard_queries_served_total") {
-            fail(
-                &format!("shard {shard} /metrics"),
-                "missing imageproof_shard_queries_served_total",
-            );
+        // The shard's own serving counters, and the registry series that
+        // reach an operator only through this endpoint.
+        for series in [
+            "imageproof_shard_queries_served_total",
+            "imageproof_sp_queries_total",
+        ] {
+            if !metrics.contains(series) {
+                fail(
+                    &format!("shard {shard} /metrics"),
+                    &format!("missing {series}"),
+                );
+            }
         }
     }
     println!("OBS SMOKE OK ({} shard scrape endpoints)", shard_obs.len());

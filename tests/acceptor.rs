@@ -1,0 +1,47 @@
+//! The workspace's one TCP acceptor (`imageproof_obs::serve`) runs both the
+//! shard's RPC server and its scrape endpoint: either must shut down
+//! promptly while a client holds an idle connection open.
+
+mod rpc_util;
+
+use imageproof_core::rpc::ShardServer;
+use imageproof_core::{Scheme, ShardedSp};
+use imageproof_obs::Stopwatch;
+use std::io::Read;
+use std::net::TcpStream;
+use std::time::Duration;
+
+#[test]
+fn idle_connections_do_not_hold_up_shutdown() {
+    let system = rpc_util::build_system(Scheme::ImageProof, 1);
+    let engine = ShardedSp::new(system.shards).into_shards().remove(0);
+    let (rpc, scrape) = ShardServer::new(engine, 0, 1)
+        .launch_observed("127.0.0.1:0")
+        .expect("launch observed shard server");
+    let idle: Vec<TcpStream> = [rpc.addr(), scrape.addr()]
+        .iter()
+        .map(|addr| TcpStream::connect(addr).expect("dial"))
+        .collect();
+    let tracked = || (rpc.tracked_connections(), scrape.tracked_connections());
+    let settle = Stopwatch::start();
+    while tracked() != (1, 1) && settle.elapsed_seconds() < 5.0 {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(tracked(), (1, 1), "each server tracks its idle connection");
+
+    let sw = Stopwatch::start();
+    rpc.shutdown();
+    scrape.shutdown();
+    let seconds = sw.elapsed_seconds();
+    assert!(seconds < 1.0, "shutdown took {seconds:.3}s");
+    // Each connection thread was joined: the server closed its end.
+    for mut client in idle {
+        client
+            .set_read_timeout(Some(Duration::from_secs(1)))
+            .expect("read timeout");
+        assert!(
+            matches!(client.read(&mut [0u8; 1]), Ok(0)),
+            "connection closed"
+        );
+    }
+}

@@ -22,8 +22,8 @@ use std::sync::OnceLock;
 
 use imageproof_akm::AkmParams;
 use imageproof_core::rpc::{
-    ErrorClass, QueryPayload, Request, Response, TrimPayload, WireHealth, WireHistogram,
-    WireMetricId, WireProfile, WireRegistry, WireSpan, WireStats,
+    ErrorClass, QueryPayload, Request, Response, TrimPayload, WireHealth, WireProfile, WireSpan,
+    WireStats,
 };
 use imageproof_core::{
     BovwVoVariant, Client, InvVoVariant, Owner, QueryResponse, QueryVo, Scheme, ServiceProvider,
@@ -731,33 +731,6 @@ fn rpc_samples() -> RpcSamples {
             }],
         }),
     };
-    let registry = WireRegistry {
-        counters: vec![(
-            WireMetricId {
-                name: "imageproof_rpc_failovers_total".into(),
-                labels: Vec::new(),
-            },
-            3,
-        )],
-        gauges: vec![(
-            WireMetricId {
-                name: "g".into(),
-                labels: vec![("shard".into(), "0".into())],
-            },
-            -4,
-        )],
-        histograms: vec![(
-            WireMetricId {
-                name: "imageproof_rpc_request_micros".into(),
-                labels: vec![("shard".into(), "1".into())],
-            },
-            WireHistogram {
-                count: 2,
-                sum: 300,
-                buckets: vec![(100, 1), (1000, 1)],
-            },
-        )],
-    };
     let requests = vec![
         ("Request[hello]", Request::Hello),
         (
@@ -833,11 +806,7 @@ fn rpc_samples() -> RpcSamples {
         ),
         (
             "Response[telemetry]",
-            Response::Telemetry {
-                id: 7,
-                profile,
-                registry,
-            },
+            Response::Telemetry { id: 7, profile },
         ),
         (
             "Response[error]",
@@ -914,6 +883,46 @@ fn rpc_retired_single_query_tags_are_rejected() {
                 "{name} re-tagged {tag}"
             );
         }
+    }
+}
+
+/// Telemetry carries the span profile only. A frame in the earlier layout
+/// — the profile followed by a registry snapshot — is a clean
+/// `TrailingBytes` error, never a panic and never a silently accepted
+/// prefix, whether the snapshot is empty or not.
+#[test]
+fn telemetry_with_a_trailing_registry_snapshot_is_rejected() {
+    use imageproof_crypto::wire::Writer;
+    let (_, responses) = rpc_samples();
+    let telemetry = responses
+        .iter()
+        .find(|(name, _)| *name == "Response[telemetry]")
+        .map(|(_, r)| r.to_wire())
+        .expect("telemetry sample");
+    // The old registry codec: counters (id, varint), gauges (id, u64),
+    // histograms (id, count, sum, buckets); an id is a name plus labels.
+    let registry = |counters: &[(&str, u64)]| {
+        let mut w = Writer::new();
+        w.seq_len(counters.len());
+        for (name, v) in counters {
+            w.bytes(name.as_bytes());
+            w.seq_len(0);
+            w.varint(*v);
+        }
+        w.seq_len(0);
+        w.seq_len(0);
+        w.finish()
+    };
+    for snapshot in [
+        registry(&[]),
+        registry(&[("imageproof_sp_queries_total", 7)]),
+    ] {
+        let mut wire = telemetry.clone();
+        wire.extend_from_slice(&snapshot);
+        assert_eq!(
+            decode_total::<Response>("Response[telemetry+registry]", &wire),
+            Err(WireError::TrailingBytes)
+        );
     }
 }
 
@@ -1081,7 +1090,6 @@ proptest! {
         let _ = decode_total::<WireStats>("WireStats", &bytes);
         let _ = decode_total::<WireSpan>("WireSpan", &bytes);
         let _ = decode_total::<WireProfile>("WireProfile", &bytes);
-        let _ = decode_total::<WireRegistry>("WireRegistry", &bytes);
     }
 
     #[test]

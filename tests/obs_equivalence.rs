@@ -232,8 +232,22 @@ fn vo_bytes_and_topk_identical_with_obs_on_and_off() {
         let mut coord = RpcCoordinator::connect(wired, &manifest, CoordinatorConfig::default())
             .expect("coordinator connects through recording proxy");
 
+        // Shard 0's `shard.batch` span, as grafted under the coordinator's
+        // `fanout` phase from its telemetry frame.
+        let shard0_batch = |profile: &obs::QueryProfile| {
+            profile.root.as_ref().is_some_and(|root| {
+                root.children
+                    .iter()
+                    .filter(|phase| phase.name == "fanout")
+                    .flat_map(|phase| &phase.children)
+                    .any(|span| span.name == "shard.batch" && span.counter("shard") == 0)
+            })
+        };
+
         obs::set_enabled(true);
-        let (rpc_on, _) = coord.query(&features, K).expect("socket query, obs on");
+        let (rpc_on, _, profile_on) = coord
+            .query_profiled(&features, K)
+            .expect("socket query, obs on");
         let frames_on = std::mem::take(&mut *payloads.lock().unwrap());
         let sidecars_on = telemetry_frames.load(Ordering::SeqCst);
         assert!(
@@ -241,13 +255,19 @@ fn vo_bytes_and_topk_identical_with_obs_on_and_off() {
             "{scheme:?}: enabled query carries a telemetry sidecar frame"
         );
         assert!(
-            coord.shard_registries()[0].is_some(),
-            "{scheme:?}: coordinator holds shard 0 telemetry when enabled"
+            shard0_batch(&profile_on),
+            "{scheme:?}: shard 0's span profile is grafted when enabled"
         );
 
         obs::set_enabled(false);
-        let (rpc_off, _) = coord.query(&features, K).expect("socket query, obs off");
+        let (rpc_off, _, profile_off) = coord
+            .query_profiled(&features, K)
+            .expect("socket query, obs off");
         obs::set_enabled(true);
+        assert!(
+            !shard0_batch(&profile_off),
+            "{scheme:?}: no shard span profile when disabled"
+        );
         let frames_off = std::mem::take(&mut *payloads.lock().unwrap());
         assert_eq!(
             telemetry_frames.load(Ordering::SeqCst),

@@ -151,7 +151,7 @@ pub fn bovw_over_another_tree(
     if db.scheme.shares_nodes() {
         BovwVoVariant::Shared(imageproof_mrkd::mrkd_search(&other, features, &thresholds).vo)
     } else {
-        let (vo, _, _) = imageproof_mrkd::mrkd_search_baseline(&other, features, &thresholds);
+        let (vo, _) = imageproof_mrkd::mrkd_search_baseline(&other, features, &thresholds);
         BovwVoVariant::PerQuery(vo)
     }
 }

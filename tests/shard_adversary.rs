@@ -707,11 +707,6 @@ mod wire_attacks {
         let spoof = Response::Telemetry {
             id: 999,
             profile: imageproof_core::rpc::WireProfile { root: None },
-            registry: imageproof_core::rpc::WireRegistry {
-                counters: Vec::new(),
-                gauges: Vec::new(),
-                histograms: Vec::new(),
-            },
         };
         let proxy = Proxy::start(
             fx.endpoints[0].primary,
