@@ -61,6 +61,12 @@ for rule, n in sorted(counts.items()):
         print(f"  {rule}: {n} finding(s)")
 PYEOF
 
+echo "== benches compile =="
+# Criterion targets are otherwise compiled only by the optional clippy
+# step below, so an API change could leave them broken on hosts without
+# clippy.
+cargo build --release --offline --benches --workspace
+
 echo "== bench smoke: machine-readable query benchmarks =="
 # Small sweep that exercises the timed build + query + verify loop for all
 # four schemes and emits BENCH_queries.json (consumed by the README table).

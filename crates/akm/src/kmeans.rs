@@ -3,10 +3,12 @@
 //!
 //! Classic Lloyd iterations, except each assignment step finds the
 //! *approximate* nearest center through a randomized k-d forest rebuilt over
-//! the current centers. This is what makes million-word codebooks tractable
-//! and is exactly the algorithm the paper's BoVW encoding authenticates.
+//! the current centers. This is what makes million-word codebooks tractable.
+//! The trained codebook keeps one randomized k-d tree over its centers and
+//! assigns with that tree's exact search — the rule the paper's BoVW
+//! encoding authenticates, over the tree the MRKD-tree commits.
 
-use crate::rkd::RkdForest;
+use crate::rkd::{RkdForest, RkdTree};
 use imageproof_vision::DescriptorKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -16,11 +18,13 @@ use rand::{Rng, SeedableRng};
 pub struct AkmParams {
     /// Codebook size (number of clusters to train).
     pub n_clusters: usize,
-    /// Number of randomized k-d trees in the assignment forest (paper: 8).
+    /// Number of randomized k-d trees in each Lloyd step's forest
+    /// (paper: 8). Training only.
     pub n_trees: usize,
     /// Maximum clusters per tree leaf (paper: 2).
     pub max_leaf_size: usize,
-    /// Leaf-visit budget per assignment query (paper: 32).
+    /// Leaf-visit budget per Lloyd-step assignment (paper: 32). Training
+    /// only: [`Codebook::assign`] is exact.
     pub max_checks: usize,
     /// Lloyd iterations. Codebook quality saturates quickly; training is
     /// offline at the owner so a handful suffices.
@@ -42,17 +46,17 @@ impl Default for AkmParams {
     }
 }
 
-/// A trained visual codebook: the cluster centroids plus the forest and
-/// search parameters that define the (approximate) assignment rule.
+/// A trained visual codebook: the cluster centroids plus the one
+/// randomized k-d tree that both assigns features and, Merkle-ized, proves
+/// the assignments.
 #[derive(Clone, Debug)]
 pub struct Codebook {
     pub kind: DescriptorKind,
     /// Centroids, `n_clusters` rows of `kind.dim()` columns.
     pub centers: Vec<Vec<f32>>,
-    /// The assignment forest built over `centers`.
-    pub forest: RkdForest,
-    /// Leaf-visit budget used for assignments.
-    pub max_checks: usize,
+    /// The tree over `centers` that [`Codebook::assign`] searches and the
+    /// MRKD-tree commits.
+    pub tree: RkdTree,
 }
 
 impl Codebook {
@@ -86,14 +90,13 @@ impl Codebook {
             }
         }
 
-        let mut forest = RkdForest::build(
-            &centers,
-            params.n_trees,
-            params.max_leaf_size,
-            params.seed ^ 0x5eed,
-        );
-
         for iter in 0..params.iterations {
+            let forest = RkdForest::build(
+                &centers,
+                params.n_trees,
+                params.max_leaf_size,
+                params.seed ^ 0x5eed ^ iter as u64,
+            );
             // Assignment (approximate) + accumulation.
             let mut sums = vec![vec![0.0f64; dim]; params.n_clusters];
             let mut counts = vec![0u64; params.n_clusters];
@@ -114,20 +117,10 @@ impl Codebook {
                     }
                 }
             }
-            forest = RkdForest::build(
-                &centers,
-                params.n_trees,
-                params.max_leaf_size,
-                params.seed ^ 0x5eed ^ (iter as u64 + 1),
-            );
         }
 
-        Codebook {
-            kind,
-            centers,
-            forest,
-            max_checks: params.max_checks,
-        }
+        let seed = params.seed ^ 0x5eed ^ params.iterations as u64;
+        Codebook::with_tree(kind, centers, params.max_leaf_size, seed)
     }
 
     /// Builds a codebook directly from given centroids (used by tests and by
@@ -139,17 +132,20 @@ impl Codebook {
     ) -> Codebook {
         assert!(!centers.is_empty(), "codebook cannot be empty");
         assert!(centers.iter().all(|c| c.len() == kind.dim()));
-        let forest = RkdForest::build(
-            &centers,
-            params.n_trees,
-            params.max_leaf_size,
-            params.seed ^ 0x5eed,
-        );
+        Codebook::with_tree(kind, centers, params.max_leaf_size, params.seed ^ 0x5eed)
+    }
+
+    fn with_tree(
+        kind: DescriptorKind,
+        centers: Vec<Vec<f32>>,
+        max_leaf_size: usize,
+        seed: u64,
+    ) -> Codebook {
+        let tree = RkdTree::build(&centers, max_leaf_size, &mut StdRng::seed_from_u64(seed));
         Codebook {
             kind,
             centers,
-            forest,
-            max_checks: params.max_checks,
+            tree,
         }
     }
 
@@ -163,21 +159,17 @@ impl Codebook {
         false
     }
 
-    /// The protocol's assignment: exact nearest via threshold collection
-    /// (see [`RkdForest::exact_nearest`]).
+    /// The protocol's assignment: the exact nearest center (see
+    /// [`RkdTree::nearest`]).
     pub fn assign(&self, feature: &[f32]) -> u32 {
-        self.forest
-            .exact_nearest(&self.centers, feature, self.max_checks)
-            .cluster
+        self.tree.nearest(&self.centers, feature).cluster
     }
 
     /// Assignment together with the auxiliary threshold (squared distance to
     /// the assigned cluster) that the SP feeds to `MRKDSearch` (Alg. 5
     /// line 1).
     pub fn assign_with_threshold(&self, feature: &[f32]) -> (u32, f32) {
-        let n = self
-            .forest
-            .exact_nearest(&self.centers, feature, self.max_checks);
+        let n = self.tree.nearest(&self.centers, feature);
         (n.cluster, n.dist_sq)
     }
 }
@@ -246,14 +238,14 @@ mod tests {
         let err = |cb: &Codebook| -> f64 {
             features
                 .iter()
-                .map(|f| cb.forest.exact_nearest(&cb.centers, f, 64).dist_sq as f64)
+                .map(|f| cb.assign_with_threshold(f).1 as f64)
                 .sum()
         };
         assert!(err(&trained) <= err(&init), "training must not hurt");
     }
 
     #[test]
-    fn assignment_is_exact_nearest() {
+    fn assignment_is_the_brute_force_nearest() {
         let corpus = Corpus::generate(&CorpusConfig::small(DescriptorKind::Surf));
         let cb = Codebook::train(
             DescriptorKind::Surf,

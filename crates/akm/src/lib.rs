@@ -3,11 +3,11 @@
 //! The approximate-k-means retrieval substrate of SIFT-based CBIR
 //! (paper §II-A):
 //!
-//! * [`rkd`] — randomized k-d trees and forests with best-bin-first search,
-//!   the index AKM uses for nearest-cluster queries. The tree layout here is
-//!   what `imageproof-mrkd` Merkle-izes.
-//! * [`kmeans`] — AKM codebook training (Lloyd iterations with approximate
-//!   assignments) and the [`kmeans::Codebook`] assignment rule.
+//! * [`rkd`] — randomized k-d trees: one tree's exact nearest-cluster
+//!   search, the assignment rule, and a forest's best-bin-first search for
+//!   training. The tree layout here is what `imageproof-mrkd` Merkle-izes.
+//! * [`kmeans`] — AKM codebook training (approximate Lloyd assignments) and
+//!   the [`kmeans::Codebook`], which assigns exactly on its one tree.
 //! * [`bovw`] — sparse bag-of-visual-words encodings, tf-idf impact values
 //!   (Eq. 1), and the cosine similarity of Eq. 3.
 //! * [`kernel`] — chunked distance kernels (bit-identical to the scalar

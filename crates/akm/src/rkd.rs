@@ -3,12 +3,14 @@
 //!
 //! In contrast to a regular k-d tree, each internal node picks its split
 //! dimension *randomly among the dimensions with the largest variances* of
-//! the points below it. A forest of such trees is searched with one global
-//! priority queue ordered by lower-bound distance, stopping after a fixed
-//! number of leaf visits — the approximation knob of AKM.
+//! the points below it. During training a forest of such trees is searched
+//! with one global priority queue ordered by lower-bound distance, stopping
+//! after a fixed number of leaf visits — AKM's approximation knob, which
+//! only the Lloyd step uses. The protocol assigns with one tree's exact
+//! search, [`RkdTree::nearest`].
 //!
-//! The same tree shape is later wrapped by `imageproof-mrkd` with digests, so
-//! node layout (arena of [`Node`] with `u32` links) and the *exact* distance
+//! That tree is later wrapped by `imageproof-mrkd` with digests, so node
+//! layout (arena of [`Node`] with `u32` links) and the *exact* distance
 //! arithmetic used for pruning are part of this crate's public contract:
 //! SP-side search and client-side verification must compute bit-identical
 //! `f32` bounds.
@@ -61,12 +63,6 @@ pub struct RkdTree {
     root: u32,
 }
 
-/// Per-query scratch reused across [`RkdTree::collect_within`] calls.
-struct RangeScratch {
-    /// Current contribution of each dimension to the cell-distance bound.
-    diffs: Vec<f32>,
-}
-
 impl RkdTree {
     /// Builds a tree over `points` (the cluster centroids).
     ///
@@ -90,78 +86,61 @@ impl RkdTree {
         self.root
     }
 
-    /// Exact range search: every cluster whose distance to `query` is at
-    /// most `threshold` (squared distances throughout).
+    /// Exact nearest cluster to `query` (squared distance; ties go to the
+    /// smaller id). This is the assignment rule the protocol fixes — the
+    /// client verifies "nearest among all candidates within the threshold"
+    /// (§IV-A2) — so the owner and the SP both encode with it.
     ///
-    /// This is the reference implementation of the candidate-collection rule
-    /// that `MRKDSearch` authenticates; the two must agree exactly.
-    pub fn collect_within(
-        &self,
-        points: &[Vec<f32>],
-        query: &[f32],
-        threshold_sq: f32,
-    ) -> Vec<u32> {
-        let mut scratch = RangeScratch {
-            diffs: vec![0.0; query.len()],
+    /// One branch-and-bound walk: near side first, so the query's own leaf
+    /// seeds the radius, then a far cell only when its plane bound is within
+    /// the best distance so far. The bound is the incremental point-to-cell
+    /// arithmetic `MRKDSearch` and the client's verification use, so a cell
+    /// this walk prunes is one they prune at the resulting threshold too.
+    pub fn nearest(&self, points: &[Vec<f32>], query: &[f32]) -> Neighbor {
+        let mut best = Neighbor {
+            cluster: u32::MAX,
+            dist_sq: f32::INFINITY,
         };
-        let mut out = Vec::new();
-        self.range_recursive(
-            self.root,
-            points,
-            query,
-            threshold_sq,
-            0.0,
-            &mut scratch,
-            &mut out,
-        );
-        out
+        let mut diffs = vec![0.0; query.len()];
+        self.nearest_recursive(self.root, points, query, 0.0, &mut diffs, &mut best);
+        best
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn range_recursive(
+    /// `diffs[dim]` is `dim`'s current contribution to `bound_sq`, the
+    /// squared distance from `query` to `node`'s cell.
+    fn nearest_recursive(
         &self,
         node: u32,
         points: &[Vec<f32>],
         query: &[f32],
-        threshold_sq: f32,
         bound_sq: f32,
-        scratch: &mut RangeScratch,
-        out: &mut Vec<u32>,
+        diffs: &mut [f32],
+        best: &mut Neighbor,
     ) {
         match &self.nodes[node as usize] {
-            Node::Leaf { clusters } => {
-                for &c in clusters {
-                    // Early-exit kernel: `None` proves the distance exceeds
-                    // the threshold; `Some` is the exact distance, compared
-                    // exactly as the scalar code did.
-                    if let Some(d) =
-                        crate::kernel::dist_sq_within(query, &points[c as usize], threshold_sq)
-                    {
-                        if d <= threshold_sq {
-                            out.push(c);
-                        }
-                    }
-                }
-            }
+            Node::Leaf { clusters } => best.offer_leaf(clusters, points, query),
             Node::Internal {
                 dim,
                 value,
                 left,
                 right,
             } => {
-                let d = query[*dim as usize] - value;
+                let dim = *dim as usize;
+                let d = query[dim] - value;
                 let (near, far) = if d <= 0.0 {
                     (*left, *right)
                 } else {
                     (*right, *left)
                 };
-                self.range_recursive(near, points, query, threshold_sq, bound_sq, scratch, out);
-                let far_bound = bound_sq - scratch.diffs[*dim as usize] + d * d;
-                if far_bound <= threshold_sq {
-                    let saved = scratch.diffs[*dim as usize];
-                    scratch.diffs[*dim as usize] = d * d;
-                    self.range_recursive(far, points, query, threshold_sq, far_bound, scratch, out);
-                    scratch.diffs[*dim as usize] = saved;
+                self.nearest_recursive(near, points, query, bound_sq, diffs, best);
+                let far_bound = bound_sq - diffs[dim] + d * d;
+                // `<=`: a cell at exactly the best distance may still hold
+                // an equally near cluster with a smaller id.
+                if far_bound <= best.dist_sq {
+                    let saved = diffs[dim];
+                    diffs[dim] = d * d;
+                    self.nearest_recursive(far, points, query, far_bound, diffs, best);
+                    diffs[dim] = saved;
                 }
             }
         }
@@ -275,14 +254,6 @@ pub struct Neighbor {
 }
 
 impl RkdForest {
-    /// Index of the **proof tree**: the one tree [`RkdForest::exact_nearest`]
-    /// range-searches, and the only one the owner Merkle-izes and signs and
-    /// the SP's `MRKDSearch` walks. Any tree would do — each one's leaves
-    /// partition the whole codebook, so soundness does not depend on the two
-    /// agreeing — but when they do, the SP's second walk revisits nodes the
-    /// first left warm in cache.
-    pub const PROOF_TREE: usize = 0;
-
     /// Builds `n_trees` randomized trees over the cluster table.
     pub fn build(points: &[Vec<f32>], n_trees: usize, max_leaf_size: usize, seed: u64) -> Self {
         assert!(n_trees >= 1, "forest needs at least one tree");
@@ -293,20 +264,14 @@ impl RkdForest {
         RkdForest { trees }
     }
 
-    /// The individual trees (the Merkle wrapper authenticates
-    /// [`RkdForest::PROOF_TREE`] alone).
-    pub fn trees(&self) -> &[RkdTree] {
-        &self.trees
-    }
-
     /// Best-bin-first search across all trees, visiting at most `max_checks`
     /// leaves in total (the paper stops after 32), returning the best
-    /// cluster found.
+    /// cluster found. Training's Lloyd step only: the protocol assigns with
+    /// [`RkdTree::nearest`].
     ///
     /// The distance bounds in the queue are FLANN-style accumulated
     /// plane-crossing sums — an inexpensive *over*-estimate that only
-    /// affects approximation quality, never protocol soundness (soundness
-    /// comes from the exact threshold collection).
+    /// affects approximation quality.
     pub fn approx_nearest(
         &self,
         points: &[Vec<f32>],
@@ -318,8 +283,8 @@ impl RkdForest {
             cluster: u32::MAX,
             dist_sq: f32::INFINITY,
         };
-        for (t, _) in self.trees.iter().enumerate() {
-            heap.push(Reverse((OrdF32(0.0), t as u32, self.trees[t].root())));
+        for (t, tree) in self.trees.iter().enumerate() {
+            heap.push(Reverse((OrdF32(0.0), t as u32, tree.root())));
         }
         let mut leaves_checked = 0usize;
         while let Some(Reverse((OrdF32(bound), t, mut node))) = heap.pop() {
@@ -346,23 +311,7 @@ impl RkdForest {
                         node = near;
                     }
                     Node::Leaf { clusters } => {
-                        for &c in clusters {
-                            // `None` proves d > best.dist_sq, which can
-                            // neither beat the best nor tie it.
-                            let Some(d) = crate::kernel::dist_sq_within(
-                                query,
-                                &points[c as usize],
-                                best.dist_sq,
-                            ) else {
-                                continue;
-                            };
-                            if d < best.dist_sq || (d == best.dist_sq && c < best.cluster) {
-                                best = Neighbor {
-                                    cluster: c,
-                                    dist_sq: d,
-                                };
-                            }
-                        }
+                        best.offer_leaf(clusters, points, query);
                         leaves_checked += 1;
                         break;
                     }
@@ -374,30 +323,26 @@ impl RkdForest {
         }
         best
     }
+}
 
-    /// Exact nearest cluster, via upper-bounding with the approximate search
-    /// then exhaustively collecting candidates within that bound. This is
-    /// the assignment rule the authenticated protocol fixes (the client
-    /// verifies "nearest among all candidates within the threshold",
-    /// §IV-A2), so the owner and SP both encode with it.
-    pub fn exact_nearest(&self, points: &[Vec<f32>], query: &[f32], max_checks: usize) -> Neighbor {
-        let upper = self.approx_nearest(points, query, max_checks);
-        let proof_tree = &self.trees[Self::PROOF_TREE];
-        let candidates = proof_tree.collect_within(points, query, upper.dist_sq);
-        let mut best = upper;
-        for c in candidates {
-            let Some(d) = crate::kernel::dist_sq_within(query, &points[c as usize], best.dist_sq)
+impl Neighbor {
+    /// Scores a leaf's clusters against the best so far; an equally near
+    /// cluster wins only with a smaller id.
+    fn offer_leaf(&mut self, clusters: &[u32], points: &[Vec<f32>], query: &[f32]) {
+        for &c in clusters {
+            // `None` proves d > self.dist_sq, which can neither beat the
+            // best nor tie it.
+            let Some(d) = crate::kernel::dist_sq_within(query, &points[c as usize], self.dist_sq)
             else {
                 continue;
             };
-            if d < best.dist_sq || (d == best.dist_sq && c < best.cluster) {
-                best = Neighbor {
+            if d < self.dist_sq || (d == self.dist_sq && c < self.cluster) {
+                *self = Neighbor {
                     cluster: c,
                     dist_sq: d,
                 };
             }
         }
-        best
     }
 }
 
@@ -439,36 +384,39 @@ mod tests {
         assert!(seen.iter().all(|&s| s == 1), "partition property violated");
     }
 
+    /// `RkdTree::nearest` against a full scan: same id, same distance bits.
+    fn assert_nearest_is_brute_force(tree: &RkdTree, points: &[Vec<f32>], q: &[f32]) {
+        let got = tree.nearest(points, q);
+        let (want_c, want_d) = brute_nearest(points, q);
+        assert_eq!(got.cluster, want_c, "query {q:?}");
+        assert_eq!(got.dist_sq.to_bits(), want_d.to_bits(), "query {q:?}");
+    }
+
     #[test]
-    fn range_search_matches_linear_scan() {
-        let points = random_points(200, 8, 3);
-        let mut rng = StdRng::seed_from_u64(4);
-        let tree = RkdTree::build(&points, 2, &mut rng);
-        let queries = random_points(20, 8, 5);
-        for q in &queries {
-            for threshold in [0.01f32, 0.05, 0.2, 0.5] {
-                let mut got = tree.collect_within(&points, q, threshold);
-                got.sort_unstable();
-                let mut expected: Vec<u32> = (0..points.len() as u32)
-                    .filter(|&i| dist_sq(q, &points[i as usize]) <= threshold)
-                    .collect();
-                expected.sort_unstable();
-                assert_eq!(got, expected, "threshold {threshold}");
-            }
+    fn nearest_matches_brute_force() {
+        let points = random_points(300, 12, 6);
+        let tree = RkdTree::build(&points, 2, &mut StdRng::seed_from_u64(7));
+        for q in &random_points(30, 12, 8) {
+            assert_nearest_is_brute_force(&tree, &points, q);
         }
     }
 
     #[test]
-    fn exact_nearest_matches_brute_force() {
-        let points = random_points(300, 12, 6);
-        let forest = RkdForest::build(&points, 4, 2, 7);
-        let queries = random_points(30, 12, 8);
-        for q in &queries {
-            let got = forest.exact_nearest(&points, q, 8);
-            let (want_c, want_d) = brute_nearest(&points, q);
-            assert_eq!(got.cluster, want_c);
-            assert_eq!(got.dist_sq, want_d);
+    fn nearest_on_a_split_plane_matches_brute_force() {
+        // `d == 0` descends left and leaves the right cell at bound 0, so it
+        // must still be opened.
+        let points = random_points(200, 8, 21);
+        let tree = RkdTree::build(&points, 2, &mut StdRng::seed_from_u64(22));
+        let queries = random_points(tree.nodes().len(), 8, 23);
+        let mut planes = 0;
+        for (node, mut q) in tree.nodes().iter().zip(queries) {
+            if let Node::Internal { dim, value, .. } = node {
+                q[*dim as usize] = *value;
+                assert_nearest_is_brute_force(&tree, &points, &q);
+                planes += 1;
+            }
         }
+        assert!(planes > 50);
     }
 
     #[test]
@@ -503,25 +451,51 @@ mod tests {
         for _ in 0..20 {
             points.push(points[0].clone());
         }
-        let forest = RkdForest::build(&points, 2, 2, 16);
-        let got = forest.exact_nearest(&points, &points[0].clone(), 8);
-        assert_eq!(got.dist_sq, 0.0);
+        let tree = RkdTree::build(&points, 2, &mut StdRng::seed_from_u64(16));
+        let got = tree.nearest(&points, &points[0]);
+        assert_eq!((got.cluster, got.dist_sq), (0, 0.0));
+    }
+
+    #[test]
+    fn ties_at_the_winning_distance_go_to_the_smaller_id() {
+        // Duplicates share a leaf; equidistant distinct points on a dyadic
+        // grid (exact in `f32`) tie across leaves.
+        let mut rng = StdRng::seed_from_u64(24);
+        let mut grid = |steps: u32, n: usize| -> Vec<Vec<f32>> {
+            (0..n)
+                .map(|_| {
+                    (0..4)
+                        .map(|_| rng.gen_range(0..=steps) as f32 / steps as f32)
+                        .collect()
+                })
+                .collect()
+        };
+        let mut points = grid(2, 120);
+        points[5] = points[100].clone();
+        let queries = grid(4, 60);
+        let tree = RkdTree::build(&points, 2, &mut StdRng::seed_from_u64(25));
+        let first = points.iter().position(|p| *p == points[100]).unwrap();
+        assert!(first <= 5);
+        assert_eq!(tree.nearest(&points, &points[100]).cluster, first as u32);
+        for q in &queries {
+            assert_nearest_is_brute_force(&tree, &points, q);
+        }
     }
 
     #[test]
     fn single_point_tree() {
         let points = random_points(1, 4, 17);
-        let forest = RkdForest::build(&points, 1, 2, 18);
+        let tree = RkdTree::build(&points, 2, &mut StdRng::seed_from_u64(18));
         let q = vec![0.5f32; 4];
-        assert_eq!(forest.exact_nearest(&points, &q, 4).cluster, 0);
+        assert_eq!(tree.nearest(&points, &q).cluster, 0);
     }
 
     #[test]
     fn trees_in_a_forest_differ() {
         let points = random_points(100, 8, 19);
         let forest = RkdForest::build(&points, 2, 2, 20);
-        let a = format!("{:?}", forest.trees()[0].nodes()[0]);
-        let b = format!("{:?}", forest.trees()[1].nodes()[0]);
+        let a = format!("{:?}", forest.trees[0].nodes()[0]);
+        let b = format!("{:?}", forest.trees[1].nodes()[0]);
         // Random split choice makes identical roots very unlikely; if this
         // ever flakes the seed can be adjusted, but determinism means it
         // either always passes or always fails.

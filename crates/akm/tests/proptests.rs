@@ -1,8 +1,8 @@
-//! Property-based tests for the retrieval substrate: exactness of range
-//! search and nearest-cluster assignment over arbitrary point sets.
+//! Property-based tests for the retrieval substrate: exactness of the
+//! nearest-cluster assignment over arbitrary point sets.
 
 use imageproof_akm::bovw::{similarity, SparseBovw};
-use imageproof_akm::rkd::{dist_sq, RkdForest, RkdTree};
+use imageproof_akm::rkd::{dist_sq, RkdTree};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -14,34 +14,21 @@ fn points_strategy(dim: usize) -> impl Strategy<Value = Vec<Vec<f32>>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Range search returns exactly the linear-scan result for arbitrary
-    /// point sets, queries, and thresholds.
+    /// The protocol's exact-nearest assignment matches brute force, id and
+    /// distance bits.
     #[test]
-    fn range_search_is_exact(points in points_strategy(6),
-                             query in proptest::collection::vec(0.0f32..1.0, 6),
-                             threshold in 0.0f32..1.5) {
-        let tree = RkdTree::build(&points, 2, &mut StdRng::seed_from_u64(1));
-        let mut got = tree.collect_within(&points, &query, threshold);
-        got.sort_unstable();
-        let mut expected: Vec<u32> = (0..points.len() as u32)
-            .filter(|&i| dist_sq(&query, &points[i as usize]) <= threshold)
-            .collect();
-        expected.sort_unstable();
-        prop_assert_eq!(got, expected);
-    }
-
-    /// The protocol's exact-nearest assignment matches brute force.
-    #[test]
-    fn exact_nearest_is_exact(points in points_strategy(5),
-                              query in proptest::collection::vec(0.0f32..1.0, 5)) {
-        let forest = RkdForest::build(&points, 3, 2, 2);
-        let got = forest.exact_nearest(&points, &query, 4);
+    fn nearest_is_exact(points in points_strategy(5),
+                        query in proptest::collection::vec(0.0f32..1.0, 5)) {
+        let tree = RkdTree::build(&points, 2, &mut StdRng::seed_from_u64(2));
+        let got = tree.nearest(&points, &query);
         let brute = (0..points.len() as u32)
             .min_by(|&a, &b| dist_sq(&query, &points[a as usize])
                 .total_cmp(&dist_sq(&query, &points[b as usize]))
                 .then(a.cmp(&b)))
             .unwrap();
         prop_assert_eq!(got.cluster, brute);
+        let want = dist_sq(&query, &points[brute as usize]);
+        prop_assert_eq!(got.dist_sq.to_bits(), want.to_bits());
     }
 
     /// BoVW norms follow the L2 definition for arbitrary count vectors.

@@ -1,66 +1,37 @@
 //! Ablation benchmarks for the design choices DESIGN.md calls out:
 //!
-//! * number of AKM forest trees (the paper fixes `n_t = 8`);
-//! * AKM leaf-visit budget (`max_checks`, the paper fixes 32);
+//! * AKM training's forest size and leaf-visit budget (`n_t = 8` and
+//!   `max_checks = 32` in the paper);
 //! * the pop/check batching policy of `InvSearch` (the paper batches
 //!   condition checks; we measure fixed vs adaptive batches).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use imageproof_akm::SparseBovw;
+use imageproof_akm::{AkmParams, Codebook, SparseBovw};
 use imageproof_bench::fixture::{Fixture, FixtureConfig};
 use imageproof_core::{IndexVariant, Scheme};
 use imageproof_invindex::{inv_search_with_tuning, BoundsMode, SearchTuning};
 use imageproof_vision::DescriptorKind;
 
-/// How much the forest size costs where it still matters: the exact
-/// assignment, whose approximate first pass searches all `n_t` trees (the
-/// proof walks one tree whatever `n_t` is).
-fn tree_count_ablation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation/akm_trees");
+/// AKM training cost over the two forest knobs. Only the Lloyd step reads
+/// them: assignment is one exact search on the codebook's tree whatever
+/// they are.
+fn akm_training_ablation(c: &mut Criterion) {
+    let fixture = Fixture::build(FixtureConfig::quick(DescriptorKind::Surf));
+    let features: Vec<&[f32]> = fixture.corpus.all_features().collect();
+    let mut group = c.benchmark_group("ablation/akm_train");
     group.sample_size(10);
-    for n_trees in [1usize, 4, 8] {
-        // Re-train with the ablated forest size (the codebook itself also
-        // uses the forest, so this is a whole-system knob).
-        let mut config = FixtureConfig::quick(DescriptorKind::Surf);
-        config.seed ^= n_trees as u64; // decorrelate tree randomness
-        let fixture = Fixture::build_with_akm_override(config, |akm| akm.n_trees = n_trees);
-        let query = &fixture.queries(1, 60)[0];
-        let system = fixture.system(Scheme::ImageProof);
-        let db = system.0.database();
-        group.bench_with_input(BenchmarkId::from_parameter(n_trees), &n_trees, |b, _| {
-            b.iter(|| {
-                query
-                    .iter()
-                    .map(|f| db.codebook.assign_with_threshold(f).0 as usize)
-                    .sum::<usize>()
-            })
-        });
-    }
-    group.finish();
-}
-
-/// AKM accuracy/cost: leaf-visit budget of the assignment search.
-fn max_checks_ablation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation/akm_max_checks");
-    group.sample_size(10);
-    for max_checks in [8usize, 32, 128] {
-        let config = FixtureConfig::quick(DescriptorKind::Surf);
-        let fixture = Fixture::build_with_akm_override(config, |akm| akm.max_checks = max_checks);
-        let query = &fixture.queries(1, 60)[0];
-        let system = fixture.system(Scheme::ImageProof);
-        let db = system.0.database();
-        group.bench_with_input(
-            BenchmarkId::from_parameter(max_checks),
-            &max_checks,
-            |b, _| {
-                b.iter(|| {
-                    query
-                        .iter()
-                        .map(|f| db.codebook.assign(f) as usize)
-                        .sum::<usize>()
-                })
-            },
-        );
+    for n_trees in [1usize, 8] {
+        for max_checks in [8usize, 32] {
+            let params = AkmParams {
+                n_trees,
+                max_checks,
+                ..fixture.config.akm_params()
+            };
+            let id = BenchmarkId::new(format!("trees_{n_trees}"), max_checks);
+            group.bench_function(id, |b| {
+                b.iter(|| Codebook::train(fixture.config.kind, features.iter().copied(), &params))
+            });
+        }
     }
     group.finish();
 }
@@ -109,10 +80,5 @@ fn batching_ablation(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    tree_count_ablation,
-    max_checks_ablation,
-    batching_ablation
-);
+criterion_group!(benches, akm_training_ablation, batching_ablation);
 criterion_main!(benches);

@@ -5,10 +5,12 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use imageproof_akm::kernel::{dist_sq, dist_sq_scalar, dist_sq_within};
 use imageproof_akm::rkd::RkdForest;
+use imageproof_akm::{AkmParams, Codebook};
 use imageproof_crypto::sha3::{Sha3Batch, Sha3_256};
 use imageproof_crypto::wire::Writer;
 use imageproof_crypto::{Digest, MerkleTree, SigningKey};
 use imageproof_cuckoo::{max_count, CuckooFilter};
+use imageproof_vision::DescriptorKind;
 use rand_like::SplitMix;
 
 /// Tiny deterministic generator so the bench crate needs no extra deps.
@@ -124,8 +126,9 @@ fn rkd_bench(c: &mut Criterion) {
     c.bench_function("rkd/approx_nearest_4096x64d", |b| {
         b.iter(|| forest.approx_nearest(&points, &query, 32).cluster)
     });
-    c.bench_function("rkd/exact_nearest_4096x64d", |b| {
-        b.iter(|| forest.exact_nearest(&points, &query, 32).cluster)
+    let codebook = Codebook::from_centers(DescriptorKind::Surf, points, &AkmParams::default());
+    c.bench_function("rkd/nearest_4096x64d", |b| {
+        b.iter(|| codebook.tree.nearest(&codebook.centers, &query).cluster)
     });
 }
 

@@ -64,7 +64,8 @@ impl FixtureConfig {
         }
     }
 
-    fn akm_params(&self) -> AkmParams {
+    /// The AKM parameters [`Fixture::build`] trains with.
+    pub fn akm_params(&self) -> AkmParams {
         AkmParams {
             n_clusters: self.codebook_size,
             n_trees: 8,       // paper §VII-A
@@ -92,15 +93,6 @@ impl Fixture {
     /// Builds the corpus, trains the codebook, and encodes every image
     /// (the expensive owner-side passes, shared by all schemes).
     pub fn build(config: FixtureConfig) -> Fixture {
-        Self::build_with_akm_override(config, |_| {})
-    }
-
-    /// [`Fixture::build`] with a hook that mutates the AKM parameters —
-    /// the ablation benchmarks sweep forest size and search budget.
-    pub fn build_with_akm_override(
-        config: FixtureConfig,
-        adjust: impl FnOnce(&mut AkmParams),
-    ) -> Fixture {
         let mut corpus = Corpus::generate(&config.corpus_config());
         // Tie trio: three consecutive-id images share one feature set and
         // latent words, so they score identically for any query and land
@@ -117,9 +109,7 @@ impl Fixture {
                 corpus.images[dup as usize].latent_words = words.clone();
             }
         }
-        let mut akm = config.akm_params();
-        adjust(&mut akm);
-        let codebook = Codebook::train(config.kind, corpus.all_features(), &akm);
+        let codebook = Codebook::train(config.kind, corpus.all_features(), &config.akm_params());
         let encodings: Vec<(ImageId, SparseBovw)> = corpus
             .images
             .iter()

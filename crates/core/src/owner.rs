@@ -59,7 +59,7 @@ impl IndexVariant {
 pub struct Database {
     pub scheme: Scheme,
     pub codebook: Codebook,
-    /// The one committed MRKD-tree, over the codebook forest's proof tree.
+    /// The one committed MRKD-tree, over the codebook's tree.
     pub mrkd: MrkdTree,
     pub inv: IndexVariant,
     pub images: BTreeMap<ImageId, StoredImage>,
@@ -314,10 +314,10 @@ impl Owner {
         };
         prof.exit();
 
-        // 4. The MRKD-tree over the codebook forest's proof tree.
+        // 4. The MRKD-tree over the codebook's tree.
         prof.enter("mrkd");
         let mrkd = MrkdTree::build_with(
-            &codebook.forest,
+            &codebook.tree,
             &codebook.centers,
             &inv.list_digests(),
             scheme.candidate_mode(),

@@ -11,7 +11,9 @@
 //! one thread per connection with a short read timeout (so shutdown is
 //! prompt even with idle clients). Malformed input never panics the
 //! server: a frame that fails to decode earns the client a
-//! [`Response::Error`] frame and a closed connection.
+//! [`Response::Error`] frame and a closed connection; a well-formed query
+//! whose features the codebook cannot assign earns an error frame for that
+//! request id, and the connection keeps serving.
 //!
 //! Observability: the server keeps a small health ledger ([`ServerObs`]:
 //! uptime, in-flight queue depth, queries served, classified last error,
@@ -250,6 +252,11 @@ impl ShardServer {
     fn handle_request(&self, stream: &mut TcpStream, request: Request) -> bool {
         self.obs.queue_depth.fetch_add(1, Ordering::SeqCst);
         let _guard = QueueGuard(&self.obs);
+        if let Some((id, message)) = self.unassignable(&request) {
+            self.obs
+                .note_error(ErrorClass::Wire, self.shard_id, &message);
+            return send(stream, &Response::Error { id, message }).is_ok();
+        }
         let sp = &self.sp;
         match request {
             Request::Hello => send(
@@ -304,6 +311,31 @@ impl ShardServer {
                     .collect();
                 send(stream, &Response::Trim { id, payloads }).is_ok()
             }
+        }
+    }
+
+    /// The id of a query or trim request carrying a feature the codebook
+    /// cannot assign, and why. The engine indexes features by split
+    /// dimension and reads them in descriptor-width chunks, so a feature of
+    /// another width panics it, and a non-finite coordinate assigns no
+    /// cluster.
+    fn unassignable(&self, request: &Request) -> Option<(u64, String)> {
+        let dim = self.sp.database().codebook.kind.dim();
+        let fault = |features: &Vec<Vec<f32>>| {
+            features.iter().find_map(|f| {
+                if f.len() != dim {
+                    Some(format!("a feature has {} coordinates, not {dim}", f.len()))
+                } else if !f.iter().all(|x| x.is_finite()) {
+                    Some("a feature has a non-finite coordinate".to_string())
+                } else {
+                    None
+                }
+            })
+        };
+        match request {
+            Request::Query { id, queries, .. } => Some((*id, queries.iter().find_map(fault)?)),
+            Request::Trim { id, items } => Some((*id, items.iter().find_map(|(_, f)| fault(f))?)),
+            Request::Hello | Request::Health { .. } => None,
         }
     }
 }

@@ -4,7 +4,7 @@
 //! authenticated data structures (paper §IV-A), which authenticates the BoVW
 //! encoding step of SIFT-based image retrieval.
 //!
-//! * [`tree`] — the ADS itself: digests over the AKM forest's proof tree
+//! * [`tree`] — the ADS itself: digests over the codebook's k-d tree
 //!   (Defs. 2–3) and the per-cluster dimension-block commitments of the
 //!   §VI-A optimization.
 //! * [`traverse`] — the multi-query traversal engine shared *verbatim* by SP

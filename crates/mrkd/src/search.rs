@@ -4,8 +4,8 @@
 //! The paper runs Alg. 1 on each of the `n_t` trees and unions the results;
 //! every tree indexes every centroid, so each per-tree result is already
 //! the whole within-threshold set. The owner therefore commits one tree,
-//! the AKM forest's proof tree, and the SP walks that (DESIGN.md §3.5 and
-//! §5 have the soundness argument).
+//! the codebook's (the one whose exact search assigns), and the SP walks
+//! that (DESIGN.md §3.5 and §5 have the soundness argument).
 
 use crate::traverse::{traverse, ActiveQuery, TraversalVisitor, TreeSource};
 use crate::tree::{owner_shape, CandidateMode, MrkdTree, Shape};
@@ -428,7 +428,7 @@ pub fn mrkd_search_baseline_with(
 mod tests {
     use super::*;
     use crate::verify::{verify_bovw, verify_bovw_baseline};
-    use imageproof_akm::rkd::{dist_sq, RkdForest};
+    use imageproof_akm::rkd::{dist_sq, RkdTree};
     use imageproof_crypto::Digest;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -455,8 +455,8 @@ mod tests {
         let inv: Vec<Digest> = (0..80u32)
             .map(|c| Digest::of(format!("inv-{c}").as_bytes()))
             .collect();
-        let forest = RkdForest::build(&centers, 3, 2, 52);
-        let mrkd = MrkdTree::build(&forest, &centers, &inv, mode);
+        let rkd = RkdTree::build(&centers, 2, &mut StdRng::seed_from_u64(52));
+        let mrkd = MrkdTree::build(&rkd, &centers, &inv, mode);
         (centers, mrkd)
     }
 
@@ -505,7 +505,7 @@ mod tests {
     }
 
     #[test]
-    fn candidates_contain_the_exact_nearest_cluster() {
+    fn candidates_contain_the_brute_force_nearest_cluster() {
         for mode in [CandidateMode::Full, CandidateMode::Compressed] {
             let (centers, mrkd) = setup(mode);
             let (queries, thresholds) = queries_and_thresholds(&centers, 10);

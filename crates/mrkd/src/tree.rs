@@ -1,10 +1,9 @@
 //! The Merkle randomized k-d tree (MRKD-tree, paper §IV-A).
 //!
-//! The AKM forest keeps its `n_t` plain randomized k-d trees for approximate
-//! assignment; exactly one of them — [`RkdForest::PROOF_TREE`], the tree the
-//! exact range search walks — is Merkle-ized, signed, shipped and verified
-//! (DESIGN.md §3.5: every tree's leaves partition the whole codebook, so one
-//! proves every assignment and the others would prove it again).
+//! The tree Merkle-ized, signed, shipped and verified is the codebook's one
+//! randomized k-d tree — the tree whose exact search assigns features — so
+//! the tree that assigns is the tree that proves (DESIGN.md §3.5: a tree's
+//! leaves partition the whole codebook, so one proves every assignment).
 //!
 //! An MRKD-tree is a randomized k-d tree whose nodes carry digests:
 //!
@@ -18,7 +17,7 @@
 //! or by the root of a Merkle tree over its coordinates (the §VI-A
 //! candidate-compression optimization) — see [`CandidateMode`].
 
-use imageproof_akm::rkd::{Node, RkdForest, RkdTree};
+use imageproof_akm::rkd::{Node, RkdTree};
 use imageproof_crypto::{Digest, DigestBatch, DigestBuilder, FieldSink, MerkleTree};
 use imageproof_parallel::{par_map_chunked, Concurrency};
 
@@ -220,8 +219,8 @@ pub(crate) fn owner_shape(node: &Node) -> Shape<'_> {
     }
 }
 
-/// The MRKD-tree (Def. 3): the AKM forest's proof tree with a digest per
-/// node, plus the per-cluster commitments its leaves bind.
+/// The MRKD-tree (Def. 3): the codebook's k-d tree with a digest per node,
+/// plus the per-cluster commitments its leaves bind.
 #[derive(Clone, Debug)]
 pub struct MrkdTree {
     mode: CandidateMode,
@@ -239,12 +238,12 @@ pub struct MrkdTree {
 }
 
 impl MrkdTree {
-    /// Merkle-izes the AKM forest's [`RkdForest::PROOF_TREE`].
+    /// Merkle-izes `rkd`, the codebook's tree.
     ///
     /// `inv_digests[c]` must be the digest of cluster `c`'s Merkle inverted
     /// list (Def. 5), which Def. 3 embeds into leaf digests.
     pub fn build(
-        rkd: &RkdForest,
+        rkd: &RkdTree,
         centers: &[Vec<f32>],
         inv_digests: &[Digest],
         mode: CandidateMode,
@@ -259,7 +258,7 @@ impl MrkdTree {
     /// they are merged in cluster order, so the tree (and the signed root)
     /// is identical for every thread count.
     pub fn build_with(
-        rkd: &RkdForest,
+        rkd: &RkdTree,
         centers: &[Vec<f32>],
         inv_digests: &[Digest],
         mode: CandidateMode,
@@ -278,7 +277,7 @@ impl MrkdTree {
         };
         let mut tree = MrkdTree {
             mode,
-            rkd: rkd.trees()[RkdForest::PROOF_TREE].clone(),
+            rkd: rkd.clone(),
             digests: Vec::new(),
             centers: centers.to_vec(),
             inv_digests: inv_digests.to_vec(),
@@ -406,6 +405,10 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    fn test_tree(centers: &[Vec<f32>], seed: u64) -> RkdTree {
+        RkdTree::build(centers, 2, &mut StdRng::seed_from_u64(seed))
+    }
+
     fn setup(mode: CandidateMode) -> (Vec<Vec<f32>>, Vec<Digest>, MrkdTree) {
         let mut rng = StdRng::seed_from_u64(7);
         let centers: Vec<Vec<f32>> = (0..50)
@@ -414,8 +417,8 @@ mod tests {
         let inv_digests: Vec<Digest> = (0..50u32)
             .map(|c| Digest::of(format!("list-{c}").as_bytes()))
             .collect();
-        let forest = RkdForest::build(&centers, 3, 2, 11);
-        let mrkd = MrkdTree::build(&forest, &centers, &inv_digests, mode);
+        let rkd = test_tree(&centers, 11);
+        let mrkd = MrkdTree::build(&rkd, &centers, &inv_digests, mode);
         (centers, inv_digests, mrkd)
     }
 
@@ -429,18 +432,18 @@ mod tests {
     #[test]
     fn root_digest_changes_when_a_center_changes() {
         let (mut centers, inv_digests, mrkd) = setup(CandidateMode::Full);
-        let forest = RkdForest::build(&centers, 3, 2, 11);
+        let rkd = test_tree(&centers, 11);
         centers[13][5] += 0.5;
-        let tampered = MrkdTree::build(&forest, &centers, &inv_digests, CandidateMode::Full);
+        let tampered = MrkdTree::build(&rkd, &centers, &inv_digests, CandidateMode::Full);
         assert_ne!(mrkd.combined_root_digest(), tampered.combined_root_digest());
     }
 
     #[test]
     fn root_digest_changes_when_an_inverted_list_digest_changes() {
         let (centers, mut inv_digests, mrkd) = setup(CandidateMode::Full);
-        let forest = RkdForest::build(&centers, 3, 2, 11);
+        let rkd = test_tree(&centers, 11);
         inv_digests[20] = Digest::of(b"forged list");
-        let tampered = MrkdTree::build(&forest, &centers, &inv_digests, CandidateMode::Full);
+        let tampered = MrkdTree::build(&rkd, &centers, &inv_digests, CandidateMode::Full);
         assert_ne!(mrkd.combined_root_digest(), tampered.combined_root_digest());
     }
 
@@ -502,8 +505,8 @@ mod tests {
             }
             mrkd.apply_inv_digest_updates(&updates);
 
-            let forest = RkdForest::build(&centers, 3, 2, 11);
-            let rebuilt = MrkdTree::build(&forest, &centers, &inv_digests, mode);
+            let rkd = test_tree(&centers, 11);
+            let rebuilt = MrkdTree::build(&rkd, &centers, &inv_digests, mode);
             assert_eq!(mrkd.digests, rebuilt.digests, "{mode:?}");
             assert_eq!(mrkd.entries, rebuilt.entries, "{mode:?}");
         }
@@ -515,21 +518,5 @@ mod tests {
         let before = mrkd.combined_root_digest();
         mrkd.apply_inv_digest_updates(&std::collections::BTreeMap::new());
         assert_eq!(mrkd.combined_root_digest(), before);
-    }
-
-    #[test]
-    fn only_the_proof_tree_is_committed() {
-        // Forests that agree on the proof tree sign the same root however
-        // many other trees they grow beside it: the first tree consumes
-        // the seeded rng first, whatever `n_trees` is.
-        let (centers, inv_digests, mrkd) = setup(CandidateMode::Full);
-        for n_trees in [1, 5] {
-            let forest = RkdForest::build(&centers, n_trees, 2, 11);
-            let other = MrkdTree::build(&forest, &centers, &inv_digests, CandidateMode::Full);
-            assert_eq!(other.digests, mrkd.digests, "{n_trees} trees");
-        }
-        let reseeded = RkdForest::build(&centers, 3, 2, 12);
-        let other = MrkdTree::build(&reseeded, &centers, &inv_digests, CandidateMode::Full);
-        assert_ne!(other.combined_root_digest(), mrkd.combined_root_digest());
     }
 }

@@ -559,7 +559,7 @@ mod tests {
     use super::*;
     use crate::search::{mrkd_search, mrkd_search_baseline};
     use crate::tree::MrkdTree;
-    use imageproof_akm::rkd::{dist_sq, RkdForest};
+    use imageproof_akm::rkd::{dist_sq, RkdTree};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -598,8 +598,8 @@ mod tests {
         let inv: Vec<Digest> = (0..n_centers)
             .map(|c| Digest::of(format!("inv-{c}").as_bytes()))
             .collect();
-        let forest = RkdForest::build(&centers, 3, 2, seed + 1);
-        let mrkd = MrkdTree::build(&forest, &centers, &inv, mode);
+        let rkd = RkdTree::build(&centers, 2, &mut StdRng::seed_from_u64(seed + 1));
+        let mrkd = MrkdTree::build(&rkd, &centers, &inv, mode);
         let queries: Vec<Vec<f32>> = (0..n_queries)
             .map(|_| {
                 let base = &centers[rng.gen_range(0..centers.len())];
@@ -997,10 +997,10 @@ mod tests {
             v
         };
         let centers = vec![corner(10.0, 0.0), corner(0.0, 10.0), corner(10.0, 10.0)];
-        let forest = RkdForest::build(&centers, 2, 3, 1);
+        let rkd = RkdTree::build(&centers, 3, &mut StdRng::seed_from_u64(1));
         let inv: Vec<Digest> = (0..3u8).map(|c| Digest::of(&[c])).collect();
         let f = Fixture {
-            mrkd: MrkdTree::build(&forest, &centers, &inv, CandidateMode::Compressed),
+            mrkd: MrkdTree::build(&rkd, &centers, &inv, CandidateMode::Compressed),
             centers,
             // Winners 0 and 1, both at squared distance 1.
             queries: vec![corner(10.0, 1.0), corner(1.0, 10.0)],
@@ -1053,7 +1053,7 @@ mod tests {
 
     #[test]
     fn a_vo_over_another_tree_of_the_same_codebook_breaks_the_signed_root() {
-        // Same centroids, same list digests, a forest grown from another
+        // Same centroids, same list digests, a tree grown from another
         // seed: its honest VO is internally consistent and proves the same
         // assignment, under a root the owner never signed.
         for mode in [CandidateMode::Full, CandidateMode::Compressed] {
@@ -1061,7 +1061,7 @@ mod tests {
             let inv: Vec<Digest> = (0..f.centers.len() as u32)
                 .map(|c| f.mrkd.inv_digest(c))
                 .collect();
-            let reseeded = RkdForest::build(&f.centers, 3, 2, 9_999);
+            let reseeded = RkdTree::build(&f.centers, 2, &mut StdRng::seed_from_u64(9_999));
             let other = MrkdTree::build(&reseeded, &f.centers, &inv, mode);
             let vo = mrkd_search(&other, &f.queries, &f.thresholds).vo;
             let v = f.verify(&vo).expect("structurally fine");

@@ -1,16 +1,17 @@
 //! Property-based tests for the MRKD-tree: for arbitrary cluster sets and
 //! perturbed queries, the SP's search verifies and yields the exact nearest
 //! clusters in both candidate modes, with each disclosed cluster revealed
-//! exactly once, however many trees the AKM forest grows beside the
-//! committed one.
+//! exactly once, and the tree that assigns is the tree that proves.
 
-use imageproof_akm::rkd::{dist_sq, RkdForest};
+use imageproof_akm::rkd::{dist_sq, RkdTree};
 use imageproof_crypto::wire::{Decode, Encode};
 use imageproof_crypto::Digest;
 use imageproof_mrkd::{
     mrkd_search, verify_bovw, BovwVo, CandidateMode, MrkdTree, VoNode, VoTree, VoTreeBuilder,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 const DIM: usize = 32;
 
@@ -80,8 +81,8 @@ proptest! {
         let inv: Vec<Digest> = (0..centers.len() as u32)
             .map(|c| Digest::of(format!("inv{c}").as_bytes()))
             .collect();
-        let forest = RkdForest::build(&centers, 3, 2, 99);
-        let mrkd = MrkdTree::build(&forest, &centers, &inv, mode);
+        let rkd = RkdTree::build(&centers, 2, &mut StdRng::seed_from_u64(99));
+        let mrkd = MrkdTree::build(&rkd, &centers, &inv, mode);
 
         // Queries are perturbations of existing centers.
         let queries: Vec<Vec<f32>> = picks
@@ -144,8 +145,8 @@ proptest! {
         let inv: Vec<Digest> = (0..centers.len() as u32)
             .map(|c| Digest::of(format!("inv{c}").as_bytes()))
             .collect();
-        let forest = RkdForest::build(&centers, 2, 2, 7);
-        let mrkd = MrkdTree::build(&forest, &centers, &inv, mode);
+        let rkd = RkdTree::build(&centers, 2, &mut StdRng::seed_from_u64(7));
+        let mrkd = MrkdTree::build(&rkd, &centers, &inv, mode);
         let queries: Vec<Vec<f32>> = (0..n_queries)
             .map(|i| centers[i % centers.len()].clone())
             .collect();
@@ -169,16 +170,16 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The committed tree proves the brute-force assignment: whatever the
-    /// AKM forest's size, the honest VO verifies to the signed root and to
-    /// the winners and threshold bits of a brute-force scan with the
-    /// smaller-id tie-break. Duplicated centers make exact ties common.
+    /// The committed tree assigns and proves the brute-force assignment:
+    /// its exact search and the honest VO's verification both give the
+    /// winners and threshold bits of a brute-force scan with the smaller-id
+    /// tie-break, under the signed root. Duplicated centers make exact ties
+    /// common.
     #[test]
     fn the_committed_tree_proves_the_brute_force_assignment(
         centers in centers_strategy(),
         dup in any::<prop::sample::Index>(),
         picks in proptest::collection::vec((any::<prop::sample::Index>(), -0.05f32..0.05), 1..6),
-        n_trees in 1usize..=4,
         mode_compressed in any::<bool>(),
         seed in any::<u64>(),
     ) {
@@ -192,8 +193,8 @@ proptest! {
         let inv: Vec<Digest> = (0..centers.len() as u32)
             .map(|c| Digest::of(format!("inv{c}").as_bytes()))
             .collect();
-        let forest = RkdForest::build(&centers, n_trees, 2, seed);
-        let mrkd = MrkdTree::build(&forest, &centers, &inv, mode);
+        let rkd = RkdTree::build(&centers, 2, &mut StdRng::seed_from_u64(seed));
+        let mrkd = MrkdTree::build(&rkd, &centers, &inv, mode);
         let queries: Vec<Vec<f32>> = picks
             .iter()
             .map(|(idx, eps)| {
@@ -215,6 +216,12 @@ proptest! {
             brute.iter().map(|b| b.1).collect::<Vec<u32>>(),
             thresholds.iter().map(|t| t.to_bits()).collect::<Vec<u32>>(),
         );
+        let (assigned, assigned_bits): (Vec<u32>, Vec<u32>) = queries
+            .iter()
+            .map(|q| rkd.nearest(&centers, q))
+            .map(|n| (n.cluster, n.dist_sq.to_bits()))
+            .unzip();
+        prop_assert_eq!(&(assigned, assigned_bits), &expected);
 
         let vo = mrkd_search(&mrkd, &queries, &thresholds).vo;
         let v = verify_bovw(&vo, &queries, mode).expect("the honest VO verifies");

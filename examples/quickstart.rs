@@ -37,7 +37,7 @@ fn main() {
     };
     let (db, published) = owner.build_system(&corpus, &akm, Scheme::ImageProof);
     println!(
-        "owner: built the MRKD-tree over a {}-word, {}-tree codebook; root signed",
+        "owner: built the MRKD-tree over a {}-word codebook ({}-tree AKM training); root signed",
         akm.n_clusters, akm.n_trees
     );
     let sp = ServiceProvider::new(db);

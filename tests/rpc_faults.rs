@@ -388,3 +388,65 @@ fn heartbeat_loss_fails_over_before_any_query_times_out() {
         "the replica promotion must log its manifest re-verification"
     );
 }
+
+#[test]
+fn unassignable_query_features_get_an_error_frame_and_the_connection_keeps_serving() {
+    // A feature of the wrong width or with NaN coordinates would panic the
+    // shard's engine (the k-d descent indexes by split dimension, the
+    // distance kernel slices by descriptor width, and NaN assigns no
+    // cluster). The server answers that request with an error frame under
+    // its id and keeps the connection serving.
+    use imageproof_core::rpc::{frame, ErrorClass, FrameBuffer, Request};
+    use imageproof_crypto::wire::Decode;
+    use std::io::{Read, Write};
+
+    let fx = fixture(Scheme::ImageProof, 1);
+    let mut coord = rpc_util::connect(&fx);
+    let honest = fx.corpus().query_from_image(5, 20, 1);
+    for bad in [vec![0.5f32; 3], vec![0.5f32; 100], vec![f32::NAN; 64]] {
+        let mut features = honest.clone();
+        features.push(bad);
+        let err = coord.query(&features, 3).expect_err("unassignable feature");
+        assert!(
+            matches!(err, RpcError::Remote { shard: 0, .. }),
+            "got: {err}"
+        );
+    }
+    assert_eq!(coord.stats().failovers, 0);
+    let (resp, _) = coord
+        .query(&honest, 3)
+        .expect("honest query, same connection");
+    let (local, _) = fx.sp.query(&honest, 3);
+    assert_eq!(resp.vo.to_wire(), local.vo.to_wire());
+    fx.client
+        .verify_sharded(&honest, 3, &resp, &fx.manifest)
+        .expect("client verifies");
+    coord.heartbeat();
+    let report = coord.health()[0].last_report.clone().expect("heartbeat");
+    assert_eq!(report.last_error, ErrorClass::Wire);
+
+    // The trim round is checked the same way.
+    let mut stream = std::net::TcpStream::connect(fx.endpoints[0].primary).expect("dial shard");
+    let mut fb = FrameBuffer::new();
+    let mut ask = |request: Request| -> Response {
+        stream.write_all(&frame(&request.to_wire())).expect("send");
+        let mut buf = [0u8; 4096];
+        loop {
+            if let Some(body) = fb.next_frame().expect("frame") {
+                return Response::from_wire(&body).expect("response");
+            }
+            let n = stream.read(&mut buf).expect("read");
+            assert!(n > 0, "the shard closed the connection");
+            fb.extend(&buf[..n]);
+        }
+    };
+    let trim = Request::Trim {
+        id: 7,
+        items: vec![(2, vec![vec![0.5f32; 3]])],
+    };
+    assert!(matches!(ask(trim), Response::Error { id: 7, .. }));
+    assert!(matches!(
+        ask(Request::Health { id: 8 }),
+        Response::Health { id: 8, .. }
+    ));
+}

@@ -124,19 +124,19 @@ pub fn fixture(scheme: Scheme, shard_count: usize) -> Fixture {
 
 /// The honest BoVW VO `db`'s SP would serve for `features` had the owner
 /// committed a *different* tree of the same codebook: same centroids, same
-/// list digests, a forest grown from another seed. Internally consistent
+/// list digests, a tree grown from another seed. Internally consistent
 /// and proving the right assignment — under a root nobody signed.
 pub fn bovw_over_another_tree(
     db: &imageproof_core::Database,
     features: &[Vec<f32>],
 ) -> imageproof_core::BovwVoVariant {
     use imageproof_core::BovwVoVariant;
+    use rand::SeedableRng;
     let codebook = &db.codebook;
-    let reseeded = imageproof_akm::rkd::RkdForest::build(
+    let reseeded = imageproof_akm::rkd::RkdTree::build(
         &codebook.centers,
-        1,
         akm().max_leaf_size,
-        akm().seed ^ 0xD1FF,
+        &mut rand::rngs::StdRng::seed_from_u64(akm().seed ^ 0xD1FF),
     );
     let other = imageproof_mrkd::MrkdTree::build(
         &reseeded,

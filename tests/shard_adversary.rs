@@ -560,7 +560,7 @@ fn forged_interior_stub_is_detected() {
 
 #[test]
 fn a_sub_vo_over_a_tree_the_owner_never_committed_is_detected() {
-    // The owner commits one tree of the codebook's forest. A sub-VO that
+    // The owner commits the codebook's one tree. A sub-VO that
     // is the honest walk of any other tree over the same centroids and the
     // same list digests checks out in every respect but the root.
     let f = fx();
