@@ -869,7 +869,7 @@ fn fig16(cache: &mut FixtureCache, scale: &Scale, quick: bool) {
                 wq(0.5),
                 wq(0.9),
                 wq(0.99),
-                match slo.burn_rate() {
+                match slo.burn_rate(&windowed) {
                     Some(b) => format!("{b:.6}"),
                     None => "null".to_string(),
                 },

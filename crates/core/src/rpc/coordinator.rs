@@ -1,19 +1,21 @@
 //! [`RpcCoordinator`]: the socket deployment's fan-out engine.
 //!
-//! One nonblocking connection per shard, driven by a single-threaded event
-//! loop: a fan-out round writes every shard's request, then multiplexes
-//! reads across all connections until every response (or a typed failure)
-//! is in. Concurrent client queries batch onto one `Query` / `Trim`
-//! round-trip per shard instead of a socket conversation per query; a
-//! single query is a batch of one.
+//! One nonblocking connection per shard and one single-threaded exchange
+//! loop for every conversation — a hello, a heartbeat sweep, a query or
+//! trim round: it writes each request, then multiplexes reads across all
+//! connections until every exchange holds its response or a typed failure.
+//! Concurrent client queries batch onto one `Query` / `Trim` round-trip
+//! per shard; a single query is a batch of one.
 //!
-//! Fault handling: every transport fault — stalled shard (per-shard
-//! timeout on a [`Stopwatch`] deadline), mid-frame reset, short write,
-//! hostile frame length, duplicated/replayed response id — maps to a typed
-//! [`RpcError`]; if the shard's endpoint chain has untried replicas the
-//! coordinator reconnects to the next one (hello re-verified against the
-//! owner-signed manifest pin), replays the request, and counts a failover.
-//! Only when the chain is exhausted does the triggering error surface.
+//! Connection policy: an [`RpcError::Remote`] is the shard's answer and the
+//! connection keeps serving. Any other fault — stalled shard (timeout on a
+//! [`Stopwatch`] deadline), mid-frame reset, short write, hostile frame
+//! length, duplicated/replayed response id — retires the connection, and
+//! the shard is re-dialled (hello re-verified against the owner-signed
+//! manifest pin) before its next exchange: the same endpoint after a
+//! heartbeat miss, the next one, wrapping around, after a query-round fault
+//! or a heartbeat failover. A round tries each endpoint once, then the
+//! triggering error surfaces.
 //!
 //! The coordinator only implements the two-round [`fanout::Fleet`] seam;
 //! how a sharded query is answered is [`fanout::answer`], the same
@@ -32,6 +34,7 @@ use imageproof_obs::{
     micros, EventKind, EventLog, MetricId, QueryProfile, RegistrySnapshot, ScrapeProvider,
     SloTracker, Stopwatch, WindowedHistogram,
 };
+use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -49,7 +52,7 @@ const READ_BUF_LEN: usize = 256 * 1024;
 const RPC_SAMPLES_PER_SHARD: usize = 8192;
 
 /// Where one shard lives: a primary address plus failover replicas, tried
-/// in order. Every endpoint must present the same manifest-pinned
+/// in order, wrapping around. Every endpoint must present the same manifest-pinned
 /// identity; a replica serving a different ADS root is rejected at hello
 /// time exactly like a primary would be.
 #[derive(Clone, Debug)]
@@ -70,11 +73,11 @@ impl ShardEndpoint {
         ShardEndpoint { primary, replicas }
     }
 
-    fn chain(&self) -> Vec<SocketAddr> {
-        let mut chain = Vec::with_capacity(1 + self.replicas.len());
-        chain.push(self.primary);
-        chain.extend(self.replicas.iter().copied());
-        chain
+    /// The `index`-th endpoint: the primary, then the replicas in order.
+    fn at(&self, index: usize) -> SocketAddr {
+        index
+            .checked_sub(1)
+            .map_or(self.primary, |r| self.replicas[r])
     }
 }
 
@@ -127,15 +130,19 @@ impl Default for CoordinatorConfig {
 /// The coordinator's verdict on one shard, driven by heartbeats.
 ///
 /// `Healthy → Degraded → Dead` on consecutive misses, back to `Healthy`
-/// on a verified heartbeat or a successful manifest-pinned failover.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// on a verified heartbeat (over a re-dialled connection if a miss retired
+/// the old one) or a successful manifest-pinned failover. Variants are
+/// ordered by severity, the order the fleet verdict and the
+/// `imageproof_shard_health_state` gauge (0, 1, 2) use.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ShardHealthState {
     /// Heartbeats arrive in time and carry the pinned root.
     Healthy,
     /// At least `degraded_after_misses` consecutive misses.
     Degraded,
-    /// The failover threshold was crossed and the endpoint chain is
-    /// exhausted — queries to this shard will fail until it recovers.
+    /// The failover threshold was crossed and no endpoint of the chain
+    /// passed the hello — queries to this shard fail until it recovers
+    /// (every later heartbeat or query re-dials it).
     Dead,
 }
 
@@ -206,7 +213,6 @@ impl FleetHealth {
             slo: SloTracker::new(
                 micros(config.slow_query_threshold_seconds),
                 config.slo_budget,
-                config.slo_window_seconds,
             ),
             events: EventLog::new(COORDINATOR_EVENT_CAPACITY),
             pinned_roots,
@@ -228,14 +234,10 @@ impl FleetHealth {
         &self.events
     }
 
-    /// The SLO tracker over coordinator round-trip latencies.
+    /// The SLO tracker over coordinator round-trip latencies; its burn
+    /// rate reads [`FleetHealth::windowed_latency`].
     pub fn slo(&self) -> &SloTracker {
         &self.slo
-    }
-
-    /// One shard's rolling latency window (micros), if the shard exists.
-    pub fn window(&self, shard: usize) -> Option<&WindowedHistogram> {
-        self.windows.get(shard)
     }
 
     /// The rolling latency view merged across every shard — the windowed
@@ -248,12 +250,11 @@ impl FleetHealth {
         merged
     }
 
-    /// Moves one shard's state machine, logging the transition. Returns
-    /// the new state.
-    fn transition(&self, shard: usize, to: ShardHealthState, why: &str) -> ShardHealthState {
+    /// Moves one shard's state machine, logging the transition.
+    fn transition(&self, shard: usize, to: ShardHealthState, why: &str) {
         let mut health = lock_health(self);
         let Some(view) = health.get_mut(shard) else {
-            return to;
+            return;
         };
         if view.state != to {
             let from = view.state;
@@ -265,22 +266,12 @@ impl FleetHealth {
                 format!("{} -> {}: {why}", from.name(), to.name()),
             );
         }
-        to
     }
 
     /// The overall fleet verdict: the worst shard state.
     pub fn overall(&self) -> ShardHealthState {
-        let mut overall = ShardHealthState::Healthy;
-        for v in lock_health(self).iter() {
-            overall = match (overall, v.state) {
-                (_, ShardHealthState::Dead) | (ShardHealthState::Dead, _) => ShardHealthState::Dead,
-                (_, ShardHealthState::Degraded) | (ShardHealthState::Degraded, _) => {
-                    ShardHealthState::Degraded
-                }
-                _ => ShardHealthState::Healthy,
-            };
-        }
-        overall
+        let worst = lock_health(self).iter().map(|v| v.state).max();
+        worst.unwrap_or(ShardHealthState::Healthy)
     }
 
     /// The `/healthz` body: overall status plus one entry per shard with
@@ -360,15 +351,10 @@ impl ScrapeProvider for FleetScrapeProvider {
         }
         for (s, v) in self.fleet.views().iter().enumerate() {
             let labels = vec![("shard".to_string(), s.to_string())];
-            let state = match v.state {
-                ShardHealthState::Healthy => 0,
-                ShardHealthState::Degraded => 1,
-                ShardHealthState::Dead => 2,
-            };
-            let (id, v) = gauge("imageproof_shard_health_state", labels, state);
+            let (id, v) = gauge("imageproof_shard_health_state", labels, v.state as i64);
             snap.gauges.insert(id, v);
         }
-        if let Some(rate) = self.fleet.slo.burn_rate() {
+        if let Some(rate) = self.fleet.slo.burn_rate(&self.fleet.windowed_latency()) {
             // Milli-units: gauges are integers and burn rates near 1.0
             // matter at the third decimal.
             let milli = (rate * 1000.0).clamp(0.0, i64::MAX as f64) as i64;
@@ -405,10 +391,11 @@ impl ScrapeProvider for FleetScrapeProvider {
 pub struct CoordinatorStats {
     /// Replica failovers performed since connect.
     pub failovers: u64,
-    /// The most recent completed round-trip latencies per shard (at most
-    /// 8 192), in seconds, in issue order (quantiles are computed by
-    /// sorting a copy — see [`CoordinatorStats::latency_quantile`]).
-    pub rpc_seconds: Vec<Vec<f64>>,
+    /// The most recent completed `Query`/`Trim` round-trip latencies per
+    /// shard (at most 8 192), in seconds, oldest first (quantiles are
+    /// computed by sorting a copy — see
+    /// [`CoordinatorStats::latency_quantile`]).
+    pub rpc_seconds: Vec<VecDeque<f64>>,
 }
 
 impl CoordinatorStats {
@@ -417,9 +404,9 @@ impl CoordinatorStats {
     fn record(&mut self, shard: usize, seconds: f64) {
         if let Some(samples) = self.rpc_seconds.get_mut(shard) {
             if samples.len() == RPC_SAMPLES_PER_SHARD {
-                samples.remove(0);
+                samples.pop_front();
             }
-            samples.push(seconds);
+            samples.push_back(seconds);
         }
     }
 
@@ -430,7 +417,7 @@ impl CoordinatorStats {
         if samples.is_empty() {
             return None;
         }
-        let mut sorted = samples.clone();
+        let mut sorted: Vec<f64> = samples.iter().copied().collect();
         sorted.sort_by(|a, b| a.total_cmp(b));
         let rank = ((q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize)
             .saturating_sub(1)
@@ -439,48 +426,71 @@ impl CoordinatorStats {
     }
 }
 
-/// One live shard connection.
+/// One shard's connection state.
+#[derive(Default)]
 struct ShardConn {
-    stream: TcpStream,
-    fb: FrameBuffer,
-    /// Index into the endpoint chain this connection is bound to; failover
-    /// resumes at the next entry.
-    endpoint_index: usize,
+    /// The hello-verified connection and the bytes read off it that do not
+    /// form a whole frame yet; `None` once a fault retired it.
+    link: Option<(TcpStream, FrameBuffer)>,
+    /// Chain index of the endpoint the shard is served from (while
+    /// retired, the one it was last served from).
+    endpoint: usize,
 }
 
-/// One in-flight request within a fan-out round.
-struct Pending {
+/// One request/response exchange with one shard.
+struct Exchange {
     shard: usize,
     id: u64,
+    want_telemetry: bool,
     outbox: Vec<u8>,
     sent: usize,
-    want_telemetry: bool,
     telemetry: Option<QueryProfile>,
-    response: Option<Response>,
-    sw: Stopwatch,
-    /// Round-trip deadline for this request (the request timeout for
-    /// query rounds, the much shorter heartbeat timeout for heartbeats).
+    /// Started when the exchange loop first moves the exchange.
+    sw: Option<Stopwatch>,
+    /// Round-trip deadline: the hello, heartbeat or request timeout.
     timeout_seconds: f64,
+    /// The response or the typed failure, once settled.
+    outcome: Option<Result<Response, RpcError>>,
+    /// Seconds from the start to settlement.
+    seconds: f64,
 }
 
-impl Pending {
-    fn new(shard: usize, request: &Request, want_telemetry: bool, timeout_seconds: f64) -> Pending {
-        Pending {
+impl Exchange {
+    fn new(shard: usize, request: &Request, timeout_seconds: f64) -> Exchange {
+        let (id, want_telemetry) = match request {
+            Request::Hello => (0, false),
+            Request::Query {
+                id, want_telemetry, ..
+            } => (*id, *want_telemetry),
+            Request::Trim { id, .. } | Request::Health { id } => (*id, false),
+        };
+        Exchange {
             shard,
-            id: request_id(request),
+            id,
+            want_telemetry,
             outbox: frame(&request.to_wire()),
             sent: 0,
-            want_telemetry,
             telemetry: None,
-            response: None,
-            sw: Stopwatch::start(),
+            sw: None,
             timeout_seconds,
+            outcome: None,
+            seconds: 0.0,
         }
     }
-}
 
-/// Whether a response is of the kind the outstanding request asked for.
-type Accepts = fn(&Response) -> bool;
+    fn settle(&mut self, outcome: Result<Response, RpcError>) {
+        self.seconds = self.sw.map_or(0.0, |sw| sw.elapsed_seconds());
+        self.outcome = Some(outcome);
+    }
+
+    /// Re-arms the exchange to send its request again on a new connection.
+    fn replay(&mut self) {
+        self.sent = 0;
+        self.telemetry = None;
+        self.sw = None;
+        self.outcome = None;
+    }
+}
 
 /// The fan-out coordinator for a socket-deployed [`ShardManifest`].
 pub struct RpcCoordinator {
@@ -494,7 +504,7 @@ pub struct RpcCoordinator {
     stats: CoordinatorStats,
     /// Shared health/SLO/event plane (scrape threads read it live).
     fleet: Arc<FleetHealth>,
-    /// Scratch for socket reads, shared by every round and heartbeat.
+    /// Scratch for socket reads, shared by every exchange.
     read_buf: Vec<u8>,
 }
 
@@ -520,19 +530,20 @@ impl RpcCoordinator {
         let mut coordinator = RpcCoordinator {
             endpoints,
             pinned_roots,
-            conns: Vec::with_capacity(shard_count),
+            conns: std::iter::repeat_with(ShardConn::default)
+                .take(shard_count)
+                .collect(),
             config,
             next_id: 1,
             stats: CoordinatorStats {
                 failovers: 0,
-                rpc_seconds: vec![Vec::new(); shard_count],
+                rpc_seconds: vec![VecDeque::new(); shard_count],
             },
             fleet,
             read_buf: vec![0u8; READ_BUF_LEN],
         };
-        for shard in 0..shard_count {
-            let conn = coordinator.connect_shard(shard, 0)?;
-            coordinator.conns.push(conn);
+        for (shard, mut tried) in coordinator.untried().into_iter().enumerate() {
+            coordinator.redial(shard, &mut tried)?;
         }
         Ok(coordinator)
     }
@@ -568,32 +579,45 @@ impl RpcCoordinator {
         imageproof_obs::launch_scrape(provider, bind_addr)
     }
 
-    /// Establishes (or re-establishes) shard `shard`'s connection, trying
-    /// the endpoint chain from `start_index` on. Each candidate must pass
-    /// the manifest-pinned hello before it is accepted.
-    fn connect_shard(&self, shard: usize, start_index: usize) -> Result<ShardConn, RpcError> {
-        let chain = self.endpoints[shard].chain();
+    /// For every shard, one flag per endpoint of its chain: whether the
+    /// current request has tried it. None yet.
+    fn untried(&self) -> Vec<Vec<bool>> {
+        self.endpoints
+            .iter()
+            .map(|e| vec![false; 1 + e.replicas.len()])
+            .collect()
+    }
+
+    /// Dials `shard`'s endpoints from its current one on, wrapping around
+    /// the chain and skipping those already `tried`; the first whose hello
+    /// matches the manifest pin becomes the shard's connection. Returns
+    /// whether that is another endpoint than before (a failover, which the
+    /// caller accounts); with no endpoint left, the last error.
+    fn redial(&mut self, shard: usize, tried: &mut [bool]) -> Result<bool, RpcError> {
+        let from = self.conns[shard].endpoint;
         let mut last_err = RpcError::HelloMismatch {
             shard: shard as u32,
         };
-        for (offset, addr) in chain.iter().enumerate().skip(start_index) {
-            match self.try_endpoint(shard, *addr) {
-                Ok(stream) => {
-                    return Ok(ShardConn {
-                        stream,
-                        fb: FrameBuffer::new(),
-                        endpoint_index: offset,
-                    })
-                }
+        let len = tried.len();
+        for index in (from..from + len).map(|i| i % len) {
+            if std::mem::replace(&mut tried[index], true) {
+                continue;
+            }
+            match self.try_endpoint(shard, index) {
+                Ok(()) => return Ok(index != from),
                 Err(e) => last_err = e,
             }
         }
         Err(last_err)
     }
 
-    /// Connect + blocking hello exchange + manifest pin check against one
-    /// candidate address; returns the stream switched to nonblocking mode.
-    fn try_endpoint(&self, shard: usize, addr: SocketAddr) -> Result<TcpStream, RpcError> {
+    /// Connects endpoint `index` of `shard`'s chain and runs the hello on
+    /// the exchange loop under the hello deadline. The connection becomes
+    /// the shard's only if the hello matches the manifest pin; a transport
+    /// failure is returned as is, any other answer is a
+    /// [`RpcError::HelloMismatch`].
+    fn try_endpoint(&mut self, shard: usize, index: usize) -> Result<(), RpcError> {
+        let addr = self.endpoints[shard].at(index);
         let as_io = |e: std::io::Error| RpcError::Io {
             shard: shard as u32,
             kind: e.kind(),
@@ -604,69 +628,53 @@ impl RpcCoordinator {
         )
         .map_err(as_io)?;
         let _ = stream.set_nodelay(true);
-        let mut stream = stream;
-        stream
-            .set_read_timeout(Some(Duration::from_millis(10)))
-            .map_err(as_io)?;
-        stream
-            .write_all(&frame(&Request::Hello.to_wire()))
-            .map_err(as_io)?;
-        let mut fb = FrameBuffer::new();
-        let mut buf = [0u8; 4096];
-        let sw = Stopwatch::start();
-        let body = loop {
-            if let Some(body) = fb.next_frame()? {
-                break body;
-            }
-            if sw.elapsed_seconds() > self.config.hello_timeout_seconds {
-                return Err(RpcError::ShardTimeout {
-                    shard: shard as u32,
-                });
-            }
-            match stream.read(&mut buf) {
-                Ok(0) => {
-                    return Err(RpcError::ConnectionClosed {
-                        shard: shard as u32,
-                    })
-                }
-                Ok(n) => fb.extend(&buf[..n]),
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(as_io(e)),
-            }
-        };
-        let hello = Response::from_wire(&body).map_err(|error| RpcError::Wire {
-            shard: shard as u32,
-            error,
-        })?;
-        match hello {
-            Response::Hello {
+        stream.set_nonblocking(true).map_err(as_io)?;
+        self.conns[shard].link = Some((stream, FrameBuffer::new()));
+        let timeout = self.config.hello_timeout_seconds;
+        let mut hello = [Exchange::new(shard, &Request::Hello, timeout)];
+        self.exchange(&mut hello);
+        let [hello] = hello;
+        let pinned = match hello.outcome {
+            Some(Ok(Response::Hello {
                 shard_id,
                 shard_count,
                 root,
-            } if shard_id as usize == shard
-                && shard_count as usize == self.pinned_roots.len()
-                && root == self.pinned_roots[shard] =>
-            {
-                stream.set_nonblocking(true).map_err(as_io)?;
-                self.fleet.events.record(
-                    EventKind::HelloReverify,
-                    Some(shard as u32),
-                    format!("{addr}: hello matches the manifest pin"),
-                );
-                Ok(stream)
+            })) => self.pins(shard, shard_id, shard_count, &root),
+            // Nothing answered: the transport failure stands.
+            Some(Err(
+                err @ (RpcError::ShardTimeout { .. }
+                | RpcError::ConnectionClosed { .. }
+                | RpcError::Io { .. }
+                | RpcError::Wire { .. }
+                | RpcError::FrameTooLarge { .. }),
+            )) => {
+                self.conns[shard].link = None;
+                return Err(err);
             }
-            _ => {
-                self.fleet.events.record(
-                    EventKind::HelloReverify,
-                    Some(shard as u32),
-                    format!("{addr}: hello does not match the manifest pin"),
-                );
-                Err(RpcError::HelloMismatch {
-                    shard: shard as u32,
-                })
-            }
+            _ => false,
+        };
+        let verdict = if pinned { "matches" } else { "does not match" };
+        self.fleet.events.record(
+            EventKind::HelloReverify,
+            Some(shard as u32),
+            format!("{addr}: hello {verdict} the manifest pin"),
+        );
+        if !pinned {
+            self.conns[shard].link = None;
+            return Err(RpcError::HelloMismatch {
+                shard: shard as u32,
+            });
         }
+        self.conns[shard].endpoint = index;
+        Ok(())
+    }
+
+    /// Whether a hello or heartbeat report names `shard`, the deployment
+    /// size and the owner-signed root the manifest pins for that slot.
+    fn pins(&self, shard: usize, shard_id: u32, shard_count: u32, root: &Digest) -> bool {
+        shard_id as usize == shard
+            && shard_count as usize == self.pinned_roots.len()
+            && self.pinned_roots.get(shard) == Some(root)
     }
 
     /// Allocates the next request id (monotonic across the connection's
@@ -678,16 +686,11 @@ impl RpcCoordinator {
         id
     }
 
-    /// Connects the next manifest-pinned endpoint of `shard`'s chain (hello
-    /// re-verified), makes it the shard's connection, and accounts the
-    /// failover: counter, event, registry series, health back to healthy.
-    /// Returns the promoted endpoint's chain index; an exhausted chain
-    /// returns the last connect error and changes nothing.
-    fn promote_replica(&mut self, shard: usize, why: &str) -> Result<usize, RpcError> {
-        let conn = self.connect_shard(shard, self.conns[shard].endpoint_index + 1)?;
-        let endpoint = conn.endpoint_index;
-        self.conns[shard] = conn;
+    /// Accounts a failover of `shard` to the endpoint it now serves from:
+    /// counter, event, registry series, health back to healthy.
+    fn failed_over(&mut self, shard: usize, why: &str) {
         self.stats.failovers += 1;
+        let endpoint = self.conns[shard].endpoint;
         self.fleet.events.record(
             EventKind::Failover,
             Some(shard as u32),
@@ -706,59 +709,101 @@ impl RpcCoordinator {
             ShardHealthState::Healthy,
             "failed over to a verified replica",
         );
-        Ok(endpoint)
     }
 
-    /// Runs one fan-out round: each `(shard, request)` is written to its
-    /// shard, all round-trips multiplexed on one event loop. Returns the
-    /// completed round-trips in input order.
-    fn fanout_round(
-        &mut self,
-        requests: Vec<(usize, Request)>,
-        accepts: Accepts,
-        want_telemetry: bool,
-    ) -> Result<Vec<Pending>, RpcError> {
+    /// The connection policy for a failed exchange: a [`RpcError::Remote`]
+    /// is the shard's answer and the connection keeps serving; any other
+    /// failure retires it, so nothing still in flight on it (a late answer,
+    /// a duplicate, half a frame) can reach a later exchange. Returns
+    /// whether it was retired.
+    fn retire_unless_answered(&mut self, shard: usize, err: &RpcError) -> bool {
+        let retire = !matches!(err, RpcError::Remote { .. });
+        if retire {
+            self.conns[shard].link = None;
+        }
+        retire
+    }
+
+    /// Runs one query or trim round: each `(shard, request)` on the exchange
+    /// loop; a shard whose exchange faults fails over to its next endpoint
+    /// that passes the hello and replays the request there. Returns the
+    /// settled exchanges in input order.
+    fn fanout_round(&mut self, requests: Vec<(usize, Request)>) -> Result<Vec<Exchange>, RpcError> {
         let timeout = self.config.request_timeout_seconds;
-        let mut pendings: Vec<Pending> = requests
+        let mut exchanges: Vec<Exchange> = requests
             .iter()
-            .map(|(shard, request)| Pending::new(*shard, request, want_telemetry, timeout))
+            .map(|(shard, request)| Exchange::new(*shard, request, timeout))
             .collect();
-        loop {
-            let mut all_done = true;
-            let mut progressed = false;
-            for pending in &mut pendings {
-                if pending.response.is_some() {
+        let mut tried = self.untried();
+        let mut pass: Vec<usize> = (0..exchanges.len()).collect();
+        while !pass.is_empty() {
+            for &i in &pass {
+                let ex = &mut exchanges[i];
+                let shard = ex.shard;
+                if self.conns[shard].link.is_some() {
+                    tried[shard][self.conns[shard].endpoint] = true;
                     continue;
                 }
-                all_done = false;
-                match self.drive_pending(pending, accepts) {
-                    Ok(did) => progressed |= did,
-                    Err(err) => {
-                        // Typed fault: fail over along the endpoint chain
-                        // (hello re-verified), replay the request; only an
-                        // exhausted chain surfaces the error.
+                // Retired by this round's fault, or by an earlier one.
+                let fault = ex.outcome.take().and_then(Result::err);
+                let why = fault
+                    .as_ref()
+                    .map_or("a failed re-dial".to_string(), ToString::to_string);
+                match self.redial(shard, &mut tried[shard]) {
+                    Ok(true) => self.failed_over(shard, &why),
+                    Ok(false) => {}
+                    Err(e) => return Err(fault.unwrap_or(e)),
+                }
+                ex.replay();
+            }
+            self.exchange(&mut exchanges);
+            let mut faulted = Vec::new();
+            let mut answer = None;
+            for i in pass {
+                let ex = &exchanges[i];
+                match &ex.outcome {
+                    Some(Ok(_)) => self.record_round_trip(ex.shard, ex.seconds),
+                    Some(Err(err)) if self.retire_unless_answered(ex.shard, err) => {
                         if matches!(err, RpcError::ShardTimeout { .. }) {
                             self.fleet.events.record(
                                 EventKind::Timeout,
-                                Some(pending.shard as u32),
+                                Some(ex.shard as u32),
                                 format!("query round-trip missed its deadline: {err}"),
                             );
                         }
-                        if self
-                            .promote_replica(pending.shard, &err.to_string())
-                            .is_err()
-                        {
-                            return Err(err);
-                        }
-                        pending.sent = 0;
-                        pending.telemetry = None;
-                        pending.sw = Stopwatch::start();
-                        progressed = true;
+                        faulted.push(i);
                     }
+                    Some(Err(err)) => {
+                        answer.get_or_insert_with(|| err.clone());
+                    }
+                    None => {}
                 }
             }
-            if all_done {
-                return Ok(pendings);
+            if let Some(err) = answer {
+                return Err(err);
+            }
+            pass = faulted;
+        }
+        Ok(exchanges)
+    }
+
+    /// The exchange loop, the only code that reads or writes a shard
+    /// socket: drives every unsettled exchange until it holds its response
+    /// or a typed failure, and its elapsed time. What a failure means for
+    /// the connection is the caller's policy.
+    fn exchange(&mut self, exchanges: &mut [Exchange]) {
+        loop {
+            let mut open = false;
+            let mut progressed = false;
+            for ex in exchanges.iter_mut().filter(|ex| ex.outcome.is_none()) {
+                match self.pump(ex) {
+                    Ok(moved) => progressed |= moved,
+                    Err(err) => ex.settle(Err(err)),
+                }
+                open |= ex.outcome.is_none();
+            }
+            if !open {
+                return;
             }
             if !progressed {
                 // Nothing moved on any connection: yield briefly instead
@@ -768,233 +813,191 @@ impl RpcCoordinator {
         }
     }
 
-    /// Pumps one pending request: drains its outbox, reads whatever the
-    /// shard sent, dispatches complete frames. `Ok(true)` when any bytes
-    /// or frames moved.
-    fn drive_pending(&mut self, pending: &mut Pending, accepts: Accepts) -> Result<bool, RpcError> {
-        let shard = pending.shard as u32;
+    /// Moves one exchange along: drains its outbox, reads whatever the
+    /// shard sent, dispatches complete frames, and settles the exchange
+    /// once its response is in. `Ok(true)` when any bytes or frames moved.
+    fn pump(&mut self, ex: &mut Exchange) -> Result<bool, RpcError> {
+        let shard = ex.shard as u32;
+        let sw = *ex.sw.get_or_insert_with(Stopwatch::start);
+        let io = |e: std::io::Error| RpcError::Io {
+            shard,
+            kind: e.kind(),
+        };
+        let Some((stream, fb)) = self.conns[ex.shard].link.as_mut() else {
+            return Err(RpcError::ConnectionClosed { shard });
+        };
         let mut progressed = false;
-        {
-            let conn = &mut self.conns[pending.shard];
-            while pending.sent < pending.outbox.len() {
-                match conn.stream.write(&pending.outbox[pending.sent..]) {
-                    Ok(0) => return Err(RpcError::ConnectionClosed { shard }),
-                    Ok(n) => {
-                        pending.sent += n;
-                        progressed = true;
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    Err(e) => {
-                        return Err(RpcError::Io {
-                            shard,
-                            kind: e.kind(),
-                        })
-                    }
+        while ex.sent < ex.outbox.len() {
+            match stream.write(&ex.outbox[ex.sent..]) {
+                Ok(0) => return Err(RpcError::ConnectionClosed { shard }),
+                Ok(n) => {
+                    ex.sent += n;
+                    progressed = true;
                 }
-            }
-            loop {
-                match conn.stream.read(&mut self.read_buf) {
-                    Ok(0) => return Err(RpcError::ConnectionClosed { shard }),
-                    Ok(n) => {
-                        conn.fb.extend(&self.read_buf[..n]);
-                        progressed = true;
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    Err(e) => {
-                        return Err(RpcError::Io {
-                            shard,
-                            kind: e.kind(),
-                        })
-                    }
-                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(io(e)),
             }
         }
-        while pending.response.is_none() {
-            let Some(body) = self.conns[pending.shard].fb.next_frame()? else {
+        loop {
+            match stream.read(&mut self.read_buf) {
+                Ok(0) => return Err(RpcError::ConnectionClosed { shard }),
+                Ok(n) => {
+                    fb.extend(&self.read_buf[..n]);
+                    progressed = true;
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(io(e)),
+            }
+        }
+        while ex.outcome.is_none() {
+            let Some(body) = fb.next_frame()? else {
                 break;
             };
             progressed = true;
-            let response =
-                Response::from_wire(&body).map_err(|error| RpcError::Wire { shard, error })?;
-            match response {
+            match Response::from_wire(&body).map_err(|error| RpcError::Wire { shard, error })? {
                 Response::Telemetry { id, profile } => {
-                    if !pending.want_telemetry || id != pending.id {
+                    if !ex.want_telemetry || id != ex.id {
                         return Err(RpcError::UnsolicitedTelemetry { shard });
                     }
-                    pending.telemetry = Some(profile.to_profile());
+                    ex.telemetry = Some(profile.to_profile());
                 }
-                Response::Error { id, message } => {
-                    if id != pending.id {
-                        return Err(RpcError::ResponseIdMismatch {
-                            shard,
-                            expected: pending.id,
-                            got: id,
-                        });
-                    }
-                    return Err(RpcError::Remote { shard, message });
+                response if response.id() != ex.id => {
+                    return Err(RpcError::ResponseIdMismatch {
+                        shard,
+                        expected: ex.id,
+                        got: response.id(),
+                    })
                 }
-                other => {
-                    if other.id() != pending.id {
-                        return Err(RpcError::ResponseIdMismatch {
-                            shard,
-                            expected: pending.id,
-                            got: other.id(),
-                        });
-                    }
-                    if !accepts(&other) {
-                        return Err(RpcError::UnexpectedResponse { shard });
-                    }
-                    let seconds = pending.sw.elapsed_seconds();
-                    self.stats.record(pending.shard, seconds);
-                    if imageproof_obs::enabled() {
-                        imageproof_obs::global()
-                            .histogram(
-                                "imageproof_rpc_request_micros",
-                                &[("shard", &pending.shard.to_string())],
-                            )
-                            .record(micros(seconds));
-                    }
-                    // Heartbeats are health traffic, not serving traffic:
-                    // only query/trim round-trips feed the rolling window
-                    // and burn the SLO budget.
-                    if !matches!(other, Response::Health { .. }) {
-                        let us = micros(seconds);
-                        if let Some(window) = self.fleet.windows.get(pending.shard) {
-                            window.record(us);
-                        }
-                        if self.fleet.slo.record(us) {
-                            self.fleet.events.record(
-                                EventKind::SlowQuery,
-                                Some(pending.shard as u32),
-                                format!(
-                                    "round-trip {us} us exceeded the {} us threshold",
-                                    self.fleet.slo.threshold()
-                                ),
-                            );
-                        }
-                    }
-                    pending.response = Some(other);
-                }
+                Response::Error { message, .. } => return Err(RpcError::Remote { shard, message }),
+                response => ex.settle(Ok(response)),
             }
         }
-        if pending.response.is_none() && pending.sw.elapsed_seconds() > pending.timeout_seconds {
+        if ex.outcome.is_none() && sw.elapsed_seconds() > ex.timeout_seconds {
             return Err(RpcError::ShardTimeout { shard });
         }
         Ok(progressed)
     }
 
-    /// Runs one heartbeat round over every shard and advances the
-    /// degraded/healthy/dead state machine. Call it between queries (or
-    /// from a service loop): the heartbeat deadline is far shorter than
-    /// the request timeout, so a stalled shard is detected and failed
-    /// over *before* any query would block on it.
+    /// Records one completed `Query`/`Trim` round-trip (the only traffic
+    /// recorded) in the shard's latency history, the
+    /// `imageproof_rpc_request_micros` histogram, its window and the SLO.
+    fn record_round_trip(&mut self, shard: usize, seconds: f64) {
+        self.stats.record(shard, seconds);
+        let us = micros(seconds);
+        if imageproof_obs::enabled() {
+            imageproof_obs::global()
+                .histogram(
+                    "imageproof_rpc_request_micros",
+                    &[("shard", &shard.to_string())],
+                )
+                .record(us);
+        }
+        if let Some(window) = self.fleet.windows.get(shard) {
+            window.record(us);
+        }
+        if self.fleet.slo.record(us) {
+            self.fleet.events.record(
+                EventKind::SlowQuery,
+                Some(shard as u32),
+                format!(
+                    "round-trip {us} us exceeded the {} us threshold",
+                    self.fleet.slo.threshold()
+                ),
+            );
+        }
+    }
+
+    /// Runs one heartbeat sweep — one `Health` exchange per shard, all on
+    /// the exchange loop, so at most one heartbeat deadline — and advances
+    /// the degraded/healthy/dead state machine. Call it between queries
+    /// (or from a service loop): the heartbeat deadline is far shorter than
+    /// the request timeout, so a stalled shard is detected and failed over
+    /// *before* any query would block on it.
     ///
     /// Per shard: a verified [`WireHealth`] (matching shard id and the
     /// owner-signed manifest root — a replica on the wrong root can never
     /// report healthy) resets the miss counter and the state to healthy.
-    /// A miss (timeout, transport fault, or root mismatch) increments the
-    /// counter: `degraded_after_misses` marks the shard degraded,
-    /// `failover_after_misses` proactively promotes the next manifest-
-    /// pinned replica (healthy again on success, dead when the chain is
-    /// exhausted). Returns the post-round state per shard.
+    /// A miss (timeout, transport fault, failed re-dial, or root mismatch)
+    /// increments the counter: `degraded_after_misses` marks the shard
+    /// degraded, `failover_after_misses` promotes the next manifest-pinned
+    /// endpoint (healthy again on success, dead when none passes the
+    /// hello). Returns the post-sweep state per shard.
     pub fn heartbeat(&mut self) -> Vec<ShardHealthState> {
-        let shard_count = self.shard_count();
-        for shard in 0..shard_count {
-            match self.heartbeat_shard(shard) {
-                Ok(report) => {
-                    let mut health = lock_health(&self.fleet);
-                    if let Some(view) = health.get_mut(shard) {
+        let timeout = self.config.heartbeat_timeout_seconds;
+        let mut tried = self.untried();
+        let mut exchanges = Vec::new();
+        for (shard, tried) in tried.iter_mut().enumerate() {
+            let endpoint = self.conns[shard].endpoint;
+            tried[endpoint] = true;
+            let id = self.fresh_id();
+            let mut ex = Exchange::new(shard, &Request::Health { id }, timeout);
+            if self.conns[shard].link.is_none() {
+                if let Err(err) = self.try_endpoint(shard, endpoint) {
+                    ex.settle(Err(err));
+                }
+            }
+            exchanges.push(ex);
+        }
+        self.exchange(&mut exchanges);
+        for ex in exchanges {
+            let (shard, id) = (ex.shard, ex.shard as u32);
+            let err = match ex.outcome {
+                // The heartbeat's trust anchor: "healthy" only counts when
+                // attributed to the committed state the owner signed.
+                Some(Ok(Response::Health { health, .. }))
+                    if self.pins(shard, health.shard_id, health.shard_count, &health.root) =>
+                {
+                    if let Some(view) = lock_health(&self.fleet).get_mut(shard) {
                         view.missed_heartbeats = 0;
                         view.heartbeats_ok += 1;
-                        view.last_report = Some(report);
+                        view.last_report = Some(health);
                     }
-                    drop(health);
                     self.fleet
                         .transition(shard, ShardHealthState::Healthy, "verified heartbeat");
+                    continue;
                 }
-                Err(err) => {
-                    let misses = {
-                        let mut health = lock_health(&self.fleet);
-                        match health.get_mut(shard) {
-                            Some(view) => {
-                                view.missed_heartbeats += 1;
-                                view.missed_heartbeats
-                            }
-                            None => 0,
-                        }
-                    };
+                Some(Ok(Response::Health { .. })) => {
                     self.fleet.events.record(
-                        EventKind::Timeout,
-                        Some(shard as u32),
-                        format!("heartbeat miss {misses}: {err}"),
+                        EventKind::HelloReverify,
+                        Some(id),
+                        "heartbeat report does not match the manifest pin",
                     );
-                    if misses >= self.config.failover_after_misses {
-                        let why = format!("{misses} heartbeat misses");
-                        if self.promote_replica(shard, &why).is_err() {
-                            self.fleet.transition(
-                                shard,
-                                ShardHealthState::Dead,
-                                "heartbeat misses exhausted the endpoint chain",
-                            );
-                        }
-                    } else if misses >= self.config.degraded_after_misses {
-                        self.fleet.transition(
-                            shard,
-                            ShardHealthState::Degraded,
-                            "missed heartbeat",
-                        );
-                    }
+                    RpcError::HelloMismatch { shard: id }
                 }
+                Some(Err(err)) => err,
+                _ => RpcError::UnexpectedResponse { shard: id },
+            };
+            self.retire_unless_answered(shard, &err);
+            let misses = match lock_health(&self.fleet).get_mut(shard) {
+                Some(view) => {
+                    view.missed_heartbeats += 1;
+                    view.missed_heartbeats
+                }
+                None => 0,
+            };
+            self.fleet.events.record(
+                EventKind::Timeout,
+                Some(id),
+                format!("heartbeat miss {misses}: {err}"),
+            );
+            if misses >= self.config.failover_after_misses {
+                if self.redial(shard, &mut tried[shard]).is_ok() {
+                    self.failed_over(shard, &format!("{misses} heartbeat misses"));
+                } else {
+                    self.fleet.transition(
+                        shard,
+                        ShardHealthState::Dead,
+                        "heartbeat misses exhausted the endpoint chain",
+                    );
+                }
+            } else if misses >= self.config.degraded_after_misses {
+                self.fleet
+                    .transition(shard, ShardHealthState::Degraded, "missed heartbeat");
             }
         }
         self.fleet.states()
-    }
-
-    /// One shard's heartbeat round-trip under the heartbeat deadline,
-    /// with the report verified against the manifest pin.
-    fn heartbeat_shard(&mut self, shard: usize) -> Result<WireHealth, RpcError> {
-        let request = Request::Health {
-            id: self.fresh_id(),
-        };
-        let timeout = self.config.heartbeat_timeout_seconds;
-        let mut pending = Pending::new(shard, &request, false, timeout);
-        loop {
-            let progressed =
-                self.drive_pending(&mut pending, |r| matches!(r, Response::Health { .. }))?;
-            match pending.response.take() {
-                Some(Response::Health { health, .. }) => {
-                    // The heartbeat's trust anchor: "healthy" only counts
-                    // when attributed to the committed state the owner
-                    // signed.
-                    if health.shard_id as usize != shard
-                        || health.shard_count as usize != self.pinned_roots.len()
-                        || health.root != self.pinned_roots[shard]
-                    {
-                        self.fleet.events.record(
-                            EventKind::HelloReverify,
-                            Some(shard as u32),
-                            "heartbeat report does not match the manifest pin",
-                        );
-                        return Err(RpcError::HelloMismatch {
-                            shard: shard as u32,
-                        });
-                    }
-                    return Ok(health);
-                }
-                Some(_) => {
-                    return Err(RpcError::UnexpectedResponse {
-                        shard: shard as u32,
-                    })
-                }
-                None => {
-                    if !progressed {
-                        std::thread::sleep(Duration::from_micros(200));
-                    }
-                }
-            }
-        }
     }
 
     /// Answers one sharded top-k query over the wire (the socket
@@ -1037,8 +1040,9 @@ impl RpcCoordinator {
 }
 
 /// The socket fleet: a round is one request frame per shard, multiplexed
-/// on the coordinator's event loop; a shard answering with the wrong
-/// number of payloads is an [`RpcError::UnexpectedResponse`].
+/// on the coordinator's exchange loop; a shard answering with another kind
+/// of response or the wrong number of payloads is an
+/// [`RpcError::UnexpectedResponse`].
 impl fanout::Fleet for RpcCoordinator {
     type Error = RpcError;
 
@@ -1059,24 +1063,20 @@ impl fanout::Fleet for RpcCoordinator {
                 (shard, request)
             })
             .collect();
-        let done = self.fanout_round(
-            requests,
-            |r| matches!(r, Response::Query { .. }),
-            want_telemetry,
-        )?;
-        done.into_iter()
-            .map(|pending| match pending.response {
-                Some(Response::Query { payloads, .. }) if payloads.len() == queries.len() => {
+        self.fanout_round(requests)?
+            .into_iter()
+            .map(|ex| match ex.outcome {
+                Some(Ok(Response::Query { payloads, .. })) if payloads.len() == queries.len() => {
                     Ok(fanout::ShardRound {
                         answers: payloads
                             .into_iter()
                             .map(QueryPayload::into_response)
                             .collect(),
-                        profile: pending.telemetry.unwrap_or_default(),
+                        profile: ex.telemetry.unwrap_or_default(),
                     })
                 }
                 _ => Err(RpcError::UnexpectedResponse {
-                    shard: pending.shard as u32,
+                    shard: ex.shard as u32,
                 }),
             })
             .collect()
@@ -1102,10 +1102,12 @@ impl fanout::Fleet for RpcCoordinator {
             requests.push((shard, Request::Trim { id, items }));
         }
         let mut outcomes: Vec<Vec<TrimPayload>> = vec![Vec::new(); plan.len()];
-        for pending in self.fanout_round(requests, |r| matches!(r, Response::Trim { .. }), false)? {
-            let shard = pending.shard;
-            match pending.response {
-                Some(Response::Trim { payloads, .. }) if payloads.len() == plan[shard].len() => {
+        for ex in self.fanout_round(requests)? {
+            let shard = ex.shard;
+            match ex.outcome {
+                Some(Ok(Response::Trim { payloads, .. }))
+                    if payloads.len() == plan[shard].len() =>
+                {
                     outcomes[shard] = payloads;
                 }
                 _ => {
@@ -1119,14 +1121,6 @@ impl fanout::Fleet for RpcCoordinator {
     }
 }
 
-/// The id a request was stamped with (0 for hello, which has none).
-fn request_id(request: &Request) -> u64 {
-    match request {
-        Request::Hello => 0,
-        Request::Query { id, .. } | Request::Trim { id, .. } | Request::Health { id } => *id,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1136,7 +1130,7 @@ mod tests {
         const N: usize = RPC_SAMPLES_PER_SHARD;
         let mut stats = CoordinatorStats {
             failovers: 0,
-            rpc_seconds: vec![Vec::new(); 2],
+            rpc_seconds: vec![VecDeque::new(); 2],
         };
         // A deterministic scramble of 3·N distinct latencies on shard 1.
         let sample = |i: usize| ((i * 7919) % (3 * N)) as f64 * 1e-6;

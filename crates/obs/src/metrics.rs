@@ -726,21 +726,23 @@ impl WindowedHistogram {
     }
 }
 
-/// An SLO burn-rate tracker over a [`WindowedHistogram`].
+/// An SLO burn-rate tracker: a latency threshold, an error budget, and
+/// cumulative counters.
 ///
 /// The objective is "at most `budget` of samples may exceed
 /// `threshold`" (e.g. budget 0.01 with a p99 latency target). The burn
-/// rate is the windowed violating fraction divided by the budget: 1.0
-/// means the error budget is being consumed exactly as fast as it
-/// accrues, above 1.0 the SLO is burning down. Violations are counted at
-/// bucket resolution (a bucket straddling the threshold counts as
-/// violating, erring toward alarm). [`SloTracker::breached_total`] is the
-/// cumulative burn counter for exposition.
+/// rate is the violating fraction of a windowed latency view divided by
+/// the budget: 1.0 means the error budget is being consumed exactly as
+/// fast as it accrues, above 1.0 the SLO is burning down. The tracker
+/// keeps no samples of its own; its caller records them into the
+/// [`WindowedHistogram`]s the burn rate is read over. Violations are
+/// counted at bucket resolution (a bucket straddling the threshold counts
+/// as violating, erring toward alarm). [`SloTracker::breached_total`] is
+/// the cumulative burn counter for exposition.
 #[derive(Debug)]
 pub struct SloTracker {
     threshold: u64,
     budget: f64,
-    window: WindowedHistogram,
     breached: Counter,
     observed: Counter,
 }
@@ -748,8 +750,8 @@ pub struct SloTracker {
 impl SloTracker {
     /// `threshold` in the recorded unit (micros here), `budget` the
     /// allowed violating fraction (clamped to at least 1e-9 so the rate
-    /// stays finite), windowed over `window_seconds`.
-    pub fn new(threshold: u64, budget: f64, window_seconds: f64) -> SloTracker {
+    /// stays finite).
+    pub fn new(threshold: u64, budget: f64) -> SloTracker {
         let budget = if budget.is_finite() {
             budget.clamp(1e-9, 1.0)
         } else {
@@ -758,7 +760,6 @@ impl SloTracker {
         SloTracker {
             threshold,
             budget,
-            window: WindowedHistogram::new(window_seconds),
             breached: Counter::new(),
             observed: Counter::new(),
         }
@@ -768,15 +769,9 @@ impl SloTracker {
         self.threshold
     }
 
-    /// Records one sample, counting it against the budget when over
-    /// threshold. Returns whether the sample breached.
+    /// Counts one sample, against the budget when over threshold. Returns
+    /// whether the sample breached.
     pub fn record(&self, v: u64) -> bool {
-        self.record_at(self.window.clock.elapsed_seconds(), v)
-    }
-
-    /// [`SloTracker::record`] at an explicit instant.
-    pub fn record_at(&self, now_seconds: f64, v: u64) -> bool {
-        self.window.record_at(now_seconds, v);
         self.observed.inc();
         let breached = v > self.threshold;
         if breached {
@@ -795,30 +790,19 @@ impl SloTracker {
         self.observed.get()
     }
 
-    /// Windowed burn rate; `None` when the window is empty (an empty
-    /// window is "no data", not "no burn").
-    pub fn burn_rate(&self) -> Option<f64> {
-        self.burn_rate_at(self.window.clock.elapsed_seconds())
-    }
-
-    /// [`SloTracker::burn_rate`] at an explicit instant.
-    pub fn burn_rate_at(&self, now_seconds: f64) -> Option<f64> {
-        let snap = self.window.snapshot_at(now_seconds);
-        if snap.count == 0 {
+    /// Burn rate over `window`; `None` when it is empty (an empty window
+    /// is "no data", not "no burn").
+    pub fn burn_rate(&self, window: &HistogramSnapshot) -> Option<f64> {
+        if window.count == 0 {
             return None;
         }
-        let violating: u64 = snap
+        let violating: u64 = window
             .buckets
             .iter()
             .filter(|&&(upper, _)| upper > self.threshold)
             .map(|&(_, n)| n)
             .fold(0u64, |acc, n| acc.saturating_add(n));
-        Some((violating as f64 / snap.count as f64) / self.budget)
-    }
-
-    /// The windowed latency view backing the tracker.
-    pub fn window(&self) -> &WindowedHistogram {
-        &self.window
+        Some((violating as f64 / window.count as f64) / self.budget)
     }
 }
 
@@ -982,20 +966,25 @@ mod tests {
     #[test]
     fn slo_burn_rate_tracks_windowed_violations() {
         // Objective: at most 10 % of samples over 1000 µs.
-        let slo = SloTracker::new(1_000, 0.10, 10.0);
-        assert_eq!(slo.burn_rate_at(0.0), None, "no data is not zero burn");
-        for _ in 0..9 {
-            assert!(!slo.record_at(0.1, 10));
+        let slo = SloTracker::new(1_000, 0.10);
+        assert_eq!(
+            slo.burn_rate(&HistogramSnapshot::default()),
+            None,
+            "no data is not zero burn"
+        );
+        let window = WindowedHistogram::new(10.0);
+        for v in [10; 9].into_iter().chain([50_000]) {
+            window.record_at(0.1, v);
+            assert_eq!(slo.record(v), v == 50_000);
         }
-        assert!(slo.record_at(0.1, 50_000));
         // 1/10 violating at a 10 % budget → burn rate 1.0.
-        let rate = slo.burn_rate_at(0.2).unwrap();
+        let rate = slo.burn_rate(&window.snapshot_at(0.2)).unwrap();
         assert!((rate - 1.0).abs() < 1e-9, "rate = {rate}");
         assert_eq!(slo.breached_total(), 1);
         assert_eq!(slo.observed_total(), 10);
         // The violations age out of the window; the cumulative counter
         // does not.
-        assert_eq!(slo.burn_rate_at(100.0), None);
+        assert_eq!(slo.burn_rate(&window.snapshot_at(100.0)), None);
         assert_eq!(slo.breached_total(), 1);
     }
 

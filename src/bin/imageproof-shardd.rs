@@ -374,7 +374,7 @@ fn run_coordinator(
         wq(0.5),
         wq(0.9),
         wq(0.99),
-        match coord.fleet().slo().burn_rate() {
+        match coord.fleet().slo().burn_rate(&windowed) {
             Some(b) => format!("{b:.3}"),
             None => "n/a".to_string(),
         },

@@ -14,6 +14,7 @@ mod rpc_util;
 use imageproof_core::{Concurrency, Scheme};
 use imageproof_crypto::wire::Encode;
 use rpc_util::{connect, fixture};
+use std::collections::VecDeque;
 
 #[test]
 fn coordinator_matches_in_process_for_every_scheme_and_shard_count() {
@@ -100,7 +101,12 @@ fn batched_queries_match_single_queries_bit_for_bit() {
 
     let mut coord = connect(&fx);
     let round_trips = |coord: &imageproof_core::rpc::RpcCoordinator| -> Vec<usize> {
-        coord.stats().rpc_seconds.iter().map(Vec::len).collect()
+        coord
+            .stats()
+            .rpc_seconds
+            .iter()
+            .map(VecDeque::len)
+            .collect()
     };
     let before = round_trips(&coord);
     let batched = coord.query_batch(&queries, k).expect("batched query");

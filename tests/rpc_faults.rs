@@ -450,3 +450,111 @@ fn unassignable_query_features_get_an_error_frame_and_the_connection_keeps_servi
         Response::Health { id: 8, .. }
     ));
 }
+
+#[test]
+fn a_late_heartbeat_answer_never_reaches_the_next_query() {
+    // The shard answers the heartbeat 400 ms late, after its 0.2 s
+    // deadline. The miss retires the connection, so the late Health frame
+    // dies with it instead of answering the next query's fresh id.
+    use imageproof_core::rpc::ShardHealthState;
+    use std::time::Duration;
+
+    let fx = fixture(Scheme::ImageProof, 1);
+    let proxy = Proxy::start(
+        fx.endpoints[0].primary,
+        Fault::DelayFirstResponse(Duration::from_millis(400)),
+    );
+    let mut coord = connect_via_proxy(&fx, &proxy, quick_config()).expect("connect");
+    assert_eq!(coord.heartbeat(), vec![ShardHealthState::Degraded]);
+    std::thread::sleep(Duration::from_millis(600));
+    let features = fx.corpus().query_from_image(5, 20, 1);
+    let (resp, _) = coord
+        .query(&features, 3)
+        .expect("query after a late heartbeat answer");
+    let (local, _) = fx.sp.query(&features, 3);
+    assert_eq!(resp.vo.to_wire(), local.vo.to_wire());
+}
+
+#[test]
+fn a_shard_that_comes_back_is_served_again() {
+    // The only endpoint disappears and comes back on the same address:
+    // the next heartbeat re-dials it (hello re-verified) and the shard
+    // serves again, whatever state the misses left it in.
+    use imageproof_core::rpc::ShardHealthState;
+
+    let fx = fixture(Scheme::ImageProof, 1);
+    let target = fx.endpoints[0].primary;
+    let proxy = Proxy::start(target, Fault::Transparent);
+    let addr = proxy.addr();
+    let mut coord = connect_via_proxy(&fx, &proxy, quick_config()).expect("connect");
+    let features = fx.corpus().query_from_image(5, 20, 1);
+    coord.query(&features, 3).expect("query before the outage");
+    drop(proxy);
+    coord
+        .query(&features, 3)
+        .expect_err("query while the shard is gone");
+    let _proxy = Proxy::start_at(addr, target, Fault::Transparent);
+    let mut sweeps = Vec::new();
+    while sweeps.last() != Some(&vec![ShardHealthState::Healthy]) {
+        assert!(sweeps.len() < 5, "never healthy again: {sweeps:?}");
+        sweeps.push(coord.heartbeat());
+    }
+    let (resp, _) = coord.query(&features, 3).expect("query after recovery");
+    let (local, _) = fx.sp.query(&features, 3);
+    assert_eq!(resp.vo.to_wire(), local.vo.to_wire());
+}
+
+#[test]
+fn a_client_input_error_is_not_a_failover() {
+    // A malformed query is answered by the shard with an error frame; that
+    // is the shard's answer, not a fault of its endpoint, so the
+    // coordinator must not walk the chain (here the same server twice).
+    use imageproof_obs::EventKind;
+
+    let fx = fixture(Scheme::ImageProof, 1);
+    let addr = fx.endpoints[0].primary;
+    let endpoints = vec![ShardEndpoint::with_replicas(addr, vec![addr])];
+    let mut coord =
+        RpcCoordinator::connect(endpoints, &fx.manifest, quick_config()).expect("connect");
+    let honest = fx.corpus().query_from_image(5, 20, 1);
+    let mut bad = honest.clone();
+    bad.push(vec![0.5f32; 3]);
+    let err = coord.query(&bad, 3).expect_err("3-float feature");
+    assert!(
+        matches!(err, RpcError::Remote { shard: 0, .. }),
+        "got: {err}"
+    );
+    assert_eq!(coord.stats().failovers, 0);
+    assert_eq!(coord.fleet().events().count(EventKind::Failover), 0);
+    let (resp, _) = coord.query(&honest, 3).expect("honest query");
+    let (local, _) = fx.sp.query(&honest, 3);
+    assert_eq!(resp.vo.to_wire(), local.vo.to_wire());
+    assert_eq!(coord.stats().failovers, 0, "served by the primary");
+}
+
+#[test]
+fn a_heartbeat_sweep_waits_one_deadline_not_one_per_shard() {
+    // Both shards stall: their heartbeats run on one exchange loop, so the
+    // sweep costs one heartbeat deadline, not two.
+    use imageproof_core::rpc::ShardHealthState;
+
+    let fx = fixture(Scheme::ImageProof, 2);
+    let proxies: Vec<Proxy> = fx
+        .endpoints
+        .iter()
+        .map(|e| Proxy::start(e.primary, Fault::StallResponses))
+        .collect();
+    let endpoints = proxies
+        .iter()
+        .map(|p| ShardEndpoint::single(p.addr()))
+        .collect();
+    let config = quick_config();
+    let mut coord = RpcCoordinator::connect(endpoints, &fx.manifest, config).expect("connect");
+    let sweep = imageproof_obs::Stopwatch::start();
+    assert_eq!(coord.heartbeat(), vec![ShardHealthState::Degraded; 2]);
+    let seconds = sweep.elapsed_seconds();
+    assert!(
+        seconds < 1.5 * config.heartbeat_timeout_seconds,
+        "sweep took {seconds:.3}s"
+    );
+}

@@ -225,6 +225,9 @@ pub enum Fault {
     /// Inject these raw bytes into the response stream before the first
     /// genuine response byte (spoofed telemetry, replayed captures).
     InjectBeforeResponses(Vec<u8>),
+    /// Hold the first response bytes this long, then forward everything:
+    /// an answer that arrives after its deadline.
+    DelayFirstResponse(Duration),
 }
 
 pub struct Proxy {
@@ -236,7 +239,14 @@ pub struct Proxy {
 impl Proxy {
     /// Starts a proxy on a fresh loopback port forwarding to `target`.
     pub fn start(target: SocketAddr, fault: Fault) -> Proxy {
-        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind proxy");
+        Proxy::start_at(SocketAddr::from(([127, 0, 0, 1], 0)), target, fault)
+    }
+
+    /// Starts a proxy on `addr`, e.g. where a dropped proxy listened, so a
+    /// shard comes back on its old address (std sets `SO_REUSEADDR`, so
+    /// the port can be bound again at once).
+    pub fn start_at(addr: SocketAddr, target: SocketAddr, fault: Fault) -> Proxy {
+        let listener = TcpListener::bind(addr).expect("bind proxy");
         let addr = listener.local_addr().expect("proxy addr");
         listener.set_nonblocking(true).expect("nonblocking proxy");
         let stop = Arc::new(AtomicBool::new(false));
@@ -363,6 +373,13 @@ fn relay(
                     }
                     Fault::StallResponses | Fault::StallRequests | Fault::HostileLengthHeader => {}
                     Fault::Transparent => client.write_all(bytes)?,
+                    Fault::DelayFirstResponse(delay) => {
+                        if responded == 0 {
+                            std::thread::sleep(*delay);
+                        }
+                        responded += bytes.len();
+                        client.write_all(bytes)?;
+                    }
                     Fault::InjectBeforeResponses(pre) => {
                         if !injected {
                             injected = true;
