@@ -25,7 +25,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// The declared workspace lock-order manifest: an earlier lock may be held
 /// while taking a later one, never the reverse.
-pub const LOCK_ORDER: &[&str] = &["counters", "gauges", "histograms", "collected"];
+pub const LOCK_ORDER: &[&str] = &["counters", "histograms", "collected"];
 
 /// File prefixes the concurrency lints apply to.
 const SCOPE: &[&str] = &["crates/obs/", "crates/parallel/"];
@@ -344,7 +344,7 @@ mod tests {
     #[test]
     fn out_of_order_same_statement_acquisition_fires() {
         let src = "impl Registry { fn bad(&self) -> (usize, usize) {\n\
-                   (self.gauges.lock().len(), self.counters.lock().len())\n\
+                   (self.histograms.lock().len(), self.counters.lock().len())\n\
                    } }";
         let f = run("crates/obs/src/metrics.rs", src);
         assert!(
@@ -357,7 +357,7 @@ mod tests {
     #[test]
     fn declared_order_nesting_is_clean() {
         let src = "impl Registry { fn snap(&self) -> Snap {\n\
-                   Snap { c: self.counters.lock().len(), g: self.gauges.lock().len(), h: self.histograms.lock().len() }\n\
+                   Snap { c: self.counters.lock().len(), h: self.histograms.lock().len() }\n\
                    } }";
         let f = run("crates/obs/src/metrics.rs", src);
         assert!(f.iter().all(|x| x.rule != "lockorder"), "{f:?}");
@@ -451,7 +451,7 @@ mod tests {
     #[test]
     fn out_of_scope_crates_are_not_linted() {
         let src = "impl S { fn bad(&self) -> usize {\n\
-                   self.gauges.lock().len() + self.counters.lock().len()\n\
+                   self.histograms.lock().len() + self.counters.lock().len()\n\
                    } }\n\
                    fn r(c: &AtomicU64) { c.load(Ordering::Relaxed); }";
         let f = run("crates/core/src/sp.rs", src);

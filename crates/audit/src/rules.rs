@@ -903,7 +903,7 @@ mod tests {
     #[test]
     fn lockorder_rule_fires_through_the_pipeline() {
         let src = "impl Registry { fn bad(&self) -> (usize, usize) {\n\
-                   (self.gauges.lock().len(), self.counters.lock().len())\n\
+                   (self.histograms.lock().len(), self.counters.lock().len())\n\
                    } }";
         let f = one("crates/obs/src/metrics.rs", src);
         assert!(rules_of(&f).contains(&"lockorder"), "{f:?}");

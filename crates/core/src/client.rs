@@ -11,7 +11,7 @@
 //! instead of the owner's root signature.
 
 use crate::owner::{image_signing_message, root_signing_message, PublishedParams};
-use crate::scheme::{BovwVoVariant, InvVoVariant, QueryVo};
+use crate::scheme::{BovwVoVariant, InvVoVariant};
 use crate::shard::{RootExpectation, SubVerify};
 use crate::sp::QueryResponse;
 use imageproof_akm::SparseBovw;
@@ -114,37 +114,15 @@ impl Client {
     ///
     /// The monolith path calls this once per response with
     /// [`RootExpectation::OwnerSignature`]; the sharded path calls it once
-    /// per sub-VO with the shard's manifest-committed root.
+    /// per sub-VO with the shard's manifest-committed root. The VO comes in
+    /// parts because trimmed sharded sub-VOs resolve their BoVW VO out of
+    /// a response-level shared section, so no contiguous
+    /// [`QueryVo`](crate::QueryVo) exists to borrow.
     ///
     /// Timing comes from `prof` spans (`bovw`, `inv`); on an error return
     /// the open span is discarded along with the caller's profiler.
-    pub(crate) fn verify_query_vo(
-        &self,
-        features: &[Vec<f32>],
-        k: usize,
-        vo: &QueryVo,
-        claimed: &[ImageId],
-        root: RootExpectation<'_>,
-        prof: &mut Profiler,
-    ) -> Result<SubVerify, ClientError> {
-        self.verify_query_vo_parts(
-            features,
-            k,
-            &vo.bovw,
-            &vo.inv,
-            vo.signatures.len(),
-            claimed,
-            root,
-            prof,
-        )
-    }
-
-    /// [`Client::verify_query_vo`] over a VO's parts, for callers whose
-    /// wire format carries them separately (trimmed sharded sub-VOs
-    /// resolve their BoVW VO out of a response-level shared section, so no
-    /// contiguous [`QueryVo`] exists to borrow).
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn verify_query_vo_parts(
+    pub(crate) fn verify_query_vo(
         &self,
         features: &[Vec<f32>],
         k: usize,
@@ -267,7 +245,9 @@ impl Client {
         let sub = self.verify_query_vo(
             features,
             k,
-            &response.vo,
+            &response.vo.bovw,
+            &response.vo.inv,
+            response.vo.signatures.len(),
             &claimed,
             RootExpectation::OwnerSignature,
             &mut prof,

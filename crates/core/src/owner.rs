@@ -7,7 +7,6 @@ use imageproof_crypto::{Digest, PublicKey, Signature, SigningKey};
 use imageproof_invindex::grouped::GroupedInvertedIndex;
 use imageproof_invindex::{MerkleInvertedIndex, SpaceUsage};
 use imageproof_mrkd::MrkdTree;
-use imageproof_obs::{Profiler, QueryProfile};
 use imageproof_parallel::{par_map, par_map_chunked, Concurrency};
 use imageproof_vision::{Corpus, ImageId, SyntheticImage};
 use std::collections::BTreeMap;
@@ -158,29 +157,9 @@ impl Owner {
         akm: &AkmParams,
         config: impl Into<SystemConfig>,
     ) -> (Database, PublishedParams) {
-        let (db, published, _) = self.build_system_config_profiled(corpus, akm, config.into());
-        (db, published)
-    }
-
-    /// [`Owner::build_system`] that additionally returns the
-    /// build's structured span profile (phases `codebook`, `encode`,
-    /// `model`, `index`, `mrkd`, `sign`, `sign_root`). The profile is pure
-    /// observation: the database, root digest, and signatures are
-    /// identical whether or not recording is enabled.
-    pub fn build_system_config_profiled(
-        &self,
-        corpus: &Corpus,
-        akm: &AkmParams,
-        config: SystemConfig,
-    ) -> (Database, PublishedParams, QueryProfile) {
-        let mut prof = Profiler::new("owner.build");
         // 1. Codebook over all corpus descriptors.
-        prof.enter("codebook");
         let codebook = Codebook::train(corpus.config.kind, corpus.all_features(), akm);
-        prof.exit();
-        let (db, published) =
-            self.build_system_with_codebook_config_prof(corpus, codebook, config, &mut prof);
-        (db, published, prof.finish())
+        self.build_system_with_codebook(corpus, codebook, config)
     }
 
     /// Setup with a pre-trained codebook (lets experiments reuse one
@@ -192,22 +171,9 @@ impl Owner {
         codebook: Codebook,
         config: impl Into<SystemConfig>,
     ) -> (Database, PublishedParams) {
-        let mut prof = Profiler::new("owner.build");
-        self.build_system_with_codebook_config_prof(corpus, codebook, config.into(), &mut prof)
-    }
-
-    fn build_system_with_codebook_config_prof(
-        &self,
-        corpus: &Corpus,
-        codebook: Codebook,
-        config: SystemConfig,
-        prof: &mut Profiler,
-    ) -> (Database, PublishedParams) {
-        prof.enter("encode");
-        prof.add("images", corpus.images.len() as u64);
+        let config = config.into();
         let encodings = encode_corpus(corpus, &codebook, config.concurrency);
-        prof.exit();
-        self.build_system_prepared_config_prof(corpus, codebook, encodings, config, prof)
+        self.build_system_prepared_config(corpus, codebook, encodings, config)
     }
 
     /// Setup with pre-computed encodings (lets experiments amortize the
@@ -219,48 +185,18 @@ impl Owner {
         encodings: Vec<(ImageId, SparseBovw)>,
         config: impl Into<SystemConfig>,
     ) -> (Database, PublishedParams) {
-        let mut prof = Profiler::new("owner.build");
-        self.build_system_prepared_config_prof(
-            corpus,
-            codebook,
-            encodings,
-            config.into(),
-            &mut prof,
-        )
-    }
-
-    fn build_system_prepared_config_prof(
-        &self,
-        corpus: &Corpus,
-        codebook: Codebook,
-        encodings: Vec<(ImageId, SparseBovw)>,
-        config: SystemConfig,
-        prof: &mut Profiler,
-    ) -> (Database, PublishedParams) {
         let SystemConfig {
             scheme,
             concurrency,
-        } = config;
-        prof.enter("model");
+        } = config.into();
         let plain_encodings: Vec<SparseBovw> = encodings.iter().map(|(_, b)| b.clone()).collect();
         let model = ImpactModel::build(codebook.len(), &plain_encodings);
-        prof.exit();
         let images: Vec<&SyntheticImage> = corpus.images.iter().collect();
-        let db = self.build_ads(
-            scheme,
-            codebook,
-            encodings,
-            &model,
-            &images,
-            concurrency,
-            prof,
-        );
-        prof.enter("sign_root");
+        let db = self.build_ads(scheme, codebook, encodings, &model, &images, concurrency);
         let root_signature = self
             .signing_key
             .sign(&root_signing_message(&db.mrkd.combined_root_digest()));
-        prof.exit();
-        if prof.is_recording() {
+        if imageproof_obs::enabled() {
             imageproof_obs::global()
                 .counter(
                     "imageproof_owner_builds_total",
@@ -282,7 +218,6 @@ impl Owner {
     /// impact model is passed in because sharded builds must share the
     /// owner's *global* model, or per-shard scores would diverge from the
     /// monolith's.
-    #[allow(clippy::too_many_arguments)]
     fn build_ads(
         &self,
         scheme: Scheme,
@@ -291,12 +226,9 @@ impl Owner {
         model: &ImpactModel,
         images: &[&SyntheticImage],
         concurrency: Concurrency,
-        prof: &mut Profiler,
     ) -> Database {
         // 3. The inverted index (plain or grouped); per-cluster posting
         // lists, cuckoo filters, and digest chains build in parallel.
-        prof.enter("index");
-        prof.add("clusters", codebook.len() as u64);
         let inv = if scheme.grouped_index() {
             IndexVariant::Grouped(GroupedInvertedIndex::build_with(
                 codebook.len(),
@@ -312,10 +244,8 @@ impl Owner {
                 concurrency,
             ))
         };
-        prof.exit();
 
         // 4. The MRKD-tree over the codebook's tree.
-        prof.enter("mrkd");
         let mrkd = MrkdTree::build_with(
             &codebook.tree,
             &codebook.centers,
@@ -323,13 +253,10 @@ impl Owner {
             scheme.candidate_mode(),
             concurrency,
         );
-        prof.exit();
 
         // 5. Image signatures. Ed25519 signing is deterministic (RFC
         // 8032), so per-image signatures fan out without affecting the
         // bytes.
-        prof.enter("sign");
-        prof.add("images", images.len() as u64);
         let stored: BTreeMap<ImageId, StoredImage> =
             par_map_chunked(concurrency, images, 16, |_, img| {
                 let signature = self
@@ -345,7 +272,6 @@ impl Owner {
             })
             .into_iter()
             .collect();
-        prof.exit();
 
         Database {
             scheme,
@@ -398,7 +324,6 @@ impl Owner {
         // must not depend on the partition, or scores would not be
         // comparable across shards (and would diverge from the monolith).
         let model = ImpactModel::build(codebook.len(), &plain_encodings);
-        let mut prof = Profiler::new("owner.build_sharded");
         let mut shards = Vec::with_capacity(shard_count);
         let mut roots = Vec::with_capacity(shard_count);
         for shard in 0..shard_count {
@@ -412,8 +337,6 @@ impl Owner {
                 .iter()
                 .filter(|img| shard_of(img.id, shard_count) == shard)
                 .collect();
-            prof.enter("shard.build");
-            prof.add("shard", shard as u64);
             let db = self.build_ads(
                 scheme,
                 codebook.clone(),
@@ -421,13 +344,11 @@ impl Owner {
                 &model,
                 &shard_images,
                 concurrency,
-                &mut prof,
             );
-            prof.exit();
             roots.push(db.mrkd.combined_root_digest());
             shards.push(db);
         }
-        if prof.is_recording() {
+        if imageproof_obs::enabled() {
             imageproof_obs::global()
                 .counter(
                     "imageproof_owner_sharded_builds_total",
@@ -435,7 +356,6 @@ impl Owner {
                 )
                 .inc();
         }
-        drop(prof.finish());
         let manifest = self.sign_manifest(roots);
         let published = PublishedParams {
             scheme,

@@ -32,9 +32,11 @@ pub const MAX_FRAME_LEN: usize = 1 << 28;
 /// Span nesting deeper than this decodes to [`WireError::DepthExceeded`].
 const MAX_SPAN_DEPTH: usize = 32;
 
-/// Interned remote span names are capped; past the cap, spans decode under
-/// this fallback label rather than growing the table without bound.
+/// Interned remote span names are capped in number and in length; past
+/// either cap, spans decode under a fallback label rather than growing the
+/// table without bound. The longest name the engine records is 21 bytes.
 const MAX_INTERNED_NAMES: usize = 4096;
+const MAX_INTERNED_NAME_LEN: usize = 64;
 
 /// Wraps a message body in a length-prefixed frame.
 pub fn frame(body: &[u8]) -> Vec<u8> {
@@ -631,14 +633,18 @@ impl Decode for WireSpan {
 
 /// Span names live in program text on the recording side
 /// (`&'static str`); names arriving from a shard are dynamic. This table
-/// leaks each distinct remote name once — capped, with a fallback label
-/// past the cap — so remote spans can re-enter the `SpanRecord` shape and
-/// `Profiler::attach` needs no wire-specific variant. Not called from any
-/// decoder: decoding keeps owned strings, only profile *grafting* interns.
+/// leaks each distinct remote name once — capped in count and length, with
+/// a fallback label past either cap — so remote spans can re-enter the
+/// `SpanRecord` shape and `Profiler::attach` needs no wire-specific
+/// variant. Not called from any decoder: decoding keeps owned strings,
+/// only profile *grafting* interns.
 fn intern_span_name(name: &str) -> &'static str {
     use std::collections::BTreeSet;
     use std::sync::Mutex;
     static TABLE: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+    if name.len() > MAX_INTERNED_NAME_LEN {
+        return "rpc.span.overflow";
+    }
     let mut table = match TABLE.lock() {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
@@ -1045,6 +1051,22 @@ mod tests {
             empty.expect("empty profile round trip"),
             WireProfile::default()
         );
+    }
+
+    #[test]
+    fn an_overlong_remote_span_name_interns_as_the_overflow_label() {
+        let huge = "x".repeat(1 << 20);
+        let profile = WireProfile {
+            root: Some(WireSpan {
+                name: huge.clone(),
+                ..WireSpan::default()
+            }),
+        };
+        let root = profile.to_profile().root.expect("profile has a root");
+        assert_eq!(root.name, "rpc.span.overflow");
+        assert_eq!(profile.root.expect("wire root").name, huge);
+        let longest = "y".repeat(MAX_INTERNED_NAME_LEN);
+        assert_eq!(intern_span_name(&longest), longest);
     }
 
     #[test]

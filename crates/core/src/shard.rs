@@ -810,7 +810,7 @@ impl Client {
             prof.enter("shard.verify");
             prof.add("shard", sub.shard_id as u64);
             let verified = self
-                .verify_query_vo_parts(
+                .verify_query_vo(
                     features,
                     k_trim,
                     bovw.as_ref(),

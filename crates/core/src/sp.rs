@@ -9,9 +9,9 @@ use crate::shard::ShardedResponse;
 use imageproof_akm::SparseBovw;
 use imageproof_invindex::grouped::grouped_search;
 use imageproof_invindex::{inv_search, InvSearchStats};
-use imageproof_mrkd::{mrkd_search, mrkd_search_baseline_with};
+use imageproof_mrkd::{mrkd_search, mrkd_search_baseline};
 use imageproof_obs::{micros, Profiler, QueryProfile};
-use imageproof_parallel::{par_map, par_map_chunked, Concurrency};
+use imageproof_parallel::{par_map, Concurrency};
 use imageproof_vision::ImageId;
 use std::collections::BTreeMap;
 use std::convert::Infallible;
@@ -144,41 +144,26 @@ impl ServiceProvider {
 
     /// Processes a top-k query (Alg. 5): BoVW-encodes the query features
     /// with threshold computation, runs `MRKDSearch` on the MRKD-tree,
-    /// searches the inverted index, and assembles the VO.
+    /// searches the inverted index, and assembles the VO. One query runs
+    /// on the calling thread; [`ServiceProvider::query_batch`] serves many
+    /// at once.
     pub fn query(&self, features: &[Vec<f32>], k: usize) -> (QueryResponse, SpStats) {
-        self.query_with(features, k, Concurrency::serial())
-    }
-
-    /// [`ServiceProvider::query`] with the per-feature work fanned out
-    /// across workers: nearest-cluster assignment chunks `features`, and
-    /// the Baseline's per-query-vector `MRKDSearch` runs one vector per
-    /// task (the shared schemes' single walk is serial).
-    /// Per-feature outputs merge in feature index order,
-    /// so shared-node VO compression, [`SpStats`] counters, and the final
-    /// VO bytes are identical to the serial path for every thread count.
-    pub fn query_with(
-        &self,
-        features: &[Vec<f32>],
-        k: usize,
-        conc: Concurrency,
-    ) -> (QueryResponse, SpStats) {
-        let (response, stats, _) = self.query_profiled(features, k, conc);
+        let (response, stats, _) = self.query_profiled(features, k);
         (response, stats)
     }
 
-    /// [`ServiceProvider::query_with`] that additionally returns the
-    /// query's structured span profile (phases `bovw`, `inv`, `assemble`
-    /// with their counters). The profile is pure observation: the response
-    /// and VO bytes are byte-identical whether or not recording is enabled
+    /// [`ServiceProvider::query`] that additionally returns the query's
+    /// structured span profile (phases `bovw`, `inv`, `assemble` with
+    /// their counters). The profile is pure observation: the response and
+    /// VO bytes are byte-identical whether or not recording is enabled
     /// (proven by the `obs_equivalence` suite).
     pub fn query_profiled(
         &self,
         features: &[Vec<f32>],
         k: usize,
-        conc: Concurrency,
     ) -> (QueryResponse, SpStats, QueryProfile) {
         let mut prof = Profiler::new("sp.query");
-        let (response, stats) = self.query_impl(features, k, conc, &mut prof);
+        let (response, stats) = self.query_impl(features, k, &mut prof);
         if prof.is_recording() {
             record_sp_query(self.db.scheme, &stats);
         }
@@ -189,7 +174,6 @@ impl ServiceProvider {
         &self,
         features: &[Vec<f32>],
         k: usize,
-        conc: Concurrency,
         prof: &mut Profiler,
     ) -> (QueryResponse, SpStats) {
         let mut stats = SpStats::default();
@@ -198,12 +182,10 @@ impl ServiceProvider {
         // --- BoVW step (Alg. 5 lines 1–4) ---
         prof.enter("bovw");
         prof.add("features", features.len() as u64);
-        let assigned: Vec<(u32, f32)> = par_map_chunked(conc, features, 8, |_, f| {
-            self.db.codebook.assign_with_threshold(f)
-        });
         let mut assignments = Vec::with_capacity(features.len());
         let mut thresholds = Vec::with_capacity(features.len());
-        for (cluster, dist_sq) in assigned {
+        for f in features {
+            let (cluster, dist_sq) = self.db.codebook.assign_with_threshold(f);
             assignments.push(cluster);
             thresholds.push(dist_sq);
         }
@@ -211,7 +193,7 @@ impl ServiceProvider {
             let out = mrkd_search(&self.db.mrkd, features, &thresholds);
             (BovwVoVariant::Shared(out.vo), out.stats)
         } else {
-            let (vo, s) = mrkd_search_baseline_with(&self.db.mrkd, features, &thresholds, conc);
+            let (vo, s) = mrkd_search_baseline(&self.db.mrkd, features, &thresholds);
             (BovwVoVariant::PerQuery(vo), s)
         };
         let query_bovw = SparseBovw::from_counts(assignments.iter().map(|&c| (c, 1)));
@@ -293,7 +275,7 @@ impl ServiceProvider {
     /// This is the request a shard server answers during the coordinator's
     /// trim phase (`crate::rpc`).
     pub fn trim_query(&self, features: &[Vec<f32>], k_trim: usize) -> TrimPayload {
-        self.trim_query_with_bovw(&self.encode_query(features), k_trim)
+        self.trim_encoded(&self.encode_query(features), k_trim)
     }
 
     /// The query's BoVW vector under this database's codebook.
@@ -309,7 +291,7 @@ impl ServiceProvider {
     /// (the in-process fan-out encodes once and re-queries every trim
     /// target with it; the codebook is shared, so the bytes are identical
     /// either way).
-    pub fn trim_query_with_bovw(&self, query_bovw: &SparseBovw, k_trim: usize) -> TrimPayload {
+    fn trim_encoded(&self, query_bovw: &SparseBovw, k_trim: usize) -> TrimPayload {
         let (topk, inv, _) = self.inv_step(query_bovw, k_trim);
         let signatures = topk
             .iter()
@@ -336,7 +318,7 @@ impl ServiceProvider {
         prof.enter("queries");
         let mut answers = Vec::with_capacity(queries.len());
         for (i, features) in queries.iter().enumerate() {
-            let (response, stats, sub) = self.query_profiled(features, k, Concurrency::serial());
+            let (response, stats, sub) = self.query_profiled(features, k);
             prof.attach(sub, "query", i as u64);
             answers.push((response, stats));
         }
@@ -472,27 +454,17 @@ impl ShardedSp {
 
     /// Answers a sharded top-k query serially.
     pub fn query(&self, features: &[Vec<f32>], k: usize) -> (ShardedResponse, ShardedSpStats) {
-        self.query_with(features, k, Concurrency::serial())
-    }
-
-    /// [`ShardedSp::query`] with the per-shard full-k queries (and the
-    /// trimmed top-k' re-queries) fanned out across workers. Fan-out
-    /// preserves shard order and each shard runs the serial engine, so the
-    /// response is bit-identical for every thread count.
-    pub fn query_with(
-        &self,
-        features: &[Vec<f32>],
-        k: usize,
-        conc: Concurrency,
-    ) -> (ShardedResponse, ShardedSpStats) {
-        let (response, stats, _) = self.query_profiled(features, k, conc);
+        let (response, stats, _) = self.query_profiled(features, k, Concurrency::serial());
         (response, stats)
     }
 
-    /// [`ShardedSp::query_with`] that additionally returns the structured
-    /// span profile: phases `fanout`, `merge`, `trim`, `assemble`
-    /// ([`fanout::answer`]), with each shard's `shard.batch` sub-profile
-    /// grafted under `fanout` (tagged with a `shard` counter).
+    /// [`ShardedSp::query`] with the per-shard full-k queries (and the
+    /// trimmed top-k' re-queries) fanned out across `conc` workers, plus
+    /// the structured span profile: phases `fanout`, `merge`, `trim`,
+    /// `assemble` ([`fanout::answer`]), with each shard's `shard.batch`
+    /// sub-profile grafted under `fanout` (tagged with a `shard` counter).
+    /// Fan-out preserves shard order and each shard runs the serial
+    /// engine, so the response is bit-identical for every thread count.
     pub fn query_profiled(
         &self,
         features: &[Vec<f32>],
@@ -545,7 +517,7 @@ impl fanout::Fleet for LocalFleet<'_> {
         Ok(par_map(self.conc, plan, |shard, items| {
             items
                 .iter()
-                .map(|&(q, k_trim)| self.shards[shard].trim_query_with_bovw(&bovws[&q], k_trim))
+                .map(|&(q, k_trim)| self.shards[shard].trim_encoded(&bovws[&q], k_trim))
                 .collect()
         }))
     }

@@ -1,10 +1,10 @@
-//! The §V-D attack matrix under the parallel SP path.
+//! The §V-D attack matrix over parallel-built databases.
 //!
 //! The in-crate adversary tests exercise every tamper case against
-//! serially-produced responses; this suite re-runs all of them against
-//! responses produced by `query_with` at 2/4/8 workers, on databases built
-//! in parallel. Soundness must not depend on how many threads the honest
-//! SP used before the adversary struck.
+//! serially-built databases; this suite re-runs all of them against
+//! responses from databases built at 2/4/8 workers, and against batches
+//! served at those thread counts. Soundness must not depend on how many
+//! threads the honest owner or SP used before the adversary struck.
 
 use imageproof_akm::AkmParams;
 use imageproof_core::{
@@ -39,12 +39,11 @@ fn setup(scheme: Scheme, threads: usize) -> (Corpus, ServiceProvider, Client) {
 fn parallel_response(
     sp: &ServiceProvider,
     corpus: &Corpus,
-    threads: usize,
     k: usize,
     seed: u64,
 ) -> (Vec<Vec<f32>>, imageproof_core::QueryResponse) {
     let query = corpus.query_from_image(1, 20, seed);
-    let (response, _) = sp.query_with(&query, k, Concurrency::new(threads));
+    let (response, _) = sp.query(&query, k);
     (query, response)
 }
 
@@ -53,7 +52,7 @@ fn parallel_response(
 fn tampered_image_data_is_rejected_under_parallel_sp() {
     for threads in THREADS {
         let (corpus, sp, client) = setup(Scheme::ImageProof, threads);
-        let (query, mut response) = parallel_response(&sp, &corpus, threads, 4, 104);
+        let (query, mut response) = parallel_response(&sp, &corpus, 4, 104);
         adversary::tamper_image_data(&mut response);
         assert!(
             matches!(
@@ -70,7 +69,7 @@ fn tampered_image_data_is_rejected_under_parallel_sp() {
 fn forged_signature_is_rejected_under_parallel_sp() {
     for threads in THREADS {
         let (corpus, sp, client) = setup(Scheme::ImageProof, threads);
-        let (query, mut response) = parallel_response(&sp, &corpus, threads, 4, 105);
+        let (query, mut response) = parallel_response(&sp, &corpus, 4, 105);
         adversary::forge_image_signature(&mut response);
         assert!(
             matches!(
@@ -88,7 +87,7 @@ fn forged_signature_is_rejected_under_parallel_sp() {
 fn substituted_result_is_rejected_under_parallel_sp() {
     for threads in THREADS {
         let (corpus, sp, client) = setup(Scheme::ImageProof, threads);
-        let (query, mut response) = parallel_response(&sp, &corpus, threads, 4, 106);
+        let (query, mut response) = parallel_response(&sp, &corpus, 4, 106);
         let winner_ids: Vec<u64> = response.results.iter().map(|r| r.id).collect();
         let substitute = corpus
             .images
@@ -110,7 +109,7 @@ fn tampered_posting_is_rejected_under_parallel_sp() {
     for scheme in [Scheme::ImageProof, Scheme::OptimizedBoth] {
         for threads in THREADS {
             let (corpus, sp, client) = setup(scheme, threads);
-            let (query, mut response) = parallel_response(&sp, &corpus, threads, 4, 107);
+            let (query, mut response) = parallel_response(&sp, &corpus, 4, 107);
             assert!(adversary::tamper_posting(&mut response), "{scheme:?}");
             assert!(
                 matches!(
@@ -130,7 +129,7 @@ fn tampered_bovw_centroid_is_rejected_under_parallel_sp() {
     for scheme in [Scheme::Baseline, Scheme::ImageProof, Scheme::OptimizedBovw] {
         for threads in THREADS {
             let (corpus, sp, client) = setup(scheme, threads);
-            let (query, mut response) = parallel_response(&sp, &corpus, threads, 4, 108);
+            let (query, mut response) = parallel_response(&sp, &corpus, 4, 108);
             assert!(
                 adversary::tamper_bovw_centroid(&mut response),
                 "{scheme:?} threads={threads}"
@@ -149,7 +148,7 @@ fn tampered_bovw_centroid_is_rejected_under_parallel_sp() {
 fn tampered_bovw_split_is_rejected_under_parallel_sp() {
     for threads in THREADS {
         let (corpus, sp, client) = setup(Scheme::ImageProof, threads);
-        let (query, mut response) = parallel_response(&sp, &corpus, threads, 4, 109);
+        let (query, mut response) = parallel_response(&sp, &corpus, 4, 109);
         assert!(adversary::tamper_bovw_split(&mut response));
         assert!(
             matches!(

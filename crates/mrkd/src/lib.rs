@@ -22,10 +22,7 @@ pub mod tree;
 pub mod verify;
 pub mod vo;
 
-pub use search::{
-    mrkd_search, mrkd_search_baseline, mrkd_search_baseline_with, BaselineBovwVo, SearchOutput,
-    SearchStats,
-};
+pub use search::{mrkd_search, mrkd_search_baseline, BaselineBovwVo, SearchOutput, SearchStats};
 pub use tree::{CandidateMode, MrkdTree};
 pub use verify::{verify_bovw, verify_bovw_baseline, VerifiedBovw, VerifyError};
 pub use vo::{BovwVo, Reveal, VoCluster, VoNode, VoTree, VoTreeBuilder};

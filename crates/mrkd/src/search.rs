@@ -13,7 +13,6 @@ use crate::vo::{BovwVo, Reveal, VoCluster, VoTreeBuilder};
 use imageproof_akm::kernel::dist_sq_within;
 use imageproof_akm::rkd::Node;
 use imageproof_crypto::wire::{Decode, Encode, Reader, WireError, Writer};
-use imageproof_parallel::{par_map, Concurrency};
 use std::collections::BTreeSet;
 use std::convert::Infallible;
 
@@ -393,30 +392,15 @@ pub fn mrkd_search_baseline(
     queries: &[Vec<f32>],
     thresholds_sq: &[f32],
 ) -> (BaselineBovwVo, SearchStats) {
-    mrkd_search_baseline_with(tree, queries, thresholds_sq, Concurrency::serial())
-}
-
-/// [`mrkd_search_baseline`] with the independent per-query traversals fanned
-/// out across workers and merged in query index order, so the VO and stats
-/// are bit-identical to the serial loop's.
-pub fn mrkd_search_baseline_with(
-    tree: &MrkdTree,
-    queries: &[Vec<f32>],
-    thresholds_sq: &[f32],
-    conc: Concurrency,
-) -> (BaselineBovwVo, SearchStats) {
     assert!(
         tree.mode() == CandidateMode::Full,
         "the Baseline scheme uses full candidate disclosure"
     );
     assert_eq!(queries.len(), thresholds_sq.len());
-    let outs = par_map(conc, queries, |i, q| {
-        let (q, t) = (std::slice::from_ref(q), [thresholds_sq[i]]);
-        search_tree(tree, q, &t)
-    });
     let mut per_query = Vec::with_capacity(queries.len());
     let mut stats = SearchStats::default();
-    for out in outs {
+    for (q, &t) in queries.iter().zip(thresholds_sq) {
+        let out = search_tree(tree, std::slice::from_ref(q), &[t]);
         stats.merge(&out.stats);
         per_query.push(out.vo);
     }

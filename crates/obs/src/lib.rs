@@ -32,7 +32,7 @@ pub use clock::Stopwatch;
 pub use events::{Event, EventKind, EventLog, EVENT_KINDS};
 pub use metrics::{
     bucket_index, bucket_lower_bound, bucket_upper_bound, snapshot_json, snapshot_prometheus_text,
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricId, Registry, RegistrySnapshot, SloTracker,
+    Counter, Histogram, HistogramSnapshot, MetricId, Registry, RegistrySnapshot, SloTracker,
     WindowedHistogram, HISTOGRAM_BUCKETS,
 };
 pub use scrape::{http_get, launch_scrape, serve, RunningServer, ScrapeProvider, READ_POLL};

@@ -13,7 +13,7 @@
 
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A monotonically increasing counter.
@@ -43,38 +43,6 @@ impl Counter {
 
     // audit:allow(relaxed) statistics read: a momentarily stale total is acceptable for exposition
     pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// A gauge: a signed value that can move both ways.
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicI64,
-}
-
-impl Gauge {
-    pub fn new() -> Gauge {
-        Gauge::default()
-    }
-
-    // audit:allow(relaxed) gauge cell: each update is a single atomic RMW/store; no other memory is published through it
-    pub fn set(&self, v: i64) {
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    // audit:allow(relaxed) gauge cell: each update is a single atomic RMW; no other memory is published through it
-    pub fn add(&self, n: i64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    // audit:allow(relaxed) gauge cell: each update is a single atomic RMW; no other memory is published through it
-    pub fn sub(&self, n: i64) {
-        self.value.fetch_sub(n, Ordering::Relaxed);
-    }
-
-    // audit:allow(relaxed) statistics read: a momentarily stale value is acceptable for exposition
-    pub fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
     }
 }
@@ -146,24 +114,15 @@ impl Histogram {
         Histogram::default()
     }
 
-    /// Records one sample.
-    pub fn record(&self, v: u64) {
-        self.record_n(v, 1);
-    }
-
-    /// Records `n` identical samples (used by snapshot restoration and
-    /// batched recording). The running sum wraps on overflow, like
+    /// Records one sample. The running sum wraps on overflow, like
     /// [`Counter::add`].
     // audit:allow(relaxed) independent statistics cells: readers accept an inconsistent cut (see snapshot)
-    pub fn record_n(&self, v: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
+    pub fn record(&self, v: u64) {
         if let Some(b) = self.buckets.get(bucket_index(v)) {
-            b.fetch_add(n, Ordering::Relaxed);
+            b.fetch_add(1, Ordering::Relaxed);
         }
-        self.count.fetch_add(n, Ordering::Relaxed);
-        self.sum.fetch_add(v.wrapping_mul(n), Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
     }
 
     // audit:allow(relaxed) statistics read: a momentarily stale count is acceptable for exposition
@@ -326,7 +285,9 @@ fn escape(v: &str) -> String {
         .replace('\n', "\\n")
 }
 
-/// Frozen registry state, used for exposition tests and transfer.
+/// Frozen registry state, as exposition renders it. The registry itself
+/// holds no gauges; scrape providers insert point-in-time gauge values
+/// (health, burn rates) into the snapshot they expose.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RegistrySnapshot {
     pub counters: BTreeMap<MetricId, u64>,
@@ -336,14 +297,13 @@ pub struct RegistrySnapshot {
 
 /// The labeled metric registry.
 ///
-/// `counter`/`gauge`/`histogram` get-or-register a family member under a
-/// short `parking_lot` lock and hand back an `Arc` whose recording methods
-/// are lock-free. Exposition walks the `BTreeMap`s, so output order is
+/// `counter`/`histogram` get-or-register a family member under a short
+/// `parking_lot` lock and hand back an `Arc` whose recording methods are
+/// lock-free. Exposition walks the `BTreeMap`s, so output order is
 /// deterministic.
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<MetricId, Arc<Counter>>>,
-    gauges: Mutex<BTreeMap<MetricId, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<MetricId, Arc<Histogram>>>,
 }
 
@@ -362,16 +322,6 @@ impl Registry {
             .clone()
     }
 
-    /// The gauge `name{labels}`, created on first use.
-    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        let id = MetricId::new(name, labels);
-        self.gauges
-            .lock()
-            .entry(id)
-            .or_insert_with(|| Arc::new(Gauge::new()))
-            .clone()
-    }
-
     /// The histogram `name{labels}`, created on first use.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
         let id = MetricId::new(name, labels);
@@ -380,14 +330,6 @@ impl Registry {
             .entry(id)
             .or_insert_with(|| Arc::new(Histogram::new()))
             .clone()
-    }
-
-    /// Drops every registered metric (test isolation; existing handles keep
-    /// working but are no longer exposed).
-    pub fn clear(&self) {
-        self.counters.lock().clear();
-        self.gauges.lock().clear();
-        self.histograms.lock().clear();
     }
 
     /// A point-in-time copy of every metric.
@@ -399,12 +341,7 @@ impl Registry {
                 .iter()
                 .map(|(id, c)| (id.clone(), c.get()))
                 .collect(),
-            gauges: self
-                .gauges
-                .lock()
-                .iter()
-                .map(|(id, g)| (id.clone(), g.get()))
-                .collect(),
+            gauges: BTreeMap::new(),
             histograms: self
                 .histograms
                 .lock()
@@ -412,59 +349,6 @@ impl Registry {
                 .map(|(id, h)| (id.clone(), h.snapshot()))
                 .collect(),
         }
-    }
-
-    /// Rebuilds a registry from a snapshot: counters and gauges restore
-    /// exactly; histograms restore bucket-exactly (each bucket's count at
-    /// its upper bound, which [`bucket_index`] maps back to the same
-    /// bucket) with the recorded sum preserved. Round-tripping
-    /// `snapshot → restore → prometheus_text/json` is byte-identical for
-    /// counters and gauges and bucket-identical for histograms.
-    pub fn restore(snapshot: &RegistrySnapshot) -> Registry {
-        let reg = Registry::new();
-        for (id, &v) in &snapshot.counters {
-            reg.counter_by_id(id).add(v);
-        }
-        for (id, &v) in &snapshot.gauges {
-            reg.gauge_by_id(id).set(v);
-        }
-        for (id, h) in &snapshot.histograms {
-            let handle = reg.histogram_by_id(id);
-            for &(upper, n) in &h.buckets {
-                handle.record_n(upper, n);
-            }
-            // Overwrite the sum with the recorded one (bucket upper bounds
-            // overestimate the true sum).
-            let over = handle.sum();
-            let correction = over.wrapping_sub(h.sum);
-            // audit:allow(relaxed) restoration runs on the freshly built registry before it is shared
-            handle.sum.fetch_sub(correction, Ordering::Relaxed);
-        }
-        reg
-    }
-
-    fn counter_by_id(&self, id: &MetricId) -> Arc<Counter> {
-        self.counters
-            .lock()
-            .entry(id.clone())
-            .or_insert_with(|| Arc::new(Counter::new()))
-            .clone()
-    }
-
-    fn gauge_by_id(&self, id: &MetricId) -> Arc<Gauge> {
-        self.gauges
-            .lock()
-            .entry(id.clone())
-            .or_insert_with(|| Arc::new(Gauge::new()))
-            .clone()
-    }
-
-    fn histogram_by_id(&self, id: &MetricId) -> Arc<Histogram> {
-        self.histograms
-            .lock()
-            .entry(id.clone())
-            .or_insert_with(|| Arc::new(Histogram::new()))
-            .clone()
     }
 
     /// Prometheus text exposition (`# TYPE` headers, cumulative `_bucket`
@@ -811,16 +695,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_basics() {
+    fn counter_basics() {
         let c = Counter::new();
         c.inc();
         c.add(41);
         assert_eq!(c.get(), 42);
-        let g = Gauge::new();
-        g.set(10);
-        g.sub(25);
-        g.add(5);
-        assert_eq!(g.get(), -10);
     }
 
     #[test]
@@ -1019,8 +898,9 @@ mod tests {
                 reg.counter(name, &[("scheme", "s")]).add(v);
             }
             reg.histogram("lat", &[]).record(100);
-            reg.gauge("depth", &[]).set(-3);
-            (reg.prometheus_text(), reg.json())
+            let mut snap = reg.snapshot();
+            snap.gauges.insert(MetricId::new("depth", &[]), -3);
+            (snapshot_prometheus_text(&snap), snapshot_json(&snap))
         };
         assert_eq!(build(false), build(true));
     }
@@ -1041,19 +921,20 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_roundtrips_through_restore() {
+    fn snapshot_gauges_render_in_both_expositions() {
         let reg = Registry::new();
         reg.counter("c", &[("k", "v")]).add(7);
-        reg.gauge("g", &[]).set(-12);
-        let h = reg.histogram("h", &[("phase", "bovw")]);
-        for v in [0u64, 3, 900, 1_000_000, u64::MAX] {
-            h.record(v);
-        }
-        let snap = reg.snapshot();
-        let restored = Registry::restore(&snap);
-        assert_eq!(restored.snapshot(), snap);
-        assert_eq!(restored.prometheus_text(), reg.prometheus_text());
-        assert_eq!(restored.json(), reg.json());
+        let mut snap = reg.snapshot();
+        assert!(snap.gauges.is_empty(), "the registry holds no gauges");
+        snap.gauges
+            .insert(MetricId::new("g", &[("shard", "0")]), -12);
+        let text = snapshot_prometheus_text(&snap);
+        assert!(
+            text.contains("# TYPE g gauge\ng{shard=\"0\"} -12\n"),
+            "{text}"
+        );
+        let json = snapshot_json(&snap);
+        assert!(json.contains(r#""g{shard=\"0\"}": -12"#), "{json}");
     }
 
     #[test]
@@ -1069,9 +950,6 @@ mod tests {
         );
         // Exactly one header and one sample line: nothing was split.
         assert_eq!(text.lines().count(), 2, "{text:?}");
-        // Byte stability holds for hostile labels too.
-        let again = Registry::restore(&reg.snapshot()).prometheus_text();
-        assert_eq!(text, again);
     }
 
     #[test]

@@ -167,11 +167,6 @@ impl Profiler {
         Profiler::with_enabled(name, crate::enabled())
     }
 
-    /// A profiler that records nothing and returns an empty profile.
-    pub fn disabled() -> Profiler {
-        Profiler::with_enabled("", false)
-    }
-
     fn with_enabled(name: &'static str, enabled: bool) -> Profiler {
         let mut stack = Vec::new();
         if enabled {
@@ -251,21 +246,6 @@ impl Profiler {
     }
 }
 
-/// Times `$body` under a span named `$name` on profiler `$prof`.
-///
-/// `$body` must not early-return (`?`/`return`) or the span would stay
-/// open; use explicit [`Profiler::enter`]/[`Profiler::exit`] around
-/// fallible code.
-#[macro_export]
-macro_rules! span {
-    ($prof:expr, $name:expr, $body:expr) => {{
-        $prof.enter($name);
-        let result = $body;
-        $prof.exit();
-        result
-    }};
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,7 +277,7 @@ mod tests {
 
     #[test]
     fn disabled_profiler_is_a_no_op() {
-        let mut prof = Profiler::disabled();
+        let mut prof = Profiler::with_enabled("op", false);
         prof.enter("a");
         prof.add("n", 1);
         assert_eq!(prof.exit(), 0.0);
@@ -336,14 +316,5 @@ mod tests {
         assert_eq!(profile.counter("hashes"), 5);
         assert_eq!(profile.counter("shard"), 2);
         assert!(profile.seconds("fanout/sp.query/bovw") >= 0.0);
-    }
-
-    #[test]
-    fn span_macro_times_a_block() {
-        let mut prof = Profiler::with_enabled("op", true);
-        let v = crate::span!(prof, "compute", { 40 + 2 });
-        assert_eq!(v, 42);
-        let profile = prof.finish();
-        assert_eq!(profile.phases().len(), 1);
     }
 }

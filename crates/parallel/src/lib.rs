@@ -1,9 +1,11 @@
 //! # imageproof-parallel
 //!
-//! The workspace-wide deterministic execution layer. Every hot path of the
-//! reproduction (owner-side ADS construction, SP-side assignment, Baseline
-//! `MRKDSearch` and batch serving, Merkle level hashing) fans work out
-//! through the helpers here, controlled by one [`Concurrency`] knob.
+//! The workspace-wide deterministic execution layer. The work that pays
+//! for threads fans out through the helpers here, controlled by one
+//! [`Concurrency`] knob: owner-side ADS construction (corpus encoding,
+//! Merkle level hashing), SP batch serving (one query per worker), and the
+//! in-process sharded fan-out (one shard per worker). A single query runs
+//! on the calling thread.
 //!
 //! ## The determinism contract
 //!
@@ -38,8 +40,9 @@ fn record_section(kind: &'static str, items: usize) {
         .add(items as u64);
 }
 
-/// The thread-count knob threaded through the scheme API
-/// (`SystemConfig` in `imageproof-core`).
+/// The thread-count knob of the scheme API: owner builds
+/// (`SystemConfig` in `imageproof-core`), `ServiceProvider::query_batch`
+/// and the `ShardedSp` fan-out.
 ///
 /// `threads` is the number of worker threads a parallel section may use;
 /// `1` means strictly serial execution on the calling thread.
@@ -133,7 +136,7 @@ where
 
 /// Like [`par_map`], but amortizes scheduling over contiguous chunks of at
 /// least `min_chunk` items — for fine-grained work (per-node hashing,
-/// per-feature cluster assignment) where claiming items one at a time would
+/// per-image corpus encoding) where claiming items one at a time would
 /// cost more than the work itself.
 ///
 /// Output order is item order, exactly as [`par_map`].

@@ -138,8 +138,7 @@ fn main() {
         let query = corpus.query_from_image(source, args.features, 5000 + q as u64);
 
         let t = Stopwatch::start();
-        let (response, stats, sp_profile) =
-            sp.query_profiled(&query, args.k, imageproof_core::Concurrency::serial());
+        let (response, stats, sp_profile) = sp.query_profiled(&query, args.k);
         let sp_time = t.elapsed_seconds();
 
         let t = Stopwatch::start();

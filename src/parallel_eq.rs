@@ -76,23 +76,6 @@ pub fn assert_responses_equivalent(
     }
 }
 
-/// Runs one query on the serial path and on the parallel path with
-/// `threads` workers, asserting bit-identical VO bytes, top-k, and stats
-/// counters. Returns the serial response for further checks.
-pub fn assert_query_equivalent(
-    sp: &ServiceProvider,
-    features: &[Vec<f32>],
-    k: usize,
-    threads: usize,
-) -> QueryResponse {
-    let (serial, serial_stats) = sp.query(features, k);
-    let (parallel, parallel_stats) = sp.query_with(features, k, Concurrency::new(threads));
-    let context = format!("query threads={threads} scheme={:?}", sp.database().scheme);
-    assert_responses_equivalent(&serial, &parallel, &context);
-    assert_stats_equivalent(&serial_stats, &parallel_stats, &context);
-    serial
-}
-
 /// Asserts `query_batch` over `threads` workers returns, in input order,
 /// exactly what per-query serial calls return.
 pub fn assert_batch_equivalent(
@@ -188,12 +171,7 @@ pub fn assert_build_equivalent(
 /// Baseline's `FilterVo::DigestOnly`) is served from the list's build-time
 /// memo, and must equal the digest recomputed here from the list's public
 /// `filter` — with no query-time Keccak counted.
-pub fn assert_memoization_invisible(
-    sp: &ServiceProvider,
-    queries: &[Vec<Vec<f32>>],
-    k: usize,
-    threads: usize,
-) {
+pub fn assert_memoization_invisible(sp: &ServiceProvider, queries: &[Vec<Vec<f32>>], k: usize) {
     fn carried<E>(vo: &InvVoOf<E>) -> Vec<(u32, Digest)> {
         let digest_of = |l: &ListVoOf<E>| match &l.remaining {
             RemainingVo::Exhausted { filter_digest } => Some((l.cluster, *filter_digest)),
@@ -206,8 +184,8 @@ pub fn assert_memoization_invisible(
     }
     let db = sp.database();
     for (i, features) in queries.iter().enumerate() {
-        let (response, stats) = sp.query_with(features, k, Concurrency::new(threads));
-        let context = format!("memoization[{i}] threads={threads} scheme={:?}", db.scheme);
+        let (response, stats) = sp.query(features, k);
+        let context = format!("memoization[{i}] scheme={:?}", db.scheme);
         let (carried, n_lists) = match &response.vo.inv {
             InvVoVariant::Plain(vo) => (carried(vo), vo.lists.len()),
             InvVoVariant::Grouped(vo) => (carried(vo), vo.lists.len()),

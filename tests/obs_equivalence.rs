@@ -1,8 +1,9 @@
 //! Zero-perturbation proof for the observability layer: with recording
-//! enabled vs disabled, every scheme and thread count must produce
-//! byte-identical wire-serialized VOs and identical top-k results, for
-//! both the monolithic SP and the sharded fan-out path. Observability may
-//! only change what is *measured*, never what is *served*.
+//! enabled vs disabled, every scheme must produce byte-identical
+//! wire-serialized VOs and identical top-k results, for both the monolithic
+//! SP and the sharded fan-out path (at every fan-out thread count).
+//! Observability may only change what is *measured*, never what is
+//! *served*.
 //!
 //! The whole matrix lives in one `#[test]` because the enable flag is a
 //! process-wide global — toggling it from concurrently running tests
@@ -101,50 +102,46 @@ fn vo_bytes_and_topk_identical_with_obs_on_and_off() {
         let sharded_client = Client::new(sharded_system.published);
         let manifest = sharded_system.manifest;
 
+        // Monolithic SP.
+        obs::set_enabled(true);
+        let (resp_on, stats_on, prof_on) = sp.query_profiled(&features, K);
+        obs::set_enabled(false);
+        let (resp_off, stats_off, prof_off) = sp.query_profiled(&features, K);
+        obs::set_enabled(true);
+
+        assert_eq!(
+            resp_on.vo.to_wire(),
+            resp_off.vo.to_wire(),
+            "{scheme:?}: monolith VO bytes must not depend on obs"
+        );
+        let ids = |r: &imageproof_suite::core::QueryResponse| -> Vec<u64> {
+            r.results.iter().map(|x| x.id).collect()
+        };
+        assert_eq!(ids(&resp_on), ids(&resp_off), "{scheme:?}: top-k");
+        assert_counters_equal(&stats_on, &stats_off, scheme);
+        // Seconds are span views: populated when recording, zero when
+        // disabled; either way the served bytes above are identical.
+        assert!(stats_on.bovw_seconds >= 0.0 && stats_on.inv_seconds >= 0.0);
+        assert_eq!(
+            stats_off.bovw_seconds, 0.0,
+            "{scheme:?}: disabled spans read 0"
+        );
+        assert_eq!(
+            stats_off.inv_seconds, 0.0,
+            "{scheme:?}: disabled spans read 0"
+        );
+        assert!(!prof_on.is_empty(), "{scheme:?}: enabled profile has spans");
+        assert!(prof_off.is_empty(), "{scheme:?}: disabled profile is empty");
+
+        // Both responses verify to the same top-k.
+        let v_on = client.verify(&features, K, &resp_on).expect("on verifies");
+        let v_off = client
+            .verify(&features, K, &resp_off)
+            .expect("off verifies");
+        assert_eq!(v_on.topk, v_off.topk);
+
         for threads in THREAD_COUNTS {
             let conc = Concurrency::new(threads);
-
-            // Monolithic SP.
-            obs::set_enabled(true);
-            let (resp_on, stats_on, prof_on) = sp.query_profiled(&features, K, conc);
-            obs::set_enabled(false);
-            let (resp_off, stats_off, prof_off) = sp.query_profiled(&features, K, conc);
-            obs::set_enabled(true);
-
-            assert_eq!(
-                resp_on.vo.to_wire(),
-                resp_off.vo.to_wire(),
-                "{scheme:?}/{threads}t: monolith VO bytes must not depend on obs"
-            );
-            let ids = |r: &imageproof_suite::core::QueryResponse| -> Vec<u64> {
-                r.results.iter().map(|x| x.id).collect()
-            };
-            assert_eq!(
-                ids(&resp_on),
-                ids(&resp_off),
-                "{scheme:?}/{threads}t: top-k"
-            );
-            assert_counters_equal(&stats_on, &stats_off, scheme, threads);
-            // Seconds are span views: populated when recording, zero when
-            // disabled; either way the served bytes above are identical.
-            assert!(stats_on.bovw_seconds >= 0.0 && stats_on.inv_seconds >= 0.0);
-            assert_eq!(
-                stats_off.bovw_seconds, 0.0,
-                "{scheme:?}: disabled spans read 0"
-            );
-            assert_eq!(
-                stats_off.inv_seconds, 0.0,
-                "{scheme:?}: disabled spans read 0"
-            );
-            assert!(!prof_on.is_empty(), "{scheme:?}: enabled profile has spans");
-            assert!(prof_off.is_empty(), "{scheme:?}: disabled profile is empty");
-
-            // Both responses verify to the same top-k.
-            let v_on = client.verify(&features, K, &resp_on).expect("on verifies");
-            let v_off = client
-                .verify(&features, K, &resp_off)
-                .expect("off verifies");
-            assert_eq!(v_on.topk, v_off.topk);
 
             // Sharded fan-out.
             obs::set_enabled(true);
@@ -305,8 +302,8 @@ fn vo_bytes_and_topk_identical_with_obs_on_and_off() {
     }
 }
 
-fn assert_counters_equal(on: &SpStats, off: &SpStats, scheme: Scheme, threads: usize) {
-    let ctx = format!("{scheme:?}/{threads}t");
+fn assert_counters_equal(on: &SpStats, off: &SpStats, scheme: Scheme) {
+    let ctx = format!("{scheme:?}");
     assert_eq!(on.popped, off.popped, "{ctx}: popped");
     assert_eq!(on.total_postings, off.total_postings, "{ctx}: postings");
     assert_eq!(on.hashes_computed, off.hashes_computed, "{ctx}: hashes");

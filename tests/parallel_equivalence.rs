@@ -8,10 +8,10 @@
 //! corpora, schemes, and thread counts.
 
 use imageproof_suite::akm::{AkmParams, Codebook};
-use imageproof_suite::core::{Client, Concurrency, Owner, Scheme, SystemConfig};
+use imageproof_suite::core::{Client, Owner, Scheme, SystemConfig};
 use imageproof_suite::parallel_eq::{
     assert_batch_equivalent, assert_build_equivalent, assert_memoization_invisible,
-    assert_query_equivalent,
+    assert_responses_equivalent, assert_stats_equivalent,
 };
 use imageproof_suite::vision::{Corpus, CorpusConfig, DescriptorKind};
 use proptest::prelude::*;
@@ -54,13 +54,10 @@ fn parallel_matches_serial_for_all_schemes_and_thread_counts() {
         for threads in THREAD_COUNTS {
             let (sp_serial, sp_parallel) =
                 assert_build_equivalent(&owner, &corpus, &codebook, scheme, threads);
-            // Query the serially-built DB with both paths…
+            // The parallel-built DB answers exactly like the serial one.
             let features = corpus.query_from_image(7, 24, 0xA11CE);
-            assert_query_equivalent(&sp_serial, &features, 5, threads);
-            // …and check the parallel-built DB answers identically too.
             let (from_serial_db, _) = sp_serial.query(&features, 5);
-            let (from_parallel_db, _) =
-                sp_parallel.query_with(&features, 5, Concurrency::new(threads));
+            let (from_parallel_db, _) = sp_parallel.query(&features, 5);
             assert_eq!(
                 from_serial_db.vo, from_parallel_db.vo,
                 "{scheme:?} threads={threads}: DBs built at different thread \
@@ -124,8 +121,9 @@ fn parallel_build_is_deterministic_across_thread_counts_and_reruns() {
     }
 }
 
-/// A client that never heard of concurrency verifies responses produced by
-/// the parallel SP path — thread count is invisible on the wire.
+/// A client that never heard of concurrency verifies responses from a
+/// database built by the parallel owner path — thread count is invisible on
+/// the wire.
 #[test]
 fn parallel_responses_verify_for_unmodified_clients() {
     let corpus = corpus(60, 80, 3);
@@ -141,7 +139,7 @@ fn parallel_responses_verify_for_unmodified_clients() {
         let sp = imageproof_suite::core::ServiceProvider::new(db);
         let client = Client::new(published);
         let features = corpus.query_from_image(11, 24, 0xC0FFEE);
-        let (response, _) = sp.query_with(&features, 5, Concurrency::new(4));
+        let (response, _) = sp.query(&features, 5);
         let verified = client
             .verify(&features, 5, &response)
             .unwrap_or_else(|e| panic!("{scheme:?}: honest parallel SP rejected: {e}"));
@@ -152,7 +150,7 @@ fn parallel_responses_verify_for_unmodified_clients() {
 /// The hot-path digest memos (filter commitments, chain digests) are
 /// invisible on the wire: a database with its caches cleared answers every
 /// query with byte-identical VOs, top-k, signatures, and counters for every
-/// scheme and thread count.
+/// scheme.
 #[test]
 fn memoized_hot_path_matches_cache_disabled_reference() {
     let corpus = corpus(60, 80, 0xCAC4E);
@@ -165,9 +163,7 @@ fn memoized_hot_path_matches_cache_disabled_reference() {
     for scheme in Scheme::ALL {
         let (db, _) = owner.build_system_with_codebook(&corpus, codebook.clone(), scheme);
         let sp = imageproof_suite::core::ServiceProvider::new(db);
-        for threads in THREAD_COUNTS {
-            assert_memoization_invisible(&sp, &queries, 4, threads);
-        }
+        assert_memoization_invisible(&sp, &queries, 4);
     }
 }
 
@@ -195,15 +191,19 @@ proptest! {
         let owner = Owner::new(&[37u8; 32]);
         let params = akm(n_clusters, akm_seed);
         let codebook = trained_codebook(&corpus, &params);
-        let (sp_serial, _) =
+        let (sp_serial, sp_parallel) =
             assert_build_equivalent(&owner, &corpus, &codebook, scheme, threads);
         let source = (corpus_seed % n_images as u64) as u64;
         let features = corpus.query_from_image(source, 18, akm_seed ^ 0x51);
-        assert_query_equivalent(&sp_serial, &features, k, threads);
+        let (serial, serial_stats) = sp_serial.query(&features, k);
+        let (parallel, parallel_stats) = sp_parallel.query(&features, k);
+        let context = format!("query threads={threads} scheme={scheme:?}");
+        assert_responses_equivalent(&serial, &parallel, &context);
+        assert_stats_equivalent(&serial_stats, &parallel_stats, &context);
         let batch: Vec<Vec<Vec<f32>>> = (0..3)
             .map(|i| corpus.query_from_image((source + i) % n_images as u64, 14, i))
             .collect();
         assert_batch_equivalent(&sp_serial, &batch, k, threads);
-        assert_memoization_invisible(&sp_serial, &batch, k, threads);
+        assert_memoization_invisible(&sp_serial, &batch, k);
     }
 }

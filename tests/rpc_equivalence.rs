@@ -208,8 +208,8 @@ fn thread_concurrency_of_in_process_baseline_is_irrelevant_to_the_wire() {
     // assumption the equivalence tests lean on.
     let fx = fixture(Scheme::OptimizedBovw, 2);
     let features = fx.corpus().query_from_image(9, 18, 6);
-    let (serial, _) = fx.sp.query_with(&features, 4, Concurrency::serial());
-    let (threaded, _) = fx.sp.query_with(&features, 4, Concurrency::new(4));
+    let (serial, _, _) = fx.sp.query_profiled(&features, 4, Concurrency::serial());
+    let (threaded, _, _) = fx.sp.query_profiled(&features, 4, Concurrency::new(4));
     assert_eq!(serial.vo.to_wire(), threaded.vo.to_wire());
     let mut coord = connect(&fx);
     let (rpc, _) = coord.query(&features, 4).expect("rpc query");

@@ -344,7 +344,7 @@ fn sharded_queries_are_thread_count_invariant() {
     let features = p.corpus.query_from_image(22, 24, 9);
     let (serial, _) = sp.query(&features, 5);
     for threads in [2usize, 4, 8] {
-        let (parallel, _) = sp.query_with(&features, 5, Concurrency::new(threads));
+        let (parallel, _, _) = sp.query_profiled(&features, 5, Concurrency::new(threads));
         assert_eq!(
             parallel.vo.to_wire(),
             serial.vo.to_wire(),
