@@ -82,7 +82,7 @@ impl Codebook {
 
         // Forgy initialization: k distinct random features.
         let mut centers: Vec<Vec<f32>> = Vec::with_capacity(params.n_clusters);
-        let mut chosen = std::collections::HashSet::new();
+        let mut chosen = std::collections::BTreeSet::new();
         while centers.len() < params.n_clusters {
             let i = rng.gen_range(0..data.len());
             if chosen.insert(i) {

@@ -40,18 +40,6 @@ impl Scrubbed {
             Err(i) => i, // insertion point; offset belongs to line `i`
         }
     }
-
-    /// The scrubbed text of the line containing `offset` (no newline).
-    pub fn line_text(&self, offset: usize) -> &str {
-        let line = self.line_of(offset);
-        let start = self.line_starts.get(line - 1).copied().unwrap_or(0);
-        let end = self
-            .line_starts
-            .get(line)
-            .map(|&e| e.saturating_sub(1))
-            .unwrap_or(self.text.len());
-        self.text.get(start..end).unwrap_or("")
-    }
 }
 
 pub(crate) fn is_ident(b: u8) -> bool {
@@ -579,11 +567,11 @@ mod tests {
 
     #[test]
     fn allow_annotations_are_parsed() {
-        let src = "x(); // audit:allow(determinism) stats only, never hashed\ny();";
+        let src = "x(); // audit:allow(alloc) capacity capped by the caller\ny();";
         let s = scrub(src);
         assert_eq!(s.allows.len(), 1);
         assert_eq!(s.allows[0].line, 1);
-        assert_eq!(s.allows[0].rules, vec!["determinism".to_string()]);
+        assert_eq!(s.allows[0].rules, vec!["alloc".to_string()]);
         assert!(s.allows[0].has_reason);
     }
 

@@ -1,15 +1,15 @@
 //! `imageproof-audit`: a from-scratch static-analysis pass over the
 //! workspace, run as a CI gate.
 //!
-//! The paper's security argument needs the client verifier to be *total*
-//! (any SP-supplied bytes must decode to `Err`, never a panic) and every
-//! digest computation to be bit-deterministic across threads and runs.
-//! The suite checks both properties dynamically; this crate enforces them
-//! statically on every build, with a hand-rolled token-level scanner
-//! (no syn, no external deps). On top of the scanner, [`model`] parses the
-//! workspace into a lightweight item/call model (fn items with their
-//! `impl`/`trait` context, call edges by name-based path resolution), and
-//! the rule families run over it:
+//! The paper's security argument needs the client verifier to be *total*:
+//! any SP-supplied bytes must decode to `Err`, never a panic, and never
+//! make it allocate more than the bytes justify. The suite checks that
+//! dynamically (`decode_fuzz`); this crate enforces it statically, along
+//! call paths, with a hand-rolled token-level scanner (no syn, no external
+//! deps). On top of the scanner, [`model`] parses the workspace into a
+//! lightweight item/call model (fn items with their `impl`/`trait`
+//! context, call edges by name-based path resolution), and the rule
+//! families run over it:
 //!
 //! * `panic` — interprocedural panic-reachability: seeded from every
 //!   `impl Decode`, `Client::verify*`, and `wire::Reader` entry point and
@@ -17,23 +17,20 @@
 //!   macros/unchecked indexing/non-constant division anywhere reachable.
 //! * `alloc` — hostile-allocation dataflow: a wire-read length must pass a
 //!   bound check before it sizes an allocation, slice, or loop.
-//! * `lockorder`/`relaxed` — concurrency lints for `crates/obs` and
-//!   `crates/parallel`: nested lock acquisitions must follow the declared
-//!   manifest, and every `Ordering::Relaxed` needs a justification.
-//! * `determinism` — no HashMap/HashSet, wall-clock time, or float
-//!   reductions (outside `akm::kernel`) near digest/wire code.
-//! * `wire` — no `usize` lengths encoded raw; every `impl Encode` has a
-//!   matching `impl Decode` and a roundtrip test.
+//! * `wire` — every `impl Encode` has a matching `impl Decode` and a
+//!   roundtrip test.
 //! * `deps` — every `Cargo.toml` stays inside the offline crate set.
-//! * `unsafe` — no `unsafe` outside an allowlist of one file, the Keccak
-//!   CPU-dispatch site, which may hold exactly one beside feature detection.
+//!
+//! What rustc and clippy already enforce is left to them: the workspace
+//! lint `unsafe_code = "deny"` (one `#[allow]`, on the Keccak CPU
+//! dispatch) and `clippy.toml`'s `disallowed-types` for `HashMap`,
+//! `HashSet`, `Instant` and `SystemTime`.
 //!
 //! Escape hatch: `// audit:allow(<rule>) <reason>` on or directly above
 //! the offending line — or on/above a `fn` signature to cover its whole
 //! body. Annotations without a reason, and annotations that suppress
 //! nothing, are themselves findings.
 
-pub mod concurrency;
 pub mod dataflow;
 pub mod lexer;
 pub mod manifest;

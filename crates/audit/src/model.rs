@@ -11,9 +11,9 @@
 //!
 //! Resolution is name-based and deliberately over-approximate: a call that
 //! cannot be pinned to one item fans out to every function with a matching
-//! name, so interprocedural passes (panic reachability, hostile-allocation
-//! dataflow, lock nesting) err on the side of checking *more* code, never
-//! less. Vendored third-party stubs and test code are excluded — they are
+//! name, so the interprocedural passes (panic reachability,
+//! hostile-allocation dataflow) err on the side of checking *more* code,
+//! never less. Vendored third-party stubs and test code are excluded — they are
 //! neither adversary-facing nor call targets of product code.
 
 use crate::lexer::{self, Scrubbed};

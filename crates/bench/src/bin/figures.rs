@@ -18,7 +18,7 @@ use imageproof_bench::table::{kib, ms, pct, Table};
 use imageproof_core::{Scheme, SpaceUsage};
 use imageproof_crypto::wire::Encode;
 use imageproof_vision::DescriptorKind;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Sweep axes for one run scale.
@@ -69,13 +69,13 @@ impl Scale {
 /// Caches fixtures across figures (several figures share the default
 /// configuration).
 struct FixtureCache {
-    built: HashMap<String, Arc<Fixture>>,
+    built: BTreeMap<String, Arc<Fixture>>,
 }
 
 impl FixtureCache {
     fn new() -> FixtureCache {
         FixtureCache {
-            built: HashMap::new(),
+            built: BTreeMap::new(),
         }
     }
 
@@ -353,7 +353,7 @@ fn fig14(cache: &mut FixtureCache, scale: &Scale) {
 /// [`QueryProfile`]: imageproof_obs::QueryProfile
 #[derive(Default)]
 struct PhaseQuantiles {
-    hists: std::collections::BTreeMap<&'static str, imageproof_obs::Histogram>,
+    hists: BTreeMap<&'static str, imageproof_obs::Histogram>,
 }
 
 impl PhaseQuantiles {

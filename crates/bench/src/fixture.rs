@@ -6,7 +6,7 @@ use imageproof_core::{
     Client, Concurrency, Owner, Scheme, ServiceProvider, ShardManifest, ShardedSp, SystemConfig,
 };
 use imageproof_vision::{Corpus, CorpusConfig, DescriptorKind, ImageId};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Experiment-scale knobs. The defaults mirror the paper's default setting
 /// (§VII-A: 0.5M images, 1M codebook, 500 feature vectors, k = 10) scaled
@@ -86,7 +86,7 @@ pub struct Fixture {
     pub codebook: Codebook,
     encodings: Vec<(ImageId, SparseBovw)>,
     owner: Owner,
-    systems: parking_lot::Mutex<HashMap<Scheme, std::sync::Arc<(ServiceProvider, Client)>>>,
+    systems: parking_lot::Mutex<BTreeMap<Scheme, std::sync::Arc<(ServiceProvider, Client)>>>,
 }
 
 impl Fixture {
@@ -126,7 +126,7 @@ impl Fixture {
             codebook,
             encodings,
             owner: Owner::new(&[0xA5; 32]),
-            systems: parking_lot::Mutex::new(HashMap::new()),
+            systems: parking_lot::Mutex::new(BTreeMap::new()),
         }
     }
 

@@ -454,7 +454,7 @@ mod tests {
         // Different ADS layouts commit differently; a VO for one scheme can
         // never be replayed against another scheme's signature.
         let (corpus, owner) = tiny();
-        let mut roots = std::collections::HashSet::new();
+        let mut roots = std::collections::BTreeSet::new();
         for scheme in [
             Scheme::ImageProof,
             Scheme::OptimizedBovw,

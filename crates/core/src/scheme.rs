@@ -9,7 +9,9 @@ use imageproof_mrkd::{BaselineBovwVo, BovwVo, CandidateMode};
 use imageproof_parallel::Concurrency;
 
 /// The four authentication schemes of §VII.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(
+    Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
+)]
 pub enum Scheme {
     /// No-sharing `MRKDSearch` + the maximal-bound inverted search of
     /// Pang & Mouratidis \[15\].
@@ -247,7 +249,7 @@ mod tests {
 
     #[test]
     fn labels_are_distinct() {
-        let labels: std::collections::HashSet<&str> =
+        let labels: std::collections::BTreeSet<&str> =
             Scheme::ALL.iter().map(|s| s.label()).collect();
         assert_eq!(labels.len(), 4);
     }

@@ -100,7 +100,9 @@ impl Wide {
         None
     }
 
-    /// Advances all eight states by one permutation.
+    /// Advances all eight states by one permutation. The workspace denies
+    /// `unsafe_code`; this is the one exemption.
+    #[allow(unsafe_code)]
     pub(crate) fn permute(&self, state: &mut LaneState<LANES>) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `permute_avx512` requires avx512f and avx512vl. A `Wide`

@@ -485,7 +485,7 @@ mod tests {
         // Build 20 filters of common geometry; item frequencies vary.
         let mut filters: Vec<CuckooFilter> =
             (0..20).map(|_| CuckooFilter::with_buckets(64)).collect();
-        let mut true_freq = std::collections::HashMap::new();
+        let mut true_freq = std::collections::BTreeMap::new();
         for item in 0..100u64 {
             let occurrences = (item % 7) as usize;
             for f in filters.iter_mut().take(occurrences) {

@@ -3,7 +3,7 @@
 
 use imageproof_cuckoo::{max_count, CuckooFilter};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -47,9 +47,9 @@ proptest! {
     ) {
         let mut filters: Vec<CuckooFilter> =
             (0..12).map(|_| CuckooFilter::with_buckets(128)).collect();
-        let mut true_freq: std::collections::HashMap<u64, u32> = Default::default();
+        let mut true_freq: BTreeMap<u64, u32> = Default::default();
         for (item, filter_ids) in assignments {
-            let distinct: HashSet<usize> = filter_ids.into_iter().collect();
+            let distinct: BTreeSet<usize> = filter_ids.into_iter().collect();
             for fid in distinct {
                 if filters[fid].insert(item).is_ok() {
                     *true_freq.entry(item).or_insert(0) += 1;

@@ -307,7 +307,6 @@ pub fn partial_sum_revealed(blocks: &[(u32, Vec<f32>)], q: &[f32]) -> f32 {
                     let diff = q[d] - v;
                     diff * diff
                 })
-                // audit:allow(determinism) fixed block order, shared verbatim by SP and client
                 .sum::<f32>()
         })
         .sum()
@@ -571,5 +570,43 @@ mod tests {
         let r = out.stats.shared_ratio();
         assert!((0.0..=1.0).contains(&r));
         assert!(r > 0.0, "30 queries on one tree must share the root");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The SP accepts a partial reveal when `partial_sum_selected`, over
+        /// its cached per-block kernel contributions, reaches the threshold;
+        /// the client re-derives the same number with `partial_sum_revealed`
+        /// from the revealed coordinates. Unless the two agree to the bit,
+        /// an honest reveal can be rejected (or a borderline one accepted)
+        /// by rounding alone. Dimensions run past whole blocks so a short
+        /// final block is covered.
+        #[test]
+        fn sp_and_client_partial_sums_agree_bitwise(
+            q in proptest::collection::vec(-4.0f32..4.0, 130),
+            center in proptest::collection::vec(-4.0f32..4.0, 130),
+            dim in 1usize..=130,
+            mask in 0u64..512,
+        ) {
+            let (q, center) = (&q[..dim], &center[..dim]);
+            let total = crate::tree::n_blocks(dim) as u32;
+            let mut selected: BTreeSet<u32> =
+                (0..total).filter(|&b| (mask >> b) & 1 == 1).collect();
+            if selected.is_empty() {
+                selected.insert(mask as u32 % total);
+            }
+            let contrib: Vec<f32> = (0..total)
+                .map(|b| block_contribution(q, center, b))
+                .collect();
+            let revealed: Vec<(u32, Vec<f32>)> = selected
+                .iter()
+                .map(|&b| (b, center[crate::tree::block_range(b as usize, dim)].to_vec()))
+                .collect();
+            proptest::prop_assert_eq!(
+                partial_sum_selected(&selected, &contrib).to_bits(),
+                partial_sum_revealed(&revealed, q).to_bits()
+            );
+        }
     }
 }

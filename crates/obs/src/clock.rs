@@ -1,11 +1,13 @@
 //! The workspace's only legal wall clock.
 //!
-//! The `imageproof-audit` determinism rule bans `Instant` and `SystemTime`
-//! outside this crate: wall-clock readings near digest or wire code are a
-//! reproducibility hazard, so every timing in the workspace goes through
-//! [`Stopwatch`] (or the span layer built on it). A `Stopwatch` is pure
-//! measurement — it never feeds a digest, never serializes, and reading it
-//! cannot perturb any authenticated byte.
+//! The root `clippy.toml` bans `Instant` and `SystemTime` as
+//! `disallowed-types`, and this module is the one place that opts out:
+//! wall-clock readings near digest or wire code are a reproducibility
+//! hazard, so every timing in the workspace goes through [`Stopwatch`] (or
+//! the span layer built on it). A `Stopwatch` is pure measurement — it
+//! never feeds a digest, never serializes, and reading it cannot perturb
+//! any authenticated byte.
+#![allow(clippy::disallowed_types)]
 
 use std::time::Instant;
 

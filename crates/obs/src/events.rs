@@ -124,17 +124,26 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// The fixed-capacity ring. Recording takes the ring mutex for a push and
-/// possible pop-front — no allocation beyond the event's own detail
-/// string; readers copy the ring out under the same lock.
+/// The fixed-capacity ring. Recording takes the ring mutex once to number
+/// the event, push it and possibly pop the oldest — no allocation beyond
+/// the event's own detail string; readers copy the ring out under the same
+/// lock. Numbering inside the lock keeps the ring in `seq` order under
+/// concurrent recorders, so a wrap always evicts the lowest sequence
+/// numbers.
 #[derive(Debug)]
 pub struct EventLog {
     capacity: usize,
     clock: Stopwatch,
-    ring: Mutex<VecDeque<Event>>,
-    next_seq: AtomicU64,
-    dropped: AtomicU64,
+    ring: Mutex<Ring>,
     by_kind: [AtomicU64; EVENT_KINDS.len()],
+}
+
+/// The retained events and the two counters that must move with them.
+#[derive(Debug, Default)]
+struct Ring {
+    events: VecDeque<Event>,
+    next_seq: u64,
+    dropped: u64,
 }
 
 impl EventLog {
@@ -143,9 +152,7 @@ impl EventLog {
         EventLog {
             capacity: capacity.max(1),
             clock: Stopwatch::start(),
-            ring: Mutex::new(VecDeque::new()),
-            next_seq: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
+            ring: Mutex::new(Ring::default()),
             by_kind: Default::default(),
         }
     }
@@ -164,49 +171,48 @@ impl EventLog {
         shard: Option<u32>,
         detail: impl Into<String>,
     ) -> u64 {
-        // audit:allow(relaxed) monotonic sequence counter: ring contents are published via the mutex, not this atomic
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        // audit:allow(relaxed, panic) monotonic statistics counter: readers tolerate lag; kind.index() enumerates a closed enum and by_kind is sized to EVENT_KINDS.len()
+        let detail = detail.into();
+        // Relaxed — monotonic statistics counter: readers tolerate lag.
+        // audit:allow(panic) kind.index() enumerates a closed enum and by_kind is sized to EVENT_KINDS.len()
         self.by_kind[kind.index()].fetch_add(1, Ordering::Relaxed);
-        let event = Event {
+        let mut ring = self.ring.lock();
+        let seq = ring.next_seq;
+        ring.next_seq += 1;
+        if ring.events.len() == self.capacity {
+            ring.events.pop_front();
+            ring.dropped += 1;
+        }
+        ring.events.push_back(Event {
             seq,
             t_seconds,
             kind,
             shard,
-            detail: detail.into(),
-        };
-        let mut ring = self.ring.lock();
-        if ring.len() == self.capacity {
-            ring.pop_front();
-            // audit:allow(relaxed) monotonic statistics counter: readers tolerate lag
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        ring.push_back(event);
+            detail,
+        });
         seq
     }
 
     /// Cumulative count of `kind` events since construction — unaffected
     /// by ring overwrites.
     pub fn count(&self, kind: EventKind) -> u64 {
-        // audit:allow(relaxed, panic) statistics read: a momentarily stale total is acceptable for exposition; kind.index() enumerates a closed enum and by_kind is sized to EVENT_KINDS.len()
+        // Relaxed — statistics read: a momentarily stale total is acceptable for exposition.
+        // audit:allow(panic) kind.index() enumerates a closed enum and by_kind is sized to EVENT_KINDS.len()
         self.by_kind[kind.index()].load(Ordering::Relaxed)
     }
 
     /// Events evicted by ring wrap-around.
     pub fn dropped(&self) -> u64 {
-        // audit:allow(relaxed) statistics read: a momentarily stale total is acceptable for exposition
-        self.dropped.load(Ordering::Relaxed)
+        self.ring.lock().dropped
     }
 
     /// Total events ever recorded.
     pub fn total(&self) -> u64 {
-        // audit:allow(relaxed) statistics read: a momentarily stale total is acceptable for exposition
-        self.next_seq.load(Ordering::Relaxed)
+        self.ring.lock().next_seq
     }
 
     /// The retained events, oldest first.
     pub fn snapshot(&self) -> Vec<Event> {
-        self.ring.lock().iter().cloned().collect()
+        self.ring.lock().events.iter().cloned().collect()
     }
 
     /// JSON-lines exposition: one object per retained event, oldest
@@ -253,6 +259,37 @@ mod tests {
             "counters survive eviction"
         );
         assert_eq!(log.count(EventKind::Failover), 0);
+    }
+
+    #[test]
+    fn concurrent_recorders_keep_the_ring_in_seq_order() {
+        // Eight recorders overfill a ring of half their total, so it wraps
+        // while they race. The ring must hold exactly the newest `seq`s, in
+        // order: a wrap evicts the lowest sequence numbers, never a newer
+        // event pushed ahead of an older one.
+        const THREADS: u64 = 8;
+        const PER_THREAD: u64 = 20_000;
+        const TOTAL: u64 = THREADS * PER_THREAD;
+        let log = EventLog::new((TOTAL / 2) as usize);
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (log, start) = (&log, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..PER_THREAD {
+                        log.record_at(i as f64, EventKind::SlowQuery, Some(t as u32), "");
+                    }
+                });
+            }
+        });
+        let seqs: Vec<u64> = log.snapshot().iter().map(|e| e.seq).collect();
+        let inversions = seqs.windows(2).filter(|w| w[1] < w[0]).count();
+        assert_eq!(inversions, 0, "retained events out of seq order");
+        assert_eq!(seqs, (TOTAL / 2..TOTAL).collect::<Vec<u64>>());
+        assert_eq!(log.total(), TOTAL);
+        assert_eq!(log.dropped(), TOTAL / 2);
+        assert_eq!(log.count(EventKind::SlowQuery), TOTAL);
     }
 
     #[test]

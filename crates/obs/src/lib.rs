@@ -3,7 +3,7 @@
 //! The workspace's unified observability layer: a lock-free labeled
 //! metrics registry ([`Registry`]), structured hierarchical spans
 //! ([`Profiler`] → [`QueryProfile`]), and the only legal wall clock
-//! ([`Stopwatch`]) — `imageproof-audit` bans `Instant`/`SystemTime`
+//! ([`Stopwatch`]) — the root `clippy.toml` bans `Instant`/`SystemTime`
 //! everywhere else in the workspace.
 //!
 //! ## Design rules
@@ -48,7 +48,7 @@ static GLOBAL: OnceLock<Registry> = OnceLock::new();
 /// sites check this once per operation; profilers cache it at
 /// construction.
 pub fn enabled() -> bool {
-    // audit:allow(relaxed) lone on/off flag: no other memory is published through it, and stale reads only delay the toggle
+    // Relaxed — lone on/off flag: no other memory is published through it, and stale reads only delay the toggle
     ENABLED.load(Ordering::Relaxed)
 }
 
@@ -56,7 +56,7 @@ pub fn enabled() -> bool {
 /// registry recording near-no-ops; it never changes any authenticated
 /// byte (see the crate docs' zero-perturbation rule).
 pub fn set_enabled(on: bool) {
-    // audit:allow(relaxed) lone on/off flag: no other memory is published through it, and stale reads only delay the toggle
+    // Relaxed — lone on/off flag: no other memory is published through it, and stale reads only delay the toggle
     ENABLED.store(on, Ordering::Relaxed);
 }
 

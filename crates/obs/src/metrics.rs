@@ -36,12 +36,12 @@ impl Counter {
     }
 
     /// Adds `n`, wrapping on overflow.
-    // audit:allow(relaxed) monotonic statistics counter: readers tolerate lag; no other memory is published through it
+    // Relaxed — monotonic statistics counter: readers tolerate lag; no other memory is published through it
     pub fn add(&self, n: u64) {
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
-    // audit:allow(relaxed) statistics read: a momentarily stale total is acceptable for exposition
+    // Relaxed — statistics read: a momentarily stale total is acceptable for exposition
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
@@ -116,7 +116,7 @@ impl Histogram {
 
     /// Records one sample. The running sum wraps on overflow, like
     /// [`Counter::add`].
-    // audit:allow(relaxed) independent statistics cells: readers accept an inconsistent cut (see snapshot)
+    // Relaxed — independent statistics cells: readers accept an inconsistent cut (see snapshot)
     pub fn record(&self, v: u64) {
         if let Some(b) = self.buckets.get(bucket_index(v)) {
             b.fetch_add(1, Ordering::Relaxed);
@@ -125,12 +125,12 @@ impl Histogram {
         self.sum.fetch_add(v, Ordering::Relaxed);
     }
 
-    // audit:allow(relaxed) statistics read: a momentarily stale count is acceptable for exposition
+    // Relaxed — statistics read: a momentarily stale count is acceptable for exposition
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
 
-    // audit:allow(relaxed) statistics read: a momentarily stale sum is acceptable for exposition
+    // Relaxed — statistics read: a momentarily stale sum is acceptable for exposition
     pub fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
     }
@@ -148,7 +148,7 @@ impl Histogram {
     /// out; under concurrent recording a sample may land in a cell that
     /// was already cleared (or survive the sweep), which is the same
     /// statistics-grade tolerance as [`Histogram::snapshot`].
-    // audit:allow(relaxed) independent statistics cells: readers accept an inconsistent cut (see snapshot)
+    // Relaxed — independent statistics cells: readers accept an inconsistent cut (see snapshot)
     pub fn reset(&self) {
         for b in &self.buckets {
             b.store(0, Ordering::Relaxed);
@@ -160,7 +160,7 @@ impl Histogram {
     /// A point-in-time copy. Under concurrent recording the per-bucket
     /// counts are each atomically read but the set is not a consistent
     /// cut; once recording quiesces, the snapshot is exact.
-    // audit:allow(relaxed) documented inconsistent cut: each bucket read is atomic, the set need not be
+    // Relaxed — documented inconsistent cut: each bucket read is atomic, the set need not be
     pub fn snapshot(&self) -> HistogramSnapshot {
         let buckets: Vec<(u64, u64)> = self
             .buckets
@@ -297,14 +297,20 @@ pub struct RegistrySnapshot {
 
 /// The labeled metric registry.
 ///
-/// `counter`/`histogram` get-or-register a family member under a short
+/// `counter`/`histogram` get-or-register a family member under one short
 /// `parking_lot` lock and hand back an `Arc` whose recording methods are
-/// lock-free. Exposition walks the `BTreeMap`s, so output order is
+/// lock-free. Both families sit behind that one lock, so no code path ever
+/// holds two. Exposition walks the `BTreeMap`s, so output order is
 /// deterministic.
 #[derive(Debug, Default)]
 pub struct Registry {
-    counters: Mutex<BTreeMap<MetricId, Arc<Counter>>>,
-    histograms: Mutex<BTreeMap<MetricId, Arc<Histogram>>>,
+    families: Mutex<Families>,
+}
+
+#[derive(Debug, Default)]
+struct Families {
+    counters: BTreeMap<MetricId, Arc<Counter>>,
+    histograms: BTreeMap<MetricId, Arc<Histogram>>,
 }
 
 impl Registry {
@@ -315,8 +321,9 @@ impl Registry {
     /// The counter `name{labels}`, created on first use.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
         let id = MetricId::new(name, labels);
-        self.counters
+        self.families
             .lock()
+            .counters
             .entry(id)
             .or_insert_with(|| Arc::new(Counter::new()))
             .clone()
@@ -325,8 +332,9 @@ impl Registry {
     /// The histogram `name{labels}`, created on first use.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
         let id = MetricId::new(name, labels);
-        self.histograms
+        self.families
             .lock()
+            .histograms
             .entry(id)
             .or_insert_with(|| Arc::new(Histogram::new()))
             .clone()
@@ -334,17 +342,16 @@ impl Registry {
 
     /// A point-in-time copy of every metric.
     pub fn snapshot(&self) -> RegistrySnapshot {
+        let families = self.families.lock();
         RegistrySnapshot {
-            counters: self
+            counters: families
                 .counters
-                .lock()
                 .iter()
                 .map(|(id, c)| (id.clone(), c.get()))
                 .collect(),
             gauges: BTreeMap::new(),
-            histograms: self
+            histograms: families
                 .histograms
-                .lock()
                 .iter()
                 .map(|(id, h)| (id.clone(), h.snapshot()))
                 .collect(),
@@ -544,7 +551,7 @@ impl WindowedHistogram {
     /// Advances the window to `now_seconds`, clearing any half that aged
     /// out. Exactly one racing caller wins the swap; losers observe the
     /// cleared half.
-    // audit:allow(relaxed) epoch cell guards only which statistics half is current; a stale read records into the half that is about to age out, which the merge-read tolerates
+    // Relaxed — epoch cell guards only which statistics half is current; a stale read records into the half that is about to age out, which the merge-read tolerates
     fn rotate_to(&self, now_seconds: f64) -> usize {
         let target = self.epoch_of(now_seconds);
         let mut current = self.epoch.load(Ordering::Relaxed);

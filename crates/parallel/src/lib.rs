@@ -116,7 +116,7 @@ where
             s.spawn(|_| {
                 let mut local: Vec<(usize, R)> = Vec::new();
                 loop {
-                    // audit:allow(relaxed) work-stealing counter: fetch_add is atomic per claim; no other memory is published through it
+                    // Relaxed — work-stealing counter: fetch_add is atomic per claim; no other memory is published through it
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= items.len() {
                         break;

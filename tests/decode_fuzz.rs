@@ -321,10 +321,13 @@ fn table_row_leaf_and_reveal_decoding_is_total() {
         };
         let leaf = find_leaf(&vo.tree).expect("a disclosed leaf");
         fuzz_decode(&format!("VoTree leaf[{scheme:?}]"), &leaf);
-        // One row of each reveal kind the scheme produces.
-        let mut kinds = std::collections::HashSet::new();
+        // One row of each reveal kind the scheme produces (`Discriminant`
+        // is not `Ord`, so the seen set is a Vec).
+        let mut kinds = Vec::new();
         for row in &vo.clusters {
-            if kinds.insert(std::mem::discriminant(&row.reveal)) {
+            let kind = std::mem::discriminant(&row.reveal);
+            if !kinds.contains(&kind) {
+                kinds.push(kind);
                 fuzz_decode(&format!("VoCluster[{scheme:?}]"), row);
                 fuzz_decode::<Reveal>(&format!("Reveal[{scheme:?}]"), &row.reveal);
                 checked += 1;
