@@ -5,28 +5,38 @@
 //! `Reader::varint`/`u32`/`u64` — or arithmetic derived from one, even
 //! from an already-bounded `vseq_len` result (`n * RECORD_SIZE` can dwarf
 //! the stream) — must flow through a bound check before it sizes an
-//! allocation, a slice, or a loop. This pass tracks a two-state taint
-//! (`Raw` = attacker-sized, `Bounded` = capped by the stream or an
-//! explicit comparison) per local variable through each function body and
-//! flags `Vec::with_capacity`, `vec![..; n]`, `.reserve`, range slicing,
-//! and `for … in 0..n` sinks fed by `Raw` values.
+//! allocation, a slice, or a loop. This pass tracks a three-state taint
+//! per local variable through each function body and flags
+//! `Vec::with_capacity`, `vec![..; n]`, `.reserve`, range slicing, and
+//! `for … in 0..n` sinks fed by hostile values:
 //!
-//! Sanitizers: `bound_len`, `vseq_len`/`seq_len` (internally bounded),
-//! `take`/`take_array`/`vbytes` (bounds-checked reads), `checked_*`
-//! arithmetic, `.min(..)`, and an explicit `<`/`>` comparison against the
-//! variable. Multiplication or shifting re-taints: a bounded factor times
-//! anything is attacker-expandable.
+//! * `Raw` — attacker-sized: hostile at every sink;
+//! * `Counted` — a `seq_len`/`vseq_len`/`bound_len` result, a count no
+//!   larger than the bytes left: fine as a loop bound or slice range, but
+//!   still hostile as an allocation size, because each counted item may
+//!   occupy many more bytes in memory than on the wire;
+//! * `Bounded` — capped in bytes: safe everywhere.
+//!
+//! Sanitizers: `take`/`take_array`/`vbytes` (bounds-checked reads),
+//! `checked_*` arithmetic, `.min(..)`, and an explicit `<`/`>` comparison
+//! against the variable. Multiplication or shifting re-taints: a bounded
+//! factor times anything is attacker-expandable.
 
 use crate::lexer::{self, Scrubbed};
 use crate::model::Model;
 use crate::rules::{Finding, SourceFile};
 use std::collections::BTreeMap;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Ordered from the weakest guarantee to the strongest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Taint {
     /// Attacker-chosen magnitude: a raw wire integer or expansion thereof.
     Raw,
-    /// Capped by the remaining stream or an explicit comparison.
+    /// A count checked against the remaining stream, not yet clamped in
+    /// bytes.
+    Counted,
+    /// Capped in bytes, by a bounds-checked read, a clamp, or an explicit
+    /// comparison.
     Bounded,
 }
 
@@ -35,12 +45,12 @@ enum Taint {
 /// empty argument list is the discriminator.
 const RAW_READS: &[&str] = &[".varint", ".u64", ".u32", ".u16", ".u8"];
 
+/// Reader calls that return a count checked against the bytes left.
+const COUNT_MARKS: &[&str] = &["vseq_len(", "seq_len(", "bound_len("];
+
 /// Substrings whose presence means a value was bounds-checked at its
 /// source or sanitized inline.
 const BOUNDED_MARKS: &[&str] = &[
-    "vseq_len(",
-    "seq_len(",
-    "bound_len(",
     "vbytes(",
     "take_array",
     ".take(",
@@ -48,6 +58,7 @@ const BOUNDED_MARKS: &[&str] = &[
     "checked_add(",
     "checked_sub(",
     "checked_shl(",
+    "checked_div(",
     ".min(",
 ];
 
@@ -65,7 +76,7 @@ pub fn check(files: &[SourceFile], scrubbed: &[Scrubbed], model: &Model, out: &m
                 line: s.line_of(pos),
                 rule: "alloc",
                 message: format!(
-                    "wire-derived length `{var}` reaches {sink} without a bound check (bound_len or an explicit cap comparison)"
+                    "wire-derived length `{var}` reaches {sink} without a bound in bytes (Reader::seq, a .min/checked_* clamp, or an explicit cap comparison)"
                 ),
             });
         }
@@ -97,12 +108,12 @@ pub fn hostile_sinks(text: &str, from: usize, to: usize) -> Vec<(usize, String, 
 
         // Explicit comparison sanitizes the compared variable from the
         // next statement on.
-        let raw_vars: Vec<String> = vars
+        let unbounded: Vec<String> = vars
             .iter()
-            .filter(|&(_, &t)| t == Taint::Raw)
+            .filter(|&(_, &t)| t != Taint::Bounded)
             .map(|(n, _)| n.clone())
             .collect();
-        for name in raw_vars {
+        for name in unbounded {
             if compared(seg, &name) || sanitized_by_call(seg, &name) {
                 vars.insert(name, Taint::Bounded);
             }
@@ -178,32 +189,27 @@ fn assignment(seg: &str) -> Option<(String, &str)> {
 /// untracked (not length-like).
 fn classify(rhs: &str, vars: &BTreeMap<String, Taint>) -> Option<Taint> {
     let bounded_src = BOUNDED_MARKS.iter().any(|m| rhs.contains(m));
+    let counted_src = COUNT_MARKS.iter().any(|m| rhs.contains(m));
     let raw_src = has_raw_read(rhs);
     let expand = has_expansion_op(rhs);
-    let mut touches_raw = false;
-    let mut touches_bounded = false;
+    let mut touched = Vec::new();
     for (name, &t) in vars {
         if word_in(rhs, name) {
-            match t {
-                Taint::Raw => touches_raw = true,
-                Taint::Bounded => touches_bounded = true,
-            }
+            touched.push(t);
         }
     }
-    if bounded_src && !raw_src && !expand {
-        return Some(Taint::Bounded);
+    if (bounded_src || counted_src) && !raw_src && !expand {
+        return Some(if bounded_src {
+            Taint::Bounded
+        } else {
+            Taint::Counted
+        });
     }
-    if raw_src || touches_raw {
+    // bounded * anything is attacker-expandable.
+    if raw_src || (expand && !touched.is_empty()) {
         return Some(Taint::Raw);
     }
-    if expand && touches_bounded {
-        // bounded * anything is attacker-expandable.
-        return Some(Taint::Raw);
-    }
-    if touches_bounded {
-        return Some(Taint::Bounded);
-    }
-    None
+    touched.into_iter().min()
 }
 
 /// A `.varint()`-style zero-argument Reader read somewhere in `s`.
@@ -301,7 +307,7 @@ fn compared(seg: &str, name: &str) -> bool {
 /// Whether `seg` feeds `name` through an explicit bounding call.
 fn sanitized_by_call(seg: &str, name: &str) -> bool {
     word_in(seg, name)
-        && ["bound_len(", ".min(", "checked_mul(", "checked_add("]
+        && [".min(", "checked_mul(", "checked_add("]
             .iter()
             .any(|m| seg.contains(m))
 }
@@ -314,8 +320,9 @@ fn check_sinks(
     out: &mut Vec<(usize, String, String)>,
 ) {
     let bytes = seg.as_bytes();
-    let mut push = |pos: usize, arg: &str, sink: &str| {
-        if let Some(culprit) = hostile_value(arg, vars) {
+    // `alloc`: the sink reserves memory, so a mere count is hostile too.
+    let mut push = |pos: usize, arg: &str, sink: &str, alloc: bool| {
+        if let Some(culprit) = hostile_value(arg, vars, alloc) {
             out.push((seg_start + pos, culprit, sink.to_string()));
         }
     };
@@ -331,7 +338,7 @@ fn check_sinks(
             } else {
                 "with_capacity"
             };
-            push(pos, arg, sink);
+            push(pos, arg, sink, true);
         }
     }
     // `vec![elem; len]` — the repeat length after the top-level `;`.
@@ -343,7 +350,7 @@ fn check_sinks(
         };
         let inner = bracket_arg(seg, open);
         if let Some(semi) = inner.rfind(';') {
-            push(pos, &inner[semi + 1..], "vec![..; n]");
+            push(pos, &inner[semi + 1..], "vec![..; n]", true);
         }
     }
     // `for … in a..b` loop bounds.
@@ -351,7 +358,7 @@ fn check_sinks(
         if let Some(in_pos) = lexer::find_word(bytes, b"in", 0) {
             let range = &seg[in_pos + 2..];
             if range.contains("..") {
-                push(in_pos, range, "a loop bound");
+                push(in_pos, range, "a loop bound", false);
             }
         }
     }
@@ -361,7 +368,7 @@ fn check_sinks(
         if bytes[i] == b'[' && i > 0 && (lexer::is_ident(bytes[i - 1]) || bytes[i - 1] == b')') {
             let inner = bracket_arg(seg, i);
             if inner.contains("..") {
-                push(i, inner, "a slice range");
+                push(i, inner, "a slice range", false);
             }
         }
         i += 1;
@@ -369,16 +376,25 @@ fn check_sinks(
 }
 
 /// The hostile variable or read feeding `arg`, if any. Inline sanitizers
-/// (`.min(CAP)`, `bound_len`, `checked_*`) clear it.
-fn hostile_value(arg: &str, vars: &BTreeMap<String, Taint>) -> Option<String> {
+/// (`.min(CAP)`, `checked_*`) clear it; an inline count clears it only
+/// outside an allocation (`alloc`).
+fn hostile_value(arg: &str, vars: &BTreeMap<String, Taint>, alloc: bool) -> Option<String> {
     if BOUNDED_MARKS.iter().any(|m| arg.contains(m)) {
+        return None;
+    }
+    let counted = COUNT_MARKS.iter().any(|m| arg.contains(m));
+    if counted && !alloc {
         return None;
     }
     if has_raw_read(arg) {
         return Some("a raw wire read".to_string());
     }
+    if counted {
+        return Some("a stream-bounded count".to_string());
+    }
     for (name, &t) in vars {
-        if t == Taint::Raw && word_in(arg, name) {
+        let hostile = t == Taint::Raw || (alloc && t == Taint::Counted);
+        if hostile && word_in(arg, name) {
             return Some(name.clone());
         }
     }
@@ -459,13 +475,50 @@ mod tests {
     #[test]
     fn stream_bounded_lengths_are_clean() {
         for ok in [
-            "{ let n = r.vseq_len(8)?; let v = Vec::with_capacity(n); }",
             "{ let n = r.seq_len(4, 1024)?; for i in 0..n { step(i); } }",
+            "{ let n = r.vseq_len()?; let head = &buf[..n]; }",
             "{ let b = r.vbytes()?; let v = Vec::with_capacity(b.len()); }",
         ] {
             let f = sinks(ok);
             assert!(f.is_empty(), "{ok}: {f:?}");
         }
+    }
+
+    /// A count bounded by the bytes left still multiplies by the item's
+    /// size in memory when it sizes an allocation.
+    #[test]
+    fn a_stream_bounded_count_reaching_an_allocation_fires() {
+        for (bad, sink) in [
+            (
+                "{ let n = r.seq_len()?; let v = Vec::with_capacity(n); }",
+                "with_capacity",
+            ),
+            ("{ let n = r.vseq_len()?; buf.reserve(n); }", "reserve"),
+            (
+                "{ let n = r.seq_len()?; let v = vec![0u64; n]; }",
+                "vec![..; n]",
+            ),
+            (
+                "{ let v = Vec::with_capacity(r.vseq_len()?); }",
+                "with_capacity",
+            ),
+        ] {
+            let f = sinks(bad);
+            assert_eq!(f.len(), 1, "{bad}: {f:?}");
+            assert_eq!(f[0].2, sink, "{bad}");
+        }
+    }
+
+    /// `Reader::collect`'s form: the count drives the loop, and the
+    /// reservation is clamped in bytes.
+    #[test]
+    fn a_count_clamped_in_bytes_is_clean() {
+        let f = sinks(
+            "{ let n = r.seq_len()?; \
+               let mut out = Vec::with_capacity(n.min(r.remaining().checked_div(size_of::<T>()).unwrap_or(n))); \
+               for _ in 0..n { out.push(item(r)?); } }",
+        );
+        assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]

@@ -43,6 +43,23 @@ use std::time::Duration;
 /// Events retained by the coordinator's ring.
 const COORDINATOR_EVENT_CAPACITY: usize = 1024;
 
+/// Consecutive heartbeat misses before a shard is marked degraded.
+const DEGRADED_AFTER_MISSES: u32 = 1;
+
+/// Consecutive heartbeat misses before the coordinator proactively fails
+/// over to the next replica (dead if the chain is exhausted).
+const FAILOVER_AFTER_MISSES: u32 = 2;
+
+/// Queries slower than this, in seconds, are recorded in the event log and
+/// burn the SLO budget.
+const SLOW_QUERY_THRESHOLD_SECONDS: f64 = 1.0;
+
+/// Width of the rolling SLO / latency window, in seconds.
+const SLO_WINDOW_SECONDS: f64 = 60.0;
+
+/// Allowed fraction of slow queries (the SLO error budget).
+const SLO_BUDGET: f64 = 0.01;
+
 /// Bytes pulled off a shard socket per read.
 const READ_BUF_LEN: usize = 256 * 1024;
 
@@ -97,18 +114,6 @@ pub struct CoordinatorConfig {
     /// than `request_timeout_seconds`: a stalled shard misses heartbeats
     /// and is failed over *before* any query would hit its deadline.
     pub heartbeat_timeout_seconds: f64,
-    /// Consecutive heartbeat misses before a shard is marked degraded.
-    pub degraded_after_misses: u32,
-    /// Consecutive heartbeat misses before the coordinator proactively
-    /// fails over to the next replica (dead if the chain is exhausted).
-    pub failover_after_misses: u32,
-    /// Queries slower than this are recorded in the event log and burn
-    /// the SLO budget.
-    pub slow_query_threshold_seconds: f64,
-    /// Width of the rolling SLO / latency window.
-    pub slo_window_seconds: f64,
-    /// Allowed fraction of slow queries (the SLO error budget).
-    pub slo_budget: f64,
 }
 
 impl Default for CoordinatorConfig {
@@ -118,11 +123,6 @@ impl Default for CoordinatorConfig {
             connect_timeout_seconds: 1.0,
             hello_timeout_seconds: 2.0,
             heartbeat_timeout_seconds: 0.5,
-            degraded_after_misses: 1,
-            failover_after_misses: 2,
-            slow_query_threshold_seconds: 1.0,
-            slo_window_seconds: 60.0,
-            slo_budget: 0.01,
         }
     }
 }
@@ -138,7 +138,7 @@ impl Default for CoordinatorConfig {
 pub enum ShardHealthState {
     /// Heartbeats arrive in time and carry the pinned root.
     Healthy,
-    /// At least `degraded_after_misses` consecutive misses.
+    /// At least [`DEGRADED_AFTER_MISSES`] consecutive misses.
     Degraded,
     /// The failover threshold was crossed and no endpoint of the chain
     /// passed the hello — queries to this shard fail until it recovers
@@ -200,20 +200,13 @@ fn lock_health(fleet: &FleetHealth) -> MutexGuard<'_, Vec<ShardHealthView>> {
 }
 
 impl FleetHealth {
-    fn new(
-        shard_count: usize,
-        pinned_roots: Vec<Digest>,
-        config: &CoordinatorConfig,
-    ) -> FleetHealth {
+    fn new(shard_count: usize, pinned_roots: Vec<Digest>) -> FleetHealth {
         FleetHealth {
             health: Mutex::new(vec![ShardHealthView::default(); shard_count]),
             windows: (0..shard_count)
-                .map(|_| WindowedHistogram::new(config.slo_window_seconds))
+                .map(|_| WindowedHistogram::new(SLO_WINDOW_SECONDS))
                 .collect(),
-            slo: SloTracker::new(
-                micros(config.slow_query_threshold_seconds),
-                config.slo_budget,
-            ),
+            slo: SloTracker::new(micros(SLOW_QUERY_THRESHOLD_SECONDS), SLO_BUDGET),
             events: EventLog::new(COORDINATOR_EVENT_CAPACITY),
             pinned_roots,
         }
@@ -526,7 +519,7 @@ impl RpcCoordinator {
         }
         let pinned_roots = manifest.shard_roots.clone();
         let shard_count = endpoints.len();
-        let fleet = Arc::new(FleetHealth::new(shard_count, pinned_roots.clone(), &config));
+        let fleet = Arc::new(FleetHealth::new(shard_count, pinned_roots.clone()));
         let mut coordinator = RpcCoordinator {
             endpoints,
             pinned_roots,
@@ -920,8 +913,8 @@ impl RpcCoordinator {
     /// owner-signed manifest root — a replica on the wrong root can never
     /// report healthy) resets the miss counter and the state to healthy.
     /// A miss (timeout, transport fault, failed re-dial, or root mismatch)
-    /// increments the counter: `degraded_after_misses` marks the shard
-    /// degraded, `failover_after_misses` promotes the next manifest-pinned
+    /// increments the counter: [`DEGRADED_AFTER_MISSES`] marks the shard
+    /// degraded, [`FAILOVER_AFTER_MISSES`] promotes the next manifest-pinned
     /// endpoint (healthy again on success, dead when none passes the
     /// hello). Returns the post-sweep state per shard.
     pub fn heartbeat(&mut self) -> Vec<ShardHealthState> {
@@ -982,7 +975,7 @@ impl RpcCoordinator {
                 Some(id),
                 format!("heartbeat miss {misses}: {err}"),
             );
-            if misses >= self.config.failover_after_misses {
+            if misses >= FAILOVER_AFTER_MISSES {
                 if self.redial(shard, &mut tried[shard]).is_ok() {
                     self.failed_over(shard, &format!("{misses} heartbeat misses"));
                 } else {
@@ -992,7 +985,7 @@ impl RpcCoordinator {
                         "heartbeat misses exhausted the endpoint chain",
                     );
                 }
-            } else if misses >= self.config.degraded_after_misses {
+            } else if misses >= DEGRADED_AFTER_MISSES {
                 self.fleet
                     .transition(shard, ShardHealthState::Degraded, "missed heartbeat");
             }

@@ -2,11 +2,13 @@
 //!
 //! A frame is `[u32 LE body length][body]`; the body is one [`Request`] or
 //! [`Response`] in the workspace's canonical `Encode` wire format, so every
-//! byte arriving from the network is parsed by the same audited
-//! `Reader`/`bound_len` path as VO decoding. The frame length itself is
-//! bounded by [`MAX_FRAME_LEN`] *before* any allocation, and
-//! [`FrameBuffer`] only ever allocates in proportion to bytes actually
-//! received — a hostile length prefix can announce 4 GiB but buys nothing.
+//! byte arriving from the network is parsed by the same audited `Reader`
+//! as VO decoding. The frame length itself is bounded by [`MAX_FRAME_LEN`]
+//! *before* any allocation, and [`FrameBuffer`] only ever allocates in
+//! proportion to bytes actually received — a hostile frame prefix can
+//! announce 4 GiB but buys nothing. Inside a body, every sequence decodes
+//! through `Reader::seq`, whose reservation is capped by the body's bytes
+//! left: a hostile count can reserve at most the frame's own length.
 //!
 //! Observability splits across two frames by design: the query/trim
 //! *payload* frames carry only deterministic data (results, VOs, counter
@@ -123,30 +125,6 @@ fn decode_bool(r: &mut Reader<'_>) -> Result<bool, WireError> {
     }
 }
 
-fn encode_features(w: &mut Writer, features: &[Vec<f32>]) {
-    w.seq_len(features.len());
-    for f in features {
-        w.seq_len(f.len());
-        for &v in f {
-            w.f32(v);
-        }
-    }
-}
-
-fn decode_features(r: &mut Reader<'_>) -> Result<Vec<Vec<f32>>, WireError> {
-    let n = r.seq_len()?;
-    let mut features = Vec::with_capacity(n);
-    for _ in 0..n {
-        let m = r.seq_len()?;
-        let mut f = Vec::with_capacity(m);
-        for _ in 0..m {
-            f.push(r.f32()?);
-        }
-        features.push(f);
-    }
-    Ok(features)
-}
-
 // ---------------------------------------------------------------------------
 // Requests.
 
@@ -198,19 +176,12 @@ impl Encode for Request {
                 w.u64(*id);
                 w.u32(*k);
                 encode_bool(w, *want_telemetry);
-                w.seq_len(queries.len());
-                for q in queries {
-                    encode_features(w, q);
-                }
+                w.seq_of(queries);
             }
             Request::Trim { id, items } => {
                 w.u8(5);
                 w.u64(*id);
-                w.seq_len(items.len());
-                for (k_trim, features) in items {
-                    w.u32(*k_trim);
-                    encode_features(w, features);
-                }
+                w.seq_of(items);
             }
             Request::Health { id } => {
                 w.u8(6);
@@ -224,32 +195,16 @@ impl Decode for Request {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match r.u8()? {
             1 => Ok(Request::Hello),
-            3 => {
-                let id = r.u64()?;
-                let k = r.u32()?;
-                let want_telemetry = decode_bool(r)?;
-                let n = r.seq_len()?;
-                let mut queries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    queries.push(decode_features(r)?);
-                }
-                Ok(Request::Query {
-                    id,
-                    k,
-                    want_telemetry,
-                    queries,
-                })
-            }
-            5 => {
-                let id = r.u64()?;
-                let n = r.seq_len()?;
-                let mut items = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let k_trim = r.u32()?;
-                    items.push((k_trim, decode_features(r)?));
-                }
-                Ok(Request::Trim { id, items })
-            }
+            3 => Ok(Request::Query {
+                id: r.u64()?,
+                k: r.u32()?,
+                want_telemetry: decode_bool(r)?,
+                queries: r.seq()?,
+            }),
+            5 => Ok(Request::Trim {
+                id: r.u64()?,
+                items: r.seq()?,
+            }),
             6 => Ok(Request::Health { id: r.u64()? }),
             t => Err(WireError::InvalidTag(t)),
         }
@@ -472,16 +427,14 @@ impl Encode for QueryPayload {
 
 impl Decode for QueryPayload {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let n = r.seq_len()?;
-        let mut results = Vec::with_capacity(n);
-        for _ in 0..n {
-            let id = r.u64()?;
-            let score = r.f32()?;
-            let data = r.bytes()?;
-            results.push(ImageResult { id, data, score });
-        }
         Ok(QueryPayload {
-            results,
+            results: r.seq_with(|r| {
+                Ok(ImageResult {
+                    id: r.u64()?,
+                    score: r.f32()?,
+                    data: r.bytes()?,
+                })
+            })?,
             vo: QueryVo::decode(r)?,
             stats: WireStats::decode(r)?,
         })
@@ -501,38 +454,18 @@ pub struct TrimPayload {
 
 impl Encode for TrimPayload {
     fn encode(&self, w: &mut Writer) {
-        w.seq_len(self.topk.len());
-        for &(id, score) in &self.topk {
-            w.u64(id);
-            w.f32(score);
-        }
+        w.seq_of(&self.topk);
         self.inv.encode(w);
-        w.seq_len(self.signatures.len());
-        for s in &self.signatures {
-            w.signature(s);
-        }
+        w.seq_of(&self.signatures);
     }
 }
 
 impl Decode for TrimPayload {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let n = r.seq_len()?;
-        let mut topk = Vec::with_capacity(n);
-        for _ in 0..n {
-            let id = r.u64()?;
-            let score = r.f32()?;
-            topk.push((id, score));
-        }
-        let inv = InvVoVariant::decode(r)?;
-        let ns = r.seq_len()?;
-        let mut signatures = Vec::with_capacity(ns);
-        for _ in 0..ns {
-            signatures.push(r.signature()?);
-        }
         Ok(TrimPayload {
-            topk,
-            inv,
-            signatures,
+            topk: r.seq()?,
+            inv: InvVoVariant::decode(r)?,
+            signatures: r.seq()?,
         })
     }
 }
@@ -578,7 +511,21 @@ impl WireSpan {
         }
     }
 
-    fn encode_at(&self, w: &mut Writer) {
+    fn decode_at(r: &mut Reader<'_>, depth: usize) -> Result<WireSpan, WireError> {
+        if depth > MAX_SPAN_DEPTH {
+            return Err(WireError::DepthExceeded);
+        }
+        Ok(WireSpan {
+            name: decode_string(r)?,
+            seconds: decode_f64(r)?,
+            counters: r.seq_with(|r| Ok((decode_string(r)?, r.varint()?)))?,
+            children: r.seq_with(|r| WireSpan::decode_at(r, depth + 1))?,
+        })
+    }
+}
+
+impl Encode for WireSpan {
+    fn encode(&self, w: &mut Writer) {
         encode_string(w, &self.name);
         encode_f64(w, self.seconds);
         w.seq_len(self.counters.len());
@@ -586,42 +533,7 @@ impl WireSpan {
             encode_string(w, n);
             w.varint(*v);
         }
-        w.seq_len(self.children.len());
-        for c in &self.children {
-            c.encode_at(w);
-        }
-    }
-
-    fn decode_at(r: &mut Reader<'_>, depth: usize) -> Result<WireSpan, WireError> {
-        if depth > MAX_SPAN_DEPTH {
-            return Err(WireError::DepthExceeded);
-        }
-        let name = decode_string(r)?;
-        let seconds = decode_f64(r)?;
-        let nc = r.seq_len()?;
-        let mut counters = Vec::with_capacity(nc);
-        for _ in 0..nc {
-            let n = decode_string(r)?;
-            let v = r.varint()?;
-            counters.push((n, v));
-        }
-        let nk = r.seq_len()?;
-        let mut children = Vec::with_capacity(nk);
-        for _ in 0..nk {
-            children.push(WireSpan::decode_at(r, depth + 1)?);
-        }
-        Ok(WireSpan {
-            name,
-            seconds,
-            counters,
-            children,
-        })
-    }
-}
-
-impl Encode for WireSpan {
-    fn encode(&self, w: &mut Writer) {
-        self.encode_at(w);
+        w.seq_of(&self.children);
     }
 }
 
@@ -758,20 +670,7 @@ impl Response {
 fn encode_payloads<T: Encode>(w: &mut Writer, tag: u8, id: u64, payloads: &[T]) {
     w.u8(tag);
     w.u64(id);
-    w.seq_len(payloads.len());
-    for p in payloads {
-        p.encode(w);
-    }
-}
-
-fn decode_payloads<T: Decode>(r: &mut Reader<'_>) -> Result<(u64, Vec<T>), WireError> {
-    let id = r.u64()?;
-    let n = r.seq_len()?;
-    let mut payloads = Vec::with_capacity(n);
-    for _ in 0..n {
-        payloads.push(T::decode(r)?);
-    }
-    Ok((id, payloads))
+    w.seq_of(payloads);
 }
 
 impl Encode for Response {
@@ -816,8 +715,14 @@ impl Decode for Response {
                 shard_count: r.u32()?,
                 root: r.digest()?,
             }),
-            3 => decode_payloads(r).map(|(id, payloads)| Response::Query { id, payloads }),
-            5 => decode_payloads(r).map(|(id, payloads)| Response::Trim { id, payloads }),
+            3 => Ok(Response::Query {
+                id: r.u64()?,
+                payloads: r.seq()?,
+            }),
+            5 => Ok(Response::Trim {
+                id: r.u64()?,
+                payloads: r.seq()?,
+            }),
             6 => Ok(Response::Telemetry {
                 id: r.u64()?,
                 profile: WireProfile::decode(r)?,

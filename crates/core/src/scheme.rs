@@ -204,26 +204,16 @@ impl Encode for QueryVo {
     fn encode(&self, w: &mut Writer) {
         self.bovw.encode(w);
         self.inv.encode(w);
-        w.seq_len(self.signatures.len());
-        for s in &self.signatures {
-            w.signature(s);
-        }
+        w.seq_of(&self.signatures);
     }
 }
 
 impl Decode for QueryVo {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let bovw = BovwVoVariant::decode(r)?;
-        let inv = InvVoVariant::decode(r)?;
-        let n = r.seq_len()?;
-        let mut signatures = Vec::with_capacity(n);
-        for _ in 0..n {
-            signatures.push(r.signature()?);
-        }
         Ok(QueryVo {
-            bovw,
-            inv,
-            signatures,
+            bovw: BovwVoVariant::decode(r)?,
+            inv: InvVoVariant::decode(r)?,
+            signatures: r.seq()?,
         })
     }
 }

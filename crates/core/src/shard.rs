@@ -129,25 +129,16 @@ impl ShardManifest {
 
 impl Encode for ShardManifest {
     fn encode(&self, w: &mut Writer) {
-        w.seq_len(self.shard_roots.len());
-        for root in &self.shard_roots {
-            w.digest(root);
-        }
-        w.signature(&self.signature);
+        w.seq_of(&self.shard_roots);
+        self.signature.encode(w);
     }
 }
 
 impl Decode for ShardManifest {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let n = r.seq_len()?;
-        let mut shard_roots = Vec::with_capacity(n);
-        for _ in 0..n {
-            shard_roots.push(r.digest()?);
-        }
-        let signature = r.signature()?;
         Ok(ShardManifest {
-            shard_roots,
-            signature,
+            shard_roots: r.seq()?,
+            signature: Signature::decode(r)?,
         })
     }
 }
@@ -217,21 +208,15 @@ pub struct SharedSection {
 
 impl Encode for SharedSection {
     fn encode(&self, w: &mut Writer) {
-        w.seq_len(self.templates.len());
-        for t in &self.templates {
-            t.encode(w);
-        }
+        w.seq_of(&self.templates);
     }
 }
 
 impl Decode for SharedSection {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let n = r.seq_len()?;
-        let mut templates = Vec::with_capacity(n);
-        for _ in 0..n {
-            templates.push(BovwVoVariant::decode(r)?);
-        }
-        Ok(SharedSection { templates })
+        Ok(SharedSection {
+            templates: r.seq()?,
+        })
     }
 }
 
@@ -278,14 +263,8 @@ impl Encode for ShardBovw {
             } => {
                 w.u8(TAG_BOVW_PATCHED);
                 w.u32(*template);
-                w.seq_len(unique.len());
-                for d in unique {
-                    w.digest(d);
-                }
-                w.seq_len(slots.len());
-                for &s in slots {
-                    w.u32(s);
-                }
+                w.seq_of(unique);
+                w.seq_of(slots);
             }
         }
     }
@@ -295,24 +274,11 @@ impl Decode for ShardBovw {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match r.u8()? {
             TAG_BOVW_INLINE => Ok(ShardBovw::Inline(BovwVoVariant::decode(r)?)),
-            TAG_BOVW_PATCHED => {
-                let template = r.u32()?;
-                let n = r.seq_len()?;
-                let mut unique = Vec::with_capacity(n);
-                for _ in 0..n {
-                    unique.push(r.digest()?);
-                }
-                let ns = r.seq_len()?;
-                let mut slots = Vec::with_capacity(ns);
-                for _ in 0..ns {
-                    slots.push(r.u32()?);
-                }
-                Ok(ShardBovw::Patched {
-                    template,
-                    unique,
-                    slots,
-                })
-            }
+            TAG_BOVW_PATCHED => Ok(ShardBovw::Patched {
+                template: r.u32()?,
+                unique: r.seq()?,
+                slots: r.seq()?,
+            }),
             t => Err(WireError::InvalidTag(t)),
         }
     }
@@ -345,42 +311,22 @@ impl Encode for ShardVo {
     fn encode(&self, w: &mut Writer) {
         w.u32(self.shard_id);
         w.u32(self.contributed);
-        w.seq_len(self.claimed.len());
-        for &id in &self.claimed {
-            w.u64(id);
-        }
+        w.seq_of(&self.claimed);
         self.bovw.encode(w);
         self.inv.encode(w);
-        w.seq_len(self.signatures.len());
-        for s in &self.signatures {
-            w.signature(s);
-        }
+        w.seq_of(&self.signatures);
     }
 }
 
 impl Decode for ShardVo {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let shard_id = r.u32()?;
-        let contributed = r.u32()?;
-        let n = r.seq_len()?;
-        let mut claimed = Vec::with_capacity(n);
-        for _ in 0..n {
-            claimed.push(r.u64()?);
-        }
-        let bovw = ShardBovw::decode(r)?;
-        let inv = InvVoVariant::decode(r)?;
-        let ns = r.seq_len()?;
-        let mut signatures = Vec::with_capacity(ns);
-        for _ in 0..ns {
-            signatures.push(r.signature()?);
-        }
         Ok(ShardVo {
-            shard_id,
-            contributed,
-            claimed,
-            bovw,
-            inv,
-            signatures,
+            shard_id: r.u32()?,
+            contributed: r.u32()?,
+            claimed: r.seq()?,
+            bovw: ShardBovw::decode(r)?,
+            inv: InvVoVariant::decode(r)?,
+            signatures: r.seq()?,
         })
     }
 }
@@ -522,26 +468,16 @@ impl Encode for ShardedVo {
     fn encode(&self, w: &mut Writer) {
         w.u32(self.shard_count);
         self.shared.encode(w);
-        w.seq_len(self.shards.len());
-        for sub in &self.shards {
-            sub.encode(w);
-        }
+        w.seq_of(&self.shards);
     }
 }
 
 impl Decode for ShardedVo {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let shard_count = r.u32()?;
-        let shared = SharedSection::decode(r)?;
-        let n = r.seq_len()?;
-        let mut shards = Vec::with_capacity(n);
-        for _ in 0..n {
-            shards.push(ShardVo::decode(r)?);
-        }
         Ok(ShardedVo {
-            shard_count,
-            shared,
-            shards,
+            shard_count: r.u32()?,
+            shared: SharedSection::decode(r)?,
+            shards: r.seq()?,
         })
     }
 }

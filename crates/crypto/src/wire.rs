@@ -7,12 +7,18 @@
 //! encoded length is the reported VO size.
 //!
 //! The format is deliberately simple: fixed-width integers, IEEE-754 floats
-//! by bit pattern, `u32` length prefixes for sequences. Decoding is fully
-//! validated — a malformed VO yields [`WireError`], never a panic — because
-//! VOs arrive from the untrusted SP.
+//! by bit pattern, `u32` (or varint) length prefixes for sequences. Decoding
+//! is fully validated — a malformed VO yields [`WireError`], never a panic —
+//! because VOs arrive from the untrusted SP.
+//!
+//! Every sequence is written by [`Writer::seq_of`]/[`Writer::vseq_of`] and
+//! read by [`Reader::seq`]/[`Reader::vseq`] (or their `*_with` forms), whose
+//! one reservation is capped in bytes: a hostile count reserves at most the
+//! bytes left, whatever its items occupy in memory.
 
 use crate::digest::Digest;
 use crate::ed25519::Signature;
+use std::mem::size_of;
 
 /// Decoding error: the byte stream did not match the expected shape.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,12 +109,6 @@ impl Writer {
         self.buf.extend_from_slice(&d.0);
     }
 
-    /// A 64-byte signature as a length-prefixed byte string (the form
-    /// every VO and RPC payload has always shipped).
-    pub fn signature(&mut self, s: &Signature) {
-        self.bytes(&s.0);
-    }
-
     /// Length-prefixed byte string.
     pub fn bytes(&mut self, data: &[u8]) {
         self.u32(data.len() as u32);
@@ -132,6 +132,24 @@ impl Writer {
     /// than 128 items.
     pub fn vseq_len(&mut self, len: usize) {
         self.varint(len as u64);
+    }
+
+    /// A sequence: its `u32` length, then each item. Read back with
+    /// [`Reader::seq`].
+    pub fn seq_of<T: Encode>(&mut self, items: &[T]) {
+        self.seq_len(items.len());
+        for item in items {
+            item.encode(self);
+        }
+    }
+
+    /// [`Writer::seq_of`] with a varint length. Read back with
+    /// [`Reader::vseq`].
+    pub fn vseq_of<T: Encode>(&mut self, items: &[T]) {
+        self.vseq_len(items.len());
+        for item in items {
+            item.encode(self);
+        }
     }
 
     /// LEB128 variable-length unsigned integer — the compact-integer
@@ -217,15 +235,6 @@ impl<'a> Reader<'a> {
         Ok(Digest(self.take_array()?))
     }
 
-    /// Counterpart of [`Writer::signature`]: any length prefix other than
-    /// 64 is `InvalidTag(0xFF)`.
-    pub fn signature(&mut self) -> Result<Signature, WireError> {
-        if self.seq_len()? != 64 {
-            return Err(WireError::InvalidTag(0xFF));
-        }
-        Ok(Signature(self.take_array()?))
-    }
-
     pub fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
         let len = self.seq_len()?;
         Ok(self.take(len)?.to_vec())
@@ -237,8 +246,9 @@ impl<'a> Reader<'a> {
         Ok(self.take(len)?.to_vec())
     }
 
-    /// Reads a sequence length, bounding it by the remaining stream so a
-    /// hostile prefix cannot trigger huge allocations.
+    /// Reads a sequence length, bounded by the bytes left. That bounds the
+    /// count, not what the items occupy in memory: reserve through
+    /// [`Reader::seq`].
     pub fn seq_len(&mut self) -> Result<usize, WireError> {
         let len = self.u32()? as usize;
         self.bound_len(len)
@@ -253,13 +263,68 @@ impl<'a> Reader<'a> {
     }
 
     fn bound_len(&self, len: usize) -> Result<usize, WireError> {
-        let remaining = self.data.len() - self.pos;
         // Every sequence element occupies at least one byte, so any honest
         // length fits in the remaining stream.
-        if len > remaining {
+        if len > self.remaining() {
             return Err(WireError::LengthOverflow);
         }
         Ok(len)
+    }
+
+    fn remaining(&self) -> usize {
+        self.data.len() - self.pos
+    }
+
+    /// Counterpart of [`Writer::seq_of`].
+    pub fn seq<T: Decode>(&mut self) -> Result<Vec<T>, WireError> {
+        self.seq_with(T::decode)
+    }
+
+    /// Counterpart of [`Writer::vseq_of`].
+    pub fn vseq<T: Decode>(&mut self) -> Result<Vec<T>, WireError> {
+        self.vseq_with(T::decode)
+    }
+
+    /// A `u32`-prefixed sequence whose items `item` decodes: for items with
+    /// no [`Decode`] of their own (varint ids, d-gaps, depth-capped
+    /// children).
+    pub fn seq_with<T>(
+        &mut self,
+        item: impl FnMut(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        let n = self.seq_len()?;
+        self.collect(n, item)
+    }
+
+    /// [`Reader::seq_with`] behind a varint length.
+    pub fn vseq_with<T>(
+        &mut self,
+        item: impl FnMut(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        let n = self.vseq_len()?;
+        self.collect(n, item)
+    }
+
+    /// The one allocation sized from a wire length. `n` is already bounded
+    /// by the bytes left, but not by what `n` items occupy in memory, so
+    /// the reservation is capped in bytes too; a longer honest sequence
+    /// grows as its items actually decode.
+    fn collect<T>(
+        &mut self,
+        n: usize,
+        mut item: impl FnMut(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        let mut out = Vec::with_capacity(self.reservation::<T>(n));
+        for _ in 0..n {
+            out.push(item(self)?);
+        }
+        Ok(out)
+    }
+
+    /// Items of `T` to reserve for a sequence claiming `n`: no more than
+    /// the bytes left could hold.
+    fn reservation<T>(&self, n: usize) -> usize {
+        n.min(self.remaining().checked_div(size_of::<T>()).unwrap_or(n))
     }
 
     /// Reads a LEB128 varint (at most ten bytes for a `u64`).
@@ -362,6 +427,101 @@ pub trait Decode: Sized {
     }
 }
 
+// Fixed-width items, written as the `Writer` methods of the same name
+// write them, so sequences of them compose with `seq_of`/`seq`.
+
+impl Encode for u32 {
+    fn encode(&self, w: &mut Writer) {
+        w.u32(*self);
+    }
+}
+
+impl Decode for u32 {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.u32()
+    }
+}
+
+impl Encode for u64 {
+    fn encode(&self, w: &mut Writer) {
+        w.u64(*self);
+    }
+}
+
+impl Decode for u64 {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.u64()
+    }
+}
+
+impl Encode for f32 {
+    fn encode(&self, w: &mut Writer) {
+        w.f32(*self);
+    }
+}
+
+impl Decode for f32 {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.f32()
+    }
+}
+
+impl Encode for Digest {
+    fn encode(&self, w: &mut Writer) {
+        w.digest(self);
+    }
+}
+
+impl Decode for Digest {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.digest()
+    }
+}
+
+/// A 64-byte signature as a length-prefixed byte string (the form every
+/// VO and RPC payload has always shipped).
+impl Encode for Signature {
+    fn encode(&self, w: &mut Writer) {
+        w.bytes(&self.0);
+    }
+}
+
+/// Any length prefix other than 64 is `InvalidTag(0xFF)`.
+impl Decode for Signature {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        if r.seq_len()? != 64 {
+            return Err(WireError::InvalidTag(0xFF));
+        }
+        Ok(Signature(r.take_array()?))
+    }
+}
+
+/// A nested sequence: `u32` length, then each item.
+impl<T: Encode> Encode for Vec<T> {
+    fn encode(&self, w: &mut Writer) {
+        w.seq_of(self);
+    }
+}
+
+impl<T: Decode> Decode for Vec<T> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.seq()
+    }
+}
+
+impl<A: Encode, B: Encode> Encode for (A, B) {
+    fn encode(&self, w: &mut Writer) {
+        self.0.encode(w);
+        self.1.encode(w);
+    }
+}
+
+impl<A: Decode, B: Decode> Decode for (A, B) {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok((A::decode(r)?, B::decode(r)?))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,9 +550,7 @@ mod tests {
     #[test]
     fn signature_is_a_length_prefixed_64_and_nothing_else() {
         let sig = Signature([0xAB; 64]);
-        let mut w = Writer::new();
-        w.signature(&sig);
-        let buf = w.finish();
+        let buf = sig.to_wire();
         let mut bytes = Writer::new();
         bytes.bytes(&sig.0);
         assert_eq!(
@@ -400,17 +558,17 @@ mod tests {
             bytes.finish(),
             "same bytes as a length-prefixed string"
         );
-        assert_eq!(Reader::new(&buf).signature(), Ok(sig));
+        assert_eq!(Signature::from_wire(&buf), Ok(sig));
         // A well-formed byte string of any other length is a wrong tag,
         // not a truncation.
         let mut short = Writer::new();
         short.bytes(&[7u8; 63]);
         assert_eq!(
-            Reader::new(&short.finish()).signature(),
+            Signature::from_wire(&short.finish()),
             Err(WireError::InvalidTag(0xFF))
         );
         assert_eq!(
-            Reader::new(&buf[..40]).signature(),
+            Signature::from_wire(&buf[..40]),
             Err(WireError::LengthOverflow)
         );
     }
@@ -537,6 +695,33 @@ mod tests {
         let tiny = small.to_wire();
         assert_eq!(tiny.len(), small.wire_size());
         assert_eq!(s.to_wire(), fresh);
+    }
+
+    /// However large the claimed count, `collect` reserves no more bytes
+    /// than are left to read, whatever an item occupies in memory.
+    #[test]
+    fn reservation_never_exceeds_the_bytes_left() {
+        fn check<const S: usize>() {
+            for len in [0usize, 1, 3, 100, 4096] {
+                let data = vec![0xFFu8; len];
+                for consumed in [0, len / 2, len] {
+                    let mut r = Reader::new(&data);
+                    r.take(consumed).expect("within the stream");
+                    let left = r.remaining();
+                    for n in [0, 1, left, 8 * left, u32::MAX as usize, usize::MAX] {
+                        let items = r.reservation::<[u8; S]>(n);
+                        assert!(items <= n);
+                        assert!(items * S <= left, "size {S}, {n} claimed, {left} left");
+                    }
+                    // A count the bytes can hold is reserved in full.
+                    assert_eq!(r.reservation::<[u8; S]>(left / S), left / S);
+                }
+            }
+        }
+        check::<1>();
+        check::<4>();
+        check::<64>();
+        check::<208>();
     }
 
     #[test]

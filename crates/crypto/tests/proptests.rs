@@ -3,9 +3,75 @@
 use imageproof_crypto::merkle::MerkleTree;
 use imageproof_crypto::sha3::Sha3_256;
 use imageproof_crypto::sha512::Sha512;
-use imageproof_crypto::wire::{Reader, Writer};
-use imageproof_crypto::SigningKey;
+use imageproof_crypto::wire::{Decode, Encode, Reader, WireError, Writer};
+use imageproof_crypto::{Digest, Signature, SigningKey};
+use proptest::collection::vec;
 use proptest::prelude::*;
+
+/// `features` as the RPC requests always wrote them by hand: a `u32`
+/// count of vectors, each a `u32` count of fixed-width floats.
+fn hand_features(w: &mut Writer, features: &[Vec<f32>]) {
+    w.seq_len(features.len());
+    for f in features {
+        w.seq_len(f.len());
+        for &v in f {
+            w.f32(v);
+        }
+    }
+}
+
+/// Checks `seq_of`/`vseq_of` over `items` against the hand layout (a `u32`
+/// or varint length, then each item as `hand_item` writes it), that
+/// `seq`/`vseq` invert them (re-encoding to the same bytes, so NaN payloads
+/// count), and that every strict prefix of either encoding is an error.
+fn check_seq<T: Encode + Decode>(
+    items: &[T],
+    hand_item: impl Fn(&mut Writer, &T),
+) -> Result<(), TestCaseError> {
+    for varint in [false, true] {
+        let mut hand = Writer::new();
+        if varint {
+            hand.vseq_len(items.len());
+        } else {
+            hand.seq_len(items.len());
+        }
+        for item in items {
+            hand_item(&mut hand, item);
+        }
+        let encode = |items: &[T]| {
+            let mut w = Writer::new();
+            if varint {
+                w.vseq_of(items);
+            } else {
+                w.seq_of(items);
+            }
+            w.finish()
+        };
+        let decode = |bytes: &[u8]| -> Result<Vec<T>, WireError> {
+            if !varint {
+                return Vec::<T>::from_wire(bytes);
+            }
+            let mut r = Reader::new(bytes);
+            let items = r.vseq()?;
+            r.finish()?;
+            Ok(items)
+        };
+        let wire = encode(items);
+        prop_assert_eq!(&wire, &hand.finish());
+        let back = decode(&wire).expect("a sequence decodes");
+        prop_assert_eq!(back.len(), items.len());
+        prop_assert_eq!(&encode(&back), &wire);
+        for cut in 0..wire.len() {
+            prop_assert!(
+                decode(&wire[..cut]).is_err(),
+                "prefix {} of {}",
+                cut,
+                wire.len()
+            );
+        }
+    }
+    Ok(())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -104,5 +170,43 @@ proptest! {
             prop_assert_eq!(r.f32().unwrap().to_bits(), f.to_bits());
         }
         prop_assert!(r.finish().is_ok());
+    }
+
+    #[test]
+    fn feature_sequences_keep_the_hand_layout(
+        queries in vec(vec(vec(any::<f32>(), 0..5), 0..4), 0..4),
+    ) {
+        check_seq(&queries, |w, q| hand_features(w, q))?;
+    }
+
+    #[test]
+    fn trim_item_sequences_keep_the_hand_layout(
+        items in vec((any::<u32>(), vec(vec(any::<f32>(), 0..5), 0..4)), 0..4),
+    ) {
+        check_seq(&items, |w, (k, features)| {
+            w.u32(*k);
+            hand_features(w, features);
+        })?;
+    }
+
+    #[test]
+    fn scored_id_sequences_keep_the_hand_layout(topk in vec((any::<u64>(), any::<f32>()), 0..8)) {
+        check_seq(&topk, |w, &(id, score)| {
+            w.u64(id);
+            w.f32(score);
+        })?;
+    }
+
+    #[test]
+    fn digest_sequences_keep_the_hand_layout(digests in vec(any::<[u8; 32]>(), 0..6)) {
+        let digests: Vec<Digest> = digests.into_iter().map(Digest).collect();
+        check_seq(&digests, |w, d| w.digest(d))?;
+    }
+
+    /// A signature is a length-prefixed 64-byte string inside a sequence too.
+    #[test]
+    fn signature_sequences_keep_the_hand_layout(sigs in vec(any::<[u8; 64]>(), 0..4)) {
+        let sigs: Vec<Signature> = sigs.into_iter().map(Signature).collect();
+        check_seq(&sigs, |w, s| w.bytes(&s.0))?;
     }
 }

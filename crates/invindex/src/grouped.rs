@@ -132,18 +132,17 @@ impl Encode for Group {
     fn encode(&self, w: &mut Writer) {
         // Compact representation (§VI-B): varint frequency, varint member
         // count, head (varint id + norm), then d-gap varint ids + norms.
+        // The head leaves the d-gap base at 0, so the first id after it is
+        // absolute too.
         w.varint(self.frequency as u64);
         w.vseq_len(self.members.len());
-        let Some((&(head_id, head_norm), rest)) = self.members.split_first() else {
-            return;
-        };
-        w.varint(head_id);
-        w.f32(head_norm);
         let mut prev = 0u64;
-        for &(id, norm) in rest {
+        for (i, &(id, norm)) in self.members.iter().enumerate() {
             w.varint(id.wrapping_sub(prev));
             w.f32(norm);
-            prev = id;
+            if i > 0 {
+                prev = id;
+            }
         }
     }
 }
@@ -151,17 +150,17 @@ impl Encode for Group {
 impl Decode for Group {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let frequency = u32::try_from(r.varint()?).map_err(|_| WireError::LengthOverflow)?;
-        let count = r.vseq_len()?;
-        if count == 0 {
-            return Err(WireError::InvalidTag(0));
-        }
-        let mut members = Vec::with_capacity(count);
-        members.push((r.varint()?, r.f32()?));
+        let mut head = true;
         let mut prev = 0u64;
-        for _ in 1..count {
+        let members = r.vseq_with(|r| {
             let id = prev.wrapping_add(r.varint()?);
-            members.push((id, r.f32()?));
-            prev = id;
+            if !std::mem::take(&mut head) {
+                prev = id;
+            }
+            Ok((id, r.f32()?))
+        })?;
+        if members.is_empty() {
+            return Err(WireError::InvalidTag(0));
         }
         Ok(Group { frequency, members })
     }

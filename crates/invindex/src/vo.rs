@@ -152,40 +152,24 @@ impl<E: Entry> Encode for ListVoOf<E> {
 
 impl<E: Entry> Decode for ListVoOf<E> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let cluster = u32::try_from(r.varint()?).map_err(|_| WireError::LengthOverflow)?;
-        let weight = r.f32()?;
-        let n = r.vseq_len()?;
-        let mut popped = Vec::with_capacity(n);
-        for _ in 0..n {
-            popped.push(E::decode_entry(r)?);
-        }
-        let remaining = RemainingVo::decode(r)?;
         Ok(ListVoOf {
-            cluster,
-            weight,
-            popped,
-            remaining,
+            cluster: u32::try_from(r.varint()?).map_err(|_| WireError::LengthOverflow)?,
+            weight: r.f32()?,
+            popped: r.vseq_with(E::decode_entry)?,
+            remaining: RemainingVo::decode(r)?,
         })
     }
 }
 
 impl<E: Entry> Encode for InvVoOf<E> {
     fn encode(&self, w: &mut Writer) {
-        w.vseq_len(self.lists.len());
-        for l in &self.lists {
-            l.encode(w);
-        }
+        w.vseq_of(&self.lists);
     }
 }
 
 impl<E: Entry> Decode for InvVoOf<E> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let n = r.vseq_len()?;
-        let mut lists = Vec::with_capacity(n);
-        for _ in 0..n {
-            lists.push(ListVoOf::decode(r)?);
-        }
-        Ok(InvVoOf { lists })
+        Ok(InvVoOf { lists: r.vseq()? })
     }
 }
 

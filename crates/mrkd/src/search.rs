@@ -366,21 +366,15 @@ pub struct BaselineBovwVo {
 
 impl Encode for BaselineBovwVo {
     fn encode(&self, w: &mut Writer) {
-        w.seq_len(self.per_query.len());
-        for vo in &self.per_query {
-            vo.encode(w);
-        }
+        w.seq_of(&self.per_query);
     }
 }
 
 impl Decode for BaselineBovwVo {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let n = r.seq_len()?;
-        let mut per_query = Vec::with_capacity(n);
-        for _ in 0..n {
-            per_query.push(BovwVo::decode(r)?);
-        }
-        Ok(BaselineBovwVo { per_query })
+        Ok(BaselineBovwVo {
+            per_query: r.seq()?,
+        })
     }
 }
 

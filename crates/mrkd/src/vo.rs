@@ -270,17 +270,11 @@ impl Encode for Reveal {
         match self {
             Reveal::Full { coords } => {
                 w.u8(TAG_FULL);
-                w.vseq_len(coords.len());
-                for &c in coords {
-                    w.f32(c);
-                }
+                w.vseq_of(coords);
             }
             Reveal::FullCompressed { coords } => {
                 w.u8(TAG_FULL_COMPRESSED);
-                w.vseq_len(coords.len());
-                for &c in coords {
-                    w.f32(c);
-                }
+                w.vseq_of(coords);
             }
             Reveal::Partial {
                 dim_root,
@@ -292,16 +286,10 @@ impl Encode for Reveal {
                 w.vseq_len(blocks.len());
                 for (b, coords) in blocks {
                     w.varint(*b as u64);
-                    w.vseq_len(coords.len());
-                    for &v in coords {
-                        w.f32(v);
-                    }
+                    w.vseq_of(coords);
                 }
                 w.varint(proof.n_leaves as u64);
-                w.vseq_len(proof.fill.len());
-                for d in &proof.fill {
-                    w.digest(d);
-                }
+                w.vseq_of(&proof.fill);
             }
         }
     }
@@ -314,45 +302,17 @@ fn decode_u32(r: &mut Reader<'_>) -> Result<u32, WireError> {
 
 impl Decode for Reveal {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let tag = r.u8()?;
-        match tag {
-            TAG_FULL | TAG_FULL_COMPRESSED => {
-                let n = r.vseq_len()?;
-                let mut coords = Vec::with_capacity(n);
-                for _ in 0..n {
-                    coords.push(r.f32()?);
-                }
-                if tag == TAG_FULL {
-                    Ok(Reveal::Full { coords })
-                } else {
-                    Ok(Reveal::FullCompressed { coords })
-                }
-            }
-            TAG_PARTIAL => {
-                let dim_root = r.digest()?;
-                let n = r.vseq_len()?;
-                let mut blocks = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let b = decode_u32(r)?;
-                    let len = r.vseq_len()?;
-                    let mut coords = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        coords.push(r.f32()?);
-                    }
-                    blocks.push((b, coords));
-                }
-                let n_leaves = decode_u32(r)?;
-                let fills = r.vseq_len()?;
-                let mut fill = Vec::with_capacity(fills);
-                for _ in 0..fills {
-                    fill.push(r.digest()?);
-                }
-                Ok(Reveal::Partial {
-                    dim_root,
-                    blocks,
-                    proof: SubsetProof { n_leaves, fill },
-                })
-            }
+        match r.u8()? {
+            TAG_FULL => Ok(Reveal::Full { coords: r.vseq()? }),
+            TAG_FULL_COMPRESSED => Ok(Reveal::FullCompressed { coords: r.vseq()? }),
+            TAG_PARTIAL => Ok(Reveal::Partial {
+                dim_root: r.digest()?,
+                blocks: r.vseq_with(|r| Ok((decode_u32(r)?, r.vseq()?)))?,
+                proof: SubsetProof {
+                    n_leaves: decode_u32(r)?,
+                    fill: r.vseq()?,
+                },
+            }),
             t => Err(WireError::InvalidTag(t)),
         }
     }
@@ -437,23 +397,17 @@ impl Decode for VoTree {
 
 impl Encode for BovwVo {
     fn encode(&self, w: &mut Writer) {
-        w.vseq_len(self.clusters.len());
-        for row in &self.clusters {
-            row.encode(w);
-        }
+        w.vseq_of(&self.clusters);
         self.tree.encode(w);
     }
 }
 
 impl Decode for BovwVo {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let n = r.vseq_len()?;
-        let mut clusters = Vec::with_capacity(n);
-        for _ in 0..n {
-            clusters.push(VoCluster::decode(r)?);
-        }
-        let tree = VoTree::decode(r)?;
-        Ok(BovwVo { clusters, tree })
+        Ok(BovwVo {
+            clusters: r.vseq()?,
+            tree: VoTree::decode(r)?,
+        })
     }
 }
 

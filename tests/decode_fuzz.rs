@@ -23,7 +23,7 @@ use std::sync::OnceLock;
 use imageproof_akm::AkmParams;
 use imageproof_core::rpc::{
     ErrorClass, QueryPayload, Request, Response, TrimPayload, WireHealth, WireProfile, WireSpan,
-    WireStats,
+    WireStats, MAX_FRAME_LEN,
 };
 use imageproof_core::{
     BovwVoVariant, Client, InvVoVariant, Owner, QueryResponse, QueryVo, Scheme, ServiceProvider,
@@ -459,6 +459,57 @@ fn hostile_group_member_count_is_refused_before_allocation() {
         decode_total::<Group>("Group", &wire),
         Err(WireError::LengthOverflow)
     );
+}
+
+/// A body at the frame cap whose count claims one item per byte left, the
+/// bytes after it all `0xFF` so the first item fails at once, must decode
+/// to an error. A count bounded only by the bytes left, multiplied by an
+/// item's size in memory, asks for tens of GiB here (208 bytes per
+/// `QueryPayload`), and a failed allocation aborts the process.
+#[test]
+fn a_frame_sized_hostile_count_is_an_error_not_an_abort() {
+    let minimal_vo = [
+        BovwVoVariant::Shared(BovwVo {
+            clusters: Vec::new(),
+            tree: VoTreeBuilder::default()
+                .pruned(imageproof_crypto::Digest::ZERO)
+                .finish(),
+        })
+        .to_wire(),
+        InvVoVariant::Plain(InvVo { lists: Vec::new() }).to_wire(),
+    ]
+    .concat();
+    let no_templates = [&2u32.to_le_bytes()[..], &0u32.to_le_bytes()].concat();
+    type Case = (&'static str, Vec<u8>, fn(&[u8]) -> bool);
+    let cases: [Case; 5] = [
+        (
+            "Response::Query payloads",
+            [&[3u8][..], &7u64.to_le_bytes()].concat(),
+            |b| decode_total::<Response>("Response", b).is_err(),
+        ),
+        ("ShardedVo shards", no_templates, |b| {
+            decode_total::<ShardedVo>("ShardedVo", b).is_err()
+        }),
+        ("ShardedVo templates", 2u32.to_le_bytes().to_vec(), |b| {
+            decode_total::<ShardedVo>("ShardedVo", b).is_err()
+        }),
+        (
+            "Request::Query queries",
+            [&[3u8][..], &7u64.to_le_bytes(), &5u32.to_le_bytes(), &[0]].concat(),
+            |b| decode_total::<Request>("Request", b).is_err(),
+        ),
+        ("QueryVo signatures", minimal_vo, |b| {
+            decode_total::<QueryVo>("QueryVo", b).is_err()
+        }),
+    ];
+    let mut body = vec![0xFFu8; MAX_FRAME_LEN];
+    for (name, head, decodes_to_err) in cases {
+        let count = (MAX_FRAME_LEN - head.len() - 4) as u32;
+        body[..head.len()].copy_from_slice(&head);
+        body[head.len()..head.len() + 4].copy_from_slice(&count.to_le_bytes());
+        assert!(decodes_to_err(&body), "{name}");
+        body[..head.len() + 4].fill(0xFF);
+    }
 }
 
 /// Wire bytes of a VO tree that is one spine of `depth` internal nodes

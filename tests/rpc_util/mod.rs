@@ -182,7 +182,6 @@ pub fn quick_config() -> CoordinatorConfig {
         connect_timeout_seconds: 1.0,
         hello_timeout_seconds: 1.0,
         heartbeat_timeout_seconds: 0.2,
-        ..CoordinatorConfig::default()
     }
 }
 
