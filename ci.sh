@@ -44,6 +44,21 @@ echo "== ledger: the benchmark package builds and self-checks against this tree 
 cargo build --release --offline --manifest-path ledger/Cargo.toml
 cargo test --offline --manifest-path ledger/Cargo.toml
 
+echo "== ledger: Keccak kernel placement (informational, not a gate) =="
+# The 8-lane `permute_avx512` runs about 20 % slower when its address is
+# = 16 (mod 32), so `mrkd.verify_us` compares only between builds that
+# place it alike (ROADMAP, measurement hazard). Print where this build put it.
+if command -v nm >/dev/null 2>&1; then
+    addr=$(nm -C ledger/target/release/ledger | grep 'keccak_lanes::permute_avx512$' | head -n 1 | cut -d ' ' -f 1)
+    if [ -n "$addr" ]; then
+        echo "  permute_avx512 at 0x$addr, mod 32 = $((0x$addr % 32))"
+    else
+        echo "  permute_avx512 not in the ledger binary"
+    fi
+else
+    echo "  nm not installed, skipping"
+fi
+
 echo "== audit: zero findings on the tree =="
 # The auditor emits a JSON artifact (findings, per-rule counts, files
 # scanned) and exits non-zero on any finding; the gate requires a clean

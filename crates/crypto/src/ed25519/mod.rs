@@ -155,6 +155,12 @@ impl PublicKey {
 /// cannot choose signatures after seeing the coefficients). A `true` result
 /// is sound with probability `1 - 2^-128`; on `false` callers fall back to
 /// individual verification to identify the culprit.
+///
+/// Terms under one key fold into one: each distinct key is decompressed
+/// once and carries the scalar `Σ zᵢ·kᵢ (mod l)` over its items, so the
+/// multi-scalar sum has one term per item plus one per distinct key. Every
+/// key a [`SigningKey`] produces lies in the prime-order subgroup, where
+/// `[x]A` depends only on `x mod l`, so folding leaves the equation as is.
 // audit:allow(panic) signature halves and the 16-byte coefficient prefix are constant splits of fixed-size arrays
 pub fn verify_batch(items: &[(&[u8], PublicKey, Signature)]) -> bool {
     if items.is_empty() {
@@ -171,15 +177,14 @@ pub fn verify_batch(items: &[(&[u8], PublicKey, Signature)]) -> bool {
     let seed = transcript.finalize();
 
     let mut s_combined = Scalar::ZERO;
-    let mut scalars = Vec::with_capacity(items.len() * 2);
-    let mut points = Vec::with_capacity(items.len() * 2);
+    let mut scalars = Vec::with_capacity(items.len() + 1);
+    let mut points = Vec::with_capacity(items.len() + 1);
+    // (key, decompressed key, Σ zᵢ·kᵢ over the key's items).
+    let mut keys: Vec<(PublicKey, EdwardsPoint, Scalar)> = Vec::new();
     for (i, (msg, pk, sig)) in items.iter().enumerate() {
         let r_bytes: [u8; 32] = sig.0[..32].try_into().expect("split");
         let s_bytes: [u8; 32] = sig.0[32..].try_into().expect("split");
         let Some(s) = Scalar::from_canonical_bytes(&s_bytes) else {
-            return false;
-        };
-        let Some(a) = EdwardsPoint::decompress(&pk.0) else {
             return false;
         };
         let Some(r_point) = EdwardsPoint::decompress(&r_bytes) else {
@@ -203,7 +208,19 @@ pub fn verify_batch(items: &[(&[u8], PublicKey, Signature)]) -> bool {
         s_combined = s_combined.add(z.mul(s));
         scalars.push(z);
         points.push(r_point);
-        scalars.push(z.mul(k));
+        let zk = z.mul(k);
+        match keys.iter_mut().find(|(key, _, _)| key == pk) {
+            Some((_, _, sum)) => *sum = sum.add(zk),
+            None => {
+                let Some(a) = EdwardsPoint::decompress(&pk.0) else {
+                    return false;
+                };
+                keys.push((*pk, a, zk));
+            }
+        }
+    }
+    for (_, a, sum) in keys {
+        scalars.push(sum);
         points.push(a);
     }
 
@@ -380,6 +397,47 @@ mod tests {
         items[0].1 = items[1].1;
         items[1].1 = pk;
         assert!(!verify_batch(&as_refs(&items)));
+    }
+
+    #[test]
+    fn two_key_interleaved_batch_folds_per_key() {
+        // Items alternate between two keys, so each key's terms fold into
+        // one scalar: the honest batch passes, and forging any one member
+        // (its message or its S) fails the whole batch.
+        let keys = [
+            SigningKey::from_seed(&[5u8; 32]),
+            SigningKey::from_seed(&[6u8; 32]),
+        ];
+        let honest: Vec<(Vec<u8>, PublicKey, Signature)> = (0..10)
+            .map(|i| {
+                let sk = &keys[i % 2];
+                let msg = format!("image-{i}").into_bytes();
+                let sig = sk.sign(&msg);
+                (msg, sk.public_key(), sig)
+            })
+            .collect();
+        assert!(verify_batch(&as_refs(&honest)));
+        for i in 0..honest.len() {
+            let mut forged = honest.clone();
+            forged[i].0.push(b'!');
+            assert!(!verify_batch(&as_refs(&forged)), "forged message {i}");
+            let mut forged = honest.clone();
+            let mut sig = forged[i].2 .0;
+            sig[40] ^= 1;
+            forged[i].2 = Signature(sig);
+            assert!(!verify_batch(&as_refs(&forged)), "forged S {i}");
+        }
+        // A key encoding that is no curve point fails the batch outright,
+        // wherever it sits.
+        let bad_key = (0u8..=255)
+            .map(|b| PublicKey([b; 32]))
+            .find(|pk| EdwardsPoint::decompress(&pk.0).is_none())
+            .expect("some byte pattern is off the curve");
+        for i in [0, 5, 9] {
+            let mut forged = honest.clone();
+            forged[i].1 = bad_key;
+            assert!(!verify_batch(&as_refs(&forged)), "bad key at {i}");
+        }
     }
 
     #[test]

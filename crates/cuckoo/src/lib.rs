@@ -32,18 +32,20 @@ const MAX_KICKS: usize = 500;
 /// Target load factor when sizing from a capacity.
 const TARGET_LOAD: f64 = 0.95;
 
-/// Per-fingerprint offset hashes, shared by all filters: `offset_table()[fp]`
-/// is a full-width hash of the fingerprint byte; the partial-key index is
-/// `i2 = i1 ^ (offset & mask)`.
-fn offset_table() -> &'static [u64; 256] {
+/// The partial-key offset of a fingerprint, shared by all filters: a
+/// full-width hash of the fingerprint byte, tabulated once; the alternate
+/// index is `i2 = i1 ^ (offset & mask)`.
+// audit:allow(panic) fp as usize is below 256, the fixed offset table's length
+fn offset_of(fp: u8) -> usize {
     static TABLE: OnceLock<[u64; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
+    let table = TABLE.get_or_init(|| {
         let mut t = [0u64; 256];
         for (fp, slot) in t.iter_mut().enumerate() {
             *slot = splitmix64(0xCF00 | fp as u64);
         }
         t
-    })
+    });
+    table[fp as usize] as usize
 }
 
 /// A statistically strong 64-bit mixer (SplitMix64 finalizer). Filter
@@ -59,23 +61,45 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The fingerprint of an item: a nonzero byte (zero marks an empty slot).
-#[inline]
-pub fn fingerprint_of(item: u64) -> u8 {
-    ((splitmix64(item) as u8) % 255) + 1
+/// One item's placement, hashed once: its fingerprint, the unmasked bits
+/// of its primary bucket and the unmasked partial-key offset to its
+/// alternate. Filters differ only in bucket count, so one probe serves
+/// every filter of an index; [`CuckooFilter::contains_probe`] masks it per
+/// filter.
+#[derive(Clone, Copy, Debug)]
+pub struct ItemProbe {
+    /// A nonzero byte (zero marks an empty slot).
+    fp: u8,
+    primary: usize,
+    offset: usize,
 }
 
-/// The primary bucket index of an item for a filter with `n_buckets`
-/// (a power of two).
-#[inline]
-pub fn primary_bucket(item: u64, n_buckets: usize) -> usize {
-    ((splitmix64(item) >> 32) as usize) & (n_buckets - 1)
+impl ItemProbe {
+    /// Hashes `item` with one `splitmix64`: the low byte gives the
+    /// fingerprint, the high word the primary bucket.
+    pub fn of(item: u64) -> Self {
+        let h = splitmix64(item);
+        let fp = ((h as u8) % 255) + 1;
+        ItemProbe {
+            fp,
+            primary: (h >> 32) as usize,
+            offset: offset_of(fp),
+        }
+    }
+
+    /// The two candidate buckets in a filter of `n_buckets` (a power of
+    /// two): `i1` and `i2 = i1 ^ (offset & mask)`.
+    fn buckets(&self, n_buckets: usize) -> [usize; 2] {
+        let mask = n_buckets - 1;
+        let i1 = self.primary & mask;
+        [i1, i1 ^ (self.offset & mask)]
+    }
 }
 
-/// The alternate bucket for a fingerprint currently at `bucket`.
-// audit:allow(panic) fp as usize is below 256, the fixed offset table's length
-pub fn alternate_bucket(bucket: usize, fp: u8, n_buckets: usize) -> usize {
-    bucket ^ ((offset_table()[fp as usize] as usize) & (n_buckets - 1))
+/// The alternate bucket for a fingerprint currently at `bucket` (the kick
+/// chain knows only the stored fingerprint, not the item).
+fn alternate_bucket(bucket: usize, fp: u8, n_buckets: usize) -> usize {
+    bucket ^ (offset_of(fp) & (n_buckets - 1))
 }
 
 /// Power-of-two bucket count able to hold `capacity` items at the standard
@@ -167,9 +191,9 @@ impl CuckooFilter {
     /// Inserts an item; duplicates are stored again (multiset semantics,
     /// matching the reference filter).
     pub fn insert(&mut self, item: u64) -> Result<(), FilterFull> {
-        let fp = fingerprint_of(item);
-        let i1 = primary_bucket(item, self.n_buckets());
-        let i2 = alternate_bucket(i1, fp, self.n_buckets());
+        let probe = ItemProbe::of(item);
+        let fp = probe.fp;
+        let [i1, i2] = probe.buckets(self.n_buckets());
         if self.try_place(i1, fp) || self.try_place(i2, fp) {
             self.len += 1;
             return Ok(());
@@ -220,10 +244,16 @@ impl CuckooFilter {
     /// Approximate membership: false means *definitely absent*; true means
     /// present with probability `1 - FPR`.
     pub fn contains(&self, item: u64) -> bool {
-        let fp = fingerprint_of(item);
-        let i1 = primary_bucket(item, self.n_buckets());
-        let i2 = alternate_bucket(i1, fp, self.n_buckets());
-        self.buckets[i1].contains(&fp) || self.buckets[i2].contains(&fp)
+        self.contains_probe(&ItemProbe::of(item))
+    }
+
+    /// [`CuckooFilter::contains`] for an item hashed once by the caller,
+    /// so probing many filters costs one hash.
+    pub fn contains_probe(&self, probe: &ItemProbe) -> bool {
+        probe
+            .buckets(self.n_buckets())
+            .into_iter()
+            .any(|i| self.buckets.get(i).is_some_and(|b| b.contains(&probe.fp)))
     }
 
     /// Deletes one copy of an item's fingerprint; returns whether a copy was
@@ -232,12 +262,10 @@ impl CuckooFilter {
     /// image ids of verified popped postings (Alg. 3 `UpdateBounds`).
     // audit:allow(panic) i1/i2 are masked to the power-of-two bucket count, so both indices are in bounds
     pub fn delete(&mut self, item: u64) -> bool {
-        let fp = fingerprint_of(item);
-        let i1 = primary_bucket(item, self.n_buckets());
-        let i2 = alternate_bucket(i1, fp, self.n_buckets());
-        for bucket in [i1, i2] {
+        let probe = ItemProbe::of(item);
+        for bucket in probe.buckets(self.n_buckets()) {
             for slot in self.buckets[bucket].iter_mut() {
-                if *slot == fp {
+                if *slot == probe.fp {
                     *slot = 0;
                     self.len -= 1;
                     return true;
@@ -466,17 +494,54 @@ mod tests {
     #[test]
     fn alternate_bucket_is_an_involution() {
         for item in 0..200u64 {
-            let fp = fingerprint_of(item);
-            let i1 = primary_bucket(item, 64);
-            let i2 = alternate_bucket(i1, fp, 64);
-            assert_eq!(alternate_bucket(i2, fp, 64), i1);
+            let probe = ItemProbe::of(item);
+            let [i1, i2] = probe.buckets(64);
+            assert_eq!(alternate_bucket(i1, probe.fp, 64), i2);
+            assert_eq!(alternate_bucket(i2, probe.fp, 64), i1);
         }
     }
 
     #[test]
     fn fingerprints_are_never_zero() {
         for item in 0..10_000u64 {
-            assert_ne!(fingerprint_of(item), 0);
+            assert_ne!(ItemProbe::of(item).fp, 0);
+        }
+    }
+
+    #[test]
+    fn contains_probe_agrees_with_contains_at_every_bucket_count() {
+        // One probe masked per filter must answer exactly what hashing the
+        // item again for that filter's bucket count answers (the per-filter
+        // lookup this crate used before `ItemProbe`), before and after
+        // deletes.
+        fn rehashed(f: &CuckooFilter, item: u64) -> bool {
+            let n = f.n_buckets();
+            let fp = ((splitmix64(item) as u8) % 255) + 1;
+            let i1 = ((splitmix64(item) >> 32) as usize) & (n - 1);
+            let i2 = alternate_bucket(i1, fp, n);
+            f.bucket(i1).contains(&fp) || f.bucket(i2).contains(&fp)
+        }
+        let items: Vec<u64> = (0..600u64).map(|i| i * 7 + 3).collect();
+        let probes: Vec<ItemProbe> = items.iter().map(|&i| ItemProbe::of(i)).collect();
+        let mut n_buckets = 1;
+        while n_buckets <= 4096 {
+            let mut f = CuckooFilter::with_buckets(n_buckets);
+            let stored = (n_buckets * SLOTS_PER_BUCKET / 2).max(1);
+            for &item in items.iter().take(stored) {
+                let _ = f.insert(item);
+            }
+            let agree = |f: &CuckooFilter| {
+                items
+                    .iter()
+                    .zip(&probes)
+                    .all(|(&item, probe)| f.contains_probe(probe) == rehashed(f, item))
+            };
+            assert!(agree(&f), "{n_buckets} buckets, before deletes");
+            for &item in items.iter().take(stored).step_by(3) {
+                f.delete(item);
+            }
+            assert!(agree(&f), "{n_buckets} buckets, after deletes");
+            n_buckets *= 2;
         }
     }
 

@@ -13,13 +13,12 @@
 //! postings, smaller VO) without any change to the returned top-k. The
 //! final popped state becomes the VO.
 
-use crate::bounds::{evaluate, BoundsMode, ListSnapshot};
+use crate::bounds::{evaluate, sum_per_image, BoundsMode, ListSnapshot};
 use crate::merkle::{Entry, Index, List, MerkleInvertedIndex, Posting, BLOCK_SIZE};
 use crate::vo::{FilterVo, InvVoOf, ListVoOf, RemainingVo};
 use imageproof_akm::bovw::{impacts_with_weights, SparseBovw};
 use imageproof_crypto::Digest;
 use imageproof_cuckoo::CuckooFilter;
-use std::collections::BTreeMap;
 
 /// Search-cost statistics; "% popped postings" (Figs. 9–11) is
 /// `popped / total_postings`.
@@ -137,13 +136,7 @@ fn accumulate_topk<'a>(
     lists: impl Iterator<Item = (f32, &'a [(u64, f32)])>,
     k: usize,
 ) -> Vec<(u64, f32)> {
-    let mut acc: BTreeMap<u64, f32> = BTreeMap::new();
-    for (p_q, pairs) in lists {
-        for &(image, impact) in pairs {
-            *acc.entry(image).or_insert(0.0) += p_q * impact;
-        }
-    }
-    let mut scored: Vec<(u64, f32)> = acc.into_iter().collect();
+    let mut scored = sum_per_image(lists);
     scored.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     scored.truncate(k);
     scored
@@ -375,7 +368,7 @@ pub(crate) fn search<E: Entry>(
             let target = best_poppable(&states, |_| true);
             let target = target.expect("condition 1 holds once every list is exhausted");
             states[target].pop_blocks(batch.div_ceil(BLOCK_SIZE));
-        } else if let Some(&worst) = eval.exceeded.first() {
+        } else if let Some(worst) = eval.first_exceeded {
             // Pop toward the offending image in the list that contributes
             // most to its upper bound.
             let target = best_poppable(&states, |s| match mode {

@@ -273,15 +273,13 @@ pub(crate) fn verify<E: Entry>(
     if !eval.condition1 {
         return Err(InvVerifyError::Condition1Failed);
     }
-    if let Some(&image) = eval.exceeded.first() {
+    if let Some(image) = eval.first_exceeded {
         return Err(InvVerifyError::Condition2Failed { image });
     }
     let mut topk = Vec::with_capacity(claimed.len());
     for &image in claimed {
         let score = eval
-            .lower_scores
-            .get(&image)
-            .copied()
+            .lower_score(image)
             .ok_or(InvVerifyError::WinnerUnsupported { image })?;
         topk.push((image, score));
     }
