@@ -5,7 +5,7 @@ use crate::kmeans::Codebook;
 use std::collections::BTreeMap;
 
 /// A sparse BoVW vector: cluster id → frequency (`f_{I,c_i}`).
-#[derive(Clone, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SparseBovw {
     counts: BTreeMap<u32, u32>,
 }
@@ -64,7 +64,7 @@ impl SparseBovw {
 
 /// Corpus-level tf-idf statistics: document frequencies and cluster weights
 /// `w_{c_i} = ln(n_D / n_{D,c_i})` (Eq. 1).
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ImpactModel {
     n_images: u64,
     doc_freq: Vec<u32>,

@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Parameters for AKM training.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AkmParams {
     /// Codebook size (number of clusters to train).
     pub n_clusters: usize,

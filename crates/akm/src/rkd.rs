@@ -43,7 +43,7 @@ impl Ord for OrdF32 {
 }
 
 /// One node of a randomized k-d tree, stored in an arena.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub enum Node {
     /// Splitting hyperplane `x[dim] = value`; children are arena indices.
     Internal {
@@ -57,7 +57,7 @@ pub enum Node {
 }
 
 /// A single randomized k-d tree over a shared cluster table.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RkdTree {
     nodes: Vec<Node>,
     root: u32,
@@ -241,7 +241,7 @@ pub fn dist_sq(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// A forest of randomized k-d trees searched jointly (the AKM index).
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RkdForest {
     trees: Vec<RkdTree>,
 }

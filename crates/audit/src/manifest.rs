@@ -2,23 +2,15 @@
 //!
 //! A line-oriented TOML subset parser — enough to read dependency section
 //! headers and the crate name on each entry line. The allowed set is the
-//! offline crates baked into the build environment; anything else would
-//! fail to resolve in CI anyway, so the rule turns a confusing resolver
-//! error into a one-line finding.
+//! crates vendored under `vendor/`; anything else would fail to resolve
+//! offline anyway, so the rule turns a confusing resolver error into a
+//! one-line finding. Threads and locks come from std, and the wire codec
+//! is the only serializer.
 
 use crate::rules::Finding;
 
-/// External crates the workspace may depend on.
-const ALLOWED: &[&str] = &[
-    "rand",
-    "proptest",
-    "criterion",
-    "crossbeam",
-    "parking_lot",
-    "bytes",
-    "serde",
-    "serde_derive",
-];
+/// External crates the workspace may depend on: the vendored set.
+const ALLOWED: &[&str] = &["rand", "proptest", "criterion"];
 
 fn allowed(name: &str) -> bool {
     // Workspace-internal crates are always fine.
@@ -122,16 +114,28 @@ mod tests {
         let toml = "[package]\nname = \"imageproof-core\"\n\n\
                     [dependencies]\n\
                     imageproof-crypto = { path = \"../crypto\" }\n\
-                    rand.workspace = true\n\
-                    serde = { version = \"1\", features = [\"derive\"] } # ok\n\n\
+                    rand.workspace = true # ok\n\n\
                     [dev-dependencies]\n\
                     proptest = \"1\"\n\n\
                     [workspace.dependencies]\n\
-                    criterion = \"0.5\"\n\
-                    crossbeam = \"0.8\"\n\
-                    parking_lot = \"0.12\"\n";
+                    criterion = \"0.5\"\n";
         let f = analyze_manifest("Cargo.toml", toml);
         assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn deps_rule_flags_the_retired_stand_ins() {
+        let toml = "[workspace.dependencies]\n\
+                    serde = { version = \"1\", features = [\"derive\"] }\n\
+                    crossbeam = \"0.8\"\n\
+                    parking_lot = \"0.12\"\n\
+                    bytes = \"1\"\n";
+        let f = analyze_manifest("Cargo.toml", toml);
+        let flagged: Vec<&str> = f
+            .iter()
+            .map(|x| x.message.split('\'').nth(1).unwrap_or(""))
+            .collect();
+        assert_eq!(flagged, ["serde", "crossbeam", "parking_lot", "bytes"]);
     }
 
     #[test]
@@ -171,10 +175,11 @@ mod tests {
                     [replace]\n\"memoffset:0.6.4\" = { path = \"vendor/memoffset\" }\n";
         let f = analyze_manifest("Cargo.toml", toml);
         let names: Vec<&str> = f.iter().map(|x| x.message.as_str()).collect();
-        assert_eq!(f.len(), 3, "{f:?}");
-        assert!(names[0].contains("libc"), "{names:?}");
-        assert!(names[1].contains("getrandom"), "{names:?}");
-        assert!(names[2].contains("memoffset"), "{names:?}");
+        assert_eq!(f.len(), 4, "{f:?}");
+        assert!(names[0].contains("serde"), "{names:?}");
+        assert!(names[1].contains("libc"), "{names:?}");
+        assert!(names[2].contains("getrandom"), "{names:?}");
+        assert!(names[3].contains("memoffset"), "{names:?}");
     }
 
     #[test]

@@ -7,6 +7,7 @@ use imageproof_core::{
 };
 use imageproof_vision::{Corpus, CorpusConfig, DescriptorKind, ImageId};
 use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Experiment-scale knobs. The defaults mirror the paper's default setting
 /// (§VII-A: 0.5M images, 1M codebook, 500 feature vectors, k = 10) scaled
@@ -86,7 +87,7 @@ pub struct Fixture {
     pub codebook: Codebook,
     encodings: Vec<(ImageId, SparseBovw)>,
     owner: Owner,
-    systems: parking_lot::Mutex<BTreeMap<Scheme, std::sync::Arc<(ServiceProvider, Client)>>>,
+    systems: Mutex<BTreeMap<Scheme, Arc<(ServiceProvider, Client)>>>,
 }
 
 impl Fixture {
@@ -126,13 +127,13 @@ impl Fixture {
             codebook,
             encodings,
             owner: Owner::new(&[0xA5; 32]),
-            systems: parking_lot::Mutex::new(BTreeMap::new()),
+            systems: Mutex::new(BTreeMap::new()),
         }
     }
 
     /// The (SP, client) pair for one scheme, building it on first use.
-    pub fn system(&self, scheme: Scheme) -> std::sync::Arc<(ServiceProvider, Client)> {
-        let mut systems = self.systems.lock();
+    pub fn system(&self, scheme: Scheme) -> Arc<(ServiceProvider, Client)> {
+        let mut systems = self.systems.lock().unwrap_or_else(PoisonError::into_inner);
         systems
             .entry(scheme)
             .or_insert_with(|| {
@@ -142,7 +143,7 @@ impl Fixture {
                     self.encodings.clone(),
                     scheme,
                 );
-                std::sync::Arc::new((ServiceProvider::new(db), Client::new(published)))
+                Arc::new((ServiceProvider::new(db), Client::new(published)))
             })
             .clone()
     }

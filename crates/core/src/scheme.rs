@@ -9,9 +9,7 @@ use imageproof_mrkd::{BaselineBovwVo, BovwVo, CandidateMode};
 use imageproof_parallel::Concurrency;
 
 /// The four authentication schemes of §VII.
-#[derive(
-    Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Scheme {
     /// No-sharing `MRKDSearch` + the maximal-bound inverted search of
     /// Pang & Mouratidis \[15\].

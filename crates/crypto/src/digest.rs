@@ -12,9 +12,7 @@ use crate::sha3::{Sha3Batch, Sha3_256};
 use std::fmt;
 
 /// A SHA3-256 digest.
-#[derive(
-    Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Digest(pub [u8; 32]);
 
 impl Digest {

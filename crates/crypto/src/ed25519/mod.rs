@@ -35,22 +35,6 @@ impl Signature {
     }
 }
 
-impl serde::Serialize for Signature {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        serde::Serialize::serialize(self.0.as_slice(), s)
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for Signature {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let v: Vec<u8> = serde::Deserialize::deserialize(d)?;
-        let arr: [u8; 64] = v
-            .try_into()
-            .map_err(|_| serde::de::Error::custom("signature must be 64 bytes"))?;
-        Ok(Signature(arr))
-    }
-}
-
 /// An Ed25519 signing key (the 32-byte seed plus cached expansion).
 #[derive(Clone)]
 pub struct SigningKey {

@@ -51,7 +51,7 @@ pub struct MerkleTree {
 }
 
 /// One step of a Merkle authentication path.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PathStep {
     /// The sibling digest to combine with.
     pub sibling: Digest,
@@ -60,7 +60,7 @@ pub struct PathStep {
 }
 
 /// A membership proof for one leaf.
-#[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MerkleProof {
     pub leaf_index: usize,
     pub path: Vec<PathStep>,
@@ -186,7 +186,7 @@ impl MerkleProof {
 /// `k log2(n/k)` digests instead of `k log2(n)`. ImageProof's §VI-A
 /// optimization reveals a handful of a cluster centroid's dimensions and
 /// proves them jointly against the per-cluster dimension tree.
-#[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SubsetProof {
     /// Total number of leaves in the tree (fixes the tree shape).
     pub n_leaves: u32,

@@ -41,7 +41,7 @@
 use imageproof_cuckoo::{max_count, CuckooFilter, ItemProbe};
 
 /// Which upper-bound machinery a scheme uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BoundsMode {
     /// ImageProof: cuckoo filters tighten `S^U` and `π^U` (Eqs. 11–12).
     CuckooFiltered,

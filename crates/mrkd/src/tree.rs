@@ -22,7 +22,7 @@ use imageproof_crypto::{Digest, DigestBatch, DigestBuilder, FieldSink, MerkleTre
 use imageproof_parallel::{par_map_chunked, Concurrency};
 
 /// How cluster centroids are committed inside leaf digests.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CandidateMode {
     /// Leaf digests bind full centroid coordinates; the VO reveals them all.
     Full,

@@ -16,9 +16,15 @@
 //! test entry points.
 
 use crate::Stopwatch;
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// The longest [`Event::detail`] the log retains, in bytes; a longer
+/// detail is cut at the last char boundary at or below it. A peer's error
+/// text rides in some details, so without a cap one hostile answer could
+/// pin up to a frame's worth of text in every ring slot.
+pub const MAX_DETAIL_BYTES: usize = 256;
 
 /// The typed cause of an event. Every recordable condition in the serving
 /// plane maps to exactly one kind; free-text detail rides alongside in
@@ -86,7 +92,8 @@ pub struct Event {
     pub kind: EventKind,
     /// The shard the event concerns, when there is one.
     pub shard: Option<u32>,
-    /// Free-text detail; escaped on exposition.
+    /// Free-text detail, at most [`MAX_DETAIL_BYTES`]; escaped on
+    /// exposition.
     pub detail: String,
 }
 
@@ -171,11 +178,12 @@ impl EventLog {
         shard: Option<u32>,
         detail: impl Into<String>,
     ) -> u64 {
-        let detail = detail.into();
+        let mut detail = detail.into();
+        detail.truncate(detail.floor_char_boundary(MAX_DETAIL_BYTES));
         // Relaxed — monotonic statistics counter: readers tolerate lag.
         // audit:allow(panic) kind.index() enumerates a closed enum and by_kind is sized to EVENT_KINDS.len()
         self.by_kind[kind.index()].fetch_add(1, Ordering::Relaxed);
-        let mut ring = self.ring.lock();
+        let mut ring = self.ring();
         let seq = ring.next_seq;
         ring.next_seq += 1;
         if ring.events.len() == self.capacity {
@@ -192,6 +200,12 @@ impl EventLog {
         seq
     }
 
+    /// The ring, locked; a recorder that panicked mid-push leaves it
+    /// consistent, so poisoning is ignored.
+    fn ring(&self) -> MutexGuard<'_, Ring> {
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Cumulative count of `kind` events since construction — unaffected
     /// by ring overwrites.
     pub fn count(&self, kind: EventKind) -> u64 {
@@ -202,17 +216,17 @@ impl EventLog {
 
     /// Events evicted by ring wrap-around.
     pub fn dropped(&self) -> u64 {
-        self.ring.lock().dropped
+        self.ring().dropped
     }
 
     /// Total events ever recorded.
     pub fn total(&self) -> u64 {
-        self.ring.lock().next_seq
+        self.ring().next_seq
     }
 
     /// The retained events, oldest first.
     pub fn snapshot(&self) -> Vec<Event> {
-        self.ring.lock().events.iter().cloned().collect()
+        self.ring().events.iter().cloned().collect()
     }
 
     /// JSON-lines exposition: one object per retained event, oldest
@@ -240,6 +254,20 @@ impl EventLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn oversized_detail_is_cut_to_the_cap_at_a_char_boundary() {
+        let log = EventLog::new(4);
+        log.record_at(0.0, EventKind::Timeout, Some(0), "x".repeat(1 << 20));
+        // A two-byte char straddling the cap is dropped whole.
+        let straddling = format!("{}é tail", "y".repeat(MAX_DETAIL_BYTES - 1));
+        log.record_at(1.0, EventKind::Timeout, Some(1), straddling);
+        log.record_at(2.0, EventKind::Timeout, Some(2), "short");
+        let events = log.snapshot();
+        assert_eq!(events[0].detail, "x".repeat(MAX_DETAIL_BYTES));
+        assert_eq!(events[1].detail, "y".repeat(MAX_DETAIL_BYTES - 1));
+        assert_eq!(events[2].detail, "short");
+    }
 
     #[test]
     fn ring_is_bounded_and_drops_oldest() {

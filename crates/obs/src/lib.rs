@@ -13,8 +13,9 @@
 //!   byte-identical with recording enabled vs. disabled across every
 //!   scheme and thread count.
 //! * **Lock-free recording.** Metric handles are atomics; the only lock is
-//!   the registration path (`parking_lot`), so recording is safe and cheap
-//!   under the `imageproof-parallel` pool.
+//!   the registration path (a `std::sync::Mutex`), so recording is safe
+//!   and cheap under the `imageproof-parallel` pool. The crate has no
+//!   dependencies outside std.
 //! * **Runtime switch.** [`set_enabled`]`(false)` turns span collection
 //!   and registry recording into near-no-ops (one relaxed atomic load at
 //!   each instrumentation site); the default is enabled.

@@ -4,17 +4,16 @@
 //! pre-registered metric handle — safe to call from every worker of the
 //! `imageproof-parallel` thread pool with no lock contention. The only
 //! locking happens at *registration* time (get-or-create of a labeled
-//! family member) behind a `parking_lot::Mutex`, and callers are expected
+//! family member) behind a `std::sync::Mutex`, and callers are expected
 //! to hold on to the returned `Arc` handle on hot paths.
 //!
 //! Exposition is deterministic: metrics live in `BTreeMap`s keyed by
 //! `(name, sorted labels)`, so the Prometheus-text and JSON renderings are
 //! byte-stable regardless of registration order or thread interleaving.
 
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A monotonically increasing counter.
 ///
@@ -298,10 +297,9 @@ pub struct RegistrySnapshot {
 /// The labeled metric registry.
 ///
 /// `counter`/`histogram` get-or-register a family member under one short
-/// `parking_lot` lock and hand back an `Arc` whose recording methods are
-/// lock-free. Both families sit behind that one lock, so no code path ever
-/// holds two. Exposition walks the `BTreeMap`s, so output order is
-/// deterministic.
+/// lock and hand back an `Arc` whose recording methods are lock-free.
+/// Both families sit behind that one lock, so no code path ever holds
+/// two. Exposition walks the `BTreeMap`s, so output order is deterministic.
 #[derive(Debug, Default)]
 pub struct Registry {
     families: Mutex<Families>,
@@ -318,11 +316,16 @@ impl Registry {
         Registry::default()
     }
 
+    /// The families, locked; get-or-insert leaves them consistent even if
+    /// a holder panicked, so poisoning is ignored.
+    fn families(&self) -> MutexGuard<'_, Families> {
+        self.families.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The counter `name{labels}`, created on first use.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
         let id = MetricId::new(name, labels);
-        self.families
-            .lock()
+        self.families()
             .counters
             .entry(id)
             .or_insert_with(|| Arc::new(Counter::new()))
@@ -332,8 +335,7 @@ impl Registry {
     /// The histogram `name{labels}`, created on first use.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
         let id = MetricId::new(name, labels);
-        self.families
-            .lock()
+        self.families()
             .histograms
             .entry(id)
             .or_insert_with(|| Arc::new(Histogram::new()))
@@ -342,7 +344,7 @@ impl Registry {
 
     /// A point-in-time copy of every metric.
     pub fn snapshot(&self) -> RegistrySnapshot {
-        let families = self.families.lock();
+        let families = self.families();
         RegistrySnapshot {
             counters: families
                 .counters

@@ -38,6 +38,11 @@ pub const READ_POLL: Duration = Duration::from_millis(25);
 /// a scraper and earns `431` + close before the buffer grows further.
 pub const MAX_REQUEST_BYTES: usize = 8 * 1024;
 
+/// Upper bound on the response [`http_get`] buffers, head and body; a
+/// longer response is refused with `InvalidData`. An honest `/events`
+/// body at a full ring is well under 1 MiB.
+pub const MAX_RESPONSE_BYTES: usize = 16 * 1024 * 1024;
+
 /// How long a connection may idle mid-request before the server gives up
 /// on it.
 const REQUEST_DEADLINE_SECONDS: f64 = 5.0;
@@ -257,7 +262,9 @@ fn respond(
 
 /// A minimal blocking HTTP GET against a scrape endpoint: returns
 /// `(status, body)`. Shared by `imageproof-obstop`, the bench harness,
-/// and the CI smoke test so nobody grows their own client.
+/// and the CI smoke test so nobody grows their own client. A response
+/// longer than [`MAX_RESPONSE_BYTES`] is an error, not a buffer that
+/// grows until the deadline.
 pub fn http_get(addr: &str, path: &str, timeout_seconds: f64) -> std::io::Result<(u16, String)> {
     let timeout = Duration::from_secs_f64(timeout_seconds.clamp(0.05, 600.0));
     let sock_addr: SocketAddr = addr.parse().map_err(|e| {
@@ -280,6 +287,12 @@ pub fn http_get(addr: &str, path: &str, timeout_seconds: f64) -> std::io::Result
         }
         match stream.read(&mut buf) {
             Ok(0) => break,
+            Ok(n) if response.len() + n > MAX_RESPONSE_BYTES => {
+                return Err(std::io::Error::new(
+                    ErrorKind::InvalidData,
+                    "scrape response exceeds MAX_RESPONSE_BYTES",
+                ));
+            }
             Ok(n) => response.extend_from_slice(&buf[..n]),
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => continue,
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -378,6 +391,27 @@ mod tests {
         let _ = s.read_to_string(&mut out);
         assert!(out.starts_with("HTTP/1.0 431"), "{out}");
         server.shutdown();
+    }
+
+    #[test]
+    fn http_get_refuses_a_response_over_the_cap() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let peer = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            // Take the request first so closing does not reset the socket.
+            let mut request = [0u8; 1024];
+            let _ = s.read(&mut request);
+            let body_len = MAX_RESPONSE_BYTES + 1;
+            let head = format!("HTTP/1.0 200 OK\r\nContent-Length: {body_len}\r\n\r\n");
+            // The client hangs up once over the cap; a failed write is expected.
+            let _ = s
+                .write_all(head.as_bytes())
+                .and_then(|()| s.write_all(&vec![b'x'; body_len]));
+        });
+        let err = http_get(&addr, "/events", 30.0).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+        peer.join().unwrap();
     }
 
     #[test]

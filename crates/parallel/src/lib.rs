@@ -23,7 +23,6 @@
 //! `threads = 1` short-circuits to a plain serial loop — no threads are
 //! spawned and the call is exactly the pre-existing serial code path.
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Records one parallel section into the global observability registry.
@@ -90,13 +89,15 @@ impl Default for Concurrency {
 ///
 /// With `conc.is_serial()` (or fewer than two items) this is a plain serial
 /// loop on the calling thread. Otherwise items are claimed dynamically by
-/// up to `conc.threads` scoped workers and the `(index, result)` pairs are
-/// merged back into index order, so the output is identical to the serial
-/// loop's no matter how the scheduler interleaves workers.
+/// up to `conc.threads` scoped workers, each worker returns its
+/// `(index, result)` pairs through its join, and the pairs are merged back
+/// into index order, so the output is identical to the serial loop's no
+/// matter how the scheduler interleaves workers.
 ///
 /// # Panics
-/// Propagates a panic from `f` (the scope join reports it).
-// audit:allow(panic) items[i] is guarded by the i >= len break; the scope join only re-raises a worker's own panic
+/// A panic in `f` reaches the caller with its own payload, after every
+/// worker has stopped.
+// audit:allow(panic) items[i] is guarded by the i >= len break
 pub fn par_map<T, R, F>(conc: Concurrency, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -110,25 +111,32 @@ where
     record_section("threaded", items.len());
     let workers = conc.threads.min(items.len());
     let next = AtomicUsize::new(0);
-    let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
-    crossbeam::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|_| {
-                let mut local: Vec<(usize, R)> = Vec::new();
-                loop {
-                    // Relaxed — work-stealing counter: fetch_add is atomic per claim; no other memory is published through it
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
+    let mut pairs: Vec<(usize, R)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut local: Vec<(usize, R)> = Vec::new();
+                    loop {
+                        // Relaxed — work-stealing counter: fetch_add is atomic per claim; no other memory is published through it
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= items.len() {
+                            break;
+                        }
+                        local.push((i, f(i, &items[i])));
                     }
-                    local.push((i, f(i, &items[i])));
-                }
-                collected.lock().append(&mut local);
-            });
+                    local
+                })
+            })
+            .collect();
+        let mut pairs = Vec::with_capacity(items.len());
+        for handle in handles {
+            match handle.join() {
+                Ok(mut local) => pairs.append(&mut local),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
         }
-    })
-    .expect("parallel worker panicked");
-    let mut pairs = collected.into_inner();
+        pairs
+    });
     pairs.sort_unstable_by_key(|&(i, _)| i);
     debug_assert_eq!(pairs.len(), items.len());
     pairs.into_iter().map(|(_, r)| r).collect()
@@ -240,6 +248,24 @@ mod tests {
         });
         let expected: Vec<u64> = items.iter().map(|&x| x * x).collect();
         assert_eq!(out, expected);
+    }
+
+    #[test]
+    fn a_worker_panic_reaches_the_caller_with_its_own_payload() {
+        let items: Vec<u32> = (0..64).collect();
+        let caught = std::panic::catch_unwind(|| {
+            par_map(Concurrency::new(4), &items, |i, &x| {
+                if i == 37 {
+                    panic!("item {i} failed");
+                }
+                x
+            })
+        });
+        let payload = caught.expect_err("item 37 panics");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("item 37 failed")
+        );
     }
 
     #[test]

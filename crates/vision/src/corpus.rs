@@ -7,7 +7,7 @@ use rand::{Rng, SeedableRng};
 
 /// Configuration for corpus generation. All randomness flows from `seed`, so
 /// a config fully determines the corpus.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CorpusConfig {
     /// Descriptor family (fixes dimensionality).
     pub kind: DescriptorKind,

@@ -7,7 +7,7 @@
 pub type ImageId = u64;
 
 /// The family of local feature descriptor being simulated.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DescriptorKind {
     /// Scale-invariant feature transform: 128-dimensional (Lowe, IJCV '04).
     Sift,
