@@ -101,6 +101,26 @@ grep -q "^batched SHA3 Keccak instance: " fig15_smoke.log
 rm -f fig15_smoke.log
 test -s BENCH_queries.json
 
+echo "== bench smoke: the paper's Figs. 6-14 =="
+# Every paper figure runs through the one query-and-verify pass; the step
+# fails on a non-zero exit (an honest response that does not verify
+# panics) or on a figure whose table never printed.
+cargo run -q --release -p imageproof-bench --bin figures -- --quick \
+    --fig 6 --fig 7 --fig 8 --fig 9 --fig 10 --fig 11 --fig 12 --fig 13 --fig 14 \
+    > figs_smoke.log || {
+    cat figs_smoke.log >&2
+    exit 1
+}
+for n in 6 7 8 9 10 11 12 13 14; do
+    grep -q "^== Fig. $n: " figs_smoke.log || {
+        echo "figures printed no Fig. $n:" >&2
+        cat figs_smoke.log >&2
+        exit 1
+    }
+done
+echo "  Figs. 6-14 printed"
+rm -f figs_smoke.log
+
 echo "== observability smoke: demo fleet + live scrape endpoints =="
 # The demo autobinds a scrape endpoint per shard plus one for the
 # coordinator, runs its queries, heartbeats the fleet, then scrapes itself

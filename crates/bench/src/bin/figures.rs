@@ -8,12 +8,16 @@
 //! cargo run -p imageproof-bench --release --bin figures -- --quick # smoke scale
 //! ```
 //!
+//! Figs. 6–14 are the rows of [`FIGURES`]; every point of every figure runs
+//! each query once through the SP and the client ([`measure`]) and prints
+//! the means of the step's columns.
+//!
 //! Axes are scaled from the paper's server-scale setting to laptop scale
 //! with identical ratios (DESIGN.md §3.4); the series *shapes* are the
 //! reproduction target, not absolute values.
 
 use imageproof_bench::fixture::{Fixture, FixtureConfig};
-use imageproof_bench::measure::{measure_bovw_step, measure_inv_step, measure_overall};
+use imageproof_bench::measure::{mean, measure, QueryMeasurement};
 use imageproof_bench::table::{kib, ms, pct, Table};
 use imageproof_core::{Scheme, SpaceUsage};
 use imageproof_crypto::wire::Encode;
@@ -30,8 +34,7 @@ struct Scale {
     default_features: usize,
     default_k: usize,
     n_queries: usize,
-    base_sift: FixtureConfig,
-    base_surf: FixtureConfig,
+    base: fn(DescriptorKind) -> FixtureConfig,
 }
 
 impl Scale {
@@ -46,8 +49,7 @@ impl Scale {
             // The paper averages 10 query images; 5 keeps the full-scale
             // harness within an hour on two cores with the same trends.
             n_queries: 5,
-            base_sift: FixtureConfig::default_scale(DescriptorKind::Sift),
-            base_surf: FixtureConfig::default_scale(DescriptorKind::Surf),
+            base: FixtureConfig::default_scale,
         }
     }
 
@@ -60,8 +62,7 @@ impl Scale {
             default_features: 60,
             default_k: 5,
             n_queries: 3,
-            base_sift: FixtureConfig::quick(DescriptorKind::Sift),
-            base_surf: FixtureConfig::quick(DescriptorKind::Surf),
+            base: FixtureConfig::quick,
         }
     }
 }
@@ -99,247 +100,214 @@ impl FixtureCache {
     }
 }
 
-const BOVW_SCHEMES: [Scheme; 3] = [Scheme::Baseline, Scheme::ImageProof, Scheme::OptimizedBovw];
-const INV_SCHEMES: [Scheme; 3] = [Scheme::Baseline, Scheme::ImageProof, Scheme::OptimizedBoth];
+/// The axis a paper figure sweeps; every other axis stays at its default.
+#[derive(Clone, Copy)]
+enum Axis {
+    Features,
+    Codebook,
+    Images,
+    K,
+}
 
-fn fig6_7(cache: &mut FixtureCache, scale: &Scale, kind: DescriptorKind, fig: u32) {
-    let base = match kind {
-        DescriptorKind::Sift => &scale.base_sift,
-        DescriptorKind::Surf => &scale.base_surf,
-    };
-    let fixture = cache.get(base);
-    println!(
-        "\n== Fig. {fig}: BoVW performance vs # {kind:?} feature vectors ==\n\
-         (paper: Baseline worst everywhere, gap grows with n_Q; ImageProof best CPU;\n\
-          Optimized best VO size; shared-node ratio ~0.4-0.5)\n"
+impl Axis {
+    fn header(self) -> &'static str {
+        match self {
+            Axis::Features => "n_feat",
+            Axis::Codebook => "codebook",
+            Axis::Images => "images",
+            Axis::K => "k",
+        }
+    }
+
+    fn points(self, scale: &Scale) -> &[usize] {
+        match self {
+            Axis::Features => &scale.features_sweep,
+            Axis::Codebook => &scale.codebook_sweep,
+            Axis::Images => &scale.dataset_sweep,
+            Axis::K => &scale.k_sweep,
+        }
+    }
+}
+
+/// A column of a figure's table: header, and the cell for one point's
+/// measurements (a mean over its queries).
+type Column = (&'static str, fn(&[QueryMeasurement]) -> String);
+
+/// The retrieval step a figure reports, which fixes the schemes it
+/// compares and its columns.
+#[derive(Clone, Copy)]
+enum Step {
+    /// BoVW encoding and its MRKD proof; client steps (i)–(ii).
+    Bovw,
+    /// Inverted-index search; client step (iii).
+    Inv,
+    /// The whole query; client steps (i)–(iv).
+    Overall,
+}
+
+impl Step {
+    fn schemes(self) -> &'static [Scheme] {
+        match self {
+            Step::Bovw => &[Scheme::Baseline, Scheme::ImageProof, Scheme::OptimizedBovw],
+            Step::Inv => &[Scheme::Baseline, Scheme::ImageProof, Scheme::OptimizedBoth],
+            Step::Overall => &Scheme::ALL,
+        }
+    }
+
+    fn columns(self) -> &'static [Column] {
+        match self {
+            Step::Bovw => &[
+                ("sp_ms", |m| ms(mean(m, |q| q.sp.bovw_seconds))),
+                ("client_ms", |m| ms(mean(m, |q| q.client.bovw_seconds))),
+                ("vo_KiB", |m| kib(mean(m, |q| q.bovw_vo_bytes() as f64))),
+                ("shared_ratio", |m| {
+                    format!("{:.2}", mean(m, |q| q.sp.shared_ratio))
+                }),
+            ],
+            Step::Inv => &[
+                ("sp_ms", |m| ms(mean(m, |q| q.sp.inv_seconds))),
+                ("client_ms", |m| ms(mean(m, |q| q.client.inv_seconds))),
+                ("popped_%", |m| pct(mean(m, |q| q.sp.popped_ratio()))),
+            ],
+            Step::Overall => &[
+                ("vo_KiB", |m| kib(mean(m, |q| q.vo_bytes() as f64))),
+                ("sp_ms", |m| ms(mean(m, |q| q.profile.total_seconds()))),
+                ("client_ms", |m| ms(mean(m, |q| q.client.total_seconds()))),
+            ],
+        }
+    }
+}
+
+/// One of the paper's evaluation figures (§VII).
+struct Figure {
+    number: u32,
+    kind: DescriptorKind,
+    axis: Axis,
+    step: Step,
+    title: &'static str,
+    /// What the paper reports for this figure.
+    note: &'static str,
+}
+
+/// Printed under the note of every [`Step::Bovw`] figure (Figs. 6–8): what
+/// their client and VO columns cover.
+const BOVW_COLUMNS: &str = "(client_ms covers §V-C steps (i)-(ii), root-signature check\n\
+                            included; vo_KiB counts the BoVW VO's one-byte variant tag)";
+
+const FIGURES: [Figure; 9] = [
+    Figure {
+        number: 6,
+        kind: DescriptorKind::Sift,
+        axis: Axis::Features,
+        step: Step::Bovw,
+        title: "BoVW performance vs # Sift feature vectors",
+        note: "(paper: Baseline worst everywhere, gap grows with n_Q; ImageProof best CPU;\n\
+               Optimized best VO size; shared-node ratio ~0.4-0.5)",
+    },
+    Figure {
+        number: 7,
+        kind: DescriptorKind::Surf,
+        axis: Axis::Features,
+        step: Step::Bovw,
+        title: "BoVW performance vs # Surf feature vectors",
+        note: "(paper: Baseline worst everywhere, gap grows with n_Q; ImageProof best CPU;\n\
+               Optimized best VO size; shared-node ratio ~0.4-0.5)",
+    },
+    Figure {
+        number: 8,
+        kind: DescriptorKind::Surf,
+        axis: Axis::Codebook,
+        step: Step::Bovw,
+        title: "BoVW performance vs codebook size (SURF)",
+        note: "(paper: costs almost flat in codebook size; VO grows slightly)",
+    },
+    Figure {
+        number: 9,
+        kind: DescriptorKind::Surf,
+        axis: Axis::Features,
+        step: Step::Inv,
+        title: "inverted-index performance vs # feature vectors",
+        note: "(paper: Baseline pops ~all postings and is slowest; InvSearch and\n\
+               Optimized stop far earlier)",
+    },
+    Figure {
+        number: 10,
+        kind: DescriptorKind::Surf,
+        axis: Axis::Codebook,
+        step: Step::Inv,
+        title: "inverted-index performance vs codebook size",
+        note: "(paper: all CPU costs fall with codebook size; popped % falls for\n\
+               InvSearch/Optimized, stays ~100% for Baseline)",
+    },
+    Figure {
+        number: 11,
+        kind: DescriptorKind::Surf,
+        axis: Axis::K,
+        step: Step::Inv,
+        title: "inverted-index performance vs k",
+        note: "(paper: popped % grows with k for InvSearch/Optimized; Optimized\n\
+               reduces client CPU, similar SP CPU)",
+    },
+    Figure {
+        number: 12,
+        kind: DescriptorKind::Surf,
+        axis: Axis::Features,
+        step: Step::Overall,
+        title: "overall performance vs # feature vectors",
+        note: "(paper: all costs grow with n_Q; Optimized(BoVW) trades client CPU for\n\
+               VO size; Optimized(Both) best client CPU + VO)",
+    },
+    Figure {
+        number: 13,
+        kind: DescriptorKind::Surf,
+        axis: Axis::Codebook,
+        step: Step::Overall,
+        title: "overall performance vs codebook size",
+        note: "(paper: all costs fall as the codebook grows — shorter posting lists)",
+    },
+    Figure {
+        number: 14,
+        kind: DescriptorKind::Surf,
+        axis: Axis::Images,
+        step: Step::Overall,
+        title: "overall performance vs dataset size",
+        note: "(paper: Baseline degrades fastest; ImageProof's SP CPU and VO are far\n\
+               lower; Optimized(Both) best client CPU + VO, advantage grows with data)",
+    },
+];
+
+/// Prints one paper figure: for every point on its axis and every scheme
+/// of its step, one row of means over the point's queries.
+fn paper_figure(cache: &mut FixtureCache, scale: &Scale, fig: &Figure) {
+    println!("\n== Fig. {}: {} ==\n{}", fig.number, fig.title, fig.note);
+    if let Step::Bovw = fig.step {
+        println!("{BOVW_COLUMNS}");
+    }
+    println!();
+    let columns = fig.step.columns();
+    let mut t = Table::new(
+        ["scheme", fig.axis.header()]
+            .into_iter()
+            .chain(columns.iter().map(|&(header, _)| header)),
     );
-    let mut t = Table::new([
-        "scheme",
-        "n_feat",
-        "sp_ms",
-        "client_ms",
-        "vo_KiB",
-        "shared_ratio",
-    ]);
-    for &n_features in &scale.features_sweep {
+    for &point in fig.axis.points(scale) {
+        let mut config = (scale.base)(fig.kind);
+        let (mut n_features, mut k) = (scale.default_features, scale.default_k);
+        match fig.axis {
+            Axis::Features => n_features = point,
+            Axis::Codebook => config.codebook_size = point,
+            Axis::Images => config.n_images = point,
+            Axis::K => k = point,
+        }
+        let fixture = cache.get(&config);
         let queries = fixture.queries(scale.n_queries, n_features);
-        for scheme in BOVW_SCHEMES {
-            let m = measure_bovw_step(&fixture, scheme, &queries);
-            t.row([
-                scheme.label().to_string(),
-                n_features.to_string(),
-                ms(m.sp_seconds),
-                ms(m.client_seconds),
-                kib(m.vo_bytes),
-                format!("{:.2}", m.shared_ratio),
-            ]);
-        }
-    }
-    println!("{}", t.render());
-}
-
-fn fig8(cache: &mut FixtureCache, scale: &Scale) {
-    println!(
-        "\n== Fig. 8: BoVW performance vs codebook size (SURF) ==\n\
-         (paper: costs almost flat in codebook size; VO grows slightly)\n"
-    );
-    let mut t = Table::new([
-        "scheme",
-        "codebook",
-        "sp_ms",
-        "client_ms",
-        "vo_KiB",
-        "shared_ratio",
-    ]);
-    for &codebook_size in &scale.codebook_sweep {
-        let config = FixtureConfig {
-            codebook_size,
-            ..scale.base_surf.clone()
-        };
-        let fixture = cache.get(&config);
-        let queries = fixture.queries(scale.n_queries, scale.default_features);
-        for scheme in BOVW_SCHEMES {
-            let m = measure_bovw_step(&fixture, scheme, &queries);
-            t.row([
-                scheme.label().to_string(),
-                codebook_size.to_string(),
-                ms(m.sp_seconds),
-                ms(m.client_seconds),
-                kib(m.vo_bytes),
-                format!("{:.2}", m.shared_ratio),
-            ]);
-        }
-    }
-    println!("{}", t.render());
-}
-
-fn fig9(cache: &mut FixtureCache, scale: &Scale) {
-    let fixture = cache.get(&scale.base_surf);
-    println!(
-        "\n== Fig. 9: inverted-index performance vs # feature vectors ==\n\
-         (paper: Baseline pops ~all postings and is slowest; InvSearch and\n\
-          Optimized stop far earlier)\n"
-    );
-    let mut t = Table::new(["scheme", "n_feat", "sp_ms", "client_ms", "popped_%"]);
-    for &n_features in &scale.features_sweep {
-        let queries = fixture.queries(scale.n_queries, n_features);
-        for scheme in INV_SCHEMES {
-            let m = measure_inv_step(&fixture, scheme, &queries, scale.default_k);
-            t.row([
-                scheme.label().to_string(),
-                n_features.to_string(),
-                ms(m.sp_seconds),
-                ms(m.client_seconds),
-                pct(m.popped_ratio),
-            ]);
-        }
-    }
-    println!("{}", t.render());
-}
-
-fn fig10(cache: &mut FixtureCache, scale: &Scale) {
-    println!(
-        "\n== Fig. 10: inverted-index performance vs codebook size ==\n\
-         (paper: all CPU costs fall with codebook size; popped %% falls for\n\
-          InvSearch/Optimized, stays ~100%% for Baseline)\n"
-    );
-    let mut t = Table::new(["scheme", "codebook", "sp_ms", "client_ms", "popped_%"]);
-    for &codebook_size in &scale.codebook_sweep {
-        let config = FixtureConfig {
-            codebook_size,
-            ..scale.base_surf.clone()
-        };
-        let fixture = cache.get(&config);
-        let queries = fixture.queries(scale.n_queries, scale.default_features);
-        for scheme in INV_SCHEMES {
-            let m = measure_inv_step(&fixture, scheme, &queries, scale.default_k);
-            t.row([
-                scheme.label().to_string(),
-                codebook_size.to_string(),
-                ms(m.sp_seconds),
-                ms(m.client_seconds),
-                pct(m.popped_ratio),
-            ]);
-        }
-    }
-    println!("{}", t.render());
-}
-
-fn fig11(cache: &mut FixtureCache, scale: &Scale) {
-    let fixture = cache.get(&scale.base_surf);
-    println!(
-        "\n== Fig. 11: inverted-index performance vs k ==\n\
-         (paper: popped %% grows with k for InvSearch/Optimized; Optimized\n\
-          reduces client CPU, similar SP CPU)\n"
-    );
-    let mut t = Table::new(["scheme", "k", "sp_ms", "client_ms", "popped_%"]);
-    let queries = fixture.queries(scale.n_queries, scale.default_features);
-    for &k in &scale.k_sweep {
-        for scheme in INV_SCHEMES {
-            let m = measure_inv_step(&fixture, scheme, &queries, k);
-            t.row([
-                scheme.label().to_string(),
-                k.to_string(),
-                ms(m.sp_seconds),
-                ms(m.client_seconds),
-                pct(m.popped_ratio),
-            ]);
-        }
-    }
-    println!("{}", t.render());
-}
-
-fn overall_row(
-    t: &mut Table,
-    fixture: &Fixture,
-    scheme: Scheme,
-    axis_label: String,
-    queries: &[Vec<Vec<f32>>],
-    k: usize,
-) {
-    let m = measure_overall(fixture, scheme, queries, k);
-    t.row([
-        scheme.label().to_string(),
-        axis_label,
-        kib(m.vo_bytes),
-        ms(m.sp_seconds),
-        ms(m.client_seconds),
-    ]);
-}
-
-fn fig12(cache: &mut FixtureCache, scale: &Scale) {
-    let fixture = cache.get(&scale.base_surf);
-    println!(
-        "\n== Fig. 12: overall performance vs # feature vectors ==\n\
-         (paper: all costs grow with n_Q; Optimized(BoVW) trades client CPU for\n\
-          VO size; Optimized(Both) best client CPU + VO)\n"
-    );
-    let mut t = Table::new(["scheme", "n_feat", "vo_KiB", "sp_ms", "client_ms"]);
-    for &n_features in &scale.features_sweep {
-        let queries = fixture.queries(scale.n_queries, n_features);
-        for scheme in Scheme::ALL {
-            overall_row(
-                &mut t,
-                &fixture,
-                scheme,
-                n_features.to_string(),
-                &queries,
-                scale.default_k,
-            );
-        }
-    }
-    println!("{}", t.render());
-}
-
-fn fig13(cache: &mut FixtureCache, scale: &Scale) {
-    println!(
-        "\n== Fig. 13: overall performance vs codebook size ==\n\
-         (paper: all costs fall as the codebook grows — shorter posting lists)\n"
-    );
-    let mut t = Table::new(["scheme", "codebook", "vo_KiB", "sp_ms", "client_ms"]);
-    for &codebook_size in &scale.codebook_sweep {
-        let config = FixtureConfig {
-            codebook_size,
-            ..scale.base_surf.clone()
-        };
-        let fixture = cache.get(&config);
-        let queries = fixture.queries(scale.n_queries, scale.default_features);
-        for scheme in Scheme::ALL {
-            overall_row(
-                &mut t,
-                &fixture,
-                scheme,
-                codebook_size.to_string(),
-                &queries,
-                scale.default_k,
-            );
-        }
-    }
-    println!("{}", t.render());
-}
-
-fn fig14(cache: &mut FixtureCache, scale: &Scale) {
-    println!(
-        "\n== Fig. 14: overall performance vs dataset size ==\n\
-         (paper: Baseline degrades fastest; ImageProof's SP CPU and VO are far\n\
-          lower; Optimized(Both) best client CPU + VO, advantage grows with data)\n"
-    );
-    let mut t = Table::new(["scheme", "images", "vo_KiB", "sp_ms", "client_ms"]);
-    for &n_images in &scale.dataset_sweep {
-        let config = FixtureConfig {
-            n_images,
-            ..scale.base_surf.clone()
-        };
-        let fixture = cache.get(&config);
-        let queries = fixture.queries(scale.n_queries, scale.default_features);
-        for scheme in Scheme::ALL {
-            overall_row(
-                &mut t,
-                &fixture,
-                scheme,
-                n_images.to_string(),
-                &queries,
-                scale.default_k,
+        for &scheme in fig.step.schemes() {
+            let system = fixture.system(scheme);
+            let measured = measure(&system.0, &system.1, &queries, k);
+            t.row(
+                [scheme.label().to_string(), point.to_string()]
+                    .into_iter()
+                    .chain(columns.iter().map(|(_, cell)| cell(&measured))),
             );
         }
     }
@@ -470,7 +438,7 @@ impl SweepRecord {
 /// suite), so only wall-clock moves. The machine-readable results land in
 /// `BENCH_queries.json` next to the working directory.
 fn fig15(cache: &mut FixtureCache, scale: &Scale, quick: bool) {
-    let fixture = cache.get(&scale.base_surf);
+    let fixture = cache.get(&(scale.base)(DescriptorKind::Surf));
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -500,37 +468,21 @@ fn fig15(cache: &mut FixtureCache, scale: &Scale, quick: bool) {
         for threads in [1usize, 2, 4, 8] {
             let conc = imageproof_core::Concurrency::new(threads);
             let (sp, client, build_seconds) = fixture.build_system_timed(scheme, conc);
-            let mut vo_bytes = 0.0f64;
-            let mut client_seconds = 0.0f64;
-            let mut hashes_computed = 0usize;
-            let mut hashes_cached = 0usize;
-            let mut blocks_skipped = 0usize;
-            let mut blocks_scanned = 0usize;
             let space = sp.database().space_usage();
-            let mut phases = PhaseQuantiles::default();
             // One query runs on one thread; `threads` workers serve the
             // batch, one query each.
             let t0 = imageproof_obs::Stopwatch::start();
             let batch = sp.query_batch(&queries, k, conc);
             let query_seconds = t0.elapsed_seconds() / queries.len() as f64;
-            for (features, (batched, _)) in queries.iter().zip(&batch) {
-                let (response, stats, profile) = sp.query_profiled(features, k);
-                assert_eq!(batched.vo, response.vo, "batch serving changed a VO");
-                phases.record(&profile);
-                vo_bytes += response.vo.wire_size() as f64;
-                hashes_computed += stats.hashes_computed;
-                hashes_cached += stats.hashes_cached;
-                blocks_skipped += stats.blocks_skipped;
-                blocks_scanned += stats.blocks_scanned;
-                let t1 = imageproof_obs::Stopwatch::start();
-                client
-                    .verify(features, k, &response)
-                    .expect("honest response verifies");
-                client_seconds += t1.elapsed_seconds();
+            let measured = measure(&sp, &client, &queries, k);
+            let mut phases = PhaseQuantiles::default();
+            for ((batched, _), m) in batch.iter().zip(&measured) {
+                assert_eq!(batched.vo, m.vo, "batch serving changed a VO");
+                phases.record(&m.profile);
             }
-            let n = queries.len().max(1) as f64;
-            vo_bytes /= n;
-            client_seconds /= n;
+            let sum = |count: fn(&QueryMeasurement) -> usize| measured.iter().map(count).sum();
+            let vo_bytes = mean(&measured, |m| m.vo_bytes() as f64);
+            let client_seconds = mean(&measured, |m| m.client.total_seconds());
             if threads == 1 {
                 serial_build = build_seconds;
                 serial_query = query_seconds;
@@ -542,10 +494,10 @@ fn fig15(cache: &mut FixtureCache, scale: &Scale, quick: bool) {
                 sp_ms_per_query: query_seconds * 1e3,
                 vo_bytes,
                 client_verify_ms: client_seconds * 1e3,
-                hashes_computed,
-                hashes_cached,
-                blocks_skipped,
-                blocks_scanned,
+                hashes_computed: sum(|m| m.sp.hashes_computed),
+                hashes_cached: sum(|m| m.sp.hashes_cached),
+                blocks_skipped: sum(|m| m.sp.blocks_skipped),
+                blocks_scanned: sum(|m| m.sp.blocks_scanned),
                 space,
                 phases,
             };
@@ -692,7 +644,7 @@ impl ShardRecord {
 /// quantiles plus failover counts land in each record's nested `rpc`
 /// object.
 fn fig16(cache: &mut FixtureCache, scale: &Scale, quick: bool) {
-    let fixture = cache.get(&scale.base_surf);
+    let fixture = cache.get(&(scale.base)(DescriptorKind::Surf));
     let shard_counts: &[usize] = if quick { &[1, 2, 4] } else { &[1, 2, 4, 8] };
     println!(
         "\n== Fig. 16: shard-count sweep (sharded build + fan-out query + verify_sharded) ==\n\
@@ -1008,24 +960,18 @@ fn main() {
     );
     for fig in figs {
         match fig {
-            6 => fig6_7(&mut cache, &scale, DescriptorKind::Sift, 6),
-            7 => fig6_7(&mut cache, &scale, DescriptorKind::Surf, 7),
-            8 => fig8(&mut cache, &scale),
-            9 => fig9(&mut cache, &scale),
-            10 => fig10(&mut cache, &scale),
-            11 => fig11(&mut cache, &scale),
-            12 => fig12(&mut cache, &scale),
-            13 => fig13(&mut cache, &scale),
-            14 => fig14(&mut cache, &scale),
             15 => fig15(&mut cache, &scale, quick),
             16 => fig16(&mut cache, &scale, quick),
-            other => {
-                eprintln!(
-                    "unknown figure {other}; Figs. 6-14 are the paper's, 15 is the \
-                     thread sweep, 16 is the shard sweep"
-                );
-                std::process::exit(2);
-            }
+            _ => match FIGURES.iter().find(|f| f.number == fig) {
+                Some(figure) => paper_figure(&mut cache, &scale, figure),
+                None => {
+                    eprintln!(
+                        "unknown figure {fig}; Figs. 6-14 are the paper's, 15 is the \
+                         thread sweep, 16 is the shard sweep"
+                    );
+                    std::process::exit(2);
+                }
+            },
         }
     }
 }

@@ -1,6 +1,7 @@
-//! Experiment infrastructure shared by the `figures` binary (which
-//! regenerates every figure of the paper's evaluation, §VII) and the
-//! criterion micro-benchmarks.
+//! Experiment infrastructure for the `figures` binary, which regenerates
+//! every figure of the paper's evaluation (§VII) from one query-and-verify
+//! pass per point ([`measure::measure`]), and for the `primitives` and
+//! `ablation` criterion benches.
 //!
 //! The paper's testbed is a 256 GB Xeon server over MirFlickr1M; this
 //! reproduction scales every axis down by the same factors (see
@@ -13,8 +14,4 @@ pub mod measure;
 pub mod table;
 
 pub use fixture::{Fixture, FixtureConfig};
-pub use measure::{
-    measure_bovw_step, measure_inv_step, measure_overall, BovwMeasurement, InvMeasurement,
-    OverallMeasurement,
-};
 pub use table::Table;

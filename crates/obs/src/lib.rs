@@ -36,7 +36,9 @@ pub use metrics::{
     Counter, Histogram, HistogramSnapshot, MetricId, Registry, RegistrySnapshot, SloTracker,
     WindowedHistogram, HISTOGRAM_BUCKETS,
 };
-pub use scrape::{http_get, launch_scrape, serve, RunningServer, ScrapeProvider, READ_POLL};
+pub use scrape::{
+    http_get, launch_scrape, serve, RunningServer, ScrapeProvider, MAX_CONNECTIONS, READ_POLL,
+};
 pub use span::{Profiler, QueryProfile, SpanRecord};
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -15,12 +15,13 @@
 //!
 //! The module also owns the workspace's one TCP acceptor, [`serve`], which
 //! the scrape server and `rpc/server.rs` both run on: a nonblocking accept
-//! loop polling a stop flag, one thread per connection, and a prompt
-//! shutdown that joins every thread. A scrape connection reads at most
-//! [`MAX_REQUEST_BYTES`] before it is refused. The server only ever
-//! *reads* snapshots from its [`ScrapeProvider`] — it can never block a
-//! query, and the zero-perturbation suite proves payload bytes are
-//! identical with scraping on or off.
+//! loop polling a stop flag, one thread per connection up to
+//! [`MAX_CONNECTIONS`], and a prompt shutdown that joins every thread. A
+//! scrape connection reads at most [`MAX_REQUEST_BYTES`] before it is
+//! refused. The server only ever *reads* snapshots from its
+//! [`ScrapeProvider`] — it can never block a query, and the
+//! zero-perturbation suite proves payload bytes are identical with
+//! scraping on or off.
 
 use crate::metrics::{snapshot_json, snapshot_prometheus_text, RegistrySnapshot};
 use std::io::{ErrorKind, Read, Write};
@@ -33,6 +34,12 @@ use std::time::Duration;
 /// How long a connection thread blocks in `read` before re-checking the
 /// stop flag. Connection handlers on [`serve`] poll at this cadence.
 pub const READ_POLL: Duration = Duration::from_millis(25);
+
+/// Most connections [`serve`] runs at once. Its handlers hold an idle peer
+/// until it hangs up, so without a cap every idle dial would pin a thread
+/// for the life of the server; a connection accepted at the cap is closed
+/// at once.
+pub const MAX_CONNECTIONS: usize = 64;
 
 /// Upper bound on a scrape request's header bytes; anything larger is not
 /// a scraper and earns `431` + close before the buffer grows further.
@@ -98,7 +105,8 @@ impl Drop for RunningServer {
 
 /// Binds `bind_addr` (port 0 for an OS-picked port) and, until the
 /// returned handle shuts down, accepts without blocking and runs
-/// `handler(stream, stop)` on one thread per connection. Handlers must
+/// `handler(stream, stop)` on one thread per connection, closing any
+/// connection accepted while [`MAX_CONNECTIONS`] are live. Handlers must
 /// return soon after `stop` turns true (poll it every [`READ_POLL`]).
 pub fn serve<H>(bind_addr: impl ToSocketAddrs, handler: H) -> std::io::Result<RunningServer>
 where
@@ -117,6 +125,8 @@ where
             reap_finished(&mut conns);
             loop_tracked.store(conns.len(), Ordering::SeqCst);
             match listener.accept() {
+                // At the cap: dropping the stream closes it.
+                Ok((stream, _)) if conns.len() >= MAX_CONNECTIONS => drop(stream),
                 Ok((stream, _)) => {
                     let (handler, stop) = (Arc::clone(&handler), Arc::clone(&loop_stop));
                     conns.push(std::thread::spawn(move || handler(stream, &stop)));
