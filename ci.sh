@@ -37,6 +37,13 @@ echo "== test (workspace) =="
 # new `unsafe` already fails the build above.
 cargo test -q --workspace
 
+echo "== test (release): the distance kernels' contract in the optimized build =="
+# The step above builds at opt-level 0, where nothing is vectorized, so
+# `akm::kernel`'s bit-exactness contract would never be checked on the code
+# that ships. Run the kernels' proptests and their client caller's
+# (`mrkd::verify`'s threshold scan) once more, optimized.
+cargo test -q --release -p imageproof-akm -p imageproof-mrkd
+
 echo "== ledger: the benchmark package builds and self-checks against this tree =="
 # `ledger/` is its own workspace, so the steps above never compile it: an
 # API refactor could break the benchmark and stay green. Its smoke test

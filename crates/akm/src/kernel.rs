@@ -24,6 +24,15 @@
 //! code would have accepted. NaN coordinates poison the accumulator and
 //! fail every `> limit` checkpoint, so they fall through to `Some(NaN)` —
 //! exactly the value the scalar code hands its caller.
+//!
+//! ## Lanes across queries
+//!
+//! [`dist_sq_lanes_within`] vectorizes the other way round: [`LANES`]
+//! queries against one point, each lane a whole sequential fold of its own,
+//! so the contract holds lane by lane with no reordering to argue about.
+//! Its early exit needs the prefix proof above for *every* lane at once;
+//! a lane whose prefix is still within its limit keeps the whole group
+//! computing.
 
 /// Lane width of the unrolled chunk loops. Eight `f32` lanes fill a
 /// 256-bit vector register and divide both descriptor widths the paper
@@ -96,6 +105,57 @@ pub fn dist_sq_within(a: &[f32], b: &[f32], limit: f32) -> Option<f32> {
         acc += d * d;
     }
     Some(acc)
+}
+
+/// Squared distances from one point `b` to [`LANES`] queries at once, with
+/// the monotone early exit of [`dist_sq_within`] taken only when it holds
+/// for every lane.
+///
+/// The queries are held dimension-major: `lanes[j][i]` is query `i`'s
+/// coordinate `j`, and `lanes.len() == b.len()`. Each lane runs its own
+/// left-to-right fold `((-0.0 + d₀²) + d₁²) + …`, so lane `i` of the result
+/// equals [`dist_sq_scalar`] of query `i` and `b` bit for bit; the
+/// parallelism is across queries, never within one sum. Returns `None` at
+/// a chunk boundary where every lane's partial sum exceeds its entry of
+/// `limits` — a proof, lane by lane, that every full distance exceeds its
+/// limit. NaN never trips a checkpoint.
+#[inline]
+pub fn dist_sq_lanes_within(
+    lanes: &[[f32; LANES]],
+    b: &[f32],
+    limits: &[f32; LANES],
+) -> Option<[f32; LANES]> {
+    debug_assert_eq!(lanes.len(), b.len());
+    let mut acc = [-0.0f32; LANES];
+    let mut lane_chunks = lanes.chunks_exact(LANES);
+    let mut b_chunks = b.chunks_exact(LANES);
+    for (cl, cb) in lane_chunks.by_ref().zip(b_chunks.by_ref()) {
+        for (q, &x) in cl.iter().zip(cb) {
+            add_lanes(&mut acc, q, x);
+        }
+        // Branch-free across lanes, then one test per chunk.
+        let all_exceed = acc
+            .iter()
+            .zip(limits)
+            .fold(true, |all, (a, limit)| all & (a > limit));
+        if all_exceed {
+            return None;
+        }
+    }
+    for (q, &x) in lane_chunks.remainder().iter().zip(b_chunks.remainder()) {
+        add_lanes(&mut acc, q, x);
+    }
+    Some(acc)
+}
+
+/// One dimension of [`dist_sq_lanes_within`]: each lane adds its own
+/// square, in the scalar fold's operand order (`acc + (q - x)²`).
+#[inline(always)]
+fn add_lanes(acc: &mut [f32; LANES], q: &[f32; LANES], x: f32) {
+    for (a, &qi) in acc.iter_mut().zip(q) {
+        let d = qi - x;
+        *a += d * d;
+    }
 }
 
 /// One chunk step: vectorizable subtract/square into a lane array, then a
@@ -191,6 +251,77 @@ mod tests {
         let exact = dist_sq_scalar(&a, &b);
         assert_eq!(dist_sq_within(&a, &b, exact), Some(exact));
         assert_eq!(dist_sq_within(&a, &b, exact - 1.0), None);
+    }
+
+    /// Equal bits, or both NaN: Rust leaves a NaN's payload unspecified
+    /// (an addition of two NaNs may keep either), and no caller reads it.
+    fn same_bits(a: f32, b: f32) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// Mostly finite coordinates, with −0.0, ±∞ and NaN mixed in at about
+    /// one per 128 draws.
+    fn coord() -> impl Strategy<Value = f32> {
+        (0u16..512, -4.0f32..4.0).prop_map(|(pick, x)| match pick {
+            0 => -0.0,
+            1 => f32::INFINITY,
+            2 => f32::NEG_INFINITY,
+            3 => f32::NAN,
+            _ => x,
+        })
+    }
+
+    const MAX_WIDTH: usize = 130;
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: 256,
+            max_shrink_iters: 0,
+        })]
+
+        /// Every lane of the lane kernel is the scalar fold of its own
+        /// query, and the kernel gives up only when every lane's full
+        /// distance is above that lane's limit. Limits are the lanes' own
+        /// distances scaled (mode 0, so exits are common), or per lane
+        /// either scaled or arbitrary.
+        #[test]
+        fn lane_kernel_keeps_the_contract(
+            width in 0usize..=MAX_WIDTH,
+            coords in proptest::collection::vec(
+                coord(), (LANES + 1) * MAX_WIDTH..=(LANES + 1) * MAX_WIDTH),
+            picks in proptest::collection::vec(
+                (any::<bool>(), 0.0f32..1.2, any::<f32>()), LANES..=LANES),
+            mode in 0u8..2,
+        ) {
+            let vector = |i: usize| &coords[i * MAX_WIDTH..i * MAX_WIDTH + width];
+            let point = vector(LANES);
+            let lanes: Vec<[f32; LANES]> = (0..width)
+                .map(|j| std::array::from_fn(|i| vector(i)[j]))
+                .collect();
+            let exact: [f32; LANES] = std::array::from_fn(|i| dist_sq_scalar(vector(i), point));
+            let limits: [f32; LANES] = std::array::from_fn(|i| {
+                let (scaled, s, raw) = picks[i];
+                if mode == 0 || scaled { exact[i] * s } else { raw }
+            });
+
+            let all = dist_sq_lanes_within(&lanes, point, &[f32::INFINITY; LANES]);
+            prop_assert!(all.is_some(), "no prefix exceeds an infinite limit");
+            for (i, (&d, &e)) in all.unwrap_or_default().iter().zip(&exact).enumerate() {
+                prop_assert!(same_bits(d, e), "width {} lane {}: {} vs {}", width, i, d, e);
+            }
+            match dist_sq_lanes_within(&lanes, point, &limits) {
+                Some(ds) => {
+                    for (i, (&d, &e)) in ds.iter().zip(&exact).enumerate() {
+                        prop_assert!(same_bits(d, e), "width {} lane {}: {} vs {}", width, i, d, e);
+                    }
+                }
+                None => {
+                    for (i, (&e, &limit)) in exact.iter().zip(&limits).enumerate() {
+                        prop_assert!(e > limit, "width {} lane {} skipped: {} <= {}", width, i, e, limit);
+                    }
+                }
+            }
+        }
     }
 
     proptest! {

@@ -8,7 +8,13 @@
 //!    digest per table row as a batch, then the nodes a level at a time,
 //!    leaves looking their cluster ids up in the table;
 //! 2. Derives each query's **verified threshold** `t'_q` — the distance to
-//!    the nearest fully-revealed centroid — and its winner cluster;
+//!    the nearest fully-revealed centroid — and its winner cluster. Each
+//!    query seeds its best from the leaf its own descent of the VO tree
+//!    ends at; then one pass over the full rows serves eight queries at a
+//!    time through the lane kernel, skipping a row only on proof that it
+//!    is farther than every lane's best. The result is the lexicographic
+//!    minimum of `(distance, cluster)`, which no seed, order or grouping
+//!    changes, so it is bit-equal to a one-query-at-a-time full scan;
 //! 3. **Re-walks** the VO tree with the shared traversal engine to check
 //!    completeness: no pruned subtree is reachable within `t'_q`, and every
 //!    partially-disclosed cluster proves it is at least `t'_q` away from
@@ -33,7 +39,7 @@ use crate::tree::{
     n_blocks, CandidateMode, Shape,
 };
 use crate::vo::{BovwVo, Reveal, VoCluster, VoNode, VoTree};
-use imageproof_akm::kernel::dist_sq_within;
+use imageproof_akm::kernel::{dist_sq_lanes_within, dist_sq_within, LANES};
 use imageproof_crypto::merkle::{hash_leaf, subset_roots, RevealedSubset};
 use imageproof_crypto::{Digest, DigestBatch};
 use std::collections::BTreeMap;
@@ -171,10 +177,10 @@ fn complete(
             Reveal::Partial { .. } => None,
         })
         .collect();
-    let (thresholds_sq, assignments): (Vec<f32>, Vec<u32>) = queries
-        .iter()
-        .map(|q| nearest_revealed(q, &reveals))
-        .unzip();
+    let (thresholds_sq, assignments): (Vec<f32>, Vec<u32>) =
+        nearest_revealed(tree, &vo.clusters, queries, &reveals)
+            .into_iter()
+            .unzip();
 
     // Phase 3: completeness. The shared traversal rejects reachable pruned
     // subtrees and gathers, per partial row, the queries reaching it; each
@@ -220,22 +226,104 @@ fn complete(
     })
 }
 
-/// The nearest fully revealed centroid to `q` as `(squared distance,
-/// cluster)`, ties to the smaller cluster id; `reveals` ascends by cluster
-/// id. The early-exit kernel returns `None` only on a proof that
-/// `d > best`, which can neither win nor tie, so winners and threshold bits
-/// equal a full `dist_sq` scan's.
-fn nearest_revealed(q: &[f32], reveals: &[(u32, &[f32])]) -> (f32, u32) {
-    let mut best = (f32::INFINITY, u32::MAX);
-    for &(cluster, coords) in reveals {
-        let Some(d) = dist_sq_within(q, coords, best.0) else {
-            continue;
-        };
-        if d < best.0 || (d == best.0 && cluster < best.1) {
-            best = (d, cluster);
+/// Each query's nearest fully revealed centroid as `(squared distance,
+/// cluster)`, ties to the smaller cluster id: the lexicographic minimum of
+/// `(d, cluster)` over the rows in `reveals` whose distance is not NaN, or
+/// `(∞, u32::MAX)` when there is none. That minimum depends on no order,
+/// grouping or starting point, which is what lets the scan go fast.
+///
+/// Each query starts from the full rows of the leaf its own descent of the
+/// VO tree ends at, the closest guess the tree offers. Queries are then
+/// taken [`LANES`] at a time, in descent-leaf order so that a group's
+/// thresholds are alike, and one pass of the lane kernel over `reveals`
+/// serves the whole group. A row is passed over only on the kernel's proof
+/// that it is farther than every lane's best, which can neither win nor
+/// tie, so winners and threshold bits equal a full `dist_sq` scan's.
+// audit:allow(panic) query indices come from 0..queries.len(), lane indices from 0..LANES, and every query has `dim` coordinates (check_inputs)
+fn nearest_revealed(
+    tree: &Resolved<'_>,
+    rows: &[VoCluster],
+    queries: &[Vec<f32>],
+    reveals: &[(u32, &[f32])],
+) -> Vec<(f32, u32)> {
+    let (ends, mut best): (Vec<usize>, Vec<(f32, u32)>) =
+        queries.iter().map(|q| seed(tree, rows, q)).unzip();
+    let mut order: Vec<usize> = (0..queries.len()).collect();
+    order.sort_by_key(|&q| ends[q]);
+
+    let dim = queries.first().map_or(0, Vec::len);
+    let mut lanes = vec![[0.0f32; LANES]; dim];
+    for group in order.chunks(LANES) {
+        // Padding lanes repeat the group's first query and are dropped.
+        let members: [usize; LANES] = std::array::from_fn(|i| *group.get(i).unwrap_or(&group[0]));
+        for (j, lane) in lanes.iter_mut().enumerate() {
+            *lane = members.map(|q| queries[q][j]);
+        }
+        let mut limits = members.map(|q| best[q].0);
+        let mut winners = members.map(|q| best[q].1);
+        for &(cluster, coords) in reveals {
+            let Some(ds) = dist_sq_lanes_within(&lanes, coords, &limits) else {
+                continue;
+            };
+            for i in 0..LANES {
+                if beats((ds[i], cluster), (limits[i], winners[i])) {
+                    (limits[i], winners[i]) = (ds[i], cluster);
+                }
+            }
+        }
+        for (i, &q) in group.iter().enumerate() {
+            best[q] = (limits[i], winners[i]);
         }
     }
     best
+}
+
+/// Where query `q`'s descent of the VO tree ends, and the best of that
+/// node's full rows. The descent follows the traversal's rule
+/// (`q[dim] − value <= 0` goes left) and must move to a larger node index
+/// at every step, so it ends on any arena. Ending anywhere but a leaf — at
+/// a stub, or out of range — seeds `(∞, u32::MAX)`.
+fn seed(tree: &Resolved<'_>, rows: &[VoCluster], q: &[f32]) -> (usize, (f32, u32)) {
+    let mut best = (f32::INFINITY, u32::MAX);
+    let mut node = tree.root();
+    let leaf_rows = loop {
+        match tree.view(node) {
+            Shape::Leaf(leaf_rows) => break leaf_rows,
+            Shape::Internal {
+                dim,
+                value,
+                left,
+                right,
+            } => {
+                let next = match q.get(dim as usize) {
+                    Some(x) if x - value <= 0.0 => left,
+                    Some(_) => right,
+                    None => break &[],
+                };
+                if next <= node {
+                    break &[];
+                }
+                node = next;
+            }
+            Shape::Known(_) => break &[],
+        }
+    };
+    for row in leaf_rows.iter().filter_map(|&r| rows.get(r as usize)) {
+        if let Reveal::Full { coords } | Reveal::FullCompressed { coords } = &row.reveal {
+            if let Some(d) = dist_sq_within(q, coords, best.0) {
+                if beats((d, row.cluster), best) {
+                    best = (d, row.cluster);
+                }
+            }
+        }
+    }
+    (node, best)
+}
+
+/// Whether `(d, cluster)` replaces `best`: closer, or as close with the
+/// smaller cluster id. NaN never does.
+fn beats((d, cluster): (f32, u32), best: (f32, u32)) -> bool {
+    d < best.0 || (d == best.0 && cluster < best.1)
 }
 
 /// Verifies a Baseline (per-query) BoVW VO. All per-query VOs must
@@ -1257,34 +1345,117 @@ mod tests {
         best
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+    /// A coordinate for the threshold-scan tables: mostly small and
+    /// finite, now and then −0.0, ±∞ or NaN.
+    fn scan_coord(rng: &mut StdRng) -> f32 {
+        match rng.gen_range(0u32..512) {
+            0 => -0.0,
+            1 => f32::INFINITY,
+            2 => f32::NEG_INFINITY,
+            3 => f32::NAN,
+            _ => rng.gen_range(-1.0f32..1.0),
+        }
+    }
 
-        /// Early exit never changes a winner, a tie-break, or a threshold
-        /// bit — including duplicated centroids (exact ties), NaN and
-        /// infinite coordinates.
+    /// A random VO tree over `ids`: splits on random dimensions and
+    /// values, leaves of up to four ids, and stubs standing in for some
+    /// subtrees, so descents end at leaves and at stubs alike.
+    fn random_tree(b: &mut crate::vo::VoTreeBuilder, ids: &[u32], dim: usize, rng: &mut StdRng) {
+        if ids.is_empty() || rng.gen_range(0u32..8) == 0 {
+            b.pruned(Digest::of(b"stub"));
+        } else if ids.len() <= 4 && rng.gen::<bool>() || ids.len() == 1 {
+            b.leaf(ids.iter().copied());
+        } else {
+            let mid = rng.gen_range(1..ids.len());
+            b.internal(rng.gen_range(0..dim) as u32, scan_coord(rng));
+            random_tree(b, &ids[..mid], dim, rng);
+            random_tree(b, &ids[mid..], dim, rng);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The seeded lane scan returns, query by query, the very winner
+        /// and threshold bits of a full `dist_sq` scan over every full row:
+        /// across group sizes around the lane width, widths with and
+        /// without a lane tail, duplicated centroids under other ids
+        /// (exact ties), −0.0, ±∞ and NaN in rows and queries, descents
+        /// ending at stubs and at leaves with no full row, and tables
+        /// with no full row at all.
         #[test]
         fn threshold_scan_matches_the_full_scan(
-            q in proptest::collection::vec(any::<f32>(), 24..=24),
-            centroids in proptest::collection::vec(
-                proptest::collection::vec(any::<f32>(), 24..=24), 1..12),
-            near in proptest::collection::vec(-0.5f32..0.5, 24..=24),
-            dup in any::<prop::sample::Index>(),
+            seed in any::<u64>(),
+            n_queries in prop_oneof![Just(1usize), Just(7), Just(8), Just(9), Just(100)],
+            dim in prop_oneof![Just(12usize), Just(24), Just(64), Just(128)],
+            n_rows in 1usize..40,
+            no_full_row in 0u8..8,
         ) {
-            let mut centroids = centroids;
-            // A centroid close to the query, and an exact duplicate of some
-            // centroid under a larger id, so ties and near-misses occur.
-            centroids.push(q.iter().zip(&near).map(|(a, b)| a + b).collect());
-            centroids.push(centroids[dup.index(centroids.len())].clone());
-            let reveals: Vec<(u32, &[f32])> = centroids
-                .iter()
-                .enumerate()
-                .map(|(i, c)| (3 * i as u32 + 1, c.as_slice()))
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut centroids: Vec<Vec<f32>> = Vec::new();
+            let rows: Vec<VoCluster> = (0..n_rows as u32)
+                .map(|i| {
+                    let reveal = if no_full_row == 0 || rng.gen_range(0u32..3) == 0 {
+                        Reveal::Partial {
+                            dim_root: Digest::ZERO,
+                            blocks: vec![(0, vec![0.0; dim.min(crate::tree::BLOCK_DIMS)])],
+                            proof: imageproof_crypto::merkle::SubsetProof {
+                                n_leaves: 0,
+                                fill: vec![],
+                            },
+                        }
+                    } else {
+                        let coords = match centroids.len() {
+                            n if n > 0 && rng.gen_range(0u32..4) == 0 => {
+                                centroids[rng.gen_range(0..n)].clone()
+                            }
+                            _ => (0..dim).map(|_| scan_coord(&mut rng)).collect(),
+                        };
+                        centroids.push(coords.clone());
+                        Reveal::Full { coords }
+                    };
+                    VoCluster {
+                        cluster: 3 * i + 1,
+                        inv_digest: Digest::ZERO,
+                        reveal,
+                    }
+                })
                 .collect();
-            let fast = nearest_revealed(&q, &reveals);
-            let full = nearest_revealed_full_scan(&q, &reveals);
-            prop_assert_eq!(fast.0.to_bits(), full.0.to_bits());
-            prop_assert_eq!(fast.1, full.1);
+            // Queries on or next to a centroid, so ties and near misses
+            // occur, or anywhere.
+            let queries: Vec<Vec<f32>> = (0..n_queries)
+                .map(|_| match centroids.len() {
+                    n if n > 0 && rng.gen::<bool>() => {
+                        let noise = [0.0f32, 1e-3, 0.1][rng.gen_range(0..3usize)];
+                        centroids[rng.gen_range(0..n)]
+                            .iter()
+                            .map(|&x| x + rng.gen_range(-1.0f32..1.0) * noise)
+                            .collect()
+                    }
+                    _ => (0..dim).map(|_| scan_coord(&mut rng)).collect(),
+                })
+                .collect();
+            let ids: Vec<u32> = rows.iter().map(|row| row.cluster).collect();
+            let mut b = crate::vo::VoTreeBuilder::default();
+            random_tree(&mut b, &ids, dim, &mut rng);
+            let vo_tree = b.finish();
+            let mut table = Table::check(&rows, dim).expect("ascending ids");
+            let tree = Resolved::check(&vo_tree, &mut table).expect("leaves name rows");
+
+            let reveals: Vec<(u32, &[f32])> = rows
+                .iter()
+                .filter_map(|row| match &row.reveal {
+                    Reveal::Full { coords } => Some((row.cluster, coords.as_slice())),
+                    _ => None,
+                })
+                .collect();
+            let fast = nearest_revealed(&tree, &rows, &queries, &reveals);
+            prop_assert_eq!(fast.len(), queries.len());
+            for (qi, (q, got)) in queries.iter().zip(&fast).enumerate() {
+                let want = nearest_revealed_full_scan(q, &reveals);
+                prop_assert_eq!(got.0.to_bits(), want.0.to_bits(), "query {}", qi);
+                prop_assert_eq!(got.1, want.1, "query {}", qi);
+            }
         }
     }
 
