@@ -38,7 +38,8 @@ echo "== test (workspace) =="
 cargo test -q --workspace
 
 echo "== test (release): the distance kernels' contract in the optimized build =="
-# The step above builds at opt-level 0, where nothing is vectorized, so
+# The step above builds with the dev profile (opt-level 1, overflow checks
+# and debug assertions on), not the release profile's opt-level 3, so
 # `akm::kernel`'s bit-exactness contract would never be checked on the code
 # that ships. Run the kernels' proptests and their client caller's
 # (`mrkd::verify`'s threshold scan) once more, optimized.
@@ -201,7 +202,7 @@ fi
 echo "== clippy: workspace, then the ledger package =="
 # Besides the usual lints this enforces clippy.toml's disallowed-types
 # across every target, and `--all-targets` is also what type-checks the
-# criterion benches, which no step above compiles. `ledger/` is its own
+# `ablation` bench, which no step above compiles. `ledger/` is its own
 # workspace and does not inherit [workspace.lints], so it gets
 # `unsafe_code` on the command line; clippy finds the root clippy.toml
 # from there by walking up.

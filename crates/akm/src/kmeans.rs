@@ -259,7 +259,7 @@ mod tests {
             .iter()
             .enumerate()
             .min_by(|(_, a), (_, b)| {
-                crate::rkd::dist_sq(q, a).total_cmp(&crate::rkd::dist_sq(q, b))
+                crate::kernel::dist_sq(q, a).total_cmp(&crate::kernel::dist_sq(q, b))
             })
             .map(|(i, _)| i as u32)
             .expect("non-empty");

@@ -22,4 +22,4 @@ pub mod rkd;
 pub use bovw::{impact_value, impacts_with_weights, similarity, ImpactModel, SparseBovw};
 pub use kernel::{dist_sq_scalar, dist_sq_within};
 pub use kmeans::{AkmParams, Codebook};
-pub use rkd::{dist_sq, Neighbor, Node, OrdF32, RkdForest, RkdTree};
+pub use rkd::{Neighbor, Node, OrdF32, RkdForest, RkdTree};

@@ -233,13 +233,6 @@ fn build_recursive(
     my_index
 }
 
-/// Squared Euclidean distance: the chunked kernel, bit-identical to the
-/// scalar fold the protocol fixed (see [`crate::kernel`]).
-#[inline]
-pub fn dist_sq(a: &[f32], b: &[f32]) -> f32 {
-    crate::kernel::dist_sq(a, b)
-}
-
 /// A forest of randomized k-d trees searched jointly (the AKM index).
 #[derive(Clone, Debug)]
 pub struct RkdForest {
@@ -349,6 +342,7 @@ impl Neighbor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::dist_sq;
 
     fn random_points(n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
         let mut rng = StdRng::seed_from_u64(seed);

@@ -2,7 +2,8 @@
 //! nearest-cluster assignment over arbitrary point sets.
 
 use imageproof_akm::bovw::{similarity, SparseBovw};
-use imageproof_akm::rkd::{dist_sq, RkdTree};
+use imageproof_akm::kernel::dist_sq;
+use imageproof_akm::rkd::RkdTree;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -10,7 +10,7 @@
 use crate::rules::Finding;
 
 /// External crates the workspace may depend on: the vendored set.
-const ALLOWED: &[&str] = &["rand", "proptest", "criterion"];
+const ALLOWED: &[&str] = &["rand", "proptest"];
 
 fn allowed(name: &str) -> bool {
     // Workspace-internal crates are always fine.
@@ -116,9 +116,7 @@ mod tests {
                     imageproof-crypto = { path = \"../crypto\" }\n\
                     rand.workspace = true # ok\n\n\
                     [dev-dependencies]\n\
-                    proptest = \"1\"\n\n\
-                    [workspace.dependencies]\n\
-                    criterion = \"0.5\"\n";
+                    proptest = \"1\"\n";
         let f = analyze_manifest("Cargo.toml", toml);
         assert!(f.is_empty(), "{f:?}");
     }
@@ -129,13 +127,17 @@ mod tests {
                     serde = { version = \"1\", features = [\"derive\"] }\n\
                     crossbeam = \"0.8\"\n\
                     parking_lot = \"0.12\"\n\
-                    bytes = \"1\"\n";
+                    bytes = \"1\"\n\
+                    criterion = \"0.5\"\n";
         let f = analyze_manifest("Cargo.toml", toml);
         let flagged: Vec<&str> = f
             .iter()
             .map(|x| x.message.split('\'').nth(1).unwrap_or(""))
             .collect();
-        assert_eq!(flagged, ["serde", "crossbeam", "parking_lot", "bytes"]);
+        assert_eq!(
+            flagged,
+            ["serde", "crossbeam", "parking_lot", "bytes", "criterion"]
+        );
     }
 
     #[test]

@@ -38,7 +38,7 @@ impl FixtureConfig {
         }
     }
 
-    /// A much smaller scale for smoke tests and criterion micro-benches.
+    /// A much smaller scale for smoke tests and the `ablation` bench.
     pub fn quick(kind: DescriptorKind) -> FixtureConfig {
         FixtureConfig {
             kind,

@@ -1,7 +1,6 @@
 //! Experiment infrastructure for the `figures` binary, which regenerates
 //! every figure of the paper's evaluation (§VII) from one query-and-verify
-//! pass per point ([`measure::measure`]), and for the `primitives` and
-//! `ablation` criterion benches.
+//! pass per point ([`measure::measure`]), and for the `ablation` bench.
 //!
 //! The paper's testbed is a 256 GB Xeon server over MirFlickr1M; this
 //! reproduction scales every axis down by the same factors (see

@@ -316,7 +316,7 @@ mod tests {
     use crate::scheme::{BovwVoVariant, QueryVo};
     use imageproof_crypto::wire::Encode;
     use imageproof_crypto::Digest;
-    use imageproof_invindex::InvVo;
+    use imageproof_invindex::InvVoOf;
     use imageproof_mrkd::{BovwVo, VoTreeBuilder};
 
     /// A fleet of canned shards: no threads, no sockets, no clock. Shard
@@ -357,7 +357,7 @@ mod tests {
     }
 
     fn empty_inv() -> InvVoVariant {
-        InvVoVariant::Plain(InvVo { lists: Vec::new() })
+        InvVoVariant::Plain(InvVoOf { lists: Vec::new() })
     }
 
     fn signatures(topk: &[(ImageId, f32)]) -> Vec<Signature> {

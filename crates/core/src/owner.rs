@@ -4,8 +4,8 @@ use crate::scheme::{Scheme, SystemConfig};
 use crate::shard::{manifest_root, manifest_signing_message, shard_of, ShardManifest};
 use imageproof_akm::{AkmParams, Codebook, ImpactModel, SparseBovw};
 use imageproof_crypto::{Digest, PublicKey, Signature, SigningKey};
-use imageproof_invindex::grouped::GroupedInvertedIndex;
-use imageproof_invindex::{MerkleInvertedIndex, SpaceUsage};
+use imageproof_invindex::grouped::Group;
+use imageproof_invindex::{Index, Posting, SpaceUsage};
 use imageproof_mrkd::MrkdTree;
 use imageproof_parallel::{par_map, par_map_chunked, Concurrency};
 use imageproof_vision::{Corpus, ImageId, SyntheticImage};
@@ -31,8 +31,8 @@ pub struct StoredImage {
 /// The inverted index in the form the scheme requires.
 #[derive(Clone, Debug)]
 pub enum IndexVariant {
-    Plain(MerkleInvertedIndex),
-    Grouped(GroupedInvertedIndex),
+    Plain(Index<Posting>),
+    Grouped(Index<Group>),
 }
 
 impl IndexVariant {
@@ -230,14 +230,14 @@ impl Owner {
         // 3. The inverted index (plain or grouped); per-cluster posting
         // lists, cuckoo filters, and digest chains build in parallel.
         let inv = if scheme.grouped_index() {
-            IndexVariant::Grouped(GroupedInvertedIndex::build_with(
+            IndexVariant::Grouped(Index::<Group>::build_with(
                 codebook.len(),
                 &encodings,
                 model,
                 concurrency,
             ))
         } else {
-            IndexVariant::Plain(MerkleInvertedIndex::build_with(
+            IndexVariant::Plain(Index::<Posting>::build_with(
                 codebook.len(),
                 &encodings,
                 model,

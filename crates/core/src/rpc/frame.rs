@@ -892,10 +892,10 @@ mod tests {
 
     #[test]
     fn trim_payload_round_trips_on_the_wire() {
-        use imageproof_invindex::InvVo;
+        use imageproof_invindex::InvVoOf;
         let payload = TrimPayload {
             topk: vec![(5, 1.5), (9, 0.25)],
-            inv: InvVoVariant::Plain(InvVo { lists: Vec::new() }),
+            inv: InvVoVariant::Plain(InvVoOf { lists: Vec::new() }),
             signatures: vec![Signature::from_bytes([7u8; 64])],
         };
         let decoded = TrimPayload::from_wire(&payload.to_wire()).expect("trim round trip");
@@ -905,7 +905,7 @@ mod tests {
 
     #[test]
     fn query_payload_round_trips_on_the_wire() {
-        use imageproof_invindex::InvVo;
+        use imageproof_invindex::InvVoOf;
         use imageproof_mrkd::{BovwVo, VoTreeBuilder};
         let payload = QueryPayload {
             results: vec![ImageResult {
@@ -918,7 +918,7 @@ mod tests {
                     clusters: Vec::new(),
                     tree: VoTreeBuilder::default().pruned(Digest::ZERO).finish(),
                 }),
-                inv: InvVoVariant::Plain(InvVo { lists: Vec::new() }),
+                inv: InvVoVariant::Plain(InvVoOf { lists: Vec::new() }),
                 signatures: vec![Signature::from_bytes([9u8; 64])],
             },
             stats: WireStats::default(),

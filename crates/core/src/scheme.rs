@@ -3,8 +3,8 @@
 
 use imageproof_crypto::wire::{Decode, Encode, Reader, WireError, Writer};
 use imageproof_crypto::Signature;
-use imageproof_invindex::grouped::GroupedInvVo;
-use imageproof_invindex::{BoundsMode, InvVo};
+use imageproof_invindex::grouped::Group;
+use imageproof_invindex::{BoundsMode, InvVoOf, Posting};
 use imageproof_mrkd::{BaselineBovwVo, BovwVo, CandidateMode};
 use imageproof_parallel::Concurrency;
 
@@ -135,8 +135,8 @@ pub enum BovwVoVariant {
 /// Inverted-index VO, plain or frequency-grouped.
 #[derive(Clone, Debug, PartialEq)]
 pub enum InvVoVariant {
-    Plain(InvVo),
-    Grouped(GroupedInvVo),
+    Plain(InvVoOf<Posting>),
+    Grouped(InvVoOf<Group>),
 }
 
 /// The complete VO of one top-k query (Alg. 5 line 7): the BoVW VOs, the
@@ -191,8 +191,8 @@ impl Encode for InvVoVariant {
 impl Decode for InvVoVariant {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match r.u8()? {
-            0 => Ok(InvVoVariant::Plain(InvVo::decode(r)?)),
-            1 => Ok(InvVoVariant::Grouped(GroupedInvVo::decode(r)?)),
+            0 => Ok(InvVoVariant::Plain(InvVoOf::<Posting>::decode(r)?)),
+            1 => Ok(InvVoVariant::Grouped(InvVoOf::<Group>::decode(r)?)),
             t => Err(WireError::InvalidTag(t)),
         }
     }

@@ -1027,7 +1027,7 @@ mod tests {
             contributed: 2,
             claimed: vec![11, 19, 4],
             bovw,
-            inv: InvVoVariant::Plain(imageproof_invindex::InvVo { lists: Vec::new() }),
+            inv: InvVoVariant::Plain(imageproof_invindex::InvVoOf { lists: Vec::new() }),
             signatures: vec![Signature::from_bytes([7u8; 64])],
         }
     }

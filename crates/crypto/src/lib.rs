@@ -12,8 +12,8 @@
 //!   sign images (Eq. 15) and the ADS root digest.
 //! * [`digest`] — the 32-byte [`digest::Digest`] type and an
 //!   unambiguous field-concatenation builder shared by all ADSs.
-//! * [`merkle`] — a generic binary Merkle hash tree with membership proofs
-//!   (paper §II-B, Fig. 1), reused by the §VI-A optimization.
+//! * [`merkle`] — a generic binary Merkle hash tree with subset membership
+//!   proofs (paper §II-B, Fig. 1), used by the §VI-A optimization.
 //!
 //! All primitives are validated against official test vectors (FIPS /
 //! RFC 8032) in the unit tests.
@@ -28,5 +28,5 @@ pub mod wire;
 
 pub use digest::{Digest, DigestBatch, DigestBuilder, FieldSink};
 pub use ed25519::{verify_batch, PublicKey, Signature, SigningKey};
-pub use merkle::{MerkleProof, MerkleTree, SubsetProof};
+pub use merkle::{MerkleTree, SubsetProof};
 pub use wire::{Decode, Encode, Reader, WireError, Writer};

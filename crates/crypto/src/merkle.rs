@@ -1,5 +1,5 @@
 //! A generic binary Merkle hash tree (Merkle, CRYPTO '89; paper §II-B,
-//! Fig. 1) with membership proofs.
+//! Fig. 1) with batched membership proofs for subsets of its leaves.
 //!
 //! ImageProof embeds an MH-tree over the *dimensions* of each cluster
 //! centroid for the §VI-A candidate-compression optimization: the SP reveals
@@ -8,17 +8,11 @@
 //! MRKD-tree leaf digest commits to.
 
 use crate::digest::{Digest, DigestBatch, DigestBuilder, FieldSink};
-use imageproof_parallel::{par_map_chunked, Concurrency};
 
 /// Domain-separation tags so a leaf digest can never be confused with an
 /// internal-node digest (a classic second-preimage pitfall in Merkle trees).
 const LEAF_TAG: u8 = 0x00;
 const NODE_TAG: u8 = 0x01;
-
-/// Minimum nodes per scheduled chunk when hashing a level in parallel: one
-/// SHA3 of 65 bytes is far cheaper than claiming a work item, so small
-/// levels (and small trees) stay on the calling thread.
-const PAR_MIN_NODES: usize = 256;
 
 /// The message of a leaf over `data`, for a single digest
 /// (`hash_leaf(Digest::builder(), data)`) or a batched one
@@ -50,66 +44,31 @@ pub struct MerkleTree {
     levels: Vec<Vec<Digest>>,
 }
 
-/// One step of a Merkle authentication path.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PathStep {
-    /// The sibling digest to combine with.
-    pub sibling: Digest,
-    /// True if the sibling sits to the left of the running digest.
-    pub sibling_is_left: bool,
-}
-
-/// A membership proof for one leaf.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MerkleProof {
-    pub leaf_index: usize,
-    pub path: Vec<PathStep>,
-}
-
 impl MerkleTree {
     /// Builds a tree over pre-hashed leaf values.
     ///
     /// # Panics
     /// Panics if `leaves` is empty: an empty authenticated set has no root.
-    pub fn from_leaf_data<D: AsRef<[u8]> + Sync>(leaves: &[D]) -> Self {
-        Self::from_leaf_data_with(leaves, Concurrency::serial())
-    }
-
-    /// [`MerkleTree::from_leaf_data`] with parallel leaf and level hashing.
-    ///
-    /// The levels of the resulting tree are a pure function of the leaf
-    /// sequence, so the root (and every proof) is identical for every
-    /// thread count.
-    pub fn from_leaf_data_with<D: AsRef<[u8]> + Sync>(leaves: &[D], conc: Concurrency) -> Self {
-        let digests = par_map_chunked(conc, leaves, PAR_MIN_NODES, |_, d| leaf_digest(d.as_ref()));
-        Self::from_leaf_digests_with(digests, conc)
+    pub fn from_leaf_data<D: AsRef<[u8]>>(leaves: &[D]) -> Self {
+        Self::from_leaf_digests(leaves.iter().map(|d| leaf_digest(d.as_ref())).collect())
     }
 
     /// Builds a tree when leaf digests are computed externally.
-    pub fn from_leaf_digests(leaves: Vec<Digest>) -> Self {
-        Self::from_leaf_digests_with(leaves, Concurrency::serial())
-    }
-
-    /// [`MerkleTree::from_leaf_digests`] with the bottom-up level hashing
-    /// fanned out across workers. Each level's nodes depend only on the
-    /// previous level, so nodes within a level hash independently and are
-    /// merged back in index order — levels (and the root) are bit-identical
-    /// to the serial build.
     // audit:allow(panic) levels is seeded with the leaf level and only grows; chunks(2) yields 1- or 2-element slices
-    pub fn from_leaf_digests_with(leaves: Vec<Digest>, conc: Concurrency) -> Self {
+    pub fn from_leaf_digests(leaves: Vec<Digest>) -> Self {
         assert!(!leaves.is_empty(), "Merkle tree needs at least one leaf");
         let mut levels = vec![leaves];
         while levels.last().expect("non-empty").len() > 1 {
-            let prev = levels.last().expect("non-empty");
-            let pairs: Vec<&[Digest]> = prev.chunks(2).collect();
-            let next = par_map_chunked(conc, &pairs, PAR_MIN_NODES, |_, pair| {
-                let pair: &[Digest] = pair;
-                match pair {
+            let next = levels
+                .last()
+                .expect("non-empty")
+                .chunks(2)
+                .map(|pair| match pair {
                     [l, r] => node_digest(l, r),
                     [only] => *only,
                     _ => unreachable!("chunks(2) yields 1- or 2-element slices"),
-                }
-            });
+                })
+                .collect();
             levels.push(next);
         }
         MerkleTree { levels }
@@ -134,48 +93,6 @@ impl MerkleTree {
     /// True when the tree has exactly one leaf.
     pub fn is_empty(&self) -> bool {
         false // construction rejects empty leaf sets
-    }
-
-    /// Produces the authentication path for `leaf_index`.
-    ///
-    /// # Panics
-    /// Panics when `leaf_index` is out of range.
-    pub fn prove(&self, leaf_index: usize) -> MerkleProof {
-        assert!(leaf_index < self.len(), "leaf index out of range");
-        let mut path = Vec::new();
-        let mut idx = leaf_index;
-        for level in &self.levels[..self.levels.len() - 1] {
-            let sibling_idx = idx ^ 1;
-            if sibling_idx < level.len() {
-                path.push(PathStep {
-                    sibling: level[sibling_idx],
-                    sibling_is_left: sibling_idx < idx,
-                });
-            }
-            // When the sibling does not exist the node was promoted: no step.
-            idx /= 2;
-        }
-        MerkleProof { leaf_index, path }
-    }
-}
-
-impl MerkleProof {
-    /// Recomputes the root from raw leaf data and compares with `root`.
-    pub fn verify_data(&self, leaf_data: &[u8], root: &Digest) -> bool {
-        self.verify_digest(leaf_digest(leaf_data), root)
-    }
-
-    /// Recomputes the root from a pre-computed leaf digest.
-    pub fn verify_digest(&self, leaf: Digest, root: &Digest) -> bool {
-        let mut acc = leaf;
-        for step in &self.path {
-            acc = if step.sibling_is_left {
-                node_digest(&step.sibling, &acc)
-            } else {
-                node_digest(&acc, &step.sibling)
-            };
-        }
-        acc == *root
     }
 }
 
@@ -364,44 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn every_leaf_proof_verifies_for_many_sizes() {
-        for n in [1usize, 2, 3, 4, 5, 7, 8, 9, 16, 33] {
-            let data = leaves(n);
-            let tree = MerkleTree::from_leaf_data(&data);
-            let root = tree.root();
-            for (i, leaf) in data.iter().enumerate() {
-                let proof = tree.prove(i);
-                assert!(proof.verify_data(leaf, &root), "n={n} i={i}");
-            }
-        }
-    }
-
-    #[test]
-    fn proof_fails_for_wrong_leaf_data() {
-        let data = leaves(8);
-        let tree = MerkleTree::from_leaf_data(&data);
-        let proof = tree.prove(3);
-        assert!(!proof.verify_data(b"tampered", &tree.root()));
-    }
-
-    #[test]
-    fn proof_fails_against_wrong_root() {
-        let data = leaves(8);
-        let tree = MerkleTree::from_leaf_data(&data);
-        let other = MerkleTree::from_leaf_data(&leaves(9));
-        let proof = tree.prove(3);
-        assert!(!proof.verify_data(&data[3], &other.root()));
-    }
-
-    #[test]
-    fn proof_for_one_position_rejects_data_of_another() {
-        let data = leaves(8);
-        let tree = MerkleTree::from_leaf_data(&data);
-        let proof = tree.prove(2);
-        assert!(!proof.verify_data(&data[5], &tree.root()));
-    }
-
-    #[test]
     fn changing_any_leaf_changes_the_root() {
         let data = leaves(10);
         let base = MerkleTree::from_leaf_data(&data).root();
@@ -430,21 +309,6 @@ mod tests {
     fn empty_tree_is_rejected() {
         let empty: Vec<Vec<u8>> = Vec::new();
         let _ = MerkleTree::from_leaf_data(&empty);
-    }
-
-    #[test]
-    fn parallel_level_hashing_matches_serial_for_many_sizes() {
-        // Sizes straddling the PAR_MIN_NODES chunking threshold, including
-        // odd levels (promoted nodes) at every depth.
-        for n in [1usize, 2, 3, 7, 255, 256, 257, 600, 1025] {
-            let data = leaves(n);
-            let serial = MerkleTree::from_leaf_data(&data);
-            for threads in [2usize, 4, 8] {
-                let par = MerkleTree::from_leaf_data_with(&data, Concurrency::new(threads));
-                assert_eq!(par.levels, serial.levels, "n={n} threads={threads}");
-                assert_eq!(par.root(), serial.root());
-            }
-        }
     }
 
     #[test]
@@ -619,16 +483,19 @@ mod tests {
         data[6] = b"same".to_vec();
         let tree = MerkleTree::from_leaf_data(&data);
         let root = tree.root();
+        let same: &[u8] = b"same";
         for i in [1usize, 6] {
-            let proof = tree.prove(i);
-            assert!(proof.verify_data(b"same", &root), "leaf {i}");
-            assert!(!proof.verify_data(b"diff", &root), "leaf {i}");
+            let proof = tree.prove_subset(&[i]);
+            assert!(proof.verify_data(&[(i, same)], &root), "leaf {i}");
+            assert!(!proof.verify_data(&[(i, b"diff")], &root), "leaf {i}");
         }
         // A proof for position 1 does not authenticate the identical bytes
         // at position 6 (the sibling path differs), and vice versa.
-        let p1 = tree.prove(1);
-        let p6 = tree.prove(6);
-        assert_ne!(p1.path, p6.path);
+        let p1 = tree.prove_subset(&[1]);
+        let p6 = tree.prove_subset(&[6]);
+        assert_ne!(p1.fill, p6.fill);
+        assert!(!p1.verify_data(&[(6, same)], &root));
+        assert!(!p6.verify_data(&[(1, same)], &root));
         // Subset proofs over duplicate content verify at their own indices…
         let proof = tree.prove_subset(&[1, 6]);
         let ok: Vec<(usize, &[u8])> = vec![(1, b"same"), (6, b"same")];
@@ -654,7 +521,10 @@ mod tests {
         let tree = MerkleTree::from_leaf_data(&data);
         let subset: Vec<usize> = (0..16).collect();
         let batched = tree.prove_subset(&subset);
-        let individual: usize = subset.iter().map(|&i| tree.prove(i).path.len()).sum();
+        let individual: usize = subset
+            .iter()
+            .map(|&i| tree.prove_subset(&[i]).fill.len())
+            .sum();
         assert!(
             batched.fill.len() < individual,
             "batched {} >= individual {individual}",

@@ -119,19 +119,19 @@ proptest! {
         }
     }
 
-    /// Merkle membership proofs verify for every leaf of arbitrary trees
-    /// and reject cross-leaf substitution.
+    /// One-leaf subset proofs verify for every leaf of arbitrary trees and
+    /// reject a neighbour's bytes at the same index.
     #[test]
     fn merkle_proofs_sound(leaves in proptest::collection::vec(
         proptest::collection::vec(any::<u8>(), 1..16), 1..40)) {
         let tree = MerkleTree::from_leaf_data(&leaves);
         let root = tree.root();
         for (i, leaf) in leaves.iter().enumerate() {
-            let proof = tree.prove(i);
-            prop_assert!(proof.verify_data(leaf, &root));
-            let other = (i + 1) % leaves.len();
-            if leaves[other] != *leaf {
-                prop_assert!(!proof.verify_data(&leaves[other], &root));
+            let proof = tree.prove_subset(&[i]);
+            prop_assert!(proof.verify_data(&[(i, leaf.as_slice())], &root));
+            let other = &leaves[(i + 1) % leaves.len()];
+            if other != leaf {
+                prop_assert!(!proof.verify_data(&[(i, other.as_slice())], &root));
             }
         }
     }

@@ -17,10 +17,10 @@
 //! ([`crate::merkle`], [`crate::search`], [`crate::vo`], [`crate::verify`]).
 
 use crate::bounds::BoundsMode;
-use crate::merkle::{Entry, Index, List, ListEdit};
+use crate::merkle::{Entry, Index, ListEdit};
 use crate::search::{search, SearchResult, SearchTuning};
 use crate::verify::{verify, InvVerifyError, VerifiedTopk};
-use crate::vo::{InvVoOf, ListVoOf};
+use crate::vo::InvVoOf;
 use imageproof_akm::bovw::{impact_value, SparseBovw};
 use imageproof_crypto::wire::{Decode, Encode, Reader, WireError, Writer};
 use imageproof_crypto::Digest;
@@ -166,38 +166,20 @@ impl Decode for Group {
     }
 }
 
-/// A cluster's frequency-grouped Merkle inverted list (`Γ^f_c`).
-pub type GroupedList = List<Group>;
-
-/// The frequency-grouped index (one list per cluster).
-pub type GroupedInvertedIndex = Index<Group>;
-
-/// One relevant grouped list's share of the VO.
-pub type GroupedListVo = ListVoOf<Group>;
-
-/// The grouped inverted-index VO.
-pub type GroupedInvVo = InvVoOf<Group>;
-
-/// Result of a grouped authenticated search.
-pub type GroupedSearchResult = SearchResult<Group>;
-
-/// Exact top-k by full accumulation over the grouped index.
-pub use crate::search::exhaustive_topk as grouped_exhaustive_topk;
-
 /// Authenticated top-k search over the grouped index (always uses the
 /// cuckoo-filtered bounds — grouping is an *addition* to ImageProof).
 pub fn grouped_search(
-    index: &GroupedInvertedIndex,
+    index: &Index<Group>,
     query_bovw: &SparseBovw,
     k: usize,
-) -> GroupedSearchResult {
+) -> SearchResult<Group> {
     let mode = BoundsMode::CuckooFiltered;
     search(index, query_bovw, k, mode, SearchTuning::GROUPED, "grouped")
 }
 
 /// Client-side verification of a grouped VO.
 pub fn verify_grouped_topk(
-    vo: &GroupedInvVo,
+    vo: &InvVoOf<Group>,
     query_bovw: &SparseBovw,
     authenticated_digests: &BTreeMap<u32, Digest>,
     claimed: &[u64],
@@ -210,8 +192,9 @@ pub fn verify_grouped_topk(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::merkle::MerkleInvertedIndex;
+    use crate::merkle::Posting;
     use crate::search::{exhaustive_topk, inv_search};
+    use crate::vo::ListVoOf;
     use imageproof_akm::bovw::{impacts_with_weights, ImpactModel};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -232,17 +215,13 @@ mod tests {
             .collect()
     }
 
-    fn both_indexes(
-        n_images: u64,
-        n_clusters: usize,
-        seed: u64,
-    ) -> (MerkleInvertedIndex, GroupedInvertedIndex) {
+    fn both_indexes(n_images: u64, n_clusters: usize, seed: u64) -> (Index<Posting>, Index<Group>) {
         let imgs = images(n_images, n_clusters, seed);
         let encodings: Vec<SparseBovw> = imgs.iter().map(|(_, b)| b.clone()).collect();
         let model = ImpactModel::build(n_clusters, &encodings);
         (
-            MerkleInvertedIndex::build(n_clusters, &imgs, &model),
-            GroupedInvertedIndex::build(n_clusters, &imgs, &model),
+            Index::<Posting>::build(n_clusters, &imgs, &model),
+            Index::<Group>::build(n_clusters, &imgs, &model),
         )
     }
 
@@ -266,7 +245,7 @@ mod tests {
             let impacts = impacts_with_weights(&q, |c| plain.list(c).weight);
             let a = exhaustive_topk(&plain, &impacts, 10);
             let impacts_g = impacts_with_weights(&q, |c| grouped.list(c).weight);
-            let b = grouped_exhaustive_topk(&grouped, &impacts_g, 10);
+            let b = exhaustive_topk(&grouped, &impacts_g, 10);
             let ids_a: Vec<u64> = a.iter().map(|&(i, _)| i).collect();
             let ids_b: Vec<u64> = b.iter().map(|&(i, _)| i).collect();
             assert_eq!(ids_a, ids_b, "qseed {qseed}");
@@ -318,11 +297,14 @@ mod tests {
         let q = query(90, 20);
         let out = grouped_search(&grouped, &q, 5);
         let bytes = out.vo.to_wire();
-        assert_eq!(GroupedInvVo::from_wire(&bytes).expect("round trip"), out.vo);
-        // Per-list roundtrip, covering GroupedListVo's own wire impls.
+        assert_eq!(
+            InvVoOf::<Group>::from_wire(&bytes).expect("round trip"),
+            out.vo
+        );
+        // Per-list roundtrip, covering `ListVoOf<Group>`'s own wire impls.
         for list in &out.vo.lists {
             assert_eq!(
-                GroupedListVo::from_wire(&list.to_wire()).expect("round trip"),
+                ListVoOf::<Group>::from_wire(&list.to_wire()).expect("round trip"),
                 *list
             );
         }

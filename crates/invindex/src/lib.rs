@@ -47,14 +47,10 @@ pub mod verify;
 pub mod vo;
 
 pub use bounds::BoundsMode;
-pub use merkle::{
-    block_digest, BlockSummary, Entry, Index, List, ListEdit, MerkleInvertedIndex, MerkleList,
-    Posting, BLOCK_SIZE,
-};
+pub use merkle::{block_digest, BlockSummary, Entry, Index, List, ListEdit, Posting, BLOCK_SIZE};
 pub use search::{
-    exhaustive_topk, inv_search, inv_search_with_tuning, InvSearchResult, InvSearchStats,
-    SearchResult, SearchTuning,
+    exhaustive_topk, inv_search, inv_search_with_tuning, InvSearchStats, SearchResult, SearchTuning,
 };
 pub use space::SpaceUsage;
 pub use verify::{verify_topk, InvVerifyError, VerifiedTopk};
-pub use vo::{FilterVo, InvVo, InvVoOf, ListVo, ListVoOf, RemainingVo};
+pub use vo::{FilterVo, InvVoOf, ListVoOf, RemainingVo};

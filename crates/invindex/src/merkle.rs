@@ -233,9 +233,6 @@ pub struct List<E> {
     filter_commit: Digest,
 }
 
-/// The plain list of Defs. 4–5.
-pub type MerkleList = List<Posting>;
-
 impl<E: Entry> List<E> {
     /// Builds a list from unsorted entries; fails when the cuckoo filter's
     /// displacement chains cannot place every image id (index-level
@@ -343,9 +340,6 @@ pub struct Index<E> {
     /// Shared filter geometry (power of two).
     n_buckets: usize,
 }
-
-/// The plain index of §IV-B1.
-pub type MerkleInvertedIndex = Index<Posting>;
 
 impl<E: Entry> Index<E> {
     /// Builds the index from every database image's `(id, BoVW encoding)`
@@ -462,7 +456,7 @@ impl<E: Entry> Index<E> {
 mod tests {
     use super::*;
 
-    fn toy_index() -> MerkleInvertedIndex {
+    fn toy_index() -> Index<Posting> {
         // Table II's toy corpus shape: a handful of images over 8 clusters.
         let images: Vec<(u64, SparseBovw)> = vec![
             (1, SparseBovw::from_counts([(5, 2), (0, 1)])),
@@ -473,7 +467,7 @@ mod tests {
         ];
         let encodings: Vec<SparseBovw> = images.iter().map(|(_, b)| b.clone()).collect();
         let model = ImpactModel::build(8, &encodings);
-        MerkleInvertedIndex::build(8, &images, &model)
+        Index::<Posting>::build(8, &images, &model)
     }
 
     #[test]
@@ -500,11 +494,11 @@ mod tests {
 
     /// A standalone list long enough to span several blocks (the toy corpus
     /// lists all fit in one block at BLOCK_SIZE = 8).
-    fn long_list(n: usize) -> MerkleList {
+    fn long_list(n: usize) -> List<Posting> {
         let postings: Vec<Posting> = (0..n)
             .map(|i| (i as u64, 1.0 + ((n - i) as f32) * 0.25))
             .collect();
-        MerkleList::try_build(0, 3.0, postings, 64).expect("64 buckets hold the fixture")
+        List::<Posting>::try_build(0, 3.0, postings, 64).expect("64 buckets hold the fixture")
     }
 
     #[test]
@@ -609,7 +603,7 @@ mod tests {
         ];
         let encodings: Vec<SparseBovw> = images.iter().map(|(_, b)| b.clone()).collect();
         let model = ImpactModel::build(2, &encodings);
-        let idx = MerkleInvertedIndex::build(2, &images, &model);
+        let idx = Index::<Posting>::build(2, &images, &model);
         let list1 = idx.list(1);
         let p10 = list1
             .postings

@@ -14,7 +14,7 @@
 //! final popped state becomes the VO.
 
 use crate::bounds::{evaluate, sum_per_image, BoundsMode, ListSnapshot};
-use crate::merkle::{Entry, Index, List, MerkleInvertedIndex, Posting, BLOCK_SIZE};
+use crate::merkle::{Entry, Index, List, Posting, BLOCK_SIZE};
 use crate::vo::{FilterVo, InvVoOf, ListVoOf, RemainingVo};
 use imageproof_akm::bovw::{impacts_with_weights, SparseBovw};
 use imageproof_crypto::Digest;
@@ -109,9 +109,6 @@ pub struct SearchResult<E> {
     pub vo: InvVoOf<E>,
     pub stats: InvSearchStats,
 }
-
-/// Result of the plain scheme's search.
-pub type InvSearchResult = SearchResult<Posting>;
 
 /// Exact top-k by full accumulation (the unauthenticated reference search;
 /// also the oracle the authenticated path must reproduce): lists ascending
@@ -288,22 +285,22 @@ impl Default for SearchTuning {
 /// `mode` selects the ImageProof bounds ([`BoundsMode::CuckooFiltered`]) or
 /// the Baseline's maximal bounds ([`BoundsMode::MaxBound`]).
 pub fn inv_search(
-    index: &MerkleInvertedIndex,
+    index: &Index<Posting>,
     query_bovw: &SparseBovw,
     k: usize,
     mode: BoundsMode,
-) -> InvSearchResult {
+) -> SearchResult<Posting> {
     inv_search_with_tuning(index, query_bovw, k, mode, SearchTuning::default())
 }
 
 /// [`inv_search`] with explicit loop tuning.
 pub fn inv_search_with_tuning(
-    index: &MerkleInvertedIndex,
+    index: &Index<Posting>,
     query_bovw: &SparseBovw,
     k: usize,
     mode: BoundsMode,
     tuning: SearchTuning,
-) -> InvSearchResult {
+) -> SearchResult<Posting> {
     let bounds = match mode {
         BoundsMode::CuckooFiltered => "cuckoo",
         BoundsMode::MaxBound => "max-bound",
@@ -459,7 +456,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     /// A synthetic corpus with Zipfian cluster popularity.
-    fn corpus(n_images: u64, n_clusters: usize, seed: u64) -> MerkleInvertedIndex {
+    fn corpus(n_images: u64, n_clusters: usize, seed: u64) -> Index<Posting> {
         let mut rng = StdRng::seed_from_u64(seed);
         let images: Vec<(u64, SparseBovw)> = (0..n_images)
             .map(|id| {
@@ -477,7 +474,7 @@ mod tests {
             .collect();
         let encodings: Vec<SparseBovw> = images.iter().map(|(_, b)| b.clone()).collect();
         let model = ImpactModel::build(n_clusters, &encodings);
-        MerkleInvertedIndex::build(n_clusters, &images, &model)
+        Index::<Posting>::build(n_clusters, &images, &model)
     }
 
     fn query(seed: u64, n_clusters: usize) -> SparseBovw {

@@ -63,11 +63,11 @@ impl<E: Entry> Index<E> {
 
 #[cfg(test)]
 mod tests {
-    use crate::grouped::GroupedInvertedIndex;
-    use crate::merkle::MerkleInvertedIndex;
+    use crate::grouped::Group;
+    use crate::merkle::{Index, Posting};
     use imageproof_akm::bovw::{ImpactModel, SparseBovw};
 
-    fn fixtures() -> (MerkleInvertedIndex, GroupedInvertedIndex) {
+    fn fixtures() -> (Index<Posting>, Index<Group>) {
         let images: Vec<(u64, SparseBovw)> = (0..40u64)
             .map(|id| {
                 SparseBovw::from_counts([
@@ -81,8 +81,8 @@ mod tests {
         let encodings: Vec<SparseBovw> = images.iter().map(|(_, b)| b.clone()).collect();
         let model = ImpactModel::build(6, &encodings);
         (
-            MerkleInvertedIndex::build(6, &images, &model),
-            GroupedInvertedIndex::build(6, &images, &model),
+            Index::<Posting>::build(6, &images, &model),
+            Index::<Group>::build(6, &images, &model),
         )
     }
 

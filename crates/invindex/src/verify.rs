@@ -24,8 +24,10 @@
 //! Success proves the claimed set is a genuine top-k (Def. 1).
 
 use crate::bounds::{evaluate, BoundsMode, ListSnapshot};
-use crate::merkle::{block_digest, chain_head, expand_all, list_digest, Entry, BLOCK_SIZE};
-use crate::vo::{FilterVo, InvVo, InvVoOf, RemainingVo};
+use crate::merkle::{
+    block_digest, chain_head, expand_all, list_digest, Entry, Posting, BLOCK_SIZE,
+};
+use crate::vo::{FilterVo, InvVoOf, RemainingVo};
 use imageproof_akm::bovw::{impacts_with_weights, SparseBovw};
 use imageproof_crypto::Digest;
 use imageproof_cuckoo::CuckooFilter;
@@ -128,7 +130,7 @@ pub struct VerifiedTopk {
 /// * `k` — the requested result size;
 /// * `mode` — bounds machinery of the scheme in use.
 pub fn verify_topk(
-    vo: &InvVo,
+    vo: &InvVoOf<Posting>,
     query_bovw: &SparseBovw,
     authenticated_digests: &BTreeMap<u32, Digest>,
     claimed: &[u64],
@@ -290,13 +292,13 @@ pub(crate) fn verify<E: Entry>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::merkle::MerkleInvertedIndex;
+    use crate::merkle::Index;
     use crate::search::inv_search;
     use imageproof_akm::bovw::ImpactModel;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn corpus(n_images: u64, n_clusters: usize, seed: u64) -> MerkleInvertedIndex {
+    fn corpus(n_images: u64, n_clusters: usize, seed: u64) -> Index<Posting> {
         let mut rng = StdRng::seed_from_u64(seed);
         let images: Vec<(u64, SparseBovw)> = (0..n_images)
             .map(|id| {
@@ -312,10 +314,10 @@ mod tests {
             .collect();
         let encodings: Vec<SparseBovw> = images.iter().map(|(_, b)| b.clone()).collect();
         let model = ImpactModel::build(n_clusters, &encodings);
-        MerkleInvertedIndex::build(n_clusters, &images, &model)
+        Index::<Posting>::build(n_clusters, &images, &model)
     }
 
-    fn digests_of(idx: &MerkleInvertedIndex) -> BTreeMap<u32, Digest> {
+    fn digests_of(idx: &Index<Posting>) -> BTreeMap<u32, Digest> {
         idx.lists().iter().map(|l| (l.cluster, l.digest)).collect()
     }
 

@@ -9,7 +9,7 @@
 //! posting could have entered the top-k — for four extra bytes over the
 //! old per-posting seal.
 
-use crate::merkle::{expand_all, Entry, Posting};
+use crate::merkle::{expand_all, Entry};
 use imageproof_crypto::wire::{Decode, Encode, Reader, WireError, Writer};
 use imageproof_crypto::Digest;
 
@@ -67,12 +67,6 @@ pub struct ListVoOf<E> {
 pub struct InvVoOf<E> {
     pub lists: Vec<ListVoOf<E>>,
 }
-
-/// The plain scheme's list VO: popped `(image, impact)` postings.
-pub type ListVo = ListVoOf<Posting>;
-
-/// The plain scheme's inverted-index VO.
-pub type InvVo = InvVoOf<Posting>;
 
 impl<E: Entry> InvVoOf<E> {
     /// Total images disclosed (numerator of "% popped postings").
@@ -176,6 +170,7 @@ impl<E: Entry> Decode for InvVoOf<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::merkle::Posting;
 
     #[test]
     fn remaining_vo_round_trips() {
@@ -202,9 +197,9 @@ mod tests {
 
     #[test]
     fn inv_vo_round_trips() {
-        let vo = InvVo {
+        let vo = InvVoOf::<Posting> {
             lists: vec![
-                ListVo {
+                ListVoOf::<Posting> {
                     cluster: 5,
                     weight: 2.5,
                     popped: vec![(1, 0.34), (3, 0.26)],
@@ -214,7 +209,7 @@ mod tests {
                         filter: FilterVo::Bytes(vec![1, 2, 3, 4]),
                     },
                 },
-                ListVo {
+                ListVoOf::<Posting> {
                     cluster: 6,
                     weight: 1.5,
                     popped: vec![],
@@ -222,7 +217,7 @@ mod tests {
                         filter_digest: Digest::of(b"filter"),
                     },
                 },
-                ListVo {
+                ListVoOf::<Posting> {
                     cluster: 9,
                     weight: 0.5,
                     popped: vec![(42, 0.1)],
@@ -235,14 +230,17 @@ mod tests {
             ],
         };
         let bytes = vo.to_wire();
-        assert_eq!(InvVo::from_wire(&bytes).expect("round trip"), vo);
+        assert_eq!(
+            InvVoOf::<Posting>::from_wire(&bytes).expect("round trip"),
+            vo
+        );
         assert_eq!(vo.popped_postings(), 3);
     }
 
     #[test]
     fn malformed_tag_is_rejected() {
-        let vo = InvVo {
-            lists: vec![ListVo {
+        let vo = InvVoOf::<Posting> {
+            lists: vec![ListVoOf::<Posting> {
                 cluster: 1,
                 weight: 1.0,
                 popped: vec![],
@@ -257,6 +255,6 @@ mod tests {
         // count (1); flip it to an invalid value.
         let tag_pos = 1 + 1 + 4 + 1;
         bytes[tag_pos] = 9;
-        assert!(InvVo::from_wire(&bytes).is_err());
+        assert!(InvVoOf::<Posting>::from_wire(&bytes).is_err());
     }
 }

@@ -5,10 +5,10 @@
 
 use imageproof_akm::bovw::{impacts_with_weights, ImpactModel, SparseBovw};
 use imageproof_crypto::Digest;
-use imageproof_invindex::grouped::{grouped_search, verify_grouped_topk, GroupedInvertedIndex};
+use imageproof_invindex::grouped::{grouped_search, verify_grouped_topk, Group};
 use imageproof_invindex::{
-    exhaustive_topk, inv_search, inv_search_with_tuning, verify_topk, BoundsMode, FilterVo,
-    InvVerifyError, MerkleInvertedIndex, RemainingVo, SearchTuning,
+    exhaustive_topk, inv_search, inv_search_with_tuning, verify_topk, BoundsMode, FilterVo, Index,
+    InvVerifyError, Posting, RemainingVo, SearchTuning,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -79,7 +79,7 @@ proptest! {
     ) {
         let encodings: Vec<SparseBovw> = images.iter().map(|(_, b)| b.clone()).collect();
         let model = ImpactModel::build(N_CLUSTERS, &encodings);
-        let index = MerkleInvertedIndex::build(N_CLUSTERS, &images, &model);
+        let index = Index::<Posting>::build(N_CLUSTERS, &images, &model);
         let digests: BTreeMap<u32, Digest> =
             index.lists().iter().map(|l| (l.cluster, l.digest)).collect();
 
@@ -103,8 +103,8 @@ proptest! {
     ) {
         let encodings: Vec<SparseBovw> = images.iter().map(|(_, b)| b.clone()).collect();
         let model = ImpactModel::build(N_CLUSTERS, &encodings);
-        let plain = MerkleInvertedIndex::build(N_CLUSTERS, &images, &model);
-        let grouped = GroupedInvertedIndex::build(N_CLUSTERS, &images, &model);
+        let plain = Index::<Posting>::build(N_CLUSTERS, &images, &model);
+        let grouped = Index::<Group>::build(N_CLUSTERS, &images, &model);
 
         let impacts = impacts_with_weights(&query, |c| plain.list(c).weight);
         let plain_set: std::collections::BTreeSet<u64> =
@@ -131,7 +131,7 @@ proptest! {
     ) {
         let encodings: Vec<SparseBovw> = images.iter().map(|(_, b)| b.clone()).collect();
         let model = ImpactModel::build(N_CLUSTERS, &encodings);
-        let index = MerkleInvertedIndex::build(N_CLUSTERS, &images, &model);
+        let index = Index::<Posting>::build(N_CLUSTERS, &images, &model);
         let digests: BTreeMap<u32, Digest> =
             index.lists().iter().map(|l| (l.cluster, l.digest)).collect();
 
@@ -164,8 +164,8 @@ proptest! {
     ) {
         let encodings: Vec<SparseBovw> = images.iter().map(|(_, b)| b.clone()).collect();
         let model = ImpactModel::build(N_CLUSTERS, &encodings);
-        let plain = MerkleInvertedIndex::build(N_CLUSTERS, &images, &model);
-        let grouped = GroupedInvertedIndex::build(N_CLUSTERS, &images, &model);
+        let plain = Index::<Posting>::build(N_CLUSTERS, &images, &model);
+        let grouped = Index::<Group>::build(N_CLUSTERS, &images, &model);
         // List order is unique only without impact ties (plain breaks them
         // by image id, grouped by frequency).
         let tie_free = plain

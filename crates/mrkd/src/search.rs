@@ -405,7 +405,8 @@ pub fn mrkd_search_baseline(
 mod tests {
     use super::*;
     use crate::verify::{verify_bovw, verify_bovw_baseline};
-    use imageproof_akm::rkd::{dist_sq, RkdTree};
+    use imageproof_akm::kernel::dist_sq;
+    use imageproof_akm::rkd::RkdTree;
     use imageproof_crypto::Digest;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

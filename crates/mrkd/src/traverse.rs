@@ -259,7 +259,8 @@ fn with_diffs<R>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use imageproof_akm::rkd::{dist_sq, Node, RkdTree};
+    use imageproof_akm::kernel::dist_sq;
+    use imageproof_akm::rkd::{Node, RkdTree};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

@@ -647,7 +647,8 @@ mod tests {
     use super::*;
     use crate::search::{mrkd_search, mrkd_search_baseline};
     use crate::tree::MrkdTree;
-    use imageproof_akm::rkd::{dist_sq, RkdTree};
+    use imageproof_akm::kernel::dist_sq;
+    use imageproof_akm::rkd::RkdTree;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

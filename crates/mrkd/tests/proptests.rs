@@ -3,7 +3,8 @@
 //! clusters in both candidate modes, with each disclosed cluster revealed
 //! exactly once, and the tree that assigns is the tree that proves.
 
-use imageproof_akm::rkd::{dist_sq, RkdTree};
+use imageproof_akm::kernel::dist_sq;
+use imageproof_akm::rkd::RkdTree;
 use imageproof_crypto::wire::{Decode, Encode};
 use imageproof_crypto::Digest;
 use imageproof_mrkd::{

@@ -3,9 +3,9 @@
 //! The workspace-wide deterministic execution layer. The work that pays
 //! for threads fans out through the helpers here, controlled by one
 //! [`Concurrency`] knob: owner-side ADS construction (corpus encoding,
-//! Merkle level hashing), SP batch serving (one query per worker), and the
-//! in-process sharded fan-out (one shard per worker). A single query runs
-//! on the calling thread.
+//! per-cluster lists and dimension trees), SP batch serving (one query per
+//! worker), and the in-process sharded fan-out (one shard per worker). A
+//! single query runs on the calling thread.
 //!
 //! ## The determinism contract
 //!
@@ -97,7 +97,6 @@ impl Default for Concurrency {
 /// # Panics
 /// A panic in `f` reaches the caller with its own payload, after every
 /// worker has stopped.
-// audit:allow(panic) items[i] is guarded by the i >= len break
 pub fn par_map<T, R, F>(conc: Concurrency, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -148,7 +147,6 @@ where
 /// cost more than the work itself.
 ///
 /// Output order is item order, exactly as [`par_map`].
-// audit:allow(panic) chunk ranges are clamped to items.len(), so every index is in bounds
 pub fn par_map_chunked<T, R, F>(conc: Concurrency, items: &[T], min_chunk: usize, f: F) -> Vec<R>
 where
     T: Sync,

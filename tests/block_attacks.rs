@@ -19,9 +19,9 @@ use std::collections::BTreeMap;
 use imageproof_akm::bovw::ImpactModel;
 use imageproof_akm::SparseBovw;
 use imageproof_crypto::Digest;
-use imageproof_invindex::search::{inv_search, InvSearchResult};
+use imageproof_invindex::search::{inv_search, SearchResult};
 use imageproof_invindex::{
-    verify_topk, BoundsMode, FilterVo, InvVerifyError, InvVo, ListVo, MerkleInvertedIndex,
+    verify_topk, BoundsMode, FilterVo, Index, InvVerifyError, InvVoOf, ListVoOf, Posting,
     RemainingVo, BLOCK_SIZE,
 };
 
@@ -32,7 +32,7 @@ const K: usize = 5;
 /// blocks — not all 60, so its idf weight stays positive), cluster 1 the
 /// first 24 (3 blocks), cluster 2 the even ids (30 postings, 4 blocks).
 /// Impact variety comes from the count `1 + i % 7`.
-fn build_index() -> MerkleInvertedIndex {
+fn build_index() -> Index<Posting> {
     let images: Vec<(u64, SparseBovw)> = (0..60u64)
         .map(|i| {
             let mut pairs = Vec::new();
@@ -50,14 +50,14 @@ fn build_index() -> MerkleInvertedIndex {
         .collect();
     let encodings: Vec<SparseBovw> = images.iter().map(|(_, e)| e.clone()).collect();
     let model = ImpactModel::build(N_CLUSTERS, &encodings);
-    MerkleInvertedIndex::build(N_CLUSTERS, &images, &model)
+    Index::<Posting>::build(N_CLUSTERS, &images, &model)
 }
 
 struct Fixture {
-    index: MerkleInvertedIndex,
+    index: Index<Posting>,
     digests: BTreeMap<u32, Digest>,
     query: SparseBovw,
-    honest: InvSearchResult,
+    honest: SearchResult<Posting>,
     claimed: Vec<u64>,
 }
 
@@ -81,7 +81,7 @@ fn fixture() -> Fixture {
     }
 }
 
-fn verify(fx: &Fixture, vo: &InvVo, claimed: &[u64]) -> Result<(), InvVerifyError> {
+fn verify(fx: &Fixture, vo: &InvVoOf<Posting>, claimed: &[u64]) -> Result<(), InvVerifyError> {
     verify_topk(
         vo,
         &fx.query,
@@ -95,7 +95,7 @@ fn verify(fx: &Fixture, vo: &InvVo, claimed: &[u64]) -> Result<(), InvVerifyErro
 
 /// Index of a list whose remaining is a skip proof (panics if the fixture
 /// never skips — then the whole feature is untested and should fail loudly).
-fn skipped_list(vo: &InvVo) -> usize {
+fn skipped_list(vo: &InvVoOf<Posting>) -> usize {
     vo.lists
         .iter()
         .position(|l| matches!(l.remaining, RemainingVo::Skipped { .. }))
@@ -203,7 +203,7 @@ fn winner_hidden_in_skipped_blocks_fails_condition1() {
         .map(|l| {
             let list = fx.index.list(l.cluster);
             let fence = list.blocks()[0];
-            ListVo {
+            ListVoOf::<Posting> {
                 cluster: l.cluster,
                 weight: l.weight,
                 popped: Vec::new(),
@@ -215,7 +215,7 @@ fn winner_hidden_in_skipped_blocks_fails_condition1() {
             }
         })
         .collect();
-    let vo = InvVo { lists };
+    let vo = InvVoOf::<Posting> { lists };
     assert_eq!(
         verify(&fx, &vo, &fx.claimed),
         Err(InvVerifyError::Condition1Failed)

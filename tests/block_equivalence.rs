@@ -17,10 +17,10 @@ use std::collections::BTreeMap;
 use imageproof_akm::bovw::{impacts_with_weights, ImpactModel};
 use imageproof_akm::SparseBovw;
 use imageproof_crypto::Digest;
-use imageproof_invindex::grouped::{grouped_search, verify_grouped_topk, GroupedInvertedIndex};
+use imageproof_invindex::grouped::{grouped_search, verify_grouped_topk, Group};
 use imageproof_invindex::{
-    exhaustive_topk, inv_search, inv_search_with_tuning, verify_topk, BoundsMode,
-    MerkleInvertedIndex, SearchTuning,
+    exhaustive_topk, inv_search, inv_search_with_tuning, verify_topk, BoundsMode, Index, Posting,
+    SearchTuning,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -68,8 +68,8 @@ proptest! {
         let images = tie_heavy_images(seed);
         let encodings: Vec<SparseBovw> = images.iter().map(|(_, e)| e.clone()).collect();
         let model = ImpactModel::build(N_CLUSTERS, &encodings);
-        let plain = MerkleInvertedIndex::build(N_CLUSTERS, &images, &model);
-        let grouped = GroupedInvertedIndex::build(N_CLUSTERS, &images, &model);
+        let plain = Index::<Posting>::build(N_CLUSTERS, &images, &model);
+        let grouped = Index::<Group>::build(N_CLUSTERS, &images, &model);
         let plain_digests = digest_map(plain.list_digests());
         let grouped_digests = digest_map(grouped.list_digests());
 

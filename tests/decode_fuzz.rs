@@ -30,8 +30,8 @@ use imageproof_core::{
     ShardBovw, ShardManifest, ShardVo, ShardedResponse, ShardedSp, ShardedVo, SharedSection,
 };
 use imageproof_crypto::wire::{Decode, Encode, WireError};
-use imageproof_invindex::grouped::{Group, GroupedInvVo, GroupedListVo};
-use imageproof_invindex::{FilterVo, InvVo, InvVoOf, ListVo, ListVoOf, RemainingVo};
+use imageproof_invindex::grouped::Group;
+use imageproof_invindex::{FilterVo, InvVoOf, ListVoOf, Posting, RemainingVo};
 use imageproof_mrkd::vo::MAX_VO_DEPTH;
 use imageproof_mrkd::{BaselineBovwVo, BovwVo, Reveal, VoCluster, VoNode, VoTree, VoTreeBuilder};
 use imageproof_vision::{Corpus, CorpusConfig, DescriptorKind};
@@ -476,7 +476,7 @@ fn a_frame_sized_hostile_count_is_an_error_not_an_abort() {
                 .finish(),
         })
         .to_wire(),
-        InvVoVariant::Plain(InvVo { lists: Vec::new() }).to_wire(),
+        InvVoVariant::Plain(InvVoOf { lists: Vec::new() }).to_wire(),
     ]
     .concat();
     let no_templates = [&2u32.to_le_bytes()[..], &0u32.to_le_bytes()].concat();
@@ -618,16 +618,16 @@ fn inverted_index_vo_decoding_is_total() {
     for (scheme, fx) in fixtures() {
         match &fx.response.vo.inv {
             InvVoVariant::Plain(vo) => {
-                fuzz_decode::<InvVo>(&format!("InvVo[{scheme:?}]"), vo);
+                fuzz_decode::<InvVoOf<Posting>>(&format!("InvVo[{scheme:?}]"), vo);
                 if let Some(list) = vo.lists.first() {
-                    fuzz_decode::<ListVo>(&format!("ListVo[{scheme:?}]"), list);
+                    fuzz_decode::<ListVoOf<Posting>>(&format!("ListVo[{scheme:?}]"), list);
                 }
                 plain += 1;
             }
             InvVoVariant::Grouped(vo) => {
-                fuzz_decode::<GroupedInvVo>(&format!("GroupedInvVo[{scheme:?}]"), vo);
+                fuzz_decode::<InvVoOf<Group>>(&format!("GroupedInvVo[{scheme:?}]"), vo);
                 if let Some(list) = vo.lists.first() {
-                    fuzz_decode::<GroupedListVo>(&format!("GroupedListVo[{scheme:?}]"), list);
+                    fuzz_decode::<ListVoOf<Group>>(&format!("GroupedListVo[{scheme:?}]"), list);
                     if let Some(group) = list.popped.first() {
                         fuzz_decode::<Group>(&format!("Group[{scheme:?}]"), group);
                     }
@@ -642,9 +642,9 @@ fn inverted_index_vo_decoding_is_total() {
 
 /// The blocked-list wire arms: every `RemainingVo` variant — exhausted,
 /// skip proof with filter bytes, skip proof with filter digest — plus a
-/// `ListVo` carrying a skip proof, fuzzed from hand-built samples so all
-/// three tags are exercised even if a particular fixture happens to
-/// exhaust its lists. Shared by `ListVo` and `GroupedListVo` (one
+/// `ListVoOf<Posting>` carrying a skip proof, fuzzed from hand-built
+/// samples so all three tags are exercised even if a particular fixture
+/// happens to exhaust its lists. Shared by both entry types (one
 /// `Encode`/`Decode` pair), so this also covers the grouped wire.
 #[test]
 fn blocked_remaining_vo_decoding_is_total() {
@@ -676,7 +676,7 @@ fn blocked_remaining_vo_decoding_is_total() {
     for (name, arm) in &arms {
         fuzz_decode(name, arm);
     }
-    let list = ListVo {
+    let list = ListVoOf::<Posting> {
         cluster: 3,
         weight: 1.5,
         popped: (0..16).map(|i| (i as u64, 2.0 - i as f32 * 0.1)).collect(),
@@ -1126,11 +1126,11 @@ proptest! {
         let _ = decode_total::<VoTree>("VoTree", &bytes);
         let _ = decode_total::<VoCluster>("VoCluster", &bytes);
         let _ = decode_total::<Reveal>("Reveal", &bytes);
-        let _ = decode_total::<InvVo>("InvVo", &bytes);
-        let _ = decode_total::<ListVo>("ListVo", &bytes);
+        let _ = decode_total::<InvVoOf<Posting>>("InvVo", &bytes);
+        let _ = decode_total::<ListVoOf<Posting>>("ListVo", &bytes);
         let _ = decode_total::<RemainingVo>("RemainingVo", &bytes);
-        let _ = decode_total::<GroupedInvVo>("GroupedInvVo", &bytes);
-        let _ = decode_total::<GroupedListVo>("GroupedListVo", &bytes);
+        let _ = decode_total::<InvVoOf<Group>>("GroupedInvVo", &bytes);
+        let _ = decode_total::<ListVoOf<Group>>("GroupedListVo", &bytes);
         let _ = decode_total::<Group>("Group", &bytes);
         let _ = decode_total::<ShardManifest>("ShardManifest", &bytes);
         let _ = decode_total::<ShardVo>("ShardVo", &bytes);

@@ -7,9 +7,9 @@
 
 use imageproof_akm::bovw::{impacts_with_weights, SparseBovw};
 use imageproof_crypto::Digest;
-use imageproof_invindex::grouped::{grouped_search, verify_grouped_topk, GroupedInvertedIndex};
+use imageproof_invindex::grouped::{grouped_search, verify_grouped_topk, Group};
 use imageproof_invindex::{
-    exhaustive_topk, inv_search, verify_topk, BoundsMode, MerkleInvertedIndex, BLOCK_SIZE,
+    exhaustive_topk, inv_search, verify_topk, BoundsMode, Index, Posting, BLOCK_SIZE,
 };
 use std::collections::BTreeMap;
 
@@ -31,11 +31,11 @@ fn table_ii_images() -> Vec<(u64, SparseBovw)> {
     ]
 }
 
-fn build_plain() -> MerkleInvertedIndex {
+fn build_plain() -> Index<Posting> {
     let images = table_ii_images();
     let encodings: Vec<SparseBovw> = images.iter().map(|(_, b)| b.clone()).collect();
     let model = imageproof_akm::ImpactModel::build(8, &encodings);
-    MerkleInvertedIndex::build(8, &images, &model)
+    Index::<Posting>::build(8, &images, &model)
 }
 
 #[test]
@@ -106,7 +106,7 @@ fn frequency_grouping_matches_table_iii_structure() {
     let images = table_ii_images();
     let encodings: Vec<SparseBovw> = images.iter().map(|(_, b)| b.clone()).collect();
     let model = imageproof_akm::ImpactModel::build(8, &encodings);
-    let grouped = GroupedInvertedIndex::build(8, &images, &model);
+    let grouped = Index::<Group>::build(8, &images, &model);
     let list = grouped.list(5);
     let mut by_freq: BTreeMap<u32, usize> = BTreeMap::new();
     for g in &list.postings {
@@ -132,7 +132,7 @@ fn grouped_top2_matches_plain_top2() {
     let encodings: Vec<SparseBovw> = images.iter().map(|(_, b)| b.clone()).collect();
     let model = imageproof_akm::ImpactModel::build(8, &encodings);
     let plain = build_plain();
-    let grouped = GroupedInvertedIndex::build(8, &images, &model);
+    let grouped = Index::<Group>::build(8, &images, &model);
 
     let q = SparseBovw::from_counts([(5, 2), (6, 1)]);
     let impacts = impacts_with_weights(&q, |c| plain.list(c).weight);

@@ -56,8 +56,8 @@ use imageproof_core::{
 };
 use imageproof_crypto::wire::Encode;
 use imageproof_crypto::Digest;
-use imageproof_invindex::grouped::{grouped_search, GroupedInvertedIndex};
-use imageproof_invindex::{inv_search, BoundsMode, InvSearchStats, MerkleInvertedIndex};
+use imageproof_invindex::grouped::{grouped_search, Group};
+use imageproof_invindex::{inv_search, BoundsMode, Index, InvSearchStats, Posting};
 use imageproof_mrkd::VoNode;
 use imageproof_vision::{Corpus, CorpusConfig, DescriptorKind};
 use std::fmt::Write;
@@ -162,8 +162,8 @@ fn render_many_frequencies(out: &mut String) {
         .collect();
     let encodings: Vec<SparseBovw> = images.iter().map(|(_, b)| b.clone()).collect();
     let model = ImpactModel::build(N_CLUSTERS, &encodings);
-    let plain = MerkleInvertedIndex::build(N_CLUSTERS, &images, &model);
-    let grouped = GroupedInvertedIndex::build(N_CLUSTERS, &images, &model);
+    let plain = Index::<Posting>::build(N_CLUSTERS, &images, &model);
+    let grouped = Index::<Group>::build(N_CLUSTERS, &images, &model);
     let fold = |digests: Vec<Digest>| {
         let mut b = Digest::builder();
         for d in &digests {
