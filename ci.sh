@@ -37,13 +37,15 @@ echo "== test (workspace) =="
 # new `unsafe` already fails the build above.
 cargo test -q --workspace
 
-echo "== test (release): the distance kernels' contract in the optimized build =="
+echo "== test (release): the bit-exactness contracts in the optimized build =="
 # The step above builds with the dev profile (opt-level 1, overflow checks
 # and debug assertions on), not the release profile's opt-level 3, so
 # `akm::kernel`'s bit-exactness contract would never be checked on the code
 # that ships. Run the kernels' proptests and their client caller's
-# (`mrkd::verify`'s threshold scan) once more, optimized.
-cargo test -q --release -p imageproof-akm -p imageproof-mrkd
+# (`mrkd::verify`'s threshold scan) once more, optimized, with the batched
+# SHA3 against single messages (`crypto`) and the inverted index's batched
+# seal against the scalar fold and the one-list verifier (`invindex`).
+cargo test -q --release -p imageproof-akm -p imageproof-mrkd -p imageproof-crypto -p imageproof-invindex
 
 echo "== ledger: the benchmark package builds and self-checks against this tree =="
 # `ledger/` is its own workspace, so the steps above never compile it: an

@@ -7,7 +7,10 @@
 //! repairing exactly the affected state —
 //!
 //! 1. the affected clusters' Merkle inverted lists are rebuilt (postings,
-//!    filter, chain digests);
+//!    filter, chain digests) by one `Index::rebuild_lists` call: every list
+//!    is shaped first, so an overflowing filter fails the update before
+//!    anything is hashed, then all are sealed in one batch (eight-lane
+//!    SHA3 where the CPU has AVX-512);
 //! 2. the MRKD-tree's digests are refreshed along the paths to the
 //!    affected leaves (`O(k log n)` hashes for `k` touched clusters);
 //! 3. the root is re-signed and the new [`PublishedParams`] is
@@ -81,13 +84,12 @@ fn replace_in<E: Entry>(
     bovw: &SparseBovw,
     edit: impl Fn(u32) -> ListEdit,
 ) -> Result<BTreeMap<u32, Digest>, UpdateError> {
-    let rebuilt = bovw
+    let edits = bovw
         .iter()
-        .map(|(cluster, frequency)| {
-            let list = index.rebuild_list(cluster, edit(frequency));
-            list.map_err(|_| UpdateError::FilterGeometryExhausted { cluster })
-        })
-        .collect::<Result<Vec<_>, _>>()?;
+        .map(|(cluster, frequency)| (cluster, edit(frequency)));
+    let rebuilt = index
+        .rebuild_lists(edits)
+        .map_err(|(cluster, _)| UpdateError::FilterGeometryExhausted { cluster })?;
     let install = |list: List<E>| (list.cluster, index.install_list(list));
     Ok(rebuilt.into_iter().map(install).collect())
 }

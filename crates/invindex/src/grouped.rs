@@ -23,7 +23,7 @@ use crate::verify::{verify, InvVerifyError, VerifiedTopk};
 use crate::vo::InvVoOf;
 use imageproof_akm::bovw::{impact_value, SparseBovw};
 use imageproof_crypto::wire::{Decode, Encode, Reader, WireError, Writer};
-use imageproof_crypto::Digest;
+use imageproof_crypto::{Digest, DigestBuilder, FieldSink};
 use std::collections::BTreeMap;
 
 /// One frequency-grouped posting.
@@ -37,12 +37,11 @@ pub struct Group {
     pub members: Vec<(u64, f32)>,
 }
 
-/// Digest of a grouped posting (Def. 6; the worked example in Table III
-/// includes the frequency, so we bind it too).
-pub fn group_digest(group: &Group, next: &Digest) -> Digest {
-    let mut b = Digest::builder()
-        .u32(group.frequency)
-        .u64(group.members.len() as u64);
+/// The message of a grouped posting's digest given its successor's
+/// (Def. 6; the worked example in Table III includes the frequency, so we
+/// bind it too).
+pub fn group_digest<S: FieldSink>(b: DigestBuilder<S>, group: &Group, next: &Digest) -> S::Out {
+    let mut b = b.u32(group.frequency).u64(group.members.len() as u64);
     for &(image, norm) in &group.members {
         b = b.u64(image).f32(norm);
     }
@@ -50,8 +49,8 @@ pub fn group_digest(group: &Group, next: &Digest) -> Digest {
 }
 
 impl Entry for Group {
-    fn chain_digest(&self, next: &Digest) -> Digest {
-        group_digest(self, next)
+    fn chain_digest<S: FieldSink>(&self, b: DigestBuilder<S>, next: &Digest) -> S::Out {
+        group_digest(b, self, next)
     }
 
     /// The head member's impact (the largest in the group).

@@ -8,8 +8,9 @@
 //!
 //! * [`merkle`] — the blocked Merkle inverted list and index
 //!   ([`List`]/[`Index`], Defs. 4–5): hash-chained entries in block-max
-//!   blocks, weights, per-list cuckoo filters, and the [`Entry`] trait with
-//!   its plain [`Posting`] implementation.
+//!   blocks, weights, per-list cuckoo filters, the [`Entry`] trait with
+//!   its plain [`Posting`] implementation, and the one batched scheduler
+//!   every list digest is hashed through.
 //! * [`grouped`] — the frequency-grouped entry (§VI-B optimization,
 //!   Defs. 6–7): [`grouped::Group`], its digest, d-gap codec and grouping
 //!   step.

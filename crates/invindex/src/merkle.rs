@@ -28,12 +28,21 @@
 //!
 //! All filters share one bucket geometry, sized from the longest list — the
 //! property `MaxCount` (Alg. 2) relies on.
+//!
+//! Every digest above is hashed through one scheduler, `seal`, eight
+//! messages to a permutation: a build or update first *shapes* each list
+//! (sort, filter insertion), then seals any number of lists together by
+//! chain position — entry chains from the tail of every block, then block
+//! digests tail first, then list digests. The owner's build and updates
+//! and the client's list check all go through it; each message is written
+//! by one function taking a [`DigestBuilder`], so a scalar fold over one
+//! list hashes the same bytes.
 
 use imageproof_akm::bovw::{impact_value, ImpactModel, SparseBovw};
 use imageproof_crypto::wire::{Reader, WireError, Writer};
-use imageproof_crypto::Digest;
+use imageproof_crypto::{Digest, DigestBatch, DigestBuilder, FieldSink};
 use imageproof_cuckoo::{CuckooFilter, FilterFull};
-use imageproof_parallel::{try_par_map, Concurrency};
+use imageproof_parallel::{par_map, try_par_map, Concurrency};
 
 /// Number of entries (postings, or groups for the grouped index) per block.
 /// Small enough that quick-scale lists still span multiple blocks, large
@@ -56,33 +65,37 @@ pub struct BlockSummary {
     pub digest: Digest,
 }
 
-/// Digest of one block given its successor's `(max_impact, digest)` pair
-/// (`0.0` / ZERO for the last block). Binding the *successor's* bound here
-/// makes the fence bound in a skip proof unforgeable — it is committed by
-/// the last popped block's digest, which the client recomputes from
-/// disclosed entries — while keeping the proof itself to one digest.
-pub fn block_digest(chain_head: &Digest, next_max: f32, next: &Digest) -> Digest {
-    Digest::builder()
-        .digest(chain_head)
-        .f32(next_max)
-        .digest(next)
-        .finish()
+/// The message of one block digest given its successor's
+/// `(max_impact, digest)` pair (`0.0` / ZERO for the last block). Binding
+/// the *successor's* bound here makes the fence bound in a skip proof
+/// unforgeable — it is committed by the last popped block's digest, which
+/// the client recomputes from disclosed entries — while keeping the proof
+/// itself to one digest. Like every message below it takes the builder to
+/// write into: `Digest::builder()` for the digest itself,
+/// `batch.message()` to queue it in a [`DigestBatch`].
+pub fn block_digest<S: FieldSink>(
+    b: DigestBuilder<S>,
+    chain_head: &Digest,
+    next_max: f32,
+    next: &Digest,
+) -> S::Out {
+    b.digest(chain_head).f32(next_max).digest(next).finish()
 }
 
-/// Digest of a whole list (Def. 5, blocked):
+/// The message of a whole list's digest (Def. 5, blocked):
 /// `h(w | h(Θ) | max_{blk_1} | h_{blk_1})`, where the trailing pair is the
 /// first block's bound and digest — `0.0` / [`Digest::ZERO`] for an empty
 /// list. Binding `max_{blk_1}` here closes the chain of successor-bound
 /// commitments at the head, so an all-skipped list's fence bound is still
 /// authenticated.
-pub fn list_digest(
+pub fn list_digest<S: FieldSink>(
+    b: DigestBuilder<S>,
     weight: f32,
     filter_digest: &Digest,
     first_max: f32,
     first_block: &Digest,
-) -> Digest {
-    Digest::builder()
-        .f32(weight)
+) -> S::Out {
+    b.f32(weight)
         .digest(filter_digest)
         .f32(first_max)
         .digest(first_block)
@@ -107,8 +120,9 @@ pub enum ListEdit {
 /// assembly, the VO codec and verification are written once over this
 /// trait (implemented by [`Posting`] and [`crate::grouped::Group`] only).
 pub trait Entry: Clone + Send + Sync {
-    /// Digest of the entry given its successor's (Def. 4 / Def. 6).
-    fn chain_digest(&self, next: &Digest) -> Digest;
+    /// The message of the entry's chain digest given its successor's
+    /// (Def. 4 / Def. 6), written into `b`.
+    fn chain_digest<S: FieldSink>(&self, b: DigestBuilder<S>, next: &Digest) -> S::Out;
 
     /// The entry's largest impact under the list's weight — its sort key
     /// and, for a block's first entry, the block bound. Total: `0.0` for an
@@ -147,18 +161,18 @@ pub trait Entry: Clone + Send + Sync {
 /// One plain `⟨image, impact⟩` posting — the same pair the VO discloses.
 pub type Posting = (u64, f32);
 
-/// Digest of a posting given the digest of its successor (Def. 4).
-pub fn posting_digest(posting: &Posting, next: &Digest) -> Digest {
-    Digest::builder()
-        .u64(posting.0)
-        .f32(posting.1)
-        .digest(next)
-        .finish()
+/// The message of a posting's digest given its successor's (Def. 4).
+pub fn posting_digest<S: FieldSink>(
+    b: DigestBuilder<S>,
+    posting: &Posting,
+    next: &Digest,
+) -> S::Out {
+    b.u64(posting.0).f32(posting.1).digest(next).finish()
 }
 
 impl Entry for Posting {
-    fn chain_digest(&self, next: &Digest) -> Digest {
-        posting_digest(self, next)
+    fn chain_digest<S: FieldSink>(&self, b: DigestBuilder<S>, next: &Digest) -> S::Out {
+        posting_digest(b, self, next)
     }
 
     fn head_impact(&self, _weight: f32) -> f32 {
@@ -234,10 +248,31 @@ pub struct List<E> {
 }
 
 impl<E: Entry> List<E> {
-    /// Builds a list from unsorted entries; fails when the cuckoo filter's
-    /// displacement chains cannot place every image id (index-level
-    /// builders then retry with more buckets).
-    pub fn try_build(
+    /// Builds lists from `(cluster, weight, entries)` specs (entries in any
+    /// order) against one filter geometry. Every list is shaped first —
+    /// sorted, its cuckoo filter filled — and the first whose filter's
+    /// displacement chains cannot place every image id, in the order
+    /// given, fails the call before anything is hashed (index-level
+    /// builders then retry with more buckets, updates give up). Only then
+    /// are all the lists sealed, in one batch.
+    pub fn try_build_all(
+        specs: impl IntoIterator<Item = (u32, f32, Vec<E>)>,
+        n_buckets: usize,
+    ) -> Result<Vec<Self>, (u32, FilterFull)> {
+        let mut lists = specs
+            .into_iter()
+            .map(|(cluster, weight, entries)| {
+                List::shape(cluster, weight, entries, n_buckets).map_err(|full| (cluster, full))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        seal_lists(Concurrency::serial(), &mut lists);
+        Ok(lists)
+    }
+
+    /// The unhashed half of a build: entries sorted (descending head
+    /// impact, ties by [`Entry::tie_break`]) and the filter filled. Blocks,
+    /// `h(Θ)` and `h_Γ` stay empty until [`seal_lists`].
+    fn shape(
         cluster: u32,
         weight: f32,
         mut postings: Vec<E>,
@@ -252,29 +287,14 @@ impl<E: Entry> List<E> {
         for (image, _) in expand_all(&postings, weight) {
             filter.insert(image)?;
         }
-        let mut blocks: Vec<BlockSummary> = postings
-            .chunks(BLOCK_SIZE)
-            .map(|chunk| BlockSummary {
-                max_impact: chunk.first().map_or(0.0, |e| e.head_impact(weight)),
-                chain_head: chain_head(chunk),
-                digest: Digest::ZERO,
-            })
-            .collect();
-        let (mut next_max, mut next) = (0.0f32, Digest::ZERO);
-        for b in blocks.iter_mut().rev() {
-            b.digest = block_digest(&b.chain_head, next_max, &next);
-            next_max = b.max_impact;
-            next = b.digest;
-        }
-        let filter_commit = filter.digest();
         Ok(List {
             cluster,
             weight,
             postings,
-            blocks,
-            digest: list_digest(weight, &filter_commit, next_max, &next),
+            blocks: Vec::new(),
             filter,
-            filter_commit,
+            digest: Digest::ZERO,
+            filter_commit: Digest::ZERO,
         })
     }
 
@@ -324,12 +344,139 @@ pub(crate) fn expand_all<E: Entry>(entries: &[E], weight: f32) -> Vec<(u64, f32)
 }
 
 /// Head of the hash chain over one block's entries (Def. 4), folded from
-/// the tail forward.
+/// the tail forward one scalar digest at a time — the reference
+/// [`seal`]'s first rounds are tested against.
+#[cfg(test)]
 pub(crate) fn chain_head<E: Entry>(block: &[E]) -> Digest {
-    block
+    block.iter().rev().fold(Digest::ZERO, |next, e| {
+        e.chain_digest(Digest::builder(), &next)
+    })
+}
+
+/// One list to seal: its entries in list order — a whole list, or a
+/// VO's popped prefix — its weight, `h(Θ)`, and the `(max_impact,
+/// digest)` pair its last block commits as successor (`(0.0, ZERO)` for a
+/// whole list, the fence pair under a skip proof).
+pub(crate) struct SealJob<'a, E> {
+    pub entries: &'a [E],
+    pub weight: f32,
+    pub filter_commit: Digest,
+    pub fence: (f32, Digest),
+}
+
+/// The one scheduler under every inverted-list digest — owner build,
+/// updates and client verification alike. Returns each job's block
+/// summaries and `h_Γ`, in job order. The messages of all the jobs are
+/// queued in one [`DigestBatch`] by chain position, so each round's
+/// messages are independent of each other:
+///
+/// 1. entry chains: round `r` hashes the `r`-th entry from the tail of
+///    every block still live; every block's chain starts at
+///    [`Digest::ZERO`], so there are at most [`BLOCK_SIZE`] rounds;
+/// 2. block digests, tail-first across lists: round `j` seals block
+///    `n_b − 1 − j` of every list that has one, against its successor's
+///    pair (the job's fence for the last block);
+/// 3. the list digests.
+///
+/// Each message is the function a scalar fold would call, so the digests
+/// equal a one-list-at-a-time fold's by construction.
+// audit:allow(panic) every `(list, block)` pair in `queued` was pushed while iterating that very block of `blocks`
+pub(crate) fn seal<E: Entry>(jobs: &[SealJob<'_, E>]) -> Vec<(Vec<BlockSummary>, Digest)> {
+    let mut blocks: Vec<Vec<BlockSummary>> = jobs
         .iter()
-        .rev()
-        .fold(Digest::ZERO, |next, e| e.chain_digest(&next))
+        .map(|job| {
+            let block = |chunk: &[E]| BlockSummary {
+                max_impact: chunk.first().map_or(0.0, |e| e.head_impact(job.weight)),
+                chain_head: Digest::ZERO,
+                digest: Digest::ZERO,
+            };
+            job.entries.chunks(BLOCK_SIZE).map(block).collect()
+        })
+        .collect();
+    let mut batch = DigestBatch::new();
+    let mut queued: Vec<(usize, usize)> = Vec::new();
+
+    for r in 1..=BLOCK_SIZE {
+        queued.clear();
+        for (l, (job, summaries)) in jobs.iter().zip(&blocks).enumerate() {
+            let chunks = job.entries.chunks(BLOCK_SIZE).zip(summaries).enumerate();
+            for (b, (chunk, summary)) in chunks {
+                if let Some(e) = chunk.len().checked_sub(r).and_then(|i| chunk.get(i)) {
+                    e.chain_digest(batch.message(), &summary.chain_head);
+                    queued.push((l, b));
+                }
+            }
+        }
+        if queued.is_empty() {
+            break;
+        }
+        for (&(l, b), d) in queued.iter().zip(batch.finish()) {
+            blocks[l][b].chain_head = d;
+        }
+    }
+
+    let longest = blocks.iter().map(Vec::len).max().unwrap_or(0);
+    for j in 1..=longest {
+        queued.clear();
+        for (l, (job, summaries)) in jobs.iter().zip(&blocks).enumerate() {
+            let Some(b) = summaries.len().checked_sub(j) else {
+                continue;
+            };
+            let (next_max, next) = summaries
+                .get(b + 1)
+                .map_or(job.fence, |s| (s.max_impact, s.digest));
+            block_digest(batch.message(), &summaries[b].chain_head, next_max, &next);
+            queued.push((l, b));
+        }
+        for (&(l, b), d) in queued.iter().zip(batch.finish()) {
+            blocks[l][b].digest = d;
+        }
+    }
+
+    for (job, summaries) in jobs.iter().zip(&blocks) {
+        let (first_max, first) = summaries
+            .first()
+            .map_or(job.fence, |s| (s.max_impact, s.digest));
+        list_digest(
+            batch.message(),
+            job.weight,
+            &job.filter_commit,
+            first_max,
+            &first,
+        );
+    }
+    blocks.into_iter().zip(batch.finish()).collect()
+}
+
+/// Seals shaped lists in place — `h(Θ)`, block summaries and `h_Γ` —
+/// one batch per worker, each over a contiguous run of lists. Every list's
+/// digests are a function of that list alone, so the result is the same
+/// for every thread count.
+fn seal_lists<E: Entry>(conc: Concurrency, lists: &mut [List<E>]) {
+    let runs: Vec<&[List<E>]> = lists
+        .chunks(lists.len().div_ceil(conc.threads).max(1))
+        .collect();
+    let sealed = par_map(conc, &runs, |_, run| {
+        let commits: Vec<Digest> = run.iter().map(|l| l.filter.digest()).collect();
+        let jobs: Vec<SealJob<'_, E>> = run
+            .iter()
+            .zip(&commits)
+            .map(|(l, &filter_commit)| SealJob {
+                entries: &l.postings,
+                weight: l.weight,
+                filter_commit,
+                fence: (0.0, Digest::ZERO),
+            })
+            .collect();
+        commits.into_iter().zip(seal(&jobs)).collect::<Vec<_>>()
+    });
+    for (list, (filter_commit, (blocks, digest))) in
+        lists.iter_mut().zip(sealed.into_iter().flatten())
+    {
+        list.filter_commit = filter_commit;
+        list.blocks = blocks;
+        list.digest = digest;
+    }
 }
 
 /// The full index: one list per cluster (clusters with no images get an
@@ -348,15 +495,15 @@ impl<E: Entry> Index<E> {
         Self::build_with(n_clusters, images, model, Concurrency::serial())
     }
 
-    /// [`Index::build`] with the per-cluster list builds (grouping,
-    /// sorting, cuckoo filter insertion, digest chaining) fanned out across
-    /// workers.
+    /// [`Index::build`] with the per-cluster shaping (grouping, sorting,
+    /// cuckoo filter insertion) fanned out across workers, then the
+    /// sealing run in one batch per worker.
     ///
     /// Each cluster's list is a pure function of its records and the
     /// shared bucket count; lists are merged in cluster order, and the
     /// geometry-doubling retry triggers iff *any* cluster fails — the same
-    /// condition the serial build reacts to — so the built index is
-    /// identical for every thread count.
+    /// condition the serial build reacts to, and before anything is
+    /// hashed — so the built index is identical for every thread count.
     pub fn build_with(
         n_clusters: usize,
         images: &[(u64, SparseBovw)],
@@ -378,13 +525,16 @@ impl<E: Entry> Index<E> {
         let max_len = per_cluster.iter().map(Vec::len).max().unwrap_or(0);
         let mut n_buckets = imageproof_cuckoo::buckets_for_capacity(max_len);
         loop {
-            let built = try_par_map(conc, &per_cluster, |c, records| {
+            let shaped = try_par_map(conc, &per_cluster, |c, records| {
                 let weight = model.weight(c as u32);
                 let entries = E::from_records(weight, records);
-                List::try_build(c as u32, weight, entries, n_buckets)
+                List::shape(c as u32, weight, entries, n_buckets)
             });
-            match built {
-                Ok(lists) => return Index { lists, n_buckets },
+            match shaped {
+                Ok(mut lists) => {
+                    seal_lists(conc, &mut lists);
+                    return Index { lists, n_buckets };
+                }
                 Err(_) => n_buckets *= 2,
             }
         }
@@ -421,27 +571,32 @@ impl<E: Entry> Index<E> {
         self.lists.is_empty()
     }
 
-    /// Total images across the given clusters' lists (the denominator of
-    /// the "% popped postings" metric).
-    pub fn total_postings(&self, clusters: impl Iterator<Item = u32>) -> usize {
-        clusters.map(|c| self.list(c).pairs().len()).sum()
-    }
-
-    /// Owner-side incremental update, step 1: builds one cluster's
-    /// replacement list with one image inserted or removed (keeping the
-    /// frozen cluster weight and the common filter geometry) without
-    /// touching the index.
+    /// Owner-side incremental update, step 1: builds the replacement list
+    /// of every `(cluster, edit)` pair — one image inserted into or
+    /// removed from each, keeping the frozen cluster weight and the common
+    /// filter geometry — without touching the index, sealing them all in
+    /// one batch.
     ///
-    /// Fails with [`FilterFull`] when the new entries no longer fit the
-    /// common geometry; callers should then rebuild the whole index
-    /// (geometry is a global commitment, see `MaxCount`).
-    pub fn rebuild_list(&self, cluster: u32, edit: ListEdit) -> Result<List<E>, FilterFull> {
-        let old = self.list(cluster);
-        let entries = E::edited(&old.postings, old.weight, edit);
-        List::try_build(cluster, old.weight, entries, self.n_buckets)
+    /// Fails with the first cluster, in the order given, whose new entries
+    /// no longer fit the common geometry, before anything is hashed;
+    /// callers should then rebuild the whole index (geometry is a global
+    /// commitment, see `MaxCount`).
+    pub fn rebuild_lists(
+        &self,
+        edits: impl IntoIterator<Item = (u32, ListEdit)>,
+    ) -> Result<Vec<List<E>>, (u32, FilterFull)> {
+        let specs = edits.into_iter().map(|(cluster, edit)| {
+            let old = self.list(cluster);
+            (
+                cluster,
+                old.weight,
+                E::edited(&old.postings, old.weight, edit),
+            )
+        });
+        List::try_build_all(specs, self.n_buckets)
     }
 
-    /// Step 2: swaps a list from [`Index::rebuild_list`] in and returns its
+    /// Step 2: swaps a list from [`Index::rebuild_lists`] in and returns its
     /// `h_Γ`. Infallible, so an update touching several clusters can build
     /// every list first and commit all or none.
     pub fn install_list(&mut self, list: List<E>) -> Digest {
@@ -488,7 +643,13 @@ mod tests {
         assert!(empty.is_empty());
         assert_eq!(
             empty.digest,
-            list_digest(0.0, &empty.filter.digest(), 0.0, &Digest::ZERO)
+            list_digest(
+                Digest::builder(),
+                0.0,
+                &empty.filter.digest(),
+                0.0,
+                &Digest::ZERO
+            )
         );
     }
 
@@ -498,7 +659,9 @@ mod tests {
         let postings: Vec<Posting> = (0..n)
             .map(|i| (i as u64, 1.0 + ((n - i) as f32) * 0.25))
             .collect();
-        List::<Posting>::try_build(0, 3.0, postings, 64).expect("64 buckets hold the fixture")
+        let built = List::try_build_all([(0, 3.0, postings)], 64);
+        let list = built.ok().and_then(|lists| lists.into_iter().next());
+        list.expect("64 buckets hold the fixture")
     }
 
     #[test]
@@ -518,13 +681,19 @@ mod tests {
             for chunk in revealed.chunks(BLOCK_SIZE).rev() {
                 let mut h = Digest::ZERO;
                 for p in chunk.iter().rev() {
-                    h = posting_digest(p, &h);
+                    h = posting_digest(Digest::builder(), p, &h);
                 }
-                bd = block_digest(&h, max, &bd);
+                bd = block_digest(Digest::builder(), &h, max, &bd);
                 max = chunk[0].1;
             }
             assert_eq!(bd, list.blocks()[0].digest, "split {split}");
-            let rebuilt = list_digest(list.weight, &list.filter.digest(), max, &bd);
+            let rebuilt = list_digest(
+                Digest::builder(),
+                list.weight,
+                &list.filter.digest(),
+                max,
+                &bd,
+            );
             assert_eq!(rebuilt, list.digest);
         }
     }
@@ -547,6 +716,7 @@ mod tests {
             if b == 0 {
                 assert_ne!(
                     list_digest(
+                        Digest::builder(),
                         list.weight,
                         &list.filter.digest(),
                         forged_max,
@@ -557,7 +727,12 @@ mod tests {
             } else {
                 let prev = &list.blocks()[b - 1];
                 assert_ne!(
-                    block_digest(&prev.chain_head, forged_max, &summary.digest),
+                    block_digest(
+                        Digest::builder(),
+                        &prev.chain_head,
+                        forged_max,
+                        &summary.digest
+                    ),
                     prev.digest
                 );
             }
@@ -584,13 +759,19 @@ mod tests {
         for chunk in forged.chunks(BLOCK_SIZE).rev() {
             let mut h = Digest::ZERO;
             for p in chunk.iter().rev() {
-                h = posting_digest(p, &h);
+                h = posting_digest(Digest::builder(), p, &h);
             }
-            bd = block_digest(&h, max, &bd);
+            bd = block_digest(Digest::builder(), &h, max, &bd);
             max = chunk[0].1;
         }
         assert_ne!(
-            list_digest(list.weight, &list.filter.digest(), max, &bd),
+            list_digest(
+                Digest::builder(),
+                list.weight,
+                &list.filter.digest(),
+                max,
+                &bd
+            ),
             list.digest
         );
     }
@@ -620,10 +801,124 @@ mod tests {
         }
     }
 
+    /// One list built on its own, as updates rebuilt them one at a time.
+    fn one_list<E: Entry>(
+        cluster: u32,
+        weight: f32,
+        entries: Vec<E>,
+        n_buckets: usize,
+    ) -> Result<List<E>, (u32, FilterFull)> {
+        let built = List::try_build_all([(cluster, weight, entries)], n_buckets)?;
+        Ok(built.into_iter().next().expect("one spec, one list"))
+    }
+
+    fn assert_same_list<E: Entry + PartialEq + std::fmt::Debug>(got: &List<E>, want: &List<E>) {
+        let c = want.cluster;
+        assert_eq!(got.cluster, c);
+        assert_eq!(got.weight, want.weight, "cluster {c}");
+        assert_eq!(got.postings, want.postings, "cluster {c}");
+        assert_eq!(got.blocks, want.blocks, "cluster {c}");
+        assert_eq!(got.filter, want.filter, "cluster {c}");
+        assert_eq!(got.filter_commit, want.filter_commit, "cluster {c}");
+        assert_eq!(got.digest, want.digest, "cluster {c}");
+    }
+
+    type Edits = Vec<(u32, ListEdit)>;
+
+    /// A corpus whose lists run from empty to several blocks long (for
+    /// groups too: eleven frequencies), with the edits of inserting a new
+    /// image and of removing image 7, in ascending cluster order.
+    fn update_fixture<E: Entry>() -> (Index<E>, Edits, Edits) {
+        // Image `id` maps to cluster `c` iff `id < SIZES[c]`.
+        const SIZES: [u64; 12] = [3, 40, 2, 25, 0, 9, 17, 1, 5, 30, 12, 0];
+        let images: Vec<(u64, SparseBovw)> = (0..40u64)
+            .map(|id| {
+                let clusters = (0..12u32).filter(|&c| id < SIZES[c as usize]);
+                let pairs = clusters.map(|c| (c, 1 + (id as u32 + c) % 11));
+                (id, SparseBovw::from_counts(pairs))
+            })
+            .collect();
+        let encodings: Vec<SparseBovw> = images.iter().map(|(_, b)| b.clone()).collect();
+        let model = ImpactModel::build(SIZES.len(), &encodings);
+        let index = Index::<E>::build(SIZES.len(), &images, &model);
+        let fresh = SparseBovw::from_counts([(0, 2), (1, 1), (2, 4), (3, 1), (4, 1), (9, 3)]);
+        let norm = fresh.norm();
+        let insert = fresh
+            .iter()
+            .map(|(c, frequency)| {
+                (
+                    c,
+                    ListEdit::Insert {
+                        image: 1_000,
+                        frequency,
+                        norm,
+                    },
+                )
+            })
+            .collect();
+        let remove = images[7]
+            .1
+            .iter()
+            .map(|(c, _)| (c, ListEdit::Remove { image: 7 }))
+            .collect();
+        (index, insert, remove)
+    }
+
+    fn multi_list_update_matches_per_list_rebuilds<E: Entry + PartialEq + std::fmt::Debug>() {
+        let (index, insert, remove) = update_fixture::<E>();
+        for edits in [insert, remove] {
+            let rebuilt = index.rebuild_lists(edits.clone()).expect("the edits fit");
+            assert_eq!(rebuilt.len(), edits.len());
+            assert!(
+                rebuilt.iter().any(|l| l.n_blocks() >= 2),
+                "a multi-block list"
+            );
+            for (list, &(cluster, edit)) in rebuilt.iter().zip(&edits) {
+                let old = index.list(cluster);
+                let entries = E::edited(&old.postings, old.weight, edit);
+                let want = one_list(cluster, old.weight, entries, index.n_buckets());
+                assert_same_list(list, &want.expect("fits"));
+            }
+        }
+    }
+
     #[test]
-    fn total_postings_counts_selected_clusters() {
-        let idx = toy_index();
-        let total: usize = idx.total_postings([5u32, 6].into_iter());
-        assert_eq!(total, idx.list(5).len() + idx.list(6).len());
+    fn a_multi_list_update_equals_per_list_rebuilds() {
+        multi_list_update_matches_per_list_rebuilds::<Posting>();
+        multi_list_update_matches_per_list_rebuilds::<crate::grouped::Group>();
+    }
+
+    #[test]
+    fn the_first_overflowing_cluster_fails_the_update() {
+        let (index, insert, _) = update_fixture::<Posting>();
+        // Re-commit the same lists under a geometry of 8 slots: lists of at
+        // most a few images still fit, the longest no longer do.
+        let small = Index {
+            lists: index.lists.clone(),
+            n_buckets: 2,
+        };
+        let fits = |&(c, edit): &(u32, ListEdit)| {
+            let old = small.list(c);
+            let entries = Posting::edited(&old.postings, old.weight, edit);
+            one_list(c, old.weight, entries, 2).is_ok()
+        };
+        let verdicts: Vec<bool> = insert.iter().map(fits).collect();
+        let first_full = verdicts
+            .iter()
+            .position(|ok| !ok)
+            .expect("an overflowing cluster");
+        assert!(
+            first_full > 0,
+            "a cluster that fits comes first: {verdicts:?}"
+        );
+        let second_full = verdicts.iter().skip(first_full + 1).position(|ok| !ok);
+        assert!(
+            second_full.is_some(),
+            "a later one overflows too: {verdicts:?}"
+        );
+        match small.rebuild_lists(insert.clone()) {
+            Err((cluster, FilterFull)) => assert_eq!(cluster, insert[first_full].0),
+            Ok(_) => panic!("an overflowing cluster must fail the update"),
+        }
     }
 }

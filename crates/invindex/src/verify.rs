@@ -12,7 +12,10 @@
 //!    pair, the weight, and the filter (bytes or digest) and compares with the
 //!    authenticated digest — this authenticates weights, popped postings,
 //!    their order, the per-block `max_impact` bounds, and the filters in
-//!    one shot;
+//!    one shot. The lists are checked for shape first, then all sealed in
+//!    one batch by [`crate::merkle`]'s chain-position scheduler, then
+//!    compared; the error is still the first faulty list's in cluster
+//!    order, with a list's structural fault ahead of its mismatch;
 //! 3. recomputes `p_Q` from `B_Q` and the verified weights;
 //! 4. deletes popped images from the filters and re-evaluates the
 //!    termination conditions with the shared [`crate::bounds`] logic,
@@ -24,10 +27,8 @@
 //! Success proves the claimed set is a genuine top-k (Def. 1).
 
 use crate::bounds::{evaluate, BoundsMode, ListSnapshot};
-use crate::merkle::{
-    block_digest, chain_head, expand_all, list_digest, Entry, Posting, BLOCK_SIZE,
-};
-use crate::vo::{FilterVo, InvVoOf, RemainingVo};
+use crate::merkle::{expand_all, seal, Entry, Posting, SealJob, BLOCK_SIZE};
+use crate::vo::{FilterVo, InvVoOf, ListVoOf, RemainingVo};
 use imageproof_akm::bovw::{impacts_with_weights, SparseBovw};
 use imageproof_crypto::Digest;
 use imageproof_cuckoo::CuckooFilter;
@@ -176,60 +177,7 @@ pub(crate) fn verify<E: Entry>(
     }
 
     // 2. Reconstruct and check every list digest; parse filters.
-    let mut parsed_filters: Vec<Option<CuckooFilter>> = Vec::with_capacity(vo.lists.len());
-    for list in &vo.lists {
-        let cluster = list.cluster;
-        let expected = authenticated_digests
-            .get(&cluster)
-            .ok_or(InvVerifyError::UnknownCluster { cluster })?;
-
-        let (seal, filter_digest, filter) = match &list.remaining {
-            RemainingVo::Exhausted { filter_digest } => ((0.0, Digest::ZERO), *filter_digest, None),
-            RemainingVo::Skipped {
-                max_impact,
-                fence_digest,
-                filter,
-            } => {
-                // A skip proof only re-seals the list when the popped
-                // prefix ends on a block boundary.
-                if !list.popped.len().is_multiple_of(BLOCK_SIZE) {
-                    return Err(InvVerifyError::BlockShapeInvalid { cluster });
-                }
-                let (fd, parsed) = match (filter, mode) {
-                    (FilterVo::Bytes(bytes), BoundsMode::CuckooFiltered) => {
-                        let parsed = CuckooFilter::from_bytes(bytes)
-                            .ok_or(InvVerifyError::MalformedFilter { cluster })?;
-                        (parsed.digest(), Some(parsed))
-                    }
-                    (FilterVo::DigestOnly(d), BoundsMode::MaxBound) => (*d, None),
-                    _ => return Err(InvVerifyError::WrongFilterForm { cluster }),
-                };
-                // The fence `(max_impact, digest)` pair seeds the fold;
-                // matching `h_Γ` below simultaneously proves the skip
-                // bound and every unscanned block, because each popped
-                // block's digest commits its successor's pair.
-                ((*max_impact, *fence_digest), fd, parsed)
-            }
-        };
-
-        // Rebuild the first block's (max, digest) pair from the popped
-        // prefix: re-block into BLOCK_SIZE chunks, fold each chunk's
-        // entry chain, and bind the *successor's* bound/digest pair into
-        // each block digest — popped block bounds are just each chunk's
-        // first disclosed impact.
-        if !list.popped.iter().all(E::well_formed) {
-            return Err(InvVerifyError::MalformedFilter { cluster });
-        }
-        let (mut max, mut bd) = seal;
-        for chunk in list.popped.chunks(BLOCK_SIZE).rev() {
-            bd = block_digest(&chain_head(chunk), max, &bd);
-            max = chunk.first().map_or(0.0, |e| e.head_impact(list.weight));
-        }
-        if list_digest(list.weight, &filter_digest, max, &bd) != *expected {
-            return Err(InvVerifyError::DigestMismatch { cluster });
-        }
-        parsed_filters.push(filter);
-    }
+    let mut parsed_filters = check_lists(vo, authenticated_digests, mode)?;
 
     // 3. p_Q from the verified weights.
     let weights: BTreeMap<u32, f32> = vo.lists.iter().map(|l| (l.cluster, l.weight)).collect();
@@ -289,16 +237,116 @@ pub(crate) fn verify<E: Entry>(
     Ok(VerifiedTopk { topk, weights })
 }
 
+/// Step 2: every list's `h_Γ` rebuilt and compared, with the errors of a
+/// one-list-at-a-time loop — the first list, in cluster order, that fails
+/// either check, and for that list its structural fault before any
+/// mismatch. Three passes give that with one batched seal: a structural
+/// pass ([`check_structure`]) up to the first faulty list `i`, one
+/// [`seal`] of the lists before `i`, then a comparison pass that returns
+/// the first mismatch before `i`, or else `i`'s fault. Returns the parsed
+/// filters, in list order.
+fn check_lists<E: Entry>(
+    vo: &InvVoOf<E>,
+    authenticated_digests: &BTreeMap<u32, Digest>,
+    mode: BoundsMode,
+) -> Result<Vec<Option<CuckooFilter>>, InvVerifyError> {
+    let mut expected = Vec::with_capacity(vo.lists.len());
+    let mut jobs = Vec::with_capacity(vo.lists.len());
+    let mut filters = Vec::with_capacity(vo.lists.len());
+    let mut fault = None;
+    for list in &vo.lists {
+        match check_structure(list, authenticated_digests, mode) {
+            Ok((digest, job, filter)) => {
+                expected.push(digest);
+                jobs.push(job);
+                filters.push(filter);
+            }
+            Err(e) => {
+                fault = Some(e);
+                break;
+            }
+        }
+    }
+    let sealed = seal(&jobs);
+    for ((list, want), (_, got)) in vo.lists.iter().zip(expected).zip(sealed) {
+        if got != want {
+            return Err(InvVerifyError::DigestMismatch {
+                cluster: list.cluster,
+            });
+        }
+    }
+    fault.map_or(Ok(filters), Err)
+}
+
+/// The checks of one list that come before its digest: an authenticated
+/// `h_Γ` for the cluster, a popped prefix of whole blocks under a skip
+/// proof, the filter form the scheme expects (parsed when it travels as
+/// bytes) and well-formed entries. Returns the authenticated digest, the
+/// list's [`SealJob`] and its parsed filter.
+fn check_structure<'a, E: Entry>(
+    list: &'a ListVoOf<E>,
+    authenticated_digests: &BTreeMap<u32, Digest>,
+    mode: BoundsMode,
+) -> Result<(Digest, SealJob<'a, E>, Option<CuckooFilter>), InvVerifyError> {
+    let cluster = list.cluster;
+    let expected = authenticated_digests
+        .get(&cluster)
+        .ok_or(InvVerifyError::UnknownCluster { cluster })?;
+    let (fence, filter_commit, filter) = match &list.remaining {
+        RemainingVo::Exhausted { filter_digest } => ((0.0, Digest::ZERO), *filter_digest, None),
+        RemainingVo::Skipped {
+            max_impact,
+            fence_digest,
+            filter,
+        } => {
+            // A skip proof only re-seals the list when the popped prefix
+            // ends on a block boundary.
+            if !list.popped.len().is_multiple_of(BLOCK_SIZE) {
+                return Err(InvVerifyError::BlockShapeInvalid { cluster });
+            }
+            let (fd, parsed) = match (filter, mode) {
+                (FilterVo::Bytes(bytes), BoundsMode::CuckooFiltered) => {
+                    let parsed = CuckooFilter::from_bytes(bytes)
+                        .ok_or(InvVerifyError::MalformedFilter { cluster })?;
+                    (parsed.digest(), Some(parsed))
+                }
+                (FilterVo::DigestOnly(d), BoundsMode::MaxBound) => (*d, None),
+                _ => return Err(InvVerifyError::WrongFilterForm { cluster }),
+            };
+            // The fence `(max_impact, digest)` pair seeds the seal;
+            // matching `h_Γ` simultaneously proves the skip bound and
+            // every unscanned block, because each popped block's digest
+            // commits its successor's pair.
+            ((*max_impact, *fence_digest), fd, parsed)
+        }
+    };
+    if !list.popped.iter().all(E::well_formed) {
+        return Err(InvVerifyError::MalformedFilter { cluster });
+    }
+    let job = SealJob {
+        entries: &list.popped,
+        weight: list.weight,
+        filter_commit,
+        fence,
+    };
+    Ok((*expected, job, filter))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::merkle::Index;
-    use crate::search::inv_search;
+    use crate::grouped::Group;
+    use crate::merkle::{block_digest, chain_head, list_digest, Index};
+    use crate::search::{inv_search, SearchTuning};
     use imageproof_akm::bovw::ImpactModel;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     fn corpus(n_images: u64, n_clusters: usize, seed: u64) -> Index<Posting> {
+        corpus_of(n_images, n_clusters, seed)
+    }
+
+    fn corpus_of<E: Entry>(n_images: u64, n_clusters: usize, seed: u64) -> Index<E> {
         let mut rng = StdRng::seed_from_u64(seed);
         let images: Vec<(u64, SparseBovw)> = (0..n_images)
             .map(|id| {
@@ -314,10 +362,10 @@ mod tests {
             .collect();
         let encodings: Vec<SparseBovw> = images.iter().map(|(_, b)| b.clone()).collect();
         let model = ImpactModel::build(n_clusters, &encodings);
-        Index::<Posting>::build(n_clusters, &images, &model)
+        Index::build(n_clusters, &images, &model)
     }
 
-    fn digests_of(idx: &Index<Posting>) -> BTreeMap<u32, Digest> {
+    fn digests_of<E: Entry>(idx: &Index<E>) -> BTreeMap<u32, Digest> {
         idx.lists().iter().map(|l| (l.cluster, l.digest)).collect()
     }
 
@@ -689,5 +737,233 @@ mod tests {
             InvVerifyError::Condition2Failed { image: 1 },
             InvVerifyError::Condition2Failed { image: 2 }
         );
+    }
+
+    /// Step 2 as one loop over the lists, each checked for shape and then
+    /// re-sealed through scalar digests — the errors [`check_lists`] must
+    /// keep.
+    fn check_lists_one_by_one<E: Entry>(
+        vo: &InvVoOf<E>,
+        authenticated_digests: &BTreeMap<u32, Digest>,
+        mode: BoundsMode,
+    ) -> Result<Vec<Option<CuckooFilter>>, InvVerifyError> {
+        let mut filters = Vec::new();
+        for list in &vo.lists {
+            let (expected, job, filter) = check_structure(list, authenticated_digests, mode)?;
+            let (mut max, mut bd) = job.fence;
+            for chunk in list.popped.chunks(BLOCK_SIZE).rev() {
+                bd = block_digest(Digest::builder(), &chain_head(chunk), max, &bd);
+                max = chunk.first().map_or(0.0, |e| e.head_impact(list.weight));
+            }
+            let rebuilt = list_digest(Digest::builder(), list.weight, &job.filter_commit, max, &bd);
+            if rebuilt != expected {
+                return Err(InvVerifyError::DigestMismatch {
+                    cluster: list.cluster,
+                });
+            }
+            filters.push(filter);
+        }
+        Ok(filters)
+    }
+
+    /// An entry changed so that its digest changes but it stays well
+    /// formed, and (for groups) the one entry no honest list holds.
+    trait Forge: Entry {
+        fn forged(&self) -> Self;
+        fn empty() -> Option<Self>;
+    }
+
+    impl Forge for Posting {
+        fn forged(&self) -> Self {
+            (self.0, self.1 + 0.5)
+        }
+        fn empty() -> Option<Self> {
+            None
+        }
+    }
+
+    impl Forge for Group {
+        fn forged(&self) -> Self {
+            let mut g = self.clone();
+            g.frequency += 1;
+            g
+        }
+        fn empty() -> Option<Self> {
+            Some(Group {
+                frequency: 1,
+                members: Vec::new(),
+            })
+        }
+    }
+
+    /// Forges one digest-bound field of `list` — an entry, the weight, the
+    /// fence pair or the filter — or returns false when the list has no
+    /// such field.
+    fn forge_digest<E: Forge>(list: &mut ListVoOf<E>, kind: usize) -> bool {
+        match (kind, &mut list.remaining) {
+            (0, _) => match list.popped.first_mut() {
+                Some(e) => {
+                    *e = e.forged();
+                    true
+                }
+                None => false,
+            },
+            (1, _) => {
+                list.weight += 1.0;
+                true
+            }
+            (2, RemainingVo::Skipped { max_impact, .. }) => {
+                *max_impact += 1.0;
+                true
+            }
+            (3, RemainingVo::Exhausted { filter_digest: d })
+            | (
+                3,
+                RemainingVo::Skipped {
+                    filter: FilterVo::DigestOnly(d),
+                    ..
+                },
+            ) => {
+                d.0[0] ^= 1;
+                true
+            }
+            (
+                3,
+                RemainingVo::Skipped {
+                    filter: FilterVo::Bytes(bytes),
+                    ..
+                },
+            ) => {
+                let n_buckets = CuckooFilter::from_bytes(bytes).map_or(1, |f| f.n_buckets());
+                let mut other = CuckooFilter::with_buckets(n_buckets);
+                other.insert(u64::MAX).expect("an empty filter has room");
+                *bytes = other.to_bytes();
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Gives list `i` of `vo` one structural fault — an unknown cluster,
+    /// an unaligned prefix under a skip proof, the wrong filter form, or
+    /// a malformed filter or entry — and returns the error a list checked
+    /// on its own reports, or `None` when the kind cannot be built here.
+    fn break_structure<E: Forge>(
+        vo: &mut InvVoOf<E>,
+        digests: &mut BTreeMap<u32, Digest>,
+        i: usize,
+        kind: usize,
+        mode: BoundsMode,
+    ) -> Option<InvVerifyError> {
+        let spare = vo.lists.iter().find_map(|l| l.popped.first().cloned());
+        let list = &mut vo.lists[i];
+        let cluster = list.cluster;
+        let right_form = match mode {
+            BoundsMode::CuckooFiltered => FilterVo::Bytes(CuckooFilter::with_buckets(4).to_bytes()),
+            BoundsMode::MaxBound => FilterVo::DigestOnly(Digest::ZERO),
+        };
+        let wrong_form = match mode {
+            BoundsMode::CuckooFiltered => FilterVo::DigestOnly(Digest::ZERO),
+            BoundsMode::MaxBound => FilterVo::Bytes(CuckooFilter::with_buckets(4).to_bytes()),
+        };
+        let skipped = |filter| RemainingVo::Skipped {
+            max_impact: 0.0,
+            fence_digest: Digest::ZERO,
+            filter,
+        };
+        let aligned = |popped: &mut Vec<E>| popped.truncate(popped.len() / BLOCK_SIZE * BLOCK_SIZE);
+        match kind {
+            0 => {
+                digests.remove(&cluster);
+                Some(InvVerifyError::UnknownCluster { cluster })
+            }
+            1 => {
+                list.remaining = skipped(right_form);
+                if list.popped.len().is_multiple_of(BLOCK_SIZE) {
+                    list.popped.push(spare?);
+                }
+                Some(InvVerifyError::BlockShapeInvalid { cluster })
+            }
+            2 => {
+                list.remaining = skipped(wrong_form);
+                aligned(&mut list.popped);
+                Some(InvVerifyError::WrongFilterForm { cluster })
+            }
+            _ => {
+                match mode {
+                    BoundsMode::CuckooFiltered => {
+                        list.remaining = skipped(FilterVo::Bytes(vec![0xff; 3]));
+                        aligned(&mut list.popped);
+                    }
+                    BoundsMode::MaxBound => {
+                        list.remaining = RemainingVo::Exhausted {
+                            filter_digest: Digest::ZERO,
+                        };
+                        list.popped.push(E::empty()?);
+                    }
+                }
+                Some(InvVerifyError::MalformedFilter { cluster })
+            }
+        }
+    }
+
+    /// One list with a forged digest (`j`) and another with a structural
+    /// fault (`i`), in either order, for every kind of each, both entry
+    /// types and both bound modes: the batched verifier returns exactly
+    /// what the one-list-at-a-time loop does — the earlier list's error.
+    fn errors_match_the_one_by_one_loop<E: Forge>() {
+        let idx = corpus_of::<E>(300, 30, 33);
+        let honest_digests = digests_of(&idx);
+        let k = 3;
+        let mut cases = 0;
+        for mode in [BoundsMode::CuckooFiltered, BoundsMode::MaxBound] {
+            for qseed in 0..3 {
+                let q = query(61 + qseed, 30);
+                let tuning = SearchTuning::default();
+                let out = crate::search::search(&idx, &q, k, mode, tuning, "test");
+                let claimed: Vec<u64> = out.topk.iter().map(|&(i, _)| i).collect();
+                assert_eq!(claimed.len(), k, "the fixture must fill k");
+                let n = out.vo.lists.len().min(5);
+                assert!(n >= 2, "the fixture needs two lists");
+                let verify_both = |vo: &InvVoOf<E>, digests: &BTreeMap<u32, Digest>| {
+                    let batched = verify(vo, &q, digests, &claimed, k, mode).err();
+                    let oracle = check_lists_one_by_one(vo, digests, mode).err();
+                    (batched, oracle)
+                };
+                assert_eq!(verify_both(&out.vo, &honest_digests), (None, None));
+                for (i, j) in (0..n).flat_map(|i| (0..n).map(move |j| (i, j))) {
+                    for (structural, forgery) in (0..4).flat_map(|s| (0..4).map(move |f| (s, f))) {
+                        let mut vo = out.vo.clone();
+                        let mut digests = honest_digests.clone();
+                        if i == j || !forge_digest(&mut vo.lists[j], forgery) {
+                            continue;
+                        }
+                        let Some(fault) =
+                            break_structure(&mut vo, &mut digests, i, structural, mode)
+                        else {
+                            continue;
+                        };
+                        let mismatch = InvVerifyError::DigestMismatch {
+                            cluster: vo.lists[j].cluster,
+                        };
+                        let first = if i < j { fault } else { mismatch };
+                        let ctx = format!("{mode:?} query {qseed}: fault {structural} in list {i}, forgery {forgery} in list {j}");
+                        assert_eq!(
+                            verify_both(&vo, &digests),
+                            (Some(first.clone()), Some(first)),
+                            "{ctx}"
+                        );
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert!(cases >= 100, "only {cases} cases built");
+    }
+
+    #[test]
+    fn batched_list_check_keeps_the_one_by_one_errors() {
+        errors_match_the_one_by_one_loop::<Posting>();
+        errors_match_the_one_by_one_loop::<Group>();
     }
 }

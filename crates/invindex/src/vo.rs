@@ -9,7 +9,7 @@
 //! posting could have entered the top-k — for four extra bytes over the
 //! old per-posting seal.
 
-use crate::merkle::{expand_all, Entry};
+use crate::merkle::Entry;
 use imageproof_crypto::wire::{Decode, Encode, Reader, WireError, Writer};
 use imageproof_crypto::Digest;
 
@@ -66,14 +66,6 @@ pub struct ListVoOf<E> {
 #[derive(Clone, Debug, PartialEq)]
 pub struct InvVoOf<E> {
     pub lists: Vec<ListVoOf<E>>,
-}
-
-impl<E: Entry> InvVoOf<E> {
-    /// Total images disclosed (numerator of "% popped postings").
-    pub fn popped_postings(&self) -> usize {
-        let images = |l: &ListVoOf<E>| expand_all(&l.popped, l.weight).len();
-        self.lists.iter().map(images).sum()
-    }
 }
 
 const TAG_EXHAUSTED: u8 = 0;
@@ -234,7 +226,6 @@ mod tests {
             InvVoOf::<Posting>::from_wire(&bytes).expect("round trip"),
             vo
         );
-        assert_eq!(vo.popped_postings(), 3);
     }
 
     #[test]

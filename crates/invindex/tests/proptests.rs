@@ -1,16 +1,21 @@
 //! Property-based tests for authenticated top-k search: for arbitrary small
 //! corpora and queries, (i) the authenticated search returns exactly the
 //! exhaustive top-k, (ii) the honest VO verifies, and (iii) the grouped
-//! variant agrees with the plain one.
+//! variant agrees with the plain one; and for arbitrary runs of lists, the
+//! batched seal hashes exactly what a one-list scalar fold does.
 
 use imageproof_akm::bovw::{impacts_with_weights, ImpactModel, SparseBovw};
 use imageproof_crypto::Digest;
 use imageproof_invindex::grouped::{grouped_search, verify_grouped_topk, Group};
+use imageproof_invindex::merkle::list_digest;
 use imageproof_invindex::{
-    exhaustive_topk, inv_search, inv_search_with_tuning, verify_topk, BoundsMode, FilterVo, Index,
-    InvVerifyError, Posting, RemainingVo, SearchTuning,
+    block_digest, exhaustive_topk, inv_search, inv_search_with_tuning, verify_topk, BlockSummary,
+    BoundsMode, Entry, FilterVo, Index, InvVerifyError, List, Posting, RemainingVo, SearchTuning,
+    BLOCK_SIZE,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
 const N_CLUSTERS: usize = 12;
@@ -68,8 +73,107 @@ fn query_strategy() -> impl Strategy<Value = SparseBovw> {
         .prop_map(SparseBovw::from_counts)
 }
 
+/// Each list's block summaries, `h(Θ)` and `h_Γ` as a one-list build
+/// folds them: every digest one scalar message at a time, entry chains and
+/// then blocks tail first.
+fn scalar_fold<E: Entry>(list: &List<E>) -> (Vec<BlockSummary>, Digest, Digest) {
+    let mut blocks: Vec<BlockSummary> = list
+        .postings
+        .chunks(BLOCK_SIZE)
+        .map(|chunk| BlockSummary {
+            max_impact: chunk[0].head_impact(list.weight),
+            chain_head: chunk.iter().rev().fold(Digest::ZERO, |next, e| {
+                e.chain_digest(Digest::builder(), &next)
+            }),
+            digest: Digest::ZERO,
+        })
+        .collect();
+    let (mut next_max, mut next) = (0.0f32, Digest::ZERO);
+    for b in blocks.iter_mut().rev() {
+        b.digest = block_digest(Digest::builder(), &b.chain_head, next_max, &next);
+        next_max = b.max_impact;
+        next = b.digest;
+    }
+    let filter_commit = list.filter.digest();
+    let digest = list_digest(
+        Digest::builder(),
+        list.weight,
+        &filter_commit,
+        next_max,
+        &next,
+    );
+    (blocks, filter_commit, digest)
+}
+
+/// List lengths for one seal: empty, exactly one and two blocks, and
+/// ragged tails.
+fn list_lengths_strategy() -> impl Strategy<Value = Vec<usize>> {
+    // Three extra draws on top of 0..=40 make 0, 8 and 16 likelier.
+    let len = (0usize..=43).prop_map(|n| match n {
+        41 => 0,
+        42 => 8,
+        43 => 16,
+        n => n,
+    });
+    proptest::collection::vec(len, 0..=40)
+}
+
+/// Builds lists of the given lengths in one call and checks every list
+/// against [`scalar_fold`].
+fn seal_matches_scalar<E: Entry>(
+    lengths: &[usize],
+    seed: u64,
+    entry: impl Fn(&mut StdRng, u64) -> E,
+) -> Result<(), TestCaseError> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let specs: Vec<(u32, f32, Vec<E>)> = lengths
+        .iter()
+        .enumerate()
+        .map(|(c, &n)| {
+            let entries = (0..n as u64)
+                .map(|i| entry(&mut rng, 1_000 * c as u64 + i))
+                .collect();
+            (c as u32, rng.gen_range(0.0f32..3.0), entries)
+        })
+        .collect();
+    let lists = List::try_build_all(specs, 64).expect("64 buckets hold 40 entries of 3 images");
+    prop_assert_eq!(lists.len(), lengths.len());
+    for (list, &n) in lists.iter().zip(lengths) {
+        prop_assert_eq!(list.len(), n);
+        let (blocks, filter_commit, digest) = scalar_fold(list);
+        prop_assert_eq!(list.blocks(), &blocks[..], "cluster {}", list.cluster);
+        prop_assert_eq!(
+            list.filter_commit(),
+            filter_commit,
+            "cluster {}",
+            list.cluster
+        );
+        prop_assert_eq!(list.digest, digest, "cluster {}", list.cluster);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The chain-position scheduler hashes every block summary, `h(Θ)` and
+    /// `h_Γ` of a run of lists exactly as a one-list scalar fold does, for
+    /// plain postings and for frequency groups.
+    #[test]
+    fn batched_seal_equals_the_scalar_fold(
+        lengths in list_lengths_strategy(),
+        seed in any::<u64>(),
+    ) {
+        seal_matches_scalar(&lengths, seed, |rng, id| -> Posting {
+            (id, rng.gen_range(0.0f32..4.0))
+        })?;
+        seal_matches_scalar(&lengths, seed, |rng, id| {
+            let members = (0..rng.gen_range(1..=3u64))
+                .map(|m| (4 * id + m, rng.gen_range(0.5f32..3.0)))
+                .collect();
+            Group { frequency: (id % 1_000) as u32 + 1, members }
+        })?;
+    }
 
     #[test]
     fn authenticated_search_is_exact_and_verifiable(

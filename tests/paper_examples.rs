@@ -93,7 +93,7 @@ fn posting_digests_chain_as_in_definition_4() {
     for (b, chunk) in list.postings.chunks(BLOCK_SIZE).enumerate() {
         let mut expected = Digest::ZERO;
         for p in chunk.iter().rev() {
-            expected = imageproof_invindex::merkle::posting_digest(p, &expected);
+            expected = imageproof_invindex::merkle::posting_digest(Digest::builder(), p, &expected);
         }
         assert_eq!(list.blocks()[b].chain_head, expected, "block {b}");
     }
