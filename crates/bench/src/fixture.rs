@@ -2,9 +2,7 @@
 //! and shared across measurements.
 
 use imageproof_akm::{AkmParams, Codebook, SparseBovw};
-use imageproof_core::{
-    Client, Concurrency, Owner, Scheme, ServiceProvider, ShardManifest, ShardedSp, SystemConfig,
-};
+use imageproof_core::{Client, Owner, Scheme, ServiceProvider};
 use imageproof_vision::{Corpus, CorpusConfig, DescriptorKind, ImageId};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -94,22 +92,7 @@ impl Fixture {
     /// Builds the corpus, trains the codebook, and encodes every image
     /// (the expensive owner-side passes, shared by all schemes).
     pub fn build(config: FixtureConfig) -> Fixture {
-        let mut corpus = Corpus::generate(&config.corpus_config());
-        // Tie trio: three consecutive-id images share one feature set and
-        // latent words, so they score identically for any query and land
-        // in different shards for every shard count ≥ 2. A query sourced
-        // from the trio with k = 2 cuts through the tie, forcing the
-        // sharded merge (and its fence proofs) to resolve a genuine
-        // cross-shard tie — see [`Fixture::tie_query`].
-        if config.n_images >= 8 {
-            let [a, b, c] = Self::tie_trio_for(config.n_images);
-            let features = corpus.images[a as usize].features.clone();
-            let words = corpus.images[a as usize].latent_words.clone();
-            for dup in [b, c] {
-                corpus.images[dup as usize].features = features.clone();
-                corpus.images[dup as usize].latent_words = words.clone();
-            }
-        }
+        let corpus = Corpus::generate(&config.corpus_config());
         let codebook = Codebook::train(config.kind, corpus.all_features(), &config.akm_params());
         let encodings: Vec<(ImageId, SparseBovw)> = corpus
             .images
@@ -146,75 +129,6 @@ impl Fixture {
                 Arc::new((ServiceProvider::new(db), Client::new(published)))
             })
             .clone()
-    }
-
-    /// Uncached, timed ADS construction at an explicit thread count (the
-    /// owner-side axis of the thread-sweep figure). Returns the built SP,
-    /// a client holding the published parameters, and the wall-clock build
-    /// seconds; the fixture's system cache is bypassed so every call
-    /// measures a full build.
-    pub fn build_system_timed(
-        &self,
-        scheme: Scheme,
-        conc: Concurrency,
-    ) -> (ServiceProvider, Client, f64) {
-        let t = imageproof_obs::Stopwatch::start();
-        let (db, published) = self.owner.build_system_prepared_config(
-            &self.corpus,
-            self.codebook.clone(),
-            self.encodings.clone(),
-            SystemConfig::new(scheme).with_threads(conc.threads),
-        );
-        let seconds = t.elapsed_seconds();
-        (ServiceProvider::new(db), Client::new(published), seconds)
-    }
-
-    /// Uncached, timed sharded ADS construction (the shard-count axis of
-    /// the shard sweep figure). Partitions the corpus by `shard_of`, builds
-    /// every per-shard ADS under one shared codebook and impact model, and
-    /// signs the shard manifest. Returns the sharded SP, a client holding
-    /// the published parameters, the manifest, and the wall-clock build
-    /// seconds.
-    pub fn build_sharded_system_timed(
-        &self,
-        scheme: Scheme,
-        shard_count: usize,
-    ) -> (ShardedSp, Client, ShardManifest, f64) {
-        let t = imageproof_obs::Stopwatch::start();
-        let system = self.owner.build_sharded_system_prepared_config(
-            &self.corpus,
-            self.codebook.clone(),
-            self.encodings.clone(),
-            SystemConfig::new(scheme),
-            shard_count,
-        );
-        let seconds = t.elapsed_seconds();
-        (
-            ShardedSp::new(system.shards),
-            Client::new(system.published),
-            system.manifest,
-            seconds,
-        )
-    }
-
-    /// The fixture's tie-trio image ids: three consecutive ids (centered
-    /// in the id range) sharing one encoding, so they tie exactly and
-    /// split across shards for every shard count ≥ 2.
-    pub fn tie_trio(&self) -> [ImageId; 3] {
-        Self::tie_trio_for(self.config.n_images)
-    }
-
-    fn tie_trio_for(n_images: usize) -> [ImageId; 3] {
-        let base = (n_images / 2) as ImageId;
-        [base, base + 1, base + 2]
-    }
-
-    /// A query sourced from the tie trio. At k = 2 its top-k cuts through
-    /// the trio's three-way tie, so a sharded deployment must merge (and
-    /// fence) across a contested tie boundary.
-    pub fn tie_query(&self, n_features: usize) -> Vec<Vec<f32>> {
-        self.corpus
-            .query_from_image(self.tie_trio()[0], n_features, 0x71e)
     }
 
     /// Deterministic query workloads: `n_queries` feature sets of

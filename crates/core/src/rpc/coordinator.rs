@@ -233,8 +233,8 @@ impl FleetHealth {
         &self.slo
     }
 
-    /// The rolling latency view merged across every shard — the windowed
-    /// p50/p90/p99 source for fig16 and the scrape endpoint.
+    /// The rolling latency view merged across every shard — the source
+    /// of the SLO burn rate on the scrape endpoint.
     pub fn windowed_latency(&self) -> imageproof_obs::HistogramSnapshot {
         let mut merged = imageproof_obs::HistogramSnapshot::default();
         for w in &self.windows {

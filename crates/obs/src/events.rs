@@ -241,7 +241,7 @@ impl EventLog {
     }
 
     /// `{"failover": n, …}` cumulative per-kind counts in stable order —
-    /// the summary fig16 embeds per record.
+    /// the summary `imageproof-shardd demo` prints after its queries.
     pub fn counts_json(&self) -> String {
         let fields: Vec<String> = EVENT_KINDS
             .iter()

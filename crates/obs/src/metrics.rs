@@ -221,15 +221,6 @@ impl HistogramSnapshot {
             buckets: buckets.into_iter().collect(),
         }
     }
-
-    /// Mean sample value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
 }
 
 /// The identity of one registered metric: name plus sorted label pairs.
@@ -776,7 +767,7 @@ mod tests {
     #[test]
     fn quantile_on_empty_is_none_not_zero() {
         // An empty histogram has no quantiles — reporting 0 would read as
-        // a perfect p99 in fig16 output.
+        // a perfect p99 on a scrape.
         let h = Histogram::new();
         for q in [0.0, 0.5, 0.99, 1.0] {
             assert_eq!(h.quantile(q), None);

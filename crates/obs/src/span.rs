@@ -131,15 +131,6 @@ impl QueryProfile {
             .unwrap_or(0)
     }
 
-    /// The root's direct children as `(phase name, wall seconds)` — the
-    /// top-level phase breakdown.
-    pub fn phases(&self) -> Vec<(&'static str, f64)> {
-        self.root
-            .as_ref()
-            .map(|r| r.children.iter().map(|c| (c.name, c.seconds)).collect())
-            .unwrap_or_default()
-    }
-
     /// An indented human-readable dump of the span tree.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -263,8 +254,9 @@ mod tests {
         prof.exit();
         let profile = prof.finish();
         assert!(!profile.is_empty());
+        let root = profile.root.as_ref().expect("enabled profile has a root");
         assert_eq!(
-            profile.phases().iter().map(|&(n, _)| n).collect::<Vec<_>>(),
+            root.children.iter().map(|c| c.name).collect::<Vec<_>>(),
             vec!["a", "b"]
         );
         assert_eq!(profile.counter("items"), 7);
@@ -285,7 +277,6 @@ mod tests {
         assert!(profile.is_empty());
         assert_eq!(profile.total_seconds(), 0.0);
         assert_eq!(profile.counter("n"), 0);
-        assert_eq!(profile.phases(), Vec::<(&'static str, f64)>::new());
     }
 
     #[test]

@@ -191,6 +191,40 @@ mod tests {
         Corpus::generate(&CorpusConfig::small(DescriptorKind::Surf))
     }
 
+    /// Euclidean distance between two descriptors.
+    ///
+    /// # Panics
+    /// Panics when the slices have different lengths — mixing descriptor
+    /// kinds is a programming error, not a data error.
+    fn l2_distance(a: &[f32], b: &[f32]) -> f32 {
+        assert_eq!(a.len(), b.len(), "descriptor dimensionality mismatch");
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| {
+                let d = x - y;
+                d * d
+            })
+            .sum::<f32>()
+            .sqrt()
+    }
+
+    #[test]
+    fn distance_of_identical_vectors_is_zero() {
+        let v = vec![0.25f32; 128];
+        assert_eq!(l2_distance(&v, &v), 0.0);
+    }
+
+    #[test]
+    fn distance_matches_hand_computation() {
+        assert_eq!(l2_distance(&[0.0, 3.0], &[4.0, 0.0]), 5.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "dimensionality mismatch")]
+    fn mismatched_dims_panic() {
+        let _ = l2_distance(&[1.0], &[1.0, 2.0]);
+    }
+
     #[test]
     fn generation_is_deterministic() {
         let a = small();
@@ -250,7 +284,7 @@ mod tests {
             let best = img
                 .latent_words
                 .iter()
-                .map(|&w| crate::descriptor::l2_distance(f, &c.word_centers[w]))
+                .map(|&w| l2_distance(f, &c.word_centers[w]))
                 .fold(f32::INFINITY, f32::min);
             assert!(best <= max_noise, "query feature strayed: {best}");
         }

@@ -19,5 +19,5 @@ pub mod descriptor;
 pub mod zipf;
 
 pub use corpus::{Corpus, CorpusConfig, SyntheticImage};
-pub use descriptor::{l2_distance, l2_distance_sq, DescriptorKind, ImageId};
+pub use descriptor::{DescriptorKind, ImageId};
 pub use zipf::Zipf;

@@ -467,6 +467,49 @@ fn scrape_plane_never_blocks_or_perturbs_served_bytes() {
                 "the monitor must have scraped the fleet at least once mid-run"
             );
         }
+        // Every shard answered a query round-trip per round, and each one
+        // fed the SLO tracker.
+        let observed_total = coord.fleet().slo().observed_total();
+        assert!(
+            observed_total >= (ROUNDS * N_SHARDS) as u64,
+            "the SLO tracker saw {observed_total} round-trips, expected at least {}",
+            ROUNDS * N_SHARDS
+        );
+        // After the queries the coordinator's /metrics carries the fleet
+        // series the scrape provider injects: each shard's windowed
+        // round-trip quantiles, the SLO burn rate and one counter per
+        // event kind.
+        if let Some(cs) = &coord_scrape {
+            let (status, metrics) = obs::http_get(&cs.addr().to_string(), "/metrics", 5.0)
+                .expect("scrape coordinator /metrics");
+            assert_eq!(status, 200, "coordinator /metrics must answer");
+            let has = |series: &str| {
+                metrics.lines().any(|line| {
+                    line.strip_prefix(series)
+                        .is_some_and(|v| v.starts_with(' '))
+                })
+            };
+            let mut expected = vec!["imageproof_slo_burn_rate_milli".to_string()];
+            for shard in 0..N_SHARDS {
+                for q in ["p50", "p90", "p99"] {
+                    expected.push(format!(
+                        "imageproof_rpc_windowed_latency_micros{{quantile=\"{q}\",shard=\"{shard}\"}}"
+                    ));
+                }
+            }
+            for kind in obs::EVENT_KINDS {
+                expected.push(format!(
+                    "imageproof_fleet_events_total{{kind=\"{}\"}}",
+                    kind.name()
+                ));
+            }
+            for series in &expected {
+                assert!(
+                    has(series),
+                    "coordinator /metrics lacks {series}:\n{metrics}"
+                );
+            }
+        }
         drop(coord_scrape);
         drop(coord);
         drop(proxy);
